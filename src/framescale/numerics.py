@@ -1,14 +1,16 @@
 """Dense real linear-algebra kernel and nonnegative linear feasibility solver.
 
-Everything here is self-contained and deterministic: eigendecomposition via
-cyclic Jacobi rotations, rank/nullspace from singular values of M^T M, and a
-two-phase tableau simplex with Bland's anti-cycling rule.  The solver produces
-either a nonnegative witness or a Farkas-style infeasibility certificate.
+Eigenvalues, singular values, rank and nullspace come from LAPACK through
+numpy.  Linear feasibility is a deterministic two-phase tableau simplex with
+Dantzig pricing and a Bland's-rule fallback after a run of degenerate pivots;
+it produces either a nonnegative witness or a Farkas-style infeasibility
+certificate.  The strict variant maximizes the minimum entry through the
+substitution x = delta + s, which adds one row and two columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from .errors import (
 
 _EPS_RC = 1e-9      # reduced-cost threshold for entering columns
 _EPS_PIV = 1e-9     # minimum pivot magnitude
+_STALL = 50         # consecutive degenerate pivots before Bland's rule takes over
 STRICT_MARGIN = 1e-9
 
 
@@ -61,10 +64,11 @@ def _check_finite(a):
 
 
 def symmetric_eigen(M, sym_tol=1e-10):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix by LAPACK (``numpy.linalg.eigh``).
 
-    Raises NonSymmetricError when ``M`` deviates from its transpose by more
-    than ``sym_tol`` relative to the largest entry.
+    Eigenvalues come in descending order; each eigenvector's largest-magnitude
+    entry is positive.  Raises NonSymmetricError when ``M`` deviates from its
+    transpose by more than ``sym_tol`` relative to the largest entry.
     """
     A = np.array(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -74,97 +78,44 @@ def symmetric_eigen(M, sym_tol=1e-10):
     if float(np.abs(A - A.T).max()) > sym_tol * scale:
         raise NonSymmetricError("matrix is not symmetric within tolerance")
 
-    n = A.shape[0]
-    A = 0.5 * (A + A.T)
-    Q = np.eye(n)
-    fro = max(float(np.linalg.norm(A)), 1e-300)
-    for _ in range(100):
-        off = A - np.diag(np.diag(A))
-        if float(np.abs(off).max(initial=0.0)) <= 1e-15 * fro:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-18 * fro:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                # A <- J^T A J with the rotation in the (p, q) plane
-                col_p, col_q = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p, row_q = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                qp, qq = Q[:, p].copy(), Q[:, q].copy()
-                Q[:, p] = c * qp - s * qq
-                Q[:, q] = s * qp + c * qq
-
-    eigvals = np.diag(A).copy()
-    order = np.argsort(-eigvals, kind="stable")
-    eigvals = eigvals[order]
-    Q = Q[:, order]
+    eigvals, Q = np.linalg.eigh(0.5 * (A + A.T))
+    eigvals, Q = eigvals[::-1], Q[:, ::-1]
     # deterministic sign: largest-magnitude entry of each eigenvector positive
-    for j in range(n):
-        i = int(np.argmax(np.abs(Q[:, j])))
-        if Q[i, j] < 0:
-            Q[:, j] = -Q[:, j]
+    lead = Q[np.argmax(np.abs(Q), axis=0), np.arange(Q.shape[1])]
+    Q = Q * np.where(lead < 0, -1.0, 1.0)
     eigvals.setflags(write=False)
     Q.setflags(write=False)
     return SpectralData(eigenvalues=eigvals, eigenvectors=Q)
 
 
 def singular_values(M):
-    """Singular values of M, descending.
-
-    Computed from the symmetric embedding [[0, M], [M^T, 0]], whose
-    eigenvalues are +-sigma_i plus zeros; this avoids forming M^T M and the
-    square-root loss of precision that would come with it.
-    """
+    """Singular values of M, descending, by LAPACK (``numpy.linalg.svd``)."""
     A = np.asarray(M, dtype=float)
     _check_finite(A)
-    k, nv = A.shape
-    B = np.zeros((k + nv, k + nv))
-    B[:k, k:] = A
-    B[k:, :k] = A.T
-    spec = symmetric_eigen(B)
-    return np.clip(spec.eigenvalues[: min(k, nv)], 0.0, None)
+    return np.linalg.svd(A, compute_uv=False)
+
+
+def _rank_of(s, tol):
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    return int(np.sum(s > tol * s[0])) if s.size else 0
 
 
 def rank(M, tol=1e-10):
     """Number of singular values above ``tol`` times the largest one."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    s = singular_values(M)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    return _rank_of(singular_values(M), tol)
 
 
 def nullspace_basis(M, tol=1e-10):
-    """Orthonormal basis of the kernel of M, as columns of the result.
+    """Orthonormal basis of the kernel of M, as columns of the result,
+    ordered by ascending singular value: the trailing right singular vectors.
 
     A full-column-rank matrix yields a matrix with zero columns.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     A = np.asarray(M, dtype=float)
     _check_finite(A)
-    # kernel dimension from the precise singular values; kernel directions
-    # from the Gram eigenvectors (accurate as long as the spectral gap to the
-    # smallest nonzero singular value is healthy)
-    k0 = A.shape[1] - rank(A, tol)
-    if k0 == 0:
-        return np.zeros((A.shape[1], 0))
-    spec = symmetric_eigen(A.T @ A)
-    # smallest eigenvalues last in the descending order; flip so the basis is
-    # ordered by ascending singular value
-    cols = spec.eigenvectors[:, -k0:][:, ::-1].copy()
-    return cols
+    _, s, Vt = np.linalg.svd(A)
+    return Vt[_rank_of(s, tol):][::-1].T
 
 
 # ---------------------------------------------------------------------------
@@ -191,31 +142,33 @@ def _pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _bland_loop(T, basis, n_enterable, cap):
+def _simplex_loop(T, basis, n_enterable, cap):
+    """Pivot until no reduced cost is below -_EPS_RC.
+
+    The entering column is the most negative reduced cost (Dantzig); the
+    leaving row has the smallest ratio, ties within 1e-12 going to the largest
+    pivot element.  After _STALL consecutive degenerate pivots the rest of the
+    solve uses Bland's rule (lowest entering index, lowest leaving basis
+    index), which cannot cycle.
+    """
     k = T.shape[0] - 1
+    stalled = 0
     for _ in range(cap):
-        obj = T[-1]
-        col = -1
-        for j in range(n_enterable):
-            if obj[j] < -_EPS_RC:
-                col = j
-                break
-        if col < 0:
+        rc = T[-1, :n_enterable]
+        bland = stalled >= _STALL
+        col = int(np.argmax(rc < -_EPS_RC)) if bland else int(np.argmin(rc))
+        if rc[col] >= -_EPS_RC:
             return "optimal"
-        best = None
-        best_row = -1
-        for i in range(k):
-            a = T[i, col]
-            if a > _EPS_PIV:
-                ratio = T[i, -1] / a
-                if best is None or ratio < best - 1e-12 or (
-                    abs(ratio - best) <= 1e-12 and basis[i] < basis[best_row]
-                ):
-                    best = ratio
-                    best_row = i
-        if best_row < 0:
+        a = T[:k, col]
+        rows = np.flatnonzero(a > _EPS_PIV)
+        if rows.size == 0:
             return "unbounded"
-        _pivot(T, basis, best_row, col)
+        ratios = T[rows, -1] / a[rows]
+        step = float(ratios.min())
+        ties = rows[ratios <= step + 1e-12]
+        row = ties[np.argmin(basis[ties])] if bland else ties[np.argmax(a[ties])]
+        stalled = stalled + 1 if step <= 1e-12 else 0
+        _pivot(T, basis, row, col)
     raise IterationLimitError("simplex iteration cap exceeded")
 
 
@@ -244,9 +197,9 @@ def linear_program(A, b, c=None, maximize=False):
     T[:k, -1] = b1
     T[k, :nv] = -A1.sum(axis=0)
     T[k, -1] = -b1.sum()
-    basis = list(range(nv, nv + k))
+    basis = np.arange(nv, nv + k)
 
-    _bland_loop(T, basis, nv, cap)
+    _simplex_loop(T, basis, nv, cap)
     p1_obj = -T[-1, -1]
     feas_tol = 1e-9 * (1.0 + float(np.abs(b).max(initial=0.0)))
     if p1_obj > feas_tol:
@@ -255,26 +208,23 @@ def linear_program(A, b, c=None, maximize=False):
                         dual=row_sign * pi)
 
     # drive leftover artificials out of the basis (redundant rows stay put)
-    for i in range(k):
-        if basis[i] >= nv:
-            for j in range(nv):
-                if abs(T[i, j]) > _EPS_PIV:
-                    _pivot(T, basis, i, j)
-                    break
+    for i in np.flatnonzero(basis >= nv):
+        cols = np.flatnonzero(np.abs(T[i, :nv]) > _EPS_PIV)
+        if cols.size:
+            _pivot(T, basis, i, cols[0])
 
     if c is not None:
         cvec = np.zeros(nv + k)
         cvec[:nv] = -np.asarray(c, dtype=float) if maximize else np.asarray(c, dtype=float)
-        cB = cvec[np.asarray(basis)]
+        cB = cvec[basis]
         T[-1, :] = np.concatenate([cvec, [0.0]]) - cB @ T[:k, :]
-        status = _bland_loop(T, basis, nv, cap)
+        status = _simplex_loop(T, basis, nv, cap)
         if status == "unbounded":
             return LPResult(status="unbounded")
 
     x = np.zeros(nv)
-    for i, bi in enumerate(basis):
-        if bi < nv:
-            x[bi] = T[i, -1]
+    structural = basis < nv
+    x[basis[structural]] = T[:k, -1][structural]
     obj = None
     if c is not None:
         obj = float(np.asarray(c, dtype=float) @ x)
@@ -334,28 +284,22 @@ def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
         _verify_witness(A2, b2, x)
         return FeasibilityOutcome(feasible=True, witness=x)
 
-    # strict: variables [x, delta, s, s_cap]; maximize delta subject to
-    # A2 x = b2, x_i - delta - s_i = 0, delta + s_cap = CAP
+    # strict: substitute x = delta + s; variables [delta, s, s_cap]; maximize
+    # delta subject to A2 (delta 1 + s) = b2, delta + s_cap = CAP.  The
+    # s-columns are A2's own, so the Farkas rows [:k] certify as above.
     cap_val = 1.0 + float(np.abs(b2).max(initial=0.0))
-    nv = m + 1 + m + 1
-    Ae = np.zeros((k2 + m + 1, nv))
-    be = np.zeros(k2 + m + 1)
-    Ae[:k2, :m] = A2
-    be[:k2] = b2
-    for i in range(m):
-        Ae[k2 + i, i] = 1.0
-        Ae[k2 + i, m] = -1.0
-        Ae[k2 + i, m + 1 + i] = -1.0
-    Ae[k2 + m, m] = 1.0
-    Ae[k2 + m, nv - 1] = 1.0
-    be[k2 + m] = cap_val
-    cost = np.zeros(nv)
-    cost[m] = 1.0
+    Ae = np.zeros((k2 + 1, m + 2))
+    Ae[:k2, 0] = A2.sum(axis=1)
+    Ae[:k2, 1:m + 1] = A2
+    Ae[k2, [0, m + 1]] = 1.0
+    be = np.append(b2, cap_val)
+    cost = np.zeros(m + 2)
+    cost[0] = 1.0
     res = linear_program(Ae, be, cost, maximize=True)
     if res.status == "infeasible":
         return FeasibilityOutcome(feasible=False, certificate=certificate_from(res.dual))
-    delta = float(res.x[m])
-    x = _clamp_nonneg(res.x[:m])
+    delta = float(res.x[0])
+    x = _clamp_nonneg(delta + res.x[1:m + 1])
     if delta <= STRICT_MARGIN:
         return FeasibilityOutcome(feasible=False, strict_margin=delta)
     _verify_witness(A2, b2, x)

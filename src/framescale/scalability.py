@@ -69,7 +69,7 @@ class CofactorReport:
     sign_class: str
 
 
-SignCheck = namedtuple("SignCheck", ["row_index", "columns_independent"])
+SignCheck = namedtuple("SignCheck", ["row_index"])
 
 
 def independent_rows(mat, tol=1e-10):
@@ -99,8 +99,6 @@ def quick_sign_reject(F) -> SignCheck:
 
     Rows containing (near-)zero entries are skipped: they only force the
     weights to vanish on their support, which does not preclude scalability.
-    Also reports whether the columns are linearly independent, another
-    sufficient condition for non-scalability.
     """
     theta = reduced_diagram_matrix(F).data
     row_index = None
@@ -110,10 +108,7 @@ def quick_sign_reject(F) -> SignCheck:
         ):
             row_index = i
             break
-    cols_independent = False
-    if F.m <= theta.shape[0]:
-        cols_independent = numerics.rank(theta) == F.m
-    return SignCheck(row_index=row_index, columns_independent=cols_independent)
+    return SignCheck(row_index=row_index)
 
 
 def hull_certificate_check(F, y) -> bool:

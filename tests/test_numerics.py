@@ -164,3 +164,70 @@ class TestSolveFeasibility:
         assert out.witness is None
         assert out.strict_margin is not None
         assert out.strict_margin <= 1e-9
+
+
+class TestHighsOracle:
+    """solve_feasibility against scipy's HiGHS on random small systems."""
+
+    @staticmethod
+    def _random_system(rng, homogeneous):
+        k = int(rng.integers(2, 6))
+        m = int(rng.integers(k + 1, 3 * k + 4))
+        A = rng.standard_normal((k, m))
+        if homogeneous:
+            b = np.zeros(k)
+        elif rng.random() < 0.6:
+            b = A @ (rng.uniform(0.0, 1.0, m) * (rng.random(m) < 0.7))
+        else:
+            b = rng.standard_normal(k)
+        if rng.random() < 0.3:  # x_m = 0 on every solution: feasible at best, never strict
+            A = np.vstack([A, np.eye(m)[-1]])
+            b = np.append(b, 0.0)
+        return A, b
+
+    @staticmethod
+    def _highs_margin(linprog, A, b):
+        """None when A x = b (plus sum x = 1 if b = 0) has no x >= 0, else
+        max delta <= 1 + max|b| with x >= delta, as framescale's strict LP."""
+        k, m = A.shape
+        if not b.any():
+            A, b = np.vstack([A, np.ones(m)]), np.append(b, 1.0)
+        cap = 1.0 + float(np.abs(b).max())
+        res = linprog(np.append(-1.0, np.zeros(m)),
+                      A_ub=np.hstack([np.ones((m, 1)), -np.eye(m)]), b_ub=np.zeros(m),
+                      A_eq=np.hstack([np.zeros((len(b), 1)), A]), b_eq=b,
+                      bounds=[(0.0, cap)] + [(0.0, None)] * m, method="highs")
+        assert res.status in (0, 2)
+        return None if res.status == 2 else -res.fun
+
+    def test_agrees_with_highs(self, rng):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        decided = {(hom, strict, feasible): 0 for hom in (True, False)
+                   for strict in (True, False) for feasible in (True, False)}
+        for trial in range(160):
+            hom = trial % 2 == 0
+            A, b = self._random_system(rng, hom)
+            margin = self._highs_margin(linprog, A, b)
+            for strict in (False, True):
+                if strict and margin is not None and 1e-12 < margin < 1e-6:
+                    continue  # too close to the strict threshold to call
+                out = numerics.solve_feasibility(
+                    numerics.FeasibilityProblem(A=A, b=b, require_strict=strict))
+                expected = margin is not None and (not strict or margin > 1e-6)
+                assert out.feasible == expected
+                decided[(hom, strict, expected)] += 1
+                if out.feasible:
+                    x = out.witness
+                    assert x.min() >= 0.0
+                    assert np.abs(A @ x - b).max() <= 1e-8 * (1.0 + np.abs(b).max())
+                    if hom:
+                        assert x.sum() == pytest.approx(1.0, abs=1e-9)
+                elif out.certificate is not None:
+                    y = out.certificate
+                    if hom:
+                        assert float((y @ A).min()) > 0.0
+                    else:
+                        assert float((y @ A).max()) <= 1e-8 and float(y @ b) > 0.0
+                else:
+                    assert strict and margin is not None
+        assert min(decided.values()) >= 5, decided

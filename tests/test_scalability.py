@@ -110,10 +110,6 @@ class TestSignReject:
         assert check.row_index is None
         assert decide_scalable(F).scalable
 
-    def test_independent_columns_reported(self):
-        F = make_frame([[1.0, 0.1], [0.9, 0.5]])
-        assert quick_sign_reject(F).columns_independent
-
 
 class TestHullCertificate:
     def test_valid_certificate(self):
