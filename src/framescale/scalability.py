@@ -6,11 +6,15 @@ Four routes are available:
   the kernel of the reduced diagram matrix, found by linear feasibility.
 * ``quick_sign_reject`` -- cheap rejection when a row of the reduced diagram
   matrix is strictly one-signed.
-* ``cofactor_scaling`` -- closed-form weights from cofactors when the reduced
-  diagram matrix has rank m-1.
+* ``cofactor_scaling`` -- closed-form weights when the reduced diagram matrix
+  has rank m-1: its kernel is the line of the cofactor vector, so the unit
+  kernel vector from one SVD decides by its sign pattern.
 * ``codim2_scaling`` -- the rank m-2 case, solved exactly by intersecting the
-  angular half-circles where each cofactor A_j(t) = p_j cos t + q_j sin t is
-  nonnegative.
+  angular half-circles where each entry of cos t xi_1 + sin t xi_2 is
+  nonnegative, for an orthonormal kernel basis xi_1, xi_2 from one SVD.
+
+``cofactor_vector`` and ``cofactor_pencil`` keep the paper's cofactor
+formulas; the routes' kernel vectors are proportional to them.
 
 Every "not scalable" answer is certified: either a separating functional y
 with <x~_i, y> > 0 for all i, or a strictly one-signed row index.
@@ -65,7 +69,7 @@ class ScalingResult:
 @dataclass
 class CofactorReport:
     corank: int
-    cofactor_vector: np.ndarray
+    cofactor_vector: np.ndarray  # unit kernel vector, proportional to the cofactors
     sign_class: str
 
 
@@ -224,21 +228,20 @@ def _classify_signs(v, rel_tol=1e-10):
 
 
 def cofactor_scaling(F):
-    """Rank m-1 route: the kernel of the reduced diagram matrix is spanned by
-    the cofactor vector, so scalability reduces to its sign pattern.
+    """Rank m-1 route: the kernel of the reduced diagram matrix is the line of
+    the cofactor vector, so scalability reduces to its sign pattern.  The
+    kernel comes from one SVD as a unit vector proportional to the cofactors.
 
     Returns (CofactorReport, ScalingResult).
     """
     theta = reduced_diagram_matrix(F).data
-    m = F.m
-    r = numerics.rank(theta)
-    if r != m - 1:
-        raise CorankMismatchError(f"cofactor method needs corank 1, measured corank {m - r}")
-    rows_idx = independent_rows(theta)
-    R = theta[rows_idx]
-    cof = cofactor_vector(R)
-    sign_class = _classify_signs(cof)
-    report = CofactorReport(corank=1, cofactor_vector=cof, sign_class=sign_class)
+    kernel = numerics.nullspace_basis(theta)
+    if kernel.shape[1] != 1:
+        raise CorankMismatchError(
+            f"cofactor method needs corank 1, measured corank {kernel.shape[1]}")
+    v = kernel[:, 0]
+    sign_class = _classify_signs(v)
+    report = CofactorReport(corank=1, cofactor_vector=v, sign_class=sign_class)
     if sign_class == MIXED:
         result = ScalingResult(
             verdict=NOT_SCALABLE,
@@ -246,7 +249,7 @@ def cofactor_scaling(F):
             certificate_y=_lp_certificate(theta),
         )
         return report, result
-    c = np.abs(cof)
+    c = np.abs(v)
     c = c / c.sum()
     result = _finish_scalable(c, METHOD_COFACTOR,
                               strict_margin=float(c.min()))
@@ -264,25 +267,6 @@ def cofactor_pencil(R, w1, w2):
     xi1 = cofactor_vector(np.vstack([np.asarray(w1, dtype=float), R]))
     xi2 = cofactor_vector(np.vstack([np.asarray(w2, dtype=float), R]))
     return xi1, xi2
-
-
-def _completion_vectors(R, m, tol=1e-10):
-    """Two standard basis vectors extending the rows of R to rank m, scanning
-    indices in ascending order."""
-    stacked = [row for row in np.asarray(R, dtype=float)]
-    chosen = []
-    current_rank = len(stacked)
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = 1.0
-        cand = np.vstack(stacked + [e])
-        if numerics.rank(cand, tol) > current_rank:
-            stacked.append(e)
-            chosen.append(e)
-            current_rank += 1
-        if len(chosen) == 2:
-            return chosen
-    raise InternalNumericError("could not complete rows to full rank")
 
 
 def _intersect_half_circles(pq):
@@ -322,23 +306,22 @@ def _intersect_half_circles(pq):
 
 
 def codim2_scaling(F):
-    """Rank m-2 route: every kernel vector is cos(t) xi_1 + sin(t) xi_2, and
-    scalability holds exactly when some direction t keeps all cofactors
-    nonnegative.  Decided by exact angular-interval intersection."""
+    """Rank m-2 route: every kernel vector is a multiple of
+    cos(t) xi_1 + sin(t) xi_2 for an orthonormal kernel basis xi_1, xi_2 from
+    one SVD, and scalability holds exactly when some direction t keeps all
+    entries nonnegative.  Decided by exact angular-interval intersection; the
+    weights come from the midpoint of the widest feasible arc, which is the
+    bisector of the feasible cone and so depends only on the kernel."""
     theta = reduced_diagram_matrix(F).data
-    m = F.m
-    r = numerics.rank(theta)
-    if r != m - 2:
-        raise CorankMismatchError(f"codim-2 method needs corank 2, measured corank {m - r}")
-    rows_idx = independent_rows(theta)
-    R = theta[rows_idx]
-    w1, w2 = _completion_vectors(R, m)
-    xi1, xi2 = cofactor_pencil(R, w1, w2)
+    kernel = numerics.nullspace_basis(theta)
+    if kernel.shape[1] != 2:
+        raise CorankMismatchError(
+            f"codim-2 method needs corank 2, measured corank {kernel.shape[1]}")
+    xi1, xi2 = kernel.T
 
     scale = max(float(np.abs(xi1).max()), float(np.abs(xi2).max()), 1e-300)
     constraints = []
-    for j in range(m):
-        p, q = xi1[j], xi2[j]
+    for p, q in zip(xi1, xi2):
         if np.hypot(p, q) > 1e-12 * scale:
             constraints.append((p, q))
     intervals = _intersect_half_circles(constraints)

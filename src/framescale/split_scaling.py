@@ -15,14 +15,13 @@ import numpy as np
 
 from . import numerics
 from .diagram import pair_indices, reduced_diagram_matrix
-from .errors import DimensionMismatchError, EmptyWError, InternalNumericError
+from .errors import DimensionMismatchError
 from .scalability import (
     METHOD_FEASIBILITY,
     NOT_SCALABLE,
     ScalingResult,
     _finish_scalable,
     _lp_certificate,
-    independent_rows,
 )
 
 
@@ -100,48 +99,6 @@ def find_W_element(F) -> ConeMembership:
     return ConeMembership(member=True, a=out.witness)
 
 
-def _w_vertices(F, count):
-    """Distinct W elements obtained by maximizing single coordinates."""
-    A, b = _w_constraints(F)
-    found = []
-    for i in range(min(count, F.m)):
-        cost = np.zeros(F.m)
-        cost[i] = 1.0
-        res = numerics.linear_program(A, b, cost, maximize=True)
-        if res.status != "optimal":
-            continue
-        a = np.clip(res.x, 0.0, None)
-        if not any(np.allclose(a, prev, atol=1e-10) for prev in found):
-            found.append(a)
-    return found
-
-
-def W_geometry_check(F, samples=3) -> bool:
-    """Verify the convexity of W and the per-row decomposition of each
-    witness as c_j u_j^2 plus a vector orthogonal to u_j^2, with
-    c_j ||u_j^2||^2 = 1."""
-    base = find_W_element(F)
-    if not base.member:
-        raise EmptyWError("W is empty, nothing to verify")
-    rs = row_system(F)
-    witnesses = _w_vertices(F, samples) or [base.a]
-    for a in witnesses:
-        if not is_in_W(F, a).member:
-            return False
-        for usq in rs.u_squared:
-            nsq = float(usq @ usq)
-            cj = 1.0 / nsq
-            v = a - cj * usq
-            if abs(float(v @ usq)) > 1e-8 * nsq:
-                return False
-    for a in witnesses:
-        for b in witnesses:
-            for lam in (0.25, 0.5, 0.75):
-                if not is_in_W(F, lam * a + (1.0 - lam) * b).member:
-                    return False
-    return True
-
-
 def find_V_element(F, strict=False) -> ConeMembership:
     """Search for a nontrivial (nonzero) element of V; the zero vector always
     belongs to V and is excluded by normalizing the weights to sum 1."""
@@ -194,31 +151,3 @@ def intersection_scalability(F, strict=False) -> ScalingResult:
     )
     result.scalars_a = np.sqrt(np.clip(a, 0.0, None))
     return result
-
-
-def verify_projection_basis(F, a, coeff_tol=1e-6) -> bool:
-    """Check the support-projection characterization of a W witness: project
-    the squared rows onto the support of ``a``; every projected row outside a
-    maximal independent subset must be an affine combination (coefficients
-    summing to 1) of the independent ones."""
-    a = _check_weight_length(F, a)
-    if not is_in_W(F, a).member:
-        raise InternalNumericError("witness is not in W")
-    support = np.flatnonzero(a > 1e-9)
-    rs = row_system(F)
-    projected = np.vstack([usq for usq in rs.u_squared])[:, :]
-    mask = np.zeros(F.m)
-    mask[support] = 1.0
-    projected = projected * mask
-    J = independent_rows(projected)
-    basismat = projected[J]
-    for j in range(F.n):
-        if j in J:
-            continue
-        coeffs, residuals, _, _ = np.linalg.lstsq(basismat.T, projected[j], rcond=None)
-        resid = float(np.linalg.norm(basismat.T @ coeffs - projected[j]))
-        if resid > 1e-8 * max(float(np.abs(projected).max()), 1.0):
-            return False
-        if abs(float(coeffs.sum()) - 1.0) > coeff_tol:
-            return False
-    return True

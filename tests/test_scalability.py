@@ -11,7 +11,7 @@ from framescale import (
     quick_sign_reject,
 )
 from framescale.frame_core import apply_scaling, is_tight
-from framescale.diagram import reduced_diagram_matrix
+from framescale.diagram import reduced_diagram_matrix, reduced_size
 from framescale.errors import CorankMismatchError, DimensionMismatchError
 from framescale.scalability import (
     ALL_NONNEG,
@@ -25,7 +25,7 @@ from framescale.scalability import (
     cofactor_vector,
     independent_rows,
 )
-from conftest import angles_frame, random_unit_frame
+from conftest import angles_frame, random_scalable_frame, random_unit_frame
 
 
 def doubled_angle_gap_oracle(F):
@@ -244,6 +244,53 @@ class TestCodim2:
         F = angles_frame(0.0, np.pi / 3, 2 * np.pi / 3)
         with pytest.raises(CorankMismatchError):
             codim2_scaling(F)
+
+
+def _corank_frames(rng, n, corank, draws):
+    """Generated frames at m = d + corank, where d is the reduced row count:
+    ``draws`` Parseval-over-d frames and ``draws`` random unit-norm ones."""
+    m = reduced_size(n) + corank
+    frames = [random_scalable_frame(rng, n, m)[0] for _ in range(draws)]
+    frames += [random_unit_frame(rng, n, m) for _ in range(draws)]
+    return frames
+
+
+class TestCrossRouteAgreement:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("corank", [1, 2])
+    def test_route_matches_strict_lp(self, rng, n, corank):
+        for F in _corank_frames(rng, n, corank, draws=6):
+            r = cofactor_scaling(F)[1] if corank == 1 else codim2_scaling(F)
+            assert r.verdict == decide_scalable(F, strict=True).verdict
+            if r.scalable:
+                assert is_tight(apply_scaling(F, r.scalars_a)).tight
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_kernel_vector_parallel_to_cofactors(self, rng, n):
+        # the route's unit kernel vector is proportional to the paper's
+        # cofactors of a maximal independent row subset
+        for F in _corank_frames(rng, n, 1, draws=3):
+            report, _ = cofactor_scaling(F)
+            theta = reduced_diagram_matrix(F).data
+            cof = cofactor_vector(theta[independent_rows(theta)])
+            u = report.cofactor_vector / np.linalg.norm(report.cofactor_vector)
+            w = cof / np.linalg.norm(cof)
+            assert min(np.abs(u - w).max(), np.abs(u + w).max()) <= 1e-8
+
+
+class TestCodim2Permutation:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_weights_are_permutation_equivariant(self, rng, n):
+        # the widest-arc midpoint bisects the feasible kernel cone, which
+        # does not depend on the order of the frame vectors
+        m = reduced_size(n) + 2
+        for _ in range(3):
+            F, _ = random_scalable_frame(rng, n, m)
+            perm = rng.permutation(m)
+            r = codim2_scaling(F)
+            r_perm = codim2_scaling(make_frame(F.synthesis.T[perm]))
+            assert r_perm.verdict == r.verdict
+            assert np.abs(r_perm.weights_c - r.weights_c[perm]).max() <= 1e-9
 
 
 class TestHalfCircleIntersection:

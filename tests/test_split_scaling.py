@@ -12,9 +12,10 @@ from framescale import (
     row_system,
     sylvester_hadamard,
 )
+from framescale import numerics
 from framescale.frame_core import apply_scaling, is_tight
 from framescale.errors import DimensionMismatchError, EmptyWError
-from framescale.split_scaling import W_geometry_check, verify_projection_basis
+from framescale.scalability import independent_rows
 from conftest import angles_frame, random_unit_frame
 
 
@@ -22,6 +23,76 @@ def doubled_hadamard_frame(order=2):
     H = sylvester_hadamard(order).copy()
     H[-1] *= 2.0
     return make_frame(H.T)
+
+
+def _w_constraints(F):
+    return np.vstack(row_system(F).u_squared), np.ones(F.n)
+
+
+def _w_vertices(F, count):
+    """Distinct W elements obtained by maximizing single coordinates."""
+    A, b = _w_constraints(F)
+    found = []
+    for i in range(min(count, F.m)):
+        cost = np.zeros(F.m)
+        cost[i] = 1.0
+        res = numerics.linear_program(A, b, cost, maximize=True)
+        if res.status != "optimal":
+            continue
+        a = np.clip(res.x, 0.0, None)
+        if not any(np.allclose(a, prev, atol=1e-10) for prev in found):
+            found.append(a)
+    return found
+
+
+def W_geometry_check(F, samples=3) -> bool:
+    """Verify the convexity of W and the per-row decomposition of each
+    witness as c_j u_j^2 plus a vector orthogonal to u_j^2, with
+    c_j ||u_j^2||^2 = 1."""
+    base = find_W_element(F)
+    if not base.member:
+        raise EmptyWError("W is empty, nothing to verify")
+    rs = row_system(F)
+    witnesses = _w_vertices(F, samples) or [base.a]
+    for a in witnesses:
+        if not is_in_W(F, a).member:
+            return False
+        for usq in rs.u_squared:
+            nsq = float(usq @ usq)
+            cj = 1.0 / nsq
+            v = a - cj * usq
+            if abs(float(v @ usq)) > 1e-8 * nsq:
+                return False
+    for a in witnesses:
+        for b in witnesses:
+            for lam in (0.25, 0.5, 0.75):
+                if not is_in_W(F, lam * a + (1.0 - lam) * b).member:
+                    return False
+    return True
+
+
+def verify_projection_basis(F, a, coeff_tol=1e-6) -> bool:
+    """Check the support-projection characterization of a W witness: project
+    the squared rows onto the support of ``a``; every projected row outside a
+    maximal independent subset must be an affine combination (coefficients
+    summing to 1) of the independent ones."""
+    assert is_in_W(F, a).member, "witness is not in W"
+    support = np.flatnonzero(np.asarray(a) > 1e-9)
+    mask = np.zeros(F.m)
+    mask[support] = 1.0
+    projected = _w_constraints(F)[0] * mask
+    J = independent_rows(projected)
+    basismat = projected[J]
+    for j in range(F.n):
+        if j in J:
+            continue
+        coeffs = np.linalg.lstsq(basismat.T, projected[j], rcond=None)[0]
+        resid = float(np.linalg.norm(basismat.T @ coeffs - projected[j]))
+        if resid > 1e-8 * max(float(np.abs(projected).max()), 1.0):
+            return False
+        if abs(float(coeffs.sum()) - 1.0) > coeff_tol:
+            return False
+    return True
 
 
 class TestRowSystem:
