@@ -8,6 +8,7 @@ FRAMESCALE_TOL environment variable and is echoed in every report.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -17,7 +18,7 @@ from . import __version__, numerics
 from . import duals as duals_mod
 from . import scalability as sca
 from . import split_scaling as split
-from .diagram import reduced_diagram_matrix
+from .diagram import reduced_diagram_matrix, reduced_size
 from .errors import (
     CorankMismatchError,
     FramescaleError,
@@ -208,9 +209,11 @@ def cmd_scale(args, out=None, err=None) -> int:
     frame = frame_from_document(doc)
     method = args.method
     if method == "auto":
-        theta = reduced_diagram_matrix(frame).data
-        corank = frame.m - numerics.rank(theta)
-        method = {1: "cofactor", 2: "codim2"}.get(corank, "lp")
+        method = "lp"
+        # the corank is at least m - d, so a frame with m > d + 2 needs no SVD
+        if frame.m <= reduced_size(frame.n) + 2:
+            corank = sca.theta_kernel(frame).shape[1]
+            method = {1: "cofactor", 2: "codim2"}.get(corank, "lp")
     if method == "lp":
         result = sca.decide_scalable(frame, strict=args.strict)
     elif method == "cofactor":
@@ -242,11 +245,16 @@ def cmd_dual(args, out=None, err=None) -> int:
     doc = _read_document(args.path)
     frame = frame_from_document(doc)
     pair = duals_mod.canonical_dual(frame)
+    rep = duals_mod.canonical_dual_scalable(frame) if args.check_scalable else None
+    if rep is not None and rep.feasible:
+        # the scaled dual has frame operator S^-1 S^2 S^-1 = I
+        scaled = apply_scaling(pair.dual, rep.scalars_a)
+        if not is_tight(scaled, args.tol).tight:
+            raise InternalNumericError("reported dual scaling does not make the dual tight")
     name = (doc.name + "-canonical-dual") if doc.name else "canonical-dual"
     print(format_frame_document(document_from_frame(pair.dual, name=name)),
           file=out, end="")
-    if args.check_scalable:
-        rep = duals_mod.canonical_dual_scalable(frame)
+    if rep is not None:
         if rep.feasible:
             print("dual scalable; weights c: "
                   + " ".join("%.12g" % v for v in rep.weights_c), file=out)
@@ -291,21 +299,27 @@ def cmd_generate(args, out=None, err=None) -> int:
     return 0
 
 
+def _default_tol():
+    env_tol = os.environ.get("FRAMESCALE_TOL")
+    return float(env_tol) if env_tol else DEFAULT_TOL
+
+
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process.  ``--tol`` defaults to
+    None so that ``main`` reads FRAMESCALE_TOL on every call."""
     parser = argparse.ArgumentParser(
         prog="framescale",
         description="Scalability analysis of finite frames in R^n",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    env_tol = os.environ.get("FRAMESCALE_TOL")
-    default_tol = float(env_tol) if env_tol else DEFAULT_TOL
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="full report for a frame file")
     p.add_argument("path", nargs="?", help="frame document to analyze")
     p.add_argument("--batch", help="analyze every file in a directory")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--tol", type=float, default=default_tol)
+    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("scale", help="compute scaling weights or a certificate")
@@ -313,14 +327,14 @@ def _build_parser():
     p.add_argument("--strict", action="store_true", help="require strictly positive weights")
     p.add_argument("--method", choices=["auto", "lp", "cofactor", "codim2", "split"],
                    default="auto")
-    p.add_argument("--tol", type=float, default=default_tol)
+    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=cmd_scale)
 
     p = sub.add_parser("dual", help="emit the canonical dual frame")
     p.add_argument("path")
     p.add_argument("--check-scalable", action="store_true",
                    help="also test scalability of the canonical dual")
-    p.add_argument("--tol", type=float, default=default_tol)
+    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("generate", help="emit a named frame construction")
@@ -334,8 +348,9 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    if getattr(args, "tol", DEFAULT_TOL) is None:
+        args.tol = _default_tol()
     try:
         return args.func(args)
     except (IterationLimitError, InternalNumericError) as exc:

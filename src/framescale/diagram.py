@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DimensionTooSmallError, NotUnitNormError
+from .frame_core import derived
 
 FULL = "full"
 REDUCED = "reduced"
@@ -80,6 +81,11 @@ def full_diagram_matrix(F) -> np.ndarray:
 
 
 def reduced_diagram_matrix(F) -> ReducedDiagramMatrix:
+    """The reduced diagram matrix θ̃_X of F, computed once per frame."""
+    return derived(F, "reduced_diagram_matrix", _reduced_diagram_matrix)
+
+
+def _reduced_diagram_matrix(F):
     data = _diagram_columns(F.synthesis, REDUCED)
     data.setflags(write=False)
     return ReducedDiagramMatrix(n=F.n, data=data)

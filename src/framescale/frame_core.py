@@ -2,12 +2,13 @@
 
 A frame is stored through its n x m synthesis matrix whose i-th column is the
 i-th frame vector.  Construction verifies the spanning property by rank, so
-every ``Frame`` instance really is a frame.
+every ``Frame`` instance really is a frame.  Values derived from the synthesis
+are computed once per frame and kept on it through ``derived``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .errors import (
 @dataclass(frozen=True)
 class Frame:
     synthesis: np.ndarray  # n x m, columns are the frame vectors
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self):
@@ -48,6 +50,7 @@ class ScaledFrame:
     base: Frame
     weights: np.ndarray
     synthesis: np.ndarray
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self):
@@ -70,6 +73,24 @@ class FrameOperatorData:
 class Tightness:
     tight: bool
     bound: float | None = None
+
+
+def derived(F, key, build):
+    """``build(F)``, computed on the first call for ``F`` and ``key`` and
+    kept on ``F`` for every later one.
+
+    Nothing here is ever invalidated, and nothing needs to be: frames are
+    built only by ``frame_from_synthesis`` and ``apply_scaling``, which make
+    the synthesis read-only, so a value derived from it cannot go stale.  The
+    values live and die with the frame.  ``key`` must differ for every
+    setting that changes the result (a strict LP is never kept under the key
+    of a plain one), and ``build`` must return values that callers do not
+    modify.
+    """
+    cache = F._derived
+    if key not in cache:
+        cache[key] = build(F)
+    return cache[key]
 
 
 def frame_from_synthesis(X, tol=1e-10) -> Frame:
@@ -101,9 +122,15 @@ def make_frame(vectors, tol=1e-10) -> Frame:
 
 
 def frame_operator(F) -> FrameOperatorData:
-    """Frame operator S = X X^T with spectral data and frame bounds."""
+    """Frame operator S = X X^T with spectral data and frame bounds, computed
+    once per frame."""
+    return derived(F, "frame_operator", _frame_operator)
+
+
+def _frame_operator(F):
     X = F.synthesis
     S = X @ X.T
+    S.setflags(write=False)
     spec = numerics.symmetric_eigen(S)
     return FrameOperatorData(
         S=S,

@@ -34,6 +34,7 @@ from .errors import (
     DimensionMismatchError,
     InternalNumericError,
 )
+from .frame_core import derived
 
 NOT_SCALABLE = "not_scalable"
 SCALABLE = "scalable"
@@ -127,11 +128,34 @@ def hull_certificate_check(F, y) -> bool:
     return float((theta.T @ y).min()) > 0.0
 
 
-def _lp_certificate(theta):
-    """Infeasibility certificate for the homogeneous kernel problem."""
+def theta_kernel(F):
+    """Orthonormal basis of the kernel of the reduced diagram matrix, as
+    columns, from one SVD per frame; its width is the corank."""
+    return derived(F, "theta_kernel", _theta_kernel)
+
+
+def _theta_kernel(F):
+    kernel = numerics.nullspace_basis(reduced_diagram_matrix(F).data)
+    kernel.setflags(write=False)
+    return kernel
+
+
+def _theta_lp(F):
+    """Outcome of the plain homogeneous kernel problem: some c >= 0, sum 1,
+    with theta c = 0.  The strict problem is never kept with it."""
+    theta = reduced_diagram_matrix(F).data
     out = numerics.solve_feasibility(
         numerics.FeasibilityProblem(A=theta, b=np.zeros(theta.shape[0]))
     )
+    for v in (out.witness, out.certificate):
+        if v is not None:
+            v.setflags(write=False)
+    return out
+
+
+def _lp_certificate(F):
+    """Infeasibility certificate for the homogeneous kernel problem."""
+    out = derived(F, "theta_lp", _theta_lp)
     if out.feasible:
         raise InternalNumericError(
             "feasibility solver disagrees with a proven non-scalability verdict"
@@ -169,7 +193,7 @@ def decide_scalable(F, strict=False) -> ScalingResult:
         y = np.zeros(theta.shape[0])
         y[check.row_index] = sign
         if not hull_certificate_check(F, y):
-            y = _lp_certificate(theta)
+            y = _lp_certificate(F)
         return ScalingResult(
             verdict=NOT_SCALABLE,
             method=METHOD_SIGN_REJECT,
@@ -177,8 +201,7 @@ def decide_scalable(F, strict=False) -> ScalingResult:
             reject_row=check.row_index,
         )
 
-    b = np.zeros(theta.shape[0])
-    out = numerics.solve_feasibility(numerics.FeasibilityProblem(A=theta, b=b))
+    out = derived(F, "theta_lp", _theta_lp)
     if not out.feasible:
         return ScalingResult(
             verdict=NOT_SCALABLE,
@@ -187,9 +210,8 @@ def decide_scalable(F, strict=False) -> ScalingResult:
         )
     if not strict:
         return _finish_scalable(out.witness, METHOD_FEASIBILITY)
-    strict_out = numerics.solve_feasibility(
-        numerics.FeasibilityProblem(A=theta, b=b, require_strict=True)
-    )
+    strict_out = numerics.solve_feasibility(numerics.FeasibilityProblem(
+        A=theta, b=np.zeros(theta.shape[0]), require_strict=True))
     if strict_out.feasible:
         return _finish_scalable(
             strict_out.witness, METHOD_FEASIBILITY, strict_margin=strict_out.strict_margin
@@ -234,8 +256,7 @@ def cofactor_scaling(F):
 
     Returns (CofactorReport, ScalingResult).
     """
-    theta = reduced_diagram_matrix(F).data
-    kernel = numerics.nullspace_basis(theta)
+    kernel = theta_kernel(F)
     if kernel.shape[1] != 1:
         raise CorankMismatchError(
             f"cofactor method needs corank 1, measured corank {kernel.shape[1]}")
@@ -246,7 +267,7 @@ def cofactor_scaling(F):
         result = ScalingResult(
             verdict=NOT_SCALABLE,
             method=METHOD_COFACTOR,
-            certificate_y=_lp_certificate(theta),
+            certificate_y=_lp_certificate(F),
         )
         return report, result
     c = np.abs(v)
@@ -312,8 +333,7 @@ def codim2_scaling(F):
     entries nonnegative.  Decided by exact angular-interval intersection; the
     weights come from the midpoint of the widest feasible arc, which is the
     bisector of the feasible cone and so depends only on the kernel."""
-    theta = reduced_diagram_matrix(F).data
-    kernel = numerics.nullspace_basis(theta)
+    kernel = theta_kernel(F)
     if kernel.shape[1] != 2:
         raise CorankMismatchError(
             f"codim-2 method needs corank 2, measured corank {kernel.shape[1]}")
@@ -329,7 +349,7 @@ def codim2_scaling(F):
         return ScalingResult(
             verdict=NOT_SCALABLE,
             method=METHOD_CODIM2,
-            certificate_y=_lp_certificate(theta),
+            certificate_y=_lp_certificate(F),
         )
     lo, hi = max(intervals, key=lambda iv: iv[1] - iv[0])
     width = hi - lo

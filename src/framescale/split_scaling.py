@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .diagram import pair_indices, reduced_diagram_matrix
+from .diagram import pair_indices
 from .errors import DimensionMismatchError
+from .frame_core import derived
 from .scalability import (
     METHOD_FEASIBILITY,
     NOT_SCALABLE,
@@ -40,15 +41,19 @@ class ConeMembership:
 
 
 def row_system(F) -> RowSystem:
-    X = F.synthesis
-    u = [X[j].copy() for j in range(F.n)]
+    """Synthesis rows, their squares and pairwise products, computed once
+    per frame."""
+    return derived(F, "row_system", _row_system)
+
+
+def _row_system(F):
+    u = list(F.synthesis)  # views of the read-only synthesis rows
     pairs = pair_indices(F.n)
-    return RowSystem(
-        u=u,
-        u_squared=[uj * uj for uj in u],
-        cross_products=[u[i] * u[j] for i, j in pairs],
-        pairs=pairs,
-    )
+    u_squared = [uj * uj for uj in u]
+    cross_products = [u[i] * u[j] for i, j in pairs]
+    for v in u_squared + cross_products:
+        v.setflags(write=False)
+    return RowSystem(u=u, u_squared=u_squared, cross_products=cross_products, pairs=pairs)
 
 
 def _check_weight_length(F, a):
@@ -138,11 +143,10 @@ def intersection_scalability(F, strict=False) -> ScalingResult:
             result.scalars_a = np.sqrt(np.clip(out.witness, 0.0, None))
             return result
     if not out.feasible:
-        theta = reduced_diagram_matrix(F).data
         return ScalingResult(
             verdict=NOT_SCALABLE,
             method=METHOD_FEASIBILITY,
-            certificate_y=_lp_certificate(theta),
+            certificate_y=_lp_certificate(F),
         )
     a = out.witness
     result = _finish_scalable(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from framescale import make_frame
+from framescale import make_frame, sylvester_hadamard
 
 
 def random_unit_frame(rng, n, m):
@@ -70,6 +70,13 @@ def two_block_frame(rng, n, m):
 def angles_frame(*angles):
     """Unit-norm frame in R^2 from a list of angles."""
     return make_frame([[np.cos(t), np.sin(t)] for t in angles])
+
+
+def doubled_hadamard_frame(order=2):
+    """Sylvester Hadamard rows with the last row doubled: W is empty."""
+    H = sylvester_hadamard(order).copy()
+    H[-1] *= 2.0
+    return make_frame(H.T)
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import pytest
 from framescale import make_frame
 from framescale.cli import main
 from framescale.errors import ParseError
+from framescale.frame_core import apply_scaling, is_tight
 from framescale.framedoc import (
     document_from_frame,
     format_frame_document,
@@ -104,6 +105,16 @@ class TestAnalyze:
         assert main(["analyze", path]) == 0
         assert "1e-05" in capsys.readouterr().out
 
+    def test_tol_env_read_on_every_call(self, tmp_path, capsys, monkeypatch):
+        # one parser serves the process, so the default must not be frozen in it
+        path = write(tmp_path, "mb.frame", MB_TEXT)
+        monkeypatch.setenv("FRAMESCALE_TOL", "1e-5")
+        assert main(["analyze", path]) == 0
+        assert "tolerance: 1e-05" in capsys.readouterr().out
+        monkeypatch.delenv("FRAMESCALE_TOL")
+        assert main(["analyze", path]) == 0
+        assert "tolerance: 1e-08" in capsys.readouterr().out
+
 
 class TestScale:
     def test_scalable_prints_weights(self, tmp_path, capsys):
@@ -159,6 +170,23 @@ class TestDual:
         path = write(tmp_path, "x.frame", EXAMPLE_TEXT)
         assert main(["dual", path, "--check-scalable"]) == 0
         assert "dual scalable" in capsys.readouterr().out
+
+    def test_check_scalable_weights_make_dual_tight(self, tmp_path, capsys):
+        path = write(tmp_path, "x.frame", EXAMPLE_TEXT)
+        assert main(["dual", path, "--check-scalable", "--tol", "1e-12"]) == 0
+        out = capsys.readouterr().out
+        doc_text, weights = out.split("dual scalable; weights c: ")
+        dual = frame_from_document(parse_frame_document(doc_text))
+        a = np.sqrt([float(v) for v in weights.split()])
+        assert is_tight(apply_scaling(dual, a), 1e-12).tight
+
+    def test_check_scalable_honours_tol(self, tmp_path, capsys):
+        # no rounded scaling is tight to 1e-300: the check fails with exit 3
+        path = write(tmp_path, "x.frame", EXAMPLE_TEXT)
+        assert main(["dual", path, "--check-scalable", "--tol", "1e-300"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "dual tight" in captured.err
 
     def test_orthonormal_basis_self_dual(self, tmp_path, capsys):
         path = write(tmp_path, "onb.frame", "n 2\nm 2\n1 0\n0 1\n")

@@ -10,19 +10,12 @@ from framescale import (
     is_in_W,
     make_frame,
     row_system,
-    sylvester_hadamard,
 )
 from framescale import numerics
 from framescale.frame_core import apply_scaling, is_tight
 from framescale.errors import DimensionMismatchError, EmptyWError
 from framescale.scalability import independent_rows
-from conftest import angles_frame, random_unit_frame
-
-
-def doubled_hadamard_frame(order=2):
-    H = sylvester_hadamard(order).copy()
-    H[-1] *= 2.0
-    return make_frame(H.T)
+from conftest import angles_frame, doubled_hadamard_frame, random_unit_frame
 
 
 def _w_constraints(F):
