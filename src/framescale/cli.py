@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import os
 import sys
 
@@ -40,11 +41,11 @@ DEFAULT_TOL = 1e-8
 
 
 def _vec(a):
-    return None if a is None else [float(v) for v in np.asarray(a).ravel()]
+    return None if a is None else np.asarray(a, dtype=float).ravel().tolist()
 
 
 def _mat(a):
-    return None if a is None else [[float(v) for v in row] for row in np.asarray(a)]
+    return None if a is None else np.asarray(a, dtype=float).tolist()
 
 
 def _json_dumps(obj, indent=0):
@@ -60,6 +61,8 @@ def _json_dumps(obj, indent=0):
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if all(type(v) is float for v in obj):
+            return "[" + ", ".join(map("%.17g".__mod__, obj)) + "]"
         items = ", ".join(_json_dumps(v, indent) for v in obj)
         return "[" + items + "]"
     if isinstance(obj, bool):
@@ -70,7 +73,7 @@ def _json_dumps(obj, indent=0):
         return format_number(obj)
     if isinstance(obj, int):
         return str(obj)
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return json.dumps(str(obj), ensure_ascii=False)
 
 
 def _verify_scaling_result(frame, result):
@@ -82,6 +85,22 @@ def _verify_scaling_result(frame, result):
         raise InternalNumericError("reported weights fail the kernel identity")
 
 
+def _split_elements(frame, verdict):
+    """Elements of W and V.  On a scalable frame they are read off the kernel
+    weights c: sum_i c_i x_i x_i^T = lambda I with
+    lambda = sum_i c_i ||x_i||^2 / n, so c lies in V, c / lambda lies in W and
+    sqrt(c / lambda) are Parseval weights.  Both points are re-checked."""
+    if not verdict.scalable:
+        return split.find_W_element(frame), split.find_V_element(frame)
+    c = verdict.weights_c
+    lam = float(c @ (frame.synthesis ** 2).sum(axis=0)) / frame.n
+    w_elem = split.is_in_W(frame, c / lam)
+    v_elem = split.is_in_V(frame, c)
+    if not (w_elem.member and v_elem.member):
+        raise InternalNumericError("reported weights fail the W or V identities")
+    return w_elem, v_elem
+
+
 def build_report(doc: FrameDocument, tol: float) -> dict:
     frame = frame_from_document(doc)
     op = frame_operator(frame)
@@ -89,11 +108,7 @@ def build_report(doc: FrameDocument, tol: float) -> dict:
 
     verdict = sca.decide_scalable(frame, strict=True)
     _verify_scaling_result(frame, verdict)
-
-    w_elem = split.find_W_element(frame)
-    v_elem = split.find_V_element(frame)
-    inter = split.intersection_scalability(frame)
-    _verify_scaling_result(frame, inter)
+    w_elem, v_elem = _split_elements(frame, verdict)
 
     pair = duals_mod.canonical_dual(frame)
     dual_report = duals_mod.canonical_dual_scalable(frame)
@@ -125,8 +140,8 @@ def build_report(doc: FrameDocument, tol: float) -> dict:
             "w_element": _vec(w_elem.a),
             "v_nontrivial": v_elem.member,
             "v_element": _vec(v_elem.a),
-            "intersection_verdict": inter.verdict,
-            "parseval_scalars": _vec(inter.scalars_a),
+            "intersection_verdict": sca.SCALABLE if verdict.scalable else sca.NOT_SCALABLE,
+            "parseval_scalars": _vec(np.sqrt(w_elem.a)) if verdict.scalable else None,
         },
         "dual": {
             "canonical_dual": _mat(pair.dual.synthesis.T),

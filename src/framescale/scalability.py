@@ -106,14 +106,8 @@ def quick_sign_reject(F) -> SignCheck:
     weights to vanish on their support, which does not preclude scalability.
     """
     theta = reduced_diagram_matrix(F).data
-    row_index = None
-    for i, row in enumerate(theta):
-        if float(np.abs(row).min()) > _ZERO_TOL and (
-            np.all(row > 0) or np.all(row < 0)
-        ):
-            row_index = i
-            break
-    return SignCheck(row_index=row_index)
+    rows = np.flatnonzero((theta > _ZERO_TOL).all(1) | (theta < -_ZERO_TOL).all(1))
+    return SignCheck(row_index=int(rows[0]) if rows.size else None)
 
 
 def hull_certificate_check(F, y) -> bool:
@@ -184,7 +178,12 @@ def _finish_scalable(c, method, strict_margin=None):
 def decide_scalable(F, strict=False) -> ScalingResult:
     """General scalability decision via the kernel of the reduced diagram
     matrix.  With ``strict=True`` the minimum weight is maximized to separate
-    scalable from strictly scalable."""
+    scalable from strictly scalable.
+
+    The strict LP goes first: its phase 1 decides feasibility and carries the
+    certificate of a "not scalable" answer, so the plain LP runs only when the
+    frame is feasible but not strictly (margin at most ``STRICT_MARGIN``), to
+    find a witness."""
     theta = reduced_diagram_matrix(F).data
     check = quick_sign_reject(F)
     if check.row_index is not None:
@@ -201,20 +200,24 @@ def decide_scalable(F, strict=False) -> ScalingResult:
             reject_row=check.row_index,
         )
 
+    if strict:
+        out = numerics.solve_feasibility(numerics.FeasibilityProblem(
+            A=theta, b=np.zeros(theta.shape[0]), require_strict=True))
+        if out.feasible:
+            return _finish_scalable(
+                out.witness, METHOD_FEASIBILITY, strict_margin=out.strict_margin)
+        if out.certificate is not None:
+            return ScalingResult(
+                verdict=NOT_SCALABLE,
+                method=METHOD_FEASIBILITY,
+                certificate_y=out.certificate,
+            )
     out = derived(F, "theta_lp", _theta_lp)
     if not out.feasible:
         return ScalingResult(
             verdict=NOT_SCALABLE,
             method=METHOD_FEASIBILITY,
             certificate_y=out.certificate,
-        )
-    if not strict:
-        return _finish_scalable(out.witness, METHOD_FEASIBILITY)
-    strict_out = numerics.solve_feasibility(numerics.FeasibilityProblem(
-        A=theta, b=np.zeros(theta.shape[0]), require_strict=True))
-    if strict_out.feasible:
-        return _finish_scalable(
-            strict_out.witness, METHOD_FEASIBILITY, strict_margin=strict_out.strict_margin
         )
     return _finish_scalable(out.witness, METHOD_FEASIBILITY)
 

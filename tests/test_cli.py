@@ -1,21 +1,51 @@
+import json
+
 import numpy as np
 import pytest
 
 from framescale import make_frame
-from framescale.cli import main
+from framescale.cli import _json_dumps, build_report, main
 from framescale.errors import ParseError
 from framescale.frame_core import apply_scaling, is_tight
 from framescale.framedoc import (
     document_from_frame,
     format_frame_document,
     frame_from_document,
+    format_number,
     parse_frame_document,
 )
+from test_derived import FRAMES, _frame
 
 
 MB_TEXT = "n 2\nm 3\n1 0\n-0.5 0.8660254037844386\n-0.5 -0.8660254037844386\n"
 EXAMPLE_TEXT = "n 2\nm 3\nname example\n2 1\n1 2\n1 1\n"
 QUADRANT_TEXT = "n 2\nm 3\n1 0.1\n0.9 0.5\n0.5 1\n"
+
+
+def reference_json_dumps(obj, indent=0):
+    """One ``format_number`` call per float: the reference for the report's
+    JSON bytes."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",\n".join(
+            f'{pad}  "{k}": {reference_json_dumps(v, indent + 1)}' for k, v in obj.items()
+        )
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + ", ".join(reference_json_dumps(v, indent) for v in obj) + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, float):
+        return format_number(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def write(tmp_path, name, text):
@@ -84,6 +114,20 @@ class TestAnalyze:
         second = capsys.readouterr().out
         assert first == second
         assert '"verdict": "not_scalable"' in first
+
+    @pytest.mark.parametrize("name", sorted(FRAMES))
+    def test_json_bytes_match_reference(self, name):
+        rep = build_report(document_from_frame(_frame(name), name=name), 1e-8)
+        assert _json_dumps(rep) == reference_json_dumps(rep)
+
+    def test_json_escapes_name(self, tmp_path, capsys):
+        name = 'a\tb "q" \\ é'
+        frame = frame_from_document(parse_frame_document(MB_TEXT))
+        doc = document_from_frame(frame, name=name)
+        path = tmp_path / "named.frame"
+        path.write_text(format_frame_document(doc), encoding="utf-8")
+        assert main(["analyze", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["frame"]["name"] == name
 
     def test_malformed_file_exit_two(self, tmp_path, capsys):
         path = write(tmp_path, "bad.frame", "n 2\nm 1\n1 0\n")

@@ -1,5 +1,6 @@
 """The per-frame cache: each derived quantity is computed once per frame, and
-a frame whose cache is warm answers every route exactly as a fresh one."""
+a frame whose cache is warm answers every route exactly as a fresh one.  One
+report solves each LP question once."""
 
 import dataclasses
 
@@ -23,6 +24,7 @@ from framescale import diagram, frame_core, split_scaling
 from framescale.cli import build_report, main
 from framescale.diagram import reduced_diagram_matrix, reduced_size
 from framescale.framedoc import document_from_frame, format_frame_document
+from framescale.scalability import NOT_SCALABLE, SCALABLE
 from conftest import (
     angles_frame,
     doubled_hadamard_frame,
@@ -138,3 +140,55 @@ def test_scale_auto_takes_at_most_one_svd_of_theta(tmp_path, monkeypatch, capsys
                         lambda A, *args, **kwargs: np.array_equal(A, theta))
     assert main(["scale", "--method", "auto", str(path)]) in (0, 1)
     assert len(theta_svds) == svds
+
+
+@pytest.mark.parametrize("name", sorted(FRAMES))
+def test_report_asks_each_question_once(monkeypatch, name):
+    # the theta LP decides scalability; W and V are read from its answer, so
+    # their LPs run only on frames that are not scalable, and W∩V never runs
+    F = _frame(name)
+    theta = reduced_diagram_matrix(F).data
+    rs = split_scaling.row_system(F)
+    systems = {
+        "theta": theta,
+        "W": np.vstack(rs.u_squared),
+        "V": np.vstack(rs.cross_products),
+        "WV": np.vstack(rs.u_squared + rs.cross_products),
+    }
+    calls = _count(monkeypatch, numerics, "solve_feasibility")
+    rep = build_report(document_from_frame(F, name=name), 1e-8)
+    solved = [next((k for k, A in systems.items() if np.array_equal(p.A, A)), "other")
+              for (p,) in calls]
+    verdict = rep["scalability"]["verdict"]
+    assert solved.count("WV") == 0
+    assert solved.count("theta") <= (2 if verdict == SCALABLE else 1)
+    if verdict == NOT_SCALABLE:
+        assert solved.count("W") == solved.count("V") == 1
+    else:
+        assert "W" not in solved and "V" not in solved
+
+
+@pytest.mark.parametrize("name", sorted(FRAMES))
+def test_report_split_points_hold(name):
+    F = _frame(name)
+    X = F.synthesis
+    sp = build_report(document_from_frame(F, name=name), 1e-8)["split"]
+    scalable = sp["intersection_verdict"] != NOT_SCALABLE
+    assert sp["w_nonempty"] == (sp["w_element"] is not None)
+    assert sp["v_nontrivial"] == (sp["v_element"] is not None)
+    if scalable:
+        assert sp["w_nonempty"] and sp["v_nontrivial"]
+    if sp["w_element"] is not None:
+        a = np.array(sp["w_element"])
+        assert a.min() >= 0 and np.allclose((X * X) @ a, 1.0, rtol=0, atol=1e-9)
+    if sp["v_element"] is not None:
+        a = np.array(sp["v_element"])
+        S = (X * a) @ X.T
+        assert a.min() >= 0 and a.sum() > 0
+        assert np.abs(S - np.diag(np.diag(S))).max() <= 1e-9 * np.abs(S).max()
+    if scalable:
+        a = np.array(sp["parseval_scalars"])
+        Xa = X * a
+        assert np.abs(Xa @ Xa.T - np.eye(F.n)).max() <= 1e-9
+    else:
+        assert sp["parseval_scalars"] is None

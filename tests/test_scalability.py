@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,9 @@ from framescale import (
 from framescale.frame_core import apply_scaling, is_tight
 from framescale.diagram import reduced_diagram_matrix, reduced_size
 from framescale.errors import CorankMismatchError, DimensionMismatchError
+from framescale import scalability
 from framescale.scalability import (
+    _ZERO_TOL,
     ALL_NONNEG,
     ALL_NONPOS,
     MIXED,
@@ -96,7 +100,32 @@ class TestVerdicts:
         assert decide_scalable(F).scalable == doubled_angle_gap_oracle(F)
 
 
+def loop_sign_reject(theta):
+    """Row-by-row reference for ``quick_sign_reject``: the first row whose
+    entries all exceed the zero tolerance in magnitude and share one sign."""
+    for i, row in enumerate(theta):
+        if float(np.abs(row).min()) > _ZERO_TOL and (
+            np.all(row > 0) or np.all(row < 0)
+        ):
+            return i
+    return None
+
+
 class TestSignReject:
+    def test_matches_row_loop(self, rng, monkeypatch):
+        F = make_frame(np.eye(2))
+        tiny = [0.0, _ZERO_TOL, -_ZERO_TOL, 2 * _ZERO_TOL, -2 * _ZERO_TOL]
+        for _ in range(400):
+            k, m = rng.integers(1, 8), rng.integers(1, 12)
+            theta = rng.standard_normal((k, m))
+            for i in rng.choice(k, size=rng.integers(0, k + 1), replace=False):
+                theta[i] = rng.choice([-1.0, 1.0]) * np.abs(theta[i])
+            mask = rng.random((k, m)) < 0.05
+            theta[mask] = rng.choice(tiny, size=mask.sum())
+            monkeypatch.setattr(scalability, "reduced_diagram_matrix",
+                                lambda G: SimpleNamespace(data=theta))
+            assert quick_sign_reject(F).row_index == loop_sign_reject(theta)
+
     def test_strictly_positive_row_rejects(self):
         F = make_frame([[1.0, 0.1], [0.9, 0.5], [0.5, 1.0]])
         check = quick_sign_reject(F)
