@@ -2,7 +2,8 @@
 
 Exit codes: 0 analyzed, 1 not scalable (cmd_scale only), 2 input error,
 3 internal numeric failure.  The default tolerance comes from --tol or the
-FRAMESCALE_TOL environment variable and is echoed in every report.
+FRAMESCALE_TOL environment variable, must be a finite positive number and is
+echoed in every report.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -21,6 +23,7 @@ from . import scalability as sca
 from . import split_scaling as split
 from .diagram import reduced_diagram_matrix, reduced_size
 from .errors import (
+    BadParamsError,
     CorankMismatchError,
     FramescaleError,
     InternalNumericError,
@@ -279,8 +282,6 @@ def cmd_dual(args, out=None, err=None) -> int:
 
 
 def _generate_document(kind, n, m, seed, name) -> FrameDocument:
-    from .errors import BadParamsError
-
     if kind == "mb":
         angles = [2.0 * np.pi * k / 3.0 for k in range(3)]
         vectors = [[np.cos(a), np.sin(a)] for a in angles]
@@ -314,15 +315,28 @@ def cmd_generate(args, out=None, err=None) -> int:
     return 0
 
 
-def _default_tol():
-    env_tol = os.environ.get("FRAMESCALE_TOL")
-    return float(env_tol) if env_tol else DEFAULT_TOL
+def _resolve_tol(arg):
+    """The tolerance from --tol, else FRAMESCALE_TOL, else DEFAULT_TOL.
+    Anything but a finite positive number is an input error."""
+    text, source = arg, "--tol"
+    if text is None:
+        text, source = os.environ.get("FRAMESCALE_TOL"), "FRAMESCALE_TOL"
+        if not text:
+            return DEFAULT_TOL
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise BadParamsError(f"{source} must be a finite positive number, got {text!r}")
+    return tol
 
 
 @functools.cache
 def _build_parser():
-    """The argument parser, built once per process.  ``--tol`` defaults to
-    None so that ``main`` reads FRAMESCALE_TOL on every call."""
+    """The argument parser, built once per process.  ``--tol`` is kept as
+    text, default None, so that ``main`` validates it and reads
+    FRAMESCALE_TOL on every call."""
     parser = argparse.ArgumentParser(
         prog="framescale",
         description="Scalability analysis of finite frames in R^n",
@@ -334,7 +348,7 @@ def _build_parser():
     p.add_argument("path", nargs="?", help="frame document to analyze")
     p.add_argument("--batch", help="analyze every file in a directory")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("scale", help="compute scaling weights or a certificate")
@@ -342,14 +356,14 @@ def _build_parser():
     p.add_argument("--strict", action="store_true", help="require strictly positive weights")
     p.add_argument("--method", choices=["auto", "lp", "cofactor", "codim2", "split"],
                    default="auto")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol")
     p.set_defaults(func=cmd_scale)
 
     p = sub.add_parser("dual", help="emit the canonical dual frame")
     p.add_argument("path")
     p.add_argument("--check-scalable", action="store_true",
                    help="also test scalability of the canonical dual")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol")
     p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("generate", help="emit a named frame construction")
@@ -364,9 +378,9 @@ def _build_parser():
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "tol", DEFAULT_TOL) is None:
-        args.tol = _default_tol()
     try:
+        if hasattr(args, "tol"):
+            args.tol = _resolve_tol(args.tol)
         return args.func(args)
     except (IterationLimitError, InternalNumericError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

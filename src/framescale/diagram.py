@@ -57,15 +57,14 @@ def _diagram_columns(X, kind):
     n = X.shape[0]
     if n < 2:
         raise DimensionTooSmallError("diagram vectors require n >= 2")
+    if kind not in (FULL, REDUCED):
+        raise ValueError(f"unknown diagram kind {kind!r}")
     scale = 1.0 / np.sqrt(n - 1)
-    pairs = pair_indices(n)
-    diffs = np.vstack([(X[i] ** 2 - X[j] ** 2) * scale for i, j in pairs])
-    prods = np.vstack([np.sqrt(2 * n) * X[i] * X[j] * scale for i, j in pairs])
-    if kind == FULL:
-        return np.vstack([diffs, prods])
-    if kind == REDUCED:
-        return np.vstack([diffs[: n - 1], prods])
-    raise ValueError(f"unknown diagram kind {kind!r}")
+    i, j = np.triu_indices(n, 1)  # the lexicographic pairs of pair_indices
+    di, dj = (i, j) if kind == FULL else (i[: n - 1], j[: n - 1])
+    diffs = (X[di] ** 2 - X[dj] ** 2) * scale
+    prods = np.sqrt(2 * n) * X[i] * X[j] * scale
+    return np.vstack([diffs, prods])
 
 
 def diagram_vector(x, kind=FULL) -> DiagramVector:

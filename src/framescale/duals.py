@@ -107,15 +107,9 @@ def _upper_triangle_system(F, rhs_matrix):
     """Flatten sum_i c_i x_i x_i^T = rhs over the upper triangle, weighting
     off-diagonal entries by sqrt(2) so the flattening is an isometry."""
     X = F.synthesis
-    n, m = X.shape
-    rows = []
-    rhs = []
-    for i in range(n):
-        for j in range(i, n):
-            w = 1.0 if i == j else np.sqrt(2.0)
-            rows.append(w * X[i] * X[j])
-            rhs.append(w * rhs_matrix[i, j])
-    return np.vstack(rows), np.array(rhs)
+    i, j = np.triu_indices(X.shape[0])
+    w = np.where(i == j, 1.0, np.sqrt(2.0))
+    return (w[:, None] * X[i]) * X[j], w * rhs_matrix[i, j]
 
 
 def canonical_dual_scalable(F, strict=False) -> DualScalingReport:

@@ -54,7 +54,7 @@ class NoHadamardAvailableError(FramescaleError):
 
 
 class BadParamsError(FramescaleError):
-    """Invalid parameters for a generator."""
+    """Invalid parameters for a generator or an invalid command-line tolerance."""
 
 
 class EmptyWError(FramescaleError):

@@ -6,6 +6,11 @@ Dantzig pricing and a Bland's-rule fallback after a run of degenerate pivots;
 it produces either a nonnegative witness or a Farkas-style infeasibility
 certificate.  The strict variant maximizes the minimum entry through the
 substitution x = delta + s, which adds one row and two columns.
+
+Small LPs cost in numpy calls, not in arithmetic, so each pivot is one
+broadcast rank-1 update of the tableau in place, and each LP's inputs are
+checked once: ``solve_feasibility`` and ``linear_program`` validate and then
+share one unchecked kernel.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ class FeasibilityOutcome:
 
 
 def _check_finite(a):
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFiniteError("matrix entries must be finite")
 
 
@@ -131,11 +136,10 @@ class LPResult:
 
 
 def _pivot(T, basis, row, col):
-    T[row] = T[row] / T[row, col]
-    piv = T[row].copy()
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= np.outer(factors, piv)
+    # one in-place rank-1 update of every row; the pivot row's own update is
+    # discarded when it is set to piv
+    piv = T[row] / T[row, col]
+    T -= T[:, col, None] * piv
     T[row] = piv
     T[:, col] = 0.0
     T[row, col] = 1.0
@@ -152,21 +156,22 @@ def _simplex_loop(T, basis, n_enterable, cap):
     index), which cannot cycle.
     """
     k = T.shape[0] - 1
+    rc = T[-1, :n_enterable]    # views: _pivot updates T in place
+    rhs = T[:k, -1]
     stalled = 0
     for _ in range(cap):
-        rc = T[-1, :n_enterable]
         bland = stalled >= _STALL
-        col = int(np.argmax(rc < -_EPS_RC)) if bland else int(np.argmin(rc))
+        col = (rc < -_EPS_RC).argmax() if bland else rc.argmin()
         if rc[col] >= -_EPS_RC:
             return "optimal"
         a = T[:k, col]
-        rows = np.flatnonzero(a > _EPS_PIV)
+        rows = (a > _EPS_PIV).nonzero()[0]
         if rows.size == 0:
             return "unbounded"
-        ratios = T[rows, -1] / a[rows]
+        ratios = rhs[rows] / a[rows]
         step = float(ratios.min())
         ties = rows[ratios <= step + 1e-12]
-        row = ties[np.argmin(basis[ties])] if bland else ties[np.argmax(a[ties])]
+        row = ties[basis[ties].argmin()] if bland else ties[a[ties].argmax()]
         stalled = stalled + 1 if step <= 1e-12 else 0
         _pivot(T, basis, row, col)
     raise IterationLimitError("simplex iteration cap exceeded")
@@ -178,12 +183,27 @@ def linear_program(A, b, c=None, maximize=False):
     With ``c=None`` only feasibility is decided (phase 1).  On infeasibility
     the returned ``dual`` y satisfies y.A <= 0 and y.b > 0 (Farkas).
     """
+    A, b = _checked_system(A, b)
+    if c is not None:
+        c = np.asarray(c, dtype=float)
+    return _linear_program(A, b, c, maximize)
+
+
+def _checked_system(A, b):
+    """A as a float matrix and b as a float vector of matching length, both
+    finite."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
     _check_finite(A)
     _check_finite(b)
     if A.ndim != 2 or A.shape[0] != b.size:
         raise DimensionMismatchError(f"A has shape {A.shape}, b has length {b.size}")
+    return A, b
+
+
+def _linear_program(A, b, c, maximize):
+    """``linear_program`` on inputs already passed through ``_checked_system``;
+    ``c`` is None or a float vector."""
     k, nv = A.shape
     cap = 50 * (k + nv + k)  # artificials count toward the column budget
 
@@ -215,7 +235,7 @@ def linear_program(A, b, c=None, maximize=False):
 
     if c is not None:
         cvec = np.zeros(nv + k)
-        cvec[:nv] = -np.asarray(c, dtype=float) if maximize else np.asarray(c, dtype=float)
+        cvec[:nv] = -c if maximize else c
         cB = cvec[basis]
         T[-1, :] = np.concatenate([cvec, [0.0]]) - cB @ T[:k, :]
         status = _simplex_loop(T, basis, nv, cap)
@@ -227,7 +247,7 @@ def linear_program(A, b, c=None, maximize=False):
     x[basis[structural]] = T[:k, -1][structural]
     obj = None
     if c is not None:
-        obj = float(np.asarray(c, dtype=float) @ x)
+        obj = float(c @ x)
     pi = -T[-1, nv:nv + k]
     return LPResult(status="optimal", x=x, objective=obj, dual=row_sign * pi)
 
@@ -251,12 +271,7 @@ def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
     failure of an otherwise feasible system carries neither witness nor
     certificate, only the margin.
     """
-    A = np.asarray(p.A, dtype=float)
-    b = np.asarray(p.b, dtype=float).ravel()
-    _check_finite(A)
-    _check_finite(b)
-    if A.ndim != 2 or A.shape[0] != b.size:
-        raise DimensionMismatchError(f"A has shape {A.shape}, b has length {b.size}")
+    A, b = _checked_system(p.A, p.b)
     k, m = A.shape
     hom = bool(np.all(b == 0.0))
     if hom:
@@ -277,7 +292,7 @@ def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
         return y
 
     if not p.require_strict:
-        res = linear_program(A2, b2)
+        res = _linear_program(A2, b2, None, False)
         if res.status == "infeasible":
             return FeasibilityOutcome(feasible=False, certificate=certificate_from(res.dual))
         x = _clamp_nonneg(res.x)
@@ -295,7 +310,7 @@ def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
     be = np.append(b2, cap_val)
     cost = np.zeros(m + 2)
     cost[0] = 1.0
-    res = linear_program(Ae, be, cost, maximize=True)
+    res = _linear_program(Ae, be, cost, True)
     if res.status == "infeasible":
         return FeasibilityOutcome(feasible=False, certificate=certificate_from(res.dual))
     delta = float(res.x[0])

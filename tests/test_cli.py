@@ -160,6 +160,40 @@ class TestAnalyze:
         assert "tolerance: 1e-08" in capsys.readouterr().out
 
 
+BAD_TOLS = ["nan", "inf", "0", "-1", "abc"]
+TOL_COMMANDS = [["analyze"], ["scale"], ["dual", "--check-scalable"]]
+
+
+class TestTolerance:
+    """A tolerance that is not a finite positive number is an input error;
+    a NaN would make every tightness comparison pass vacuously."""
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    @pytest.mark.parametrize("command", TOL_COMMANDS, ids=" ".join)
+    def test_bad_option_exit_two(self, tmp_path, capsys, command, tol):
+        path = write(tmp_path, "x.frame", EXAMPLE_TEXT)
+        assert main(command + [path, "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --tol must be a finite positive number")
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    @pytest.mark.parametrize("command", TOL_COMMANDS, ids=" ".join)
+    def test_bad_env_exit_two(self, tmp_path, capsys, monkeypatch, command, tol):
+        path = write(tmp_path, "x.frame", EXAMPLE_TEXT)
+        monkeypatch.setenv("FRAMESCALE_TOL", tol)
+        assert main(command + [path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: FRAMESCALE_TOL must be a finite positive number")
+
+    def test_option_overrides_bad_env(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "x.frame", EXAMPLE_TEXT)
+        monkeypatch.setenv("FRAMESCALE_TOL", "abc")
+        assert main(["analyze", path, "--tol", "1e-5"]) == 0
+        assert "tolerance: 1e-05" in capsys.readouterr().out
+
+
 class TestScale:
     def test_scalable_prints_weights(self, tmp_path, capsys):
         path = write(tmp_path, "mb.frame", MB_TEXT)

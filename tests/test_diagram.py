@@ -10,11 +10,24 @@ from framescale import (
     make_frame,
     reduced_diagram_matrix,
 )
-from framescale.diagram import FULL, REDUCED, pair_indices, reduced_size
+from framescale.diagram import FULL, REDUCED, _diagram_columns, pair_indices, reduced_size
 from framescale.errors import DimensionTooSmallError, NotUnitNormError
 from conftest import angles_frame, random_unit_frame
 
 finite_floats = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+def reference_diagram_columns(X, kind):
+    """The per-pair loop that built diagram vectors before np.triu_indices:
+    the reference for bitwise equality."""
+    n = X.shape[0]
+    scale = 1.0 / np.sqrt(n - 1)
+    pairs = pair_indices(n)
+    diffs = np.vstack([(X[i] ** 2 - X[j] ** 2) * scale for i, j in pairs])
+    prods = np.vstack([np.sqrt(2 * n) * X[i] * X[j] * scale for i, j in pairs])
+    if kind == FULL:
+        return np.vstack([diffs, prods])
+    return np.vstack([diffs[: n - 1], prods])
 
 
 class TestShapesAndOrdering:
@@ -36,6 +49,22 @@ class TestShapesAndOrdering:
     def test_rejects_dimension_one(self):
         with pytest.raises(DimensionTooSmallError):
             diagram_vector([1.0])
+
+
+class TestVectorisedColumns:
+    @pytest.mark.parametrize("kind", [FULL, REDUCED])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_bitwise_equal_to_loop(self, rng, n, kind):
+        for X in (rng.standard_normal((n, 2 * n + 3)),
+                  rng.integers(-5, 6, (n, 2 * n + 3)).astype(float),
+                  rng.standard_normal((n, 1))):
+            got, want = _diagram_columns(X, kind), reference_diagram_columns(X, kind)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError):
+            _diagram_columns(np.ones((3, 4)), "half")
 
 
 class TestExplicitValues:

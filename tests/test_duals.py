@@ -14,8 +14,13 @@ from framescale import (
     p1_counterexample,
     sylvester_hadamard,
 )
-from framescale.duals import ALTERNATE, CANONICAL
-from framescale.frame_core import apply_scaling, frame_from_synthesis, is_tight
+from framescale.duals import ALTERNATE, CANONICAL, _upper_triangle_system
+from framescale.frame_core import (
+    apply_scaling,
+    frame_from_synthesis,
+    frame_operator,
+    is_tight,
+)
 from framescale.errors import (
     NoHadamardAvailableError,
     NotParsevalScalingError,
@@ -25,6 +30,21 @@ from conftest import angles_frame, random_scalable_frame, random_unit_frame
 
 
 EXAMPLE_FRAME = make_frame([[2.0, 1.0], [1.0, 2.0], [1.0, 1.0]])
+
+
+def reference_upper_triangle_system(F, rhs_matrix):
+    """The per-pair loop that built the S^2 system before np.triu_indices:
+    the reference for bitwise equality."""
+    X = F.synthesis
+    n, m = X.shape
+    rows = []
+    rhs = []
+    for i in range(n):
+        for j in range(i, n):
+            w = 1.0 if i == j else np.sqrt(2.0)
+            rows.append(w * X[i] * X[j])
+            rhs.append(w * rhs_matrix[i, j])
+    return np.vstack(rows), np.array(rhs)
 
 
 class TestCanonicalDual:
@@ -129,6 +149,20 @@ class TestCanonicalDualScalability:
         rep = canonical_dual_scalable(EXAMPLE_FRAME)
         assert grammian_form_check(EXAMPLE_FRAME, rep.scalars_a) < 1e-7
         assert grammian_form_check(EXAMPLE_FRAME, np.ones(3)) > 1e-3
+
+
+class TestUpperTriangleSystem:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_bitwise_equal_to_loop(self, rng, n):
+        for X in (rng.standard_normal((n, n + 4)),
+                  rng.integers(-5, 6, (n, n + 4)).astype(float)):
+            F = frame_from_synthesis(np.hstack([np.eye(n), X]))
+            S = frame_operator(F).S
+            got = _upper_triangle_system(F, S @ S)
+            want = reference_upper_triangle_system(F, S @ S)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert np.array_equal(g, w) and g.tobytes() == w.tobytes()
 
 
 class TestHadamard:

@@ -4,9 +4,112 @@ import pytest
 from framescale import numerics
 from framescale.errors import (
     DimensionMismatchError,
+    InternalNumericError,
+    IterationLimitError,
     NonFiniteError,
     NonSymmetricError,
 )
+
+
+# The simplex kernel as it was before the in-place rank-1 pivot, with its
+# constants written out: the reference that the kernel must match bit for
+# bit, pivot for pivot.  A pivot log and the stall count as a parameter are
+# added; the input checks are left out.
+
+def reference_pivot(T, basis, row, col, log):
+    log.append((int(row), int(col)))
+    T[row] = T[row] / T[row, col]
+    piv = T[row].copy()
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, piv)
+    T[row] = piv
+    T[:, col] = 0.0
+    T[row, col] = 1.0
+    basis[row] = col
+
+
+def reference_simplex_loop(T, basis, n_enterable, cap, stall, log):
+    k = T.shape[0] - 1
+    stalled = 0
+    for _ in range(cap):
+        rc = T[-1, :n_enterable]
+        bland = stalled >= stall
+        col = int(np.argmax(rc < -1e-9)) if bland else int(np.argmin(rc))
+        if rc[col] >= -1e-9:
+            return "optimal"
+        a = T[:k, col]
+        rows = np.flatnonzero(a > 1e-9)
+        if rows.size == 0:
+            return "unbounded"
+        ratios = T[rows, -1] / a[rows]
+        step = float(ratios.min())
+        ties = rows[ratios <= step + 1e-12]
+        row = ties[np.argmin(basis[ties])] if bland else ties[np.argmax(a[ties])]
+        stalled = stalled + 1 if step <= 1e-12 else 0
+        reference_pivot(T, basis, row, col, log)
+    raise IterationLimitError("simplex iteration cap exceeded")
+
+
+def reference_linear_program(A, b, c=None, maximize=False, stall=50, log=None):
+    log = [] if log is None else log
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float).ravel()
+    k, nv = A.shape
+    cap = 50 * (k + nv + k)
+
+    row_sign = np.where(b < 0, -1.0, 1.0)
+    A1 = A * row_sign[:, None]
+    b1 = b * row_sign
+
+    T = np.zeros((k + 1, nv + k + 1))
+    T[:k, :nv] = A1
+    T[:k, nv:nv + k] = np.eye(k)
+    T[:k, -1] = b1
+    T[k, :nv] = -A1.sum(axis=0)
+    T[k, -1] = -b1.sum()
+    basis = np.arange(nv, nv + k)
+
+    reference_simplex_loop(T, basis, nv, cap, stall, log)
+    p1_obj = -T[-1, -1]
+    feas_tol = 1e-9 * (1.0 + float(np.abs(b).max(initial=0.0)))
+    if p1_obj > feas_tol:
+        pi = 1.0 - T[-1, nv:nv + k]
+        return numerics.LPResult(status="infeasible", objective=float(p1_obj),
+                                 dual=row_sign * pi)
+
+    for i in np.flatnonzero(basis >= nv):
+        cols = np.flatnonzero(np.abs(T[i, :nv]) > 1e-9)
+        if cols.size:
+            reference_pivot(T, basis, i, cols[0], log)
+
+    if c is not None:
+        cvec = np.zeros(nv + k)
+        cvec[:nv] = -np.asarray(c, dtype=float) if maximize else np.asarray(c, dtype=float)
+        cB = cvec[basis]
+        T[-1, :] = np.concatenate([cvec, [0.0]]) - cB @ T[:k, :]
+        status = reference_simplex_loop(T, basis, nv, cap, stall, log)
+        if status == "unbounded":
+            return numerics.LPResult(status="unbounded")
+
+    x = np.zeros(nv)
+    structural = basis < nv
+    x[basis[structural]] = T[:k, -1][structural]
+    obj = None
+    if c is not None:
+        obj = float(np.asarray(c, dtype=float) @ x)
+    pi = -T[-1, nv:nv + k]
+    return numerics.LPResult(status="optimal", x=x, objective=obj, dual=row_sign * pi)
+
+
+def assert_bitwise_equal(res, ref):
+    assert res.status == ref.status
+    assert repr(res.objective) == repr(ref.objective)
+    for got, want in ((res.x, ref.x), (res.dual, ref.dual)):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSymmetricEigen:
@@ -231,3 +334,85 @@ class TestHighsOracle:
                 else:
                     assert strict and margin is not None
         assert min(decided.values()) >= 5, decided
+
+    def test_agrees_with_highs_under_bland(self, rng, monkeypatch):
+        # the Bland fallback prices every pivot: its own path, same answers
+        monkeypatch.setattr(numerics, "_STALL", 0)
+        self.test_agrees_with_highs(rng)
+
+
+class TestReferenceKernel:
+    """Every LP that solve_feasibility builds, and the same LP through the
+    public linear_program, against the reference kernel above: the same
+    pivot sequence and a bitwise-equal LPResult."""
+
+    @staticmethod
+    def _problems(rng, count):
+        """(A, b) pairs: random and integer-valued, homogeneous, feasible
+        and mostly infeasible right-hand sides, with repeated columns, zero
+        rhs entries and a repeated row mixed in."""
+        for trial in range(count):
+            k = int(rng.integers(2, 6))
+            m = int(rng.integers(k + 1, 3 * k + 4))
+            if trial % 3 == 0:  # integer entries: many exact ratio ties
+                A = rng.integers(-3, 4, (k, m)).astype(float)
+            else:
+                A = rng.standard_normal((k, m))
+            if trial % 4 == 1:
+                A = np.hstack([A, A[:, rng.integers(0, m, 3)]])
+            kind = trial % 4
+            if kind == 0:
+                b = np.zeros(k)
+            elif kind == 1:
+                b = A @ (rng.uniform(0.0, 1.0, A.shape[1]) * (rng.random(A.shape[1]) < 0.6))
+            elif kind == 2:
+                b = rng.standard_normal(k)
+            else:  # row 0 vanishes on the support of x: a zero rhs entry
+                x = rng.uniform(0.0, 1.0, m) * (rng.random(m) < 0.5)
+                A[0] = np.where(x > 0.0, 0.0, np.abs(A[0]))
+                b = A @ x
+            if trial % 5 == 2:
+                A, b = np.vstack([A, A[-1]]), np.append(b, b[-1])
+            yield A, b
+
+    @pytest.mark.parametrize("stall", [50, 0])
+    def test_matches_reference(self, rng, monkeypatch, stall):
+        monkeypatch.setattr(numerics, "_STALL", stall)
+        pivots = []
+        kernel_pivot = numerics._pivot
+
+        def logged_pivot(T, basis, row, col):
+            pivots.append((int(row), int(col)))
+            kernel_pivot(T, basis, row, col)
+
+        monkeypatch.setattr(numerics, "_pivot", logged_pivot)
+        solved = []
+        kernel = numerics._linear_program
+
+        def recorded(A, b, c, maximize):
+            inputs = (A.copy(), b.copy(), None if c is None else c.copy(), maximize)
+            res = kernel(A, b, c, maximize)
+            solved.append((inputs, res, list(pivots)))
+            return res
+
+        monkeypatch.setattr(numerics, "_linear_program", recorded)
+        seen = set()
+        for A, b in self._problems(rng, 120):
+            for strict in (False, True):
+                pivots.clear()
+                solved.clear()
+                try:
+                    numerics.solve_feasibility(
+                        numerics.FeasibilityProblem(A=A, b=b, require_strict=strict))
+                except InternalNumericError:
+                    pass  # a failed self-check after the LP; the LP is compared below
+                (inputs, res, used), = solved
+                log = []
+                ref = reference_linear_program(*inputs, stall=stall, log=log)
+                assert used == log
+                assert_bitwise_equal(res, ref)
+                pivots.clear()
+                assert_bitwise_equal(numerics.linear_program(*inputs), ref)
+                assert pivots == log
+                seen.add((strict, res.status))
+        assert seen == {(s, st) for s in (False, True) for st in ("optimal", "infeasible")}
