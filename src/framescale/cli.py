@@ -152,6 +152,7 @@ def build_report(doc: FrameDocument, tol: float) -> dict:
             "dual_weights_c": _vec(dual_report.weights_c),
             "dual_scalars_a": _vec(dual_report.scalars_a),
             "residual": dual_report.residual,
+            "certificate_y": _vec(dual_report.certificate_y),
         },
     }
 

@@ -1,9 +1,10 @@
 """Dual frames and their scalability.
 
 Covers the canonical dual S^{-1} X, alternate duals built from a Parseval
-scaling, scalability under invertible transforms, the S^2 feasibility test
-for canonical-dual scalability, its Grammian form, and the Hadamard-based
-counterexample of a scalable frame with a non-scalable canonical dual.
+scaling, scalability under invertible transforms, canonical-dual
+scalability decided on the dual frame itself, its Grammian form, and the
+Hadamard-based counterexample of a scalable frame with a non-scalable
+canonical dual.
 """
 
 from __future__ import annotations
@@ -23,11 +24,13 @@ from .errors import (
 from .frame_core import (
     Frame,
     apply_scaling,
+    derived,
     frame_from_synthesis,
     frame_operator,
     is_dual,
     is_tight,
 )
+from .scalability import decide_scalable
 
 CANONICAL = "canonical"
 ALTERNATE = "alternate"
@@ -46,6 +49,7 @@ class DualScalingReport:
     weights_c: np.ndarray | None = None
     scalars_a: np.ndarray | None = None
     residual: float | None = None
+    certificate_y: np.ndarray | None = None  # separating functional, dual frame
 
 
 def _spectral_power(spec, power):
@@ -56,7 +60,12 @@ def _spectral_power(spec, power):
 
 
 def canonical_dual(F) -> DualPair:
-    """Canonical dual frame with vectors S^{-1} x_i."""
+    """Canonical dual frame with vectors S^{-1} x_i, computed once per
+    frame."""
+    return derived(F, "canonical_dual", _canonical_dual)
+
+
+def _canonical_dual(F):
     op = frame_operator(F)
     s_inv = _spectral_power(op.spectral, -1.0)
     Y = s_inv @ F.synthesis
@@ -103,32 +112,32 @@ def check_transform_scaling(F, T, a, tol=1e-7) -> bool:
     return float(np.abs(S1 - target).max()) <= tol * scale
 
 
-def _upper_triangle_system(F, rhs_matrix):
-    """Flatten sum_i c_i x_i x_i^T = rhs over the upper triangle, weighting
-    off-diagonal entries by sqrt(2) so the flattening is an isometry."""
-    X = F.synthesis
-    i, j = np.triu_indices(X.shape[0])
-    w = np.where(i == j, 1.0, np.sqrt(2.0))
-    return (w[:, None] * X[i]) * X[j], w * rhs_matrix[i, j]
+def canonical_dual_scalable(F) -> DualScalingReport:
+    """Scalability of the canonical dual {z_i} = {S^{-1} x_i}, decided as a
+    frame: ``decide_scalable`` on the unit vectors u_i = z_i / ||z_i||.
 
-
-def canonical_dual_scalable(F, strict=False) -> DualScalingReport:
-    """Feasibility of sum_i c_i x_i x_i^T = S^2 over c >= 0.
-
-    Feasible exactly when the canonical dual is scalable, with weights
-    a_i = sqrt(c_i).  On success the consistency route through S^{-1/2} is
-    cross-checked: {sqrt(c_i) S^{-1/2} x_i} must have frame operator S.
+    Scalability is invariant under rescaling each vector, so the answer does
+    not depend on the scale of F.  Weights c' of the unit frame (sum 1) map
+    back to c_i = n c'_i / ||z_i||^2, which solve
+    sum_i c_i x_i x_i^T = S^2; scaling the dual by a_i = sqrt(c_i) makes it
+    Parseval.  That identity is re-checked, and so is the route through
+    S^{-1/2}: {sqrt(c_i) S^{-1/2} x_i} must have frame operator S.  A "not
+    scalable" answer carries the unit frame's certificate y; the diagram map
+    is quadratic, so y certifies the dual frame itself.
     """
+    Y = canonical_dual(F).dual.synthesis
+    sq_norms = (Y * Y).sum(axis=0)
+    if F.n == 1:
+        c_unit = np.full(F.m, 1.0 / F.m)  # every frame in R^1 is tight
+    else:
+        result = decide_scalable(frame_from_synthesis(Y / np.sqrt(sq_norms)))
+        if not result.scalable:
+            return DualScalingReport(feasible=False, certificate_y=result.certificate_y)
+        c_unit = result.weights_c
+    c = F.n * c_unit / sq_norms
+    a = np.sqrt(c)
     op = frame_operator(F)
     s_sq = op.S @ op.S
-    A, b = _upper_triangle_system(F, s_sq)
-    out = numerics.solve_feasibility(
-        numerics.FeasibilityProblem(A=A, b=b, require_strict=strict)
-    )
-    if not out.feasible:
-        return DualScalingReport(feasible=False)
-    c = out.witness
-    a = np.sqrt(c)
     achieved = (F.synthesis * c) @ F.synthesis.T
     residual = float(np.abs(achieved - s_sq).max())
     if residual > 1e-7 * float(np.abs(s_sq).max()):

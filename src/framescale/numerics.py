@@ -314,9 +314,9 @@ def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
     if res.status == "infeasible":
         return FeasibilityOutcome(feasible=False, certificate=certificate_from(res.dual))
     delta = float(res.x[0])
-    x = _clamp_nonneg(delta + res.x[1:m + 1])
     if delta <= STRICT_MARGIN:
         return FeasibilityOutcome(feasible=False, strict_margin=delta)
+    x = _clamp_nonneg(delta + res.x[1:m + 1])
     _verify_witness(A2, b2, x)
     return FeasibilityOutcome(feasible=True, witness=x, strict_margin=delta)
 

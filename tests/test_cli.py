@@ -266,6 +266,16 @@ class TestDual:
         assert captured.out == ""
         assert "dual tight" in captured.err
 
+    def test_check_scalable_in_dimension_one(self, tmp_path, capsys):
+        # every frame in R^1 is tight, so its canonical dual is scalable
+        path = write(tmp_path, "line.frame", "n 1\nm 3\n2\n-0.5\n3\n")
+        assert main(["dual", path, "--check-scalable"]) == 0
+        out = capsys.readouterr().out
+        doc_text, weights = out.split("dual scalable; weights c: ")
+        Y = parse_frame_document(doc_text).vectors.T
+        c = np.array([float(v) for v in weights.split()])
+        assert c.min() >= 0 and float(c @ Y[0] ** 2) == pytest.approx(1.0, rel=1e-9)
+
     def test_orthonormal_basis_self_dual(self, tmp_path, capsys):
         path = write(tmp_path, "onb.frame", "n 2\nm 2\n1 0\n0 1\n")
         main(["dual", path])

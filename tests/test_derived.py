@@ -124,7 +124,12 @@ def test_report_computes_each_quantity_once(monkeypatch, name):
         monkeypatch, numerics, "solve_feasibility",
         lambda p: not p.require_strict and np.array_equal(p.A, theta))
     build_report(document_from_frame(F, name=name), 1e-8)
-    assert {k: len(v) for k, v in builds.items()} == {"theta": 1, "S": 1, "rows": 1}
+    # theta is built once per synthesis: the frame's and its unit-norm dual's
+    theta_builds = [G.synthesis for (G,) in builds.pop("theta")]
+    assert len(theta_builds) == 2
+    assert np.array_equal(theta_builds[0], F.synthesis)
+    assert np.allclose(np.linalg.norm(theta_builds[1], axis=0), 1.0, rtol=0, atol=1e-12)
+    assert {k: len(v) for k, v in builds.items()} == {"S": 1, "rows": 1}
     assert len(plain_theta_lps) <= 1
 
 

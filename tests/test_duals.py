@@ -8,17 +8,19 @@ from framescale import (
     check_transform_scaling,
     decide_scalable,
     grammian_form_check,
+    hull_certificate_check,
     intersection_scalability,
     is_dual,
     make_frame,
     p1_counterexample,
     sylvester_hadamard,
 )
-from framescale.duals import ALTERNATE, CANONICAL, _upper_triangle_system
+from framescale.cli import main
+from framescale.diagram import reduced_size
+from framescale.duals import ALTERNATE, CANONICAL
 from framescale.frame_core import (
     apply_scaling,
     frame_from_synthesis,
-    frame_operator,
     is_tight,
 )
 from framescale.errors import (
@@ -26,25 +28,17 @@ from framescale.errors import (
     NotParsevalScalingError,
     SingularTransformError,
 )
-from conftest import angles_frame, random_scalable_frame, random_unit_frame
+from framescale.framedoc import document_from_frame, format_frame_document
+from conftest import (
+    angles_frame,
+    doubled_hadamard_frame,
+    random_orthogonal,
+    random_scalable_frame,
+    random_unit_frame,
+)
 
 
 EXAMPLE_FRAME = make_frame([[2.0, 1.0], [1.0, 2.0], [1.0, 1.0]])
-
-
-def reference_upper_triangle_system(F, rhs_matrix):
-    """The per-pair loop that built the S^2 system before np.triu_indices:
-    the reference for bitwise equality."""
-    X = F.synthesis
-    n, m = X.shape
-    rows = []
-    rhs = []
-    for i in range(n):
-        for j in range(i, n):
-            w = 1.0 if i == j else np.sqrt(2.0)
-            rows.append(w * X[i] * X[j])
-            rhs.append(w * rhs_matrix[i, j])
-    return np.vstack(rows), np.array(rhs)
 
 
 class TestCanonicalDual:
@@ -151,18 +145,84 @@ class TestCanonicalDualScalability:
         assert grammian_form_check(EXAMPLE_FRAME, np.ones(3)) > 1e-3
 
 
-class TestUpperTriangleSystem:
-    @pytest.mark.parametrize("n", range(2, 11))
-    def test_bitwise_equal_to_loop(self, rng, n):
-        for X in (rng.standard_normal((n, n + 4)),
-                  rng.integers(-5, 6, (n, n + 4)).astype(float)):
-            F = frame_from_synthesis(np.hstack([np.eye(n), X]))
-            S = frame_operator(F).S
-            got = _upper_triangle_system(F, S @ S)
-            want = reference_upper_triangle_system(F, S @ S)
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype and g.shape == w.shape
-                assert np.array_equal(g, w) and g.tobytes() == w.tobytes()
+def _assert_dual_answer(F, rep):
+    """A scalable answer solves sum_i c_i x_i x_i^T = S^2; a not-scalable one
+    carries a separating functional of the canonical dual frame."""
+    if rep.feasible:
+        X = F.synthesis
+        S2 = np.linalg.matrix_power(X @ X.T, 2)
+        assert rep.weights_c.min() >= 0.0
+        assert np.abs((X * rep.weights_c) @ X.T - S2).max() <= 1e-9 * np.abs(S2).max()
+    else:
+        assert hull_certificate_check(canonical_dual(F).dual, rep.certificate_y)
+
+
+def _invariance_frames():
+    rng = np.random.default_rng(2024)
+    frames = [random_scalable_frame(rng, 3, 9)[0] for _ in range(20)]
+    return frames + [p1_counterexample(4), doubled_hadamard_frame()]
+
+
+INVARIANCE_FRAMES = _invariance_frames()
+SCALES = (1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9)
+
+
+class TestDualInvariance:
+    """Canonical-dual scalability depends only on the geometry of the frame:
+    a global scale and an orthogonal change of basis keep the verdict, and
+    ``dual --check-scalable`` answers every such frame."""
+
+    @pytest.mark.parametrize("index", range(len(INVARIANCE_FRAMES)))
+    def test_scale_and_rotation(self, tmp_path, capsys, index):
+        F = INVARIANCE_FRAMES[index]
+        verdict = canonical_dual_scalable(F).feasible
+        U = random_orthogonal(np.random.default_rng(index), F.n)
+        for X in [s * F.synthesis for s in SCALES] + [U @ F.synthesis]:
+            G = frame_from_synthesis(X)
+            rep = canonical_dual_scalable(G)
+            assert rep.feasible == verdict
+            _assert_dual_answer(G, rep)
+            path = tmp_path / "frame.txt"
+            path.write_text(format_frame_document(document_from_frame(G)))
+            assert main(["dual", "--check-scalable", str(path)]) == 0
+            out = capsys.readouterr().out
+            assert ("dual scalable" in out) == verdict
+
+
+def _s2_feasible(linprog, F):
+    """The S^2 formulation solved by HiGHS: some c >= 0 with
+    sum_i c_i x_i x_i^T = S^2, compared over the upper triangle."""
+    X = F.synthesis
+    i, j = np.triu_indices(F.n)
+    S2 = np.linalg.matrix_power(X @ X.T, 2)
+    res = linprog(np.zeros(F.m), A_eq=X[i] * X[j], b_eq=S2[i, j],
+                  bounds=(0.0, None), method="highs")
+    assert res.status in (0, 2)
+    return res.status == 0
+
+
+class TestDualS2Oracle:
+    """The dual decided as a frame against the S^2 system solved by scipy's
+    HiGHS, on random frames, on frames whose dual is scalable by
+    construction, and on the two named counterexamples."""
+
+    def test_agrees_with_highs(self, rng):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        frames = [p1_counterexample(4), doubled_hadamard_frame()]
+        for n in range(2, 7):
+            for trial in range(12):
+                m = int(rng.integers(n + 1, 3 * reduced_size(n) + 4))
+                if trial % 2:
+                    frames.append(random_unit_frame(rng, n, m))
+                else:  # the canonical dual of the canonical dual is the frame
+                    frames.append(canonical_dual(random_scalable_frame(rng, n, m)[0]).dual)
+        verdicts = []
+        for F in frames:
+            rep = canonical_dual_scalable(F)
+            assert rep.feasible == _s2_feasible(linprog, F)
+            _assert_dual_answer(F, rep)
+            verdicts.append(rep.feasible)
+        assert min(verdicts.count(True), verdicts.count(False)) >= 5
 
 
 class TestHadamard:
