@@ -80,11 +80,13 @@ def _json_dumps(obj, indent=0):
 
 
 def _verify_scaling_result(frame, result):
-    """Re-check a reported weight vector before it is emitted."""
+    """Re-check a reported weight vector before it is emitted: theta c must
+    vanish relative to the largest row sum of its terms |theta_ji| c_i."""
     if result.weights_c is None:
         return
     theta = reduced_diagram_matrix(frame).data
-    if float(np.abs(theta @ result.weights_c).max()) > 1e-8:
+    c = result.weights_c
+    if float(np.abs(theta @ c).max()) > 1e-8 * float((np.abs(theta) @ c).max()):
         raise InternalNumericError("reported weights fail the kernel identity")
 
 

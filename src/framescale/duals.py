@@ -66,14 +66,13 @@ def canonical_dual(F) -> DualPair:
 
 
 def _canonical_dual(F):
-    op = frame_operator(F)
-    s_inv = _spectral_power(op.spectral, -1.0)
-    Y = s_inv @ F.synthesis
-    dual = frame_from_synthesis(Y)
-    pair = DualPair(primal=F, dual=dual, kind=CANONICAL)
+    # S^{-1} X = U diag(1/s) V^T for the SVD X = U diag(s) V^T; forming
+    # S = X X^T would square the condition number of X
+    U, s, Vt = np.linalg.svd(F.synthesis, full_matrices=False)
+    dual = frame_from_synthesis((U / s) @ Vt)
     if not is_dual(F, dual):
         raise InternalNumericError("canonical dual fails the reconstruction identity")
-    return pair
+    return DualPair(primal=F, dual=dual, kind=CANONICAL)
 
 
 def alternate_dual_from_scaling(F, a, tol=1e-8) -> DualPair:
@@ -114,27 +113,25 @@ def check_transform_scaling(F, T, a, tol=1e-7) -> bool:
 
 def canonical_dual_scalable(F) -> DualScalingReport:
     """Scalability of the canonical dual {z_i} = {S^{-1} x_i}, decided as a
-    frame: ``decide_scalable`` on the unit vectors u_i = z_i / ||z_i||.
+    frame: ``decide_scalable`` on the dual frame itself.
 
-    Scalability is invariant under rescaling each vector, so the answer does
-    not depend on the scale of F.  Weights c' of the unit frame (sum 1) map
-    back to c_i = n c'_i / ||z_i||^2, which solve
+    The solver works on unit-norm columns, so the answer does not depend on
+    the scale of F.  Its weights c' (sum 1) map to
+    c_i = n c'_i / sum_k c'_k ||z_k||^2, which solve
     sum_i c_i x_i x_i^T = S^2; scaling the dual by a_i = sqrt(c_i) makes it
     Parseval.  That identity is re-checked, and so is the route through
     S^{-1/2}: {sqrt(c_i) S^{-1/2} x_i} must have frame operator S.  A "not
-    scalable" answer carries the unit frame's certificate y; the diagram map
-    is quadratic, so y certifies the dual frame itself.
+    scalable" answer carries the dual frame's certificate y.
     """
-    Y = canonical_dual(F).dual.synthesis
-    sq_norms = (Y * Y).sum(axis=0)
+    dual = canonical_dual(F).dual
     if F.n == 1:
-        c_unit = np.full(F.m, 1.0 / F.m)  # every frame in R^1 is tight
+        c = np.full(F.m, 1.0 / F.m)  # every frame in R^1 is tight
     else:
-        result = decide_scalable(frame_from_synthesis(Y / np.sqrt(sq_norms)))
+        result = decide_scalable(dual)
         if not result.scalable:
             return DualScalingReport(feasible=False, certificate_y=result.certificate_y)
-        c_unit = result.weights_c
-    c = F.n * c_unit / sq_norms
+        c = result.weights_c
+    c = F.n * c / float(c @ (dual.synthesis ** 2).sum(axis=0))
     a = np.sqrt(c)
     op = frame_operator(F)
     s_sq = op.S @ op.S

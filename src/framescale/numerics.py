@@ -30,7 +30,6 @@ from .errors import (
 _EPS_RC = 1e-9      # reduced-cost threshold for entering columns
 _EPS_PIV = 1e-9     # minimum pivot magnitude
 _STALL = 50         # consecutive degenerate pivots before Bland's rule takes over
-STRICT_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -260,18 +259,32 @@ def _clamp_nonneg(x):
     return x
 
 
+def column_norms(A):
+    """The 2-norm of each column of A, with 1 for a zero column."""
+    norms = np.sqrt((A * A).sum(axis=0))
+    norms[norms == 0.0] = 1.0
+    return norms
+
+
 def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
     """Decide A x = b, x >= 0 and return a witness or certificate.
 
+    Each nonzero column A_j is divided by its 2-norm before the solve and the
+    witness is mapped back as x_j = x'_j / ||A_j||.  A positive column scale
+    keeps the sign of every y.A_j, so a certificate needs no mapping, and the
+    answer does not depend on the scale of the columns.
+
     For a homogeneous system (b = 0) the normalization sum(x) = 1 is added
-    and the infeasibility certificate y satisfies (y.A)_j > 0 for every
-    column j, the separating-functional direction of the convex-hull test.
-    With ``require_strict`` the minimum entry of x is maximized and the
-    problem counts as feasible only when that margin exceeds 1e-9; a strict
-    failure of an otherwise feasible system carries neither witness nor
-    certificate, only the margin.
+    (and restored after the mapping) and the infeasibility certificate y
+    satisfies (y.A)_j > 0 for every column j, the separating-functional
+    direction of the convex-hull test.  With ``require_strict`` the minimum
+    entry of the unit-column witness is maximized; whenever the system is
+    feasible the outcome carries the witness and that maximum as
+    ``strict_margin``, and judging strictness is left to the caller.
     """
     A, b = _checked_system(p.A, p.b)
+    norms = column_norms(A)
+    A = A / norms
     k, m = A.shape
     hom = bool(np.all(b == 0.0))
     if hom:
@@ -289,15 +302,21 @@ def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
                 raise InternalNumericError("hull certificate fails the strict sign test")
         else:
             y = dual[:k]
-        return y
+        return FeasibilityOutcome(feasible=False, certificate=y)
+
+    def witness_from(x, margin=None):
+        x = _clamp_nonneg(x)
+        _verify_witness(A2, b2, x)
+        x = x / norms
+        if hom:
+            x = x / x.sum()
+        return FeasibilityOutcome(feasible=True, witness=x, strict_margin=margin)
 
     if not p.require_strict:
         res = _linear_program(A2, b2, None, False)
         if res.status == "infeasible":
-            return FeasibilityOutcome(feasible=False, certificate=certificate_from(res.dual))
-        x = _clamp_nonneg(res.x)
-        _verify_witness(A2, b2, x)
-        return FeasibilityOutcome(feasible=True, witness=x)
+            return certificate_from(res.dual)
+        return witness_from(res.x)
 
     # strict: substitute x = delta + s; variables [delta, s, s_cap]; maximize
     # delta subject to A2 (delta 1 + s) = b2, delta + s_cap = CAP.  The
@@ -312,13 +331,9 @@ def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
     cost[0] = 1.0
     res = _linear_program(Ae, be, cost, True)
     if res.status == "infeasible":
-        return FeasibilityOutcome(feasible=False, certificate=certificate_from(res.dual))
+        return certificate_from(res.dual)
     delta = float(res.x[0])
-    if delta <= STRICT_MARGIN:
-        return FeasibilityOutcome(feasible=False, strict_margin=delta)
-    x = _clamp_nonneg(delta + res.x[1:m + 1])
-    _verify_witness(A2, b2, x)
-    return FeasibilityOutcome(feasible=True, witness=x, strict_margin=delta)
+    return witness_from(delta + res.x[1:m + 1], delta)
 
 
 def _verify_witness(A, b, x):

@@ -50,6 +50,7 @@ ALL_NONPOS = "all_nonpos"
 MIXED = "mixed"
 
 _ZERO_TOL = 1e-12
+STRICT_MARGIN = 1e-9  # a strictly scalable answer has a margin above this
 
 
 @dataclass
@@ -158,11 +159,13 @@ def _lp_certificate(F):
 
 
 def _finish_scalable(c, method, strict_margin=None):
+    """A scalable answer with weights c, normalized to sum 1; strict exactly
+    when the route's margin exceeds ``STRICT_MARGIN`` (``near_zero`` only reports)."""
     c = np.asarray(c, dtype=float).copy()
     c[c < 0] = 0.0
     c = c / c.sum()
-    near = [int(i) for i in np.flatnonzero(c <= numerics.STRICT_MARGIN)]
-    if strict_margin is not None and strict_margin > numerics.STRICT_MARGIN and not near:
+    near = [int(i) for i in np.flatnonzero(c <= STRICT_MARGIN)]
+    if strict_margin is not None and strict_margin > STRICT_MARGIN:
         verdict = STRICTLY_SCALABLE
     else:
         verdict = SCALABLE
@@ -177,13 +180,10 @@ def _finish_scalable(c, method, strict_margin=None):
 
 def decide_scalable(F, strict=False) -> ScalingResult:
     """General scalability decision via the kernel of the reduced diagram
-    matrix.  With ``strict=True`` the minimum weight is maximized to separate
-    scalable from strictly scalable.
-
-    The strict LP goes first: its phase 1 decides feasibility and carries the
-    certificate of a "not scalable" answer, so the plain LP runs only when the
-    frame is feasible but not strictly (margin at most ``STRICT_MARGIN``), to
-    find a witness."""
+    matrix, one LP per call.  The solver works on unit-norm columns, so the
+    verdict does not change when a frame vector is rescaled.  With
+    ``strict=True`` the LP maximizes the minimum unit-column weight, and that
+    margin separates scalable from strictly scalable."""
     theta = reduced_diagram_matrix(F).data
     check = quick_sign_reject(F)
     if check.row_index is not None:
@@ -203,23 +203,15 @@ def decide_scalable(F, strict=False) -> ScalingResult:
     if strict:
         out = numerics.solve_feasibility(numerics.FeasibilityProblem(
             A=theta, b=np.zeros(theta.shape[0]), require_strict=True))
-        if out.feasible:
-            return _finish_scalable(
-                out.witness, METHOD_FEASIBILITY, strict_margin=out.strict_margin)
-        if out.certificate is not None:
-            return ScalingResult(
-                verdict=NOT_SCALABLE,
-                method=METHOD_FEASIBILITY,
-                certificate_y=out.certificate,
-            )
-    out = derived(F, "theta_lp", _theta_lp)
+    else:
+        out = derived(F, "theta_lp", _theta_lp)
     if not out.feasible:
         return ScalingResult(
             verdict=NOT_SCALABLE,
             method=METHOD_FEASIBILITY,
             certificate_y=out.certificate,
         )
-    return _finish_scalable(out.witness, METHOD_FEASIBILITY)
+    return _finish_scalable(out.witness, METHOD_FEASIBILITY, out.strict_margin)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +247,9 @@ def _classify_signs(v, rel_tol=1e-10):
 def cofactor_scaling(F):
     """Rank m-1 route: the kernel of the reduced diagram matrix is the line of
     the cofactor vector, so scalability reduces to its sign pattern.  The
-    kernel comes from one SVD as a unit vector proportional to the cofactors.
+    kernel comes from one SVD as a unit vector v proportional to the
+    cofactors; its signs and margin are judged, like the LPs', on unit-norm
+    columns, from the weights ||theta_i|| v_i.
 
     Returns (CofactorReport, ScalingResult).
     """
@@ -264,7 +258,8 @@ def cofactor_scaling(F):
         raise CorankMismatchError(
             f"cofactor method needs corank 1, measured corank {kernel.shape[1]}")
     v = kernel[:, 0]
-    sign_class = _classify_signs(v)
+    d = numerics.column_norms(reduced_diagram_matrix(F).data)
+    sign_class = _classify_signs(v * d)
     report = CofactorReport(corank=1, cofactor_vector=v, sign_class=sign_class)
     if sign_class == MIXED:
         result = ScalingResult(
@@ -273,11 +268,9 @@ def cofactor_scaling(F):
             certificate_y=_lp_certificate(F),
         )
         return report, result
-    c = np.abs(v)
-    c = c / c.sum()
-    result = _finish_scalable(c, METHOD_COFACTOR,
-                              strict_margin=float(c.min()))
-    return report, result
+    w = np.abs(v * d)
+    margin = float(w.min()) / float(w.sum())
+    return report, _finish_scalable(w / d, METHOD_COFACTOR, strict_margin=margin)
 
 
 # ---------------------------------------------------------------------------
@@ -330,17 +323,18 @@ def _intersect_half_circles(pq):
 
 
 def codim2_scaling(F):
-    """Rank m-2 route: every kernel vector is a multiple of
-    cos(t) xi_1 + sin(t) xi_2 for an orthonormal kernel basis xi_1, xi_2 from
-    one SVD, and scalability holds exactly when some direction t keeps all
-    entries nonnegative.  Decided by exact angular-interval intersection; the
-    weights come from the midpoint of the widest feasible arc, which is the
-    bisector of the feasible cone and so depends only on the kernel."""
+    """Rank m-2 route: every kernel vector, taken on unit-norm columns, is a
+    multiple of cos(t) xi_1 + sin(t) xi_2 for an orthonormal basis xi_1, xi_2
+    of that kernel, and scalability holds exactly when some direction t keeps
+    all entries nonnegative.  Decided by exact angular-interval intersection;
+    the weights come from the midpoint of the widest feasible arc, which is
+    the bisector of the feasible cone and so depends only on the kernel."""
     kernel = theta_kernel(F)
     if kernel.shape[1] != 2:
         raise CorankMismatchError(
             f"codim-2 method needs corank 2, measured corank {kernel.shape[1]}")
-    xi1, xi2 = kernel.T
+    d = numerics.column_norms(reduced_diagram_matrix(F).data)
+    xi1, xi2 = np.linalg.qr(kernel * d[:, None])[0].T
 
     scale = max(float(np.abs(xi1).max()), float(np.abs(xi2).max()), 1e-300)
     constraints = []
@@ -357,8 +351,8 @@ def codim2_scaling(F):
     lo, hi = max(intervals, key=lambda iv: iv[1] - iv[0])
     width = hi - lo
     t = 0.5 * (lo + hi)
-    c = np.cos(t) * xi1 + np.sin(t) * xi2
-    if float(c.min()) < -1e-7 * scale:
+    w = np.cos(t) * xi1 + np.sin(t) * xi2
+    if float(w.min()) < -1e-7 * scale:
         raise InternalNumericError("codim-2 direction produced a negative weight")
-    margin = float(c.min()) / float(np.abs(c).sum()) if width > 0 else 0.0
-    return _finish_scalable(c, METHOD_CODIM2, strict_margin=margin)
+    margin = float(w.min()) / float(np.abs(w).sum()) if width > 0 else 0.0
+    return _finish_scalable(w / d, METHOD_CODIM2, strict_margin=margin)

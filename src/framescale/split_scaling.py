@@ -81,7 +81,7 @@ def is_in_V(F, a, tol=1e-8) -> ConeMembership:
     if float(a.min(initial=0.0)) < -1e-12:
         return ConeMembership(member=False)
     rs = row_system(F)
-    scale = max(float(np.abs(F.synthesis).max()) ** 2, 1.0)
+    scale = float(np.abs(F.synthesis).max()) ** 2
     for cp in rs.cross_products:
         if abs(float(a @ cp)) > tol * scale:
             return ConeMembership(member=False)
@@ -104,7 +104,7 @@ def find_W_element(F) -> ConeMembership:
     return ConeMembership(member=True, a=out.witness)
 
 
-def find_V_element(F, strict=False) -> ConeMembership:
+def find_V_element(F) -> ConeMembership:
     """Search for a nontrivial (nonzero) element of V; the zero vector always
     belongs to V and is excluded by normalizing the weights to sum 1."""
     rs = row_system(F)
@@ -114,17 +114,17 @@ def find_V_element(F, strict=False) -> ConeMembership:
     else:
         A = np.zeros((1, F.m))
         b = np.zeros(1)
-    out = numerics.solve_feasibility(
-        numerics.FeasibilityProblem(A=A, b=b, require_strict=strict)
-    )
+    out = numerics.solve_feasibility(numerics.FeasibilityProblem(A=A, b=b))
     if not out.feasible:
         return ConeMembership(member=False)
     return ConeMembership(member=True, a=out.witness)
 
 
 def intersection_scalability(F, strict=False) -> ScalingResult:
-    """Joint feasibility over W and V; a point of the intersection gives
-    Parseval weights sqrt(a_i).
+    """Joint feasibility over W and V, one LP; a point of the intersection
+    gives Parseval weights sqrt(a_i).  With ``strict=True`` the LP maximizes
+    the minimum weight on unit-norm columns, and that margin separates
+    scalable from strictly scalable.
 
     The returned ``scalars_a`` are the Parseval weights; ``weights_c`` is the
     same kernel direction normalized to sum 1, matching the general test.
@@ -135,23 +135,12 @@ def intersection_scalability(F, strict=False) -> ScalingResult:
     out = numerics.solve_feasibility(
         numerics.FeasibilityProblem(A=A, b=b, require_strict=strict)
     )
-    if not out.feasible and strict:
-        out = numerics.solve_feasibility(numerics.FeasibilityProblem(A=A, b=b))
-        if out.feasible:
-            # feasible but not strictly: classify as plain scalable below
-            result = _finish_scalable(out.witness / out.witness.sum(), METHOD_FEASIBILITY)
-            result.scalars_a = np.sqrt(np.clip(out.witness, 0.0, None))
-            return result
     if not out.feasible:
         return ScalingResult(
             verdict=NOT_SCALABLE,
             method=METHOD_FEASIBILITY,
             certificate_y=_lp_certificate(F),
         )
-    a = out.witness
-    result = _finish_scalable(
-        a / a.sum(), METHOD_FEASIBILITY,
-        strict_margin=out.strict_margin if strict else None,
-    )
-    result.scalars_a = np.sqrt(np.clip(a, 0.0, None))
+    result = _finish_scalable(out.witness, METHOD_FEASIBILITY, out.strict_margin)
+    result.scalars_a = np.sqrt(out.witness)
     return result

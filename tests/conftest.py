@@ -3,6 +3,8 @@ import pytest
 
 from framescale import make_frame, sylvester_hadamard
 
+SCALES = (1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9)  # global scales a verdict must survive
+
 
 def random_unit_frame(rng, n, m):
     """Random unit-norm spanning frame of m vectors in R^n."""
@@ -65,6 +67,18 @@ def two_block_frame(rng, n, m):
         extra = rng.standard_normal(n)
     V[-1] = extra / np.linalg.norm(extra)
     return make_frame(V @ random_orthogonal(rng, n).T)
+
+
+def open_cone_frame(rng, n, m):
+    """Not scalable: every vector lies within 15 degrees of one unit axis u,
+    so <x_i, u>^2 > ||x_i||^2 / n for n <= 3 and no weights give a multiple
+    of the identity."""
+    u = rng.standard_normal(n)
+    u /= np.linalg.norm(u)
+    while True:
+        V = u + 0.25 * rng.uniform(-1.0, 1.0, (m, n)) / np.sqrt(n)
+        if np.linalg.matrix_rank(V) == n:
+            return make_frame(V)
 
 
 def angles_frame(*angles):

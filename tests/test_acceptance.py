@@ -338,12 +338,14 @@ def test_criterion_9_oracle_equivalence():
     assert len(frames) == 40
     mismatches = []
     for i, F in enumerate(frames):
-        verdicts = (decide_scalable(F).scalable, grid_oracle(F), quadrant_oracle(F))
+        verdicts = (decide_scalable(F).scalable, intersection_scalability(F).scalable,
+                    grid_oracle(F), quadrant_oracle(F))
         if len(set(verdicts)) != 1:
             mismatches.append((i, verdicts))
     assert mismatches == []
-    print("ACCEPTANCE 9: PASS - 40-frame corpus: decide_scalable, 1/200 grid "
-          "search and quadrant criterion agree exactly")
+    print("ACCEPTANCE 9: PASS - 40-frame corpus: decide_scalable, "
+          "intersection_scalability, 1/200 grid search and quadrant criterion "
+          "agree exactly")
 
 
 def test_criterion_10_deterministic_reports(tmp_path, capsys):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from framescale import make_frame
-from framescale.cli import _json_dumps, build_report, main
-from framescale.errors import ParseError
+from framescale.cli import _json_dumps, _verify_scaling_result, build_report, main
+from framescale.errors import InternalNumericError, ParseError
 from framescale.frame_core import apply_scaling, is_tight
 from framescale.framedoc import (
     document_from_frame,
@@ -14,6 +14,7 @@ from framescale.framedoc import (
     format_number,
     parse_frame_document,
 )
+from framescale.scalability import METHOD_FEASIBILITY, SCALABLE, ScalingResult
 from test_derived import FRAMES, _frame
 
 
@@ -234,6 +235,17 @@ class TestScale:
     def test_method_split(self, tmp_path, capsys):
         path = write(tmp_path, "mb.frame", MB_TEXT)
         assert main(["scale", path, "--method", "split"]) == 0
+
+    @pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+    def test_weight_recheck_is_relative(self, s):
+        # equal weights make the Mercedes-Benz frame tight at every scale;
+        # weight on one vector alone never does
+        F = make_frame(s * parse_frame_document(MB_TEXT).vectors)
+        equal = ScalingResult(SCALABLE, METHOD_FEASIBILITY, weights_c=np.full(3, 1 / 3))
+        _verify_scaling_result(F, equal)
+        one = ScalingResult(SCALABLE, METHOD_FEASIBILITY, weights_c=np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(InternalNumericError):
+            _verify_scaling_result(F, one)
 
 
 class TestDual:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from framescale import (
+    canonical_dual,
     canonical_dual_scalable,
     codim2_scaling,
     cofactor_scaling,
@@ -24,13 +25,14 @@ from framescale import diagram, frame_core, split_scaling
 from framescale.cli import build_report, main
 from framescale.diagram import reduced_diagram_matrix, reduced_size
 from framescale.framedoc import document_from_frame, format_frame_document
-from framescale.scalability import NOT_SCALABLE, SCALABLE
+from framescale.scalability import NOT_SCALABLE
 from conftest import (
     angles_frame,
     doubled_hadamard_frame,
     random_scalable_frame,
     random_unit_frame,
     rescaled_harmonic_frame,
+    two_block_frame,
 )
 
 DEG = np.pi / 180
@@ -45,6 +47,7 @@ FRAMES = {
     "not-scalable": lambda rng: make_frame([[1.0, 0.1], [0.9, 0.5], [0.5, 1.0]]),
     "not-scalable-lp": lambda rng: angles_frame(-15 * DEG, 22.5 * DEG, 60 * DEG),
     "strict": lambda rng: rescaled_harmonic_frame(rng, 3, 8),
+    "two-block": lambda rng: two_block_frame(rng, 4, 11),
 }
 
 
@@ -115,6 +118,7 @@ def _count(monkeypatch, module, attr, when=lambda *args: True):
 def test_report_computes_each_quantity_once(monkeypatch, name):
     F = _frame(name)
     theta = reduced_diagram_matrix(F).data
+    dual = canonical_dual(F).dual.synthesis
     builds = {
         "theta": _count(monkeypatch, diagram, "_reduced_diagram_matrix"),
         "S": _count(monkeypatch, frame_core, "_frame_operator"),
@@ -124,11 +128,11 @@ def test_report_computes_each_quantity_once(monkeypatch, name):
         monkeypatch, numerics, "solve_feasibility",
         lambda p: not p.require_strict and np.array_equal(p.A, theta))
     build_report(document_from_frame(F, name=name), 1e-8)
-    # theta is built once per synthesis: the frame's and its unit-norm dual's
+    # theta is built once per synthesis: the frame's and its canonical dual's
     theta_builds = [G.synthesis for (G,) in builds.pop("theta")]
     assert len(theta_builds) == 2
     assert np.array_equal(theta_builds[0], F.synthesis)
-    assert np.allclose(np.linalg.norm(theta_builds[1], axis=0), 1.0, rtol=0, atol=1e-12)
+    assert np.array_equal(theta_builds[1], dual)
     assert {k: len(v) for k, v in builds.items()} == {"S": 1, "rows": 1}
     assert len(plain_theta_lps) <= 1
 
@@ -149,8 +153,9 @@ def test_scale_auto_takes_at_most_one_svd_of_theta(tmp_path, monkeypatch, capsys
 
 @pytest.mark.parametrize("name", sorted(FRAMES))
 def test_report_asks_each_question_once(monkeypatch, name):
-    # the theta LP decides scalability; W and V are read from its answer, so
-    # their LPs run only on frames that are not scalable, and W∩V never runs
+    # one theta LP decides scalability, strict or not; W and V are read from
+    # its answer, so their LPs run only on frames that are not scalable, and
+    # W∩V never runs
     F = _frame(name)
     theta = reduced_diagram_matrix(F).data
     rs = split_scaling.row_system(F)
@@ -166,7 +171,7 @@ def test_report_asks_each_question_once(monkeypatch, name):
               for (p,) in calls]
     verdict = rep["scalability"]["verdict"]
     assert solved.count("WV") == 0
-    assert solved.count("theta") <= (2 if verdict == SCALABLE else 1)
+    assert solved.count("theta") <= 1
     if verdict == NOT_SCALABLE:
         assert solved.count("W") == solved.count("V") == 1
     else:

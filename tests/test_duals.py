@@ -30,11 +30,15 @@ from framescale.errors import (
 )
 from framescale.framedoc import document_from_frame, format_frame_document
 from conftest import (
+    SCALES,
     angles_frame,
     doubled_hadamard_frame,
+    open_cone_frame,
     random_orthogonal,
     random_scalable_frame,
     random_unit_frame,
+    rescaled_harmonic_frame,
+    two_block_frame,
 )
 
 
@@ -52,6 +56,11 @@ class TestCanonicalDual:
         F = random_unit_frame(rng, 3, 5)
         pair = canonical_dual(F)
         assert is_dual(F, pair.dual)
+
+    def test_reconstruction_of_ill_conditioned_frame(self):
+        # cond(X) is about 1e6, so S = X X^T has condition about 1e12
+        F = make_frame([[1e4, 2e4], [1e-2, -2e-2], [1e-2, 0.0]])
+        assert is_dual(F, canonical_dual(F).dual)
 
     def test_orthonormal_basis_self_dual(self):
         F = make_frame(np.eye(3))
@@ -160,11 +169,14 @@ def _assert_dual_answer(F, rep):
 def _invariance_frames():
     rng = np.random.default_rng(2024)
     frames = [random_scalable_frame(rng, 3, 9)[0] for _ in range(20)]
-    return frames + [p1_counterexample(4), doubled_hadamard_frame()]
+    frames += [p1_counterexample(4), doubled_hadamard_frame()]
+    frames += [rescaled_harmonic_frame(rng, 4, 12) for _ in range(2)]
+    frames += [two_block_frame(rng, 4, 11) for _ in range(2)]
+    frames += [open_cone_frame(rng, 3, 7) for _ in range(2)]
+    return frames + [angles_frame(0.2, 0.7, 1.2, 1.4)]
 
 
 INVARIANCE_FRAMES = _invariance_frames()
-SCALES = (1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9)
 
 
 class TestDualInvariance:

@@ -1,0 +1,94 @@
+"""Metamorphic invariance: a scalability verdict depends only on the geometry
+of the frame.  It must not change when each vector is rescaled by a nonzero
+factor (sign included), when the basis is changed by an orthogonal map, or
+when the vectors are permuted.  Every transformed frame is answered, and
+every "not scalable" answer carries a valid certificate.  Canonical-dual
+scalability under a global scale and an orthogonal map is held to the same
+rule in tests/test_duals.py::TestDualInvariance."""
+
+import json
+
+import numpy as np
+import pytest
+
+from framescale import (
+    decide_scalable,
+    frame_from_synthesis,
+    hull_certificate_check,
+    intersection_scalability,
+)
+from framescale.cli import main
+from framescale.framedoc import document_from_frame, format_frame_document
+from conftest import (
+    SCALES,
+    angles_frame,
+    doubled_hadamard_frame,
+    open_cone_frame,
+    random_orthogonal,
+    random_scalable_frame,
+    rescaled_harmonic_frame,
+    two_block_frame,
+)
+
+
+def _frames():
+    rng = np.random.default_rng(99)
+    frames = {f"random-scalable-{i}": random_scalable_frame(rng, 3, 9)[0] for i in range(3)}
+    frames.update({f"harmonic-{i}": rescaled_harmonic_frame(rng, 4, 12) for i in range(2)})
+    frames.update({f"two-block-{i}": two_block_frame(rng, 4, 11) for i in range(2)})
+    frames["hadamard-doubled"] = doubled_hadamard_frame()
+    frames["first-quadrant"] = angles_frame(0.2, 0.7, 1.2, 1.4)
+    frames.update({f"open-cone-{i}": open_cone_frame(rng, 3, 7) for i in range(2)})
+    return frames
+
+
+FRAMES = _frames()
+
+
+def _transforms(F, seed):
+    """(name, synthesis) for each transform of F."""
+    rng = np.random.default_rng(seed)
+    X = F.synthesis
+    out = [(f"scale-{s:g}", s * X) for s in SCALES]
+    for k in range(2):
+        d = 10.0 ** rng.uniform(-4.0, 4.0, F.m) * rng.choice([-1.0, 1.0], F.m)
+        out.append((f"per-vector-{k}", X * d))
+    out.append(("orthogonal", random_orthogonal(rng, F.n) @ X))
+    out.append(("permutation", X[:, rng.permutation(F.m)]))
+    return out
+
+
+ROUTES = {
+    "decide": lambda G: decide_scalable(G),
+    "decide-strict": lambda G: decide_scalable(G, strict=True),
+    "intersection": lambda G: intersection_scalability(G),
+    "intersection-strict": lambda G: intersection_scalability(G, strict=True),
+}
+
+
+def _analyze(tmp_path, capsys, F):
+    path = tmp_path / "frame.txt"
+    path.write_text(format_frame_document(document_from_frame(F)))
+    assert main(["analyze", str(path), "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    return rep["scalability"]["verdict"], rep["split"]["intersection_verdict"]
+
+
+@pytest.mark.parametrize("name", sorted(FRAMES))
+def test_verdicts_are_invariant(tmp_path, capsys, name):
+    F = FRAMES[name]
+    verdicts = {route: decide(F).verdict for route, decide in ROUTES.items()}
+    report = _analyze(tmp_path, capsys, F)
+    for label, X in _transforms(F, sorted(FRAMES).index(name)):
+        G = frame_from_synthesis(X)
+        for route, decide in ROUTES.items():
+            r = decide(G)
+            assert r.verdict == verdicts[route], (label, route)
+            if not r.scalable:
+                assert hull_certificate_check(G, r.certificate_y), (label, route)
+        assert _analyze(tmp_path, capsys, G) == report, label
+
+
+def test_corpus_covers_every_verdict():
+    verdicts = {decide_scalable(F, strict=True).verdict for F in FRAMES.values()}
+    assert verdicts == {"not_scalable", "scalable", "strictly_scalable"}

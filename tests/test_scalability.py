@@ -9,6 +9,7 @@ from framescale import (
     cofactor_scaling,
     decide_scalable,
     hull_certificate_check,
+    intersection_scalability,
     make_frame,
     quick_sign_reject,
 )
@@ -290,11 +291,31 @@ class TestCrossRouteAgreement:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("corank", [1, 2])
     def test_route_matches_strict_lp(self, rng, n, corank):
-        for F in _corank_frames(rng, n, corank, draws=6):
-            r = cofactor_scaling(F)[1] if corank == 1 else codim2_scaling(F)
+        # the kernel routes judge signs and margins on unit-norm columns, like
+        # the LPs, so shrinking one vector by 1e-5 (its diagram column by
+        # 1e-10) moves none of the three verdicts.  Growing one vector that
+        # much instead changes the corank measured on the raw matrix.
+        route = (lambda G: cofactor_scaling(G)[1]) if corank == 1 else codim2_scaling
+        for i, F in enumerate(_corank_frames(rng, n, corank, draws=6)):
+            r = route(F)
             assert r.verdict == decide_scalable(F, strict=True).verdict
+            assert r.verdict == intersection_scalability(F, strict=True).verdict
             if r.scalable:
                 assert is_tight(apply_scaling(F, r.scalars_a)).tight
+            d = np.ones(F.m)
+            d[i % F.m] = -1e-5
+            G = make_frame(F.synthesis.T * d[:, None])
+            assert route(G).verdict == r.verdict
+            assert decide_scalable(G, strict=True).verdict == r.verdict
+            assert intersection_scalability(G, strict=True).verdict == r.verdict
+
+    def test_one_large_vector_stays_strict(self):
+        # Mercedes-Benz with one vector times 1e5: raw kernel weights scale
+        # like 1/||x_i||^2, unit-column weights stay 1/3 each
+        F = angles_frame(np.pi / 2, np.pi / 2 + 2 * np.pi / 3, np.pi / 2 + 4 * np.pi / 3)
+        G = make_frame(F.synthesis.T * np.array([[1.0], [1e5], [1.0]]))
+        assert cofactor_scaling(G)[1].verdict == STRICTLY_SCALABLE
+        assert decide_scalable(G, strict=True).verdict == STRICTLY_SCALABLE
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_kernel_vector_parallel_to_cofactors(self, rng, n):

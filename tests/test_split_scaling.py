@@ -113,6 +113,13 @@ class TestMembership:
         assert not is_in_V(F, [1.0, 1.0, 1.0]).member
         assert not is_in_V(F, [1.0, 1.0, -1.0]).member
 
+    @pytest.mark.parametrize("s", [1.0, 1e-3, 1e-6])
+    def test_v_membership_at_small_scale(self, s):
+        # the cross term of (0, 1, 0) is 0.48 s^2, nonzero at every scale
+        F = make_frame(s * np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]]))
+        assert not is_in_V(F, [0.0, 1.0, 0.0]).member
+        assert is_in_V(F, [1.0, 0.0, 1.0]).member
+
     def test_zero_vector_in_v(self):
         F = make_frame(np.eye(3))
         assert is_in_V(F, np.zeros(3)).member
