@@ -1,9 +1,10 @@
 """Command-line interface: analyze, scale, dual, generate.
 
 Exit codes: 0 analyzed, 1 not scalable (cmd_scale only), 2 input error,
-3 internal numeric failure.  The default tolerance comes from --tol or the
+3 internal numeric failure.  The tightness tolerance comes from --tol or the
 FRAMESCALE_TOL environment variable, must be a finite positive number and is
-echoed in every report.
+echoed in every report; every other threshold is a constant of the
+``numerics`` table.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .framedoc import (
     parse_frame_document,
 )
 
-DEFAULT_TOL = 1e-8
+DEFAULT_TOL = numerics.RESIDUAL_TOL  # the tightness tolerance; it steers no verdict
 
 
 def _vec(a):
@@ -86,7 +87,8 @@ def _verify_scaling_result(frame, result):
         return
     theta = reduced_diagram_matrix(frame).data
     c = result.weights_c
-    if float(np.abs(theta @ c).max()) > 1e-8 * float((np.abs(theta) @ c).max()):
+    scale = float((np.abs(theta) @ c).max())
+    if float(np.abs(theta @ c).max()) > numerics.RESIDUAL_TOL * scale:
         raise InternalNumericError("reported weights fail the kernel identity")
 
 
@@ -106,10 +108,12 @@ def _split_elements(frame, verdict):
     return w_elem, v_elem
 
 
-def build_report(doc: FrameDocument, tol: float) -> dict:
+def build_report(doc: FrameDocument, tightness: float) -> dict:
+    """The ``analyze`` report of one frame document; ``tightness`` is the
+    ``is_tight`` tolerance, echoed as ``tolerance``."""
     frame = frame_from_document(doc)
     op = frame_operator(frame)
-    tight = is_tight(frame, tol)
+    tight = is_tight(frame, tightness)
 
     verdict = sca.decide_scalable(frame, strict=True)
     _verify_scaling_result(frame, verdict)
@@ -120,7 +124,7 @@ def build_report(doc: FrameDocument, tol: float) -> dict:
 
     return {
         "tool": {"name": "framescale", "version": __version__},
-        "tolerance": float(tol),
+        "tolerance": float(tightness),
         "frame": {
             "name": doc.name,
             "n": frame.n,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
 from .errors import DimensionMismatchError, DimensionTooSmallError, NotUnitNormError
 from .frame_core import derived
 
@@ -50,6 +51,17 @@ class ReducedDiagramMatrix:
     @property
     def cols(self):
         return self.data.shape[1]
+
+
+@dataclass(frozen=True)
+class UnitDiagramMatrix:
+    """θ̃_X with each column divided by its 2-norm.  Rescaling x_i by s
+    rescales column i of θ̃_X by s^2 > 0, so this matrix, and everything read
+    from it (signs, rank, kernel, unit-column weights), does not depend on
+    the scale of the frame vectors."""
+
+    data: np.ndarray   # reduced_size(n) x m, unit-norm columns
+    norms: np.ndarray  # the column norms of θ̃_X, 1 for a zero column
 
 
 def _diagram_columns(X, kind):
@@ -90,6 +102,21 @@ def _reduced_diagram_matrix(F):
     return ReducedDiagramMatrix(n=F.n, data=data)
 
 
+def unit_diagram_matrix(F) -> UnitDiagramMatrix:
+    """θ̃_X on unit-norm columns, with its column norms, computed once per
+    frame."""
+    return derived(F, "unit_diagram_matrix", _unit_diagram_matrix)
+
+
+def _unit_diagram_matrix(F):
+    theta = reduced_diagram_matrix(F).data
+    norms = numerics.column_norms(theta)
+    data = theta / norms
+    for a in (data, norms):
+        a.setflags(write=False)
+    return UnitDiagramMatrix(data=data, norms=norms)
+
+
 def diagram_inner_identity_check(x, y) -> float:
     """Residual of (n-1)<x~, y~> = n<x, y>^2 - ||x||^2 ||y||^2 (full vectors)."""
     x = np.asarray(x, dtype=float).ravel()
@@ -111,7 +138,7 @@ def diagram_gram_sum(F) -> float:
     unit-norm tight frames, positive otherwise."""
     X = F.synthesis
     norms = np.linalg.norm(X, axis=0)
-    if float(np.abs(norms - 1.0).max()) > 1e-9:
+    if float(np.abs(norms - 1.0).max()) > numerics.PIVOT_TOL:
         raise NotUnitNormError("diagram_gram_sum requires unit-norm frame vectors")
     if F.m < F.n:
         raise DimensionMismatchError("need m >= n vectors")

@@ -75,7 +75,7 @@ def _canonical_dual(F):
     return DualPair(primal=F, dual=dual, kind=CANONICAL)
 
 
-def alternate_dual_from_scaling(F, a, tol=1e-8) -> DualPair:
+def alternate_dual_from_scaling(F, a) -> DualPair:
     """Alternate dual {a_i^2 x_i} of a frame whose scaling by ``a`` is
     Parseval.  Vectors with zero weight are dropped from both sides first;
     rescaling the dual by 1/a_i recovers the Parseval frame."""
@@ -83,8 +83,8 @@ def alternate_dual_from_scaling(F, a, tol=1e-8) -> DualPair:
     if a.size != F.m:
         raise DimensionMismatchError(f"expected {F.m} weights, got {a.size}")
     scaled = apply_scaling(F, a)
-    t = is_tight(scaled, tol)
-    if not t.tight or abs(t.bound - 1.0) > tol:
+    t = is_tight(scaled)
+    if not t.tight or abs(t.bound - 1.0) > numerics.RESIDUAL_TOL:
         raise NotParsevalScalingError("weights do not produce a Parseval frame")
     keep = a > 0.0
     primal = frame_from_synthesis(F.synthesis[:, keep])
@@ -95,9 +95,10 @@ def alternate_dual_from_scaling(F, a, tol=1e-8) -> DualPair:
     return pair
 
 
-def check_transform_scaling(F, T, a, tol=1e-7) -> bool:
+def check_transform_scaling(F, T, a) -> bool:
     """True when the frame operator of {a_i x_i} equals (T^T T)^{-1}, which
-    is equivalent to {T x_i} being scalable with weights a."""
+    is equivalent to {T x_i} being scalable with weights a, within
+    ``numerics.IDENTITY_TOL`` of the largest entry of that target."""
     T = np.asarray(T, dtype=float)
     if T.shape != (F.n, F.n):
         raise DimensionMismatchError(f"transform must be {F.n}x{F.n}")
@@ -106,9 +107,11 @@ def check_transform_scaling(F, T, a, tol=1e-7) -> bool:
     a = np.asarray(a, dtype=float).ravel()
     scaled = F.synthesis * a
     S1 = scaled @ scaled.T
+    # T is invertible, so the target is positive definite and its largest
+    # entry is positive
     target = _spectral_power(numerics.symmetric_eigen(T.T @ T), -1.0)
-    scale = max(float(np.abs(target).max()), 1e-300)
-    return float(np.abs(S1 - target).max()) <= tol * scale
+    scale = float(np.abs(target).max())
+    return float(np.abs(S1 - target).max()) <= numerics.IDENTITY_TOL * scale
 
 
 def canonical_dual_scalable(F) -> DualScalingReport:
@@ -137,11 +140,11 @@ def canonical_dual_scalable(F) -> DualScalingReport:
     s_sq = op.S @ op.S
     achieved = (F.synthesis * c) @ F.synthesis.T
     residual = float(np.abs(achieved - s_sq).max())
-    if residual > 1e-7 * float(np.abs(s_sq).max()):
+    if residual > numerics.IDENTITY_TOL * float(np.abs(s_sq).max()):
         raise InternalNumericError("dual-scaling weights fail the S^2 identity")
     s_inv_half = _spectral_power(op.spectral, -0.5)
     Z = s_inv_half @ (F.synthesis * a)
-    if float(np.abs(Z @ Z.T - op.S).max()) > 1e-7 * float(np.abs(op.S).max()):
+    if float(np.abs(Z @ Z.T - op.S).max()) > numerics.IDENTITY_TOL * float(np.abs(op.S).max()):
         raise InternalNumericError("S^{-1/2} cross-check failed")
     return DualScalingReport(feasible=True, weights_c=c, scalars_a=a, residual=residual)
 

@@ -93,8 +93,9 @@ def derived(F, key, build):
     return cache[key]
 
 
-def frame_from_synthesis(X, tol=1e-10) -> Frame:
-    """Build a Frame from an n x m synthesis matrix, validating invariants."""
+def frame_from_synthesis(X) -> Frame:
+    """Build a Frame from an n x m synthesis matrix, validating invariants;
+    spanning is the rank test of ``numerics.rank``."""
     X = np.array(X, dtype=float)
     if X.ndim != 2:
         raise DimensionMismatchError("synthesis matrix must be 2-dimensional")
@@ -107,18 +108,18 @@ def frame_from_synthesis(X, tol=1e-10) -> Frame:
     if np.any(norms == 0.0):
         i = int(np.argmin(norms))
         raise ZeroVectorError(f"frame vector {i} is the zero vector")
-    if numerics.rank(X, tol) < n:
+    if numerics.rank(X) < n:
         raise NotSpanningError("vectors do not span R^n")
     X.setflags(write=False)
     return Frame(synthesis=X)
 
 
-def make_frame(vectors, tol=1e-10) -> Frame:
+def make_frame(vectors) -> Frame:
     """Build a Frame from an iterable of m vectors in R^n."""
     arr = np.array(list(vectors), dtype=float)
     if arr.ndim != 2:
         raise DimensionMismatchError("vectors must all have the same length")
-    return frame_from_synthesis(arr.T, tol)
+    return frame_from_synthesis(arr.T)
 
 
 def frame_operator(F) -> FrameOperatorData:
@@ -146,7 +147,7 @@ def frame_potential(F) -> float:
     return float(np.sum(G * G))
 
 
-def is_tight(F, tol=1e-8) -> Tightness:
+def is_tight(F, tol=numerics.RESIDUAL_TOL) -> Tightness:
     """Tightness test: rows of the synthesis matrix pairwise orthogonal with
     equal norms.  Returns the common squared row norm as the tight bound."""
     X = F.synthesis
@@ -186,11 +187,12 @@ def apply_scaling(F, a) -> ScaledFrame:
     return ScaledFrame(base=base, weights=a.copy(), synthesis=scaled)
 
 
-def is_dual(F, G, tol=1e-8) -> bool:
-    """True when X Y^T = I, i.e. G satisfies the reconstruction formula."""
+def is_dual(F, G) -> bool:
+    """True when X Y^T = I within ``numerics.RESIDUAL_TOL``, i.e. G satisfies
+    the reconstruction formula."""
     if F.n != G.n or F.m != G.m:
         raise DimensionMismatchError(
             f"frames have shapes {F.n}x{F.m} and {G.n}x{G.m}"
         )
     P = F.synthesis @ G.synthesis.T
-    return float(np.abs(P - np.eye(F.n)).max()) <= tol
+    return float(np.abs(P - np.eye(F.n)).max()) <= numerics.RESIDUAL_TOL

@@ -11,6 +11,14 @@ Small LPs cost in numpy calls, not in arithmetic, so each pivot is one
 broadcast rank-1 update of the tableau in place, and each LP's inputs are
 checked once: ``solve_feasibility`` and ``linear_program`` validate and then
 share one unchecked kernel.
+
+Every threshold of the package is written once, in the table below, and
+named by its role.  No threshold is absolute: each multiplies a scale named
+beside it, and most of those scales are of unit size by construction (the
+LPs and the scalability routes read the reduced diagram matrix on unit-norm
+columns, and weights sum to 1), so a verdict does not move when a frame
+vector is rescaled.  The one tolerance a user can set is the tightness
+tolerance of ``frame_core.is_tight`` (``--tol``); it steers no verdict.
 """
 
 from __future__ import annotations
@@ -27,8 +35,29 @@ from .errors import (
     NonSymmetricError,
 )
 
-_EPS_RC = 1e-9      # reduced-cost threshold for entering columns
-_EPS_PIV = 1e-9     # minimum pivot magnitude
+# The tolerance table.  Each threshold is named by its role, and its value
+# multiplies the scale that its comment names.
+ZERO_TOL = 1e-12       # zero and sign: an entry of unit-size data counts as 0
+#                        (unit-norm theta columns, simplex ratios, witness
+#                        entries, arc ends in radians, max |kernel basis|,
+#                        max weight)
+RANK_TOL = 1e-10       # rank: the largest singular value (rank, kernel), the
+#                        largest entry or 1 if larger (symmetry, independent
+#                        rows), the largest entry (cofactor sign classes)
+PIVOT_TOL = 1e-9       # pivot: simplex reduced costs and pivot elements on
+#                        unit-norm columns; the phase-1 objective against
+#                        1 + max|b|; unit norm against 1
+RESIDUAL_TOL = 1e-8    # residual: witness residual against 1 + max|b|; the
+#                        kernel identity against max_j sum_i |theta_ji| c_i;
+#                        W rows and X Y^T against 1; V cross terms against the
+#                        largest diagonal entry of sum_i a_i x_i x_i^T; the
+#                        default tightness tolerance
+IDENTITY_TOL = 1e-7    # identity: operator identities (S^2, S, the transform
+#                        target) against their largest entry; a codim-2
+#                        weight against max |kernel basis|
+STRICT_MARGIN = 1e-9   # strictness: the minimum unit-column weight (weights
+#                        sum 1) of a strictly scalable answer exceeds this
+
 _STALL = 50         # consecutive degenerate pivots before Bland's rule takes over
 
 
@@ -67,19 +96,19 @@ def _check_finite(a):
         raise NonFiniteError("matrix entries must be finite")
 
 
-def symmetric_eigen(M, sym_tol=1e-10):
+def symmetric_eigen(M):
     """Eigendecomposition of a symmetric matrix by LAPACK (``numpy.linalg.eigh``).
 
     Eigenvalues come in descending order; each eigenvector's largest-magnitude
     entry is positive.  Raises NonSymmetricError when ``M`` deviates from its
-    transpose by more than ``sym_tol`` relative to the largest entry.
+    transpose by more than ``RANK_TOL`` times its largest entry (or 1).
     """
     A = np.array(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {A.shape}")
     _check_finite(A)
     scale = max(float(np.abs(A).max()), 1.0)
-    if float(np.abs(A - A.T).max()) > sym_tol * scale:
+    if float(np.abs(A - A.T).max()) > RANK_TOL * scale:
         raise NonSymmetricError("matrix is not symmetric within tolerance")
 
     eigvals, Q = np.linalg.eigh(0.5 * (A + A.T))
@@ -99,18 +128,16 @@ def singular_values(M):
     return np.linalg.svd(A, compute_uv=False)
 
 
-def _rank_of(s, tol):
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return int(np.sum(s > tol * s[0])) if s.size else 0
+def _rank_of(s):
+    return int(np.sum(s > RANK_TOL * s[0])) if s.size else 0
 
 
-def rank(M, tol=1e-10):
-    """Number of singular values above ``tol`` times the largest one."""
-    return _rank_of(singular_values(M), tol)
+def rank(M):
+    """Number of singular values above ``RANK_TOL`` times the largest one."""
+    return _rank_of(singular_values(M))
 
 
-def nullspace_basis(M, tol=1e-10):
+def nullspace_basis(M):
     """Orthonormal basis of the kernel of M, as columns of the result,
     ordered by ascending singular value: the trailing right singular vectors.
 
@@ -119,7 +146,7 @@ def nullspace_basis(M, tol=1e-10):
     A = np.asarray(M, dtype=float)
     _check_finite(A)
     _, s, Vt = np.linalg.svd(A)
-    return Vt[_rank_of(s, tol):][::-1].T
+    return Vt[_rank_of(s):][::-1].T
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +173,13 @@ def _pivot(T, basis, row, col):
 
 
 def _simplex_loop(T, basis, n_enterable, cap):
-    """Pivot until no reduced cost is below -_EPS_RC.
+    """Pivot until no reduced cost is below -PIVOT_TOL.
 
     The entering column is the most negative reduced cost (Dantzig); the
-    leaving row has the smallest ratio, ties within 1e-12 going to the largest
-    pivot element.  After _STALL consecutive degenerate pivots the rest of the
-    solve uses Bland's rule (lowest entering index, lowest leaving basis
-    index), which cannot cycle.
+    leaving row has the smallest ratio, ties within ZERO_TOL going to the
+    largest pivot element.  After _STALL consecutive degenerate pivots the
+    rest of the solve uses Bland's rule (lowest entering index, lowest
+    leaving basis index), which cannot cycle.
     """
     k = T.shape[0] - 1
     rc = T[-1, :n_enterable]    # views: _pivot updates T in place
@@ -160,18 +187,18 @@ def _simplex_loop(T, basis, n_enterable, cap):
     stalled = 0
     for _ in range(cap):
         bland = stalled >= _STALL
-        col = (rc < -_EPS_RC).argmax() if bland else rc.argmin()
-        if rc[col] >= -_EPS_RC:
+        col = (rc < -PIVOT_TOL).argmax() if bland else rc.argmin()
+        if rc[col] >= -PIVOT_TOL:
             return "optimal"
         a = T[:k, col]
-        rows = (a > _EPS_PIV).nonzero()[0]
+        rows = (a > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             return "unbounded"
         ratios = rhs[rows] / a[rows]
         step = float(ratios.min())
-        ties = rows[ratios <= step + 1e-12]
+        ties = rows[ratios <= step + ZERO_TOL]
         row = ties[basis[ties].argmin()] if bland else ties[a[ties].argmax()]
-        stalled = stalled + 1 if step <= 1e-12 else 0
+        stalled = stalled + 1 if step <= ZERO_TOL else 0
         _pivot(T, basis, row, col)
     raise IterationLimitError("simplex iteration cap exceeded")
 
@@ -220,15 +247,14 @@ def _linear_program(A, b, c, maximize):
 
     _simplex_loop(T, basis, nv, cap)
     p1_obj = -T[-1, -1]
-    feas_tol = 1e-9 * (1.0 + float(np.abs(b).max(initial=0.0)))
-    if p1_obj > feas_tol:
+    if p1_obj > PIVOT_TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
         pi = 1.0 - T[-1, nv:nv + k]
         return LPResult(status="infeasible", objective=float(p1_obj),
                         dual=row_sign * pi)
 
     # drive leftover artificials out of the basis (redundant rows stay put)
     for i in np.flatnonzero(basis >= nv):
-        cols = np.flatnonzero(np.abs(T[i, :nv]) > _EPS_PIV)
+        cols = np.flatnonzero(np.abs(T[i, :nv]) > PIVOT_TOL)
         if cols.size:
             _pivot(T, basis, i, cols[0])
 
@@ -253,7 +279,7 @@ def _linear_program(A, b, c, maximize):
 
 def _clamp_nonneg(x):
     x = np.asarray(x, dtype=float).copy()
-    if float(x.min(initial=0.0)) < -1e-12:
+    if float(x.min(initial=0.0)) < -ZERO_TOL:
         raise InternalNumericError("simplex witness has a negative entry")
     x[x < 0.0] = 0.0
     return x
@@ -338,5 +364,5 @@ def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
 
 def _verify_witness(A, b, x):
     resid = float(np.abs(A @ x - b).max(initial=0.0))
-    if resid > 1e-8 * (1.0 + float(np.abs(b).max(initial=0.0))):
+    if resid > RESIDUAL_TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
         raise InternalNumericError(f"feasibility witness residual {resid:.3e} too large")

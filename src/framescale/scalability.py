@@ -18,6 +18,14 @@ formulas; the routes' kernel vectors are proportional to them.
 
 Every "not scalable" answer is certified: either a separating functional y
 with <x~_i, y> > 0 for all i, or a strictly one-signed row index.
+
+Rescaling x_i by s rescales column i of the reduced diagram matrix by
+s^2 > 0, which keeps scalability.  So every route reads that matrix on
+unit-norm columns (``diagram.unit_diagram_matrix``): the LPs through
+``numerics.solve_feasibility``, and the sign reject, the kernel (whose width
+is the corank that ``scale --method auto`` routes on), the cofactor and
+codim-2 routes and ``near_zero`` through the per-frame copy.  The thresholds
+are those of the ``numerics`` table.
 """
 
 from __future__ import annotations
@@ -28,13 +36,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .diagram import reduced_diagram_matrix, reduced_size
+from .diagram import reduced_diagram_matrix, reduced_size, unit_diagram_matrix
 from .errors import (
     CorankMismatchError,
     DimensionMismatchError,
     InternalNumericError,
 )
 from .frame_core import derived
+from .numerics import IDENTITY_TOL, RANK_TOL, STRICT_MARGIN, ZERO_TOL
 
 NOT_SCALABLE = "not_scalable"
 SCALABLE = "scalable"
@@ -48,9 +57,6 @@ METHOD_SIGN_REJECT = "sign_reject"
 ALL_NONNEG = "all_nonneg"
 ALL_NONPOS = "all_nonpos"
 MIXED = "mixed"
-
-_ZERO_TOL = 1e-12
-STRICT_MARGIN = 1e-9  # a strictly scalable answer has a margin above this
 
 
 @dataclass
@@ -78,9 +84,10 @@ class CofactorReport:
 SignCheck = namedtuple("SignCheck", ["row_index"])
 
 
-def independent_rows(mat, tol=1e-10):
+def independent_rows(mat):
     """Indices of a maximal linearly independent row subset, chosen greedily
-    by ascending row index (modified Gram-Schmidt with a relative threshold).
+    by ascending row index (modified Gram-Schmidt with the threshold
+    ``RANK_TOL`` relative to the largest entry, or 1).
     """
     mat = np.asarray(mat, dtype=float)
     scale = max(float(np.abs(mat).max(initial=0.0)), 1.0)
@@ -92,7 +99,7 @@ def independent_rows(mat, tol=1e-10):
             for q in basis:
                 r -= (r @ q) * q
         nrm = float(np.linalg.norm(r))
-        if nrm > tol * scale:
+        if nrm > RANK_TOL * scale:
             basis.append(r / nrm)
             idx.append(i)
     return idx
@@ -105,9 +112,11 @@ def quick_sign_reject(F) -> SignCheck:
 
     Rows containing (near-)zero entries are skipped: they only force the
     weights to vanish on their support, which does not preclude scalability.
+    An entry counts as zero when it is at most ``ZERO_TOL`` on unit-norm
+    columns, so the row found does not depend on the scale of the vectors.
     """
-    theta = reduced_diagram_matrix(F).data
-    rows = np.flatnonzero((theta > _ZERO_TOL).all(1) | (theta < -_ZERO_TOL).all(1))
+    theta = unit_diagram_matrix(F).data
+    rows = np.flatnonzero((theta > ZERO_TOL).all(1) | (theta < -ZERO_TOL).all(1))
     return SignCheck(row_index=int(rows[0]) if rows.size else None)
 
 
@@ -124,13 +133,16 @@ def hull_certificate_check(F, y) -> bool:
 
 
 def theta_kernel(F):
-    """Orthonormal basis of the kernel of the reduced diagram matrix, as
-    columns, from one SVD per frame; its width is the corank."""
+    """Orthonormal basis of the kernel of the reduced diagram matrix on
+    unit-norm columns, as columns, from one SVD per frame; its width is the
+    corank, measured without regard to the scale of the vectors.  A kernel
+    vector v of the unit matrix is the kernel vector v_i / ||theta_i|| of
+    the reduced diagram matrix itself."""
     return derived(F, "theta_kernel", _theta_kernel)
 
 
 def _theta_kernel(F):
-    kernel = numerics.nullspace_basis(reduced_diagram_matrix(F).data)
+    kernel = numerics.nullspace_basis(unit_diagram_matrix(F).data)
     kernel.setflags(write=False)
     return kernel
 
@@ -158,13 +170,17 @@ def _lp_certificate(F):
     return out.certificate
 
 
-def _finish_scalable(c, method, strict_margin=None):
+def _finish_scalable(F, c, method, strict_margin=None):
     """A scalable answer with weights c, normalized to sum 1; strict exactly
-    when the route's margin exceeds ``STRICT_MARGIN`` (``near_zero`` only reports)."""
+    when the route's margin exceeds ``STRICT_MARGIN``.  ``near_zero`` only
+    reports: the indices whose unit-column weight ||theta_i|| c_i, relative
+    to the sum of those weights, is at most ``STRICT_MARGIN``, the measure
+    the margin is taken in."""
     c = np.asarray(c, dtype=float).copy()
     c[c < 0] = 0.0
     c = c / c.sum()
-    near = [int(i) for i in np.flatnonzero(c <= STRICT_MARGIN)]
+    unit = c * unit_diagram_matrix(F).norms
+    near = [int(i) for i in np.flatnonzero(unit <= STRICT_MARGIN * unit.sum())]
     if strict_margin is not None and strict_margin > STRICT_MARGIN:
         verdict = STRICTLY_SCALABLE
     else:
@@ -211,7 +227,7 @@ def decide_scalable(F, strict=False) -> ScalingResult:
             method=METHOD_FEASIBILITY,
             certificate_y=out.certificate,
         )
-    return _finish_scalable(out.witness, METHOD_FEASIBILITY, out.strict_margin)
+    return _finish_scalable(F, out.witness, METHOD_FEASIBILITY, out.strict_margin)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +251,8 @@ def cofactor_vector(rows) -> np.ndarray:
     return out
 
 
-def _classify_signs(v, rel_tol=1e-10):
-    thresh = rel_tol * float(np.abs(v).max(initial=0.0))
+def _classify_signs(v):
+    thresh = RANK_TOL * float(np.abs(v).max(initial=0.0))
     if float(v.min()) >= -thresh:
         return ALL_NONNEG
     if float(v.max()) <= thresh:
@@ -247,9 +263,9 @@ def _classify_signs(v, rel_tol=1e-10):
 def cofactor_scaling(F):
     """Rank m-1 route: the kernel of the reduced diagram matrix is the line of
     the cofactor vector, so scalability reduces to its sign pattern.  The
-    kernel comes from one SVD as a unit vector v proportional to the
-    cofactors; its signs and margin are judged, like the LPs', on unit-norm
-    columns, from the weights ||theta_i|| v_i.
+    kernel comes from one SVD of the matrix on unit-norm columns as a unit
+    vector w of unit-column weights; its signs and margin are judged on w,
+    like the LPs', and w_i / ||theta_i|| is proportional to the cofactors.
 
     Returns (CofactorReport, ScalingResult).
     """
@@ -257,10 +273,11 @@ def cofactor_scaling(F):
     if kernel.shape[1] != 1:
         raise CorankMismatchError(
             f"cofactor method needs corank 1, measured corank {kernel.shape[1]}")
-    v = kernel[:, 0]
-    d = numerics.column_norms(reduced_diagram_matrix(F).data)
-    sign_class = _classify_signs(v * d)
-    report = CofactorReport(corank=1, cofactor_vector=v, sign_class=sign_class)
+    w = kernel[:, 0]
+    v = w / unit_diagram_matrix(F).norms
+    sign_class = _classify_signs(w)
+    report = CofactorReport(corank=1, cofactor_vector=v / np.linalg.norm(v),
+                            sign_class=sign_class)
     if sign_class == MIXED:
         result = ScalingResult(
             verdict=NOT_SCALABLE,
@@ -268,9 +285,9 @@ def cofactor_scaling(F):
             certificate_y=_lp_certificate(F),
         )
         return report, result
-    w = np.abs(v * d)
+    w = np.abs(w)
     margin = float(w.min()) / float(w.sum())
-    return report, _finish_scalable(w / d, METHOD_COFACTOR, strict_margin=margin)
+    return report, _finish_scalable(F, np.abs(v), METHOD_COFACTOR, strict_margin=margin)
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +322,14 @@ def _intersect_half_circles(pq):
         for a, b in intervals:
             for c, d in arcs:
                 s, e = max(a, c), min(b, d)
-                if e >= s - 1e-12:
+                if e >= s - ZERO_TOL:
                     new.append((s, e))
         intervals = new
         if not intervals:
             return []
     # merge a wrap-around pair so widths and midpoints come out right
-    starts_at_zero = [iv for iv in intervals if iv[0] <= 1e-12]
-    ends_at_full = [iv for iv in intervals if iv[1] >= two_pi - 1e-12]
+    starts_at_zero = [iv for iv in intervals if iv[0] <= ZERO_TOL]
+    ends_at_full = [iv for iv in intervals if iv[1] >= two_pi - ZERO_TOL]
     if starts_at_zero and ends_at_full and starts_at_zero[0] != ends_at_full[0]:
         a0, b0 = starts_at_zero[0]
         a1, b1 = ends_at_full[0]
@@ -323,23 +340,23 @@ def _intersect_half_circles(pq):
 
 
 def codim2_scaling(F):
-    """Rank m-2 route: every kernel vector, taken on unit-norm columns, is a
-    multiple of cos(t) xi_1 + sin(t) xi_2 for an orthonormal basis xi_1, xi_2
-    of that kernel, and scalability holds exactly when some direction t keeps
-    all entries nonnegative.  Decided by exact angular-interval intersection;
-    the weights come from the midpoint of the widest feasible arc, which is
-    the bisector of the feasible cone and so depends only on the kernel."""
+    """Rank m-2 route: every kernel vector of the matrix on unit-norm
+    columns is a multiple of cos(t) xi_1 + sin(t) xi_2 for the orthonormal
+    basis xi_1, xi_2 of that kernel from one SVD, and scalability holds
+    exactly when some direction t keeps all entries nonnegative.  Decided by
+    exact angular-interval intersection; the weights come from the midpoint
+    of the widest feasible arc, which is the bisector of the feasible cone
+    and so depends only on the kernel."""
     kernel = theta_kernel(F)
     if kernel.shape[1] != 2:
         raise CorankMismatchError(
             f"codim-2 method needs corank 2, measured corank {kernel.shape[1]}")
-    d = numerics.column_norms(reduced_diagram_matrix(F).data)
-    xi1, xi2 = np.linalg.qr(kernel * d[:, None])[0].T
-
-    scale = max(float(np.abs(xi1).max()), float(np.abs(xi2).max()), 1e-300)
+    xi1, xi2 = kernel.T
+    # unit basis vectors: the scale lies in [1/sqrt(m), 1]
+    scale = max(float(np.abs(xi1).max()), float(np.abs(xi2).max()))
     constraints = []
     for p, q in zip(xi1, xi2):
-        if np.hypot(p, q) > 1e-12 * scale:
+        if np.hypot(p, q) > ZERO_TOL * scale:
             constraints.append((p, q))
     intervals = _intersect_half_circles(constraints)
     if not intervals:
@@ -352,7 +369,8 @@ def codim2_scaling(F):
     width = hi - lo
     t = 0.5 * (lo + hi)
     w = np.cos(t) * xi1 + np.sin(t) * xi2
-    if float(w.min()) < -1e-7 * scale:
+    if float(w.min()) < -IDENTITY_TOL * scale:
         raise InternalNumericError("codim-2 direction produced a negative weight")
     margin = float(w.min()) / float(np.abs(w).sum()) if width > 0 else 0.0
-    return _finish_scalable(w / d, METHOD_CODIM2, strict_margin=margin)
+    d = unit_diagram_matrix(F).norms
+    return _finish_scalable(F, w / d, METHOD_CODIM2, strict_margin=margin)

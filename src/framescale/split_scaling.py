@@ -63,27 +63,39 @@ def _check_weight_length(F, a):
     return a
 
 
-def is_in_W(F, a, tol=1e-8) -> ConeMembership:
-    """Membership in W: a >= 0 and <a, u_j^2> = 1 for every synthesis row."""
+def _nonnegative(a):
+    """a >= 0, up to ``numerics.ZERO_TOL`` times its largest entry."""
+    return float(a.min(initial=0.0)) >= -numerics.ZERO_TOL * float(a.max(initial=0.0))
+
+
+def is_in_W(F, a) -> ConeMembership:
+    """Membership in W: a >= 0 and <a, u_j^2> = 1 for every synthesis row,
+    within ``numerics.RESIDUAL_TOL``."""
     a = _check_weight_length(F, a)
-    if float(a.min(initial=0.0)) < -1e-12:
+    if not _nonnegative(a):
         return ConeMembership(member=False)
     rs = row_system(F)
     for usq in rs.u_squared:
-        if abs(float(a @ usq) - 1.0) > tol:
+        if abs(float(a @ usq) - 1.0) > numerics.RESIDUAL_TOL:
             return ConeMembership(member=False)
     return ConeMembership(member=True, a=a.copy())
 
 
-def is_in_V(F, a, tol=1e-8) -> ConeMembership:
-    """Membership in V: a >= 0 and <a, u_i * u_j> = 0 for all row pairs."""
+def is_in_V(F, a) -> ConeMembership:
+    """Membership in V: a >= 0 and <a, u_i * u_j> = 0 for all row pairs.
+
+    The cross terms <a, u_i * u_j> are the off-diagonal entries of
+    sum_k a_k x_k x_k^T, so each is judged against the largest diagonal
+    entry <a, u_j^2> of that matrix, which bounds it by Cauchy-Schwarz: the
+    test does not depend on the scale of a or of the frame vectors.
+    """
     a = _check_weight_length(F, a)
-    if float(a.min(initial=0.0)) < -1e-12:
+    if not _nonnegative(a):
         return ConeMembership(member=False)
     rs = row_system(F)
-    scale = float(np.abs(F.synthesis).max()) ** 2
+    scale = max(float(a @ usq) for usq in rs.u_squared)
     for cp in rs.cross_products:
-        if abs(float(a @ cp)) > tol * scale:
+        if abs(float(a @ cp)) > numerics.RESIDUAL_TOL * scale:
             return ConeMembership(member=False)
     return ConeMembership(member=True, a=a.copy())
 
@@ -141,6 +153,6 @@ def intersection_scalability(F, strict=False) -> ScalingResult:
             method=METHOD_FEASIBILITY,
             certificate_y=_lp_certificate(F),
         )
-    result = _finish_scalable(out.witness, METHOD_FEASIBILITY, out.strict_margin)
+    result = _finish_scalable(F, out.witness, METHOD_FEASIBILITY, out.strict_margin)
     result.scalars_a = np.sqrt(out.witness)
     return result

@@ -23,7 +23,7 @@ from framescale import (
 )
 from framescale import diagram, frame_core, split_scaling
 from framescale.cli import build_report, main
-from framescale.diagram import reduced_diagram_matrix, reduced_size
+from framescale.diagram import reduced_diagram_matrix, reduced_size, unit_diagram_matrix
 from framescale.framedoc import document_from_frame, format_frame_document
 from framescale.scalability import NOT_SCALABLE
 from conftest import (
@@ -140,9 +140,10 @@ def test_report_computes_each_quantity_once(monkeypatch, name):
 @pytest.mark.parametrize("name, svds", [("corank-1", 1), ("corank-1-unit", 1),
                                         ("corank-2", 1), ("strict", 0)])
 def test_scale_auto_takes_at_most_one_svd_of_theta(tmp_path, monkeypatch, capsys, name, svds):
-    # "strict" has m = 8 > d + 2 = 7, so its corank is at least 3 unmeasured
+    # "strict" has m = 8 > d + 2 = 7, so its corank is at least 3 unmeasured;
+    # the corank is measured on theta's unit-norm columns
     F = _frame(name)
-    theta = reduced_diagram_matrix(F).data
+    theta = unit_diagram_matrix(F).data
     path = tmp_path / "frame.txt"
     path.write_text(format_frame_document(document_from_frame(F)))
     theta_svds = _count(monkeypatch, np.linalg, "svd",

@@ -2,7 +2,11 @@
 of the frame.  It must not change when each vector is rescaled by a nonzero
 factor (sign included), when the basis is changed by an orthogonal map, or
 when the vectors are permuted.  Every transformed frame is answered, and
-every "not scalable" answer carries a valid certificate.  Canonical-dual
+every "not scalable" answer carries a valid certificate.  A rescaling or a
+permutation leaves the signs of the reduced diagram matrix and its unit-norm
+columns as they were, so it also keeps the route (``method``) and the
+one-signed row (``reject_row``) of every answer; an orthogonal map changes
+that matrix, so there only the verdict is held.  Canonical-dual
 scalability under a global scale and an orthogonal map is held to the same
 rule in tests/test_duals.py::TestDualInvariance."""
 
@@ -16,6 +20,7 @@ from framescale import (
     frame_from_synthesis,
     hull_certificate_check,
     intersection_scalability,
+    is_in_V,
 )
 from framescale.cli import main
 from framescale.framedoc import document_from_frame, format_frame_document
@@ -77,16 +82,32 @@ def _analyze(tmp_path, capsys, F):
 @pytest.mark.parametrize("name", sorted(FRAMES))
 def test_verdicts_are_invariant(tmp_path, capsys, name):
     F = FRAMES[name]
-    verdicts = {route: decide(F).verdict for route, decide in ROUTES.items()}
+    answers = {route: decide(F) for route, decide in ROUTES.items()}
     report = _analyze(tmp_path, capsys, F)
     for label, X in _transforms(F, sorted(FRAMES).index(name)):
         G = frame_from_synthesis(X)
         for route, decide in ROUTES.items():
-            r = decide(G)
-            assert r.verdict == verdicts[route], (label, route)
+            r, want = decide(G), answers[route]
+            assert r.verdict == want.verdict, (label, route)
+            if label != "orthogonal":
+                assert (r.method, r.reject_row) == (want.method, want.reject_row), (label, route)
             if not r.scalable:
                 assert hull_certificate_check(G, r.certificate_y), (label, route)
         assert _analyze(tmp_path, capsys, G) == report, label
+
+
+def test_v_membership_is_scale_free():
+    # harmonic-0 with signed per-vector scales 10^U(-4, 4): x_k x_k^T has
+    # off-diagonal entries for every k (a quarter of the diagonal on the
+    # shortest vector, of norm 2.6e-4), so no e_k is in V, while the kernel
+    # weights of a scaling are
+    F = FRAMES["harmonic-0"]
+    rng = np.random.default_rng(1)
+    d = 10.0 ** rng.uniform(-4.0, 4.0, F.m) * rng.choice([-1.0, 1.0], F.m)
+    G = frame_from_synthesis(F.synthesis * d)
+    for k in range(G.m):
+        assert not is_in_V(G, np.eye(G.m)[k]).member, k
+    assert is_in_V(G, decide_scalable(G).weights_c).member
 
 
 def test_corpus_covers_every_verdict():

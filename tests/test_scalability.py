@@ -14,11 +14,11 @@ from framescale import (
     quick_sign_reject,
 )
 from framescale.frame_core import apply_scaling, is_tight
-from framescale.diagram import reduced_diagram_matrix, reduced_size
+from framescale.diagram import reduced_diagram_matrix, reduced_size, unit_diagram_matrix
 from framescale.errors import CorankMismatchError, DimensionMismatchError
-from framescale import numerics, scalability
+from framescale import diagram, numerics
+from framescale.numerics import ZERO_TOL
 from framescale.scalability import (
-    _ZERO_TOL,
     ALL_NONNEG,
     ALL_NONPOS,
     MIXED,
@@ -96,8 +96,8 @@ class TestVerdicts:
         )
         X = np.array([[np.cos(t), np.sin(t)] for t in angles])
         # the spanning test make_frame applies: singular values relative to
-        # the largest, at make_frame's default tolerance
-        if numerics.rank(X, 1e-10) < 2:
+        # the largest, at numerics.RANK_TOL
+        if numerics.rank(X) < 2:
             return
         F = make_frame(X)
         assert decide_scalable(F).scalable == doubled_angle_gap_oracle(F)
@@ -107,7 +107,7 @@ def loop_sign_reject(theta):
     """Row-by-row reference for ``quick_sign_reject``: the first row whose
     entries all exceed the zero tolerance in magnitude and share one sign."""
     for i, row in enumerate(theta):
-        if float(np.abs(row).min()) > _ZERO_TOL and (
+        if float(np.abs(row).min()) > ZERO_TOL and (
             np.all(row > 0) or np.all(row < 0)
         ):
             return i
@@ -116,18 +116,26 @@ def loop_sign_reject(theta):
 
 class TestSignReject:
     def test_matches_row_loop(self, rng, monkeypatch):
-        F = make_frame(np.eye(2))
-        tiny = [0.0, _ZERO_TOL, -_ZERO_TOL, 2 * _ZERO_TOL, -2 * _ZERO_TOL]
+        # the reject reads theta on unit-norm columns, a per-frame value, so
+        # each draw gets a fresh frame, and the reference reads the same
+        # unit-column matrix.  The draw's columns are unit before the tiny
+        # entries go in, which leaves their norms as they are, so the tiny
+        # entries reach the reject at the zero tolerance or within an ulp.
+        tiny = [0.0, ZERO_TOL, -ZERO_TOL, 2 * ZERO_TOL, -2 * ZERO_TOL]
         for _ in range(400):
             k, m = rng.integers(1, 8), rng.integers(1, 12)
             theta = rng.standard_normal((k, m))
             for i in rng.choice(k, size=rng.integers(0, k + 1), replace=False):
                 theta[i] = rng.choice([-1.0, 1.0]) * np.abs(theta[i])
             mask = rng.random((k, m)) < 0.05
+            theta[mask] = 0.0
+            theta /= numerics.column_norms(theta)
             theta[mask] = rng.choice(tiny, size=mask.sum())
-            monkeypatch.setattr(scalability, "reduced_diagram_matrix",
+            monkeypatch.setattr(diagram, "reduced_diagram_matrix",
                                 lambda G: SimpleNamespace(data=theta))
-            assert quick_sign_reject(F).row_index == loop_sign_reject(theta)
+            F = make_frame(np.eye(2))
+            unit = unit_diagram_matrix(F).data
+            assert quick_sign_reject(F).row_index == loop_sign_reject(unit)
 
     def test_strictly_positive_row_rejects(self):
         F = make_frame([[1.0, 0.1], [0.9, 0.5], [0.5, 1.0]])
@@ -291,10 +299,10 @@ class TestCrossRouteAgreement:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("corank", [1, 2])
     def test_route_matches_strict_lp(self, rng, n, corank):
-        # the kernel routes judge signs and margins on unit-norm columns, like
-        # the LPs, so shrinking one vector by 1e-5 (its diagram column by
-        # 1e-10) moves none of the three verdicts.  Growing one vector that
-        # much instead changes the corank measured on the raw matrix.
+        # the kernel routes measure the corank and judge signs and margins on
+        # unit-norm columns, like the LPs, so shrinking one vector by 1e-5
+        # (its diagram column by 1e-10) or growing one by 1e4 or 1e5 moves
+        # none of the three verdicts; a strict answer has no near-zero weight
         route = (lambda G: cofactor_scaling(G)[1]) if corank == 1 else codim2_scaling
         for i, F in enumerate(_corank_frames(rng, n, corank, draws=6)):
             r = route(F)
@@ -302,20 +310,28 @@ class TestCrossRouteAgreement:
             assert r.verdict == intersection_scalability(F, strict=True).verdict
             if r.scalable:
                 assert is_tight(apply_scaling(F, r.scalars_a)).tight
-            d = np.ones(F.m)
-            d[i % F.m] = -1e-5
-            G = make_frame(F.synthesis.T * d[:, None])
-            assert route(G).verdict == r.verdict
-            assert decide_scalable(G, strict=True).verdict == r.verdict
-            assert intersection_scalability(G, strict=True).verdict == r.verdict
+            for s in (-1e-5, 1e4, 1e5):
+                d = np.ones(F.m)
+                d[i % F.m] = s
+                G = make_frame(F.synthesis.T * d[:, None])
+                answers = [route(G), decide_scalable(G, strict=True),
+                           intersection_scalability(G, strict=True)]
+                for a in answers:
+                    assert a.verdict == r.verdict, s
+                    if a.verdict == STRICTLY_SCALABLE:
+                        assert a.near_zero == [], s
 
     def test_one_large_vector_stays_strict(self):
         # Mercedes-Benz with one vector times 1e5: raw kernel weights scale
-        # like 1/||x_i||^2, unit-column weights stay 1/3 each
+        # like 1/||x_i||^2, unit-column weights stay 1/3 each, and near_zero
+        # reads the unit-column weights
         F = angles_frame(np.pi / 2, np.pi / 2 + 2 * np.pi / 3, np.pi / 2 + 4 * np.pi / 3)
         G = make_frame(F.synthesis.T * np.array([[1.0], [1e5], [1.0]]))
-        assert cofactor_scaling(G)[1].verdict == STRICTLY_SCALABLE
-        assert decide_scalable(G, strict=True).verdict == STRICTLY_SCALABLE
+        for r in (cofactor_scaling(G)[1], decide_scalable(G, strict=True),
+                  intersection_scalability(G, strict=True)):
+            assert r.verdict == STRICTLY_SCALABLE
+            assert r.near_zero == []
+            assert r.weights_c[1] < 1e-9  # the raw weight would read as near zero
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_kernel_vector_parallel_to_cofactors(self, rng, n):
