@@ -85,10 +85,10 @@ def _verify_scaling_result(frame, result):
     vanish relative to the largest row sum of its terms |theta_ji| c_i."""
     if result.weights_c is None:
         return
-    theta = reduced_diagram_matrix(frame).data
+    theta = reduced_diagram_matrix(frame).data  # no rows in R^1
     c = result.weights_c
-    scale = float((np.abs(theta) @ c).max())
-    if float(np.abs(theta @ c).max()) > numerics.RESIDUAL_TOL * scale:
+    scale = float((np.abs(theta) @ c).max(initial=0.0))
+    if float(np.abs(theta @ c).max(initial=0.0)) > numerics.RESIDUAL_TOL * scale:
         raise InternalNumericError("reported weights fail the kernel identity")
 
 

@@ -65,12 +65,13 @@ class UnitDiagramMatrix:
 
 
 def _diagram_columns(X, kind):
-    """Diagram vectors of the columns of the n x m matrix X, as columns."""
-    n = X.shape[0]
-    if n < 2:
-        raise DimensionTooSmallError("diagram vectors require n >= 2")
+    """Diagram vectors of the columns of the n x m matrix X, as columns.  In
+    R^1 there are no coordinate pairs, so the matrix has no rows."""
+    n, m = X.shape
     if kind not in (FULL, REDUCED):
         raise ValueError(f"unknown diagram kind {kind!r}")
+    if n == 1:
+        return np.zeros((0, m))
     scale = 1.0 / np.sqrt(n - 1)
     i, j = np.triu_indices(n, 1)  # the lexicographic pairs of pair_indices
     di, dj = (i, j) if kind == FULL else (i[: n - 1], j[: n - 1])
@@ -80,7 +81,10 @@ def _diagram_columns(X, kind):
 
 
 def diagram_vector(x, kind=FULL) -> DiagramVector:
+    """The diagram vector of x, of norm ||x||^2 (full form); none in R^1."""
     x = np.asarray(x, dtype=float).ravel()
+    if x.size < 2:
+        raise DimensionTooSmallError("diagram vectors require n >= 2")
     entries = _diagram_columns(x[:, None], kind)[:, 0]
     entries.setflags(write=False)
     return DiagramVector(n=x.size, kind=kind, entries=entries)

@@ -18,17 +18,21 @@ from .errors import (
     DimensionMismatchError,
     InternalNumericError,
     NoHadamardAvailableError,
+    NonFiniteError,
     NotParsevalScalingError,
     SingularTransformError,
 )
 from .frame_core import (
     Frame,
+    _checked_synthesis,
+    _spanning_frame,
     apply_scaling,
     derived,
     frame_from_synthesis,
     frame_operator,
     is_dual,
     is_tight,
+    synthesis_svd,
 )
 from .scalability import decide_scalable
 
@@ -52,13 +56,6 @@ class DualScalingReport:
     certificate_y: np.ndarray | None = None  # separating functional, dual frame
 
 
-def _spectral_power(spec, power):
-    """Matrix power of a symmetric positive-definite matrix from its
-    eigendecomposition."""
-    q = spec.eigenvectors
-    return (q * spec.eigenvalues**power) @ q.T
-
-
 def canonical_dual(F) -> DualPair:
     """Canonical dual frame with vectors S^{-1} x_i, computed once per
     frame."""
@@ -66,10 +63,12 @@ def canonical_dual(F) -> DualPair:
 
 
 def _canonical_dual(F):
-    # S^{-1} X = U diag(1/s) V^T for the SVD X = U diag(s) V^T; forming
-    # S = X X^T would square the condition number of X
-    U, s, Vt = np.linalg.svd(F.synthesis, full_matrices=False)
-    dual = frame_from_synthesis((U / s) @ Vt)
+    # S^{-1} X = U diag(1/s) V^T for the frame's SVD X = U diag(s) V^T, with
+    # no S = X X^T to square the condition number of X; it is the dual's own
+    # SVD, factors reversed, so the dual needs no factorization of its own
+    U, s, Vt = synthesis_svd(F)
+    dual = _spanning_frame(_checked_synthesis((U / s) @ Vt),
+                           (U[:, ::-1], 1.0 / s[::-1], Vt[::-1]))
     if not is_dual(F, dual):
         raise InternalNumericError("canonical dual fails the reconstruction identity")
     return DualPair(primal=F, dual=dual, kind=CANONICAL)
@@ -102,14 +101,19 @@ def check_transform_scaling(F, T, a) -> bool:
     T = np.asarray(T, dtype=float)
     if T.shape != (F.n, F.n):
         raise DimensionMismatchError(f"transform must be {F.n}x{F.n}")
-    if numerics.rank(T) < F.n:
+    if not np.isfinite(T).all():
+        raise NonFiniteError("transform entries must be finite")
+    # one SVD T = P diag(sigma) Q^T decides invertibility and gives
+    # (T^T T)^{-1} = Q diag(1/sigma^2) Q^T
+    _, sigma, Qt = np.linalg.svd(T)
+    if numerics.rank_of(sigma) < F.n:
         raise SingularTransformError("transform is not invertible")
     a = np.asarray(a, dtype=float).ravel()
     scaled = F.synthesis * a
     S1 = scaled @ scaled.T
     # T is invertible, so the target is positive definite and its largest
     # entry is positive
-    target = _spectral_power(numerics.symmetric_eigen(T.T @ T), -1.0)
+    target = (Qt.T / sigma**2) @ Qt
     scale = float(np.abs(target).max())
     return float(np.abs(S1 - target).max()) <= numerics.IDENTITY_TOL * scale
 
@@ -127,13 +131,10 @@ def canonical_dual_scalable(F) -> DualScalingReport:
     scalable" answer carries the dual frame's certificate y.
     """
     dual = canonical_dual(F).dual
-    if F.n == 1:
-        c = np.full(F.m, 1.0 / F.m)  # every frame in R^1 is tight
-    else:
-        result = decide_scalable(dual)
-        if not result.scalable:
-            return DualScalingReport(feasible=False, certificate_y=result.certificate_y)
-        c = result.weights_c
+    result = decide_scalable(dual)
+    if not result.scalable:
+        return DualScalingReport(feasible=False, certificate_y=result.certificate_y)
+    c = result.weights_c
     c = F.n * c / float(c @ (dual.synthesis ** 2).sum(axis=0))
     a = np.sqrt(c)
     op = frame_operator(F)
@@ -142,7 +143,8 @@ def canonical_dual_scalable(F) -> DualScalingReport:
     residual = float(np.abs(achieved - s_sq).max())
     if residual > numerics.IDENTITY_TOL * float(np.abs(s_sq).max()):
         raise InternalNumericError("dual-scaling weights fail the S^2 identity")
-    s_inv_half = _spectral_power(op.spectral, -0.5)
+    U, s, _ = op.svd
+    s_inv_half = (U / s) @ U.T
     Z = s_inv_half @ (F.synthesis * a)
     if float(np.abs(Z @ Z.T - op.S).max()) > numerics.IDENTITY_TOL * float(np.abs(op.S).max()):
         raise InternalNumericError("S^{-1/2} cross-check failed")

@@ -9,10 +9,6 @@ class NonFiniteError(FramescaleError):
     """Input contains NaN or infinity."""
 
 
-class NonSymmetricError(FramescaleError):
-    """Matrix violates the symmetry tolerance."""
-
-
 class DimensionMismatchError(FramescaleError):
     """Operands have inconsistent shapes."""
 
@@ -30,7 +26,7 @@ class ZeroVectorError(FramescaleError):
 
 
 class DimensionTooSmallError(FramescaleError):
-    """Diagram vectors require ambient dimension n >= 2."""
+    """A diagram vector requires ambient dimension n >= 2."""
 
 
 class NotUnitNormError(FramescaleError):

@@ -1,9 +1,11 @@
 """Frames in R^n: construction, frame operator, bounds, potential, duality.
 
 A frame is stored through its n x m synthesis matrix whose i-th column is the
-i-th frame vector.  Construction verifies the spanning property by rank, so
-every ``Frame`` instance really is a frame.  Values derived from the synthesis
-are computed once per frame and kept on it through ``derived``.
+i-th frame vector.  Construction takes the thin SVD X = U diag(s) V^T once and
+verifies the spanning property on s, so every ``Frame`` instance really is a
+frame.  That SVD, and every other value derived from the synthesis, is kept
+on the frame through ``derived``: the frame bounds are s_n^2 and s_1^2, and the
+canonical dual and S^{-1/2} are read from the same factors.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class ScaledFrame:
 @dataclass(frozen=True)
 class FrameOperatorData:
     S: np.ndarray
-    spectral: numerics.SpectralData
+    svd: tuple  # (U, s, V^T), the thin SVD of the synthesis: S = U diag(s^2) U^T
     lower_bound: float
     upper_bound: float
 
@@ -95,7 +97,24 @@ def derived(F, key, build):
 
 def frame_from_synthesis(X) -> Frame:
     """Build a Frame from an n x m synthesis matrix, validating invariants;
-    spanning is the rank test of ``numerics.rank``."""
+    its thin SVD is taken here, once."""
+    X = _checked_synthesis(X)
+    return _spanning_frame(X, _thin_svd(X))
+
+
+def _thin_svd(X):
+    """(U, s, V^T), s descending, as a plain tuple on every numpy version."""
+    return tuple(np.linalg.svd(X, full_matrices=False))
+
+
+def synthesis_svd(F):
+    """The thin SVD of the synthesis, kept on the frame: taken when a Frame
+    is built, and on first use for a ScaledFrame."""
+    return derived(F, "svd", lambda G: _thin_svd(G.synthesis))
+
+
+def _checked_synthesis(X):
+    """X as a float matrix of m >= n >= 1 finite, nonzero columns."""
     X = np.array(X, dtype=float)
     if X.ndim != 2:
         raise DimensionMismatchError("synthesis matrix must be 2-dimensional")
@@ -108,10 +127,19 @@ def frame_from_synthesis(X) -> Frame:
     if np.any(norms == 0.0):
         i = int(np.argmin(norms))
         raise ZeroVectorError(f"frame vector {i} is the zero vector")
-    if numerics.rank(X) < n:
+    return X
+
+
+def _spanning_frame(X, svd) -> Frame:
+    """The Frame on the checked synthesis X with thin SVD ``svd``: spanning
+    is the rank rule of ``numerics.rank`` on s, and the factors are kept."""
+    if numerics.rank_of(svd[1]) < X.shape[0]:
         raise NotSpanningError("vectors do not span R^n")
-    X.setflags(write=False)
-    return Frame(synthesis=X)
+    for a in (X, *svd):
+        a.setflags(write=False)
+    F = Frame(synthesis=X)
+    derived(F, "svd", lambda _: svd)
+    return F
 
 
 def make_frame(vectors) -> Frame:
@@ -123,8 +151,9 @@ def make_frame(vectors) -> Frame:
 
 
 def frame_operator(F) -> FrameOperatorData:
-    """Frame operator S = X X^T with spectral data and frame bounds, computed
-    once per frame."""
+    """Frame operator S = X X^T with the SVD of X and the frame bounds
+    s_n^2 and s_1^2, which unlike the eigenvalues of the formed S do not lose
+    the square of the condition number of X; computed once per frame."""
     return derived(F, "frame_operator", _frame_operator)
 
 
@@ -132,13 +161,10 @@ def _frame_operator(F):
     X = F.synthesis
     S = X @ X.T
     S.setflags(write=False)
-    spec = numerics.symmetric_eigen(S)
-    return FrameOperatorData(
-        S=S,
-        spectral=spec,
-        lower_bound=float(spec.eigenvalues[-1]),
-        upper_bound=float(spec.eigenvalues[0]),
-    )
+    svd = synthesis_svd(F)
+    s = svd[1]
+    return FrameOperatorData(S=S, svd=svd, lower_bound=float(s[-1] ** 2),
+                             upper_bound=float(s[0] ** 2))
 
 
 def frame_potential(F) -> float:

@@ -1,11 +1,11 @@
 """Dense real linear-algebra kernel and nonnegative linear feasibility solver.
 
-Eigenvalues, singular values, rank and nullspace come from LAPACK through
-numpy.  Linear feasibility is a deterministic two-phase tableau simplex with
-Dantzig pricing and a Bland's-rule fallback after a run of degenerate pivots;
-it produces either a nonnegative witness or a Farkas-style infeasibility
-certificate.  The strict variant maximizes the minimum entry through the
-substitution x = delta + s, which adds one row and two columns.
+Singular values, rank and nullspace come from LAPACK through numpy.  Linear
+feasibility is a deterministic two-phase tableau simplex with Dantzig pricing
+and a Bland's-rule fallback after a run of degenerate pivots; it produces
+either a nonnegative witness or a Farkas-style infeasibility certificate.
+The strict variant maximizes the minimum entry through the substitution
+x = delta + s, which adds one row and two columns.
 
 Small LPs cost in numpy calls, not in arithmetic, so each pivot is one
 broadcast rank-1 update of the tableau in place, and each LP's inputs are
@@ -32,7 +32,6 @@ from .errors import (
     InternalNumericError,
     IterationLimitError,
     NonFiniteError,
-    NonSymmetricError,
 )
 
 # The tolerance table.  Each threshold is named by its role, and its value
@@ -40,10 +39,10 @@ from .errors import (
 ZERO_TOL = 1e-12       # zero and sign: an entry of unit-size data counts as 0
 #                        (unit-norm theta columns, simplex ratios, witness
 #                        entries, arc ends in radians, max |kernel basis|,
-#                        max weight)
+#                        max weight, sum of unit-column weights: zeroed ones)
 RANK_TOL = 1e-10       # rank: the largest singular value (rank, kernel), the
-#                        largest entry or 1 if larger (symmetry, independent
-#                        rows), the largest entry (cofactor sign classes)
+#                        largest entry or 1 if larger (independent rows), the
+#                        largest entry (cofactor sign classes)
 PIVOT_TOL = 1e-9       # pivot: simplex reduced costs and pivot elements on
 #                        unit-norm columns; the phase-1 objective against
 #                        1 + max|b|; unit norm against 1
@@ -59,18 +58,6 @@ STRICT_MARGIN = 1e-9   # strictness: the minimum unit-column weight (weights
 #                        sum 1) of a strictly scalable answer exceeds this
 
 _STALL = 50         # consecutive degenerate pivots before Bland's rule takes over
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    """Eigenvalues (descending) and orthonormal eigenvectors (columns)."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self):
-        q = self.eigenvectors
-        return (q * self.eigenvalues) @ q.T
 
 
 @dataclass(frozen=True)
@@ -96,31 +83,6 @@ def _check_finite(a):
         raise NonFiniteError("matrix entries must be finite")
 
 
-def symmetric_eigen(M):
-    """Eigendecomposition of a symmetric matrix by LAPACK (``numpy.linalg.eigh``).
-
-    Eigenvalues come in descending order; each eigenvector's largest-magnitude
-    entry is positive.  Raises NonSymmetricError when ``M`` deviates from its
-    transpose by more than ``RANK_TOL`` times its largest entry (or 1).
-    """
-    A = np.array(M, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {A.shape}")
-    _check_finite(A)
-    scale = max(float(np.abs(A).max()), 1.0)
-    if float(np.abs(A - A.T).max()) > RANK_TOL * scale:
-        raise NonSymmetricError("matrix is not symmetric within tolerance")
-
-    eigvals, Q = np.linalg.eigh(0.5 * (A + A.T))
-    eigvals, Q = eigvals[::-1], Q[:, ::-1]
-    # deterministic sign: largest-magnitude entry of each eigenvector positive
-    lead = Q[np.argmax(np.abs(Q), axis=0), np.arange(Q.shape[1])]
-    Q = Q * np.where(lead < 0, -1.0, 1.0)
-    eigvals.setflags(write=False)
-    Q.setflags(write=False)
-    return SpectralData(eigenvalues=eigvals, eigenvectors=Q)
-
-
 def singular_values(M):
     """Singular values of M, descending, by LAPACK (``numpy.linalg.svd``)."""
     A = np.asarray(M, dtype=float)
@@ -128,13 +90,16 @@ def singular_values(M):
     return np.linalg.svd(A, compute_uv=False)
 
 
-def _rank_of(s):
+def rank_of(s):
+    """Number of the descending singular values ``s`` above ``RANK_TOL``
+    times the largest one: the rank rule of ``rank``, for callers that
+    already hold the singular values."""
     return int(np.sum(s > RANK_TOL * s[0])) if s.size else 0
 
 
 def rank(M):
     """Number of singular values above ``RANK_TOL`` times the largest one."""
-    return _rank_of(singular_values(M))
+    return rank_of(singular_values(M))
 
 
 def nullspace_basis(M):
@@ -146,7 +111,7 @@ def nullspace_basis(M):
     A = np.asarray(M, dtype=float)
     _check_finite(A)
     _, s, Vt = np.linalg.svd(A)
-    return Vt[_rank_of(s):][::-1].T
+    return Vt[rank_of(s):][::-1].T
 
 
 # ---------------------------------------------------------------------------

@@ -172,14 +172,18 @@ def _lp_certificate(F):
 
 def _finish_scalable(F, c, method, strict_margin=None):
     """A scalable answer with weights c, normalized to sum 1; strict exactly
-    when the route's margin exceeds ``STRICT_MARGIN``.  ``near_zero`` only
-    reports: the indices whose unit-column weight ||theta_i|| c_i, relative
-    to the sum of those weights, is at most ``STRICT_MARGIN``, the measure
-    the margin is taken in."""
+    when the route's margin exceeds ``STRICT_MARGIN``.  A weight whose
+    unit-column weight ||theta_i|| c_i is at most ``ZERO_TOL`` of the sum of
+    those weights is rounding noise and is set to +0.  ``near_zero`` only
+    reports: the indices whose unit-column weight, relative to that sum, is
+    at most ``STRICT_MARGIN``, the measure the margin is taken in."""
+    norms = unit_diagram_matrix(F).norms
     c = np.asarray(c, dtype=float).copy()
     c[c < 0] = 0.0
+    unit = c * norms
+    c[unit <= ZERO_TOL * unit.sum()] = 0.0
     c = c / c.sum()
-    unit = c * unit_diagram_matrix(F).norms
+    unit = c * norms
     near = [int(i) for i in np.flatnonzero(unit <= STRICT_MARGIN * unit.sum())]
     if strict_margin is not None and strict_margin > STRICT_MARGIN:
         verdict = STRICTLY_SCALABLE

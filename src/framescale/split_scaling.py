@@ -154,5 +154,6 @@ def intersection_scalability(F, strict=False) -> ScalingResult:
             certificate_y=_lp_certificate(F),
         )
     result = _finish_scalable(F, out.witness, METHOD_FEASIBILITY, out.strict_margin)
-    result.scalars_a = np.sqrt(out.witness)
+    # the witness is proportional to weights_c, so it has the same zeros
+    result.scalars_a = np.sqrt(np.where(result.weights_c > 0.0, out.witness, 0.0))
     return result

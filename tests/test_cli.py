@@ -248,6 +248,79 @@ class TestScale:
             _verify_scaling_result(F, one)
 
 
+class TestZeroWeights:
+    # the straddling vector of the two-block frame is the last one, and every
+    # scaling gives it weight 0; a zero weight prints as 0, never as the
+    # square root of rounding noise or as -0
+    SCALE_ARGS = [[], ["--method", "lp"], ["--method", "lp", "--strict"],
+                  ["--method", "split"], ["--method", "split", "--strict"]]
+
+    @pytest.mark.parametrize("args", SCALE_ARGS, ids=lambda a: " ".join(a) or "auto")
+    def test_straddling_weight_is_exactly_zero(self, tmp_path, capsys, args):
+        F = _frame("two-block")
+        path = write(tmp_path, "tb.frame", format_frame_document(document_from_frame(F)))
+        assert main(["scale", path] + args) == 0
+        tokens = capsys.readouterr().out.splitlines()[-1].split()
+        assert len(tokens) == F.m
+        assert "-0" not in tokens
+        assert float(tokens[-1]) == 0.0
+
+    def test_report_weight_is_exactly_zero(self):
+        rep = build_report(document_from_frame(_frame("two-block")), 1e-8)
+        s, sp = rep["scalability"], rep["split"]
+        for weights in (s["weights_c"], s["scalars_a"], sp["v_element"],
+                        sp["parseval_scalars"]):
+            assert weights[-1] == 0.0
+        assert s["near_zero"][-1] == len(s["weights_c"]) - 1
+
+    @pytest.mark.parametrize("name", sorted(FRAMES))
+    @pytest.mark.parametrize("args", SCALE_ARGS + [["--method", "cofactor"],
+                                                   ["--method", "codim2"]],
+                             ids=lambda a: " ".join(a) or "auto")
+    def test_no_negative_zero_printed(self, tmp_path, capsys, name, args):
+        path = write(tmp_path, "f.frame",
+                     format_frame_document(document_from_frame(_frame(name))))
+        if main(["scale", path] + args) == 0:
+            tokens = capsys.readouterr().out.splitlines()[-1].split()
+            assert not any(t.startswith("-") for t in tokens)
+
+
+class TestDimensionOne:
+    # every frame in R^1 is tight; its reduced diagram matrix has no rows
+    TEXTS = {1: "n 1\nm 1\n2\n", 2: "n 1\nm 2\n2\n-0.5\n", 3: "n 1\nm 3\n2\n-0.5\n3\n"}
+
+    @pytest.mark.parametrize("m", sorted(TEXTS))
+    @pytest.mark.parametrize("args", [["analyze"], ["analyze", "--json"], ["scale"],
+                                      ["scale", "--method", "lp"],
+                                      ["scale", "--method", "lp", "--strict"],
+                                      ["scale", "--method", "split"],
+                                      ["scale", "--method", "split", "--strict"]],
+                             ids=" ".join)
+    def test_runs_exit_zero(self, tmp_path, capsys, m, args):
+        path = write(tmp_path, "line.frame", self.TEXTS[m])
+        assert main(args + [path]) == 0
+        out = capsys.readouterr().out
+        if args == ["analyze", "--json"]:
+            rep = json.loads(out)
+            assert rep["scalability"]["verdict"] == "strictly_scalable"
+            assert rep["frame"]["tight"] and rep["dual"]["dual_scalable"]
+        elif args[0] == "scale":
+            a = np.array([float(v) for v in out.split()])
+            X = parse_frame_document(self.TEXTS[m]).vectors.T
+            assert a.min() >= 0 and a.max() > 0 and a.size == m
+            assert is_tight(apply_scaling(make_frame(X.T), a)).tight
+            if "--strict" in args:
+                assert a.min() > 0
+
+    @pytest.mark.parametrize("m", sorted(TEXTS))
+    def test_dual_round_trip(self, tmp_path, capsys, m):
+        path = write(tmp_path, "line.frame", self.TEXTS[m])
+        assert main(["dual", path]) == 0
+        dual_path = write(tmp_path, "dual.frame", capsys.readouterr().out)
+        assert main(["scale", dual_path]) == 0
+        assert main(["dual", dual_path, "--check-scalable"]) == 0
+
+
 class TestDual:
     def test_prints_dual_document(self, tmp_path, capsys):
         path = write(tmp_path, "x.frame", EXAMPLE_TEXT)

@@ -100,7 +100,7 @@ def test_warm_frame_answers_like_a_fresh_one(name, reverse):
         assert _same(routes[route](warm), routes[route](fresh)), route
 
 
-def _count(monkeypatch, module, attr, when=lambda *args: True):
+def _count(monkeypatch, module, attr, when=lambda *args, **kwargs: True):
     """Calls of ``module.attr`` whose arguments satisfy ``when``."""
     calls = []
     original = getattr(module, attr)
@@ -135,6 +135,20 @@ def test_report_computes_each_quantity_once(monkeypatch, name):
     assert np.array_equal(theta_builds[1], dual)
     assert {k: len(v) for k, v in builds.items()} == {"S": 1, "rows": 1}
     assert len(plain_theta_lps) <= 1
+
+
+@pytest.mark.parametrize("name", sorted(FRAMES))
+def test_report_factors_x_once(monkeypatch, name):
+    # the one thin SVD of X gives the spanning test, the frame bounds, the
+    # canonical dual with its own SVD, and S^{-1/2}
+    F = _frame(name)
+    dual = canonical_dual(F).dual.synthesis
+    svds = _count(monkeypatch, np.linalg, "svd")
+    eighs = _count(monkeypatch, np.linalg, "eigh")
+    build_report(document_from_frame(F, name=name), 1e-8)
+    assert [np.array_equal(A, F.synthesis) for (A, *_) in svds] == [True]
+    assert not any(np.array_equal(A, dual) for (A, *_) in svds)
+    assert eighs == []
 
 
 @pytest.mark.parametrize("name, svds", [("corank-1", 1), ("corank-1-unit", 1),

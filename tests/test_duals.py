@@ -25,6 +25,7 @@ from framescale.frame_core import (
 )
 from framescale.errors import (
     NoHadamardAvailableError,
+    NonFiniteError,
     NotParsevalScalingError,
     SingularTransformError,
 )
@@ -118,6 +119,11 @@ class TestTransformScaling:
         F = make_frame(np.eye(2))
         with pytest.raises(SingularTransformError):
             check_transform_scaling(F, np.zeros((2, 2)), np.ones(2))
+
+    def test_nonfinite_transform_rejected(self):
+        F = make_frame(np.eye(2))
+        with pytest.raises(NonFiniteError):
+            check_transform_scaling(F, [[1.0, np.inf], [0.0, 1.0]], np.ones(2))
 
 
 class TestCanonicalDualScalability:

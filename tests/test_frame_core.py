@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import sqrt
+
 import numpy as np
 import pytest
 
@@ -62,6 +65,23 @@ class TestFrameOperator:
         op = frame_operator(F)
         assert op.lower_bound == pytest.approx(w[0], abs=1e-10)
         assert op.upper_bound == pytest.approx(w[-1], abs=1e-10)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_lower_bound_of_ill_conditioned_frame(self, seed):
+        # X = R diag(1, 1e-7) B: S = X X^T has condition number 1e14, so its
+        # smallest eigenvalue from the formed S is off by up to about 1e-2
+        # relative; the exact value comes from det and tr of S in rationals
+        rng = np.random.default_rng(seed)
+        t = rng.uniform(0.0, 2.0 * np.pi)
+        R = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        B = np.linalg.qr(rng.standard_normal((5, 2)))[0].T
+        F = frame_from_synthesis(R @ np.diag([1.0, 1e-7]) @ B)
+        X = [[Fraction(float(v)) for v in row] for row in F.synthesis]
+        s00, s11 = (sum(v * v for v in row) for row in X)
+        s01 = sum(u * v for u, v in zip(*X))
+        det, tr = s00 * s11 - s01 * s01, s00 + s11
+        exact = 2 * det / (tr + Fraction(sqrt(tr * tr - 4 * det)))
+        assert frame_operator(F).lower_bound == pytest.approx(float(exact), rel=1e-8, abs=0)
 
     def test_bound_inequality_for_all_vectors(self, rng):
         F = random_unit_frame(rng, 2, 4)

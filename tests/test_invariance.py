@@ -8,12 +8,16 @@ columns as they were, so it also keeps the route (``method``) and the
 one-signed row (``reject_row``) of every answer; an orthogonal map changes
 that matrix, so there only the verdict is held.  Canonical-dual
 scalability under a global scale and an orthogonal map is held to the same
-rule in tests/test_duals.py::TestDualInvariance."""
+rule in tests/test_duals.py::TestDualInvariance.  Beyond the fixed corpus,
+Hypothesis draws integer and near-duplicate frames, the families with exact
+ties and degenerate LPs, and holds the full report to the same rules."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from framescale import (
     decide_scalable,
@@ -22,7 +26,8 @@ from framescale import (
     intersection_scalability,
     is_in_V,
 )
-from framescale.cli import main
+from framescale.cli import build_report, main
+from framescale.errors import NotSpanningError, ZeroVectorError
 from framescale.framedoc import document_from_frame, format_frame_document
 from conftest import (
     SCALES,
@@ -113,3 +118,69 @@ def test_v_membership_is_scale_free():
 def test_corpus_covers_every_verdict():
     verdicts = {decide_scalable(F, strict=True).verdict for F in FRAMES.values()}
     assert verdicts == {"not_scalable", "scalable", "strictly_scalable"}
+
+
+@st.composite
+def integer_frames(draw):
+    """Synthesis matrices with entries in {-2..2}: exact zeros and ties in
+    the reduced diagram matrix, degenerate LPs."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(n + 1, n + 6))
+    entries = draw(st.lists(st.integers(-2, 2), min_size=n * m, max_size=n * m))
+    return np.array(entries, dtype=float).reshape(n, m)
+
+
+@st.composite
+def near_duplicate_frames(draw):
+    """Gaussian vectors, some repeated with noise of size 1e-7."""
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(n, n + 3))
+    copies = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.standard_normal((n, k))
+    near = base[:, copies] + 1e-7 * rng.standard_normal((n, len(copies)))
+    return np.hstack([base, near])
+
+
+def _report(X):
+    """The scalability fields and the frame bounds of the ``analyze``
+    report; any exception, exit 3 included, fails the test."""
+    try:
+        F = frame_from_synthesis(X)
+    except (NotSpanningError, ZeroVectorError):
+        return None
+    rep = build_report(document_from_frame(F), 1e-8)
+    s = rep["scalability"]
+    return ((s["verdict"], s["method"], s["reject_row"]),
+            (rep["frame"]["lower_bound"], rep["frame"]["upper_bound"]),
+            rep["dual"]["dual_scalable"])
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(X=st.one_of(integer_frames(), near_duplicate_frames()),
+       seed=st.integers(0, 2**32 - 1))
+def test_report_is_invariant_on_drawn_frames(X, seed):
+    want = _report(X)
+    assume(want is not None)
+    (verdict, method, row), (lower, upper), dual = want
+    rng = np.random.default_rng(seed)
+    n, m = X.shape
+    d = 10.0 ** rng.uniform(-4.0, 4.0, m) * rng.choice([-1.0, 1.0], m)
+    transforms = {
+        "per-vector": X * d,
+        "orthogonal": random_orthogonal(rng, n) @ X,
+        "permutation": X[:, rng.permutation(m)],
+    }
+    for label, Y in transforms.items():
+        got = _report(Y)
+        if got is None:  # the scales took it below the rank threshold
+            assert label == "per-vector"
+            continue
+        (v, meth, r), (lo, up), dual_got = got
+        assert v == verdict, label
+        if label != "orthogonal":
+            assert (meth, r) == (method, row), label
+        if label != "per-vector":
+            assert abs(lo - lower) <= 1e-9 * upper and abs(up - upper) <= 1e-9 * upper, label
+            assert dual_got == dual, label

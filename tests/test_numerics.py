@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from framescale import numerics
-from framescale.errors import (
-    DimensionMismatchError,
-    InternalNumericError,
-    IterationLimitError,
-    NonFiniteError,
-    NonSymmetricError,
-)
+from framescale.errors import InternalNumericError, IterationLimitError
 
 
 # The simplex kernel as it was before the in-place rank-1 pivot, with its
@@ -110,43 +104,6 @@ def assert_bitwise_equal(res, ref):
         if got is not None:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-
-
-class TestSymmetricEigen:
-    def test_matches_numpy_on_random_symmetric(self, rng):
-        for n in (1, 2, 3, 5, 8):
-            A = rng.standard_normal((n, n))
-            A = A + A.T
-            spec = numerics.symmetric_eigen(A)
-            expected = np.sort(np.linalg.eigvalsh(A))[::-1]
-            assert np.allclose(spec.eigenvalues, expected, atol=1e-10)
-            # eigenvectors orthonormal and reconstructing
-            Q = spec.eigenvectors
-            assert np.allclose(Q.T @ Q, np.eye(n), atol=1e-12)
-            assert np.allclose(spec.reconstruct(), A, atol=1e-10)
-
-    def test_descending_order(self):
-        spec = numerics.symmetric_eigen(np.diag([1.0, 3.0, 2.0]))
-        assert np.allclose(spec.eigenvalues, [3.0, 2.0, 1.0])
-
-    def test_deterministic(self, rng):
-        A = rng.standard_normal((4, 4))
-        A = A @ A.T
-        s1 = numerics.symmetric_eigen(A)
-        s2 = numerics.symmetric_eigen(A)
-        assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(NonSymmetricError):
-            numerics.symmetric_eigen([[0.0, 1.0], [0.0, 0.0]])
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(NonFiniteError):
-            numerics.symmetric_eigen([[np.nan, 0.0], [0.0, 1.0]])
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(DimensionMismatchError):
-            numerics.symmetric_eigen(np.ones((2, 3)))
 
 
 class TestRankNullspace:
