@@ -16,8 +16,6 @@ from .frame_core import (  # noqa: F401
     make_frame,
 )
 from .diagram import (  # noqa: F401
-    DiagramVector,
-    ReducedDiagramMatrix,
     diagram_gram_sum,
     diagram_inner_identity_check,
     diagram_vector,
@@ -35,13 +33,11 @@ from .scalability import (  # noqa: F401
 )
 from .split_scaling import (  # noqa: F401
     ConeMembership,
-    RowSystem,
     find_V_element,
     find_W_element,
     intersection_scalability,
     is_in_V,
     is_in_W,
-    row_system,
 )
 from .duals import (  # noqa: F401
     DualPair,

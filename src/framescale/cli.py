@@ -25,7 +25,6 @@ from . import split_scaling as split
 from .diagram import reduced_diagram_matrix, reduced_size
 from .errors import (
     BadParamsError,
-    CorankMismatchError,
     FramescaleError,
     InternalNumericError,
     IterationLimitError,
@@ -85,7 +84,7 @@ def _verify_scaling_result(frame, result):
     vanish relative to the largest row sum of its terms |theta_ji| c_i."""
     if result.weights_c is None:
         return
-    theta = reduced_diagram_matrix(frame).data  # no rows in R^1
+    theta = reduced_diagram_matrix(frame)  # no rows in R^1
     c = result.weights_c
     scale = float((np.abs(theta) @ c).max(initial=0.0))
     if float(np.abs(theta @ c).max(initial=0.0)) > numerics.RESIDUAL_TOL * scale:
@@ -163,29 +162,28 @@ def build_report(doc: FrameDocument, tightness: float) -> dict:
     }
 
 
-def _print_report_text(rep, out):
+def _print_report_text(rep):
     f = rep["frame"]
     name = f["name"] or "(unnamed)"
-    print(f"frame {name}: n={f['n']} m={f['m']}", file=out)
-    print(f"  bounds: A={f['lower_bound']:.12g} B={f['upper_bound']:.12g}", file=out)
+    print(f"frame {name}: n={f['n']} m={f['m']}")
+    print(f"  bounds: A={f['lower_bound']:.12g} B={f['upper_bound']:.12g}")
     tight = f"tight (bound {f['tight_bound']:.12g})" if f["tight"] else "not tight"
-    print(f"  {tight}; frame potential {f['frame_potential']:.12g}", file=out)
+    print(f"  {tight}; frame potential {f['frame_potential']:.12g}")
     s = rep["scalability"]
-    print(f"  scalability: {s['verdict']} (method {s['method']})", file=out)
+    print(f"  scalability: {s['verdict']} (method {s['method']})")
     if s["scalars_a"]:
-        print("  scalars a: " + " ".join("%.12g" % v for v in s["scalars_a"]), file=out)
+        print("  scalars a: " + " ".join("%.12g" % v for v in s["scalars_a"]))
     if s["certificate_y"]:
-        print("  certificate y: " + " ".join("%.12g" % v for v in s["certificate_y"]), file=out)
+        print("  certificate y: " + " ".join("%.12g" % v for v in s["certificate_y"]))
     sp = rep["split"]
     print(
         f"  split: W {'nonempty' if sp['w_nonempty'] else 'empty'}, "
         f"V {'nontrivial' if sp['v_nontrivial'] else 'trivial'}, "
-        f"intersection {sp['intersection_verdict']}",
-        file=out,
+        f"intersection {sp['intersection_verdict']}"
     )
     d = rep["dual"]
-    print(f"  canonical dual scalable: {d['dual_scalable']}", file=out)
-    print(f"  tolerance: {rep['tolerance']:.3g}", file=out)
+    print(f"  canonical dual scalable: {d['dual_scalable']}")
+    print(f"  tolerance: {rep['tolerance']:.3g}")
 
 
 def _read_document(path):
@@ -197,39 +195,35 @@ def _read_document(path):
     return parse_frame_document(text, source=path)
 
 
-def cmd_analyze(args, out=None, err=None) -> int:
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
+def cmd_analyze(args) -> int:
     paths = []
     if args.batch:
         try:
             names = sorted(os.listdir(args.batch))
         except OSError as exc:
-            print(f"error: {exc}", file=err)
+            print(f"error: {exc}", file=sys.stderr)
             return 2
         paths = [os.path.join(args.batch, nm) for nm in names
                  if os.path.isfile(os.path.join(args.batch, nm))]
         if not paths:
-            print(f"error: no files in {args.batch}", file=err)
+            print(f"error: no files in {args.batch}", file=sys.stderr)
             return 2
     elif args.path:
         paths = [args.path]
     else:
-        print("error: provide a path or --batch", file=err)
+        print("error: provide a path or --batch", file=sys.stderr)
         return 2
     for path in paths:
         doc = _read_document(path)
         rep = build_report(doc, args.tol)
         if args.json:
-            print(_json_dumps(rep), file=out)
+            print(_json_dumps(rep))
         else:
-            _print_report_text(rep, out)
+            _print_report_text(rep)
     return 0
 
 
-def cmd_scale(args, out=None, err=None) -> int:
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
+def cmd_scale(args) -> int:
     doc = _read_document(args.path)
     frame = frame_from_document(doc)
     method = args.method
@@ -251,22 +245,20 @@ def cmd_scale(args, out=None, err=None) -> int:
     if not result.scalable:
         if result.certificate_y is not None:
             print("not scalable; certificate y: "
-                  + " ".join("%.12g" % v for v in result.certificate_y), file=out)
+                  + " ".join("%.12g" % v for v in result.certificate_y))
         else:
-            print(f"not scalable; one-signed row {result.reject_row}", file=out)
+            print(f"not scalable; one-signed row {result.reject_row}")
         return 1
     scaled = apply_scaling(frame, result.scalars_a)
     if not is_tight(scaled, args.tol).tight:
         raise InternalNumericError("reported scaling does not make the frame tight")
     if args.strict and result.verdict != sca.STRICTLY_SCALABLE:
-        print("scalable, but not strictly", file=out)
-    print(" ".join("%.12g" % v for v in result.scalars_a), file=out)
+        print("scalable, but not strictly")
+    print(" ".join("%.12g" % v for v in result.scalars_a))
     return 0
 
 
-def cmd_dual(args, out=None, err=None) -> int:
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
+def cmd_dual(args) -> int:
     doc = _read_document(args.path)
     frame = frame_from_document(doc)
     pair = duals_mod.canonical_dual(frame)
@@ -277,14 +269,13 @@ def cmd_dual(args, out=None, err=None) -> int:
         if not is_tight(scaled, args.tol).tight:
             raise InternalNumericError("reported dual scaling does not make the dual tight")
     name = (doc.name + "-canonical-dual") if doc.name else "canonical-dual"
-    print(format_frame_document(document_from_frame(pair.dual, name=name)),
-          file=out, end="")
+    print(format_frame_document(document_from_frame(pair.dual, name=name)), end="")
     if rep is not None:
         if rep.feasible:
             print("dual scalable; weights c: "
-                  + " ".join("%.12g" % v for v in rep.weights_c), file=out)
+                  + " ".join("%.12g" % v for v in rep.weights_c))
         else:
-            print("dual not scalable", file=out)
+            print("dual not scalable")
     return 0
 
 
@@ -315,10 +306,9 @@ def _generate_document(kind, n, m, seed, name) -> FrameDocument:
     return document_from_frame(frame, name=name or kind)
 
 
-def cmd_generate(args, out=None, err=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_generate(args) -> int:
     doc = _generate_document(args.kind, args.n, args.m, args.seed, args.name)
-    print(format_frame_document(doc), file=out, end="")
+    print(format_frame_document(doc), end="")
     return 0
 
 
@@ -392,9 +382,6 @@ def main(argv=None) -> int:
     except (IterationLimitError, InternalNumericError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except CorankMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FramescaleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

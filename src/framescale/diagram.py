@@ -22,35 +22,9 @@ FULL = "full"
 REDUCED = "reduced"
 
 
-def pair_indices(n):
-    """Lexicographic index pairs (i, j), 0-based, i < j."""
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 def reduced_size(n):
     """Row count of the reduced diagram matrix: (n-1)(n+2)/2."""
     return (n - 1) * (n + 2) // 2
-
-
-@dataclass(frozen=True)
-class DiagramVector:
-    n: int
-    kind: str
-    entries: np.ndarray
-
-
-@dataclass(frozen=True)
-class ReducedDiagramMatrix:
-    n: int
-    data: np.ndarray  # reduced_size(n) x m, column i = reduced diagram vector of x_i
-
-    @property
-    def rows(self):
-        return self.data.shape[0]
-
-    @property
-    def cols(self):
-        return self.data.shape[1]
 
 
 @dataclass(frozen=True)
@@ -73,21 +47,22 @@ def _diagram_columns(X, kind):
     if n == 1:
         return np.zeros((0, m))
     scale = 1.0 / np.sqrt(n - 1)
-    i, j = np.triu_indices(n, 1)  # the lexicographic pairs of pair_indices
+    i, j = np.triu_indices(n, 1)  # the lexicographic pairs
     di, dj = (i, j) if kind == FULL else (i[: n - 1], j[: n - 1])
     diffs = (X[di] ** 2 - X[dj] ** 2) * scale
     prods = np.sqrt(2 * n) * X[i] * X[j] * scale
     return np.vstack([diffs, prods])
 
 
-def diagram_vector(x, kind=FULL) -> DiagramVector:
-    """The diagram vector of x, of norm ||x||^2 (full form); none in R^1."""
+def diagram_vector(x, kind=FULL) -> np.ndarray:
+    """The diagram vector of x, read-only, of norm ||x||^2 (full form); none
+    in R^1."""
     x = np.asarray(x, dtype=float).ravel()
     if x.size < 2:
         raise DimensionTooSmallError("diagram vectors require n >= 2")
     entries = _diagram_columns(x[:, None], kind)[:, 0]
     entries.setflags(write=False)
-    return DiagramVector(n=x.size, kind=kind, entries=entries)
+    return entries
 
 
 def full_diagram_matrix(F) -> np.ndarray:
@@ -95,15 +70,17 @@ def full_diagram_matrix(F) -> np.ndarray:
     return _diagram_columns(F.synthesis, FULL)
 
 
-def reduced_diagram_matrix(F) -> ReducedDiagramMatrix:
-    """The reduced diagram matrix θ̃_X of F, computed once per frame."""
+def reduced_diagram_matrix(F) -> np.ndarray:
+    """The reduced diagram matrix θ̃_X of F, reduced_size(n) x m and
+    read-only, column i the reduced diagram vector of x_i; computed once per
+    frame."""
     return derived(F, "reduced_diagram_matrix", _reduced_diagram_matrix)
 
 
 def _reduced_diagram_matrix(F):
     data = _diagram_columns(F.synthesis, REDUCED)
     data.setflags(write=False)
-    return ReducedDiagramMatrix(n=F.n, data=data)
+    return data
 
 
 def unit_diagram_matrix(F) -> UnitDiagramMatrix:
@@ -113,7 +90,7 @@ def unit_diagram_matrix(F) -> UnitDiagramMatrix:
 
 
 def _unit_diagram_matrix(F):
-    theta = reduced_diagram_matrix(F).data
+    theta = reduced_diagram_matrix(F)
     norms = numerics.column_norms(theta)
     data = theta / norms
     for a in (data, norms):
@@ -130,8 +107,8 @@ def diagram_inner_identity_check(x, y) -> float:
     n = x.size
     if n < 2:
         raise DimensionTooSmallError("identity requires n >= 2")
-    dx = diagram_vector(x, FULL).entries
-    dy = diagram_vector(y, FULL).entries
+    dx = diagram_vector(x, FULL)
+    dy = diagram_vector(y, FULL)
     lhs = (n - 1) * float(dx @ dy)
     rhs = n * float(x @ y) ** 2 - float(x @ x) * float(y @ y)
     return abs(lhs - rhs)

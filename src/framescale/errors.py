@@ -53,10 +53,6 @@ class BadParamsError(FramescaleError):
     """Invalid parameters for a generator or an invalid command-line tolerance."""
 
 
-class EmptyWError(FramescaleError):
-    """The normalized-scalability set W is empty."""
-
-
 class InternalNumericError(FramescaleError):
     """A self-check of a computed witness or certificate failed."""
 

@@ -128,7 +128,7 @@ def hull_certificate_check(F, y) -> bool:
         raise DimensionMismatchError(
             f"certificate must have length {reduced_size(F.n)}, got {y.size}"
         )
-    theta = reduced_diagram_matrix(F).data
+    theta = reduced_diagram_matrix(F)
     return float((theta.T @ y).min()) > 0.0
 
 
@@ -150,7 +150,7 @@ def _theta_kernel(F):
 def _theta_lp(F):
     """Outcome of the plain homogeneous kernel problem: some c >= 0, sum 1,
     with theta c = 0.  The strict problem is never kept with it."""
-    theta = reduced_diagram_matrix(F).data
+    theta = reduced_diagram_matrix(F)
     out = numerics.solve_feasibility(
         numerics.FeasibilityProblem(A=theta, b=np.zeros(theta.shape[0]))
     )
@@ -204,7 +204,7 @@ def decide_scalable(F, strict=False) -> ScalingResult:
     verdict does not change when a frame vector is rescaled.  With
     ``strict=True`` the LP maximizes the minimum unit-column weight, and that
     margin separates scalable from strictly scalable."""
-    theta = reduced_diagram_matrix(F).data
+    theta = reduced_diagram_matrix(F)
     check = quick_sign_reject(F)
     if check.row_index is not None:
         row = theta[check.row_index]

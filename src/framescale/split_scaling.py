@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .diagram import pair_indices
 from .errors import DimensionMismatchError
-from .frame_core import derived
 from .scalability import (
     METHOD_FEASIBILITY,
     NOT_SCALABLE,
@@ -27,33 +25,26 @@ from .scalability import (
 
 
 @dataclass(frozen=True)
-class RowSystem:
-    u: list           # synthesis rows u_j, each of length m
-    u_squared: list   # entrywise squares u_j^2
-    cross_products: list  # u_i * u_j entrywise, pairs (i, j) lexicographic
-    pairs: list
-
-
-@dataclass(frozen=True)
 class ConeMembership:
     member: bool
     a: np.ndarray | None = None
 
 
-def row_system(F) -> RowSystem:
-    """Synthesis rows, their squares and pairwise products, computed once
-    per frame."""
-    return derived(F, "row_system", _row_system)
+def _lift(F):
+    """The rows of the W and V systems: the squared synthesis rows X∘X and
+    the row products X[i]∘X[j] over i < j, in θ̃'s pair order.  Both are
+    C-ordered, as the solver's column-norm sums depend on memory layout."""
+    X = F.synthesis
+    i, j = np.triu_indices(F.n, 1)
+    return np.ascontiguousarray(X * X), np.ascontiguousarray(X[i] * X[j])
 
 
-def _row_system(F):
-    u = list(F.synthesis)  # views of the read-only synthesis rows
-    pairs = pair_indices(F.n)
-    u_squared = [uj * uj for uj in u]
-    cross_products = [u[i] * u[j] for i, j in pairs]
-    for v in u_squared + cross_products:
-        v.setflags(write=False)
-    return RowSystem(u=u, u_squared=u_squared, cross_products=cross_products, pairs=pairs)
+def _lifted_sum(F, a):
+    """sum_k a_k x_k x_k^T = (X a) X^T, whose diagonal holds the W terms
+    <a, u_j^2> and whose upper triangle the V terms <a, u_i * u_j>."""
+    X = F.synthesis
+    M = (X * a) @ X.T
+    return M.diagonal(), M[np.triu_indices(F.n, 1)]
 
 
 def _check_weight_length(F, a):
@@ -74,10 +65,9 @@ def is_in_W(F, a) -> ConeMembership:
     a = _check_weight_length(F, a)
     if not _nonnegative(a):
         return ConeMembership(member=False)
-    rs = row_system(F)
-    for usq in rs.u_squared:
-        if abs(float(a @ usq) - 1.0) > numerics.RESIDUAL_TOL:
-            return ConeMembership(member=False)
+    diagonal, _ = _lifted_sum(F, a)
+    if np.any(np.abs(diagonal - 1.0) > numerics.RESIDUAL_TOL):
+        return ConeMembership(member=False)
     return ConeMembership(member=True, a=a.copy())
 
 
@@ -92,44 +82,31 @@ def is_in_V(F, a) -> ConeMembership:
     a = _check_weight_length(F, a)
     if not _nonnegative(a):
         return ConeMembership(member=False)
-    rs = row_system(F)
-    scale = max(float(a @ usq) for usq in rs.u_squared)
-    for cp in rs.cross_products:
-        if abs(float(a @ cp)) > numerics.RESIDUAL_TOL * scale:
-            return ConeMembership(member=False)
+    diagonal, cross = _lifted_sum(F, a)
+    if np.any(np.abs(cross) > numerics.RESIDUAL_TOL * float(diagonal.max())):
+        return ConeMembership(member=False)
     return ConeMembership(member=True, a=a.copy())
 
 
-def _w_constraints(F):
-    rs = row_system(F)
-    A = np.vstack(rs.u_squared)
-    b = np.ones(F.n)
-    return A, b
+def _solve_member(A, b) -> ConeMembership:
+    out = numerics.solve_feasibility(numerics.FeasibilityProblem(A=A, b=b))
+    if not out.feasible:
+        return ConeMembership(member=False)
+    return ConeMembership(member=True, a=out.witness)
 
 
 def find_W_element(F) -> ConeMembership:
     """Solve the W feasibility problem; NotMember means W is empty."""
-    A, b = _w_constraints(F)
-    out = numerics.solve_feasibility(numerics.FeasibilityProblem(A=A, b=b))
-    if not out.feasible:
-        return ConeMembership(member=False)
-    return ConeMembership(member=True, a=out.witness)
+    squares, _ = _lift(F)
+    return _solve_member(squares, np.ones(F.n))
 
 
 def find_V_element(F) -> ConeMembership:
     """Search for a nontrivial (nonzero) element of V; the zero vector always
-    belongs to V and is excluded by normalizing the weights to sum 1."""
-    rs = row_system(F)
-    if rs.cross_products:
-        A = np.vstack(rs.cross_products)
-        b = np.zeros(len(rs.cross_products))
-    else:
-        A = np.zeros((1, F.m))
-        b = np.zeros(1)
-    out = numerics.solve_feasibility(numerics.FeasibilityProblem(A=A, b=b))
-    if not out.feasible:
-        return ConeMembership(member=False)
-    return ConeMembership(member=True, a=out.witness)
+    belongs to V and is excluded by normalizing the weights to sum 1.  In
+    R^1 there are no row pairs, and every such weight vector is in V."""
+    _, products = _lift(F)
+    return _solve_member(products, np.zeros(len(products)))
 
 
 def intersection_scalability(F, strict=False) -> ScalingResult:
@@ -141,9 +118,9 @@ def intersection_scalability(F, strict=False) -> ScalingResult:
     The returned ``scalars_a`` are the Parseval weights; ``weights_c`` is the
     same kernel direction normalized to sum 1, matching the general test.
     """
-    rs = row_system(F)
-    A = np.vstack(rs.u_squared + rs.cross_products)
-    b = np.concatenate([np.ones(F.n), np.zeros(len(rs.cross_products))])
+    squares, products = _lift(F)
+    A = np.vstack([squares, products])
+    b = np.concatenate([np.ones(F.n), np.zeros(len(products))])
     out = numerics.solve_feasibility(
         numerics.FeasibilityProblem(A=A, b=b, require_strict=strict)
     )

@@ -256,7 +256,7 @@ def test_criterion_5_diagram_identity():
             worst = max(worst, resid / scale)
             assert resid <= 1e-9 * scale
         for x in xs[:50]:
-            d = diagram_vector(x, FULL).entries
+            d = diagram_vector(x, FULL)
             assert abs(np.linalg.norm(d) - float(x @ x)) <= 1e-9 * (1 + x @ x)
     print("ACCEPTANCE 5: PASS - inner-product identity over 1000 pairs per "
           f"n in 2..8 (worst scaled residual {worst:.2e} <= 1e-9); "

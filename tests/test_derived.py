@@ -21,7 +21,7 @@ from framescale import (
     numerics,
     p1_counterexample,
 )
-from framescale import diagram, frame_core, split_scaling
+from framescale import diagram, frame_core
 from framescale.cli import build_report, main
 from framescale.diagram import reduced_diagram_matrix, reduced_size, unit_diagram_matrix
 from framescale.framedoc import document_from_frame, format_frame_document
@@ -66,7 +66,7 @@ def _routes(F):
         "V": find_V_element,
         "dual": canonical_dual_scalable,
     }
-    corank = numerics.nullspace_basis(reduced_diagram_matrix(F).data).shape[1]
+    corank = numerics.nullspace_basis(reduced_diagram_matrix(F)).shape[1]
     if corank == 1:
         routes["cofactor"] = cofactor_scaling
     if corank == 2:
@@ -117,12 +117,11 @@ def _count(monkeypatch, module, attr, when=lambda *args, **kwargs: True):
 @pytest.mark.parametrize("name", sorted(FRAMES))
 def test_report_computes_each_quantity_once(monkeypatch, name):
     F = _frame(name)
-    theta = reduced_diagram_matrix(F).data
+    theta = reduced_diagram_matrix(F)
     dual = canonical_dual(F).dual.synthesis
     builds = {
         "theta": _count(monkeypatch, diagram, "_reduced_diagram_matrix"),
         "S": _count(monkeypatch, frame_core, "_frame_operator"),
-        "rows": _count(monkeypatch, split_scaling, "_row_system"),
     }
     plain_theta_lps = _count(
         monkeypatch, numerics, "solve_feasibility",
@@ -133,7 +132,7 @@ def test_report_computes_each_quantity_once(monkeypatch, name):
     assert len(theta_builds) == 2
     assert np.array_equal(theta_builds[0], F.synthesis)
     assert np.array_equal(theta_builds[1], dual)
-    assert {k: len(v) for k, v in builds.items()} == {"S": 1, "rows": 1}
+    assert {k: len(v) for k, v in builds.items()} == {"S": 1}
     assert len(plain_theta_lps) <= 1
 
 
@@ -172,13 +171,15 @@ def test_report_asks_each_question_once(monkeypatch, name):
     # its answer, so their LPs run only on frames that are not scalable, and
     # W∩V never runs
     F = _frame(name)
-    theta = reduced_diagram_matrix(F).data
-    rs = split_scaling.row_system(F)
+    theta = reduced_diagram_matrix(F)
+    X = F.synthesis
+    i, j = np.triu_indices(F.n, 1)
+    squares, products = X * X, X[i] * X[j]
     systems = {
         "theta": theta,
-        "W": np.vstack(rs.u_squared),
-        "V": np.vstack(rs.cross_products),
-        "WV": np.vstack(rs.u_squared + rs.cross_products),
+        "W": squares,
+        "V": products,
+        "WV": np.vstack([squares, products]),
     }
     calls = _count(monkeypatch, numerics, "solve_feasibility")
     rep = build_report(document_from_frame(F, name=name), 1e-8)

@@ -10,11 +10,16 @@ from framescale import (
     make_frame,
     reduced_diagram_matrix,
 )
-from framescale.diagram import FULL, REDUCED, _diagram_columns, pair_indices, reduced_size
+from framescale.diagram import FULL, REDUCED, _diagram_columns, reduced_size
 from framescale.errors import DimensionTooSmallError, NotUnitNormError
 from conftest import angles_frame, random_unit_frame
 
 finite_floats = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+def pair_indices(n):
+    """Lexicographic index pairs (i, j), 0-based, i < j."""
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 def reference_diagram_columns(X, kind):
@@ -40,11 +45,11 @@ class TestShapesAndOrdering:
 
     def test_full_vector_length(self):
         d = diagram_vector([1.0, 2.0, 3.0], FULL)
-        assert d.entries.shape == (6,)
+        assert d.shape == (6,)
 
     def test_reduced_vector_length(self):
         d = diagram_vector([1.0, 2.0, 3.0], REDUCED)
-        assert d.entries.shape == (5,)
+        assert d.shape == (5,)
 
     def test_rejects_dimension_one(self):
         with pytest.raises(DimensionTooSmallError):
@@ -72,16 +77,16 @@ class TestExplicitValues:
         # n=2: difference entry (a^2 - b^2), product entry 2ab
         a, b = 3.0, 2.0
         d = diagram_vector([a, b], FULL)
-        assert np.allclose(d.entries, [a * a - b * b, 2 * a * b])
+        assert np.allclose(d, [a * a - b * b, 2 * a * b])
 
     def test_r2_reduced_equals_full(self):
         d1 = diagram_vector([0.6, 0.8], FULL)
         d2 = diagram_vector([0.6, 0.8], REDUCED)
-        assert np.array_equal(d1.entries, d2.entries)
+        assert np.array_equal(d1, d2)
 
     def test_r3_entries(self):
         x = np.array([1.0, 2.0, 3.0])
-        d = diagram_vector(x, FULL).entries
+        d = diagram_vector(x, FULL)
         s = 1.0 / np.sqrt(2.0)
         diffs = [(1 - 4) * s, (1 - 9) * s, (4 - 9) * s]
         prods = [np.sqrt(6) * 2 * s, np.sqrt(6) * 3 * s, np.sqrt(6) * 6 * s]
@@ -90,7 +95,7 @@ class TestExplicitValues:
     def test_unit_angle_diagram(self):
         # unit vector at angle t maps to (cos 2t, sin 2t)
         for t in (0.3, 1.2, 2.5):
-            d = diagram_vector([np.cos(t), np.sin(t)], FULL).entries
+            d = diagram_vector([np.cos(t), np.sin(t)], FULL)
             assert np.allclose(d, [np.cos(2 * t), np.sin(2 * t)], atol=1e-12)
 
     def test_matrix_columns_match_vectors(self, rng):
@@ -98,17 +103,17 @@ class TestExplicitValues:
         D = full_diagram_matrix(F)
         R = reduced_diagram_matrix(F)
         assert D.shape == (12, 6)
-        assert R.data.shape == (9, 6)
+        assert R.shape == (9, 6)
         for i, x in enumerate(F.vectors()):
-            assert np.allclose(D[:, i], diagram_vector(x, FULL).entries)
-            assert np.allclose(R.data[:, i], diagram_vector(x, REDUCED).entries)
+            assert np.allclose(D[:, i], diagram_vector(x, FULL))
+            assert np.allclose(R[:, i], diagram_vector(x, REDUCED))
 
     def test_reduced_drops_redundant_difference_rows(self, rng):
         # every dropped (i,j) difference row is a combination of kept rows,
         # so the two matrices have equal rank
         F = random_unit_frame(rng, 4, 8)
         D = full_diagram_matrix(F)
-        R = reduced_diagram_matrix(F).data
+        R = reduced_diagram_matrix(F)
         assert np.linalg.matrix_rank(np.vstack([D, R])) == np.linalg.matrix_rank(R)
 
 
@@ -125,7 +130,7 @@ class TestIdentities:
     def test_norm_identity(self, rng):
         for n in range(2, 7):
             x = rng.standard_normal(n)
-            d = diagram_vector(x, FULL).entries
+            d = diagram_vector(x, FULL)
             assert np.linalg.norm(d) == pytest.approx(float(x @ x), rel=1e-12)
 
 
@@ -140,7 +145,7 @@ class TestGramSum:
 
     def test_matches_pairwise_double_sum(self, rng):
         F = random_unit_frame(rng, 3, 5)
-        ds = [diagram_vector(x, FULL).entries for x in F.vectors()]
+        ds = [diagram_vector(x, FULL) for x in F.vectors()]
         expected = sum(float(a @ b) for a in ds for b in ds)
         assert diagram_gram_sum(F) == pytest.approx(expected, abs=1e-10)
 

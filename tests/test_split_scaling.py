@@ -9,17 +9,20 @@ from framescale import (
     is_in_V,
     is_in_W,
     make_frame,
-    row_system,
 )
 from framescale import numerics
 from framescale.frame_core import apply_scaling, is_tight
-from framescale.errors import DimensionMismatchError, EmptyWError
+from framescale.errors import DimensionMismatchError, FramescaleError
 from framescale.scalability import independent_rows
 from conftest import angles_frame, doubled_hadamard_frame, random_unit_frame
 
 
+class EmptyWError(FramescaleError):
+    """The normalized-scalability set W is empty."""
+
+
 def _w_constraints(F):
-    return np.vstack(row_system(F).u_squared), np.ones(F.n)
+    return np.ascontiguousarray(F.synthesis ** 2), np.ones(F.n)
 
 
 def _w_vertices(F, count):
@@ -45,12 +48,11 @@ def W_geometry_check(F, samples=3) -> bool:
     base = find_W_element(F)
     if not base.member:
         raise EmptyWError("W is empty, nothing to verify")
-    rs = row_system(F)
     witnesses = _w_vertices(F, samples) or [base.a]
     for a in witnesses:
         if not is_in_W(F, a).member:
             return False
-        for usq in rs.u_squared:
+        for usq in F.synthesis ** 2:
             nsq = float(usq @ usq)
             cj = 1.0 / nsq
             v = a - cj * usq
@@ -86,17 +88,6 @@ def verify_projection_basis(F, a, coeff_tol=1e-6) -> bool:
         if abs(float(coeffs.sum()) - 1.0) > coeff_tol:
             return False
     return True
-
-
-class TestRowSystem:
-    def test_components(self):
-        F = make_frame([[1.0, 2.0], [3.0, 4.0]])
-        rs = row_system(F)
-        assert np.array_equal(rs.u[0], [1.0, 3.0])
-        assert np.array_equal(rs.u[1], [2.0, 4.0])
-        assert np.array_equal(rs.u_squared[0], [1.0, 9.0])
-        assert np.array_equal(rs.cross_products[0], [2.0, 12.0])
-        assert rs.pairs == [(0, 1)]
 
 
 class TestMembership:
@@ -226,3 +217,30 @@ class TestIntersection:
             if intersection_scalability(F).scalable != decide_scalable(F).scalable:
                 disagreements += 1
         assert disagreements == 0
+
+
+class TestLine:
+    """In R^1 there are no row pairs: W is {a >= 0 : sum_k a_k x_k^2 = 1}
+    and V is the whole nonnegative orthant."""
+
+    F = make_frame([[2.0], [-0.5], [3.0]])
+
+    def test_w_and_v_elements(self):
+        w, v = find_W_element(self.F), find_V_element(self.F)
+        assert w.member and v.member
+        assert is_in_W(self.F, w.a).member
+        assert v.a.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("a", [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 7.0, 1e-3],
+                                   [1e6, 1e-6, 0.0]])
+    def test_every_nonnegative_weight_in_v(self, a):
+        assert is_in_V(self.F, a).member
+        assert not is_in_V(self.F, [-1.0] + a[1:]).member
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_intersection_gives_parseval_scalars(self, strict):
+        r = intersection_scalability(self.F, strict=strict)
+        assert r.scalable
+        t = is_tight(apply_scaling(self.F, r.scalars_a))
+        assert t.tight
+        assert t.bound == pytest.approx(1.0, abs=1e-8)
