@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .frame_core import (  # noqa: F401
     Frame,
     FrameOperatorData,
-    ScaledFrame,
     Tightness,
     apply_scaling,
     frame_from_synthesis,

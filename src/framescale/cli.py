@@ -292,8 +292,9 @@ def _generate_document(kind, n, m, seed, name) -> FrameDocument:
     elif kind == "p1":
         frame = duals_mod.p1_counterexample(n)
     elif kind == "random-unit":
-        if m < n:
-            raise BadParamsError(f"random-unit needs m >= n, got n={n}, m={m}")
+        if n < 1 or m < n or seed < 0:
+            raise BadParamsError(
+                f"random-unit needs m >= n >= 1 and seed >= 0, got n={n}, m={m}, seed={seed}")
         rng = np.random.default_rng(seed)
         for _ in range(100):
             V = rng.standard_normal((m, n))

@@ -25,6 +25,10 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Frame:
+    """A spanning set of m vectors in R^n.  ``frame_from_synthesis`` builds
+    one from nonzero vectors; a frame from ``apply_scaling`` may carry zero
+    columns, one per zero weight."""
+
     synthesis: np.ndarray  # n x m, columns are the frame vectors
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -39,28 +43,6 @@ class Frame:
     def vectors(self):
         """The frame vectors as a list of 1-d arrays."""
         return [self.synthesis[:, i].copy() for i in range(self.m)]
-
-
-@dataclass(frozen=True)
-class ScaledFrame:
-    """A frame with nonnegative weights applied columnwise.
-
-    Unlike ``Frame`` this may carry zero columns (weights equal to zero), so
-    it is the return type of ``apply_scaling``.
-    """
-
-    base: Frame
-    weights: np.ndarray
-    synthesis: np.ndarray
-    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def n(self):
-        return self.synthesis.shape[0]
-
-    @property
-    def m(self):
-        return self.synthesis.shape[1]
 
 
 @dataclass(frozen=True)
@@ -108,8 +90,8 @@ def _thin_svd(X):
 
 
 def synthesis_svd(F):
-    """The thin SVD of the synthesis, kept on the frame: taken when a Frame
-    is built, and on first use for a ScaledFrame."""
+    """The thin SVD of the synthesis, kept on the frame: taken when a frame
+    is built by ``frame_from_synthesis``, and on first use for a scaled one."""
     return derived(F, "svd", lambda G: _thin_svd(G.synthesis))
 
 
@@ -193,8 +175,9 @@ def is_tight(F, tol=numerics.RESIDUAL_TOL) -> Tightness:
     return Tightness(tight=True, bound=float(sq.mean()))
 
 
-def apply_scaling(F, a) -> ScaledFrame:
-    """Scale column i of the synthesis matrix by a_i >= 0.
+def apply_scaling(F, a) -> Frame:
+    """The frame with column i of the synthesis matrix scaled by a_i >= 0;
+    zero weights give zero columns.
 
     Raises NotSpanningError when too many zero weights destroy spanning.
     """
@@ -209,8 +192,7 @@ def apply_scaling(F, a) -> ScaledFrame:
     if numerics.rank(scaled) < F.n:
         raise NotSpanningError("scaled system no longer spans R^n")
     scaled.setflags(write=False)
-    base = F if isinstance(F, Frame) else F.base
-    return ScaledFrame(base=base, weights=a.copy(), synthesis=scaled)
+    return Frame(synthesis=scaled)
 
 
 def is_dual(F, G) -> bool:

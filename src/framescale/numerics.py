@@ -38,8 +38,9 @@ from .errors import (
 # multiplies the scale that its comment names.
 ZERO_TOL = 1e-12       # zero and sign: an entry of unit-size data counts as 0
 #                        (unit-norm theta columns, simplex ratios, witness
-#                        entries, arc ends in radians, max |kernel basis|,
-#                        max weight, sum of unit-column weights: zeroed ones)
+#                        entries, the widest normal-angle gap against pi, in
+#                        radians, max |kernel basis|, max weight, sum of
+#                        unit-column weights: zeroed ones)
 RANK_TOL = 1e-10       # rank: the largest singular value (rank, kernel), the
 #                        largest entry or 1 if larger (independent rows), the
 #                        largest entry (cofactor sign classes)

@@ -9,9 +9,10 @@ Four routes are available:
 * ``cofactor_scaling`` -- closed-form weights when the reduced diagram matrix
   has rank m-1: its kernel is the line of the cofactor vector, so the unit
   kernel vector from one SVD decides by its sign pattern.
-* ``codim2_scaling`` -- the rank m-2 case, solved exactly by intersecting the
-  angular half-circles where each entry of cos t xi_1 + sin t xi_2 is
-  nonnegative, for an orthonormal kernel basis xi_1, xi_2 from one SVD.
+* ``codim2_scaling`` -- the rank m-2 case: each entry of cos t xi_1 +
+  sin t xi_2, for an orthonormal kernel basis xi_1, xi_2 from one SVD, is
+  nonnegative on a half-circle of directions t, and these meet exactly when
+  the widest circular gap between their normal angles is at least pi.
 
 ``cofactor_vector`` and ``cofactor_pencil`` keep the paper's cofactor
 formulas; the routes' kernel vectors are proportional to them.
@@ -307,50 +308,31 @@ def cofactor_pencil(R, w1, w2):
     return xi1, xi2
 
 
-def _intersect_half_circles(pq):
-    """Intersect arcs {t : p cos t + q sin t >= 0} (each a closed half-circle)
-    over the unit circle.  Returns a list of (lo, hi) intervals in [0, 2*pi],
-    possibly with a wrap-around pair merged into an interval ending above 2*pi.
-    """
-    two_pi = 2.0 * np.pi
-    intervals = [(0.0, two_pi)]
-    for p, q in pq:
-        phi = float(np.arctan2(q, p))
-        lo = (phi - 0.5 * np.pi) % two_pi
-        hi = lo + np.pi
-        if hi <= two_pi:
-            arcs = [(lo, hi)]
-        else:
-            arcs = [(lo, two_pi), (0.0, hi - two_pi)]
-        new = []
-        for a, b in intervals:
-            for c, d in arcs:
-                s, e = max(a, c), min(b, d)
-                if e >= s - ZERO_TOL:
-                    new.append((s, e))
-        intervals = new
-        if not intervals:
-            return []
-    # merge a wrap-around pair so widths and midpoints come out right
-    starts_at_zero = [iv for iv in intervals if iv[0] <= ZERO_TOL]
-    ends_at_full = [iv for iv in intervals if iv[1] >= two_pi - ZERO_TOL]
-    if starts_at_zero and ends_at_full and starts_at_zero[0] != ends_at_full[0]:
-        a0, b0 = starts_at_zero[0]
-        a1, b1 = ends_at_full[0]
-        intervals = [iv for iv in intervals
-                     if iv not in (starts_at_zero[0], ends_at_full[0])]
-        intervals.append((a1, b1 + b0))
-    return intervals
+def _feasible_arc(p, q):
+    """The directions t with p_i cos t + q_i sin t >= 0 for every i: the
+    half-circles centred on the normal angles phi_i = atan2(q_i, p_i).  They
+    meet exactly when the angles fit in a half-circle, that is when the widest
+    circular gap between them is at least pi (``ZERO_TOL`` in radians).
+    Returns (t, width) for the feasible arc, of width gap - pi and bisected by
+    the midpoint t of the arc the angles fill, or None when it is empty."""
+    phi = np.sort(np.arctan2(q, p))
+    gaps = np.diff(phi, append=phi[0] + 2.0 * np.pi)
+    k = int(np.argmax(gaps))
+    if gaps[k] < np.pi - ZERO_TOL:
+        return None
+    t = phi[(k + 1) % phi.size] + 0.5 * (2.0 * np.pi - gaps[k])
+    return float(t), float(gaps[k] - np.pi)
 
 
 def codim2_scaling(F):
     """Rank m-2 route: every kernel vector of the matrix on unit-norm
     columns is a multiple of cos(t) xi_1 + sin(t) xi_2 for the orthonormal
     basis xi_1, xi_2 of that kernel from one SVD, and scalability holds
-    exactly when some direction t keeps all entries nonnegative.  Decided by
-    exact angular-interval intersection; the weights come from the midpoint
-    of the widest feasible arc, which is the bisector of the feasible cone
-    and so depends only on the kernel."""
+    exactly when some direction t keeps all entries nonnegative: when the
+    normal angles of the entries (p_i, q_i) = (xi_1i, xi_2i) leave a circular
+    gap of at least pi (``_feasible_arc``).  The weights come from the
+    bisector of the feasible arc, which bisects the feasible cone and so
+    depends only on the kernel."""
     kernel = theta_kernel(F)
     if kernel.shape[1] != 2:
         raise CorankMismatchError(
@@ -358,20 +340,15 @@ def codim2_scaling(F):
     xi1, xi2 = kernel.T
     # unit basis vectors: the scale lies in [1/sqrt(m), 1]
     scale = max(float(np.abs(xi1).max()), float(np.abs(xi2).max()))
-    constraints = []
-    for p, q in zip(xi1, xi2):
-        if np.hypot(p, q) > ZERO_TOL * scale:
-            constraints.append((p, q))
-    intervals = _intersect_half_circles(constraints)
-    if not intervals:
+    keep = np.hypot(xi1, xi2) > ZERO_TOL * scale
+    arc = _feasible_arc(xi1[keep], xi2[keep])
+    if arc is None:
         return ScalingResult(
             verdict=NOT_SCALABLE,
             method=METHOD_CODIM2,
             certificate_y=_lp_certificate(F),
         )
-    lo, hi = max(intervals, key=lambda iv: iv[1] - iv[0])
-    width = hi - lo
-    t = 0.5 * (lo + hi)
+    t, width = arc
     w = np.cos(t) * xi1 + np.sin(t) * xi2
     if float(w.min()) < -IDENTITY_TOL * scale:
         raise InternalNumericError("codim-2 direction produced a negative weight")

@@ -227,6 +227,24 @@ class TestScale:
         weights = [float(v) for v in capsys.readouterr().out.split()]
         assert min(weights) > 0
 
+    @pytest.mark.parametrize("args", [[], ["--method", "codim2"], ["--strict"],
+                                      ["--method", "codim2", "--strict"]],
+                             ids=lambda a: " ".join(a) or "auto")
+    def test_codim2_single_feasible_direction(self, tmp_path, capsys, args):
+        # corank 2 with one feasible kernel direction, t = 0 on the kernel
+        # basis: the route answers as the LP does
+        path = write(tmp_path, "c2.frame", "n 2\nm 4\n0 1\n1 1\n0 1\n-1 1\n")
+        strict = ["--strict"] if "--strict" in args else []
+        assert main(["scale", path, "--method", "lp"] + strict) == 0
+        want = capsys.readouterr()
+        assert main(["scale", path] + args) == 0
+        got = capsys.readouterr()
+        assert got.out == want.out
+        lines = ["0 0.707106781187 0 0.707106781187"]
+        if strict:
+            lines.insert(0, "scalable, but not strictly")
+        assert got.out.splitlines() == lines
+
     def test_method_rank_mismatch_exit_two(self, tmp_path, capsys):
         path = write(tmp_path, "mb.frame", MB_TEXT)
         assert main(["scale", path, "--method", "codim2"]) == 2
@@ -399,3 +417,9 @@ class TestGenerate:
     def test_bad_params_exit_two(self, capsys):
         assert main(["generate", "random-unit", "--n", "4", "--m", "2"]) == 2
         assert main(["generate", "hadamard-doubled", "--n", "3"]) == 2
+        assert main(["generate", "random-unit", "--n", "-1", "--m", "2"]) == 2
+        assert main(["generate", "random-unit", "--n", "0", "--m", "0"]) == 2
+        assert main(["generate", "random-unit", "--n", "2", "--m", "3",
+                     "--seed", "-1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 5 and all(e.startswith("error: ") for e in err)
