@@ -22,7 +22,7 @@ from . import __version__, numerics
 from . import duals as duals_mod
 from . import scalability as sca
 from . import split_scaling as split
-from .diagram import reduced_diagram_matrix, reduced_size
+from .diagram import reduced_size
 from .errors import (
     BadParamsError,
     FramescaleError,
@@ -79,18 +79,6 @@ def _json_dumps(obj, indent=0):
     return json.dumps(str(obj), ensure_ascii=False)
 
 
-def _verify_scaling_result(frame, result):
-    """Re-check a reported weight vector before it is emitted: theta c must
-    vanish relative to the largest row sum of its terms |theta_ji| c_i."""
-    if result.weights_c is None:
-        return
-    theta = reduced_diagram_matrix(frame)  # no rows in R^1
-    c = result.weights_c
-    scale = float((np.abs(theta) @ c).max(initial=0.0))
-    if float(np.abs(theta @ c).max(initial=0.0)) > numerics.RESIDUAL_TOL * scale:
-        raise InternalNumericError("reported weights fail the kernel identity")
-
-
 def _split_elements(frame, verdict):
     """Elements of W and V.  On a scalable frame they are read off the kernel
     weights c: sum_i c_i x_i x_i^T = lambda I with
@@ -115,7 +103,6 @@ def build_report(doc: FrameDocument, tightness: float) -> dict:
     tight = is_tight(frame, tightness)
 
     verdict = sca.decide_scalable(frame, strict=True)
-    _verify_scaling_result(frame, verdict)
     w_elem, v_elem = _split_elements(frame, verdict)
 
     pair = duals_mod.canonical_dual(frame)
@@ -241,7 +228,6 @@ def cmd_scale(args) -> int:
         result = sca.codim2_scaling(frame)
     else:  # split
         result = split.intersection_scalability(frame, strict=args.strict)
-    _verify_scaling_result(frame, result)
     if not result.scalable:
         if result.certificate_y is not None:
             print("not scalable; certificate y: "
@@ -279,7 +265,7 @@ def cmd_dual(args) -> int:
     return 0
 
 
-def _generate_document(kind, n, m, seed, name) -> FrameDocument:
+def _generate_document(kind, n, m, seed) -> FrameDocument:
     if kind == "mb":
         angles = [2.0 * np.pi * k / 3.0 for k in range(3)]
         vectors = [[np.cos(a), np.sin(a)] for a in angles]
@@ -304,11 +290,11 @@ def _generate_document(kind, n, m, seed, name) -> FrameDocument:
         frame = make_frame(V)
     else:
         raise BadParamsError(f"unknown generator kind {kind!r}")
-    return document_from_frame(frame, name=name or kind)
+    return document_from_frame(frame, name=kind)
 
 
 def cmd_generate(args) -> int:
-    doc = _generate_document(args.kind, args.n, args.m, args.seed, args.name)
+    doc = _generate_document(args.kind, args.n, args.m, args.seed)
     print(format_frame_document(doc), end="")
     return 0
 
@@ -369,7 +355,6 @@ def _build_parser():
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--name")
     p.set_defaults(func=cmd_generate)
     return parser
 

@@ -6,7 +6,8 @@ class FramescaleError(Exception):
 
 
 class NonFiniteError(FramescaleError):
-    """Input contains NaN or infinity."""
+    """Input contains NaN or infinity, or a frame vector whose squares leave
+    the range of floats."""
 
 
 class DimensionMismatchError(FramescaleError):

@@ -96,7 +96,10 @@ def synthesis_svd(F):
 
 
 def _checked_synthesis(X):
-    """X as a float matrix of m >= n >= 1 finite, nonzero columns."""
+    """X as a float matrix of m >= n >= 1 finite, nonzero columns.  The
+    largest squared entry of each column, taken once, must be a finite
+    nonzero float: a column of zeros is the zero vector, and a nonzero one
+    whose squares underflow to 0 or overflow is out of range."""
     X = np.array(X, dtype=float)
     if X.ndim != 2:
         raise DimensionMismatchError("synthesis matrix must be 2-dimensional")
@@ -105,9 +108,15 @@ def _checked_synthesis(X):
     n, m = X.shape
     if n < 1 or m < n:
         raise NotSpanningError(f"need m >= n >= 1 vectors, got n={n}, m={m}")
-    norms = np.linalg.norm(X, axis=0)
-    if np.any(norms == 0.0):
-        i = int(np.argmin(norms))
+    with np.errstate(over="ignore"):
+        peak = (X * X).max(axis=0)
+    bad = np.flatnonzero((peak == 0.0) | (peak == np.inf))
+    if bad.size:
+        i = int(bad[0])
+        if peak[i] == np.inf:
+            raise NonFiniteError(f"frame vector {i} is too large: its squared entries overflow")
+        if X[:, i].any():
+            raise NonFiniteError(f"frame vector {i} is too small: its squared entries underflow to 0")
         raise ZeroVectorError(f"frame vector {i} is the zero vector")
     return X
 

@@ -17,15 +17,18 @@ Four routes are available:
 ``cofactor_vector`` and ``cofactor_pencil`` keep the paper's cofactor
 formulas; the routes' kernel vectors are proportional to them.
 
-Every "not scalable" answer is certified: either a separating functional y
-with <x~_i, y> > 0 for all i, or a strictly one-signed row index.
+A route supplies a kernel vector or a certificate; two constructors build
+every answer.  ``_not_scalable`` carries a separating functional y with
+<x~_i, y> > 0 for all i (the route's own, else the plain LP's) and, for the
+sign reject, the one-signed row.  ``_finish_scalable`` normalizes the
+weights, reads the strictness margin off them and re-checks theta c = 0.
 
 Rescaling x_i by s rescales column i of the reduced diagram matrix by
 s^2 > 0, which keeps scalability.  So every route reads that matrix on
 unit-norm columns (``diagram.unit_diagram_matrix``): the LPs through
 ``numerics.solve_feasibility``, and the sign reject, the kernel (whose width
 is the corank that ``scale --method auto`` routes on), the cofactor and
-codim-2 routes and ``near_zero`` through the per-frame copy.  The thresholds
+codim-2 routes and the margin through the per-frame copy.  The thresholds
 are those of the ``numerics`` table.
 """
 
@@ -44,7 +47,7 @@ from .errors import (
     InternalNumericError,
 )
 from .frame_core import derived
-from .numerics import IDENTITY_TOL, RANK_TOL, STRICT_MARGIN, ZERO_TOL
+from .numerics import IDENTITY_TOL, RANK_TOL, RESIDUAL_TOL, STRICT_MARGIN, ZERO_TOL
 
 NOT_SCALABLE = "not_scalable"
 SCALABLE = "scalable"
@@ -161,23 +164,17 @@ def _theta_lp(F):
     return out
 
 
-def _lp_certificate(F):
-    """Infeasibility certificate for the homogeneous kernel problem."""
-    out = derived(F, "theta_lp", _theta_lp)
-    if out.feasible:
-        raise InternalNumericError(
-            "feasibility solver disagrees with a proven non-scalability verdict"
-        )
-    return out.certificate
+def _finish_scalable(F, c, method, strict=True):
+    """Every scalable answer: weights c, normalized to sum 1, and checked.
 
-
-def _finish_scalable(F, c, method, strict_margin=None):
-    """A scalable answer with weights c, normalized to sum 1; strict exactly
-    when the route's margin exceeds ``STRICT_MARGIN``.  A weight whose
-    unit-column weight ||theta_i|| c_i is at most ``ZERO_TOL`` of the sum of
-    those weights is rounding noise and is set to +0.  ``near_zero`` only
-    reports: the indices whose unit-column weight, relative to that sum, is
-    at most ``STRICT_MARGIN``, the measure the margin is taken in."""
+    A weight whose unit-column weight ||theta_i|| c_i is at most ``ZERO_TOL``
+    of the sum of those weights is rounding noise and is set to +0.  The
+    margin is read off the reported weights: the minimum unit-column weight
+    relative to their sum.  ``near_zero`` lists the indices at or below
+    ``STRICT_MARGIN`` of that sum, and the answer is strict exactly when
+    ``strict`` holds and that list is empty, so every route is judged by the
+    same rule.  Last, theta c must vanish relative to the largest row sum of
+    its terms |theta_ji| c_i, which means the same at every scale."""
     norms = unit_diagram_matrix(F).norms
     c = np.asarray(c, dtype=float).copy()
     c[c < 0] = 0.0
@@ -186,12 +183,12 @@ def _finish_scalable(F, c, method, strict_margin=None):
     c = c / c.sum()
     unit = c * norms
     near = [int(i) for i in np.flatnonzero(unit <= STRICT_MARGIN * unit.sum())]
-    if strict_margin is not None and strict_margin > STRICT_MARGIN:
-        verdict = STRICTLY_SCALABLE
-    else:
-        verdict = SCALABLE
+    theta = reduced_diagram_matrix(F)  # no rows in R^1
+    scale = float((np.abs(theta) @ c).max(initial=0.0))
+    if float(np.abs(theta @ c).max(initial=0.0)) > RESIDUAL_TOL * scale:
+        raise InternalNumericError("reported weights fail the kernel identity")
     return ScalingResult(
-        verdict=verdict,
+        verdict=STRICTLY_SCALABLE if strict and not near else SCALABLE,
         method=method,
         weights_c=c,
         scalars_a=np.sqrt(c),
@@ -199,27 +196,39 @@ def _finish_scalable(F, c, method, strict_margin=None):
     )
 
 
+def _not_scalable(F, method, certificate_y=None, reject_row=None):
+    """Every "not scalable" answer.  A route without a certificate of its own
+    takes the plain LP's, which must then be infeasible."""
+    if certificate_y is None:
+        out = derived(F, "theta_lp", _theta_lp)
+        if out.feasible:
+            raise InternalNumericError(
+                "feasibility solver disagrees with a proven non-scalability verdict")
+        certificate_y = out.certificate
+    return ScalingResult(
+        verdict=NOT_SCALABLE,
+        method=method,
+        certificate_y=certificate_y,
+        reject_row=reject_row,
+    )
+
+
 def decide_scalable(F, strict=False) -> ScalingResult:
     """General scalability decision via the kernel of the reduced diagram
     matrix, one LP per call.  The solver works on unit-norm columns, so the
     verdict does not change when a frame vector is rescaled.  With
-    ``strict=True`` the LP maximizes the minimum unit-column weight, and that
-    margin separates scalable from strictly scalable."""
+    ``strict=True`` the LP maximizes the minimum unit-column weight, and the
+    answer is strict when that margin, read off the reported weights,
+    exceeds ``STRICT_MARGIN``."""
     theta = reduced_diagram_matrix(F)
     check = quick_sign_reject(F)
     if check.row_index is not None:
-        row = theta[check.row_index]
-        sign = 1.0 if row.sum() > 0 else -1.0
+        # a one-signed row of the unit matrix keeps its signs on theta
         y = np.zeros(theta.shape[0])
-        y[check.row_index] = sign
+        y[check.row_index] = 1.0 if theta[check.row_index].sum() > 0 else -1.0
         if not hull_certificate_check(F, y):
-            y = _lp_certificate(F)
-        return ScalingResult(
-            verdict=NOT_SCALABLE,
-            method=METHOD_SIGN_REJECT,
-            certificate_y=y,
-            reject_row=check.row_index,
-        )
+            raise InternalNumericError("one-signed row fails the hull certificate check")
+        return _not_scalable(F, METHOD_SIGN_REJECT, y, check.row_index)
 
     if strict:
         out = numerics.solve_feasibility(numerics.FeasibilityProblem(
@@ -227,12 +236,8 @@ def decide_scalable(F, strict=False) -> ScalingResult:
     else:
         out = derived(F, "theta_lp", _theta_lp)
     if not out.feasible:
-        return ScalingResult(
-            verdict=NOT_SCALABLE,
-            method=METHOD_FEASIBILITY,
-            certificate_y=out.certificate,
-        )
-    return _finish_scalable(F, out.witness, METHOD_FEASIBILITY, out.strict_margin)
+        return _not_scalable(F, METHOD_FEASIBILITY, out.certificate)
+    return _finish_scalable(F, out.witness, METHOD_FEASIBILITY, strict)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +274,8 @@ def cofactor_scaling(F):
     """Rank m-1 route: the kernel of the reduced diagram matrix is the line of
     the cofactor vector, so scalability reduces to its sign pattern.  The
     kernel comes from one SVD of the matrix on unit-norm columns as a unit
-    vector w of unit-column weights; its signs and margin are judged on w,
-    like the LPs', and w_i / ||theta_i|| is proportional to the cofactors.
+    vector w of unit-column weights; its signs are judged on w, and
+    w_i / ||theta_i|| is proportional to the cofactors.
 
     Returns (CofactorReport, ScalingResult).
     """
@@ -284,15 +289,8 @@ def cofactor_scaling(F):
     report = CofactorReport(corank=1, cofactor_vector=v / np.linalg.norm(v),
                             sign_class=sign_class)
     if sign_class == MIXED:
-        result = ScalingResult(
-            verdict=NOT_SCALABLE,
-            method=METHOD_COFACTOR,
-            certificate_y=_lp_certificate(F),
-        )
-        return report, result
-    w = np.abs(w)
-    margin = float(w.min()) / float(w.sum())
-    return report, _finish_scalable(F, np.abs(v), METHOD_COFACTOR, strict_margin=margin)
+        return report, _not_scalable(F, METHOD_COFACTOR)
+    return report, _finish_scalable(F, np.abs(v), METHOD_COFACTOR)
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +341,9 @@ def codim2_scaling(F):
     keep = np.hypot(xi1, xi2) > ZERO_TOL * scale
     arc = _feasible_arc(xi1[keep], xi2[keep])
     if arc is None:
-        return ScalingResult(
-            verdict=NOT_SCALABLE,
-            method=METHOD_CODIM2,
-            certificate_y=_lp_certificate(F),
-        )
-    t, width = arc
+        return _not_scalable(F, METHOD_CODIM2)
+    t, _ = arc
     w = np.cos(t) * xi1 + np.sin(t) * xi2
     if float(w.min()) < -IDENTITY_TOL * scale:
         raise InternalNumericError("codim-2 direction produced a negative weight")
-    margin = float(w.min()) / float(np.abs(w).sum()) if width > 0 else 0.0
-    d = unit_diagram_matrix(F).norms
-    return _finish_scalable(F, w / d, METHOD_CODIM2, strict_margin=margin)
+    return _finish_scalable(F, w / unit_diagram_matrix(F).norms, METHOD_CODIM2)

@@ -4,7 +4,10 @@ Normalized scalability asks for nonnegative weights making every synthesis
 row square-sum to 1 (the convex set W); orthogonal scalability asks for
 nonnegative weights annihilating all entrywise row cross-products (the
 positive cone V).  A frame is scalable exactly when W intersects V, and a
-point of the intersection gives Parseval weights directly.
+point of the intersection gives Parseval weights directly.  The answer of
+``intersection_scalability`` is built and checked by ``scalability``, like
+every route's: its margin and kernel identity are read on the reduced
+diagram matrix, not on the W and V rows.
 """
 
 from __future__ import annotations
@@ -15,13 +18,7 @@ import numpy as np
 
 from . import numerics
 from .errors import DimensionMismatchError
-from .scalability import (
-    METHOD_FEASIBILITY,
-    NOT_SCALABLE,
-    ScalingResult,
-    _finish_scalable,
-    _lp_certificate,
-)
+from .scalability import METHOD_FEASIBILITY, ScalingResult, _finish_scalable, _not_scalable
 
 
 @dataclass(frozen=True)
@@ -112,8 +109,8 @@ def find_V_element(F) -> ConeMembership:
 def intersection_scalability(F, strict=False) -> ScalingResult:
     """Joint feasibility over W and V, one LP; a point of the intersection
     gives Parseval weights sqrt(a_i).  With ``strict=True`` the LP maximizes
-    the minimum weight on unit-norm columns, and that margin separates
-    scalable from strictly scalable.
+    the minimum weight on the unit-norm columns of this system; strictness
+    is then read off the reported weights, as for every route.
 
     The returned ``scalars_a`` are the Parseval weights; ``weights_c`` is the
     same kernel direction normalized to sum 1, matching the general test.
@@ -125,12 +122,8 @@ def intersection_scalability(F, strict=False) -> ScalingResult:
         numerics.FeasibilityProblem(A=A, b=b, require_strict=strict)
     )
     if not out.feasible:
-        return ScalingResult(
-            verdict=NOT_SCALABLE,
-            method=METHOD_FEASIBILITY,
-            certificate_y=_lp_certificate(F),
-        )
-    result = _finish_scalable(F, out.witness, METHOD_FEASIBILITY, out.strict_margin)
+        return _not_scalable(F, METHOD_FEASIBILITY)
+    result = _finish_scalable(F, out.witness, METHOD_FEASIBILITY, strict)
     # the witness is proportional to weights_c, so it has the same zeros
     result.scalars_a = np.sqrt(np.where(result.weights_c > 0.0, out.witness, 0.0))
     return result

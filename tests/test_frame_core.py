@@ -38,6 +38,18 @@ class TestConstruction:
         with pytest.raises(ZeroVectorError):
             make_frame([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("x, word", [(1e-200, "underflow"), (1e200, "overflow")])
+    def test_rejects_out_of_range_vector(self, x, word):
+        # a nonzero vector whose squares underflow to 0 is not the zero
+        # vector, and one whose squares overflow is not a spanning failure
+        with pytest.raises(NonFiniteError, match=f"frame vector 2 is too .*{word}"):
+            make_frame([[1.0, 0.0], [0.0, 1.0], [x, x]])
+
+    def test_one_small_entry_is_in_range(self):
+        # only the largest squared entry of a vector must be in range
+        F = make_frame([[1.0, 0.0], [0.0, 1.0], [1e-200, 1.0]])
+        assert F.synthesis[0, 2] == 1e-200
+
     def test_rejects_non_spanning(self):
         with pytest.raises(NotSpanningError):
             make_frame([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])

@@ -16,19 +16,22 @@ from framescale.diagram import reduced_diagram_matrix, reduced_size, unit_diagra
 from framescale.errors import (
     CorankMismatchError,
     DimensionMismatchError,
+    InternalNumericError,
     NotSpanningError,
     ZeroVectorError,
 )
 from framescale import diagram, numerics
-from framescale.numerics import ZERO_TOL
+from framescale.numerics import RESIDUAL_TOL, STRICT_MARGIN, ZERO_TOL
 from framescale.scalability import (
     ALL_NONNEG,
     ALL_NONPOS,
+    METHOD_FEASIBILITY,
     MIXED,
     NOT_SCALABLE,
     SCALABLE,
     STRICTLY_SCALABLE,
     _feasible_arc,
+    _finish_scalable,
     cofactor_pencil,
     cofactor_vector,
     independent_rows,
@@ -432,3 +435,52 @@ class TestHalfCircleIntersection:
         assert abs(width) < 1e-12
         assert abs(np.sin(t)) < 1e-12 and np.cos(t) > 0
         assert codim2_scaling(make_frame([[0, 1], [1, 1], [0, 1], [-1, 1]])).scalable
+
+
+@st.composite
+def integer_frames(draw):
+    """m x n integer matrices with entries in {-2..2}, n in {2, 3, 4} and
+    n <= m <= d + 2 for the reduced row count d: rows are the vectors."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    m = draw(st.integers(n, reduced_size(n) + 2))
+    entries = draw(st.lists(st.integers(-2, 2), min_size=n * m, max_size=n * m))
+    return np.array(entries, dtype=float).reshape(m, n)
+
+
+class TestAnswerRule:
+    @pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+    def test_weight_recheck_is_relative(self, s):
+        # equal weights make the Mercedes-Benz frame tight at every scale;
+        # weight on one vector alone never does
+        F = angles_frame(0.0, 2 * np.pi / 3, 4 * np.pi / 3)
+        F = make_frame(s * F.synthesis.T)
+        equal = _finish_scalable(F, np.full(3, 1 / 3), METHOD_FEASIBILITY)
+        assert equal.verdict == STRICTLY_SCALABLE
+        with pytest.raises(InternalNumericError):
+            _finish_scalable(F, np.array([1.0, 0.0, 0.0]), METHOD_FEASIBILITY)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(V=integer_frames())
+    def test_every_route_reads_strictness_off_its_weights(self, V):
+        # every scalable answer is strict exactly when its smallest
+        # unit-column weight exceeds STRICT_MARGIN of their sum, and its
+        # weights pass the kernel identity relative to the row sums
+        try:
+            F = make_frame(V)
+        except (NotSpanningError, ZeroVectorError):
+            F = None
+        assume(F is not None)
+        answers = [decide_scalable(F, strict=True), intersection_scalability(F, strict=True)]
+        corank = theta_kernel(F).shape[1]
+        if corank == 1:
+            answers.append(cofactor_scaling(F)[1])
+        elif corank == 2:
+            answers.append(codim2_scaling(F))
+        theta = reduced_diagram_matrix(F)
+        for r in answers:
+            if not r.scalable:
+                continue
+            c = r.weights_c
+            unit = np.linalg.norm(theta, axis=0) * c
+            assert (r.verdict == STRICTLY_SCALABLE) == (unit.min() > STRICT_MARGIN * unit.sum())
+            assert np.abs(theta @ c).max() <= RESIDUAL_TOL * (np.abs(theta) @ c).max()
