@@ -11,6 +11,7 @@ the (1,j) difference entries, which span the same row space because every
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +39,16 @@ class UnitDiagramMatrix:
     norms: np.ndarray  # the column norms of θ̃_X, 1 for a zero column
 
 
+@lru_cache(maxsize=None)
+def coordinate_pairs(n):
+    """The coordinate pairs i < j of R^n in lexicographic order, as two
+    read-only index arrays built once per n."""
+    pairs = np.triu_indices(n, 1)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
 def _diagram_columns(X, kind):
     """Diagram vectors of the columns of the n x m matrix X, as columns.  In
     R^1 there are no coordinate pairs, so the matrix has no rows."""
@@ -47,7 +58,7 @@ def _diagram_columns(X, kind):
     if n == 1:
         return np.zeros((0, m))
     scale = 1.0 / np.sqrt(n - 1)
-    i, j = np.triu_indices(n, 1)  # the lexicographic pairs
+    i, j = coordinate_pairs(n)
     di, dj = (i, j) if kind == FULL else (i[: n - 1], j[: n - 1])
     diffs = (X[di] ** 2 - X[dj] ** 2) * scale
     prods = np.sqrt(2 * n) * X[i] * X[j] * scale

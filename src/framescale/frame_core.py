@@ -1,11 +1,13 @@
 """Frames in R^n: construction, frame operator, bounds, potential, duality.
 
 A frame is stored through its n x m synthesis matrix whose i-th column is the
-i-th frame vector.  Construction takes the thin SVD X = U diag(s) V^T once and
-verifies the spanning property on s, so every ``Frame`` instance really is a
-frame.  That SVD, and every other value derived from the synthesis, is kept
-on the frame through ``derived``: the frame bounds are s_n^2 and s_1^2, and the
-canonical dual and S^{-1/2} are read from the same factors.
+i-th frame vector.  Construction verifies the spanning property on the
+singular values of X on unit-norm columns, which no rescaling of a vector
+moves, so every ``Frame`` instance really is a frame, and takes the thin SVD
+X = U diag(s) V^T once.  That SVD, and every other value derived from the
+synthesis, is kept on the frame through ``derived``: the frame bounds are
+s_n^2 and s_1^2, and the canonical dual and S^{-1/2} are read from the same
+factors.
 """
 
 from __future__ import annotations
@@ -121,10 +123,22 @@ def _checked_synthesis(X):
     return X
 
 
+def _spans(X):
+    """True when the columns of X span R^n: the rank rule of
+    ``numerics.rank`` on X with unit-norm columns (zero columns stay zero),
+    so that rescaling a vector by any nonzero factor keeps the answer.  Each
+    column is divided by its largest entry first, so that no norm
+    overflows."""
+    peak = np.abs(X).max(axis=0)
+    peak[peak == 0.0] = 1.0
+    X = X / peak
+    return numerics.rank(X / numerics.column_norms(X)) == X.shape[0]
+
+
 def _spanning_frame(X, svd) -> Frame:
     """The Frame on the checked synthesis X with thin SVD ``svd``: spanning
-    is the rank rule of ``numerics.rank`` on s, and the factors are kept."""
-    if numerics.rank_of(svd[1]) < X.shape[0]:
+    is decided by ``_spans``, and the factors are kept."""
+    if not _spans(X):
         raise NotSpanningError("vectors do not span R^n")
     for a in (X, *svd):
         a.setflags(write=False)
@@ -198,7 +212,7 @@ def apply_scaling(F, a) -> Frame:
     if float(a.min(initial=0.0)) < 0.0:
         raise ValueError("weights must be nonnegative")
     scaled = F.synthesis * a
-    if numerics.rank(scaled) < F.n:
+    if not _spans(scaled):
         raise NotSpanningError("scaled system no longer spans R^n")
     scaled.setflags(write=False)
     return Frame(synthesis=scaled)

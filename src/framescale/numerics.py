@@ -1,6 +1,6 @@
 """Dense real linear-algebra kernel and nonnegative linear feasibility solver.
 
-Singular values, rank and nullspace come from LAPACK through numpy.  Linear
+Singular values, the SVD and rank come from LAPACK through numpy.  Linear
 feasibility is a deterministic two-phase tableau simplex with Dantzig pricing
 and a Bland's-rule fallback after a run of degenerate pivots; it produces
 either a nonnegative witness or a Farkas-style infeasibility certificate.
@@ -39,11 +39,13 @@ from .errors import (
 ZERO_TOL = 1e-12       # zero and sign: an entry of unit-size data counts as 0
 #                        (unit-norm theta columns, simplex ratios, witness
 #                        entries, the widest normal-angle gap against pi, in
-#                        radians, max |kernel basis|, max weight, sum of
+#                        radians, max |kernel basis| times s_1/s_r, the
+#                        angle of a codim-2 certificate's target to a kernel
+#                        row, in radians, times s_1/s_r, max weight, sum of
 #                        unit-column weights: zeroed ones)
 RANK_TOL = 1e-10       # rank: the largest singular value (rank, kernel), the
 #                        largest entry or 1 if larger (independent rows), the
-#                        largest entry (cofactor sign classes)
+#                        largest entry times s_1/s_r (cofactor sign classes)
 PIVOT_TOL = 1e-9       # pivot: simplex reduced costs and pivot elements on
 #                        unit-norm columns; the phase-1 objective against
 #                        1 + max|b|; unit norm against 1
@@ -103,16 +105,13 @@ def rank(M):
     return rank_of(singular_values(M))
 
 
-def nullspace_basis(M):
-    """Orthonormal basis of the kernel of M, as columns of the result,
-    ordered by ascending singular value: the trailing right singular vectors.
-
-    A full-column-rank matrix yields a matrix with zero columns.
-    """
+def svd(M):
+    """The full SVD (U, s, V^T) of M, s descending, by LAPACK
+    (``numpy.linalg.svd``): the trailing rows of V^T past ``rank_of(s)``
+    span the kernel of M, and the leading factors give its pseudoinverse."""
     A = np.asarray(M, dtype=float)
     _check_finite(A)
-    _, s, Vt = np.linalg.svd(A)
-    return Vt[rank_of(s):][::-1].T
+    return tuple(np.linalg.svd(A))
 
 
 # ---------------------------------------------------------------------------

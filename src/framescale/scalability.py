@@ -19,9 +19,12 @@ formulas; the routes' kernel vectors are proportional to them.
 
 A route supplies a kernel vector or a certificate; two constructors build
 every answer.  ``_not_scalable`` carries a separating functional y with
-<x~_i, y> > 0 for all i (the route's own, else the plain LP's) and, for the
-sign reject, the one-signed row.  ``_finish_scalable`` normalizes the
-weights, reads the strictness margin off them and re-checks theta c = 0.
+<x~_i, y> > 0 for all i and, for the sign reject, the one-signed row.  The
+LP routes take y from their LP; the cofactor and codim-2 routes read it off
+the SVD they already hold, with no LP (``_kernel_certificate``, Gordan's
+alternative); the split route, which has none, takes the plain LP's.
+``_finish_scalable`` normalizes the weights, reads the strictness margin off
+them and re-checks theta c = 0.
 
 Rescaling x_i by s rescales column i of the reduced diagram matrix by
 s^2 > 0, which keeps scalability.  So every route reads that matrix on
@@ -136,19 +139,55 @@ def hull_certificate_check(F, y) -> bool:
     return float((theta.T @ y).min()) > 0.0
 
 
+ThetaSVD = namedtuple("ThetaSVD", ["U", "s", "Vt", "rank"])
+
+
+def theta_svd(F):
+    """The full SVD U diag(s) V^T of the reduced diagram matrix on unit-norm
+    columns, with its rank, from one LAPACK call per frame: the kernel and
+    corank, and the certificates of the cofactor and codim-2 routes, are
+    read from it."""
+    return derived(F, "theta_svd", _theta_svd)
+
+
+def _theta_svd(F):
+    U, s, Vt = numerics.svd(unit_diagram_matrix(F).data)
+    for a in (U, s, Vt):
+        a.setflags(write=False)
+    return ThetaSVD(U=U, s=s, Vt=Vt, rank=numerics.rank_of(s))
+
+
 def theta_kernel(F):
     """Orthonormal basis of the kernel of the reduced diagram matrix on
-    unit-norm columns, as columns, from one SVD per frame; its width is the
-    corank, measured without regard to the scale of the vectors.  A kernel
-    vector v of the unit matrix is the kernel vector v_i / ||theta_i|| of
-    the reduced diagram matrix itself."""
-    return derived(F, "theta_kernel", _theta_kernel)
+    unit-norm columns, as columns ordered by ascending singular value: a
+    read-only view of the trailing right singular vectors of ``theta_svd``.
+    Its width is the corank, measured without regard to the scale of the
+    vectors.  A kernel vector v of the unit matrix is the kernel vector
+    v_i / ||theta_i|| of the reduced diagram matrix itself."""
+    svd = theta_svd(F)
+    return svd.Vt[svd.rank:][::-1].T
 
 
-def _theta_kernel(F):
-    kernel = numerics.nullspace_basis(unit_diagram_matrix(F).data)
-    kernel.setflags(write=False)
-    return kernel
+def _condition(F):
+    """s_1 / s_r, the condition of the unit matrix on its row space: a
+    kernel basis from the SVD is accurate to about the machine precision
+    times this, so the kernel routes scale their zero thresholds by it."""
+    svd = theta_svd(F)
+    return float(svd.s[0] / svd.s[svd.rank - 1]) if svd.rank else 1.0
+
+
+def _kernel_certificate(F, p, method):
+    """The "not scalable" answer of a kernel route from a vector p >= 1
+    orthogonal to the kernel of the unit matrix theta^ = U S V^T of rank r.
+    By Gordan's alternative such a p exists exactly when no c >= 0, c != 0
+    has theta c = 0, and y = U_r S_r^{-1} V_r^T p gives theta^^T y = p, so
+    theta^T y = ||theta_i|| p_i > 0: the certificate, checked, without an
+    LP."""
+    U, s, Vt, r = theta_svd(F)
+    y = U[:, :r] @ ((Vt[:r] @ p) / s[:r])
+    if not hull_certificate_check(F, y):
+        raise InternalNumericError(f"{method} certificate fails the hull certificate check")
+    return _not_scalable(F, method, y)
 
 
 def _theta_lp(F):
@@ -197,8 +236,8 @@ def _finish_scalable(F, c, method, strict=True):
 
 
 def _not_scalable(F, method, certificate_y=None, reject_row=None):
-    """Every "not scalable" answer.  A route without a certificate of its own
-    takes the plain LP's, which must then be infeasible."""
+    """Every "not scalable" answer.  The split route has no certificate of
+    its own and takes the plain LP's, which must then be infeasible."""
     if certificate_y is None:
         out = derived(F, "theta_lp", _theta_lp)
         if out.feasible:
@@ -261,8 +300,8 @@ def cofactor_vector(rows) -> np.ndarray:
     return out
 
 
-def _classify_signs(v):
-    thresh = RANK_TOL * float(np.abs(v).max(initial=0.0))
+def _classify_signs(v, condition):
+    thresh = RANK_TOL * condition * float(np.abs(v).max(initial=0.0))
     if float(v.min()) >= -thresh:
         return ALL_NONNEG
     if float(v.max()) <= thresh:
@@ -274,8 +313,9 @@ def cofactor_scaling(F):
     """Rank m-1 route: the kernel of the reduced diagram matrix is the line of
     the cofactor vector, so scalability reduces to its sign pattern.  The
     kernel comes from one SVD of the matrix on unit-norm columns as a unit
-    vector w of unit-column weights; its signs are judged on w, and
-    w_i / ||theta_i|| is proportional to the cofactors.
+    vector w of unit-column weights; its signs are judged on w, to within
+    the accuracy of the SVD (``_condition``), and w_i / ||theta_i|| is
+    proportional to the cofactors.  A mixed w gives the certificate.
 
     Returns (CofactorReport, ScalingResult).
     """
@@ -285,11 +325,16 @@ def cofactor_scaling(F):
             f"cofactor method needs corank 1, measured corank {kernel.shape[1]}")
     w = kernel[:, 0]
     v = w / unit_diagram_matrix(F).norms
-    sign_class = _classify_signs(w)
+    sign_class = _classify_signs(w, _condition(F))
     report = CofactorReport(corank=1, cofactor_vector=v / np.linalg.norm(v),
                             sign_class=sign_class)
     if sign_class == MIXED:
-        return report, _not_scalable(F, METHOD_COFACTOR)
+        # p = 1 + q with w.p = 0: q >= 0 on the entries of w whose sign is
+        # not that of sum(w), which both signs of a mixed w have
+        total = float(w.sum())
+        part = np.maximum(-w, 0.0) if total > 0.0 else np.maximum(w, 0.0)
+        p = 1.0 + (abs(total) / float(part @ part)) * part
+        return report, _kernel_certificate(F, p, METHOD_COFACTOR)
     return report, _finish_scalable(F, np.abs(v), METHOD_COFACTOR)
 
 
@@ -322,26 +367,58 @@ def _feasible_arc(p, q):
     return float(t), float(gaps[k] - np.pi)
 
 
+def _balancing_vector(kernel, keep, condition):
+    """p = 1 + q with q >= 0 and kernel^T p = 0, for a kernel whose kept rows
+    u_i = (xi_1i, xi_2i) leave no circular gap of pi: their cone is the
+    plane, so g = -sum_i u_i lies in the cone of the two kept u_a, u_b whose
+    angles bracket it, less than pi apart, and g = q_a u_a + q_b u_b by
+    Cramer's rule with q_a, q_b >= 0.  When the angle of g is within
+    ``ZERO_TOL`` times the condition of the SVD (``_condition``), in radians,
+    of that of u_a, g lies on the ray of u_a (and of any row parallel to it),
+    and q_a alone is its projection."""
+    g = -kernel.sum(axis=0)
+    idx = np.flatnonzero(keep)
+    phi = np.arctan2(kernel[idx, 1], kernel[idx, 0])
+    order = np.argsort(phi)
+    psi = np.arctan2(g[1], g[0])
+    k = int(np.searchsorted(phi[order], psi, side="right"))
+    a, b = idx[order[(k - 1) % idx.size]], idx[order[k % idx.size]]
+    ua, ub = kernel[a], kernel[b]
+    p = np.ones(kernel.shape[0])
+    if (psi - np.arctan2(ua[1], ua[0])) % (2.0 * np.pi) <= ZERO_TOL * condition:
+        p[a] += max(float(g @ ua), 0.0) / float(ua @ ua)
+    else:
+        det = ua[0] * ub[1] - ua[1] * ub[0]
+        p[a] += max((g[0] * ub[1] - g[1] * ub[0]) / det, 0.0)
+        p[b] += max((ua[0] * g[1] - ua[1] * g[0]) / det, 0.0)
+    return p
+
+
 def codim2_scaling(F):
     """Rank m-2 route: every kernel vector of the matrix on unit-norm
     columns is a multiple of cos(t) xi_1 + sin(t) xi_2 for the orthonormal
     basis xi_1, xi_2 of that kernel from one SVD, and scalability holds
     exactly when some direction t keeps all entries nonnegative: when the
     normal angles of the entries (p_i, q_i) = (xi_1i, xi_2i) leave a circular
-    gap of at least pi (``_feasible_arc``).  The weights come from the
-    bisector of the feasible arc, which bisects the feasible cone and so
-    depends only on the kernel."""
+    gap of at least pi (``_feasible_arc``); entries within the accuracy of
+    the SVD of 0 (``_condition``) constrain nothing.  The weights come from
+    the bisector of the feasible arc, which bisects the feasible cone and so
+    depends only on the kernel; without an arc, the kept entries give the
+    certificate (``_balancing_vector``)."""
     kernel = theta_kernel(F)
     if kernel.shape[1] != 2:
         raise CorankMismatchError(
             f"codim-2 method needs corank 2, measured corank {kernel.shape[1]}")
     xi1, xi2 = kernel.T
-    # unit basis vectors: the scale lies in [1/sqrt(m), 1]
+    # unit basis vectors: the scale lies in [1/sqrt(m), 1]; an entry within
+    # the accuracy of the kernel of 0 has no angle to judge
     scale = max(float(np.abs(xi1).max()), float(np.abs(xi2).max()))
-    keep = np.hypot(xi1, xi2) > ZERO_TOL * scale
+    condition = _condition(F)
+    keep = np.hypot(xi1, xi2) > ZERO_TOL * condition * scale
     arc = _feasible_arc(xi1[keep], xi2[keep])
     if arc is None:
-        return _not_scalable(F, METHOD_CODIM2)
+        return _kernel_certificate(F, _balancing_vector(kernel, keep, condition),
+                                   METHOD_CODIM2)
     t, _ = arc
     w = np.cos(t) * xi1 + np.sin(t) * xi2
     if float(w.min()) < -IDENTITY_TOL * scale:

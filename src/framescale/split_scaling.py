@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
+from .diagram import coordinate_pairs
 from .errors import DimensionMismatchError
 from .scalability import METHOD_FEASIBILITY, ScalingResult, _finish_scalable, _not_scalable
 
@@ -32,7 +33,7 @@ def _lift(F):
     the row products X[i]∘X[j] over i < j, in θ̃'s pair order.  Both are
     C-ordered, as the solver's column-norm sums depend on memory layout."""
     X = F.synthesis
-    i, j = np.triu_indices(F.n, 1)
+    i, j = coordinate_pairs(F.n)
     return np.ascontiguousarray(X * X), np.ascontiguousarray(X[i] * X[j])
 
 
@@ -41,7 +42,7 @@ def _lifted_sum(F, a):
     <a, u_j^2> and whose upper triangle the V terms <a, u_i * u_j>."""
     X = F.synthesis
     M = (X * a) @ X.T
-    return M.diagonal(), M[np.triu_indices(F.n, 1)]
+    return M.diagonal(), M[coordinate_pairs(F.n)]
 
 
 def _check_weight_length(F, a):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from framescale import make_frame
+from framescale import hull_certificate_check, make_frame
 from framescale.cli import _json_dumps, build_report, main
 from framescale.errors import ParseError
 from framescale.frame_core import apply_scaling, is_tight
@@ -243,6 +243,26 @@ class TestScale:
         if strict:
             lines.insert(0, "scalable, but not strictly")
         assert got.out.splitlines() == lines
+
+    def test_one_huge_vector_scales(self, tmp_path, capsys):
+        # one vector times 1e10 does not make the frame an input error: the
+        # answer is the one at 1e9 and at 1
+        for s in ("1", "1e9", "1e10"):
+            path = write(tmp_path, "big.frame", f"n 2\nm 3\n1 0\n0 1\n{s} {s}\n")
+            assert main(["scale", path]) == 0
+            assert capsys.readouterr().out == "0.707106781187 0.707106781187 0\n"
+
+    @pytest.mark.parametrize("method", ["auto", "cofactor"])
+    def test_corank_one_certificate(self, tmp_path, capsys, method):
+        # (1, 0), (1, 1), (1, 2) lie in one open quadrant: corank 1, not
+        # scalable, and the certificate comes from the kernel in closed form
+        path = write(tmp_path, "c1.frame", "n 2\nm 3\n1 0\n1 1\n1 2\n")
+        assert main(["scale", path, "--method", method]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("not scalable; certificate y: ")
+        y = [float(v) for v in out.split(":")[1].split()]
+        F = make_frame([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
+        assert hull_certificate_check(F, y)
 
     def test_method_rank_mismatch_exit_two(self, tmp_path, capsys):
         path = write(tmp_path, "mb.frame", MB_TEXT)

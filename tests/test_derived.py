@@ -25,7 +25,7 @@ from framescale import diagram, frame_core
 from framescale.cli import build_report, main
 from framescale.diagram import reduced_diagram_matrix, reduced_size, unit_diagram_matrix
 from framescale.framedoc import document_from_frame, format_frame_document
-from framescale.scalability import NOT_SCALABLE
+from framescale.scalability import NOT_SCALABLE, theta_kernel
 from conftest import (
     angles_frame,
     doubled_hadamard_frame,
@@ -66,7 +66,7 @@ def _routes(F):
         "V": find_V_element,
         "dual": canonical_dual_scalable,
     }
-    corank = numerics.nullspace_basis(reduced_diagram_matrix(F)).shape[1]
+    corank = theta_kernel(frame_from_synthesis(F.synthesis)).shape[1]
     if corank == 1:
         routes["cofactor"] = cofactor_scaling
     if corank == 2:
@@ -138,15 +138,22 @@ def test_report_computes_each_quantity_once(monkeypatch, name):
 
 @pytest.mark.parametrize("name", sorted(FRAMES))
 def test_report_factors_x_once(monkeypatch, name):
-    # the one thin SVD of X gives the spanning test, the frame bounds, the
-    # canonical dual with its own SVD, and S^{-1/2}
+    # the one thin SVD of X gives the frame bounds, the canonical dual with
+    # its own SVD, and S^{-1/2}; the spanning test of the frame and of its
+    # dual reads only the singular values of each on unit-norm columns
     F = _frame(name)
     dual = canonical_dual(F).dual.synthesis
-    svds = _count(monkeypatch, np.linalg, "svd")
+    factored = _count(monkeypatch, np.linalg, "svd",
+                      lambda A, *args, **kwargs: kwargs.get("compute_uv", True))
+    spans = _count(monkeypatch, np.linalg, "svd",
+                   lambda A, *args, **kwargs: not kwargs.get("compute_uv", True))
     eighs = _count(monkeypatch, np.linalg, "eigh")
     build_report(document_from_frame(F, name=name), 1e-8)
-    assert [np.array_equal(A, F.synthesis) for (A, *_) in svds] == [True]
-    assert not any(np.array_equal(A, dual) for (A, *_) in svds)
+    assert [np.array_equal(A, F.synthesis) for (A, *_) in factored] == [True]
+    units = [X / np.linalg.norm(X, axis=0) for X in (F.synthesis, dual)]
+    assert len(spans) == 2
+    for (A, *_), unit in zip(spans, units):
+        assert np.allclose(A, unit, rtol=0, atol=1e-15)
     assert eighs == []
 
 
@@ -163,6 +170,33 @@ def test_scale_auto_takes_at_most_one_svd_of_theta(tmp_path, monkeypatch, capsys
                         lambda A, *args, **kwargs: np.array_equal(A, theta))
     assert main(["scale", "--method", "auto", str(path)]) in (0, 1)
     assert len(theta_svds) == svds
+
+
+KERNEL_ROUTE_FRAMES = {
+    "corank-1": (lambda: _frame("corank-1"), 0),
+    "corank-1-unit": (lambda: _frame("corank-1-unit"), 1),
+    "corank-1-quadrant": (lambda: make_frame([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]), 1),
+    "corank-2": (lambda: _frame("corank-2"), 0),
+    "corank-2-quadrant": (lambda: angles_frame(0.2, 0.7, 1.2, 1.4), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_ROUTE_FRAMES))
+def test_scale_auto_answers_corank_1_and_2_without_an_lp(tmp_path, monkeypatch, capsys, name):
+    # the cofactor and codim-2 routes answer from the one SVD of theta on
+    # unit-norm columns, certificates included: no LP is solved
+    build, code = KERNEL_ROUTE_FRAMES[name]
+    F = build()
+    theta = unit_diagram_matrix(F).data
+    path = tmp_path / "frame.txt"
+    path.write_text(format_frame_document(document_from_frame(F)))
+    theta_svds = _count(monkeypatch, np.linalg, "svd",
+                        lambda A, *args, **kwargs: np.array_equal(A, theta))
+    lps = _count(monkeypatch, numerics, "_linear_program")
+    assert main(["scale", "--method", "auto", str(path)]) == code
+    assert ("certificate y:" in capsys.readouterr().out) == (code == 1)
+    assert len(theta_svds) == 1
+    assert lps == []
 
 
 @pytest.mark.parametrize("name", sorted(FRAMES))

@@ -10,7 +10,7 @@ from framescale import (
     make_frame,
     reduced_diagram_matrix,
 )
-from framescale.diagram import FULL, REDUCED, _diagram_columns, reduced_size
+from framescale.diagram import FULL, REDUCED, _diagram_columns, coordinate_pairs, reduced_size
 from framescale.errors import DimensionTooSmallError, NotUnitNormError
 from conftest import angles_frame, random_unit_frame
 
@@ -38,6 +38,15 @@ def reference_diagram_columns(X, kind):
 class TestShapesAndOrdering:
     def test_pair_indices_lexicographic(self):
         assert pair_indices(4) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_coordinate_pairs_built_once_per_n(self, n):
+        # one read-only pair of index arrays per n, shared by every caller
+        i, j = coordinate_pairs(n)
+        assert list(zip(i.tolist(), j.tolist())) == pair_indices(n)
+        assert coordinate_pairs(n) is coordinate_pairs(n)
+        with pytest.raises(ValueError):
+            i[:] = 0
 
     @pytest.mark.parametrize("n,expected", [(2, 2), (3, 5), (4, 9), (5, 14)])
     def test_reduced_size(self, n, expected):

@@ -54,6 +54,16 @@ class TestConstruction:
         with pytest.raises(NotSpanningError):
             make_frame([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
 
+    @pytest.mark.parametrize("s", [1e-10, 1e9, 1e10, 1e15, 1e154])
+    def test_spanning_survives_rescaling_one_vector(self, s):
+        # spanning is judged on unit-norm columns: the raw singular values of
+        # (1, 0), (0, 1), (1e10, 1e10) are about 1.4e10 and 1, below the
+        # rank threshold, yet the vectors span as they do at s = 1; at 1e154
+        # the squares are in range but their sum is not, and no warning
+        # may leak
+        F = make_frame([[1.0, 0.0], [0.0, 1.0], [s, s]])
+        assert F.synthesis[0, 2] == s
+
     def test_rejects_nonfinite(self):
         with pytest.raises(NonFiniteError):
             make_frame([[1.0, 0.0], [0.0, np.inf]])
@@ -158,6 +168,14 @@ class TestScalingAndDuality:
         F = make_frame([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         with pytest.raises(NotSpanningError):
             apply_scaling(F, [1.0, 0.0, 0.0])
+
+    def test_scaling_keeps_spanning_at_any_weight_scale(self):
+        # one weight 1e11 leaves raw singular values 1e11 apart; the scaled
+        # vectors span, and zero weights alone can take spanning away
+        F = make_frame([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        assert apply_scaling(F, [1e11, 1.0, 1.0]).n == 2
+        with pytest.raises(NotSpanningError):
+            apply_scaling(F, [1e11, 0.0, 0.0])
 
     def test_is_dual_identity(self):
         F = make_frame(np.eye(3))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from framescale import numerics
-from framescale.errors import InternalNumericError, IterationLimitError
+from framescale.errors import InternalNumericError, IterationLimitError, NonFiniteError
 
 
 # The simplex kernel as it was before the in-place rank-1 pivot, with its
@@ -123,15 +123,34 @@ class TestRankNullspace:
                            atol=1e-10)
 
     def test_nullspace_is_kernel(self, rng):
+        # the rows of V^T past the rank span the kernel
         A = rng.standard_normal((2, 5))
-        N = numerics.nullspace_basis(A)
+        _, s, Vt = numerics.svd(A)
+        N = Vt[numerics.rank_of(s):].T
         assert N.shape == (5, 3)
         assert np.abs(A @ N).max() < 1e-9
         assert np.allclose(N.T @ N, np.eye(3), atol=1e-10)
 
     def test_nullspace_full_rank_empty(self, rng):
         A = rng.standard_normal((5, 3))
-        assert numerics.nullspace_basis(A).shape == (3, 0)
+        _, s, Vt = numerics.svd(A)
+        assert Vt[numerics.rank_of(s):].T.shape == (3, 0)
+
+    def test_svd_factors_and_pseudoinverse(self, rng):
+        # U_r S_r^{-1} V_r^T solves A^T y = p for p in the row space of A
+        A = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 5))
+        U, s, Vt = numerics.svd(A)
+        assert U.shape == (3, 3) and Vt.shape == (5, 5)
+        assert np.allclose((U[:, :3] * s) @ Vt[:3], A, atol=1e-12)
+        r = numerics.rank_of(s)
+        assert r == 2
+        p = A.T @ rng.standard_normal(3)
+        y = U[:, :r] @ ((Vt[:r] @ p) / s[:r])
+        assert np.allclose(A.T @ y, p, atol=1e-10)
+
+    def test_svd_rejects_nonfinite(self):
+        with pytest.raises(NonFiniteError):
+            numerics.svd(np.array([[1.0, np.nan]]))
 
 
 class TestLinearProgram:

@@ -1,6 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from framescale import (
     codim2_scaling,
@@ -20,7 +22,7 @@ from framescale.errors import (
     NotSpanningError,
     ZeroVectorError,
 )
-from framescale import diagram, numerics
+from framescale import diagram, numerics, scalability
 from framescale.numerics import RESIDUAL_TOL, STRICT_MARGIN, ZERO_TOL
 from framescale.scalability import (
     ALL_NONNEG,
@@ -377,6 +379,80 @@ class TestCrossRouteAgreement:
             u = report.cofactor_vector / np.linalg.norm(report.cofactor_vector)
             w = cof / np.linalg.norm(cof)
             assert min(np.abs(u - w).max(), np.abs(u + w).max()) <= 1e-8
+
+
+@st.composite
+def scaled_corank_frames(draw):
+    """``integer_corank_frames`` with each vector times a signed 10^U(-4, 4),
+    and up to two vectors replaced by a near-duplicate of another, off by
+    1e-7 of its norm."""
+    V = draw(integer_corank_frames())
+    m, n = V.shape
+    powers = draw(st.lists(st.floats(-4.0, 4.0), min_size=m, max_size=m))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m))
+    V = V * (np.array(signs) * 10.0 ** np.array(powers))[:, None]
+    for _ in range(draw(st.integers(0, 2))):
+        dst, src = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        noise = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+        V[dst] = V[src] + 1e-7 * np.linalg.norm(V[src]) * np.array(noise)
+    return V
+
+
+def _no_lp(*args, **kwargs):
+    raise AssertionError("a kernel route solved an LP")
+
+
+class TestClosedFormCertificates:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(V=scaled_corank_frames())
+    @example(V=np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]))
+    @example(V=np.array([[0.0, 1.0], [1.0, 1.0], [0.0, 1.0], [-1.0, 1.0]]))
+    @example(V=np.array([[6985.966358808761, 13971.932717617521],
+                         [0.0010855038974176407, -0.0005427519487088203],
+                         [0.0010855038314008499, -0.0005427519487088203]]))
+    @example(V=np.array([[0.0, -2.0, -1.0], [2.0, 0.0, -2.0], [2.0, -2.0, 1.0],
+                         [-2.0, 2.0, -1.0], [2.0, 1.0, 1.0], [-1.0, 2.0, 0.0],
+                         [2.0, 2.0, 0.0]]))
+    @example(V=np.array([[0.0, 0.0, -1.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0],
+                         [0.0, -1.0, 0.0], [-1.0, 0.0, -1.0], [-1.0, -1.0, -1.0],
+                         [0.0, 1e-7, -1.0]]))
+    def test_kernel_routes_certify_without_an_lp(self, V):
+        # the explicit examples: corank 1 in one open quadrant (not
+        # scalable); corank 2 with one feasible direction (scalable);
+        # corank 2, not scalable, where -sum u_i lies on the ray of two
+        # parallel kernel rows, which bracket it only to within rounding; and
+        # two near-duplicate frames, corank 1 and 2, whose unit theta has a
+        # smallest nonzero singular value 5e-9 and 8e-8 of the largest, so
+        # that kernel entries of about 1e-9 are rounding noise and must not
+        # decide a sign or an angle (both scalable, with zero weights).  A "not scalable" answer
+        # of the cofactor or codim-2 route carries a certificate read off
+        # the SVD of theta, with no LP, and every answer agrees with the
+        # strict LP
+        try:
+            F = make_frame(V)
+        except (NotSpanningError, ZeroVectorError):
+            F = None
+        corank = 0 if F is None else theta_kernel(F).shape[1]
+        assume(corank in (1, 2))
+        with mock.patch.object(numerics, "solve_feasibility", _no_lp):
+            r = cofactor_scaling(F)[1] if corank == 1 else codim2_scaling(F)
+        if not r.scalable:
+            assert hull_certificate_check(F, r.certificate_y)
+        assert r.verdict == decide_scalable(F, strict=True).verdict
+
+    @pytest.mark.parametrize("route", ["cofactor", "codim2"])
+    def test_failed_certificate_raises(self, monkeypatch, route):
+        # a closed-form certificate that fails the hull check is a numeric
+        # fault of the route, with no LP to fall back on
+        V = [[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]
+        if route == "codim2":
+            V.append([2.0, 1.0])
+        F = make_frame(V)
+        monkeypatch.setattr(scalability, "hull_certificate_check", lambda G, y: False)
+        monkeypatch.setattr(numerics, "solve_feasibility", _no_lp)
+        with pytest.raises(InternalNumericError, match=route):
+            cofactor_scaling(F) if route == "cofactor" else codim2_scaling(F)
 
 
 class TestCodim2Permutation:
