@@ -229,11 +229,8 @@ def cmd_scale(args) -> int:
     else:  # split
         result = split.intersection_scalability(frame, strict=args.strict)
     if not result.scalable:
-        if result.certificate_y is not None:
-            print("not scalable; certificate y: "
-                  + " ".join("%.12g" % v for v in result.certificate_y))
-        else:
-            print(f"not scalable; one-signed row {result.reject_row}")
+        print("not scalable; certificate y: "
+              + " ".join("%.12g" % v for v in result.certificate_y))
         return 1
     scaled = apply_scaling(frame, result.scalars_a)
     if not is_tight(scaled, args.tol).tight:

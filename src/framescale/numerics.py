@@ -5,12 +5,11 @@ feasibility is a deterministic two-phase tableau simplex with Dantzig pricing
 and a Bland's-rule fallback after a run of degenerate pivots; it produces
 either a nonnegative witness or a Farkas-style infeasibility certificate.
 The strict variant maximizes the minimum entry through the substitution
-x = delta + s, which adds one row and two columns.
+x = delta + s, which adds one row and two columns.  These two LPs are the
+only ones the kernel solves, and both are bounded.
 
 Small LPs cost in numpy calls, not in arithmetic, so each pivot is one
-broadcast rank-1 update of the tableau in place, and each LP's inputs are
-checked once: ``solve_feasibility`` and ``linear_program`` validate and then
-share one unchecked kernel.
+broadcast rank-1 update of the tableau in place.
 
 Every threshold of the package is written once, in the table below, and
 named by its role.  No threshold is absolute: each multiplies a scale named
@@ -78,7 +77,6 @@ class FeasibilityOutcome:
     feasible: bool
     witness: np.ndarray | None = None
     certificate: np.ndarray | None = None
-    strict_margin: float | None = None
 
 
 def _check_finite(a):
@@ -120,9 +118,8 @@ def svd(M):
 
 @dataclass
 class LPResult:
-    status: str                      # "optimal" | "infeasible" | "unbounded"
+    status: str                      # "optimal" | "infeasible"
     x: np.ndarray | None = None
-    objective: float | None = None
     dual: np.ndarray | None = None   # equality multipliers (phase-1 on infeasible)
 
 
@@ -144,7 +141,9 @@ def _simplex_loop(T, basis, n_enterable, cap):
     leaving row has the smallest ratio, ties within ZERO_TOL going to the
     largest pivot element.  After _STALL consecutive degenerate pivots the
     rest of the solve uses Bland's rule (lowest entering index, lowest
-    leaving basis index), which cannot cycle.
+    leaving basis index), which cannot cycle.  Both LPs of
+    ``solve_feasibility`` are bounded, so an entering column without a
+    leaving row is a numeric failure.
     """
     k = T.shape[0] - 1
     rc = T[-1, :n_enterable]    # views: _pivot updates T in place
@@ -154,11 +153,11 @@ def _simplex_loop(T, basis, n_enterable, cap):
         bland = stalled >= _STALL
         col = (rc < -PIVOT_TOL).argmax() if bland else rc.argmin()
         if rc[col] >= -PIVOT_TOL:
-            return "optimal"
+            return
         a = T[:k, col]
         rows = (a > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
-            return "unbounded"
+            raise InternalNumericError("simplex column has no leaving row")
         ratios = rhs[rows] / a[rows]
         step = float(ratios.min())
         ties = rows[ratios <= step + ZERO_TOL]
@@ -168,33 +167,11 @@ def _simplex_loop(T, basis, n_enterable, cap):
     raise IterationLimitError("simplex iteration cap exceeded")
 
 
-def linear_program(A, b, c=None, maximize=False):
-    """Solve min (or max) c.x subject to A x = b, x >= 0.
-
-    With ``c=None`` only feasibility is decided (phase 1).  On infeasibility
-    the returned ``dual`` y satisfies y.A <= 0 and y.b > 0 (Farkas).
-    """
-    A, b = _checked_system(A, b)
-    if c is not None:
-        c = np.asarray(c, dtype=float)
-    return _linear_program(A, b, c, maximize)
-
-
-def _checked_system(A, b):
-    """A as a float matrix and b as a float vector of matching length, both
-    finite."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).ravel()
-    _check_finite(A)
-    _check_finite(b)
-    if A.ndim != 2 or A.shape[0] != b.size:
-        raise DimensionMismatchError(f"A has shape {A.shape}, b has length {b.size}")
-    return A, b
-
-
-def _linear_program(A, b, c, maximize):
-    """``linear_program`` on inputs already passed through ``_checked_system``;
-    ``c`` is None or a float vector."""
+def _linear_program(A, b, c):
+    """Solve min c.x subject to A x = b, x >= 0, for a float matrix A and
+    float vectors b and c, or decide feasibility alone (phase 1) with
+    ``c=None``.  On infeasibility the returned ``dual`` y satisfies
+    y.A <= 0 and y.b > 0 (Farkas)."""
     k, nv = A.shape
     cap = 50 * (k + nv + k)  # artificials count toward the column budget
 
@@ -214,8 +191,7 @@ def _linear_program(A, b, c, maximize):
     p1_obj = -T[-1, -1]
     if p1_obj > PIVOT_TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
         pi = 1.0 - T[-1, nv:nv + k]
-        return LPResult(status="infeasible", objective=float(p1_obj),
-                        dual=row_sign * pi)
+        return LPResult(status="infeasible", dual=row_sign * pi)
 
     # drive leftover artificials out of the basis (redundant rows stay put)
     for i in np.flatnonzero(basis >= nv):
@@ -225,21 +201,16 @@ def _linear_program(A, b, c, maximize):
 
     if c is not None:
         cvec = np.zeros(nv + k)
-        cvec[:nv] = -c if maximize else c
+        cvec[:nv] = c
         cB = cvec[basis]
         T[-1, :] = np.concatenate([cvec, [0.0]]) - cB @ T[:k, :]
-        status = _simplex_loop(T, basis, nv, cap)
-        if status == "unbounded":
-            return LPResult(status="unbounded")
+        _simplex_loop(T, basis, nv, cap)
 
     x = np.zeros(nv)
     structural = basis < nv
     x[basis[structural]] = T[:k, -1][structural]
-    obj = None
-    if c is not None:
-        obj = float(c @ x)
     pi = -T[-1, nv:nv + k]
-    return LPResult(status="optimal", x=x, objective=obj, dual=row_sign * pi)
+    return LPResult(status="optimal", x=x, dual=row_sign * pi)
 
 
 def _clamp_nonneg(x):
@@ -269,11 +240,15 @@ def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
     (and restored after the mapping) and the infeasibility certificate y
     satisfies (y.A)_j > 0 for every column j, the separating-functional
     direction of the convex-hull test.  With ``require_strict`` the minimum
-    entry of the unit-column witness is maximized; whenever the system is
-    feasible the outcome carries the witness and that maximum as
-    ``strict_margin``, and judging strictness is left to the caller.
+    entry of the unit-column witness is maximized; judging strictness from
+    the witness is left to the caller.
     """
-    A, b = _checked_system(p.A, p.b)
+    A = np.asarray(p.A, dtype=float)
+    b = np.asarray(p.b, dtype=float).ravel()
+    _check_finite(A)
+    _check_finite(b)
+    if A.ndim != 2 or A.shape[0] != b.size:
+        raise DimensionMismatchError(f"A has shape {A.shape}, b has length {b.size}")
     norms = column_norms(A)
     A = A / norms
     k, m = A.shape
@@ -295,22 +270,22 @@ def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
             y = dual[:k]
         return FeasibilityOutcome(feasible=False, certificate=y)
 
-    def witness_from(x, margin=None):
+    def witness_from(x):
         x = _clamp_nonneg(x)
         _verify_witness(A2, b2, x)
         x = x / norms
         if hom:
             x = x / x.sum()
-        return FeasibilityOutcome(feasible=True, witness=x, strict_margin=margin)
+        return FeasibilityOutcome(feasible=True, witness=x)
 
     if not p.require_strict:
-        res = _linear_program(A2, b2, None, False)
+        res = _linear_program(A2, b2, None)
         if res.status == "infeasible":
             return certificate_from(res.dual)
         return witness_from(res.x)
 
-    # strict: substitute x = delta + s; variables [delta, s, s_cap]; maximize
-    # delta subject to A2 (delta 1 + s) = b2, delta + s_cap = CAP.  The
+    # strict: substitute x = delta + s; variables [delta, s, s_cap]; minimize
+    # -delta subject to A2 (delta 1 + s) = b2, delta + s_cap = CAP.  The
     # s-columns are A2's own, so the Farkas rows [:k] certify as above.
     cap_val = 1.0 + float(np.abs(b2).max(initial=0.0))
     Ae = np.zeros((k2 + 1, m + 2))
@@ -319,12 +294,11 @@ def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
     Ae[k2, [0, m + 1]] = 1.0
     be = np.append(b2, cap_val)
     cost = np.zeros(m + 2)
-    cost[0] = 1.0
-    res = _linear_program(Ae, be, cost, True)
+    cost[0] = -1.0
+    res = _linear_program(Ae, be, cost)
     if res.status == "infeasible":
         return certificate_from(res.dual)
-    delta = float(res.x[0])
-    return witness_from(delta + res.x[1:m + 1], delta)
+    return witness_from(res.x[0] + res.x[1:m + 1])
 
 
 def _verify_witness(A, b, x):

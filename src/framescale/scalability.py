@@ -14,8 +14,8 @@ Four routes are available:
   nonnegative on a half-circle of directions t, and these meet exactly when
   the widest circular gap between their normal angles is at least pi.
 
-``cofactor_vector`` and ``cofactor_pencil`` keep the paper's cofactor
-formulas; the routes' kernel vectors are proportional to them.
+``cofactor_vector`` keeps the paper's cofactor formula; the routes' kernel
+vectors are proportional to it.
 
 A route supplies a kernel vector or a certificate; two constructors build
 every answer.  ``_not_scalable`` carries a separating functional y with
@@ -340,15 +340,6 @@ def cofactor_scaling(F):
 
 # ---------------------------------------------------------------------------
 # corank-2 parametric route
-
-
-def cofactor_pencil(R, w1, w2):
-    """Cofactor vectors xi_1, xi_2 of the matrices (E; w_k; R) so that the
-    parametric cofactors are A(t) = cos(t) xi_1 + sin(t) xi_2."""
-    R = np.asarray(R, dtype=float)
-    xi1 = cofactor_vector(np.vstack([np.asarray(w1, dtype=float), R]))
-    xi2 = cofactor_vector(np.vstack([np.asarray(w2, dtype=float), R]))
-    return xi1, xi2
 
 
 def _feasible_arc(p, q):

@@ -31,8 +31,8 @@ from framescale import (
 from framescale.cli import main
 from framescale.diagram import FULL
 from framescale.frame_core import apply_scaling, frame_from_synthesis, is_tight
-from framescale.scalability import cofactor_pencil
 from conftest import angles_frame, random_scalable_frame, random_unit_frame
+from paper_reference import cofactor_pencil
 
 
 EXAMPLE_FRAME = make_frame([[2.0, 1.0], [1.0, 2.0], [1.0, 1.0]])

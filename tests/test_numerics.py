@@ -3,6 +3,7 @@ import pytest
 
 from framescale import numerics
 from framescale.errors import InternalNumericError, IterationLimitError, NonFiniteError
+from paper_reference import linear_program
 
 
 # The simplex kernel as it was before the in-place rank-1 pivot, with its
@@ -31,11 +32,11 @@ def reference_simplex_loop(T, basis, n_enterable, cap, stall, log):
         bland = stalled >= stall
         col = int(np.argmax(rc < -1e-9)) if bland else int(np.argmin(rc))
         if rc[col] >= -1e-9:
-            return "optimal"
+            return
         a = T[:k, col]
         rows = np.flatnonzero(a > 1e-9)
         if rows.size == 0:
-            return "unbounded"
+            raise InternalNumericError("simplex column has no leaving row")
         ratios = T[rows, -1] / a[rows]
         step = float(ratios.min())
         ties = rows[ratios <= step + 1e-12]
@@ -45,7 +46,7 @@ def reference_simplex_loop(T, basis, n_enterable, cap, stall, log):
     raise IterationLimitError("simplex iteration cap exceeded")
 
 
-def reference_linear_program(A, b, c=None, maximize=False, stall=50, log=None):
+def reference_linear_program(A, b, c=None, stall=50, log=None):
     log = [] if log is None else log
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
@@ -69,8 +70,7 @@ def reference_linear_program(A, b, c=None, maximize=False, stall=50, log=None):
     feas_tol = 1e-9 * (1.0 + float(np.abs(b).max(initial=0.0)))
     if p1_obj > feas_tol:
         pi = 1.0 - T[-1, nv:nv + k]
-        return numerics.LPResult(status="infeasible", objective=float(p1_obj),
-                                 dual=row_sign * pi)
+        return numerics.LPResult(status="infeasible", dual=row_sign * pi)
 
     for i in np.flatnonzero(basis >= nv):
         cols = np.flatnonzero(np.abs(T[i, :nv]) > 1e-9)
@@ -79,31 +79,32 @@ def reference_linear_program(A, b, c=None, maximize=False, stall=50, log=None):
 
     if c is not None:
         cvec = np.zeros(nv + k)
-        cvec[:nv] = -np.asarray(c, dtype=float) if maximize else np.asarray(c, dtype=float)
+        cvec[:nv] = np.asarray(c, dtype=float)
         cB = cvec[basis]
         T[-1, :] = np.concatenate([cvec, [0.0]]) - cB @ T[:k, :]
-        status = reference_simplex_loop(T, basis, nv, cap, stall, log)
-        if status == "unbounded":
-            return numerics.LPResult(status="unbounded")
+        reference_simplex_loop(T, basis, nv, cap, stall, log)
 
     x = np.zeros(nv)
     structural = basis < nv
     x[basis[structural]] = T[:k, -1][structural]
-    obj = None
-    if c is not None:
-        obj = float(np.asarray(c, dtype=float) @ x)
     pi = -T[-1, nv:nv + k]
-    return numerics.LPResult(status="optimal", x=x, objective=obj, dual=row_sign * pi)
+    return numerics.LPResult(status="optimal", x=x, dual=row_sign * pi)
 
 
 def assert_bitwise_equal(res, ref):
     assert res.status == ref.status
-    assert repr(res.objective) == repr(ref.objective)
     for got, want in ((res.x, ref.x), (res.dual, ref.dual)):
         assert (got is None) == (want is None)
         if got is not None:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+def witness_margin(A, b, x):
+    """The margin that the strict LP maximizes, read off its witness: the
+    minimum unit-column entry, relative to their sum when b = 0."""
+    unit = x * numerics.column_norms(np.asarray(A, dtype=float))
+    return float(unit.min() if np.any(b) else unit.min() / unit.sum())
 
 
 class TestRankNullspace:
@@ -158,7 +159,7 @@ class TestLinearProgram:
         # max x1 + x2 s.t. x1 + 2 x2 = 4, 3 x1 + 2 x2 = 6  -> x = (1, 1.5)
         A = [[1.0, 2.0], [3.0, 2.0]]
         b = [4.0, 6.0]
-        res = numerics.linear_program(A, b, [1.0, 1.0], maximize=True)
+        res = linear_program(A, b, [1.0, 1.0], maximize=True)
         assert res.status == "optimal"
         assert np.allclose(res.x, [1.0, 1.5], atol=1e-9)
 
@@ -166,19 +167,20 @@ class TestLinearProgram:
         # redundant rows must not break phase 2
         A = [[1.0, 1.0], [2.0, 2.0]]
         b = [1.0, 2.0]
-        res = numerics.linear_program(A, b, [1.0, 0.0])
+        res = linear_program(A, b, [1.0, 0.0])
         assert res.status == "optimal"
-        assert res.objective == pytest.approx(0.0, abs=1e-9)
+        assert res.x[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_unbounded(self):
-        res = numerics.linear_program([[1.0, -1.0]], [0.0], [-1.0, 0.0])
-        assert res.status == "unbounded"
+        # the kernel solves bounded LPs only: a ray is a numeric failure
+        with pytest.raises(InternalNumericError, match="no leaving row"):
+            linear_program([[1.0, -1.0]], [0.0], [-1.0, 0.0])
 
     def test_infeasible_farkas(self):
         # x1 + x2 = -1 has no nonnegative solution
         A = np.array([[1.0, 1.0]])
         b = np.array([-1.0])
-        res = numerics.linear_program(A, b)
+        res = linear_program(A, b)
         assert res.status == "infeasible"
         y = res.dual
         assert float(y @ b) > 1e-9
@@ -188,7 +190,7 @@ class TestLinearProgram:
         for _ in range(10):
             A = np.abs(rng.standard_normal((3, 4)))
             b = -np.abs(rng.standard_normal(3)) - 0.1
-            res = numerics.linear_program(A, b)
+            res = linear_program(A, b)
             assert res.status == "infeasible"
             y = res.dual
             assert float(y @ b) > 0
@@ -228,7 +230,7 @@ class TestSolveFeasibility:
             numerics.FeasibilityProblem(A=A, b=np.zeros(1), require_strict=True)
         )
         assert out.feasible
-        assert out.strict_margin > 1e-9
+        assert witness_margin(A, np.zeros(1), out.witness) > 1e-9
         assert out.witness.min() > 1e-9
 
     def test_strict_failure_keeps_margin(self):
@@ -242,8 +244,7 @@ class TestSolveFeasibility:
         assert out.certificate is None
         assert out.witness.min() >= 0.0
         assert np.abs(A @ out.witness - b).max() <= 1e-12
-        assert out.strict_margin is not None
-        assert out.strict_margin <= 1e-9
+        assert witness_margin(A, b, out.witness) <= 1e-9
 
 
 class TestHighsOracle:
@@ -295,7 +296,7 @@ class TestHighsOracle:
                     numerics.FeasibilityProblem(A=A, b=b, require_strict=strict))
                 expected = margin is not None and (not strict or margin > 1e-6)
                 assert out.feasible == (margin is not None)
-                assert (out.feasible and (not strict or out.strict_margin > 1e-9)) == expected
+                assert (out.feasible and (not strict or witness_margin(A, b, out.witness) > 1e-9)) == expected
                 decided[(hom, strict, expected)] += 1
                 if out.feasible:
                     x = out.witness
@@ -318,9 +319,9 @@ class TestHighsOracle:
 
 
 class TestReferenceKernel:
-    """Every LP that solve_feasibility builds, and the same LP through the
-    public linear_program, against the reference kernel above: the same
-    pivot sequence and a bitwise-equal LPResult."""
+    """Every LP that solve_feasibility builds, and the same LP through
+    ``paper_reference.linear_program``, against the reference kernel above:
+    the same pivot sequence and a bitwise-equal LPResult."""
 
     @staticmethod
     def _problems(rng, count):
@@ -365,9 +366,9 @@ class TestReferenceKernel:
         solved = []
         kernel = numerics._linear_program
 
-        def recorded(A, b, c, maximize):
-            inputs = (A.copy(), b.copy(), None if c is None else c.copy(), maximize)
-            res = kernel(A, b, c, maximize)
+        def recorded(A, b, c):
+            inputs = (A.copy(), b.copy(), None if c is None else c.copy())
+            res = kernel(A, b, c)
             solved.append((inputs, res, list(pivots)))
             return res
 
@@ -388,7 +389,7 @@ class TestReferenceKernel:
                 assert used == log
                 assert_bitwise_equal(res, ref)
                 pivots.clear()
-                assert_bitwise_equal(numerics.linear_program(*inputs), ref)
+                assert_bitwise_equal(linear_program(*inputs), ref)
                 assert pivots == log
                 seen.add((strict, res.status))
         assert seen == {(s, st) for s in (False, True) for st in ("optimal", "infeasible")}

@@ -34,12 +34,12 @@ from framescale.scalability import (
     STRICTLY_SCALABLE,
     _feasible_arc,
     _finish_scalable,
-    cofactor_pencil,
     cofactor_vector,
     independent_rows,
     theta_kernel,
 )
 from conftest import angles_frame, random_scalable_frame, random_unit_frame
+from paper_reference import cofactor_pencil
 
 
 def doubled_angle_gap_oracle(F):

@@ -10,11 +10,11 @@ from framescale import (
     is_in_W,
     make_frame,
 )
-from framescale import numerics
 from framescale.frame_core import apply_scaling, is_tight
 from framescale.errors import DimensionMismatchError, FramescaleError
 from framescale.scalability import independent_rows
 from conftest import angles_frame, doubled_hadamard_frame, random_unit_frame
+from paper_reference import linear_program
 
 
 class EmptyWError(FramescaleError):
@@ -32,7 +32,7 @@ def _w_vertices(F, count):
     for i in range(min(count, F.m)):
         cost = np.zeros(F.m)
         cost[i] = 1.0
-        res = numerics.linear_program(A, b, cost, maximize=True)
+        res = linear_program(A, b, cost, maximize=True)
         if res.status != "optimal":
             continue
         a = np.clip(res.x, 0.0, None)
