@@ -24,6 +24,7 @@ from .errors import (
 )
 from .frame_core import (
     Frame,
+    _check_weight_length,
     _checked_synthesis,
     _spanning_frame,
     apply_scaling,
@@ -78,9 +79,7 @@ def alternate_dual_from_scaling(F, a) -> DualPair:
     """Alternate dual {a_i^2 x_i} of a frame whose scaling by ``a`` is
     Parseval.  Vectors with zero weight are dropped from both sides first;
     rescaling the dual by 1/a_i recovers the Parseval frame."""
-    a = np.asarray(a, dtype=float).ravel()
-    if a.size != F.m:
-        raise DimensionMismatchError(f"expected {F.m} weights, got {a.size}")
+    a = _check_weight_length(F, a)
     scaled = apply_scaling(F, a)
     t = is_tight(scaled)
     if not t.tight or abs(t.bound - 1.0) > numerics.RESIDUAL_TOL:
@@ -98,6 +97,7 @@ def check_transform_scaling(F, T, a) -> bool:
     """True when the frame operator of {a_i x_i} equals (T^T T)^{-1}, which
     is equivalent to {T x_i} being scalable with weights a, within
     ``numerics.IDENTITY_TOL`` of the largest entry of that target."""
+    a = _check_weight_length(F, a)
     T = np.asarray(T, dtype=float)
     if T.shape != (F.n, F.n):
         raise DimensionMismatchError(f"transform must be {F.n}x{F.n}")
@@ -108,7 +108,6 @@ def check_transform_scaling(F, T, a) -> bool:
     _, sigma, Qt = np.linalg.svd(T)
     if numerics.rank_of(sigma) < F.n:
         raise SingularTransformError("transform is not invertible")
-    a = np.asarray(a, dtype=float).ravel()
     scaled = F.synthesis * a
     S1 = scaled @ scaled.T
     # T is invertible, so the target is positive definite and its largest
@@ -154,9 +153,7 @@ def canonical_dual_scalable(F) -> DualScalingReport:
 def grammian_form_check(F, a) -> float:
     """Max-norm residual of X (D^2 - G) X^T with D = diag(a) and G = X^T X;
     zero exactly when a_i^2 solve the canonical-dual scaling system."""
-    a = np.asarray(a, dtype=float).ravel()
-    if a.size != F.m:
-        raise DimensionMismatchError(f"expected {F.m} weights, got {a.size}")
+    a = _check_weight_length(F, a)
     X = F.synthesis
     G = X.T @ X
     D2 = np.diag(a * a)

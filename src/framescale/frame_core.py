@@ -198,15 +198,21 @@ def is_tight(F, tol=numerics.RESIDUAL_TOL) -> Tightness:
     return Tightness(tight=True, bound=float(sq.mean()))
 
 
+def _check_weight_length(F, a):
+    """``a`` as a float vector of one weight per frame vector."""
+    a = np.asarray(a, dtype=float).ravel()
+    if a.size != F.m:
+        raise DimensionMismatchError(f"expected {F.m} weights, got {a.size}")
+    return a
+
+
 def apply_scaling(F, a) -> Frame:
     """The frame with column i of the synthesis matrix scaled by a_i >= 0;
     zero weights give zero columns.
 
     Raises NotSpanningError when too many zero weights destroy spanning.
     """
-    a = np.asarray(a, dtype=float).ravel()
-    if a.size != F.m:
-        raise DimensionMismatchError(f"expected {F.m} weights, got {a.size}")
+    a = _check_weight_length(F, a)
     if not np.all(np.isfinite(a)):
         raise NonFiniteError("weights must be finite")
     if float(a.min(initial=0.0)) < 0.0:

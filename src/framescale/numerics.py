@@ -36,18 +36,21 @@ from .errors import (
 # The tolerance table.  Each threshold is named by its role, and its value
 # multiplies the scale that its comment names.
 ZERO_TOL = 1e-12       # zero and sign: an entry of unit-size data counts as 0
-#                        (unit-norm theta columns, simplex ratios, witness
-#                        entries, the widest normal-angle gap against pi, in
-#                        radians, max |kernel basis| times s_1/s_r, the
-#                        angle of a codim-2 certificate's target to a kernel
-#                        row, in radians, times s_1/s_r, max weight, sum of
-#                        unit-column weights: zeroed ones)
+#                        (unit-norm theta columns, simplex ratios and rhs
+#                        drift, witness entries, y.A_j of a strict Farkas
+#                        row against max|y|, max |kernel basis| times
+#                        s_1/s_r, a codim-2 normal angle, in radians, times
+#                        max |kernel basis| times s_1/s_r over its row
+#                        length, the angle of a codim-2 certificate's target
+#                        to a kernel row, in radians, times s_1/s_r, max
+#                        weight, sum of unit-column weights: zeroed ones)
 RANK_TOL = 1e-10       # rank: the largest singular value (rank, kernel), the
 #                        largest entry or 1 if larger (independent rows), the
 #                        largest entry times s_1/s_r (cofactor sign classes)
 PIVOT_TOL = 1e-9       # pivot: simplex reduced costs and pivot elements on
-#                        unit-norm columns; the phase-1 objective against
-#                        1 + max|b|; unit norm against 1
+#                        unit-norm columns; rhs drift against the pivot
+#                        step; the phase-1 objective against 1 + max|b|;
+#                        unit norm against 1
 RESIDUAL_TOL = 1e-8    # residual: witness residual against 1 + max|b|; the
 #                        kernel identity against max_j sum_i |theta_ji| c_i;
 #                        W rows and X Y^T against 1; V cross terms against the
@@ -139,9 +142,14 @@ def _simplex_loop(T, basis, n_enterable, cap):
 
     The entering column is the most negative reduced cost (Dantzig); the
     leaving row has the smallest ratio, ties within ZERO_TOL going to the
-    largest pivot element.  After _STALL consecutive degenerate pivots the
-    rest of the solve uses Bland's rule (lowest entering index, lowest
-    leaving basis index), which cannot cycle.  Both LPs of
+    largest pivot element.  Ratios are taken on max(rhs, 0), so rounding
+    noise below 0 gives no negative step, and after a pivot that moves the
+    entering variable by a step > 0, an rhs entry in
+    [-(PIVOT_TOL step + ZERO_TOL), 0) is set to 0: it is the drift of a row
+    whose entry, at most PIVOT_TOL, the ratio test skipped, or of a row tied
+    within ZERO_TOL (Harris, Math. Prog. 1973).  After _STALL consecutive
+    degenerate pivots the rest of the solve uses Bland's rule (lowest
+    entering index, lowest leaving basis index), which cannot cycle.  Both LPs of
     ``solve_feasibility`` are bounded, so an entering column without a
     leaving row is a numeric failure.
     """
@@ -158,12 +166,15 @@ def _simplex_loop(T, basis, n_enterable, cap):
         rows = (a > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             raise InternalNumericError("simplex column has no leaving row")
-        ratios = rhs[rows] / a[rows]
+        ratios = np.maximum(rhs[rows], 0.0) / a[rows]
         step = float(ratios.min())
         ties = rows[ratios <= step + ZERO_TOL]
         row = ties[basis[ties].argmin()] if bland else ties[a[ties].argmax()]
         stalled = stalled + 1 if step <= ZERO_TOL else 0
         _pivot(T, basis, row, col)
+        taken = rhs[row]
+        if taken > 0.0 and (rhs < 0.0).any():
+            rhs[(rhs < 0.0) & (rhs >= -(PIVOT_TOL * taken + ZERO_TOL))] = 0.0
     raise IterationLimitError("simplex iteration cap exceeded")
 
 
@@ -193,10 +204,14 @@ def _linear_program(A, b, c):
         pi = 1.0 - T[-1, nv:nv + k]
         return LPResult(status="infeasible", dual=row_sign * pi)
 
-    # drive leftover artificials out of the basis (redundant rows stay put)
+    # drive leftover artificials out of the basis (redundant rows stay put);
+    # each is 0 up to the phase-1 tolerance, so the pivot is degenerate: its
+    # rounding noise, divided by a pivot element of either sign, would
+    # otherwise become a negative entry of the witness
     for i in np.flatnonzero(basis >= nv):
         cols = np.flatnonzero(np.abs(T[i, :nv]) > PIVOT_TOL)
         if cols.size:
+            T[i, -1] = 0.0
             _pivot(T, basis, i, cols[0])
 
     if c is not None:
@@ -260,15 +275,16 @@ def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
         A2, b2 = A, b
     k2 = A2.shape[0]
 
-    def certificate_from(dual):
+    def farkas(dual):
+        """The Farkas row y of an infeasible phase 1, and whether it passes
+        its sign test: (y.A)_j > 0 for every column when b = 0, else y.b > 0
+        and y.A_j <= ZERO_TOL max|y|."""
         if hom:
             y = -dual[:k]
-            margin = float((y @ A).min())
-            if margin <= 0.0:
-                raise InternalNumericError("hull certificate fails the strict sign test")
-        else:
-            y = dual[:k]
-        return FeasibilityOutcome(feasible=False, certificate=y)
+            return y, float((y @ A).min()) > 0.0
+        y = dual[:k]
+        return y, (float(y @ b) > 0.0
+                   and float((y @ A).max()) <= ZERO_TOL * float(np.abs(y).max()))
 
     def witness_from(x):
         x = _clamp_nonneg(x)
@@ -278,11 +294,17 @@ def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
             x = x / x.sum()
         return FeasibilityOutcome(feasible=True, witness=x)
 
-    if not p.require_strict:
+    def plain():
         res = _linear_program(A2, b2, None)
-        if res.status == "infeasible":
-            return certificate_from(res.dual)
-        return witness_from(res.x)
+        if res.status == "optimal":
+            return witness_from(res.x)
+        y, holds = farkas(res.dual)
+        if hom and not holds:
+            raise InternalNumericError("hull certificate fails the strict sign test")
+        return FeasibilityOutcome(feasible=False, certificate=y)
+
+    if not p.require_strict:
+        return plain()
 
     # strict: substitute x = delta + s; variables [delta, s, s_cap]; minimize
     # -delta subject to A2 (delta 1 + s) = b2, delta + s_cap = CAP.  The
@@ -296,9 +318,14 @@ def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
     cost = np.zeros(m + 2)
     cost[0] = -1.0
     res = _linear_program(Ae, be, cost)
-    if res.status == "infeasible":
-        return certificate_from(res.dual)
-    return witness_from(res.x[0] + res.x[1:m + 1])
+    if res.status == "optimal":
+        return witness_from(res.x[0] + res.x[1:m + 1])
+    y, holds = farkas(res.dual)
+    if holds:
+        return FeasibilityOutcome(feasible=False, certificate=y)
+    # delta = 0 makes every plain witness strict-feasible, so phase 1 has
+    # missed a system of small margin: the plain LP answers it
+    return plain()
 
 
 def _verify_witness(A, b, x):

@@ -254,8 +254,8 @@ def _not_scalable(F, method, certificate_y=None, reject_row=None):
 
 def decide_scalable(F, strict=False) -> ScalingResult:
     """General scalability decision via the kernel of the reduced diagram
-    matrix, one LP per call.  The solver works on unit-norm columns, so the
-    verdict does not change when a frame vector is rescaled.  With
+    matrix, one solver call each.  The solver works on unit-norm columns,
+    so the verdict does not change when a frame vector is rescaled.  With
     ``strict=True`` the LP maximizes the minimum unit-column weight, and the
     answer is strict when that margin, read off the reported weights,
     exceeds ``STRICT_MARGIN``."""
@@ -342,17 +342,22 @@ def cofactor_scaling(F):
 # corank-2 parametric route
 
 
-def _feasible_arc(p, q):
+def _feasible_arc(p, q, accuracy=ZERO_TOL):
     """The directions t with p_i cos t + q_i sin t >= 0 for every i: the
     half-circles centred on the normal angles phi_i = atan2(q_i, p_i).  They
     meet exactly when the angles fit in a half-circle, that is when the widest
-    circular gap between them is at least pi (``ZERO_TOL`` in radians).
+    circular gap between them is at least pi.  ``accuracy`` is that of
+    each angle in radians, one for all or one per entry, and the gap is
+    judged to within the sum of the accuracies of its two end angles.
     Returns (t, width) for the feasible arc, of width gap - pi and bisected by
     the midpoint t of the arc the angles fill, or None when it is empty."""
-    phi = np.sort(np.arctan2(q, p))
+    phi = np.arctan2(q, p)
+    order = np.argsort(phi)
+    phi = phi[order]
+    accuracy = np.broadcast_to(accuracy, phi.shape)[order]
     gaps = np.diff(phi, append=phi[0] + 2.0 * np.pi)
     k = int(np.argmax(gaps))
-    if gaps[k] < np.pi - ZERO_TOL:
+    if gaps[k] < np.pi - (accuracy[k] + accuracy[(k + 1) % phi.size]):
         return None
     t = phi[(k + 1) % phi.size] + 0.5 * (2.0 * np.pi - gaps[k])
     return float(t), float(gaps[k] - np.pi)
@@ -391,8 +396,9 @@ def codim2_scaling(F):
     basis xi_1, xi_2 of that kernel from one SVD, and scalability holds
     exactly when some direction t keeps all entries nonnegative: when the
     normal angles of the entries (p_i, q_i) = (xi_1i, xi_2i) leave a circular
-    gap of at least pi (``_feasible_arc``); entries within the accuracy of
-    the SVD of 0 (``_condition``) constrain nothing.  The weights come from
+    gap of at least pi (``_feasible_arc``), judged to within the accuracy of
+    their angles; entries within the accuracy of the SVD of 0
+    (``_condition``) constrain nothing.  The weights come from
     the bisector of the feasible arc, which bisects the feasible cone and so
     depends only on the kernel; without an arc, the kept entries give the
     certificate (``_balancing_vector``)."""
@@ -402,11 +408,14 @@ def codim2_scaling(F):
             f"codim-2 method needs corank 2, measured corank {kernel.shape[1]}")
     xi1, xi2 = kernel.T
     # unit basis vectors: the scale lies in [1/sqrt(m), 1]; an entry within
-    # the accuracy of the kernel of 0 has no angle to judge
+    # the accuracy of the kernel of 0 has no angle to judge, and the angle of
+    # any other row u_i is accurate to that accuracy over |u_i|
     scale = max(float(np.abs(xi1).max()), float(np.abs(xi2).max()))
     condition = _condition(F)
-    keep = np.hypot(xi1, xi2) > ZERO_TOL * condition * scale
-    arc = _feasible_arc(xi1[keep], xi2[keep])
+    accuracy = ZERO_TOL * condition * scale
+    lengths = np.hypot(xi1, xi2)
+    keep = lengths > accuracy
+    arc = _feasible_arc(xi1[keep], xi2[keep], accuracy / lengths[keep])
     if arc is None:
         return _kernel_certificate(F, _balancing_vector(kernel, keep, condition),
                                    METHOD_CODIM2)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numerics
 from .diagram import coordinate_pairs
-from .errors import DimensionMismatchError
+from .frame_core import _check_weight_length
 from .scalability import METHOD_FEASIBILITY, ScalingResult, _finish_scalable, _not_scalable
 
 
@@ -43,13 +43,6 @@ def _lifted_sum(F, a):
     X = F.synthesis
     M = (X * a) @ X.T
     return M.diagonal(), M[coordinate_pairs(F.n)]
-
-
-def _check_weight_length(F, a):
-    a = np.asarray(a, dtype=float).ravel()
-    if a.size != F.m:
-        raise DimensionMismatchError(f"expected {F.m} weights, got {a.size}")
-    return a
 
 
 def _nonnegative(a):

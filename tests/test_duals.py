@@ -11,6 +11,8 @@ from framescale import (
     hull_certificate_check,
     intersection_scalability,
     is_dual,
+    is_in_V,
+    is_in_W,
     make_frame,
     p1_counterexample,
     sylvester_hadamard,
@@ -24,6 +26,7 @@ from framescale.frame_core import (
     is_tight,
 )
 from framescale.errors import (
+    DimensionMismatchError,
     NoHadamardAvailableError,
     NonFiniteError,
     NotParsevalScalingError,
@@ -124,6 +127,24 @@ class TestTransformScaling:
         F = make_frame(np.eye(2))
         with pytest.raises(NonFiniteError):
             check_transform_scaling(F, [[1.0, np.inf], [0.0, 1.0]], np.ones(2))
+
+    @pytest.mark.parametrize("a", [[1.0], [1.0, 1.0, 1.0]])
+    def test_weight_count_checked(self, a):
+        # one weight would broadcast over both vectors of an orthonormal
+        # basis and pass as a scaling of it
+        with pytest.raises(DimensionMismatchError, match="expected 2 weights"):
+            check_transform_scaling(make_frame(np.eye(2)), np.eye(2), a)
+
+
+@pytest.mark.parametrize("check", [apply_scaling, alternate_dual_from_scaling,
+                                   check_transform_scaling, grammian_form_check,
+                                   is_in_W, is_in_V], ids=lambda f: f.__name__)
+def test_every_weight_taking_function_checks_the_count(check):
+    F = make_frame(np.eye(2))
+    args = (F, np.eye(2)) if check is check_transform_scaling else (F,)
+    for a in ([1.0], [1.0, 1.0, 1.0]):
+        with pytest.raises(DimensionMismatchError, match="expected 2 weights"):
+            check(*args, a)
 
 
 class TestCanonicalDualScalability:

@@ -8,13 +8,16 @@ the n = 4, m = 11 frame has a margin at zero and a witness entry just below
 -1e-12: that witness must be discarded as not strict before it is checked
 for sign."""
 
+import json
+
 import numpy as np
 import pytest
 
 from framescale import decide_scalable, intersection_scalability, make_frame
-from framescale.cli import build_report
+from framescale.cli import build_report, main
 from framescale.frame_core import apply_scaling, is_tight
-from framescale.framedoc import document_from_frame
+from framescale.framedoc import document_from_frame, format_frame_document
+from framescale.scalability import codim2_scaling, cofactor_scaling
 from framescale.scalability import SCALABLE, STRICTLY_SCALABLE
 from conftest import random_scalable_frame, rescaled_harmonic_frame, two_block_frame
 
@@ -72,3 +75,143 @@ def test_frame_is_decided(build, seed, expected):
     assert report["scalability"]["verdict"] == expected
     assert report["split"]["intersection_verdict"] == SCALABLE
 
+
+
+# Valid frames that used to end in exit 3.  Each must now get a checked
+# answer (exit 0 or 1) from the command that failed on it.
+
+# integer vectors (2,2), (2,2), (1,0), (1,0), (-2,2), (1,1) times per-vector
+# scales 10^U(-4,4): phase 1 of the plain LP of its canonical dual skipped a
+# row whose entry was below the pivot threshold and drove it to -5.5e-11
+CLAMP_FRAME = [
+    [24.930069787295281, 24.930069787295281],
+    [0.028795439121672654, 0.028795439121672654],
+    [0.00021271013904769289, 0.0],
+    [0.00013558794678123515, 0.0],
+    [-641.49298163968456, 641.49298163968456],
+    [2004.6779718925357, 2004.6779718925357],
+]
+
+# the frame 021-not-strict-n4-m11 of analyze-grid, seed 10: phase 1 of the
+# plain W/V LP pivoted on a row whose rhs was -4.3e-15 of rounding noise
+SPLIT_FRAME = [
+    [-0.093057471359697941, -0.16604781648172887, 0.51953784559218363, 0.40237838021753292],
+    [-0.059587585568753432, -0.14005005717776114, 0.22762792559503078, -0.12401945391514159],
+    [-0.05242403736026581, -0.091721517221197618, 0.29835672625929899, 0.24729752037882619],
+    [-0.056088580053765859, -0.1145340247360087, 0.26812505562961542, 0.078966868832203732],
+    [0.06358102395058679, 0.17396193344005173, -0.16648712587412803, 0.40990254662968645],
+    [0.48629528280941653, -0.23210922650362031, -0.0037676809682835261, 0.021545968634443323],
+    [-0.049880119989275697, -0.4169524149451227, -0.21698115438525598, 0.096561265410616576],
+    [0.055499609665404272, 0.20328716149876222, 0.11288811207361628, -0.049032465179860291],
+    [0.3821616999496979, -0.0083939666593047749, 0.082855875413747032, -0.022062719646787694],
+    [-0.29644981978331159, -0.043418408535117657, -0.088896438544354611, 0.028303363638856358],
+    [-0.11930085491106329, 0.63805097522190601, 0.74114063364862703, -0.17137333570534122],
+]
+
+# strictly scalable with a smallest unit-column weight of about 2e-8: phase 1
+# of the strict LP declared it infeasible with a Farkas row that is no
+# certificate
+SMALL_MARGIN_FRAME = [[1.0, 2.0], [0.00970761980799541, -0.004853809765014522],
+                      [0.0, -44.698600038634424]]
+
+# corank 2 with two kernel rows in opposite directions: the widest gap
+# between the normal angles is pi in exact arithmetic, and the computed
+# angles carry rounding of the size the near-duplicate pair allows
+CODIM2_BOUNDARY_FRAME = [[-9879.111235623666, 9879.111235623666],
+                         [-0.9999989633906269, -1.9999979267812538],
+                         [277.39566883985776, 277.39566883985776],
+                         [-9879.110638513028, 9879.111235623666]]
+
+# corank 2, scalable but not strictly: phase 1 of the strict LP left an
+# artificial at 2.3e-17 in the basis, and driving it out on a pivot element
+# of -8.7e-8 made the margin -2.7e-10
+DRIVE_OUT_FRAME = [[-1.0, 0.0, 0.0], [-1.0, 0.0, 5e-08], [0.0, -1.0, 0.0],
+                   [-1.0, 0.0, 0.0], [1.0, -1.0, -1.0], [0.0, 0.0, -1.0]]
+
+# near-duplicate corank-1 frames: vector 1 is vector 0 plus -7.1e-8 in its
+# last entry.  The plain and strict LPs of the second ended with a witness
+# entry below -1e-12; the strict LP of the first does so too when the drift
+# window is keyed to the smallest ratio: a pivot tied within ZERO_TOL with a
+# degenerate one moved its entering variable by 3e-17, and a later pivot on
+# an entry of 3.8e-8 turned the -1e-17 drift that it left into -2.8e-10
+NEAR_DUPLICATE_FRAMES = {
+    "first": [[-1.0, 1.0, 0.0], [-1.0, 1.0, -7.0710678118654758e-08], [2.0, -1.0, -1.0],
+              [-1.0, -1.0, 2.0], [-1.0, 0.0, 0.0], [-1.0, -1.0, -1.0]],
+    "second": [[-1.0, 1.0, 0.0], [-1.0, 1.0, -7.0710678118654758e-08], [1.0, -2.0, -1.0],
+               [-1.0, -1.0, 2.0], [-1.0, 0.0, 0.0], [-1.0, -1.0, -1.0]],
+}
+
+
+def _run(tmp_path, capsys, vectors, *args):
+    path = tmp_path / "frame.txt"
+    path.write_text(format_frame_document(document_from_frame(make_frame(vectors))))
+    command, *options = args
+    code = main([command, str(path), *options])
+    return code, capsys.readouterr()
+
+
+def test_clamp_frame_analyze(tmp_path, capsys):
+    code, out = _run(tmp_path, capsys, CLAMP_FRAME, "analyze", "--json")
+    assert code == 0, out.err
+    report = json.loads(out.out)
+    assert report["scalability"]["verdict"] == SCALABLE
+    assert report["dual"]["dual_scalable"] is True
+    F = make_frame(CLAMP_FRAME)
+    assert is_tight(apply_scaling(F, report["scalability"]["scalars_a"])).tight
+
+
+def test_clamp_frame_dual_check_scalable(tmp_path, capsys):
+    # cmd_dual re-checks that the weights make the dual tight
+    code, out = _run(tmp_path, capsys, CLAMP_FRAME, "dual", "--check-scalable")
+    assert code == 0, out.err
+    assert "dual scalable; weights c:" in out.out
+
+
+def test_split_frame_seed10(tmp_path, capsys):
+    # cmd_scale re-checks that the printed scalars make the frame tight
+    code, out = _run(tmp_path, capsys, SPLIT_FRAME, "scale", "--method", "split")
+    assert code == 0, out.err
+    assert intersection_scalability(make_frame(SPLIT_FRAME)).verdict == SCALABLE
+
+
+@pytest.mark.parametrize("args", [("analyze", "--json"),
+                                  ("scale", "--method", "lp", "--strict"),
+                                  ("scale", "--method", "split", "--strict")],
+                         ids=["analyze", "lp-strict", "split-strict"])
+def test_strict_lp_small_margin(tmp_path, capsys, args):
+    code, out = _run(tmp_path, capsys, SMALL_MARGIN_FRAME, *args)
+    assert code == 0, out.err
+    assert "not strictly" not in out.out
+    F = make_frame(SMALL_MARGIN_FRAME)
+    _, cofactor = cofactor_scaling(F)
+    assert decide_scalable(F, strict=True).verdict == cofactor.verdict == STRICTLY_SCALABLE
+    if args[0] == "analyze":
+        assert json.loads(out.out)["scalability"]["verdict"] == STRICTLY_SCALABLE
+
+
+def test_codim2_boundary(tmp_path, capsys):
+    code, out = _run(tmp_path, capsys, CODIM2_BOUNDARY_FRAME, "scale")
+    assert code == 0, out.err
+    F = make_frame(CODIM2_BOUNDARY_FRAME)
+    assert codim2_scaling(F).verdict == decide_scalable(F, strict=True).verdict == SCALABLE
+
+
+@pytest.mark.parametrize("args", [("analyze", "--json"),
+                                  ("scale", "--method", "lp", "--strict")],
+                         ids=["analyze", "lp-strict"])
+def test_strict_lp_drives_out_artificials_at_zero(tmp_path, capsys, args):
+    code, out = _run(tmp_path, capsys, DRIVE_OUT_FRAME, *args)
+    assert code == 0, out.err
+    F = make_frame(DRIVE_OUT_FRAME)
+    assert codim2_scaling(F).verdict == decide_scalable(F, strict=True).verdict == SCALABLE
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_DUPLICATE_FRAMES))
+@pytest.mark.parametrize("args", [("analyze", "--json"),
+                                  ("scale", "--method", "lp", "--strict")],
+                         ids=["analyze", "lp-strict"])
+def test_near_duplicate_lp_witness_stays_nonnegative(tmp_path, capsys, args, name):
+    code, out = _run(tmp_path, capsys, NEAR_DUPLICATE_FRAMES[name], *args)
+    assert code == 0, out.err
+    F = make_frame(NEAR_DUPLICATE_FRAMES[name])
+    assert decide_scalable(F).verdict == SCALABLE

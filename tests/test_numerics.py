@@ -9,7 +9,11 @@ from paper_reference import linear_program
 # The simplex kernel as it was before the in-place rank-1 pivot, with its
 # constants written out: the reference that the kernel must match bit for
 # bit, pivot for pivot.  A pivot log and the stall count as a parameter are
-# added; the input checks are left out.
+# added; the input checks are left out.  Its ratio test has since taken
+# Harris's tolerances: ratios on max(rhs, 0), and after a pivot of positive
+# step (the entering variable's new value), rhs drift in
+# [-(1e-9 step + 1e-12), 0) set to 0; and a leftover artificial is set to 0
+# before it is driven out of the basis.
 
 def reference_pivot(T, basis, row, col, log):
     log.append((int(row), int(col)))
@@ -37,12 +41,16 @@ def reference_simplex_loop(T, basis, n_enterable, cap, stall, log):
         rows = np.flatnonzero(a > 1e-9)
         if rows.size == 0:
             raise InternalNumericError("simplex column has no leaving row")
-        ratios = T[rows, -1] / a[rows]
+        ratios = np.maximum(T[rows, -1], 0.0) / a[rows]
         step = float(ratios.min())
         ties = rows[ratios <= step + 1e-12]
         row = ties[np.argmin(basis[ties])] if bland else ties[np.argmax(a[ties])]
         stalled = stalled + 1 if step <= 1e-12 else 0
         reference_pivot(T, basis, row, col, log)
+        taken = T[row, -1]
+        if taken > 0.0:
+            rhs = T[:k, -1]
+            rhs[(rhs < 0.0) & (rhs >= -(1e-9 * taken + 1e-12))] = 0.0
     raise IterationLimitError("simplex iteration cap exceeded")
 
 
@@ -75,6 +83,7 @@ def reference_linear_program(A, b, c=None, stall=50, log=None):
     for i in np.flatnonzero(basis >= nv):
         cols = np.flatnonzero(np.abs(T[i, :nv]) > 1e-9)
         if cols.size:
+            T[i, -1] = 0.0
             reference_pivot(T, basis, i, cols[0], log)
 
     if c is not None:
@@ -296,7 +305,8 @@ class TestHighsOracle:
                     numerics.FeasibilityProblem(A=A, b=b, require_strict=strict))
                 expected = margin is not None and (not strict or margin > 1e-6)
                 assert out.feasible == (margin is not None)
-                assert (out.feasible and (not strict or witness_margin(A, b, out.witness) > 1e-9)) == expected
+                assert (out.feasible and (
+                    not strict or witness_margin(A, b, out.witness) > 1e-9)) == expected
                 decided[(hom, strict, expected)] += 1
                 if out.feasible:
                     x = out.witness
