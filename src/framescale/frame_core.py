@@ -3,11 +3,12 @@
 A frame is stored through its n x m synthesis matrix whose i-th column is the
 i-th frame vector.  Construction verifies the spanning property on the
 singular values of X on unit-norm columns, which no rescaling of a vector
-moves, so every ``Frame`` instance really is a frame, and takes the thin SVD
-X = U diag(s) V^T once.  That SVD, and every other value derived from the
-synthesis, is kept on the frame through ``derived``: the frame bounds are
-s_n^2 and s_1^2, and the canonical dual and S^{-1/2} are read from the same
-factors.
+moves, so every ``Frame`` instance really is a frame; for the same reason a
+scaling by strictly positive weights keeps the frame's spanning decision.
+The thin SVD X = U diag(s) V^T is taken on first use.  That SVD, and every
+other value derived from the synthesis, is kept on the frame through
+``derived``: the frame bounds are s_n^2 and s_1^2, and the canonical dual and
+S^{-1/2} are read from the same factors.
 """
 
 from __future__ import annotations
@@ -80,20 +81,24 @@ def derived(F, key, build):
 
 
 def frame_from_synthesis(X) -> Frame:
-    """Build a Frame from an n x m synthesis matrix, validating invariants;
-    its thin SVD is taken here, once."""
-    X = _checked_synthesis(X)
-    return _spanning_frame(X, _thin_svd(X))
+    """Build a Frame from an n x m synthesis matrix, validating invariants.
+    The spanning test reads only singular values; the thin SVD of X waits
+    for ``synthesis_svd``."""
+    return _spanning_frame(_checked_synthesis(X))
 
 
 def _thin_svd(X):
-    """(U, s, V^T), s descending, as a plain tuple on every numpy version."""
-    return tuple(np.linalg.svd(X, full_matrices=False))
+    """(U, s, V^T), s descending, as a plain tuple of read-only arrays on
+    every numpy version."""
+    svd = tuple(np.linalg.svd(X, full_matrices=False))
+    for a in svd:
+        a.setflags(write=False)
+    return svd
 
 
 def synthesis_svd(F):
-    """The thin SVD of the synthesis, kept on the frame: taken when a frame
-    is built by ``frame_from_synthesis``, and on first use for a scaled one."""
+    """The thin SVD of the synthesis, taken on first use and kept on the
+    frame; the canonical dual is built holding its own."""
     return derived(F, "svd", lambda G: _thin_svd(G.synthesis))
 
 
@@ -135,21 +140,28 @@ def _spans(X):
     return numerics.rank(X / numerics.column_norms(X)) == X.shape[0]
 
 
-def _spanning_frame(X, svd) -> Frame:
-    """The Frame on the checked synthesis X with thin SVD ``svd``: spanning
-    is decided by ``_spans``, and the factors are kept."""
+def _spanning_frame(X, svd=None) -> Frame:
+    """The Frame on the checked synthesis X: spanning is decided by
+    ``_spans``.  A thin SVD ``svd`` of X, when the caller holds one, is kept
+    on the frame; otherwise ``synthesis_svd`` takes it on first use."""
     if not _spans(X):
         raise NotSpanningError("vectors do not span R^n")
-    for a in (X, *svd):
-        a.setflags(write=False)
+    X.setflags(write=False)
     F = Frame(synthesis=X)
-    derived(F, "svd", lambda _: svd)
+    if svd is not None:
+        for a in svd:
+            a.setflags(write=False)
+        derived(F, "svd", lambda _: svd)
     return F
 
 
 def make_frame(vectors) -> Frame:
-    """Build a Frame from an iterable of m vectors in R^n."""
-    arr = np.array(list(vectors), dtype=float)
+    """Build a Frame from an m x n array or an iterable of m vectors in
+    R^n."""
+    if isinstance(vectors, np.ndarray):
+        arr = np.asarray(vectors, dtype=float)
+    else:
+        arr = np.array(list(vectors), dtype=float)
     if arr.ndim != 2:
         raise DimensionMismatchError("vectors must all have the same length")
     return frame_from_synthesis(arr.T)
@@ -210,7 +222,11 @@ def apply_scaling(F, a) -> Frame:
     """The frame with column i of the synthesis matrix scaled by a_i >= 0;
     zero weights give zero columns.
 
-    Raises NotSpanningError when too many zero weights destroy spanning.
+    Weights that are all > 0 leave every unit-norm column as it was, so
+    when no entry of the scaled synthesis underflows to 0 or overflows, F's
+    own spanning decision carries over.  Otherwise (a zero weight, or an
+    entry lost to the float range) ``_spans`` tests the scaled synthesis
+    again and raises NotSpanningError when spanning is destroyed.
     """
     a = _check_weight_length(F, a)
     if not np.all(np.isfinite(a)):
@@ -218,7 +234,10 @@ def apply_scaling(F, a) -> Frame:
     if float(a.min(initial=0.0)) < 0.0:
         raise ValueError("weights must be nonnegative")
     scaled = F.synthesis * a
-    if not _spans(scaled):
+    keeps_columns = (float(a.min()) > 0.0
+                     and np.count_nonzero(scaled) == np.count_nonzero(F.synthesis)
+                     and np.isfinite(scaled).all())
+    if not keeps_columns and not _spans(scaled):
         raise NotSpanningError("scaled system no longer spans R^n")
     scaled.setflags(write=False)
     return Frame(synthesis=scaled)

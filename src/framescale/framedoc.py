@@ -26,7 +26,8 @@ class FrameDocument:
 def parse_frame_document(text, source="<input>") -> FrameDocument:
     n = m = None
     name = None
-    rows = []
+    values = []  # the data rows, converted once each and concatenated
+    nrows = 0
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -34,7 +35,7 @@ def parse_frame_document(text, source="<input>") -> FrameDocument:
             continue
         parts = line.split()
         key = parts[0]
-        if key in ("n", "m") and len(rows) == 0:
+        if key in ("n", "m") and nrows == 0:
             if len(parts) != 2:
                 raise ParseError(f"{source}: header '{key}' needs one value", line=lineno)
             try:
@@ -48,7 +49,7 @@ def parse_frame_document(text, source="<input>") -> FrameDocument:
             else:
                 m = value
             continue
-        if key == "name" and len(rows) == 0:
+        if key == "name" and nrows == 0:
             name = line[len("name"):].strip() or None
             continue
         if n is None or m is None:
@@ -58,18 +59,21 @@ def parse_frame_document(text, source="<input>") -> FrameDocument:
                 f"{source}: expected {n} values in vector row, got {len(parts)}",
                 line=lineno,
             )
-        row = []
-        for col, tok in enumerate(parts, start=1):
-            try:
-                row.append(float(tok))
-            except ValueError:
-                raise ParseError(f"{source}: bad number {tok!r}", line=lineno, col=col)
-        rows.append(row)
+        try:
+            values.extend(map(float, parts))
+        except ValueError:
+            # the slow path: find the first bad token for the message
+            for col, tok in enumerate(parts, start=1):
+                try:
+                    float(tok)
+                except ValueError:
+                    raise ParseError(f"{source}: bad number {tok!r}", line=lineno, col=col)
+        nrows += 1
     if n is None or m is None:
         raise ParseError(f"{source}: missing 'n' or 'm' header")
-    if len(rows) != m:
-        raise ParseError(f"{source}: expected {m} vector rows, found {len(rows)}")
-    vectors = np.array(rows, dtype=float)
+    if nrows != m:
+        raise ParseError(f"{source}: expected {m} vector rows, found {nrows}")
+    vectors = np.array(values, dtype=float).reshape(m, n)
     vectors.setflags(write=False)
     return FrameDocument(n=n, m=m, vectors=vectors, name=name)
 

@@ -71,6 +71,20 @@ class TestFrameDocuments:
         assert exc.value.line == 4
         assert exc.value.col == 2
 
+    def test_first_bad_number_reported_before_a_later_short_row(self):
+        with pytest.raises(ParseError) as exc:
+            parse_frame_document("n 3\nm 3\n1 0 0\n1 oops 1e\n1\n")
+        assert (exc.value.line, exc.value.col) == (4, 2)
+        assert str(exc.value) == "<input>: bad number 'oops' (line 4, column 2)"
+
+    def test_numbers_parse_as_float_does(self):
+        tokens = ["-0", "1e-300", "4.9e-324", "1_0", "0.10000000000000001",
+                  "-1.2345678901234567e-200", "9007199254740993", "1.7976931348623157e308"]
+        doc = parse_frame_document("n 2\nm 4\n" + "\n".join(
+            f"{a} {b}" for a, b in zip(tokens[::2], tokens[1::2])) + "\n")
+        expected = np.array([float(t) for t in tokens]).reshape(4, 2)
+        assert doc.vectors.tobytes() == expected.tobytes()
+
     def test_row_count_mismatch(self):
         with pytest.raises(ParseError):
             parse_frame_document("n 2\nm 3\n1 0\n0 1\n")

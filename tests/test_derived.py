@@ -161,15 +161,24 @@ def test_report_factors_x_once(monkeypatch, name):
                                         ("corank-2", 1), ("strict", 0)])
 def test_scale_auto_takes_at_most_one_svd_of_theta(tmp_path, monkeypatch, capsys, name, svds):
     # "strict" has m = 8 > d + 2 = 7, so its corank is at least 3 unmeasured;
-    # the corank is measured on theta's unit-norm columns
+    # the corank is measured on theta's unit-norm columns.  Besides theta,
+    # only spanning tests read singular values: X is never factored, and the
+    # scaled frame keeps X's spanning decision unless a weight is 0, as some
+    # of the LP's weights for "strict" are
     F = _frame(name)
     theta = unit_diagram_matrix(F).data
     path = tmp_path / "frame.txt"
     path.write_text(format_frame_document(document_from_frame(F)))
-    theta_svds = _count(monkeypatch, np.linalg, "svd",
-                        lambda A, *args, **kwargs: np.array_equal(A, theta))
+    factored = _count(monkeypatch, np.linalg, "svd",
+                      lambda A, *args, **kwargs: kwargs.get("compute_uv", True))
+    spans = _count(monkeypatch, np.linalg, "svd",
+                   lambda A, *args, **kwargs: not kwargs.get("compute_uv", True))
     assert main(["scale", "--method", "auto", str(path)]) in (0, 1)
-    assert len(theta_svds) == svds
+    assert [np.array_equal(A, theta) for (A, *_) in factored] == [True] * svds
+    unit = F.synthesis / np.linalg.norm(F.synthesis, axis=0)
+    retests = int("0" in capsys.readouterr().out.split())
+    assert len(spans) == 1 + retests
+    assert np.allclose(spans[0][0], unit, rtol=0, atol=1e-15)
 
 
 KERNEL_ROUTE_FRAMES = {

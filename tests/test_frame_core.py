@@ -177,6 +177,29 @@ class TestScalingAndDuality:
         with pytest.raises(NotSpanningError):
             apply_scaling(F, [1e11, 0.0, 0.0])
 
+    def test_apply_scaling_keeps_spanning_under_positive_weights(self, monkeypatch):
+        # positive weights leave every unit-norm column as it was: the
+        # spanning decision of F carries over and no SVD is taken
+        F = make_frame([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        calls = []
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(args))
+        sf = apply_scaling(F, [1e11, 2.0, 1e-11])
+        assert np.array_equal(sf.synthesis, F.synthesis * [1e11, 2.0, 1e-11])
+        assert calls == []
+
+    def test_apply_scaling_retests_an_underflowed_column(self):
+        # 1e-150 * 1e-200 underflows to 0: the weights are positive, but the
+        # second column is lost and the scaled vectors no longer span
+        F = make_frame([[1.0, 0.0], [0.0, 1e-150]])
+        with pytest.raises(NotSpanningError):
+            apply_scaling(F, [1.0, 1e-200])
+
+    def test_apply_scaling_retests_an_overflowed_column(self):
+        # 1e100 * 1e250 overflows: the scaled synthesis is not finite
+        F = make_frame([[1e100, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
+            apply_scaling(F, [1e250, 1.0, 1.0])
+
     def test_is_dual_identity(self):
         F = make_frame(np.eye(3))
         assert is_dual(F, F)
