@@ -26,6 +26,7 @@ from .scalability import (  # noqa: F401
     ScalingResult,
     codim2_scaling,
     cofactor_scaling,
+    decide,
     decide_scalable,
     hull_certificate_check,
     quick_sign_reject,

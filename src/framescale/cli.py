@@ -22,7 +22,6 @@ from . import __version__, numerics
 from . import duals as duals_mod
 from . import scalability as sca
 from . import split_scaling as split
-from .diagram import reduced_size
 from .errors import (
     BadParamsError,
     FramescaleError,
@@ -102,7 +101,7 @@ def build_report(doc: FrameDocument, tightness: float) -> dict:
     op = frame_operator(frame)
     tight = is_tight(frame, tightness)
 
-    verdict = sca.decide_scalable(frame, strict=True)
+    verdict = sca.decide(frame, strict=True)
     w_elem, v_elem = _split_elements(frame, verdict)
 
     pair = duals_mod.canonical_dual(frame)
@@ -215,12 +214,8 @@ def cmd_scale(args) -> int:
     frame = frame_from_document(doc)
     method = args.method
     if method == "auto":
-        method = "lp"
-        # the corank is at least m - d, so a frame with m > d + 2 needs no SVD
-        if frame.m <= reduced_size(frame.n) + 2:
-            corank = sca.theta_kernel(frame).shape[1]
-            method = {1: "cofactor", 2: "codim2"}.get(corank, "lp")
-    if method == "lp":
+        result = sca.decide(frame, strict=args.strict)
+    elif method == "lp":
         result = sca.decide_scalable(frame, strict=args.strict)
     elif method == "cofactor":
         _, result = sca.cofactor_scaling(frame)

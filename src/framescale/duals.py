@@ -35,7 +35,7 @@ from .frame_core import (
     is_tight,
     synthesis_svd,
 )
-from .scalability import decide_scalable
+from .scalability import decide
 
 CANONICAL = "canonical"
 ALTERNATE = "alternate"
@@ -119,9 +119,10 @@ def check_transform_scaling(F, T, a) -> bool:
 
 def canonical_dual_scalable(F) -> DualScalingReport:
     """Scalability of the canonical dual {z_i} = {S^{-1} x_i}, decided as a
-    frame: ``decide_scalable`` on the dual frame itself.
+    frame: ``scalability.decide`` on the dual frame itself, the route policy
+    of ``analyze`` and ``scale``.
 
-    The solver works on unit-norm columns, so the answer does not depend on
+    Every route works on unit-norm columns, so the answer does not depend on
     the scale of F.  Its weights c' (sum 1) map to
     c_i = n c'_i / sum_k c'_k ||z_k||^2, which solve
     sum_i c_i x_i x_i^T = S^2; scaling the dual by a_i = sqrt(c_i) makes it
@@ -130,7 +131,7 @@ def canonical_dual_scalable(F) -> DualScalingReport:
     scalable" answer carries the dual frame's certificate y.
     """
     dual = canonical_dual(F).dual
-    result = decide_scalable(dual)
+    result = decide(dual)
     if not result.scalable:
         return DualScalingReport(feasible=False, certificate_y=result.certificate_y)
     c = result.weights_c

@@ -1,18 +1,26 @@
 """Scalability decisions for frames.
 
-Four routes are available:
+``decide`` is the one route policy: ``analyze``, ``scale --method auto`` and
+the canonical-dual check all call it.  It tries the routes in this order:
 
-* ``decide_scalable`` -- the general test: a nonnegative, nonzero vector in
-  the kernel of the reduced diagram matrix, found by linear feasibility.
 * ``quick_sign_reject`` -- cheap rejection when a row of the reduced diagram
-  matrix is strictly one-signed.
-* ``cofactor_scaling`` -- closed-form weights when the reduced diagram matrix
-  has rank m-1: its kernel is the line of the cofactor vector, so the unit
-  kernel vector from one SVD decides by its sign pattern.
-* ``codim2_scaling`` -- the rank m-2 case: each entry of cos t xi_1 +
-  sin t xi_2, for an orthonormal kernel basis xi_1, xi_2 from one SVD, is
-  nonnegative on a half-circle of directions t, and these meet exactly when
-  the widest circular gap between their normal angles is at least pi.
+  matrix is strictly one-signed;
+* for m <= d + 2, where d = (n-1)(n+2)/2 is the row count of the matrix, the
+  corank read off its one SVD (``theta_svd``) picks a kernel route:
+  - corank 0: the kernel is trivial, so the frame is not scalable, with the
+    certificate of p = 1 (method ``trivial_kernel``);
+  - corank 1: ``cofactor_scaling`` -- the kernel is the line of the cofactor
+    vector, so the unit kernel vector decides by its sign pattern;
+  - corank 2: ``codim2_scaling`` -- each entry of cos t xi_1 + sin t xi_2,
+    for the orthonormal kernel basis xi_1, xi_2, is nonnegative on a
+    half-circle of directions t, and these meet exactly when the widest
+    circular gap between their normal angles is at least pi;
+* everything else, and a frame whose kernel route fails its own check
+  (``InternalNumericError``), goes to ``decide_scalable`` -- the general
+  test: a nonnegative, nonzero vector in the kernel of the reduced diagram
+  matrix, found by linear feasibility.
+
+A frame with m > d + 2 has corank at least 3 and takes no SVD.
 
 ``cofactor_vector`` keeps the paper's cofactor formula; the routes' kernel
 vectors are proportional to it.
@@ -20,9 +28,9 @@ vectors are proportional to it.
 A route supplies a kernel vector or a certificate; two constructors build
 every answer.  ``_not_scalable`` carries a separating functional y with
 <x~_i, y> > 0 for all i and, for the sign reject, the one-signed row.  The
-LP routes take y from their LP; the cofactor and codim-2 routes read it off
-the SVD they already hold, with no LP (``_kernel_certificate``, Gordan's
-alternative); the split route, which has none, takes the plain LP's.
+LP routes take y from their LP; the kernel routes read it off the SVD they
+already hold, with no LP (``_kernel_certificate``, Gordan's alternative);
+the split route, which has none, takes the plain LP's.
 ``_finish_scalable`` normalizes the weights, reads the strictness margin off
 them and re-checks theta c = 0.
 
@@ -30,9 +38,9 @@ Rescaling x_i by s rescales column i of the reduced diagram matrix by
 s^2 > 0, which keeps scalability.  So every route reads that matrix on
 unit-norm columns (``diagram.unit_diagram_matrix``): the LPs through
 ``numerics.solve_feasibility``, and the sign reject, the kernel (whose width
-is the corank that ``scale --method auto`` routes on), the cofactor and
-codim-2 routes and the margin through the per-frame copy.  The thresholds
-are those of the ``numerics`` table.
+is the corank that ``decide`` routes on), the cofactor and codim-2 routes
+and the margin through the per-frame copy.  The thresholds are those of the
+``numerics`` table.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ METHOD_FEASIBILITY = "feasibility"
 METHOD_COFACTOR = "cofactor"
 METHOD_CODIM2 = "codim2"
 METHOD_SIGN_REJECT = "sign_reject"
+METHOD_TRIVIAL_KERNEL = "trivial_kernel"
 
 ALL_NONNEG = "all_nonneg"
 ALL_NONPOS = "all_nonpos"
@@ -113,15 +122,19 @@ def independent_rows(mat):
 
 
 def quick_sign_reject(F) -> SignCheck:
-    """Row-sign rejection: a row of the reduced diagram matrix whose entries
-    all have the same strict sign forces every kernel vector with c >= 0 to
-    vanish, so the frame cannot be scalable.
+    """Row-sign rejection, checked once per frame: a row of the reduced
+    diagram matrix whose entries all have the same strict sign forces every
+    kernel vector with c >= 0 to vanish, so the frame cannot be scalable.
 
     Rows containing (near-)zero entries are skipped: they only force the
     weights to vanish on their support, which does not preclude scalability.
     An entry counts as zero when it is at most ``ZERO_TOL`` on unit-norm
     columns, so the row found does not depend on the scale of the vectors.
     """
+    return derived(F, "sign_check", _quick_sign_reject)
+
+
+def _quick_sign_reject(F):
     theta = unit_diagram_matrix(F).data
     rows = np.flatnonzero((theta > ZERO_TOL).all(1) | (theta < -ZERO_TOL).all(1))
     return SignCheck(row_index=int(rows[0]) if rows.size else None)
@@ -252,6 +265,20 @@ def _not_scalable(F, method, certificate_y=None, reject_row=None):
     )
 
 
+def _sign_reject(F):
+    """The "not scalable" answer of a one-signed row, or None."""
+    check = quick_sign_reject(F)
+    if check.row_index is None:
+        return None
+    # a one-signed row of the unit matrix keeps its signs on theta
+    theta = reduced_diagram_matrix(F)
+    y = np.zeros(theta.shape[0])
+    y[check.row_index] = 1.0 if theta[check.row_index].sum() > 0 else -1.0
+    if not hull_certificate_check(F, y):
+        raise InternalNumericError("one-signed row fails the hull certificate check")
+    return _not_scalable(F, METHOD_SIGN_REJECT, y, check.row_index)
+
+
 def decide_scalable(F, strict=False) -> ScalingResult:
     """General scalability decision via the kernel of the reduced diagram
     matrix, one solver call each.  The solver works on unit-norm columns,
@@ -259,17 +286,11 @@ def decide_scalable(F, strict=False) -> ScalingResult:
     ``strict=True`` the LP maximizes the minimum unit-column weight, and the
     answer is strict when that margin, read off the reported weights,
     exceeds ``STRICT_MARGIN``."""
-    theta = reduced_diagram_matrix(F)
-    check = quick_sign_reject(F)
-    if check.row_index is not None:
-        # a one-signed row of the unit matrix keeps its signs on theta
-        y = np.zeros(theta.shape[0])
-        y[check.row_index] = 1.0 if theta[check.row_index].sum() > 0 else -1.0
-        if not hull_certificate_check(F, y):
-            raise InternalNumericError("one-signed row fails the hull certificate check")
-        return _not_scalable(F, METHOD_SIGN_REJECT, y, check.row_index)
-
+    rejected = _sign_reject(F)
+    if rejected is not None:
+        return rejected
     if strict:
+        theta = reduced_diagram_matrix(F)
         out = numerics.solve_feasibility(numerics.FeasibilityProblem(
             A=theta, b=np.zeros(theta.shape[0]), require_strict=True))
     else:
@@ -277,6 +298,38 @@ def decide_scalable(F, strict=False) -> ScalingResult:
     if not out.feasible:
         return _not_scalable(F, METHOD_FEASIBILITY, out.certificate)
     return _finish_scalable(F, out.witness, METHOD_FEASIBILITY, strict)
+
+
+def decide(F, strict=False) -> ScalingResult:
+    """The scalability answer of ``analyze``, ``scale --method auto`` and the
+    canonical-dual check, from the first route that applies (see the module
+    docstring): the sign reject; for m <= d + 2 the kernel route of the
+    corank of ``theta_svd``; else ``decide_scalable``, which also answers a
+    frame whose kernel route fails its own check.  ``strict`` reaches only
+    the LP: a kernel route's weights do not depend on it, and its
+    strictness is read off them."""
+    answer = _sign_reject(F)
+    if answer is None and F.m <= reduced_size(F.n) + 2:
+        answer = _kernel_route(F)
+    return answer if answer is not None else decide_scalable(F, strict)
+
+
+def _kernel_route(F):
+    """The answer of the kernel route of the corank of ``theta_svd``, or None
+    for corank 3 and up and for a route that fails its own check.  At corank
+    0 no c != 0 has theta c = 0, and p = 1, orthogonal to the trivial kernel,
+    gives the certificate."""
+    corank = F.m - theta_svd(F).rank
+    try:
+        if corank == 0:
+            return _kernel_certificate(F, np.ones(F.m), METHOD_TRIVIAL_KERNEL)
+        if corank == 1:
+            return cofactor_scaling(F)[1]
+        if corank == 2:
+            return codim2_scaling(F)
+    except InternalNumericError:
+        pass  # the LP answers what the kernel route cannot check
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -424,3 +477,4 @@ def codim2_scaling(F):
     if float(w.min()) < -IDENTITY_TOL * scale:
         raise InternalNumericError("codim-2 direction produced a negative weight")
     return _finish_scalable(F, w / unit_diagram_matrix(F).norms, METHOD_CODIM2)
+

@@ -12,6 +12,7 @@ from framescale import (
     canonical_dual_scalable,
     codim2_scaling,
     cofactor_scaling,
+    decide,
     decide_scalable,
     find_V_element,
     find_W_element,
@@ -25,7 +26,7 @@ from framescale import diagram, frame_core
 from framescale.cli import build_report, main
 from framescale.diagram import reduced_diagram_matrix, reduced_size, unit_diagram_matrix
 from framescale.framedoc import document_from_frame, format_frame_document
-from framescale.scalability import NOT_SCALABLE, theta_kernel
+from framescale.scalability import NOT_SCALABLE, quick_sign_reject, theta_kernel, theta_svd
 from conftest import (
     angles_frame,
     doubled_hadamard_frame,
@@ -136,21 +137,32 @@ def test_report_computes_each_quantity_once(monkeypatch, name):
     assert len(plain_theta_lps) <= 1
 
 
+def _routes_on_corank(G):
+    """True when ``decide`` reads the corank of G off the SVD of its unit
+    theta: m <= d + 2 and no row of theta is one-signed."""
+    return G.m <= reduced_size(G.n) + 2 and quick_sign_reject(G).row_index is None
+
+
 @pytest.mark.parametrize("name", sorted(FRAMES))
 def test_report_factors_x_once(monkeypatch, name):
     # the one thin SVD of X gives the frame bounds, the canonical dual with
     # its own SVD, and S^{-1/2}; the spanning test of the frame and of its
-    # dual reads only the singular values of each on unit-norm columns
+    # dual reads only the singular values of each on unit-norm columns.  The
+    # unit theta of the frame, and then of its dual, is factored once each
+    # when its corank picks the route
     F = _frame(name)
-    dual = canonical_dual(F).dual.synthesis
+    dual = canonical_dual(F).dual
+    thetas = [unit_diagram_matrix(G).data for G in (F, dual) if _routes_on_corank(G)]
     factored = _count(monkeypatch, np.linalg, "svd",
                       lambda A, *args, **kwargs: kwargs.get("compute_uv", True))
     spans = _count(monkeypatch, np.linalg, "svd",
                    lambda A, *args, **kwargs: not kwargs.get("compute_uv", True))
     eighs = _count(monkeypatch, np.linalg, "eigh")
     build_report(document_from_frame(F, name=name), 1e-8)
-    assert [np.array_equal(A, F.synthesis) for (A, *_) in factored] == [True]
-    units = [X / np.linalg.norm(X, axis=0) for X in (F.synthesis, dual)]
+    assert len(factored) == 1 + len(thetas)
+    for (A, *_), B in zip(factored, [F.synthesis, *thetas]):
+        assert np.array_equal(A, B)
+    units = [X / np.linalg.norm(X, axis=0) for X in (F.synthesis, dual.synthesis)]
     assert len(spans) == 2
     for (A, *_), unit in zip(spans, units):
         assert np.allclose(A, unit, rtol=0, atol=1e-15)
@@ -181,12 +193,14 @@ def test_scale_auto_takes_at_most_one_svd_of_theta(tmp_path, monkeypatch, capsys
     assert np.allclose(spans[0][0], unit, rtol=0, atol=1e-15)
 
 
+# name: (frame, exit code of ``scale``, SVDs of the unit theta it takes)
 KERNEL_ROUTE_FRAMES = {
-    "corank-1": (lambda: _frame("corank-1"), 0),
-    "corank-1-unit": (lambda: _frame("corank-1-unit"), 1),
-    "corank-1-quadrant": (lambda: make_frame([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]), 1),
-    "corank-2": (lambda: _frame("corank-2"), 0),
-    "corank-2-quadrant": (lambda: angles_frame(0.2, 0.7, 1.2, 1.4), 1),
+    "corank-1": (lambda: _frame("corank-1"), 0, 1),
+    "corank-1-unit": (lambda: _frame("corank-1-unit"), 1, 1),
+    "corank-1-quadrant": (lambda: make_frame([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]), 1, 1),
+    "corank-2": (lambda: _frame("corank-2"), 0, 1),
+    # every product x_1 x_2 is positive: the sign reject answers first
+    "corank-2-quadrant": (lambda: angles_frame(0.2, 0.7, 1.2, 1.4), 1, 0),
 }
 
 
@@ -194,7 +208,7 @@ KERNEL_ROUTE_FRAMES = {
 def test_scale_auto_answers_corank_1_and_2_without_an_lp(tmp_path, monkeypatch, capsys, name):
     # the cofactor and codim-2 routes answer from the one SVD of theta on
     # unit-norm columns, certificates included: no LP is solved
-    build, code = KERNEL_ROUTE_FRAMES[name]
+    build, code, svds = KERNEL_ROUTE_FRAMES[name]
     F = build()
     theta = unit_diagram_matrix(F).data
     path = tmp_path / "frame.txt"
@@ -204,8 +218,65 @@ def test_scale_auto_answers_corank_1_and_2_without_an_lp(tmp_path, monkeypatch, 
     lps = _count(monkeypatch, numerics, "_linear_program")
     assert main(["scale", "--method", "auto", str(path)]) == code
     assert ("certificate y:" in capsys.readouterr().out) == (code == 1)
-    assert len(theta_svds) == 1
+    assert len(theta_svds) == svds
     assert lps == []
+
+
+POLICY_FRAMES = {name: (lambda name=name: _frame(name)) for name in FRAMES}
+POLICY_FRAMES.update({name: build for name, (build, *_) in KERNEL_ROUTE_FRAMES.items()})
+
+
+def _printed(result):
+    """The last line ``scale`` prints for ``result``."""
+    if result.scalable:
+        return " ".join("%.12g" % v for v in result.scalars_a)
+    return "not scalable; certificate y: " + " ".join("%.12g" % v for v in result.certificate_y)
+
+
+@pytest.mark.parametrize("name", sorted(POLICY_FRAMES))
+def test_every_command_answers_with_decide(tmp_path, monkeypatch, capsys, name):
+    # analyze, scale --method auto and the canonical-dual check take one
+    # route policy; on corank 1 and 2 it solves no theta LP, so the report's
+    # only LPs are the W and V solves of a frame that is not scalable
+    F = POLICY_FRAMES[name]()
+    path = tmp_path / "frame.txt"
+    path.write_text(format_frame_document(document_from_frame(F)))
+    for strict in (False, True):
+        answer = decide(frame_from_synthesis(F.synthesis), strict=strict)
+        code = main(["scale", str(path)] + ["--strict"] * strict)
+        assert code == (0 if answer.scalable else 1)
+        assert capsys.readouterr().out.splitlines()[-1] == _printed(answer)
+
+    want = decide(frame_from_synthesis(F.synthesis), strict=True)
+    dual = canonical_dual(F).dual
+    thetas = [unit_diagram_matrix(G).data for G in (F, dual)]
+    svds = _count(monkeypatch, np.linalg, "svd",
+                  lambda A, *args, **kwargs: any(np.array_equal(A, t) for t in thetas))
+    lps = _count(monkeypatch, numerics, "_linear_program")
+    solves = _count(monkeypatch, numerics, "solve_feasibility")
+    got = build_report(document_from_frame(F, name=name), 1e-8)["scalability"]
+
+    def listed(a):
+        return None if a is None else a.tolist()
+
+    assert got == {
+        "verdict": want.verdict,
+        "method": want.method,
+        "weights_c": listed(want.weights_c),
+        "scalars_a": listed(want.scalars_a),
+        "certificate_y": listed(want.certificate_y),
+        "reject_row": want.reject_row,
+        "near_zero": want.near_zero,
+    }
+    for theta in thetas:
+        assert sum(np.array_equal(A, theta) for (A, *_) in svds) <= 1
+    if F.m <= reduced_size(F.n) + 2 and F.m - theta_svd(F).rank in (1, 2):
+        X = F.synthesis
+        i, j = np.triu_indices(F.n, 1)
+        squares, products = X * X, X[i] * X[j]
+        assert all(np.array_equal(p.A, squares) or np.array_equal(p.A, products)
+                   for (p,) in solves)
+        assert len(lps) == len(solves) == (0 if want.scalable else 2)
 
 
 @pytest.mark.parametrize("name", sorted(FRAMES))

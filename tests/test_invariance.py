@@ -5,8 +5,9 @@ when the vectors are permuted.  Every transformed frame is answered, and
 every "not scalable" answer carries a valid certificate.  A rescaling or a
 permutation leaves the signs of the reduced diagram matrix and its unit-norm
 columns as they were, so it also keeps the route (``method``) and the
-one-signed row (``reject_row``) of every answer; an orthogonal map changes
-that matrix, so there only the verdict is held.  Canonical-dual
+one-signed row (``reject_row``) of every answer, and the vectors that the
+report's ``near_zero`` lists, which move with a permutation; an orthogonal
+map changes that matrix, so there only the verdict is held.  Canonical-dual
 scalability under a global scale and an orthogonal map is held to the same
 rule in tests/test_duals.py::TestDualInvariance.  Beyond the fixed corpus,
 Hypothesis draws integer and near-duplicate frames, the families with exact
@@ -49,6 +50,7 @@ def _frames():
     frames["hadamard-doubled"] = doubled_hadamard_frame()
     frames["first-quadrant"] = angles_frame(0.2, 0.7, 1.2, 1.4)
     frames.update({f"open-cone-{i}": open_cone_frame(rng, 3, 7) for i in range(2)})
+    frames["two-block-n3-m6"] = two_block_frame(rng, 3, 6)
     return frames
 
 
@@ -56,15 +58,18 @@ FRAMES = _frames()
 
 
 def _transforms(F, seed):
-    """(name, synthesis) for each transform of F."""
+    """(name, synthesis, order) for each transform of F: column k of the
+    synthesis is vector order[k] of F."""
     rng = np.random.default_rng(seed)
     X = F.synthesis
-    out = [(f"scale-{s:g}", s * X) for s in SCALES]
+    same = np.arange(F.m)
+    out = [(f"scale-{s:g}", s * X, same) for s in SCALES]
     for k in range(2):
         d = 10.0 ** rng.uniform(-4.0, 4.0, F.m) * rng.choice([-1.0, 1.0], F.m)
-        out.append((f"per-vector-{k}", X * d))
-    out.append(("orthogonal", random_orthogonal(rng, F.n) @ X))
-    out.append(("permutation", X[:, rng.permutation(F.m)]))
+        out.append((f"per-vector-{k}", X * d, same))
+    out.append(("orthogonal", random_orthogonal(rng, F.n) @ X, same))
+    order = rng.permutation(F.m)
+    out.append(("permutation", X[:, order], order))
     return out
 
 
@@ -81,15 +86,16 @@ def _analyze(tmp_path, capsys, F):
     path.write_text(format_frame_document(document_from_frame(F)))
     assert main(["analyze", str(path), "--json"]) == 0
     rep = json.loads(capsys.readouterr().out)
-    return rep["scalability"]["verdict"], rep["split"]["intersection_verdict"]
+    s = rep["scalability"]
+    return (s["verdict"], rep["split"]["intersection_verdict"]), s["near_zero"]
 
 
 @pytest.mark.parametrize("name", sorted(FRAMES))
 def test_verdicts_are_invariant(tmp_path, capsys, name):
     F = FRAMES[name]
     answers = {route: decide(F) for route, decide in ROUTES.items()}
-    report = _analyze(tmp_path, capsys, F)
-    for label, X in _transforms(F, sorted(FRAMES).index(name)):
+    report, near_zero = _analyze(tmp_path, capsys, F)
+    for label, X, order in _transforms(F, sorted(FRAMES).index(name)):
         G = frame_from_synthesis(X)
         for route, decide in ROUTES.items():
             r, want = decide(G), answers[route]
@@ -98,7 +104,21 @@ def test_verdicts_are_invariant(tmp_path, capsys, name):
                 assert (r.method, r.reject_row) == (want.method, want.reject_row), (label, route)
             if not r.scalable:
                 assert hull_certificate_check(G, r.certificate_y), (label, route)
-        assert _analyze(tmp_path, capsys, G) == report, label
+        got, got_near_zero = _analyze(tmp_path, capsys, G)
+        assert got == report, label
+        if label != "orthogonal":
+            assert sorted(order[got_near_zero].tolist()) == near_zero, label
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_not_strict_corank_2_reports_the_forced_zero_set(tmp_path, capsys, seed):
+    # two complementary scalable blocks, of 3 vectors in R^2 and 2 parallel
+    # ones on the third axis, plus one bridging vector: every scaling gives
+    # the bridging vector weight 0, and the parallel pair trades weight along
+    # the second kernel direction, so only the bridging vector is forced to 0
+    F = two_block_frame(np.random.default_rng(seed), 3, 6)
+    _, near_zero = _analyze(tmp_path, capsys, F)
+    assert near_zero == [5]
 
 
 def test_v_membership_is_scale_free():

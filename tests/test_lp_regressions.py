@@ -17,8 +17,9 @@ from framescale import decide_scalable, intersection_scalability, make_frame
 from framescale.cli import build_report, main
 from framescale.frame_core import apply_scaling, is_tight
 from framescale.framedoc import document_from_frame, format_frame_document
-from framescale.scalability import codim2_scaling, cofactor_scaling
-from framescale.scalability import SCALABLE, STRICTLY_SCALABLE
+from framescale.errors import InternalNumericError
+from framescale.scalability import codim2_scaling, cofactor_scaling, hull_certificate_check
+from framescale.scalability import METHOD_COFACTOR, NOT_SCALABLE, SCALABLE, STRICTLY_SCALABLE
 from conftest import random_scalable_frame, rescaled_harmonic_frame, two_block_frame
 
 # scalable, but not strictly: the frame 021-not-strict-n4-m11 of the
@@ -215,3 +216,45 @@ def test_near_duplicate_lp_witness_stays_nonnegative(tmp_path, capsys, args, nam
     assert code == 0, out.err
     F = make_frame(NEAR_DUPLICATE_FRAMES[name])
     assert decide_scalable(F).verdict == SCALABLE
+
+
+# near-duplicate corank-1 frames whose cofactor answer fails its kernel
+# identity: the kernel entry of the near-duplicate pair is below the sign
+# threshold, which scales with s_1/s_r, but theta c is then left above
+# RESIDUAL_TOL, which does not.  ``scale`` used to end them in exit 3
+COFACTOR_FALLBACK_FRAMES = {
+    "n3-m6": NEAR_DUPLICATE_FRAMES["second"],
+    "n2-m3": [[-1.0, 1.1920929e-14], [0.0, -1.0], [-1.0, 1e-7]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COFACTOR_FALLBACK_FRAMES))
+def test_near_duplicate_cofactor_falls_back_to_the_lp(tmp_path, capsys, name):
+    vectors = COFACTOR_FALLBACK_FRAMES[name]
+    with pytest.raises(InternalNumericError, match="kernel identity"):
+        cofactor_scaling(make_frame(vectors))
+    code, out = _run(tmp_path, capsys, vectors, "scale")
+    assert code in (0, 1), out.err
+    assert (code, out) == _run(tmp_path, capsys, vectors, "scale", "--method", "lp")
+    code, out = _run(tmp_path, capsys, vectors, "analyze", "--json")
+    assert code == 0, out.err
+
+
+# nearly parallel vectors: the off-diagonal entry -c_0 1.5625e-9 - c_2 1e-7
+# of sum_i c_i x_i x_i^T vanishes only for c_0 = c_2 = 0, so no scaling
+# exists.  The cofactor route proves it; the LP's weights pass their
+# residual check, and ``analyze`` used to print them
+NEAR_PARALLEL_FRAME = [[-1.0, 1.5625e-9], [0.0, -1.0], [-1.0, 1e-7]]
+
+
+def test_near_parallel_frame_is_answered_by_the_cofactor_route(tmp_path, capsys):
+    code, out = _run(tmp_path, capsys, NEAR_PARALLEL_FRAME, "analyze", "--json")
+    assert code == 0, out.err
+    s = json.loads(out.out)["scalability"]
+    assert (s["verdict"], s["method"]) == (NOT_SCALABLE, METHOD_COFACTOR)
+    assert hull_certificate_check(make_frame(NEAR_PARALLEL_FRAME), s["certificate_y"])
+    code, out = _run(tmp_path, capsys, NEAR_PARALLEL_FRAME, "scale")
+    assert code == 1 and "certificate y:" in out.out
+    # a forced route keeps its own answer
+    code, out = _run(tmp_path, capsys, NEAR_PARALLEL_FRAME, "scale", "--method", "lp")
+    assert code == 0, out.err
