@@ -20,7 +20,9 @@ from .errors import (
     NoHadamardAvailableError,
     NonFiniteError,
     NotParsevalScalingError,
+    NotSpanningError,
     SingularTransformError,
+    ZeroVectorError,
 )
 from .frame_core import (
     Frame,
@@ -68,8 +70,13 @@ def _canonical_dual(F):
     # no S = X X^T to square the condition number of X; it is the dual's own
     # SVD, factors reversed, so the dual needs no factorization of its own
     U, s, Vt = synthesis_svd(F)
-    dual = _spanning_frame(_checked_synthesis((U / s) @ Vt),
-                           (U[:, ::-1], 1.0 / s[::-1], Vt[::-1]))
+    # F is a valid frame, so a dual that fails the frame checks (a vector
+    # that rounds to 0) is a numeric failure, not an input error
+    try:
+        dual = _spanning_frame(_checked_synthesis((U / s) @ Vt),
+                               (U[:, ::-1], 1.0 / s[::-1], Vt[::-1]))
+    except (NonFiniteError, NotSpanningError, ZeroVectorError) as exc:
+        raise InternalNumericError(f"canonical dual is not a frame: {exc}") from exc
     if not is_dual(F, dual):
         raise InternalNumericError("canonical dual fails the reconstruction identity")
     return DualPair(primal=F, dual=dual, kind=CANONICAL)

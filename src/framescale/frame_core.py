@@ -70,9 +70,8 @@ def derived(F, key, build):
     built only by ``frame_from_synthesis`` and ``apply_scaling``, which make
     the synthesis read-only, so a value derived from it cannot go stale.  The
     values live and die with the frame.  ``key`` must differ for every
-    setting that changes the result (a strict LP is never kept under the key
-    of a plain one), and ``build`` must return values that callers do not
-    modify.
+    setting that changes the result, and ``build`` must return values that
+    callers do not modify.
     """
     cache = F._derived
     if key not in cache:

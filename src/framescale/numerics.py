@@ -5,8 +5,10 @@ feasibility is a deterministic two-phase tableau simplex with Dantzig pricing
 and a Bland's-rule fallback after a run of degenerate pivots; it produces
 either a nonnegative witness or a Farkas-style infeasibility certificate.
 The strict variant maximizes the minimum entry through the substitution
-x = delta + s, which adds one row and two columns.  These two LPs are the
-only ones the kernel solves, and both are bounded.
+x = delta 1 + s: it is phase 2 of the same tableau, which carries the delta
+column, a cap slack and the cap row through phase 1, so both questions share
+one phase 1, its pivots, its verdict and its Farkas row.  That one bounded
+LP is the only one the kernel solves.
 
 Small LPs cost in numpy calls, not in arithmetic, so each pivot is one
 broadcast rank-1 update of the tableau in place.
@@ -37,13 +39,14 @@ from .errors import (
 # multiplies the scale that its comment names.
 ZERO_TOL = 1e-12       # zero and sign: an entry of unit-size data counts as 0
 #                        (unit-norm theta columns, simplex ratios and rhs
-#                        drift, witness entries, y.A_j of a strict Farkas
-#                        row against max|y|, max |kernel basis| times
-#                        s_1/s_r, a codim-2 normal angle, in radians, times
-#                        max |kernel basis| times s_1/s_r over its row
-#                        length, the angle of a codim-2 certificate's target
-#                        to a kernel row, in radians, times s_1/s_r, max
-#                        weight, sum of unit-column weights: zeroed ones)
+#                        drift, witness entries, y.A_j of the Farkas row
+#                        of an LP with b != 0 against max|y|, max |kernel
+#                        basis| times s_1/s_r, a codim-2 normal angle, in
+#                        radians, times max |kernel basis| times s_1/s_r
+#                        over its row length, the angle of a codim-2
+#                        certificate's target to a kernel row, in radians,
+#                        times s_1/s_r, max weight, sum of unit-column
+#                        weights: zeroed ones)
 RANK_TOL = 1e-10       # rank: the largest singular value (rank, kernel), the
 #                        largest entry or 1 if larger (independent rows), the
 #                        largest entry times s_1/s_r (cofactor sign classes)
@@ -122,8 +125,8 @@ def svd(M):
 @dataclass
 class LPResult:
     status: str                      # "optimal" | "infeasible"
-    x: np.ndarray | None = None
-    dual: np.ndarray | None = None   # equality multipliers (phase-1 on infeasible)
+    x: np.ndarray | None = None      # the witness, when optimal
+    dual: np.ndarray | None = None   # the Farkas row, when infeasible
 
 
 def _pivot(T, basis, row, col):
@@ -138,7 +141,8 @@ def _pivot(T, basis, row, col):
 
 
 def _simplex_loop(T, basis, n_enterable, cap):
-    """Pivot until no reduced cost is below -PIVOT_TOL.
+    """Pivot until no reduced cost of the first ``n_enterable`` columns is
+    below -PIVOT_TOL.
 
     The entering column is the most negative reduced cost (Dantzig); the
     leaving row has the smallest ratio, ties within ZERO_TOL going to the
@@ -149,9 +153,10 @@ def _simplex_loop(T, basis, n_enterable, cap):
     whose entry, at most PIVOT_TOL, the ratio test skipped, or of a row tied
     within ZERO_TOL (Harris, Math. Prog. 1973).  After _STALL consecutive
     degenerate pivots the rest of the solve uses Bland's rule (lowest
-    entering index, lowest leaving basis index), which cannot cycle.  Both LPs of
-    ``solve_feasibility`` are bounded, so an entering column without a
-    leaving row is a numeric failure.
+    entering index, lowest leaving basis index), which cannot cycle.  Both
+    phases of ``_linear_program`` are bounded (phase 1 below by 0, the
+    strict phase 2 by its cap row), so an entering column without a leaving
+    row is a numeric failure.
     """
     k = T.shape[0] - 1
     rc = T[-1, :n_enterable]    # views: _pivot updates T in place
@@ -178,54 +183,64 @@ def _simplex_loop(T, basis, n_enterable, cap):
     raise IterationLimitError("simplex iteration cap exceeded")
 
 
-def _linear_program(A, b, c):
-    """Solve min c.x subject to A x = b, x >= 0, for a float matrix A and
-    float vectors b and c, or decide feasibility alone (phase 1) with
-    ``c=None``.  On infeasibility the returned ``dual`` y satisfies
-    y.A <= 0 and y.b > 0 (Farkas)."""
+def _linear_program(A, b, strict=False):
+    """Decide A x = b, x >= 0 for a float matrix A and a float vector b
+    (phase 1), and with ``strict`` maximize the minimum entry of x
+    (phase 2).  On infeasibility the returned ``dual`` y satisfies
+    y.A <= 0 and y.b > 0 (Farkas).
+
+    One tableau serves both questions: the columns are A, delta = A 1, the
+    cap slack, the artificials and the rhs; the rows are A's, the cap row
+    delta + s_cap = 1 + max|b| and the cost row.  Phase 1 prices A's columns
+    only, and the cap row has no entry there, so both questions take the
+    same phase-1 pivots and give the same verdict and Farkas row.  Phase 2
+    minimizes -delta over A, delta and the slack, which substitutes
+    x = delta 1 + s."""
     k, nv = A.shape
+    art = nv + 2            # the first artificial column
     cap = 50 * (k + nv + k)  # artificials count toward the column budget
+    top = 1.0 + float(np.abs(b).max(initial=0.0))
 
     row_sign = np.where(b < 0, -1.0, 1.0)
     A1 = A * row_sign[:, None]
     b1 = b * row_sign
 
-    T = np.zeros((k + 1, nv + k + 1))
+    T = np.zeros((k + 2, art + k + 1))
     T[:k, :nv] = A1
-    T[:k, nv:nv + k] = np.eye(k)
+    T[:k, nv] = A1.sum(axis=1)
+    T[:k, art:-1] = np.eye(k)
     T[:k, -1] = b1
-    T[k, :nv] = -A1.sum(axis=0)
-    T[k, -1] = -b1.sum()
-    basis = np.arange(nv, nv + k)
+    T[k, nv:art] = 1.0
+    T[k, -1] = top
+    T[-1, :nv] = -A1.sum(axis=0)
+    T[-1, -1] = -b1.sum()
+    basis = np.append(np.arange(art, art + k), nv + 1)
 
     _simplex_loop(T, basis, nv, cap)
-    p1_obj = -T[-1, -1]
-    if p1_obj > PIVOT_TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
-        pi = 1.0 - T[-1, nv:nv + k]
+    if -T[-1, -1] > PIVOT_TOL * top:
+        pi = 1.0 - T[-1, art:-1]
         return LPResult(status="infeasible", dual=row_sign * pi)
 
     # drive leftover artificials out of the basis (redundant rows stay put);
     # each is 0 up to the phase-1 tolerance, so the pivot is degenerate: its
     # rounding noise, divided by a pivot element of either sign, would
     # otherwise become a negative entry of the witness
-    for i in np.flatnonzero(basis >= nv):
+    for i in np.flatnonzero(basis >= art):
         cols = np.flatnonzero(np.abs(T[i, :nv]) > PIVOT_TOL)
         if cols.size:
             T[i, -1] = 0.0
             _pivot(T, basis, i, cols[0])
 
-    if c is not None:
-        cvec = np.zeros(nv + k)
-        cvec[:nv] = c
-        cB = cvec[basis]
-        T[-1, :] = np.concatenate([cvec, [0.0]]) - cB @ T[:k, :]
-        _simplex_loop(T, basis, nv, cap)
+    if strict:
+        # every basic variable costs 0, so the reduced costs are -e_delta
+        T[-1] = 0.0
+        T[-1, nv] = -1.0
+        _simplex_loop(T, basis, art, cap)
 
-    x = np.zeros(nv)
-    structural = basis < nv
-    x[basis[structural]] = T[:k, -1][structural]
-    pi = -T[-1, nv:nv + k]
-    return LPResult(status="optimal", x=x, dual=row_sign * pi)
+    x = np.zeros(art)
+    held = basis < art
+    x[basis[held]] = T[:k + 1, -1][held]
+    return LPResult(status="optimal", x=x[:nv] + x[nv] if strict else x[:nv])
 
 
 def _clamp_nonneg(x):
@@ -237,8 +252,20 @@ def _clamp_nonneg(x):
 
 
 def column_norms(A):
-    """The 2-norm of each column of A, with 1 for a zero column."""
-    norms = np.sqrt((A * A).sum(axis=0))
+    """The 2-norm of each column of A, with 1 for a zero column.  A column
+    whose sum of squares leaves the normal float range (a norm beyond about
+    1e+-154) is first divided by the power of two at its peak, which is
+    exact, so its norm neither underflows nor overflows; every other column
+    keeps the plain sum of squares."""
+    low = 2.0 ** -511  # the square root of the smallest normal float
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((A * A).sum(axis=0))
+    if norms.min(initial=np.inf) >= low and norms.max(initial=0.0) < np.inf:
+        return norms
+    far = ~((norms >= low) & (norms < np.inf))
+    _, e = np.frexp(np.abs(A[:, far]).max(axis=0, initial=0.0))
+    scaled = np.ldexp(A[:, far], -e)
+    norms[far] = np.ldexp(np.sqrt((scaled * scaled).sum(axis=0)), e)
     norms[norms == 0.0] = 1.0
     return norms
 
@@ -254,9 +281,10 @@ def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
     For a homogeneous system (b = 0) the normalization sum(x) = 1 is added
     (and restored after the mapping) and the infeasibility certificate y
     satisfies (y.A)_j > 0 for every column j, the separating-functional
-    direction of the convex-hull test.  With ``require_strict`` the minimum
-    entry of the unit-column witness is maximized; judging strictness from
-    the witness is left to the caller.
+    direction of the convex-hull test; otherwise y.b > 0 and
+    y.A_j <= ZERO_TOL max|y|.  With ``require_strict`` the minimum entry of
+    the unit-column witness is maximized, in the phase 2 of the same LP;
+    judging strictness from the witness is left to the caller.
     """
     A = np.asarray(p.A, dtype=float)
     b = np.asarray(p.b, dtype=float).ravel()
@@ -273,59 +301,24 @@ def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
         b2 = np.concatenate([b, [1.0]])
     else:
         A2, b2 = A, b
-    k2 = A2.shape[0]
-
-    def farkas(dual):
-        """The Farkas row y of an infeasible phase 1, and whether it passes
-        its sign test: (y.A)_j > 0 for every column when b = 0, else y.b > 0
-        and y.A_j <= ZERO_TOL max|y|."""
+    res = _linear_program(A2, b2, p.require_strict)
+    if res.status == "infeasible":
         if hom:
-            y = -dual[:k]
-            return y, float((y @ A).min()) > 0.0
-        y = dual[:k]
-        return y, (float(y @ b) > 0.0
-                   and float((y @ A).max()) <= ZERO_TOL * float(np.abs(y).max()))
-
-    def witness_from(x):
-        x = _clamp_nonneg(x)
-        _verify_witness(A2, b2, x)
-        x = x / norms
-        if hom:
-            x = x / x.sum()
-        return FeasibilityOutcome(feasible=True, witness=x)
-
-    def plain():
-        res = _linear_program(A2, b2, None)
-        if res.status == "optimal":
-            return witness_from(res.x)
-        y, holds = farkas(res.dual)
-        if hom and not holds:
-            raise InternalNumericError("hull certificate fails the strict sign test")
+            y = -res.dual[:k]
+            if not float((y @ A).min()) > 0.0:
+                raise InternalNumericError("hull certificate fails the strict sign test")
+        else:
+            y = res.dual
+            if not (float(y @ b) > 0.0
+                    and float((y @ A).max()) <= ZERO_TOL * float(np.abs(y).max())):
+                raise InternalNumericError("Farkas certificate fails its sign test")
         return FeasibilityOutcome(feasible=False, certificate=y)
-
-    if not p.require_strict:
-        return plain()
-
-    # strict: substitute x = delta + s; variables [delta, s, s_cap]; minimize
-    # -delta subject to A2 (delta 1 + s) = b2, delta + s_cap = CAP.  The
-    # s-columns are A2's own, so the Farkas rows [:k] certify as above.
-    cap_val = 1.0 + float(np.abs(b2).max(initial=0.0))
-    Ae = np.zeros((k2 + 1, m + 2))
-    Ae[:k2, 0] = A2.sum(axis=1)
-    Ae[:k2, 1:m + 1] = A2
-    Ae[k2, [0, m + 1]] = 1.0
-    be = np.append(b2, cap_val)
-    cost = np.zeros(m + 2)
-    cost[0] = -1.0
-    res = _linear_program(Ae, be, cost)
-    if res.status == "optimal":
-        return witness_from(res.x[0] + res.x[1:m + 1])
-    y, holds = farkas(res.dual)
-    if holds:
-        return FeasibilityOutcome(feasible=False, certificate=y)
-    # delta = 0 makes every plain witness strict-feasible, so phase 1 has
-    # missed a system of small margin: the plain LP answers it
-    return plain()
+    x = _clamp_nonneg(res.x)
+    _verify_witness(A2, b2, x)
+    x = x / norms
+    if hom:
+        x = x / x.sum()
+    return FeasibilityOutcome(feasible=True, witness=x)
 
 
 def _verify_witness(A, b, x):

@@ -203,17 +203,13 @@ def _kernel_certificate(F, p, method):
     return _not_scalable(F, method, y)
 
 
-def _theta_lp(F):
-    """Outcome of the plain homogeneous kernel problem: some c >= 0, sum 1,
-    with theta c = 0.  The strict problem is never kept with it."""
+def _theta_lp(F, strict=False):
+    """Outcome of the homogeneous kernel problem: some c >= 0, sum 1, with
+    theta c = 0, and with ``strict`` the one of largest minimum unit-column
+    weight.  Both share one phase 1, so they share the certificate."""
     theta = reduced_diagram_matrix(F)
-    out = numerics.solve_feasibility(
-        numerics.FeasibilityProblem(A=theta, b=np.zeros(theta.shape[0]))
-    )
-    for v in (out.witness, out.certificate):
-        if v is not None:
-            v.setflags(write=False)
-    return out
+    return numerics.solve_feasibility(numerics.FeasibilityProblem(
+        A=theta, b=np.zeros(theta.shape[0]), require_strict=strict))
 
 
 def _finish_scalable(F, c, method, strict=True):
@@ -252,7 +248,7 @@ def _not_scalable(F, method, certificate_y=None, reject_row=None):
     """Every "not scalable" answer.  The split route has no certificate of
     its own and takes the plain LP's, which must then be infeasible."""
     if certificate_y is None:
-        out = derived(F, "theta_lp", _theta_lp)
+        out = _theta_lp(F)
         if out.feasible:
             raise InternalNumericError(
                 "feasibility solver disagrees with a proven non-scalability verdict")
@@ -281,20 +277,15 @@ def _sign_reject(F):
 
 def decide_scalable(F, strict=False) -> ScalingResult:
     """General scalability decision via the kernel of the reduced diagram
-    matrix, one solver call each.  The solver works on unit-norm columns,
-    so the verdict does not change when a frame vector is rescaled.  With
-    ``strict=True`` the LP maximizes the minimum unit-column weight, and the
-    answer is strict when that margin, read off the reported weights,
-    exceeds ``STRICT_MARGIN``."""
+    matrix, one LP either way.  The solver works on unit-norm columns, so
+    the verdict does not change when a frame vector is rescaled.  With
+    ``strict=True`` the LP's phase 2 maximizes the minimum unit-column
+    weight, and the answer is strict when that margin, read off the
+    reported weights, exceeds ``STRICT_MARGIN``."""
     rejected = _sign_reject(F)
     if rejected is not None:
         return rejected
-    if strict:
-        theta = reduced_diagram_matrix(F)
-        out = numerics.solve_feasibility(numerics.FeasibilityProblem(
-            A=theta, b=np.zeros(theta.shape[0]), require_strict=True))
-    else:
-        out = derived(F, "theta_lp", _theta_lp)
+    out = _theta_lp(F, strict)
     if not out.feasible:
         return _not_scalable(F, METHOD_FEASIBILITY, out.certificate)
     return _finish_scalable(F, out.witness, METHOD_FEASIBILITY, strict)

@@ -8,22 +8,14 @@ from framescale import numerics
 from framescale.scalability import cofactor_vector
 
 
-def linear_program(A, b, c=None, maximize=False):
-    """Solve min (or max) c.x subject to A x = b, x >= 0 with the kernel of
-    ``numerics.solve_feasibility``.
-
-    With ``c=None`` only feasibility is decided (phase 1).  On infeasibility
-    the returned ``dual`` y satisfies y.A <= 0 and y.b > 0 (Farkas).  The
-    kernel solves bounded LPs only: an unbounded one raises
-    ``InternalNumericError``.
-    """
+def linear_program(A, b, strict=False):
+    """Decide A x = b, x >= 0 with the kernel of
+    ``numerics.solve_feasibility``, and with ``strict`` maximize the minimum
+    entry of x in its phase 2.  On infeasibility the returned ``dual`` y
+    satisfies y.A <= 0 and y.b > 0 (Farkas)."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
-    if c is not None:
-        c = np.asarray(c, dtype=float)
-        if maximize:
-            c = -c
-    return numerics._linear_program(A, b, c)
+    return numerics._linear_program(A, b, strict)
 
 
 def cofactor_pencil(R, w1, w2):

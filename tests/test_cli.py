@@ -266,6 +266,22 @@ class TestScale:
             assert main(["scale", path]) == 0
             assert capsys.readouterr().out == "0.707106781187 0.707106781187 0\n"
 
+    @pytest.mark.parametrize("s", ["1e-100", "1e100"])
+    def test_far_vector_scales_as_at_one(self, tmp_path, capsys, s):
+        # the theta column of the third vector has a sum of squares far
+        # outside the float range; its norm is still taken, with no warning
+        path = write(tmp_path, "far.frame", f"n 2\nm 3\n1 0\n0 1\n{s} {s}\n")
+        assert main(["scale", path]) == 0
+        assert capsys.readouterr().out == "0.707106781187 0.707106781187 0\n"
+
+    def test_tiny_vector_keeps_its_corank_one_route(self, tmp_path, capsys):
+        # at scale 1 the frame has corank 1 and forces the third weight to
+        # 0; a theta column norm that underflowed to 0 read as corank 2
+        path = write(tmp_path, "tiny.frame", "n 2\nm 3\n1 0\n0 1\n1e-100 1e-100\n")
+        assert main(["analyze", path, "--json"]) == 0
+        s = json.loads(capsys.readouterr().out)["scalability"]
+        assert (s["verdict"], s["method"], s["near_zero"]) == ("scalable", "cofactor", [2])
+
     @pytest.mark.parametrize("method", ["auto", "cofactor"])
     def test_corank_one_certificate(self, tmp_path, capsys, method):
         # (1, 0), (1, 1), (1, 2) lie in one open quadrant: corank 1, not
@@ -410,6 +426,16 @@ class TestDual:
         Y = parse_frame_document(doc_text).vectors.T
         c = np.array([float(v) for v in weights.split()])
         assert c.min() >= 0 and float(c @ Y[0] ** 2) == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("command", [["analyze"], ["dual"], ["dual", "--check-scalable"]])
+    @pytest.mark.parametrize("x", ["1e17", "1e100"])
+    def test_dual_vector_that_rounds_to_zero_is_a_numeric_failure(
+            self, tmp_path, capsys, command, x):
+        # the input has no zero vector, but its canonical dual's first vector
+        # rounds to 0: exit 3, naming the canonical dual, not an input error
+        path = write(tmp_path, "far.frame", f"n 2\nm 3\n1 0\n0 1\n{x} {x}\n")
+        assert main(command + [path]) == 3
+        assert capsys.readouterr().err.startswith("numeric failure: canonical dual ")
 
     def test_orthonormal_basis_self_dual(self, tmp_path, capsys):
         path = write(tmp_path, "onb.frame", "n 2\nm 2\n1 0\n0 1\n")

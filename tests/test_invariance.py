@@ -70,7 +70,16 @@ def _transforms(F, seed):
     out.append(("orthogonal", random_orthogonal(rng, F.n) @ X, same))
     order = rng.permutation(F.m)
     out.append(("permutation", X[:, order], order))
+    out.append(("vector-0-1e-100", _scale_vector_0(X, 1e-100), same))
     return out
+
+
+def _scale_vector_0(X, s):
+    """X with vector 0 times s: its reduced diagram column, times s^2, has
+    a sum of squares far outside the float range."""
+    X = X.copy()
+    X[:, 0] *= s
+    return X
 
 
 ROUTES = {
@@ -108,6 +117,15 @@ def test_verdicts_are_invariant(tmp_path, capsys, name):
         assert got == report, label
         if label != "orthogonal":
             assert sorted(order[got_near_zero].tolist()) == near_zero, label
+    # a vector this long has a canonical dual that rounds to 0, so only the
+    # routes, not the report, are held
+    G = frame_from_synthesis(_scale_vector_0(F.synthesis, 1e100))
+    for route, decide in ROUTES.items():
+        r, want = decide(G), answers[route]
+        assert (r.verdict, r.method, r.reject_row) == (
+            want.verdict, want.method, want.reject_row), route
+        if not r.scalable:
+            assert hull_certificate_check(G, r.certificate_y), route
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -13,7 +13,10 @@ from paper_reference import linear_program
 # Harris's tolerances: ratios on max(rhs, 0), and after a pivot of positive
 # step (the entering variable's new value), rhs drift in
 # [-(1e-9 step + 1e-12), 0) set to 0; and a leftover artificial is set to 0
-# before it is driven out of the basis.
+# before it is driven out of the basis.  Its tableau has since taken the
+# layout that serves the plain and the strict question with one phase 1:
+# the columns A, delta = A 1, the cap slack, the artificials and the rhs,
+# and the rows A's, the cap row and the cost row.
 
 def reference_pivot(T, basis, row, col, log):
     log.append((int(row), int(col)))
@@ -54,50 +57,53 @@ def reference_simplex_loop(T, basis, n_enterable, cap, stall, log):
     raise IterationLimitError("simplex iteration cap exceeded")
 
 
-def reference_linear_program(A, b, c=None, stall=50, log=None):
+def reference_linear_program(A, b, strict=False, stall=50, log=None):
     log = [] if log is None else log
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
     k, nv = A.shape
     cap = 50 * (k + nv + k)
+    top = 1.0 + float(np.abs(b).max(initial=0.0))
 
     row_sign = np.where(b < 0, -1.0, 1.0)
     A1 = A * row_sign[:, None]
     b1 = b * row_sign
 
-    T = np.zeros((k + 1, nv + k + 1))
+    delta, slack, art = nv, nv + 1, nv + 2
+    T = np.zeros((k + 2, nv + 2 + k + 1))
     T[:k, :nv] = A1
-    T[:k, nv:nv + k] = np.eye(k)
+    T[:k, delta] = A1.sum(axis=1)
+    T[:k, art:art + k] = np.eye(k)
     T[:k, -1] = b1
-    T[k, :nv] = -A1.sum(axis=0)
-    T[k, -1] = -b1.sum()
-    basis = np.arange(nv, nv + k)
+    T[k, delta] = 1.0
+    T[k, slack] = 1.0
+    T[k, -1] = top
+    T[k + 1, :nv] = -A1.sum(axis=0)
+    T[k + 1, -1] = -b1.sum()
+    basis = np.array(list(range(art, art + k)) + [slack])
 
     reference_simplex_loop(T, basis, nv, cap, stall, log)
     p1_obj = -T[-1, -1]
-    feas_tol = 1e-9 * (1.0 + float(np.abs(b).max(initial=0.0)))
-    if p1_obj > feas_tol:
-        pi = 1.0 - T[-1, nv:nv + k]
+    if p1_obj > 1e-9 * top:
+        pi = 1.0 - T[-1, art:art + k]
         return numerics.LPResult(status="infeasible", dual=row_sign * pi)
 
-    for i in np.flatnonzero(basis >= nv):
+    for i in np.flatnonzero(basis >= art):
         cols = np.flatnonzero(np.abs(T[i, :nv]) > 1e-9)
         if cols.size:
             T[i, -1] = 0.0
             reference_pivot(T, basis, i, cols[0], log)
 
-    if c is not None:
-        cvec = np.zeros(nv + k)
-        cvec[:nv] = np.asarray(c, dtype=float)
-        cB = cvec[basis]
-        T[-1, :] = np.concatenate([cvec, [0.0]]) - cB @ T[:k, :]
-        reference_simplex_loop(T, basis, nv, cap, stall, log)
+    if strict:
+        T[-1, :] = 0.0
+        T[-1, delta] = -1.0
+        reference_simplex_loop(T, basis, art, cap, stall, log)
 
-    x = np.zeros(nv)
-    structural = basis < nv
-    x[basis[structural]] = T[:k, -1][structural]
-    pi = -T[-1, nv:nv + k]
-    return numerics.LPResult(status="optimal", x=x, dual=row_sign * pi)
+    values = np.zeros(art)
+    basic = basis < art
+    values[basis[basic]] = T[:k + 1, -1][basic]
+    x = values[:nv] + values[delta] if strict else values[:nv]
+    return numerics.LPResult(status="optimal", x=x)
 
 
 def assert_bitwise_equal(res, ref):
@@ -165,25 +171,25 @@ class TestRankNullspace:
 
 class TestLinearProgram:
     def test_simple_optimum(self):
-        # max x1 + x2 s.t. x1 + 2 x2 = 4, 3 x1 + 2 x2 = 6  -> x = (1, 1.5)
-        A = [[1.0, 2.0], [3.0, 2.0]]
-        b = [4.0, 6.0]
-        res = linear_program(A, b, [1.0, 1.0], maximize=True)
+        # x1 + 2 x2 = 4, 3 x1 + 2 x2 = 6 has the one point (1, 1.5), so it is
+        # the strict witness too
+        res = linear_program([[1.0, 2.0], [3.0, 2.0]], [4.0, 6.0], strict=True)
         assert res.status == "optimal"
         assert np.allclose(res.x, [1.0, 1.5], atol=1e-9)
 
     def test_degenerate_vertex(self):
-        # redundant rows must not break phase 2
-        A = [[1.0, 1.0], [2.0, 2.0]]
-        b = [1.0, 2.0]
-        res = linear_program(A, b, [1.0, 0.0])
+        # a redundant row keeps its artificial basic after phase 1; the
+        # strict phase 2 must pivot around it to the centre (0.5, 0.5)
+        res = linear_program([[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0], strict=True)
         assert res.status == "optimal"
-        assert res.x[0] == pytest.approx(0.0, abs=1e-9)
+        assert np.allclose(res.x, [0.5, 0.5], atol=1e-9)
 
     def test_unbounded(self):
-        # the kernel solves bounded LPs only: a ray is a numeric failure
+        # x1 - x2 = 0 with x1 basic, minimizing -x2: x2 enters with no
+        # leaving row, a ray, which the kernel's bounded LPs never have
+        T = np.array([[1.0, -1.0, 0.0], [0.0, -1.0, 0.0]])
         with pytest.raises(InternalNumericError, match="no leaving row"):
-            linear_program([[1.0, -1.0]], [0.0], [-1.0, 0.0])
+            numerics._simplex_loop(T, np.array([0]), 2, 10)
 
     def test_infeasible_farkas(self):
         # x1 + x2 = -1 has no nonnegative solution
@@ -329,9 +335,10 @@ class TestHighsOracle:
 
 
 class TestReferenceKernel:
-    """Every LP that solve_feasibility builds, and the same LP through
-    ``paper_reference.linear_program``, against the reference kernel above:
-    the same pivot sequence and a bitwise-equal LPResult."""
+    """The one LP that solve_feasibility builds, plain or strict, and the
+    same LP through ``paper_reference.linear_program``, against the
+    reference kernel above: the same pivot sequence and a bitwise-equal
+    LPResult."""
 
     @staticmethod
     def _problems(rng, count):
@@ -376,9 +383,9 @@ class TestReferenceKernel:
         solved = []
         kernel = numerics._linear_program
 
-        def recorded(A, b, c):
-            inputs = (A.copy(), b.copy(), None if c is None else c.copy())
-            res = kernel(A, b, c)
+        def recorded(A, b, strict):
+            inputs = (A.copy(), b.copy(), strict)
+            res = kernel(A, b, strict)
             solved.append((inputs, res, list(pivots)))
             return res
 
@@ -403,3 +410,52 @@ class TestReferenceKernel:
                 assert pivots == log
                 seen.add((strict, res.status))
         assert seen == {(s, st) for s in (False, True) for st in ("optimal", "infeasible")}
+
+
+class TestSharedPhaseOne:
+    """The strict LP is phase 2 of the plain one: on the same system both
+    take the same phase-1 pivots, and an infeasible system gets the same
+    certificate, bit for bit."""
+
+    @staticmethod
+    def _problems(rng, count):
+        # homogeneous systems; every other one has its columns in an open
+        # half-space (turned by a random rotation), so it is infeasible
+        for trial in range(count):
+            k = int(rng.integers(2, 7))
+            m = int(rng.integers(k + 1, 3 * k + 4))
+            A = rng.standard_normal((k, m))
+            if trial % 2:
+                A[0] = np.abs(A[0]) + 0.05
+                A = np.linalg.qr(rng.standard_normal((k, k)))[0] @ A
+            if trial % 3 == 0:  # a repeated column
+                A = np.hstack([A, A[:, :1]])
+            yield A
+
+    @pytest.mark.parametrize("stall", [50, 0])
+    def test_strict_shares_phase_one(self, rng, monkeypatch, stall):
+        monkeypatch.setattr(numerics, "_STALL", stall)
+        pivots = []
+        kernel_pivot = numerics._pivot
+
+        def logged_pivot(T, basis, row, col):
+            pivots.append((int(row), int(col)))
+            kernel_pivot(T, basis, row, col)
+
+        monkeypatch.setattr(numerics, "_pivot", logged_pivot)
+        infeasible = 0
+        for A in self._problems(rng, 160):
+            runs = []
+            for strict in (False, True):
+                pivots.clear()
+                out = numerics.solve_feasibility(numerics.FeasibilityProblem(
+                    A=A, b=np.zeros(A.shape[0]), require_strict=strict))
+                runs.append((out, list(pivots)))
+            (plain, plain_pivots), (strict, strict_pivots) = runs
+            assert plain.feasible == strict.feasible
+            assert strict_pivots[:len(plain_pivots)] == plain_pivots
+            if not plain.feasible:
+                infeasible += 1
+                assert strict_pivots == plain_pivots
+                assert strict.certificate.tobytes() == plain.certificate.tobytes()
+        assert infeasible >= 60

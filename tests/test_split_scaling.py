@@ -14,7 +14,6 @@ from framescale.frame_core import apply_scaling, is_tight
 from framescale.errors import DimensionMismatchError, FramescaleError
 from framescale.scalability import independent_rows
 from conftest import angles_frame, doubled_hadamard_frame, random_unit_frame
-from paper_reference import linear_program
 
 
 class EmptyWError(FramescaleError):
@@ -26,14 +25,16 @@ def _w_constraints(F):
 
 
 def _w_vertices(F, count):
-    """Distinct W elements obtained by maximizing single coordinates."""
+    """Distinct W elements obtained by maximizing single coordinates, with
+    scipy's HiGHS."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
     A, b = _w_constraints(F)
     found = []
     for i in range(min(count, F.m)):
         cost = np.zeros(F.m)
-        cost[i] = 1.0
-        res = linear_program(A, b, cost, maximize=True)
-        if res.status != "optimal":
+        cost[i] = -1.0
+        res = linprog(cost, A_eq=A, b_eq=b, bounds=(0.0, None), method="highs")
+        if res.status != 0:
             continue
         a = np.clip(res.x, 0.0, None)
         if not any(np.allclose(a, prev, atol=1e-10) for prev in found):
