@@ -184,9 +184,15 @@ def _frame_operator(F):
 
 
 def frame_potential(F) -> float:
-    """Sum of squared pairwise inner products of the frame vectors."""
-    G = F.synthesis.T @ F.synthesis
-    return float(np.sum(G * G))
+    """Sum of squared pairwise inner products of the frame vectors.  A sum
+    beyond the float range, as one vector of about 1e80 gives, is an input
+    error naming the frame potential, not inf."""
+    with np.errstate(over="ignore"):
+        G = F.synthesis.T @ F.synthesis
+        potential = float(np.sum(G * G))
+    if not np.isfinite(potential):
+        raise NonFiniteError("frame potential overflows the float range")
+    return potential
 
 
 def is_tight(F, tol=numerics.RESIDUAL_TOL) -> Tightness:

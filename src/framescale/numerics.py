@@ -45,8 +45,9 @@ ZERO_TOL = 1e-12       # zero and sign: an entry of unit-size data counts as 0
 #                        radians, times max |kernel basis| times s_1/s_r
 #                        over its row length, the angle of a codim-2
 #                        certificate's target to a kernel row, in radians,
-#                        times s_1/s_r, max weight, sum of unit-column
-#                        weights: zeroed ones)
+#                        times s_1/s_r, min B^T y of a W or V block
+#                        certificate against max|y|, max weight, sum of
+#                        unit-column weights: zeroed ones)
 RANK_TOL = 1e-10       # rank: the largest singular value (rank, kernel), the
 #                        largest entry or 1 if larger (independent rows), the
 #                        largest entry times s_1/s_r (cofactor sign classes)

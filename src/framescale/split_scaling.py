@@ -8,6 +8,18 @@ point of the intersection gives Parseval weights directly.  The answer of
 ``intersection_scalability`` is built and checked by ``scalability``, like
 every route's: its margin and kernel identity are read on the reduced
 diagram matrix, not on the W and V rows.
+
+W and V are the two row blocks of the reduced diagram matrix θ̃: its first
+n-1 rows are the square differences x_1^2 - x_j^2 and the rest the pair
+products x_i x_j, each times a positive constant.  V is nontrivial exactly
+when the product block has a kernel vector c >= 0, c != 0.  So is W for the
+difference block: some a >= 0 has diag(sum_k a_k x_k x_k^T) = 1 exactly when
+some c >= 0, c != 0 makes that diagonal constant, because its common value
+lambda = sum_k c_k ||x_k||^2 / n is then > 0 and a = c / lambda; and a
+constant diagonal is a zero difference block.  By Gordan's alternative
+neither holds exactly when some y has B^T y > 0 for the block B, so
+``find_W_element`` and ``find_V_element`` first try such a y on their block
+of the unit θ̃ (``_block_certificate``) and run their LP only without one.
 """
 
 from __future__ import annotations
@@ -17,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .diagram import coordinate_pairs
+from .diagram import coordinate_pairs, unit_diagram_matrix
 from .frame_core import _check_weight_length
 from .scalability import METHOD_FEASIBILITY, ScalingResult, _finish_scalable, _not_scalable
 
@@ -86,8 +98,38 @@ def _solve_member(A, b) -> ConeMembership:
     return ConeMembership(member=True, a=out.witness)
 
 
+def _block_certificate(F, rows):
+    """A y with B^T y > 0 for the block B = rows ``rows`` of the unit θ̃, or
+    None: Gordan's certificate that no c >= 0, c != 0 has B c = 0.
+
+    The candidate is the least-squares certificate for p = 1, as in the
+    ``trivial_kernel`` route, from one solve with the smaller Gram matrix of
+    the k x m block: B B^T y = B 1 when m >= k, else y = B (B^T B)^{-1} 1,
+    so that B^T y = 1.  It is accepted when min(B^T y) exceeds ``ZERO_TOL``
+    times max|y|; a block without rows, a singular Gram matrix or a y that
+    is not finite gives None."""
+    B = unit_diagram_matrix(F).data[rows]
+    k, m = B.shape
+    if k == 0:
+        return None
+    try:
+        if m >= k:
+            y = np.linalg.solve(B @ B.T, B.sum(axis=1))
+        else:
+            y = B @ np.linalg.solve(B.T @ B, np.ones(m))
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(y).all():
+        return None
+    margin = numerics.ZERO_TOL * float(np.abs(y).max())
+    return y if float((y @ B).min()) > margin else None
+
+
 def find_W_element(F) -> ConeMembership:
-    """Solve the W feasibility problem; NotMember means W is empty."""
+    """Solve the W feasibility problem; NotMember means W is empty.  A
+    certificate on θ̃'s difference block answers "empty" with no LP."""
+    if _block_certificate(F, slice(F.n - 1)) is not None:
+        return ConeMembership(member=False)
     squares, _ = _lift(F)
     return _solve_member(squares, np.ones(F.n))
 
@@ -95,7 +137,10 @@ def find_W_element(F) -> ConeMembership:
 def find_V_element(F) -> ConeMembership:
     """Search for a nontrivial (nonzero) element of V; the zero vector always
     belongs to V and is excluded by normalizing the weights to sum 1.  In
-    R^1 there are no row pairs, and every such weight vector is in V."""
+    R^1 there are no row pairs, and every such weight vector is in V.  A
+    certificate on θ̃'s product block answers "trivial" with no LP."""
+    if _block_certificate(F, slice(F.n - 1, None)) is not None:
+        return ConeMembership(member=False)
     _, products = _lift(F)
     return _solve_member(products, np.zeros(len(products)))
 

@@ -157,6 +157,15 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert out.index("not_scalable") < out.index("strictly_scalable")
 
+    def test_overflowing_frame_potential_exit_two(self, tmp_path, capsys):
+        # a vector of about 1e80 puts the frame potential past the float
+        # range: an input error naming it, with no warning and no inf
+        path = write(tmp_path, "far.frame", "n 2\nm 4\n1 0.2\n0.7 0.9\n1e80 2e80\n0.1 1\n")
+        assert main(["analyze", "--json", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: frame potential overflows the float range\n"
+
     def test_tol_env_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("FRAMESCALE_TOL", "1e-5")
         path = write(tmp_path, "mb.frame", MB_TEXT)

@@ -27,6 +27,7 @@ from framescale.cli import build_report, main
 from framescale.diagram import reduced_diagram_matrix, reduced_size, unit_diagram_matrix
 from framescale.framedoc import document_from_frame, format_frame_document
 from framescale.scalability import NOT_SCALABLE, quick_sign_reject, theta_kernel, theta_svd
+from framescale.split_scaling import _block_certificate
 from conftest import (
     angles_frame,
     doubled_hadamard_frame,
@@ -233,11 +234,20 @@ def _printed(result):
     return "not scalable; certificate y: " + " ".join("%.12g" % v for v in result.certificate_y)
 
 
+def _split_lps(F):
+    """The W and V LPs that a report on F runs when F is not scalable: those
+    whose block of the unit theta (the n-1 difference rows for W, the
+    product rows for V) has no Gordan certificate."""
+    blocks = {"W": slice(F.n - 1), "V": slice(F.n - 1, None)}
+    return [name for name, rows in blocks.items() if _block_certificate(F, rows) is None]
+
+
 @pytest.mark.parametrize("name", sorted(POLICY_FRAMES))
 def test_every_command_answers_with_decide(tmp_path, monkeypatch, capsys, name):
     # analyze, scale --method auto and the canonical-dual check take one
     # route policy; on corank 1 and 2 it solves no theta LP, so the report's
-    # only LPs are the W and V solves of a frame that is not scalable
+    # only LPs are the W and V solves of a frame that is not scalable, each
+    # when its block certificate is absent
     F = POLICY_FRAMES[name]()
     path = tmp_path / "frame.txt"
     path.write_text(format_frame_document(document_from_frame(F)))
@@ -276,13 +286,14 @@ def test_every_command_answers_with_decide(tmp_path, monkeypatch, capsys, name):
         squares, products = X * X, X[i] * X[j]
         assert all(np.array_equal(p.A, squares) or np.array_equal(p.A, products)
                    for (p,) in solves)
-        assert len(lps) == len(solves) == (0 if want.scalable else 2)
+        assert len(lps) == len(solves) == (0 if want.scalable else len(_split_lps(F)))
 
 
 @pytest.mark.parametrize("name", sorted(FRAMES))
 def test_report_asks_each_question_once(monkeypatch, name):
     # one theta LP decides scalability, strict or not; W and V are read from
-    # its answer, so their LPs run only on frames that are not scalable, and
+    # its answer, so their LPs run only on frames that are not scalable, at
+    # most once each and only when their block certificate is absent, and
     # W∩V never runs
     F = _frame(name)
     theta = reduced_diagram_matrix(F)
@@ -303,7 +314,8 @@ def test_report_asks_each_question_once(monkeypatch, name):
     assert solved.count("WV") == 0
     assert solved.count("theta") <= 1
     if verdict == NOT_SCALABLE:
-        assert solved.count("W") == solved.count("V") == 1
+        lps = _split_lps(F)
+        assert [solved.count(k) for k in "WV"] == [int(k in lps) for k in "WV"]
     else:
         assert "W" not in solved and "V" not in solved
 

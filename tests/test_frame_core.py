@@ -126,6 +126,18 @@ class TestFramePotential:
         F = make_frame(np.eye(4))
         assert frame_potential(F) == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("s", [1.0, 1e-80, 1e70])
+    def test_finite_values_are_the_plain_sum(self, rng, s):
+        F = make_frame(s * rng.standard_normal((6, 3)))
+        G = F.synthesis.T @ F.synthesis
+        assert frame_potential(F) == float(np.sum(G * G))
+
+    def test_overflow_is_an_input_error(self):
+        # the true potential, about 1e321, is beyond the float range
+        F = make_frame([[1.0, 0.2], [0.7, 0.9], [1e80, 2e80], [0.1, 1.0]])
+        with pytest.raises(NonFiniteError, match="frame potential"):
+            frame_potential(F)
+
 
 class TestTightness:
     def test_orthonormal_basis_is_parseval(self):

@@ -1,19 +1,30 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from framescale import (
+    canonical_dual,
     decide_scalable,
     find_V_element,
     find_W_element,
+    frame_from_synthesis,
     intersection_scalability,
     is_in_V,
     is_in_W,
     make_frame,
+    numerics,
+    split_scaling,
 )
+from framescale.diagram import unit_diagram_matrix
 from framescale.frame_core import apply_scaling, is_tight
 from framescale.errors import DimensionMismatchError, FramescaleError
 from framescale.scalability import independent_rows
-from conftest import angles_frame, doubled_hadamard_frame, random_unit_frame
+from conftest import angles_frame, doubled_hadamard_frame, open_cone_frame, random_unit_frame
+
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
 
 
 class EmptyWError(FramescaleError):
@@ -245,3 +256,141 @@ class TestLine:
         t = is_tight(apply_scaling(self.F, r.scalars_a))
         assert t.tight
         assert t.bound == pytest.approx(1.0, abs=1e-8)
+
+
+def _blocks(F):
+    """The rows of the unit theta that make up the W block (the n-1 square
+    differences) and the V block (the pair products)."""
+    return {"W": slice(F.n - 1), "V": slice(F.n - 1, None)}
+
+
+def _lift_rows(F, block):
+    """The block's own rows on X: the X∘X differences x_1^2 - x_j^2 for W,
+    the products X[i]∘X[j] for V."""
+    X = F.synthesis
+    if block == "W":
+        squares = X * X
+        return squares[0] - squares[1:]
+    i, j = np.triu_indices(F.n, 1)
+    return X[i] * X[j]
+
+
+def _drawn_frames():
+    rng = np.random.default_rng(2718)
+    frames = {}
+    for n, m in [(2, 3), (2, 6), (3, 4), (3, 7), (3, 12), (4, 5), (4, 9), (4, 16),
+                 (5, 6), (5, 11), (6, 7), (6, 12), (6, 24), (8, 9), (8, 30)]:
+        frames[f"random-unit-n{n}-m{m}"] = random_unit_frame(rng, n, m)
+    for n, m in [(2, 4), (3, 5), (3, 8), (4, 7), (5, 9)]:
+        # small integer entries: singular Gram matrices, zero rows and ties
+        while True:
+            X = rng.integers(-2, 3, size=(n, m)).astype(float)
+            if np.abs(X).sum(axis=0).min() > 0 and np.linalg.matrix_rank(X) == n:
+                break
+        frames[f"integer-n{n}-m{m}"] = frame_from_synthesis(X)
+    for n, m in [(2, 5), (3, 7), (3, 10)]:
+        frames[f"open-cone-n{n}-m{m}"] = open_cone_frame(rng, n, m)
+    frames["zero-w-row"] = make_frame([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]])
+    return frames
+
+
+def _corpus_frames():
+    """Frames of the benchmark corpus's not-scalable families: the planted
+    certificate, random unit vectors (mostly not scalable), hadamard-doubled,
+    and the canonical dual of P1."""
+    if not CORPUS.is_file():
+        return {}
+    spec = importlib.util.spec_from_file_location("bench_corpus", CORPUS)
+    corpus = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the class is built; it
+    # leaves sys.modules after, so that no other test sees it there
+    sys.modules[spec.name] = corpus
+    try:
+        spec.loader.exec_module(corpus)
+    finally:
+        del sys.modules[spec.name]
+    rng = np.random.default_rng(31)
+    frames = {}
+    for n, m in [(2, 3), (3, 6), (4, 8), (6, 7), (6, 16), (8, 36), (10, 20)]:
+        for family in ("not-scalable", "random-unit"):
+            build = corpus._BUILDERS[family][0]
+            frames[f"{family}-n{n}-m{m}"] = make_frame(build(rng, n, m))
+    for n in (2, 4, 8):
+        frames[f"hadamard-doubled-n{n}"] = make_frame(corpus.hadamard_doubled(n))
+        frames[f"p1-dual-n{n}"] = canonical_dual(make_frame(corpus.p1(n))).dual
+    return frames
+
+
+CERTIFICATE_FRAMES = {**_drawn_frames(), **_corpus_frames()}
+FINDERS = {"W": find_W_element, "V": find_V_element}
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = numerics.solve_feasibility
+
+    def counted(p):
+        calls.append(p)
+        return solve(p)
+
+    monkeypatch.setattr(numerics, "solve_feasibility", counted)
+    return calls
+
+
+class TestBlockCertificate:
+    """W and V first try Gordan's alternative on their block of the unit
+    theta; the LP runs only without a certificate, and the answer is the
+    same either way."""
+
+    @pytest.mark.parametrize("name", sorted(CERTIFICATE_FRAMES))
+    def test_certificate_first_answers_like_the_lp(self, monkeypatch, name):
+        X = CERTIFICATE_FRAMES[name].synthesis
+        solves = _count_solves(monkeypatch)
+        first = {}
+        for block, find in FINDERS.items():
+            F = frame_from_synthesis(X)
+            lps = len(solves)
+            first[block] = find(F)
+            certified = split_scaling._block_certificate(F, _blocks(F)[block]) is not None
+            assert len(solves) - lps == (0 if certified else 1), block
+        monkeypatch.setattr(split_scaling, "_block_certificate", lambda F, rows: None)
+        for block, find in FINDERS.items():
+            lp_only = find(frame_from_synthesis(X))
+            assert first[block].member == lp_only.member, block
+            if lp_only.a is None:
+                assert first[block].a is None, block
+            else:
+                assert first[block].a.tobytes() == lp_only.a.tobytes(), block
+
+    def test_accepted_certificates_clear_the_margin(self):
+        # both Gram branches accept: B B^T for W and V, B^T B for a V block
+        # with more rows than vectors (n = 6, m = 7: 15 products)
+        accepted = set()
+        for F in CERTIFICATE_FRAMES.values():
+            for block, rows in _blocks(F).items():
+                y = split_scaling._block_certificate(F, rows)
+                if y is None:
+                    continue
+                B = unit_diagram_matrix(F).data[rows]
+                assert float((y @ B).min()) > numerics.ZERO_TOL * float(np.abs(y).max())
+                assert float((y @ _lift_rows(F, block)).min()) > 0.0
+                assert not FINDERS[block](F).member
+                accepted.add((block, B.shape[1] >= B.shape[0]))
+        assert accepted == {("W", True), ("V", True), ("V", False)}
+
+    def test_frame_in_r1_takes_the_lp(self, monkeypatch):
+        F = TestLine.F
+        assert [split_scaling._block_certificate(F, rows)
+                for rows in _blocks(F).values()] == [None, None]
+        solves = _count_solves(monkeypatch)
+        assert find_W_element(F).member and find_V_element(F).member
+        assert len(solves) == 2
+
+    def test_zero_block_takes_the_lp(self, monkeypatch):
+        # x_1^2 = x_2^2 for every vector: the W block is 0, its Gram matrix
+        # singular, and W is not empty
+        F = CERTIFICATE_FRAMES["zero-w-row"]
+        assert split_scaling._block_certificate(F, _blocks(F)["W"]) is None
+        solves = _count_solves(monkeypatch)
+        assert find_W_element(F).member
+        assert len(solves) == 1
