@@ -86,8 +86,7 @@ def _split_elements(frame, verdict):
     if not verdict.scalable:
         return split.find_W_element(frame), split.find_V_element(frame)
     c = verdict.weights_c
-    lam = float(c @ (frame.synthesis ** 2).sum(axis=0)) / frame.n
-    w_elem = split.is_in_W(frame, c / lam)
+    w_elem = split.is_in_W(frame, split.w_point(frame, c))
     v_elem = split.is_in_V(frame, c)
     if not (w_elem.member and v_elem.member):
         raise InternalNumericError("reported weights fail the W or V identities")

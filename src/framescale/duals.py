@@ -1,6 +1,7 @@
 """Dual frames and their scalability.
 
-Covers the canonical dual S^{-1} X, alternate duals built from a Parseval
+Covers the canonical dual S^{-1} X, read off the row-sorted QR of the
+synthesis (``frame_core.synthesis_qr``), alternate duals built from a Parseval
 scaling, scalability under invertible transforms, canonical-dual
 scalability decided on the dual frame itself, its Grammian form, and the
 Hadamard-based counterexample of a scalable frame with a non-scalable
@@ -32,10 +33,9 @@ from .frame_core import (
     apply_scaling,
     derived,
     frame_from_synthesis,
-    frame_operator,
     is_dual,
     is_tight,
-    synthesis_svd,
+    synthesis_qr,
 )
 from .scalability import decide
 
@@ -66,15 +66,16 @@ def canonical_dual(F) -> DualPair:
 
 
 def _canonical_dual(F):
-    # S^{-1} X = U diag(1/s) V^T for the frame's SVD X = U diag(s) V^T, with
-    # no S = X X^T to square the condition number of X; it is the dual's own
-    # SVD, factors reversed, so the dual needs no factorization of its own
-    U, s, Vt = synthesis_svd(F)
+    # S^{-1} X = R^{-1} Q^T for the sorted QR X^T[order] = Q R, with no
+    # S = X X^T to square the condition number of X; each dual vector is
+    # accurate relative to its own length
+    qr = synthesis_qr(F)
+    Y = np.empty_like(F.synthesis)
+    Y[:, qr.order] = qr.R_inv @ qr.Q.T
     # F is a valid frame, so a dual that fails the frame checks (a vector
     # that rounds to 0) is a numeric failure, not an input error
     try:
-        dual = _spanning_frame(_checked_synthesis((U / s) @ Vt),
-                               (U[:, ::-1], 1.0 / s[::-1], Vt[::-1]))
+        dual = _spanning_frame(_checked_synthesis(Y))
     except (NonFiniteError, NotSpanningError, ZeroVectorError) as exc:
         raise InternalNumericError(f"canonical dual is not a frame: {exc}") from exc
     if not is_dual(F, dual):
@@ -133,29 +134,32 @@ def canonical_dual_scalable(F) -> DualScalingReport:
     the scale of F.  Its weights c' (sum 1) map to
     c_i = n c'_i / sum_k c'_k ||z_k||^2, which solve
     sum_i c_i x_i x_i^T = S^2; scaling the dual by a_i = sqrt(c_i) makes it
-    Parseval.  That identity is re-checked, and so is the route through
-    S^{-1/2}: {sqrt(c_i) S^{-1/2} x_i} must have frame operator S.  A "not
-    scalable" answer carries the dual frame's certificate y.
+    Parseval.  Both identities are re-checked, each against its largest
+    entry, and ``residual`` is that of the Parseval one,
+    max |sum_i c_i z_i z_i^T - I|.  A "not scalable" answer carries the dual
+    frame's certificate y.
     """
     dual = canonical_dual(F).dual
     result = decide(dual)
     if not result.scalable:
         return DualScalingReport(feasible=False, certificate_y=result.certificate_y)
+    Z = dual.synthesis
     c = result.weights_c
-    c = F.n * c / float(c @ (dual.synthesis ** 2).sum(axis=0))
-    a = np.sqrt(c)
-    op = frame_operator(F)
-    s_sq = op.S @ op.S
-    achieved = (F.synthesis * c) @ F.synthesis.T
-    residual = float(np.abs(achieved - s_sq).max())
-    if residual > numerics.IDENTITY_TOL * float(np.abs(s_sq).max()):
+    c = F.n * c / float(c @ (Z ** 2).sum(axis=0))
+    # the S^2 identity on X / t and c / t^2 for the power of two t at the
+    # peak of X: exact, and S^2 stays in the float range
+    _, e = np.frexp(float(np.abs(F.synthesis).max()))
+    X = np.ldexp(F.synthesis, -e)
+    S = X @ X.T
+    s_sq = S @ S
+    achieved = (X * np.ldexp(c, -2 * e)) @ X.T
+    if float(np.abs(achieved - s_sq).max()) > numerics.IDENTITY_TOL * float(np.abs(s_sq).max()):
         raise InternalNumericError("dual-scaling weights fail the S^2 identity")
-    U, s, _ = op.svd
-    s_inv_half = (U / s) @ U.T
-    Z = s_inv_half @ (F.synthesis * a)
-    if float(np.abs(Z @ Z.T - op.S).max()) > numerics.IDENTITY_TOL * float(np.abs(op.S).max()):
-        raise InternalNumericError("S^{-1/2} cross-check failed")
-    return DualScalingReport(feasible=True, weights_c=c, scalars_a=a, residual=residual)
+    residual = float(np.abs((Z * c) @ Z.T - np.eye(F.n)).max())
+    if residual > numerics.IDENTITY_TOL:
+        raise InternalNumericError("scaled canonical dual fails the Parseval identity")
+    return DualScalingReport(feasible=True, weights_c=c, scalars_a=np.sqrt(c),
+                             residual=residual)
 
 
 def grammian_form_check(F, a) -> float:

@@ -5,14 +5,16 @@ i-th frame vector.  Construction verifies the spanning property on the
 singular values of X on unit-norm columns, which no rescaling of a vector
 moves, so every ``Frame`` instance really is a frame; for the same reason a
 scaling by strictly positive weights keeps the frame's spanning decision.
-The thin SVD X = U diag(s) V^T is taken on first use.  That SVD, and every
-other value derived from the synthesis, is kept on the frame through
-``derived``: the frame bounds are s_n^2 and s_1^2, and the canonical dual and
-S^{-1/2} are read from the same factors.
+One Householder QR of X^T with its rows sorted by decreasing norm
+(``synthesis_qr``) is taken on first use.  That QR, and every other value
+derived from the synthesis, is kept on the frame through ``derived``: the
+frame bounds are sigma_max(R^{-1})^{-2} and sigma_max(R)^2, and the
+canonical dual is R^{-1} Q^T.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,9 +53,11 @@ class Frame:
 @dataclass(frozen=True)
 class FrameOperatorData:
     S: np.ndarray
-    svd: tuple  # (U, s, V^T), the thin SVD of the synthesis: S = U diag(s^2) U^T
     lower_bound: float
     upper_bound: float
+
+
+SynthesisQR = namedtuple("SynthesisQR", ["order", "Q", "R", "R_inv"])
 
 
 @dataclass(frozen=True)
@@ -81,24 +85,31 @@ def derived(F, key, build):
 
 def frame_from_synthesis(X) -> Frame:
     """Build a Frame from an n x m synthesis matrix, validating invariants.
-    The spanning test reads only singular values; the thin SVD of X waits
-    for ``synthesis_svd``."""
+    The spanning test reads only singular values; the QR of X waits for
+    ``synthesis_qr``."""
     return _spanning_frame(_checked_synthesis(X))
 
 
-def _thin_svd(X):
-    """(U, s, V^T), s descending, as a plain tuple of read-only arrays on
-    every numpy version."""
-    svd = tuple(np.linalg.svd(X, full_matrices=False))
-    for a in svd:
+def synthesis_qr(F) -> SynthesisQR:
+    """The Householder QR X^T[order] = Q R of the frame vectors sorted by
+    decreasing norm, with R^{-1}, taken on first use and kept on the frame.
+
+    S = X X^T = R^T R, so S^{-1} x_i = R^{-1} q_i for the row q_i of Q that
+    holds x_i.  With its rows sorted, Householder QR is row-wise backward
+    stable (Powell-Reid 1969; Cox-Higham 1998): each q_i, and the dual
+    vector read from it, is accurate relative to its own vector however far
+    apart the norms of the vectors are, which the SVD of X is not."""
+    return derived(F, "qr", _synthesis_qr)
+
+
+def _synthesis_qr(F):
+    X = F.synthesis
+    order = np.argsort(-numerics.column_norms(X), kind="stable")
+    Q, R = np.linalg.qr(X[:, order].T)
+    qr = SynthesisQR(order=order, Q=Q, R=R, R_inv=np.linalg.inv(R))
+    for a in qr:
         a.setflags(write=False)
-    return svd
-
-
-def synthesis_svd(F):
-    """The thin SVD of the synthesis, taken on first use and kept on the
-    frame; the canonical dual is built holding its own."""
-    return derived(F, "svd", lambda G: _thin_svd(G.synthesis))
+    return qr
 
 
 def _checked_synthesis(X):
@@ -139,19 +150,13 @@ def _spans(X):
     return numerics.rank(X / numerics.column_norms(X)) == X.shape[0]
 
 
-def _spanning_frame(X, svd=None) -> Frame:
+def _spanning_frame(X) -> Frame:
     """The Frame on the checked synthesis X: spanning is decided by
-    ``_spans``.  A thin SVD ``svd`` of X, when the caller holds one, is kept
-    on the frame; otherwise ``synthesis_svd`` takes it on first use."""
+    ``_spans``."""
     if not _spans(X):
         raise NotSpanningError("vectors do not span R^n")
     X.setflags(write=False)
-    F = Frame(synthesis=X)
-    if svd is not None:
-        for a in svd:
-            a.setflags(write=False)
-        derived(F, "svd", lambda _: svd)
-    return F
+    return Frame(synthesis=X)
 
 
 def make_frame(vectors) -> Frame:
@@ -167,9 +172,11 @@ def make_frame(vectors) -> Frame:
 
 
 def frame_operator(F) -> FrameOperatorData:
-    """Frame operator S = X X^T with the SVD of X and the frame bounds
-    s_n^2 and s_1^2, which unlike the eigenvalues of the formed S do not lose
-    the square of the condition number of X; computed once per frame."""
+    """Frame operator S = X X^T with the frame bounds read off the sorted
+    QR of ``synthesis_qr``, S = R^T R: A = 1 / sigma_max(R^{-1})^2 and
+    B = sigma_max(R)^2.  Unlike the eigenvalues of the formed S, or the
+    smallest singular value of X, they do not lose the square of the
+    condition number of X; computed once per frame."""
     return derived(F, "frame_operator", _frame_operator)
 
 
@@ -177,10 +184,11 @@ def _frame_operator(F):
     X = F.synthesis
     S = X @ X.T
     S.setflags(write=False)
-    svd = synthesis_svd(F)
-    s = svd[1]
-    return FrameOperatorData(S=S, svd=svd, lower_bound=float(s[-1] ** 2),
-                             upper_bound=float(s[0] ** 2))
+    qr = synthesis_qr(F)
+    return FrameOperatorData(
+        S=S,
+        lower_bound=float(1.0 / numerics.singular_values(qr.R_inv)[0] ** 2),
+        upper_bound=float(numerics.singular_values(qr.R)[0] ** 2))
 
 
 def frame_potential(F) -> float:

@@ -45,9 +45,11 @@ ZERO_TOL = 1e-12       # zero and sign: an entry of unit-size data counts as 0
 #                        radians, times max |kernel basis| times s_1/s_r
 #                        over its row length, the angle of a codim-2
 #                        certificate's target to a kernel row, in radians,
-#                        times s_1/s_r, min B^T y of a W or V block
-#                        certificate against max|y|, max weight, sum of
-#                        unit-column weights: zeroed ones)
+#                        times s_1/s_r, min B^T y of a certificate of the
+#                        split of 1 against max|y|, max weight, sum of
+#                        unit-column weights: zeroed ones); the
+#                        regularization of the split's Gram solve, whose
+#                        square root times max|y| its kernel part must exceed
 RANK_TOL = 1e-10       # rank: the largest singular value (rank, kernel), the
 #                        largest entry or 1 if larger (independent rows), the
 #                        largest entry times s_1/s_r (cofactor sign classes)
@@ -60,11 +62,14 @@ RESIDUAL_TOL = 1e-8    # residual: witness residual against 1 + max|b|; the
 #                        W rows and X Y^T against 1; V cross terms against the
 #                        largest diagonal entry of sum_i a_i x_i x_i^T; the
 #                        default tightness tolerance
-IDENTITY_TOL = 1e-7    # identity: operator identities (S^2, S, the transform
+IDENTITY_TOL = 1e-7    # identity: operator identities (S^2, the Parseval
+#                        identity of the scaled canonical dual, the transform
 #                        target) against their largest entry; a codim-2
 #                        weight against max |kernel basis|
 STRICT_MARGIN = 1e-9   # strictness: the minimum unit-column weight (weights
-#                        sum 1) of a strictly scalable answer exceeds this
+#                        sum 1) of a strictly scalable answer exceeds this,
+#                        and so does the minimum of a kernel part w of the
+#                        split of 1 against the sum of w
 
 _STALL = 50         # consecutive degenerate pivots before Bland's rule takes over
 

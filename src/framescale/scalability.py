@@ -5,6 +5,12 @@ the canonical-dual check all call it.  It tries the routes in this order:
 
 * ``quick_sign_reject`` -- cheap rejection when a row of the reduced diagram
   matrix is strictly one-signed;
+* ``split_of_one`` -- the orthogonal split 1 = theta^^T y + w of the
+  all-ones vector on the unit matrix theta^, from one regularized Gram
+  solve (method ``projection``): by Gordan's alternative a strictly
+  positive theta^^T y is the certificate that no c >= 0, c != 0 has
+  theta c = 0, and a strictly positive w is a strictly positive kernel
+  vector;
 * for m <= d + 2, where d = (n-1)(n+2)/2 is the row count of the matrix, the
   corank read off its one SVD (``theta_svd``) picks a kernel route:
   - corank 0: the kernel is trivial, so the frame is not scalable, with the
@@ -15,12 +21,13 @@ the canonical-dual check all call it.  It tries the routes in this order:
     for the orthonormal kernel basis xi_1, xi_2, is nonnegative on a
     half-circle of directions t, and these meet exactly when the widest
     circular gap between their normal angles is at least pi;
-* everything else, and a frame whose kernel route fails its own check
+* everything else, and a frame whose route fails its own check
   (``InternalNumericError``), goes to ``decide_scalable`` -- the general
   test: a nonnegative, nonzero vector in the kernel of the reduced diagram
   matrix, found by linear feasibility.
 
-A frame with m > d + 2 has corank at least 3 and takes no SVD.
+A frame that the split answers takes no SVD, and one with m > d + 2, which
+has corank at least 3, takes none either.
 
 ``cofactor_vector`` keeps the paper's cofactor formula; the routes' kernel
 vectors are proportional to it.
@@ -28,19 +35,21 @@ vectors are proportional to it.
 A route supplies a kernel vector or a certificate; two constructors build
 every answer.  ``_not_scalable`` carries a separating functional y with
 <x~_i, y> > 0 for all i and, for the sign reject, the one-signed row.  The
-LP routes take y from their LP; the kernel routes read it off the SVD they
-already hold, with no LP (``_kernel_certificate``, Gordan's alternative);
-the split route, which has none, takes the plain LP's.
-``_finish_scalable`` normalizes the weights, reads the strictness margin off
-them and re-checks theta c = 0.
+LP routes take y from their LP; the split takes its own, and the kernel
+routes read it off the SVD they already hold, with no LP
+(``_kernel_certificate``, Gordan's alternative); every one is checked by
+``hull_certificate_check``.  The W∩V route, which has none, takes the
+split's, and without one the plain LP's.  ``_finish_scalable`` normalizes
+the weights, reads the strictness margin off them and re-checks
+theta c = 0.
 
 Rescaling x_i by s rescales column i of the reduced diagram matrix by
 s^2 > 0, which keeps scalability.  So every route reads that matrix on
 unit-norm columns (``diagram.unit_diagram_matrix``): the LPs through
-``numerics.solve_feasibility``, and the sign reject, the kernel (whose width
-is the corank that ``decide`` routes on), the cofactor and codim-2 routes
-and the margin through the per-frame copy.  The thresholds are those of the
-``numerics`` table.
+``numerics.solve_feasibility``, and the sign reject, the split, the kernel
+(whose width is the corank that ``decide`` routes on), the cofactor and
+codim-2 routes and the margin through the per-frame copy.  The thresholds
+are those of the ``numerics`` table.
 """
 
 from __future__ import annotations
@@ -69,6 +78,7 @@ METHOD_COFACTOR = "cofactor"
 METHOD_CODIM2 = "codim2"
 METHOD_SIGN_REJECT = "sign_reject"
 METHOD_TRIVIAL_KERNEL = "trivial_kernel"
+METHOD_PROJECTION = "projection"
 
 ALL_NONNEG = "all_nonneg"
 ALL_NONPOS = "all_nonpos"
@@ -98,6 +108,7 @@ class CofactorReport:
 
 
 SignCheck = namedtuple("SignCheck", ["row_index"])
+Split = namedtuple("Split", ["certificate_y", "witness_c"])
 
 
 def independent_rows(mat):
@@ -197,10 +208,59 @@ def _kernel_certificate(F, p, method):
     theta^T y = ||theta_i|| p_i > 0: the certificate, checked, without an
     LP."""
     U, s, Vt, r = theta_svd(F)
-    y = U[:, :r] @ ((Vt[:r] @ p) / s[:r])
+    return _certified(F, method, U[:, :r] @ ((Vt[:r] @ p) / s[:r]))
+
+
+def _certified(F, method, y, reject_row=None):
+    """The "not scalable" answer of a route's own certificate y, which must
+    pass ``hull_certificate_check``."""
     if not hull_certificate_check(F, y):
         raise InternalNumericError(f"{method} certificate fails the hull certificate check")
-    return _not_scalable(F, method, y)
+    return _not_scalable(F, method, y, reject_row)
+
+
+def split_of_one(F, rows=slice(None)) -> Split:
+    """The orthogonal split 1 = B^T y + w of the all-ones vector, for the
+    block B = rows ``rows`` of the unit matrix theta^ (``unit_diagram_matrix``):
+    B^T y is its projection on the row space of B and w on the kernel.
+
+    By Gordan's alternative no c >= 0, c != 0 has B c = 0 exactly when some
+    y has B^T y > 0, so whenever either part is strictly positive it settles
+    that question: a B^T y whose minimum exceeds ``ZERO_TOL`` times max|y|
+    gives the certificate y, and a w whose minimum exceeds ``STRICT_MARGIN``
+    times its sum the kernel vector c = w / ||theta_i|| of the reduced
+    diagram matrix's block itself.  Otherwise both are None, and so they are
+    for a block without rows.
+
+    y comes from one solve with the smaller Gram matrix of the k x m block,
+    regularized by ``ZERO_TOL`` so that a rank-deficient block still has an
+    answer that depends only on its columns:
+    (B B^T + ZERO_TOL I) y = B 1 when m >= k, else
+    y = B (B^T B + ZERO_TOL I)^{-1} 1, which is the same y.  The
+    regularization leaves B w = ZERO_TOL y.  A row-space direction of B
+    whose singular value is above sqrt(ZERO_TOL) moves w off the kernel by
+    at most sqrt(ZERO_TOL) times the component of y along it; one far below
+    stays in w as if it were kernel, and makes y large.  So w counts only
+    when its minimum also exceeds sqrt(ZERO_TOL) max|y|, which keeps such a
+    direction, as near-duplicate vectors make, from passing for a strictly
+    positive kernel vector.  The callers check every answer."""
+    unit = unit_diagram_matrix(F)
+    B = unit.data[rows]
+    k, m = B.shape
+    if k == 0:
+        return Split(None, None)
+    if m >= k:
+        y = np.linalg.solve(B @ B.T + ZERO_TOL * np.eye(k), B.sum(axis=1))
+    else:
+        y = B @ np.linalg.solve(B.T @ B + ZERO_TOL * np.eye(m), np.ones(m))
+    projected = y @ B
+    y_max = float(np.abs(y).max())
+    if float(projected.min()) > ZERO_TOL * y_max:
+        return Split(y, None)
+    w = 1.0 - projected
+    if float(w.min()) > max(STRICT_MARGIN * float(w.sum()), np.sqrt(ZERO_TOL) * y_max):
+        return Split(None, w / unit.norms)
+    return Split(None, None)
 
 
 def _theta_lp(F, strict=False):
@@ -245,8 +305,14 @@ def _finish_scalable(F, c, method, strict=True):
 
 
 def _not_scalable(F, method, certificate_y=None, reject_row=None):
-    """Every "not scalable" answer.  The split route has no certificate of
-    its own and takes the plain LP's, which must then be infeasible."""
+    """Every "not scalable" answer.  The W∩V route has no certificate of its
+    own: it takes the one of ``split_of_one`` when that passes
+    ``hull_certificate_check``, and else the plain LP's, which must then be
+    infeasible."""
+    if certificate_y is None:
+        y = split_of_one(F).certificate_y
+        if y is not None and hull_certificate_check(F, y):
+            certificate_y = y
     if certificate_y is None:
         out = _theta_lp(F)
         if out.feasible:
@@ -270,9 +336,7 @@ def _sign_reject(F):
     theta = reduced_diagram_matrix(F)
     y = np.zeros(theta.shape[0])
     y[check.row_index] = 1.0 if theta[check.row_index].sum() > 0 else -1.0
-    if not hull_certificate_check(F, y):
-        raise InternalNumericError("one-signed row fails the hull certificate check")
-    return _not_scalable(F, METHOD_SIGN_REJECT, y, check.row_index)
+    return _certified(F, METHOD_SIGN_REJECT, y, check.row_index)
 
 
 def decide_scalable(F, strict=False) -> ScalingResult:
@@ -294,15 +358,31 @@ def decide_scalable(F, strict=False) -> ScalingResult:
 def decide(F, strict=False) -> ScalingResult:
     """The scalability answer of ``analyze``, ``scale --method auto`` and the
     canonical-dual check, from the first route that applies (see the module
-    docstring): the sign reject; for m <= d + 2 the kernel route of the
-    corank of ``theta_svd``; else ``decide_scalable``, which also answers a
-    frame whose kernel route fails its own check.  ``strict`` reaches only
-    the LP: a kernel route's weights do not depend on it, and its
-    strictness is read off them."""
+    docstring): the sign reject; the split of 1; for m <= d + 2 the kernel
+    route of the corank of ``theta_svd``; else ``decide_scalable``, which
+    also answers a frame whose split or kernel route fails its own check.
+    ``strict`` reaches only the LP: the other routes' weights do not depend
+    on it, and their strictness is read off them."""
     answer = _sign_reject(F)
+    if answer is None:
+        answer = _projection(F)
     if answer is None and F.m <= reduced_size(F.n) + 2:
         answer = _kernel_route(F)
     return answer if answer is not None else decide_scalable(F, strict)
+
+
+def _projection(F):
+    """The answer of ``split_of_one`` on the whole unit matrix, or None when
+    neither part is strictly positive or the answer fails its check."""
+    y, c = split_of_one(F)
+    try:
+        if y is not None:
+            return _certified(F, METHOD_PROJECTION, y)
+        if c is not None:
+            return _finish_scalable(F, c, METHOD_PROJECTION)
+    except InternalNumericError:
+        pass  # the next route answers what the split cannot check
+    return None
 
 
 def _kernel_route(F):

@@ -15,11 +15,15 @@ products x_i x_j, each times a positive constant.  V is nontrivial exactly
 when the product block has a kernel vector c >= 0, c != 0.  So is W for the
 difference block: some a >= 0 has diag(sum_k a_k x_k x_k^T) = 1 exactly when
 some c >= 0, c != 0 makes that diagonal constant, because its common value
-lambda = sum_k c_k ||x_k||^2 / n is then > 0 and a = c / lambda; and a
-constant diagonal is a zero difference block.  By Gordan's alternative
-neither holds exactly when some y has B^T y > 0 for the block B, so
-``find_W_element`` and ``find_V_element`` first try such a y on their block
-of the unit θ̃ (``_block_certificate``) and run their LP only without one.
+lambda = sum_k c_k ||x_k||^2 / n is then > 0 and a = c / lambda
+(``w_point``); and a constant diagonal is a zero difference block.  By
+Gordan's alternative neither holds exactly when some y has B^T y > 0 for the
+block B.  So ``find_W_element`` and ``find_V_element`` first split 1 on
+their block of the unit θ̃ (``scalability.split_of_one``): its certificate
+y answers "empty" or "trivial", and its strictly positive kernel vector c
+answers with the point of W or V on the ray of c once ``is_in_W`` or
+``is_in_V`` accepts it.  They run their LP only when the split answers
+neither way.
 """
 
 from __future__ import annotations
@@ -29,9 +33,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .diagram import coordinate_pairs, unit_diagram_matrix
+from .diagram import coordinate_pairs
 from .frame_core import _check_weight_length
-from .scalability import METHOD_FEASIBILITY, ScalingResult, _finish_scalable, _not_scalable
+from .scalability import (
+    METHOD_FEASIBILITY,
+    ScalingResult,
+    _finish_scalable,
+    _not_scalable,
+    split_of_one,
+)
 
 
 @dataclass(frozen=True)
@@ -98,38 +108,25 @@ def _solve_member(A, b) -> ConeMembership:
     return ConeMembership(member=True, a=out.witness)
 
 
-def _block_certificate(F, rows):
-    """A y with B^T y > 0 for the block B = rows ``rows`` of the unit θ̃, or
-    None: Gordan's certificate that no c >= 0, c != 0 has B c = 0.
-
-    The candidate is the least-squares certificate for p = 1, as in the
-    ``trivial_kernel`` route, from one solve with the smaller Gram matrix of
-    the k x m block: B B^T y = B 1 when m >= k, else y = B (B^T B)^{-1} 1,
-    so that B^T y = 1.  It is accepted when min(B^T y) exceeds ``ZERO_TOL``
-    times max|y|; a block without rows, a singular Gram matrix or a y that
-    is not finite gives None."""
-    B = unit_diagram_matrix(F).data[rows]
-    k, m = B.shape
-    if k == 0:
-        return None
-    try:
-        if m >= k:
-            y = np.linalg.solve(B @ B.T, B.sum(axis=1))
-        else:
-            y = B @ np.linalg.solve(B.T @ B, np.ones(m))
-    except np.linalg.LinAlgError:
-        return None
-    if not np.isfinite(y).all():
-        return None
-    margin = numerics.ZERO_TOL * float(np.abs(y).max())
-    return y if float((y @ B).min()) > margin else None
+def w_point(F, c):
+    """The point c / lambda of W on the ray of a c >= 0, c != 0 that makes
+    the diagonal of sum_k c_k x_k x_k^T constant: lambda is that constant,
+    sum_k c_k ||x_k||^2 / n."""
+    return c / (float(c @ (F.synthesis ** 2).sum(axis=0)) / F.n)
 
 
 def find_W_element(F) -> ConeMembership:
-    """Solve the W feasibility problem; NotMember means W is empty.  A
-    certificate on θ̃'s difference block answers "empty" with no LP."""
-    if _block_certificate(F, slice(F.n - 1)) is not None:
+    """Solve the W feasibility problem; NotMember means W is empty.  The
+    split of 1 on θ̃'s difference block answers with no LP when one of its
+    parts is strictly positive and, for a kernel vector, ``is_in_W``
+    accepts its point."""
+    y, c = split_of_one(F, slice(F.n - 1))
+    if y is not None:
         return ConeMembership(member=False)
+    if c is not None:
+        found = is_in_W(F, w_point(F, c))
+        if found.member:
+            return found
     squares, _ = _lift(F)
     return _solve_member(squares, np.ones(F.n))
 
@@ -137,10 +134,17 @@ def find_W_element(F) -> ConeMembership:
 def find_V_element(F) -> ConeMembership:
     """Search for a nontrivial (nonzero) element of V; the zero vector always
     belongs to V and is excluded by normalizing the weights to sum 1.  In
-    R^1 there are no row pairs, and every such weight vector is in V.  A
-    certificate on θ̃'s product block answers "trivial" with no LP."""
-    if _block_certificate(F, slice(F.n - 1, None)) is not None:
+    R^1 there are no row pairs, and every such weight vector is in V.  The
+    split of 1 on θ̃'s product block answers with no LP when one of its
+    parts is strictly positive and, for a kernel vector, ``is_in_V``
+    accepts it."""
+    y, c = split_of_one(F, slice(F.n - 1, None))
+    if y is not None:
         return ConeMembership(member=False)
+    if c is not None:
+        found = is_in_V(F, c / c.sum())
+        if found.member:
+            return found
     _, products = _lift(F)
     return _solve_member(products, np.zeros(len(products)))
 

@@ -1,9 +1,59 @@
+import functools
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
-from framescale import make_frame, sylvester_hadamard
+from framescale import is_in_V, is_in_W, make_frame, sylvester_hadamard
+from framescale.scalability import split_of_one
+from framescale.split_scaling import w_point
+
+# Hypothesis profiles, for the tests that leave max_examples to them
+# (test_invariance.py::test_report_is_invariant_on_drawn_frames): 60 examples
+# in tier-1, and 1,500 with ``pytest --hypothesis-profile thorough``
+settings.register_profile("tier1", max_examples=60)
+settings.register_profile("thorough", max_examples=1500)
+settings.load_profile("tier1")
 
 SCALES = (1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9)  # global scales a verdict must survive
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
+
+
+@functools.cache
+def bench_corpus():
+    """The benchmark's corpus module ``bench/corpus.py``, or None without
+    it."""
+    if not CORPUS.is_file():
+        return None
+    spec = importlib.util.spec_from_file_location("bench_corpus", CORPUS)
+    corpus = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the class is built; it
+    # leaves sys.modules after, so that no other test sees it there
+    sys.modules[spec.name] = corpus
+    try:
+        spec.loader.exec_module(corpus)
+    finally:
+        del sys.modules[spec.name]
+    return corpus
+
+
+def split_answer(F, block):
+    """What the split of 1 on the block of the unit theta answers, for
+    ``block`` "W" (the n-1 difference rows) or "V" (the product rows):
+    "empty" for a certificate, "member" for a kernel vector whose point the
+    membership test accepts, else None (the LP answers)."""
+    rows = slice(F.n - 1) if block == "W" else slice(F.n - 1, None)
+    y, c = split_of_one(F, rows)
+    if y is not None:
+        return "empty"
+    if c is not None:
+        found = is_in_W(F, w_point(F, c)) if block == "W" else is_in_V(F, c / c.sum())
+        if found.member:
+            return "member"
+    return None
 
 
 def random_unit_frame(rng, n, m):

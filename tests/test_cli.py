@@ -436,15 +436,34 @@ class TestDual:
         c = np.array([float(v) for v in weights.split()])
         assert c.min() >= 0 and float(c @ Y[0] ** 2) == pytest.approx(1.0, rel=1e-9)
 
-    @pytest.mark.parametrize("command", [["analyze"], ["dual"], ["dual", "--check-scalable"]])
-    @pytest.mark.parametrize("x", ["1e17", "1e100"])
-    def test_dual_vector_that_rounds_to_zero_is_a_numeric_failure(
-            self, tmp_path, capsys, command, x):
-        # the input has no zero vector, but its canonical dual's first vector
-        # rounds to 0: exit 3, naming the canonical dual, not an input error
+    @pytest.mark.parametrize("x", ["1e9", "1e15", "1e17"])
+    def test_analyze_answers_a_far_vector(self, tmp_path, capsys, x):
+        # (1, 0), (0, 1), (x, x): the frame operator has the eigenvalue 1 on
+        # (1, -1) exactly, and the sorted QR of X reads it to the last digit
         path = write(tmp_path, "far.frame", f"n 2\nm 3\n1 0\n0 1\n{x} {x}\n")
-        assert main(command + [path]) == 3
-        assert capsys.readouterr().err.startswith("numeric failure: canonical dual ")
+        assert main(["analyze", "--json", path]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["frame"]["lower_bound"] == pytest.approx(1.0, rel=1e-15, abs=0)
+        assert rep["dual"]["dual_scalable"] is True
+
+    @pytest.mark.parametrize("command", [["dual"], ["dual", "--check-scalable"]])
+    @pytest.mark.parametrize("x", ["1e17", "1e100"])
+    def test_dual_of_a_far_vector_is_accurate(self, tmp_path, capsys, command, x):
+        # the dual vector of (x, x) is (1, 1) / 2x, no matter how far it lies
+        # below the others, which are (1, -1) / 2 and (-1, 1) / 2
+        path = write(tmp_path, "far.frame", f"n 2\nm 3\n1 0\n0 1\n{x} {x}\n")
+        assert main(command + [path]) == 0
+        out = capsys.readouterr().out
+        Y = parse_frame_document(out.split("dual scalable")[0]).vectors
+        expected = np.array([[0.5, -0.5], [-0.5, 0.5], [0.5 / float(x)] * 2])
+        assert np.abs(Y / expected - 1.0).max() < 1e-15
+        assert ("dual scalable; weights c:" in out) == ("--check-scalable" in command)
+
+    def test_analyze_names_the_frame_potential_of_a_far_vector(self, tmp_path, capsys):
+        # at 1e100 the dual is accurate, but the frame potential overflows
+        path = write(tmp_path, "far.frame", "n 2\nm 3\n1 0\n0 1\n1e100 1e100\n")
+        assert main(["analyze", path]) == 2
+        assert "frame potential" in capsys.readouterr().err
 
     def test_orthonormal_basis_self_dual(self, tmp_path, capsys):
         path = write(tmp_path, "onb.frame", "n 2\nm 2\n1 0\n0 1\n")

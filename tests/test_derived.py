@@ -26,10 +26,16 @@ from framescale import diagram, frame_core
 from framescale.cli import build_report, main
 from framescale.diagram import reduced_diagram_matrix, reduced_size, unit_diagram_matrix
 from framescale.framedoc import document_from_frame, format_frame_document
-from framescale.scalability import NOT_SCALABLE, quick_sign_reject, theta_kernel, theta_svd
-from framescale.split_scaling import _block_certificate
+from framescale.scalability import (
+    METHOD_PROJECTION,
+    METHOD_SIGN_REJECT,
+    NOT_SCALABLE,
+    theta_kernel,
+    theta_svd,
+)
 from conftest import (
     angles_frame,
+    split_answer,
     doubled_hadamard_frame,
     random_scalable_frame,
     random_unit_frame,
@@ -140,44 +146,53 @@ def test_report_computes_each_quantity_once(monkeypatch, name):
 
 def _routes_on_corank(G):
     """True when ``decide`` reads the corank of G off the SVD of its unit
-    theta: m <= d + 2 and no row of theta is one-signed."""
-    return G.m <= reduced_size(G.n) + 2 and quick_sign_reject(G).row_index is None
+    theta: m <= d + 2, and neither the sign reject nor the split of 1
+    answers."""
+    method = decide(frame_from_synthesis(G.synthesis)).method
+    return (G.m <= reduced_size(G.n) + 2
+            and method not in (METHOD_SIGN_REJECT, METHOD_PROJECTION))
 
 
 @pytest.mark.parametrize("name", sorted(FRAMES))
 def test_report_factors_x_once(monkeypatch, name):
-    # the one thin SVD of X gives the frame bounds, the canonical dual with
-    # its own SVD, and S^{-1/2}; the spanning test of the frame and of its
-    # dual reads only the singular values of each on unit-norm columns.  The
-    # unit theta of the frame, and then of its dual, is factored once each
-    # when its corank picks the route
+    # one QR of X, its vectors sorted by decreasing norm, gives the frame
+    # bounds from the singular values of R and R^{-1}, and the canonical
+    # dual; X itself takes no SVD.  The spanning test of the frame and of
+    # its dual reads only the singular values of each on unit-norm columns.
+    # The unit theta of the frame, and then of its dual, is factored once
+    # each when its corank picks the route
     F = _frame(name)
     dual = canonical_dual(F).dual
     thetas = [unit_diagram_matrix(G).data for G in (F, dual) if _routes_on_corank(G)]
+    qrs = _count(monkeypatch, np.linalg, "qr")
     factored = _count(monkeypatch, np.linalg, "svd",
                       lambda A, *args, **kwargs: kwargs.get("compute_uv", True))
-    spans = _count(monkeypatch, np.linalg, "svd",
-                   lambda A, *args, **kwargs: not kwargs.get("compute_uv", True))
+    values = _count(monkeypatch, np.linalg, "svd",
+                    lambda A, *args, **kwargs: not kwargs.get("compute_uv", True))
     eighs = _count(monkeypatch, np.linalg, "eigh")
     build_report(document_from_frame(F, name=name), 1e-8)
-    assert len(factored) == 1 + len(thetas)
-    for (A, *_), B in zip(factored, [F.synthesis, *thetas]):
+    order = np.argsort(-np.linalg.norm(F.synthesis, axis=0), kind="stable")
+    assert len(qrs) == 1 and np.array_equal(qrs[0][0], F.synthesis[:, order].T)
+    assert len(factored) == len(thetas)
+    for (A, *_), B in zip(factored, thetas):
         assert np.array_equal(A, B)
+    # the unit X, R^{-1} and R, then the unit dual
+    assert [A.shape for (A, *_) in values] == [F.synthesis.shape, (F.n, F.n), (F.n, F.n),
+                                               F.synthesis.shape]
     units = [X / np.linalg.norm(X, axis=0) for X in (F.synthesis, dual.synthesis)]
-    assert len(spans) == 2
-    for (A, *_), unit in zip(spans, units):
+    for (A, *_), unit in zip(values[::3], units):
         assert np.allclose(A, unit, rtol=0, atol=1e-15)
     assert eighs == []
 
 
-@pytest.mark.parametrize("name, svds", [("corank-1", 1), ("corank-1-unit", 1),
-                                        ("corank-2", 1), ("strict", 0)])
+@pytest.mark.parametrize("name, svds", [("corank-1", 0), ("corank-1-unit", 0),
+                                        ("corank-2", 0), ("strict", 0), ("p1", 1)])
 def test_scale_auto_takes_at_most_one_svd_of_theta(tmp_path, monkeypatch, capsys, name, svds):
-    # "strict" has m = 8 > d + 2 = 7, so its corank is at least 3 unmeasured;
-    # the corank is measured on theta's unit-norm columns.  Besides theta,
-    # only spanning tests read singular values: X is never factored, and the
-    # scaled frame keeps X's spanning decision unless a weight is 0, as some
-    # of the LP's weights for "strict" are
+    # the split of 1 answers every frame here but p1, whose corank 1 is
+    # measured on theta's unit-norm columns; "strict" has m = 8 > d + 2 = 7,
+    # so its corank is at least 3 unmeasured.  Besides theta, only spanning
+    # tests read singular values: X is never factored, and the scaled frame
+    # keeps X's spanning decision unless a weight is 0, as some of p1's are
     F = _frame(name)
     theta = unit_diagram_matrix(F).data
     path = tmp_path / "frame.txt"
@@ -196,19 +211,23 @@ def test_scale_auto_takes_at_most_one_svd_of_theta(tmp_path, monkeypatch, capsys
 
 # name: (frame, exit code of ``scale``, SVDs of the unit theta it takes)
 KERNEL_ROUTE_FRAMES = {
-    "corank-1": (lambda: _frame("corank-1"), 0, 1),
-    "corank-1-unit": (lambda: _frame("corank-1-unit"), 1, 1),
-    "corank-1-quadrant": (lambda: make_frame([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]), 1, 1),
-    "corank-2": (lambda: _frame("corank-2"), 0, 1),
+    "corank-1": (lambda: _frame("corank-1"), 0, 0),
+    "corank-1-unit": (lambda: _frame("corank-1-unit"), 1, 0),
+    "corank-1-quadrant": (lambda: make_frame([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]), 1, 0),
+    "corank-2": (lambda: _frame("corank-2"), 0, 0),
     # every product x_1 x_2 is positive: the sign reject answers first
     "corank-2-quadrant": (lambda: angles_frame(0.2, 0.7, 1.2, 1.4), 1, 0),
+    # the split of 1 answers neither way: the cofactor and codim-2 routes do
+    "corank-1-p1": (lambda: _frame("p1"), 0, 1),
+    "corank-2-dual": (lambda: canonical_dual(_frame("corank-2")).dual, 0, 1),
 }
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_ROUTE_FRAMES))
 def test_scale_auto_answers_corank_1_and_2_without_an_lp(tmp_path, monkeypatch, capsys, name):
-    # the cofactor and codim-2 routes answer from the one SVD of theta on
-    # unit-norm columns, certificates included: no LP is solved
+    # the split of 1 answers with no SVD; the cofactor and codim-2 routes
+    # answer from the one SVD of theta on unit-norm columns, certificates
+    # included: no LP is solved
     build, code, svds = KERNEL_ROUTE_FRAMES[name]
     F = build()
     theta = unit_diagram_matrix(F).data
@@ -236,10 +255,8 @@ def _printed(result):
 
 def _split_lps(F):
     """The W and V LPs that a report on F runs when F is not scalable: those
-    whose block of the unit theta (the n-1 difference rows for W, the
-    product rows for V) has no Gordan certificate."""
-    blocks = {"W": slice(F.n - 1), "V": slice(F.n - 1, None)}
-    return [name for name, rows in blocks.items() if _block_certificate(F, rows) is None]
+    whose block the split of 1 does not answer."""
+    return [block for block in "WV" if split_answer(F, block) is None]
 
 
 @pytest.mark.parametrize("name", sorted(POLICY_FRAMES))
@@ -247,7 +264,7 @@ def test_every_command_answers_with_decide(tmp_path, monkeypatch, capsys, name):
     # analyze, scale --method auto and the canonical-dual check take one
     # route policy; on corank 1 and 2 it solves no theta LP, so the report's
     # only LPs are the W and V solves of a frame that is not scalable, each
-    # when its block certificate is absent
+    # when the split of 1 on its block does not answer
     F = POLICY_FRAMES[name]()
     path = tmp_path / "frame.txt"
     path.write_text(format_frame_document(document_from_frame(F)))
@@ -280,6 +297,10 @@ def test_every_command_answers_with_decide(tmp_path, monkeypatch, capsys, name):
     }
     for theta in thetas:
         assert sum(np.array_equal(A, theta) for (A, *_) in svds) <= 1
+    if want.method == METHOD_PROJECTION:
+        # the split of 1 answers: no SVD and no LP of the frame's theta
+        assert not any(np.array_equal(A, thetas[0]) for (A, *_) in svds)
+        assert not any(np.array_equal(p.A, reduced_diagram_matrix(F)) for (p,) in solves)
     if F.m <= reduced_size(F.n) + 2 and F.m - theta_svd(F).rank in (1, 2):
         X = F.synthesis
         i, j = np.triu_indices(F.n, 1)
@@ -291,10 +312,10 @@ def test_every_command_answers_with_decide(tmp_path, monkeypatch, capsys, name):
 
 @pytest.mark.parametrize("name", sorted(FRAMES))
 def test_report_asks_each_question_once(monkeypatch, name):
-    # one theta LP decides scalability, strict or not; W and V are read from
-    # its answer, so their LPs run only on frames that are not scalable, at
-    # most once each and only when their block certificate is absent, and
-    # W∩V never runs
+    # at most one theta LP decides scalability, strict or not; W and V are
+    # read from its answer, so their LPs run only on frames that are not
+    # scalable, at most once each and only when the split of 1 on their
+    # block does not answer, and W∩V never runs
     F = _frame(name)
     theta = reduced_diagram_matrix(F)
     X = F.synthesis

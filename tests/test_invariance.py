@@ -194,7 +194,7 @@ def _report(X):
             rep["dual"]["dual_scalable"])
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+@settings(derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @given(X=st.one_of(integer_frames(), near_duplicate_frames()),
        seed=st.integers(0, 2**32 - 1))

@@ -258,3 +258,23 @@ def test_near_parallel_frame_is_answered_by_the_cofactor_route(tmp_path, capsys)
     # a forced route keeps its own answer
     code, out = _run(tmp_path, capsys, NEAR_PARALLEL_FRAME, "scale", "--method", "lp")
     assert code == 0, out.err
+
+
+# a near-duplicate pair, (0, -20, -10) and (0, -20, -9.999998881966011): the
+# Farkas row of the W∩V LP fails its sign test, with entries of y.theta^ up to
+# 1e16, and ``scale --method split`` used to end in exit 3.  The route now
+# takes the certificate of the split of 1, which passes the hull test
+SPLIT_NEAR_DUPLICATE_FRAME = [[0.0, -20.0, -10.0], [-1.0, 0.0, 0.0], [-1.0, 0.0, 1.0],
+                              [-1.0, 2.0, 0.0], [1.0, 1.0, -1.0],
+                              [0.0, -20.0, -9.999998881966011], [-1.0, 0.0, 0.0]]
+
+
+def test_split_near_duplicate_takes_the_certificate_of_the_split(tmp_path, capsys):
+    code, out = _run(tmp_path, capsys, SPLIT_NEAR_DUPLICATE_FRAME, "scale", "--method", "split")
+    assert code == 1, out.err
+    y = [float(v) for v in out.out.split("certificate y:")[1].split()]
+    F = make_frame(SPLIT_NEAR_DUPLICATE_FRAME)
+    assert hull_certificate_check(F, y)
+    assert intersection_scalability(F).verdict == NOT_SCALABLE
+    code, out = _run(tmp_path, capsys, SPLIT_NEAR_DUPLICATE_FRAME, "scale")
+    assert code == 1, out.err

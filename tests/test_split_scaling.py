@@ -1,7 +1,3 @@
-import importlib.util
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -21,10 +17,15 @@ from framescale import (
 from framescale.diagram import unit_diagram_matrix
 from framescale.frame_core import apply_scaling, is_tight
 from framescale.errors import DimensionMismatchError, FramescaleError
-from framescale.scalability import independent_rows
-from conftest import angles_frame, doubled_hadamard_frame, open_cone_frame, random_unit_frame
-
-CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
+from framescale.scalability import Split, independent_rows, split_of_one
+from conftest import (
+    angles_frame,
+    bench_corpus,
+    doubled_hadamard_frame,
+    open_cone_frame,
+    random_unit_frame,
+    split_answer,
+)
 
 
 class EmptyWError(FramescaleError):
@@ -298,17 +299,9 @@ def _corpus_frames():
     """Frames of the benchmark corpus's not-scalable families: the planted
     certificate, random unit vectors (mostly not scalable), hadamard-doubled,
     and the canonical dual of P1."""
-    if not CORPUS.is_file():
+    corpus = bench_corpus()
+    if corpus is None:
         return {}
-    spec = importlib.util.spec_from_file_location("bench_corpus", CORPUS)
-    corpus = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up while the class is built; it
-    # leaves sys.modules after, so that no other test sees it there
-    sys.modules[spec.name] = corpus
-    try:
-        spec.loader.exec_module(corpus)
-    finally:
-        del sys.modules[spec.name]
     rng = np.random.default_rng(31)
     frames = {}
     for n, m in [(2, 3), (3, 6), (4, 8), (6, 7), (6, 16), (8, 36), (10, 20)]:
@@ -337,13 +330,13 @@ def _count_solves(monkeypatch):
     return calls
 
 
-class TestBlockCertificate:
-    """W and V first try Gordan's alternative on their block of the unit
-    theta; the LP runs only without a certificate, and the answer is the
-    same either way."""
+class TestBlockSplit:
+    """W and V first split 1 on their block of the unit theta; the LP runs
+    only when the split answers neither way, and the verdict is the same
+    either way."""
 
     @pytest.mark.parametrize("name", sorted(CERTIFICATE_FRAMES))
-    def test_certificate_first_answers_like_the_lp(self, monkeypatch, name):
+    def test_split_first_answers_like_the_lp(self, monkeypatch, name):
         X = CERTIFICATE_FRAMES[name].synthesis
         solves = _count_solves(monkeypatch)
         first = {}
@@ -351,46 +344,59 @@ class TestBlockCertificate:
             F = frame_from_synthesis(X)
             lps = len(solves)
             first[block] = find(F)
-            certified = split_scaling._block_certificate(F, _blocks(F)[block]) is not None
-            assert len(solves) - lps == (0 if certified else 1), block
-        monkeypatch.setattr(split_scaling, "_block_certificate", lambda F, rows: None)
+            answer = split_answer(F, block)
+            assert len(solves) - lps == (0 if answer else 1), block
+            if answer == "member":
+                assert first[block].member, block
+        monkeypatch.setattr(split_scaling, "split_of_one",
+                            lambda F, rows: Split(None, None))
         for block, find in FINDERS.items():
             lp_only = find(frame_from_synthesis(X))
             assert first[block].member == lp_only.member, block
-            if lp_only.a is None:
+            if not first[block].member:
                 assert first[block].a is None, block
-            else:
+            elif split_answer(frame_from_synthesis(X), block) is None:
                 assert first[block].a.tobytes() == lp_only.a.tobytes(), block
 
-    def test_accepted_certificates_clear_the_margin(self):
-        # both Gram branches accept: B B^T for W and V, B^T B for a V block
-        # with more rows than vectors (n = 6, m = 7: 15 products)
-        accepted = set()
+    def test_split_answers_clear_their_margins(self):
+        # both Gram branches answer: B B^T for W and V, B^T B for a V block
+        # with more rows than vectors (n = 6, m = 7: 15 products); every
+        # certificate separates the block's own rows on X, and every kernel
+        # vector is strictly positive and gives a point the LP confirms
+        answered = set()
         for F in CERTIFICATE_FRAMES.values():
             for block, rows in _blocks(F).items():
-                y = split_scaling._block_certificate(F, rows)
-                if y is None:
-                    continue
+                y, c = split_of_one(F, rows)
                 B = unit_diagram_matrix(F).data[rows]
-                assert float((y @ B).min()) > numerics.ZERO_TOL * float(np.abs(y).max())
-                assert float((y @ _lift_rows(F, block)).min()) > 0.0
-                assert not FINDERS[block](F).member
-                accepted.add((block, B.shape[1] >= B.shape[0]))
-        assert accepted == {("W", True), ("V", True), ("V", False)}
+                if y is not None:
+                    assert float((y @ B).min()) > numerics.ZERO_TOL * float(np.abs(y).max())
+                    assert float((y @ _lift_rows(F, block)).min()) > 0.0
+                    assert not FINDERS[block](F).member
+                    answered.add(("certificate", block, B.shape[1] >= B.shape[0]))
+                elif c is not None:
+                    w = c * unit_diagram_matrix(F).norms
+                    assert float(w.min()) > numerics.STRICT_MARGIN * float(w.sum())
+                    if split_answer(F, block) == "member":
+                        assert FINDERS[block](F).member
+                        answered.add(("kernel", block, B.shape[1] >= B.shape[0]))
+        assert {("certificate", "W", True), ("certificate", "V", True),
+                ("certificate", "V", False), ("kernel", "W", True),
+                ("kernel", "V", True)} <= answered
 
     def test_frame_in_r1_takes_the_lp(self, monkeypatch):
         F = TestLine.F
-        assert [split_scaling._block_certificate(F, rows)
-                for rows in _blocks(F).values()] == [None, None]
+        assert [split_of_one(F, rows) for rows in _blocks(F).values()] == [(None, None)] * 2
         solves = _count_solves(monkeypatch)
         assert find_W_element(F).member and find_V_element(F).member
         assert len(solves) == 2
 
-    def test_zero_block_takes_the_lp(self, monkeypatch):
-        # x_1^2 = x_2^2 for every vector: the W block is 0, its Gram matrix
-        # singular, and W is not empty
+    def test_zero_block_is_answered_by_the_split(self, monkeypatch):
+        # x_1^2 = x_2^2 for every vector: the W block is 0, so 1 lies in its
+        # kernel, and its point is the W element; no LP runs
         F = CERTIFICATE_FRAMES["zero-w-row"]
-        assert split_scaling._block_certificate(F, _blocks(F)["W"]) is None
+        y, c = split_of_one(F, _blocks(F)["W"])
+        assert y is None and c is not None
         solves = _count_solves(monkeypatch)
-        assert find_W_element(F).member
-        assert len(solves) == 1
+        found = find_W_element(F)
+        assert found.member and solves == []
+        assert np.allclose((F.synthesis ** 2) @ found.a, 1.0, rtol=0, atol=1e-12)
