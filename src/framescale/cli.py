@@ -79,18 +79,12 @@ def _json_dumps(obj, indent=0):
 
 
 def _split_elements(frame, verdict):
-    """Elements of W and V.  On a scalable frame they are read off the kernel
-    weights c: sum_i c_i x_i x_i^T = lambda I with
-    lambda = sum_i c_i ||x_i||^2 / n, so c lies in V, c / lambda lies in W and
-    sqrt(c / lambda) are Parseval weights.  Both points are re-checked."""
+    """Elements of W and V: on a scalable frame the points on the ray of the
+    kernel weights c (``split_scaling.intersection_points``), else each
+    block's own answer."""
     if not verdict.scalable:
         return split.find_W_element(frame), split.find_V_element(frame)
-    c = verdict.weights_c
-    w_elem = split.is_in_W(frame, split.w_point(frame, c))
-    v_elem = split.is_in_V(frame, c)
-    if not (w_elem.member and v_elem.member):
-        raise InternalNumericError("reported weights fail the W or V identities")
-    return w_elem, v_elem
+    return split.intersection_points(frame, verdict.weights_c)
 
 
 def build_report(doc: FrameDocument, tightness: float) -> dict:

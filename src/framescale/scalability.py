@@ -35,13 +35,17 @@ vectors are proportional to it.
 A route supplies a kernel vector or a certificate; two constructors build
 every answer.  ``_not_scalable`` carries a separating functional y with
 <x~_i, y> > 0 for all i and, for the sign reject, the one-signed row.  The
-LP routes take y from their LP; the split takes its own, and the kernel
+LP route takes y from its LP; the split takes its own, and the kernel
 routes read it off the SVD they already hold, with no LP
-(``_kernel_certificate``, Gordan's alternative); every one is checked by
-``hull_certificate_check``.  The W∩V route, which has none, takes the
-split's, and without one the plain LP's.  ``_finish_scalable`` normalizes
-the weights, reads the strictness margin off them and re-checks
-theta c = 0.
+(``_kernel_certificate``, Gordan's alternative); every one but the LP's,
+which the solver checks, is checked by ``hull_certificate_check``.
+``_finish_scalable`` rejects weights that are not finite, normalizes
+them, reads the strictness margin off them and re-checks theta c = 0.
+
+``_theta_lp`` is the one LP of the package, the homogeneous kernel problem
+on a row block of the reduced diagram matrix: all of it for scalability,
+its square differences for W and its pair products for V
+(``split_scaling``).
 
 Rescaling x_i by s rescales column i of the reduced diagram matrix by
 s^2 > 0, which keeps scalability.  So every route reads that matrix on
@@ -216,7 +220,7 @@ def _certified(F, method, y, reject_row=None):
     pass ``hull_certificate_check``."""
     if not hull_certificate_check(F, y):
         raise InternalNumericError(f"{method} certificate fails the hull certificate check")
-    return _not_scalable(F, method, y, reject_row)
+    return _not_scalable(method, y, reject_row)
 
 
 def split_of_one(F, rows=slice(None)) -> Split:
@@ -229,8 +233,9 @@ def split_of_one(F, rows=slice(None)) -> Split:
     that question: a B^T y whose minimum exceeds ``ZERO_TOL`` times max|y|
     gives the certificate y, and a w whose minimum exceeds ``STRICT_MARGIN``
     times its sum the kernel vector c = w / ||theta_i|| of the reduced
-    diagram matrix's block itself.  Otherwise both are None, and so they are
-    for a block without rows.
+    diagram matrix's block itself, whose entries beyond the float range are
+    inf.  Otherwise both are None, and so they are for a block without
+    rows.
 
     y comes from one solve with the smaller Gram matrix of the k x m block,
     regularized by ``ZERO_TOL`` so that a rank-deficient block still has an
@@ -259,24 +264,34 @@ def split_of_one(F, rows=slice(None)) -> Split:
         return Split(y, None)
     w = 1.0 - projected
     if float(w.min()) > max(STRICT_MARGIN * float(w.sum()), np.sqrt(ZERO_TOL) * y_max):
-        return Split(None, w / unit.norms)
+        return Split(None, _weights(F, w))
     return Split(None, None)
 
 
-def _theta_lp(F, strict=False):
-    """Outcome of the homogeneous kernel problem: some c >= 0, sum 1, with
-    theta c = 0, and with ``strict`` the one of largest minimum unit-column
+def _weights(F, w):
+    """The weights w_i / ||theta_i|| of unit-column weights w.  A column
+    norm far below 1 can make one overflow; it is inf, with no warning, and
+    ``_finish_scalable`` rejects it."""
+    with np.errstate(over="ignore"):
+        return w / unit_diagram_matrix(F).norms
+
+
+def _theta_lp(F, strict=False, rows=slice(None)):
+    """Outcome of the homogeneous kernel problem on the block B = rows
+    ``rows`` of the reduced diagram matrix: some c >= 0, sum 1, with
+    B c = 0, and with ``strict`` the one of largest minimum unit-column
     weight.  Both share one phase 1, so they share the certificate."""
-    theta = reduced_diagram_matrix(F)
+    B = reduced_diagram_matrix(F)[rows]
     return numerics.solve_feasibility(numerics.FeasibilityProblem(
-        A=theta, b=np.zeros(theta.shape[0]), require_strict=strict))
+        A=B, b=np.zeros(B.shape[0]), require_strict=strict))
 
 
 def _finish_scalable(F, c, method, strict=True):
     """Every scalable answer: weights c, normalized to sum 1, and checked.
 
-    A weight whose unit-column weight ||theta_i|| c_i is at most ``ZERO_TOL``
-    of the sum of those weights is rounding noise and is set to +0.  The
+    Weights that are not finite fail.  A weight whose unit-column weight
+    ||theta_i|| c_i is at most ``ZERO_TOL`` of the sum of those weights is
+    rounding noise and is set to +0.  The
     margin is read off the reported weights: the minimum unit-column weight
     relative to their sum.  ``near_zero`` lists the indices at or below
     ``STRICT_MARGIN`` of that sum, and the answer is strict exactly when
@@ -285,6 +300,8 @@ def _finish_scalable(F, c, method, strict=True):
     its terms |theta_ji| c_i, which means the same at every scale."""
     norms = unit_diagram_matrix(F).norms
     c = np.asarray(c, dtype=float).copy()
+    if not np.isfinite(c).all():
+        raise InternalNumericError("reported weights are not finite")
     c[c < 0] = 0.0
     unit = c * norms
     c[unit <= ZERO_TOL * unit.sum()] = 0.0
@@ -304,21 +321,8 @@ def _finish_scalable(F, c, method, strict=True):
     )
 
 
-def _not_scalable(F, method, certificate_y=None, reject_row=None):
-    """Every "not scalable" answer.  The W∩V route has no certificate of its
-    own: it takes the one of ``split_of_one`` when that passes
-    ``hull_certificate_check``, and else the plain LP's, which must then be
-    infeasible."""
-    if certificate_y is None:
-        y = split_of_one(F).certificate_y
-        if y is not None and hull_certificate_check(F, y):
-            certificate_y = y
-    if certificate_y is None:
-        out = _theta_lp(F)
-        if out.feasible:
-            raise InternalNumericError(
-                "feasibility solver disagrees with a proven non-scalability verdict")
-        certificate_y = out.certificate
+def _not_scalable(method, certificate_y, reject_row=None):
+    """Every "not scalable" answer, with its route's certificate."""
     return ScalingResult(
         verdict=NOT_SCALABLE,
         method=method,
@@ -351,7 +355,7 @@ def decide_scalable(F, strict=False) -> ScalingResult:
         return rejected
     out = _theta_lp(F, strict)
     if not out.feasible:
-        return _not_scalable(F, METHOD_FEASIBILITY, out.certificate)
+        return _not_scalable(METHOD_FEASIBILITY, out.certificate)
     return _finish_scalable(F, out.witness, METHOD_FEASIBILITY, strict)
 
 
@@ -448,10 +452,11 @@ def cofactor_scaling(F):
         raise CorankMismatchError(
             f"cofactor method needs corank 1, measured corank {kernel.shape[1]}")
     w = kernel[:, 0]
-    v = w / unit_diagram_matrix(F).norms
+    v = _weights(F, w)
+    with np.errstate(invalid="ignore"):  # an inf weight makes its entry nan
+        unit_v = v / np.linalg.norm(v)
     sign_class = _classify_signs(w, _condition(F))
-    report = CofactorReport(corank=1, cofactor_vector=v / np.linalg.norm(v),
-                            sign_class=sign_class)
+    report = CofactorReport(corank=1, cofactor_vector=unit_v, sign_class=sign_class)
     if sign_class == MIXED:
         # p = 1 + q with w.p = 0: q >= 0 on the entries of w whose sign is
         # not that of sum(w), which both signs of a mixed w have
@@ -547,5 +552,5 @@ def codim2_scaling(F):
     w = np.cos(t) * xi1 + np.sin(t) * xi2
     if float(w.min()) < -IDENTITY_TOL * scale:
         raise InternalNumericError("codim-2 direction produced a negative weight")
-    return _finish_scalable(F, w / unit_diagram_matrix(F).norms, METHOD_CODIM2)
+    return _finish_scalable(F, _weights(F, w), METHOD_CODIM2)
 

@@ -4,10 +4,7 @@ Normalized scalability asks for nonnegative weights making every synthesis
 row square-sum to 1 (the convex set W); orthogonal scalability asks for
 nonnegative weights annihilating all entrywise row cross-products (the
 positive cone V).  A frame is scalable exactly when W intersects V, and a
-point of the intersection gives Parseval weights directly.  The answer of
-``intersection_scalability`` is built and checked by ``scalability``, like
-every route's: its margin and kernel identity are read on the reduced
-diagram matrix, not on the W and V rows.
+point of the intersection gives Parseval weights directly.
 
 W and V are the two row blocks of the reduced diagram matrix θ̃: its first
 n-1 rows are the square differences x_1^2 - x_j^2 and the rest the pair
@@ -18,45 +15,34 @@ some c >= 0, c != 0 makes that diagonal constant, because its common value
 lambda = sum_k c_k ||x_k||^2 / n is then > 0 and a = c / lambda
 (``w_point``); and a constant diagonal is a zero difference block.  By
 Gordan's alternative neither holds exactly when some y has B^T y > 0 for the
-block B.  So ``find_W_element`` and ``find_V_element`` first split 1 on
-their block of the unit θ̃ (``scalability.split_of_one``): its certificate
-y answers "empty" or "trivial", and its strictly positive kernel vector c
-answers with the point of W or V on the ray of c once ``is_in_W`` or
-``is_in_V`` accepts it.  They run their LP only when the split answers
-neither way.
+block B.  So ``find_W_element`` and ``find_V_element`` ask θ̃'s kernel
+question on their block: first the split of 1 (``scalability.split_of_one``),
+whose certificate y answers "empty" or "trivial" and whose strictly positive
+kernel vector c answers with the point of W or V on the ray of c once
+``is_in_W`` or ``is_in_V`` accepts it; else the block's homogeneous LP
+(``scalability._theta_lp``), whose kernel vector's point must pass the same
+test.  W∩V is the kernel question on all of θ̃, so
+``intersection_scalability`` is ``scalability.decide`` with its weights c
+read as the point ``w_point(F, c)`` of W∩V (``intersection_points``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import numerics
 from .diagram import coordinate_pairs
+from .errors import InternalNumericError
 from .frame_core import _check_weight_length
-from .scalability import (
-    METHOD_FEASIBILITY,
-    ScalingResult,
-    _finish_scalable,
-    _not_scalable,
-    split_of_one,
-)
+from .scalability import ScalingResult, _theta_lp, decide, split_of_one
 
 
 @dataclass(frozen=True)
 class ConeMembership:
     member: bool
     a: np.ndarray | None = None
-
-
-def _lift(F):
-    """The rows of the W and V systems: the squared synthesis rows X∘X and
-    the row products X[i]∘X[j] over i < j, in θ̃'s pair order.  Both are
-    C-ordered, as the solver's column-norm sums depend on memory layout."""
-    X = F.synthesis
-    i, j = coordinate_pairs(F.n)
-    return np.ascontiguousarray(X * X), np.ascontiguousarray(X[i] * X[j])
 
 
 def _lifted_sum(F, a):
@@ -101,13 +87,6 @@ def is_in_V(F, a) -> ConeMembership:
     return ConeMembership(member=True, a=a.copy())
 
 
-def _solve_member(A, b) -> ConeMembership:
-    out = numerics.solve_feasibility(numerics.FeasibilityProblem(A=A, b=b))
-    if not out.feasible:
-        return ConeMembership(member=False)
-    return ConeMembership(member=True, a=out.witness)
-
-
 def w_point(F, c):
     """The point c / lambda of W on the ray of a c >= 0, c != 0 that makes
     the diagonal of sum_k c_k x_k x_k^T constant: lambda is that constant,
@@ -115,58 +94,66 @@ def w_point(F, c):
     return c / (float(c @ (F.synthesis ** 2).sum(axis=0)) / F.n)
 
 
-def find_W_element(F) -> ConeMembership:
-    """Solve the W feasibility problem; NotMember means W is empty.  The
-    split of 1 on θ̃'s difference block answers with no LP when one of its
-    parts is strictly positive and, for a kernel vector, ``is_in_W``
-    accepts its point."""
-    y, c = split_of_one(F, slice(F.n - 1))
+def _v_point(F, c):
+    """The point of V on the ray of c >= 0, c != 0: c normalized to sum 1."""
+    return c / c.sum()
+
+
+def _block_element(F, rows, point, member) -> ConeMembership:
+    """Whether the block ``rows`` of θ̃ has a kernel vector c >= 0, c != 0,
+    with the point ``point(F, c)`` that ``member`` accepts: from the split
+    of 1 on the block when it answers and its point passes, else from the
+    block's LP, whose point must pass."""
+    y, c = split_of_one(F, rows)
     if y is not None:
         return ConeMembership(member=False)
     if c is not None:
-        found = is_in_W(F, w_point(F, c))
+        found = member(F, point(F, c))
         if found.member:
             return found
-    squares, _ = _lift(F)
-    return _solve_member(squares, np.ones(F.n))
+    out = _theta_lp(F, rows=rows)
+    if not out.feasible:
+        return ConeMembership(member=False)
+    found = member(F, point(F, out.witness))
+    if not found.member:
+        raise InternalNumericError(f"kernel vector of the block LP fails {member.__name__}")
+    return found
+
+
+def find_W_element(F) -> ConeMembership:
+    """An element of W from θ̃'s square-difference block; NotMember means W
+    is empty."""
+    return _block_element(F, slice(F.n - 1), w_point, is_in_W)
 
 
 def find_V_element(F) -> ConeMembership:
-    """Search for a nontrivial (nonzero) element of V; the zero vector always
-    belongs to V and is excluded by normalizing the weights to sum 1.  In
-    R^1 there are no row pairs, and every such weight vector is in V.  The
-    split of 1 on θ̃'s product block answers with no LP when one of its
-    parts is strictly positive and, for a kernel vector, ``is_in_V``
-    accepts it."""
-    y, c = split_of_one(F, slice(F.n - 1, None))
-    if y is not None:
-        return ConeMembership(member=False)
-    if c is not None:
-        found = is_in_V(F, c / c.sum())
-        if found.member:
-            return found
-    _, products = _lift(F)
-    return _solve_member(products, np.zeros(len(products)))
+    """A nontrivial (nonzero) element of V, sum 1, from θ̃'s pair-product
+    block; the zero vector always belongs to V.  In R^1 there are no row
+    pairs, and every such weight vector is in V."""
+    return _block_element(F, slice(F.n - 1, None), _v_point, is_in_V)
+
+
+def intersection_points(F, c):
+    """The points of W and V on the ray of a kernel vector c of θ̃:
+    sum_i c_i x_i x_i^T = lambda I with lambda = sum_i c_i ||x_i||^2 / n, so
+    c lies in V and c / lambda (``w_point``) in W∩V, and sqrt(c / lambda)
+    are Parseval weights.  Both points are checked; a failure is a numeric
+    one."""
+    w_elem = is_in_W(F, w_point(F, c))
+    v_elem = is_in_V(F, c)
+    if not (w_elem.member and v_elem.member):
+        raise InternalNumericError("reported weights fail the W or V identities")
+    return w_elem, v_elem
 
 
 def intersection_scalability(F, strict=False) -> ScalingResult:
-    """Joint feasibility over W and V, one LP; a point of the intersection
-    gives Parseval weights sqrt(a_i).  With ``strict=True`` the LP maximizes
-    the minimum weight on the unit-norm columns of this system; strictness
-    is then read off the reported weights, as for every route.
-
-    The returned ``scalars_a`` are the Parseval weights; ``weights_c`` is the
-    same kernel direction normalized to sum 1, matching the general test.
-    """
-    squares, products = _lift(F)
-    A = np.vstack([squares, products])
-    b = np.concatenate([np.ones(F.n), np.zeros(len(products))])
-    out = numerics.solve_feasibility(
-        numerics.FeasibilityProblem(A=A, b=b, require_strict=strict)
-    )
-    if not out.feasible:
-        return _not_scalable(F, METHOD_FEASIBILITY)
-    result = _finish_scalable(F, out.witness, METHOD_FEASIBILITY, strict)
-    # the witness is proportional to weights_c, so it has the same zeros
-    result.scalars_a = np.sqrt(np.where(result.weights_c > 0.0, out.witness, 0.0))
-    return result
+    """The W∩V answer: ``scalability.decide`` (``strict`` as there), whose
+    ``scalars_a`` are the Parseval weights sqrt(w_point(F, c)) of its
+    weights c, checked by ``intersection_points``; ``weights_c`` stays the
+    kernel vector normalized to sum 1, and a "not scalable" answer is
+    decide's, with its certificate."""
+    result = decide(F, strict)
+    if not result.scalable:
+        return result
+    w_elem, _ = intersection_points(F, result.weights_c)
+    return replace(result, scalars_a=np.sqrt(w_elem.a))

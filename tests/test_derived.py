@@ -259,20 +259,37 @@ def _split_lps(F):
     return [block for block in "WV" if split_answer(F, block) is None]
 
 
+def _block(p, G):
+    """Which row block of G's theta the feasibility problem p asks about:
+    "theta" (every row), "W" (the n-1 square differences) or "V" (the pair
+    products), when p is homogeneous; else None."""
+    if p.b.any():
+        return None
+    theta = reduced_diagram_matrix(G)
+    blocks = {"theta": slice(None), "W": slice(G.n - 1), "V": slice(G.n - 1, None)}
+    return next((k for k, rows in blocks.items() if np.array_equal(p.A, theta[rows])), None)
+
+
 @pytest.mark.parametrize("name", sorted(POLICY_FRAMES))
 def test_every_command_answers_with_decide(tmp_path, monkeypatch, capsys, name):
-    # analyze, scale --method auto and the canonical-dual check take one
-    # route policy; on corank 1 and 2 it solves no theta LP, so the report's
+    # analyze, scale --method auto|split and the canonical-dual check take
+    # one route policy, and every LP they solve is homogeneous on a row block
+    # of theta; on corank 1 and 2 it solves no theta LP, so the report's
     # only LPs are the W and V solves of a frame that is not scalable, each
     # when the split of 1 on its block does not answer
     F = POLICY_FRAMES[name]()
     path = tmp_path / "frame.txt"
     path.write_text(format_frame_document(document_from_frame(F)))
+    command_solves = _count(monkeypatch, numerics, "solve_feasibility")
     for strict in (False, True):
         answer = decide(frame_from_synthesis(F.synthesis), strict=strict)
         code = main(["scale", str(path)] + ["--strict"] * strict)
         assert code == (0 if answer.scalable else 1)
         assert capsys.readouterr().out.splitlines()[-1] == _printed(answer)
+        code = main(["scale", "--method", "split", str(path)] + ["--strict"] * strict)
+        assert code == (0 if answer.scalable else 1)
+        assert ("certificate y:" in capsys.readouterr().out) == (not answer.scalable)
+    assert all(_block(p, F) == "theta" for (p,) in command_solves)
 
     want = decide(frame_from_synthesis(F.synthesis), strict=True)
     dual = canonical_dual(F).dual
@@ -301,39 +318,30 @@ def test_every_command_answers_with_decide(tmp_path, monkeypatch, capsys, name):
         # the split of 1 answers: no SVD and no LP of the frame's theta
         assert not any(np.array_equal(A, thetas[0]) for (A, *_) in svds)
         assert not any(np.array_equal(p.A, reduced_diagram_matrix(F)) for (p,) in solves)
+    blocks = [_block(p, F) or ("dual" if _block(p, dual) == "theta" else None)
+              for (p,) in solves]
+    assert None not in blocks
     if F.m <= reduced_size(F.n) + 2 and F.m - theta_svd(F).rank in (1, 2):
-        X = F.synthesis
-        i, j = np.triu_indices(F.n, 1)
-        squares, products = X * X, X[i] * X[j]
-        assert all(np.array_equal(p.A, squares) or np.array_equal(p.A, products)
-                   for (p,) in solves)
+        assert set(blocks) <= {"W", "V"}
         assert len(lps) == len(solves) == (0 if want.scalable else len(_split_lps(F)))
 
 
 @pytest.mark.parametrize("name", sorted(FRAMES))
 def test_report_asks_each_question_once(monkeypatch, name):
-    # at most one theta LP decides scalability, strict or not; W and V are
-    # read from its answer, so their LPs run only on frames that are not
-    # scalable, at most once each and only when the split of 1 on their
-    # block does not answer, and W∩V never runs
+    # every LP of the report is homogeneous on a row block of theta, the
+    # frame's or its dual's; at most one theta LP decides scalability,
+    # strict or not; W and V are read from its answer, so their LPs run only
+    # on frames that are not scalable, at most once each and only when the
+    # split of 1 on their block does not answer
     F = _frame(name)
-    theta = reduced_diagram_matrix(F)
-    X = F.synthesis
-    i, j = np.triu_indices(F.n, 1)
-    squares, products = X * X, X[i] * X[j]
-    systems = {
-        "theta": theta,
-        "W": squares,
-        "V": products,
-        "WV": np.vstack([squares, products]),
-    }
+    dual = canonical_dual(F).dual
     calls = _count(monkeypatch, numerics, "solve_feasibility")
     rep = build_report(document_from_frame(F, name=name), 1e-8)
-    solved = [next((k for k, A in systems.items() if np.array_equal(p.A, A)), "other")
+    solved = [_block(p, F) or ("dual" if _block(p, dual) == "theta" else None)
               for (p,) in calls]
     verdict = rep["scalability"]["verdict"]
-    assert solved.count("WV") == 0
-    assert solved.count("theta") <= 1
+    assert None not in solved
+    assert solved.count("theta") <= 1 and solved.count("dual") <= 1
     if verdict == NOT_SCALABLE:
         lps = _split_lps(F)
         assert [solved.count(k) for k in "WV"] == [int(k in lps) for k in "WV"]

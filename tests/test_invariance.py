@@ -117,8 +117,10 @@ def test_verdicts_are_invariant(tmp_path, capsys, name):
         assert got == report, label
         if label != "orthogonal":
             assert sorted(order[got_near_zero].tolist()) == near_zero, label
-    # a vector this long has a canonical dual that rounds to 0, so only the
-    # routes, not the report, are held
+    # a vector this long has a frame potential beyond the float range, so
+    # ``analyze`` exits 2; its canonical dual vector, about 1e-100 long, does
+    # not round to 0, though the squares of its theta column underflow.  So
+    # only the routes, not the report, are held
     G = frame_from_synthesis(_scale_vector_0(F.synthesis, 1e100))
     for route, decide in ROUTES.items():
         r, want = decide(G), answers[route]

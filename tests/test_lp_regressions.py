@@ -4,22 +4,28 @@ iteration cap.  Each must now get its verdict from the general test, the W/V
 intersection (plain and strict) and the full report.  The n = 8, m = 80
 frame also runs into a long stretch of degenerate pivots in the plain LP,
 where pricing falls back to Bland's rule.  The strict W/V intersection of
-the n = 4, m = 11 frame has a margin at zero and a witness entry just below
--1e-12: that witness must be discarded as not strict before it is checked
-for sign."""
+the n = 4, m = 11 frame, when it was an LP of its own, had a margin at zero
+and a witness entry just below -1e-12: that witness must be discarded as
+not strict before it is checked for sign."""
 
 import json
 
 import numpy as np
 import pytest
 
-from framescale import decide_scalable, intersection_scalability, make_frame
+from framescale import decide, decide_scalable, intersection_scalability, make_frame
 from framescale.cli import build_report, main
 from framescale.frame_core import apply_scaling, is_tight
 from framescale.framedoc import document_from_frame, format_frame_document
 from framescale.errors import InternalNumericError
 from framescale.scalability import codim2_scaling, cofactor_scaling, hull_certificate_check
-from framescale.scalability import METHOD_COFACTOR, NOT_SCALABLE, SCALABLE, STRICTLY_SCALABLE
+from framescale.scalability import (
+    METHOD_COFACTOR,
+    METHOD_FEASIBILITY,
+    NOT_SCALABLE,
+    SCALABLE,
+    STRICTLY_SCALABLE,
+)
 from conftest import random_scalable_frame, rescaled_harmonic_frame, two_block_frame
 
 # scalable, but not strictly: the frame 021-not-strict-n4-m11 of the
@@ -64,8 +70,10 @@ def test_frame_is_decided(build, seed, expected):
     assert strict.verdict == expected
     _assert_tightens(F, strict)
 
+    # a plain request is answered scalable, or strictly scalable by a route
+    # that reads strictness off its weights
     inter = intersection_scalability(F)
-    assert inter.verdict == SCALABLE
+    assert inter.verdict in (SCALABLE, expected)
     _assert_tightens(F, inter)
 
     inter_strict = intersection_scalability(F, strict=True)
@@ -255,15 +263,16 @@ def test_near_parallel_frame_is_answered_by_the_cofactor_route(tmp_path, capsys)
     assert hull_certificate_check(make_frame(NEAR_PARALLEL_FRAME), s["certificate_y"])
     code, out = _run(tmp_path, capsys, NEAR_PARALLEL_FRAME, "scale")
     assert code == 1 and "certificate y:" in out.out
-    # a forced route keeps its own answer
+    # the forced LP route keeps its own answer
     code, out = _run(tmp_path, capsys, NEAR_PARALLEL_FRAME, "scale", "--method", "lp")
     assert code == 0, out.err
 
 
 # a near-duplicate pair, (0, -20, -10) and (0, -20, -9.999998881966011): the
-# Farkas row of the W∩V LP fails its sign test, with entries of y.theta^ up to
-# 1e16, and ``scale --method split`` used to end in exit 3.  The route now
-# takes the certificate of the split of 1, which passes the hull test
+# Farkas row of the W∩V LP, when the split route had one of its own, failed
+# its sign test, with entries of y.theta^ up to 1e16, and ``scale --method
+# split`` ended in exit 3.  The route now answers with ``decide``, whose
+# certificate passes the hull test
 SPLIT_NEAR_DUPLICATE_FRAME = [[0.0, -20.0, -10.0], [-1.0, 0.0, 0.0], [-1.0, 0.0, 1.0],
                               [-1.0, 2.0, 0.0], [1.0, 1.0, -1.0],
                               [0.0, -20.0, -9.999998881966011], [-1.0, 0.0, 0.0]]
@@ -278,3 +287,30 @@ def test_split_near_duplicate_takes_the_certificate_of_the_split(tmp_path, capsy
     assert intersection_scalability(F).verdict == NOT_SCALABLE
     code, out = _run(tmp_path, capsys, SPLIT_NEAR_DUPLICATE_FRAME, "scale")
     assert code == 1, out.err
+
+
+def test_near_parallel_split_route_agrees_with_scale(tmp_path, capsys):
+    # the W∩V LP of the split route used to accept weights here, as the plain
+    # LP does, and print 1 1 0; the route now answers with ``decide``
+    code, out = _run(tmp_path, capsys, NEAR_PARALLEL_FRAME, "scale", "--method", "split")
+    assert code == 1, out.err
+    y = [float(v) for v in out.out.split("certificate y:")[1].split()]
+    assert hull_certificate_check(make_frame(NEAR_PARALLEL_FRAME), y)
+    assert (code, out) == _run(tmp_path, capsys, NEAR_PARALLEL_FRAME, "scale")
+
+
+# a vector 1e-156 long has a subnormal theta column norm, so the weight
+# w_i / ||theta_i|| of the split of 1 and of the codim-2 route overflows.
+# Normalized, it was nan, which passed the kernel-identity check (nan > tol
+# is false), and ``scale`` ended in exit 2, "weights must be finite"
+TINY_VECTOR_FRAME = [[1.0, 0.0], [0.0, 1.0], [1e-156, 0.0]]
+
+
+def test_overflowing_weights_fall_through_to_the_lp(tmp_path, capsys):
+    F = make_frame(TINY_VECTOR_FRAME)
+    with pytest.raises(InternalNumericError, match="not finite"):
+        codim2_scaling(F)
+    assert decide(F).method == METHOD_FEASIBILITY
+    code, out = _run(tmp_path, capsys, TINY_VECTOR_FRAME, "scale")
+    assert code == 0, out.err
+    assert out.out.split() == ["0.707106781187", "0.707106781187", "0"]
