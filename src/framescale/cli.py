@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -50,8 +51,19 @@ def _mat(a):
     return None if a is None else np.asarray(a, dtype=float).tolist()
 
 
+@functools.lru_cache(maxsize=1024)
+def _float_format(rows, cols):
+    """One ``%`` format string for a list of ``cols`` floats (``rows`` None)
+    or a ``rows`` x ``cols`` matrix of floats, each at 17 significant digits
+    as ``format_number`` writes it."""
+    row = "[" + ", ".join(["%.17g"] * cols) + "]"
+    return row if rows is None else "[" + ", ".join([row] * rows) + "]"
+
+
 def _json_dumps(obj, indent=0):
-    """Deterministic JSON with floats at 17 significant digits."""
+    """Deterministic JSON with floats at 17 significant digits.  A list of
+    floats, and a matrix of them (equal nonempty rows), is written by one
+    format string."""
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -63,8 +75,13 @@ def _json_dumps(obj, indent=0):
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if all(type(v) is float for v in obj):
-            return "[" + ", ".join(map("%.17g".__mod__, obj)) + "]"
+        types = set(map(type, obj))
+        if types == {float}:
+            return _float_format(None, len(obj)) % tuple(obj)
+        if types == {list} and len(set(map(len, obj))) == 1 and obj[0]:
+            flat = tuple(itertools.chain.from_iterable(obj))
+            if set(map(type, flat)) == {float}:
+                return _float_format(len(obj), len(obj[0])) % flat
         items = ", ".join(_json_dumps(v, indent) for v in obj)
         return "[" + items + "]"
     if isinstance(obj, bool):
@@ -171,6 +188,8 @@ def _read_document(path):
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}")
     return parse_frame_document(text, source=path)
 
 

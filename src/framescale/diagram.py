@@ -49,20 +49,33 @@ def coordinate_pairs(n):
     return pairs
 
 
+@lru_cache(maxsize=None)
+def _row_factors(n):
+    """1/sqrt(n-1), the factor of every diagram row of R^n, and sqrt(2n),
+    the extra factor of its product rows, computed once per n."""
+    return 1.0 / np.sqrt(n - 1), np.sqrt(2 * n)
+
+
 def _diagram_columns(X, kind):
-    """Diagram vectors of the columns of the n x m matrix X, as columns.  In
-    R^1 there are no coordinate pairs, so the matrix has no rows."""
+    """Diagram vectors of the columns of the n x m matrix X, as columns,
+    written into one array.  In R^1 there are no coordinate pairs, so the
+    matrix has no rows."""
     n, m = X.shape
     if kind not in (FULL, REDUCED):
         raise ValueError(f"unknown diagram kind {kind!r}")
     if n == 1:
         return np.zeros((0, m))
-    scale = 1.0 / np.sqrt(n - 1)
+    scale, root = _row_factors(n)
     i, j = coordinate_pairs(n)
-    di, dj = (i, j) if kind == FULL else (i[: n - 1], j[: n - 1])
-    diffs = (X[di] ** 2 - X[dj] ** 2) * scale
-    prods = np.sqrt(2 * n) * X[i] * X[j] * scale
-    return np.vstack([diffs, prods])
+    d = i.size if kind == FULL else n - 1
+    out = np.empty((d + i.size, m))
+    sq = X * X
+    diffs = np.subtract(sq[i[:d]], sq[j[:d]], out=out[:d])
+    diffs *= scale
+    prods = np.multiply(X[i], root, out=out[d:])
+    prods *= X[j]
+    prods *= scale
+    return out
 
 
 def diagram_vector(x, kind=FULL) -> np.ndarray:

@@ -61,8 +61,10 @@ class DualScalingReport:
 
 def canonical_dual(F) -> DualPair:
     """Canonical dual frame with vectors S^{-1} x_i, computed once per
-    frame."""
-    return derived(F, "canonical_dual", _canonical_dual)
+    frame.  F keeps only the dual frame, and the pair is built on return, so
+    that F's cache holds no reference back to F."""
+    return DualPair(primal=F, dual=derived(F, "canonical_dual", _canonical_dual),
+                    kind=CANONICAL)
 
 
 def _canonical_dual(F):
@@ -75,12 +77,12 @@ def _canonical_dual(F):
     # F is a valid frame, so a dual that fails the frame checks (a vector
     # that rounds to 0) is a numeric failure, not an input error
     try:
-        dual = _spanning_frame(_checked_synthesis(Y))
+        dual = _spanning_frame(*_checked_synthesis(Y))
     except (NonFiniteError, NotSpanningError, ZeroVectorError) as exc:
         raise InternalNumericError(f"canonical dual is not a frame: {exc}") from exc
     if not is_dual(F, dual):
         raise InternalNumericError("canonical dual fails the reconstruction identity")
-    return DualPair(primal=F, dual=dual, kind=CANONICAL)
+    return dual
 
 
 def alternate_dual_from_scaling(F, a) -> DualPair:

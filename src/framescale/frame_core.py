@@ -87,7 +87,7 @@ def frame_from_synthesis(X) -> Frame:
     """Build a Frame from an n x m synthesis matrix, validating invariants.
     The spanning test reads only singular values; the QR of X waits for
     ``synthesis_qr``."""
-    return _spanning_frame(_checked_synthesis(X))
+    return _spanning_frame(*_checked_synthesis(X))
 
 
 def synthesis_qr(F) -> SynthesisQR:
@@ -113,10 +113,11 @@ def _synthesis_qr(F):
 
 
 def _checked_synthesis(X):
-    """X as a float matrix of m >= n >= 1 finite, nonzero columns.  The
-    largest squared entry of each column, taken once, must be a finite
-    nonzero float: a column of zeros is the zero vector, and a nonzero one
-    whose squares underflow to 0 or overflow is out of range."""
+    """X as a float matrix of m >= n >= 1 finite, nonzero columns, with the
+    largest |entry| of each column, its peak.  The square of the peak, which
+    is the largest squared entry (rounding is monotone), must be a finite
+    nonzero float: a peak of 0 is the zero vector, and a nonzero one whose
+    square underflows to 0 or overflows is out of range."""
     X = np.array(X, dtype=float)
     if X.ndim != 2:
         raise DimensionMismatchError("synthesis matrix must be 2-dimensional")
@@ -125,35 +126,37 @@ def _checked_synthesis(X):
     n, m = X.shape
     if n < 1 or m < n:
         raise NotSpanningError(f"need m >= n >= 1 vectors, got n={n}, m={m}")
+    peak = np.abs(X).max(axis=0)
     with np.errstate(over="ignore"):
-        peak = (X * X).max(axis=0)
-    bad = np.flatnonzero((peak == 0.0) | (peak == np.inf))
+        square = peak * peak
+    bad = np.flatnonzero((square == 0.0) | (square == np.inf))
     if bad.size:
         i = int(bad[0])
-        if peak[i] == np.inf:
+        if square[i] == np.inf:
             raise NonFiniteError(f"frame vector {i} is too large: its squared entries overflow")
-        if X[:, i].any():
+        if peak[i]:
             raise NonFiniteError(f"frame vector {i} is too small: its squared entries underflow to 0")
         raise ZeroVectorError(f"frame vector {i} is the zero vector")
-    return X
+    return X, peak
 
 
-def _spans(X):
+def _spans(X, peak):
     """True when the columns of X span R^n: the rank rule of
     ``numerics.rank`` on X with unit-norm columns (zero columns stay zero),
-    so that rescaling a vector by any nonzero factor keeps the answer.  Each
-    column is divided by its largest entry first, so that no norm
-    overflows."""
-    peak = np.abs(X).max(axis=0)
-    peak[peak == 0.0] = 1.0
+    so that rescaling a vector by any nonzero factor keeps the answer.
+    ``peak`` is the largest |entry| of each column, 1 for a zero column.
+    Each column is divided by it first, so a nonzero column has an entry of
+    size 1 and a norm in [1, sqrt(n)], which neither overflows nor
+    underflows."""
     X = X / peak
-    return numerics.rank(X / numerics.column_norms(X)) == X.shape[0]
+    norms = np.sqrt((X * X).sum(axis=0))
+    return numerics.rank(X / np.maximum(norms, 1.0)) == X.shape[0]
 
 
-def _spanning_frame(X) -> Frame:
-    """The Frame on the checked synthesis X: spanning is decided by
-    ``_spans``."""
-    if not _spans(X):
+def _spanning_frame(X, peak) -> Frame:
+    """The Frame on the checked synthesis X with column peaks ``peak``:
+    spanning is decided by ``_spans``."""
+    if not _spans(X, peak):
         raise NotSpanningError("vectors do not span R^n")
     X.setflags(write=False)
     return Frame(synthesis=X)
@@ -250,8 +253,11 @@ def apply_scaling(F, a) -> Frame:
     keeps_columns = (float(a.min()) > 0.0
                      and np.count_nonzero(scaled) == np.count_nonzero(F.synthesis)
                      and np.isfinite(scaled).all())
-    if not keeps_columns and not _spans(scaled):
-        raise NotSpanningError("scaled system no longer spans R^n")
+    if not keeps_columns:
+        peak = np.abs(scaled).max(axis=0)
+        peak[peak == 0.0] = 1.0
+        if not _spans(scaled, peak):
+            raise NotSpanningError("scaled system no longer spans R^n")
     scaled.setflags(write=False)
     return Frame(synthesis=scaled)
 

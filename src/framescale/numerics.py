@@ -174,13 +174,15 @@ def _simplex_loop(T, basis, n_enterable, cap):
         if rc[col] >= -PIVOT_TOL:
             return
         a = T[:k, col]
-        rows = (a > PIVOT_TOL).nonzero()[0]
-        if rows.size == 0:
+        ratios = np.divide(np.maximum(rhs, 0.0), a, out=np.full(k, np.inf),
+                           where=a > PIVOT_TOL)
+        row = int(ratios.argmin())
+        step = float(ratios[row])
+        if step == np.inf:
             raise InternalNumericError("simplex column has no leaving row")
-        ratios = np.maximum(rhs[rows], 0.0) / a[rows]
-        step = float(ratios.min())
-        ties = rows[ratios <= step + ZERO_TOL]
-        row = ties[basis[ties].argmin()] if bland else ties[a[ties].argmax()]
+        ties = np.flatnonzero(ratios <= step + ZERO_TOL)
+        if ties.size > 1:
+            row = ties[basis[ties].argmin()] if bland else ties[a[ties].argmax()]
         stalled = stalled + 1 if step <= ZERO_TOL else 0
         _pivot(T, basis, row, col)
         taken = rhs[row]

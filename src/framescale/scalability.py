@@ -241,31 +241,41 @@ def split_of_one(F, rows=slice(None)) -> Split:
     regularized by ``ZERO_TOL`` so that a rank-deficient block still has an
     answer that depends only on its columns:
     (B B^T + ZERO_TOL I) y = B 1 when m >= k, else
-    y = B (B^T B + ZERO_TOL I)^{-1} 1, which is the same y.  The
-    regularization leaves B w = ZERO_TOL y.  A row-space direction of B
-    whose singular value is above sqrt(ZERO_TOL) moves w off the kernel by
-    at most sqrt(ZERO_TOL) times the component of y along it; one far below
-    stays in w as if it were kernel, and makes y large.  So w counts only
-    when its minimum also exceeds sqrt(ZERO_TOL) max|y|, which keeps such a
-    direction, as near-duplicate vectors make, from passing for a strictly
-    positive kernel vector.  The callers check every answer."""
+    z = (B^T B + ZERO_TOL I)^{-1} 1 and y = B z, which is the same y.  On a
+    tall block w is then ZERO_TOL z, since 1 - B^T B z = ZERO_TOL z: the
+    same vector as 1 - B^T y, without subtracting two terms of size about
+    1 / ZERO_TOL.  The regularization leaves B w = ZERO_TOL y.  A row-space
+    direction of B whose singular value is above sqrt(ZERO_TOL) moves w off
+    the kernel by at most sqrt(ZERO_TOL) times the component of y along it;
+    one far below stays in w as if it were kernel, and makes y large.  So w
+    counts only when its minimum also exceeds sqrt(ZERO_TOL) max|y|, which
+    keeps such a direction, as near-duplicate vectors make, from passing for
+    a strictly positive kernel vector.  The callers check every answer."""
     unit = unit_diagram_matrix(F)
     B = unit.data[rows]
     k, m = B.shape
     if k == 0:
         return Split(None, None)
     if m >= k:
-        y = np.linalg.solve(B @ B.T + ZERO_TOL * np.eye(k), B.sum(axis=1))
+        y = np.linalg.solve(_regularized(B @ B.T), B.sum(axis=1))
     else:
-        y = B @ np.linalg.solve(B.T @ B + ZERO_TOL * np.eye(m), np.ones(m))
+        z = np.linalg.solve(_regularized(B.T @ B), np.ones(m))
+        y = B @ z
     projected = y @ B
     y_max = float(np.abs(y).max())
     if float(projected.min()) > ZERO_TOL * y_max:
         return Split(y, None)
-    w = 1.0 - projected
+    w = 1.0 - projected if m >= k else ZERO_TOL * z
     if float(w.min()) > max(STRICT_MARGIN * float(w.sum()), np.sqrt(ZERO_TOL) * y_max):
         return Split(None, _weights(F, w))
     return Split(None, None)
+
+
+def _regularized(G):
+    """The Gram matrix G + ZERO_TOL I, with ZERO_TOL added to G's diagonal in
+    place."""
+    G.flat[::G.shape[0] + 1] += ZERO_TOL
+    return G
 
 
 def _weights(F, w):

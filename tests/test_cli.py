@@ -14,6 +14,7 @@ from framescale.framedoc import (
     format_number,
     parse_frame_document,
 )
+from conftest import bench_corpus
 from test_derived import FRAMES, _frame
 
 
@@ -134,6 +135,21 @@ class TestAnalyze:
         rep = build_report(document_from_frame(_frame(name), name=name), 1e-8)
         assert _json_dumps(rep) == reference_json_dumps(rep)
 
+    @pytest.mark.skipif(bench_corpus() is None, reason="needs bench/corpus.py")
+    def test_json_bytes_match_reference_on_the_corpus(self):
+        for spec in bench_corpus().build_corpus("analyze-grid", 1):
+            rep = build_report(parse_frame_document(spec.text), 1e-8)
+            assert _json_dumps(rep) == reference_json_dumps(rep), spec.fid
+
+    @pytest.mark.parametrize("obj", [
+        [1, 2, 3], [0.5, 2, -0.0], [1.5, None, True], [], [[]], [[], []],
+        [[0.1, 2.5e-300, -3.0]], [[1.0], [2.0]], [[1.0, 2.0], [3.0]],
+        [[1.0, 2], [3.0, 4.0]], [[1.0, 2.0], [3.0, float("inf")]], (0.25, 1e300),
+        {"a": [[0.1]], "b": [[1, 2]], "c": [0.1, [0.2]], "d": {}},
+    ])
+    def test_json_writer_matches_reference_on_edge_lists(self, obj):
+        assert _json_dumps(obj) == reference_json_dumps(obj)
+
     def test_json_escapes_name(self, tmp_path, capsys):
         name = 'a\tb "q" \\ é'
         frame = frame_from_document(parse_frame_document(MB_TEXT))
@@ -149,6 +165,15 @@ class TestAnalyze:
 
     def test_missing_file_exit_two(self, capsys):
         assert main(["analyze", "/nonexistent/nope.frame"]) == 2
+
+    @pytest.mark.parametrize("command", [["scale"], ["analyze"], ["analyze", "--batch"]])
+    def test_non_utf8_file_exit_two(self, tmp_path, capsys, command):
+        # exit 1 from scale would mean "not scalable"
+        (tmp_path / "bad.frame").write_bytes(b"n 2\nm 3\n1 0\n0 1\n1 1\n\xff\n")
+        target = tmp_path if command[-1] == "--batch" else tmp_path / "bad.frame"
+        assert main(command + [str(target)]) == 2
+        err = capsys.readouterr().err
+        assert "bad.frame" in err and "UTF-8" in err
 
     def test_batch_sorted_order(self, tmp_path, capsys):
         write(tmp_path, "b.frame", MB_TEXT)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from framescale import (
     canonical_dual,
     canonical_dual_scalable,
     check_transform_scaling,
+    decide,
     decide_scalable,
     grammian_form_check,
     hull_certificate_check,
@@ -70,6 +74,23 @@ class TestCanonicalDual:
         F = make_frame(np.eye(3))
         pair = canonical_dual(F)
         assert np.abs(pair.dual.synthesis - np.eye(3)).max() < 1e-12
+
+    def test_frame_is_freed_without_the_cycle_collector(self):
+        # F keeps its dual frame, not a pair that points back to F, so
+        # reference counting alone frees F and everything derived from it
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            F = random_scalable_frame(np.random.default_rng(7), 3, 6)[0]
+            ref = weakref.ref(F)
+            decide(F, strict=True)
+            assert canonical_dual(F).primal is F
+            canonical_dual_scalable(F)
+            del F
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestAlternateDual:

@@ -5,15 +5,18 @@ hull test theta^T y > 0, and a kernel vector c is strictly positive and
 passes the kernel identity.  Its verdict is that of the general test
 ``decide_scalable`` and, at corank 1 and 2, of the cofactor and codim-2
 routes, on the benchmark corpus of ``analyze`` and ``scale``, on their
-canonical duals, and on the Hypothesis draws of integer and near-duplicate
-frames."""
+canonical duals, and on the Hypothesis draws of integer, near-duplicate
+and tall scalable frames.  No kernel part fails the kernel identity: on a
+tall block (fewer columns than rows) the kernel part is ZERO_TOL z, not a
+difference of two terms of size about 1 / ZERO_TOL."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from framescale import canonical_dual, decide, decide_scalable, frame_from_synthesis
+from framescale import canonical_dual, decide, decide_scalable, frame_from_synthesis, numerics
+from framescale import scalability
 from framescale.diagram import reduced_diagram_matrix, reduced_size
 from framescale.errors import InternalNumericError, NotSpanningError, ZeroVectorError
 from framescale.framedoc import frame_from_document, parse_frame_document
@@ -28,7 +31,7 @@ from framescale.scalability import (
     split_of_one,
     theta_kernel,
 )
-from conftest import bench_corpus
+from conftest import bench_corpus, random_scalable_frame, rescaled_harmonic_frame
 from test_invariance import integer_frames, near_duplicate_frames
 
 
@@ -105,6 +108,7 @@ def _check_split(F):
 @pytest.mark.skipif(not CORPUS_FRAMES, reason="needs bench/corpus.py")
 def test_split_is_certified_and_agrees_on_the_corpus():
     answers = {name: _check_split(F) for name, F in CORPUS_FRAMES.items()}
+    assert [name for name, a in answers.items() if a == "unchecked"] == []
     # both parts answer, and most frames take no other route
     assert {"certificate", "kernel"} <= set(answers.values())
     assert sum(a in ("certificate", "kernel") for a in answers.values()) > len(answers) / 2
@@ -123,13 +127,43 @@ def test_decide_takes_the_split_exactly_when_it_answers():
             assert np.array_equal(result.certificate_y, split_of_one(G).certificate_y), name
 
 
+@st.composite
+def tall_scalable_frames(draw):
+    """Scalable frames with m < (n-1)(n+2)/2 vectors, so that the split
+    solves with the m x m Gram matrix: a Parseval frame over random d_i, or
+    a rescaled harmonic frame."""
+    n = draw(st.integers(3, 8))
+    m = draw(st.integers(n + 1, reduced_size(n) - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return random_scalable_frame(rng, n, m)[0].synthesis
+    return rescaled_harmonic_frame(rng, n, m).synthesis
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
-@given(X=st.one_of(integer_frames(), near_duplicate_frames()))
+@given(X=st.one_of(integer_frames(), near_duplicate_frames(), tall_scalable_frames()))
 def test_split_is_certified_and_agrees_on_drawn_frames(X):
     try:
         F = frame_from_synthesis(X)
     except (NotSpanningError, ZeroVectorError):
         assume(False)
-    _check_split(F)
+    assert _check_split(F) != "unchecked"
 
+
+@pytest.mark.skipif(bench_corpus() is None, reason="needs bench/corpus.py")
+def test_tall_strict_frame_takes_the_projection_route(monkeypatch):
+    """A strict n = 8, m = 32 frame of ``analyze-grid`` (32 columns, 35 rows)
+    is answered by the split's kernel part, with no SVD of theta and no
+    LP."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the split of 1 answers this frame")
+
+    monkeypatch.setattr(numerics, "_linear_program", forbidden)
+    monkeypatch.setattr(scalability, "_theta_svd", forbidden)
+    specs = [spec for spec in bench_corpus().build_corpus("analyze-grid", 1)
+             if spec.fid.endswith("-strict-n8-m32")]
+    assert specs
+    for spec in specs:
+        result = decide(frame_from_document(parse_frame_document(spec.text)), strict=True)
+        assert (result.method, result.verdict) == (METHOD_PROJECTION, STRICTLY_SCALABLE)
