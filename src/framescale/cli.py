@@ -27,7 +27,6 @@ from .errors import (
     BadParamsError,
     FramescaleError,
     InternalNumericError,
-    IterationLimitError,
     ParseError,
 )
 from .frame_core import apply_scaling, frame_operator, frame_potential, is_tight, make_frame
@@ -369,7 +368,7 @@ def main(argv=None) -> int:
         if hasattr(args, "tol"):
             args.tol = _resolve_tol(args.tol)
         return args.func(args)
-    except (IterationLimitError, InternalNumericError) as exc:
+    except InternalNumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except FramescaleError as exc:

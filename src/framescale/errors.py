@@ -14,10 +14,6 @@ class DimensionMismatchError(FramescaleError):
     """Operands have inconsistent shapes."""
 
 
-class IterationLimitError(FramescaleError):
-    """The simplex anti-cycling iteration cap was exceeded."""
-
-
 class NotSpanningError(FramescaleError):
     """Vector system does not span R^n."""
 

@@ -1,25 +1,23 @@
-"""Dense real linear-algebra kernel and nonnegative linear feasibility solver.
+"""Dense real linear-algebra kernel and the hull solver.
 
-Singular values, the SVD and rank come from LAPACK through numpy.  Linear
-feasibility is a deterministic two-phase tableau simplex with Dantzig pricing
-and a Bland's-rule fallback after a run of degenerate pivots; it produces
-either a nonnegative witness or a Farkas-style infeasibility certificate.
-The strict variant maximizes the minimum entry through the substitution
-x = delta 1 + s: it is phase 2 of the same tableau, which carries the delta
-column, a cap slack and the cap row through phase 1, so both questions share
-one phase 1, its pivots, its verdict and its Farkas row.  That one bounded
-LP is the only one the kernel solves.
-
-Small LPs cost in numpy calls, not in arithmetic, so each pivot is one
-broadcast rank-1 update of the tableau in place.
+Singular values, the SVD and rank come from LAPACK through numpy.  Every
+question that the package asks of a row block A of the reduced diagram
+matrix is one hull question, asked of A's unit-norm columns P: is there a
+c >= 0, c != 0 with P c = 0, or else a y with P^T y > 0 (Gordan's
+alternative)?  ``split_of_one`` answers it from one regularized Gram solve
+when a part of 1 is strictly positive, and ``nearest_point`` (Wolfe)
+always does.  ``solve_feasibility``, the entry point, checks every answer,
+and with ``require_strict`` carries a witness to one of largest support
+(``_support_rounds``).
 
 Every threshold of the package is written once, in the table below, and
 named by its role.  No threshold is absolute: each multiplies a scale named
 beside it, and most of those scales are of unit size by construction (the
-LPs and the scalability routes read the reduced diagram matrix on unit-norm
-columns, and weights sum to 1), so a verdict does not move when a frame
-vector is rescaled.  The one tolerance a user can set is the tightness
-tolerance of ``frame_core.is_tight`` (``--tol``); it steers no verdict.
+hull solver and the scalability routes read the reduced diagram matrix on
+unit-norm columns, and weights sum to 1), so a verdict does not move when a
+frame vector is rescaled.  The one tolerance a user can set is the
+tightness tolerance of ``frame_core.is_tight`` (``--tol``); it steers no
+verdict.
 """
 
 from __future__ import annotations
@@ -28,38 +26,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InternalNumericError,
-    IterationLimitError,
-    NonFiniteError,
-)
+from .errors import DimensionMismatchError, InternalNumericError, NonFiniteError
 
 # The tolerance table.  Each threshold is named by its role, and its value
 # multiplies the scale that its comment names.
 ZERO_TOL = 1e-12       # zero and sign: an entry of unit-size data counts as 0
-#                        (unit-norm theta columns, simplex ratios and rhs
-#                        drift, witness entries, y.A_j of the Farkas row
-#                        of an LP with b != 0 against max|y|, max |kernel
-#                        basis| times s_1/s_r, a codim-2 normal angle, in
-#                        radians, times max |kernel basis| times s_1/s_r
-#                        over its row length, the angle of a codim-2
-#                        certificate's target to a kernel row, in radians,
-#                        times s_1/s_r, min B^T y of a certificate of the
-#                        split of 1 against max|y|, max weight, sum of
-#                        unit-column weights: zeroed ones); the
-#                        regularization of the split's Gram solve, whose
-#                        square root times max|y| its kernel part must exceed
-RANK_TOL = 1e-10       # rank: the largest singular value (rank, kernel), the
-#                        largest entry or 1 if larger (independent rows), the
-#                        largest entry times s_1/s_r (cofactor sign classes)
-PIVOT_TOL = 1e-9       # pivot: simplex reduced costs and pivot elements on
-#                        unit-norm columns; rhs drift against the pivot
-#                        step; the phase-1 objective against 1 + max|b|;
-#                        unit norm against 1
-RESIDUAL_TOL = 1e-8    # residual: witness residual against 1 + max|b|; the
-#                        kernel identity against max_j sum_i |theta_ji| c_i;
-#                        W rows and X Y^T against 1; V cross terms against the
+#                        (unit-norm theta columns, max |kernel basis| times
+#                        s_1/s_r, a codim-2 normal angle, in radians, times
+#                        max |kernel basis| times s_1/s_r over its row
+#                        length, the angle of a codim-2 certificate's target
+#                        to a kernel row, in radians, times s_1/s_r, min B^T y
+#                        of a certificate of the split of 1 against max|y|,
+#                        min P^T x against ||x|| and ||x|| of Wolfe's point,
+#                        its weights, max weight, sum of unit-column weights:
+#                        zeroed ones); the regularization of the split's Gram
+#                        solve, whose square root times max|y| its kernel
+#                        part must exceed
+RANK_TOL = 1e-10       # rank: the largest singular value (rank, kernel, a
+#                        column's projection off the span of a support; also
+#                        the kernel identity of a split witness that starts
+#                        the support rounds), the largest entry or 1 if
+#                        larger (independent rows), the largest entry times
+#                        s_1/s_r (cofactor sign classes)
+PIVOT_TOL = 1e-9       # unit norm: the norm of a unit frame vector against 1
+RESIDUAL_TOL = 1e-8    # residual: the kernel identity against
+#                        max_j sum_i |theta_ji| c_i; W rows and X Y^T
+#                        against 1; V cross terms against the
 #                        largest diagonal entry of sum_i a_i x_i x_i^T; the
 #                        default tightness tolerance
 IDENTITY_TOL = 1e-7    # identity: operator identities (S^2, the Parseval
@@ -71,13 +63,11 @@ STRICT_MARGIN = 1e-9   # strictness: the minimum unit-column weight (weights
 #                        and so does the minimum of a kernel part w of the
 #                        split of 1 against the sum of w
 
-_STALL = 50         # consecutive degenerate pivots before Bland's rule takes over
-
 
 @dataclass(frozen=True)
 class FeasibilityProblem:
-    """Find x >= 0 with A x = b.  For b = 0 the normalization sum(x) = 1 is
-    added automatically so the trivial solution is excluded."""
+    """The hull question of A: some x >= 0, x != 0 with A x = b for b = 0,
+    or a certificate that none exists.  ``b`` must be 0."""
 
     A: np.ndarray
     b: np.ndarray
@@ -124,141 +114,6 @@ def svd(M):
     return tuple(np.linalg.svd(A))
 
 
-# ---------------------------------------------------------------------------
-# two-phase simplex
-
-
-@dataclass
-class LPResult:
-    status: str                      # "optimal" | "infeasible"
-    x: np.ndarray | None = None      # the witness, when optimal
-    dual: np.ndarray | None = None   # the Farkas row, when infeasible
-
-
-def _pivot(T, basis, row, col):
-    # one in-place rank-1 update of every row; the pivot row's own update is
-    # discarded when it is set to piv
-    piv = T[row] / T[row, col]
-    T -= T[:, col, None] * piv
-    T[row] = piv
-    T[:, col] = 0.0
-    T[row, col] = 1.0
-    basis[row] = col
-
-
-def _simplex_loop(T, basis, n_enterable, cap):
-    """Pivot until no reduced cost of the first ``n_enterable`` columns is
-    below -PIVOT_TOL.
-
-    The entering column is the most negative reduced cost (Dantzig); the
-    leaving row has the smallest ratio, ties within ZERO_TOL going to the
-    largest pivot element.  Ratios are taken on max(rhs, 0), so rounding
-    noise below 0 gives no negative step, and after a pivot that moves the
-    entering variable by a step > 0, an rhs entry in
-    [-(PIVOT_TOL step + ZERO_TOL), 0) is set to 0: it is the drift of a row
-    whose entry, at most PIVOT_TOL, the ratio test skipped, or of a row tied
-    within ZERO_TOL (Harris, Math. Prog. 1973).  After _STALL consecutive
-    degenerate pivots the rest of the solve uses Bland's rule (lowest
-    entering index, lowest leaving basis index), which cannot cycle.  Both
-    phases of ``_linear_program`` are bounded (phase 1 below by 0, the
-    strict phase 2 by its cap row), so an entering column without a leaving
-    row is a numeric failure.
-    """
-    k = T.shape[0] - 1
-    rc = T[-1, :n_enterable]    # views: _pivot updates T in place
-    rhs = T[:k, -1]
-    stalled = 0
-    for _ in range(cap):
-        bland = stalled >= _STALL
-        col = (rc < -PIVOT_TOL).argmax() if bland else rc.argmin()
-        if rc[col] >= -PIVOT_TOL:
-            return
-        a = T[:k, col]
-        ratios = np.divide(np.maximum(rhs, 0.0), a, out=np.full(k, np.inf),
-                           where=a > PIVOT_TOL)
-        row = int(ratios.argmin())
-        step = float(ratios[row])
-        if step == np.inf:
-            raise InternalNumericError("simplex column has no leaving row")
-        ties = np.flatnonzero(ratios <= step + ZERO_TOL)
-        if ties.size > 1:
-            row = ties[basis[ties].argmin()] if bland else ties[a[ties].argmax()]
-        stalled = stalled + 1 if step <= ZERO_TOL else 0
-        _pivot(T, basis, row, col)
-        taken = rhs[row]
-        if taken > 0.0 and (rhs < 0.0).any():
-            rhs[(rhs < 0.0) & (rhs >= -(PIVOT_TOL * taken + ZERO_TOL))] = 0.0
-    raise IterationLimitError("simplex iteration cap exceeded")
-
-
-def _linear_program(A, b, strict=False):
-    """Decide A x = b, x >= 0 for a float matrix A and a float vector b
-    (phase 1), and with ``strict`` maximize the minimum entry of x
-    (phase 2).  On infeasibility the returned ``dual`` y satisfies
-    y.A <= 0 and y.b > 0 (Farkas).
-
-    One tableau serves both questions: the columns are A, delta = A 1, the
-    cap slack, the artificials and the rhs; the rows are A's, the cap row
-    delta + s_cap = 1 + max|b| and the cost row.  Phase 1 prices A's columns
-    only, and the cap row has no entry there, so both questions take the
-    same phase-1 pivots and give the same verdict and Farkas row.  Phase 2
-    minimizes -delta over A, delta and the slack, which substitutes
-    x = delta 1 + s."""
-    k, nv = A.shape
-    art = nv + 2            # the first artificial column
-    cap = 50 * (k + nv + k)  # artificials count toward the column budget
-    top = 1.0 + float(np.abs(b).max(initial=0.0))
-
-    row_sign = np.where(b < 0, -1.0, 1.0)
-    A1 = A * row_sign[:, None]
-    b1 = b * row_sign
-
-    T = np.zeros((k + 2, art + k + 1))
-    T[:k, :nv] = A1
-    T[:k, nv] = A1.sum(axis=1)
-    T[:k, art:-1] = np.eye(k)
-    T[:k, -1] = b1
-    T[k, nv:art] = 1.0
-    T[k, -1] = top
-    T[-1, :nv] = -A1.sum(axis=0)
-    T[-1, -1] = -b1.sum()
-    basis = np.append(np.arange(art, art + k), nv + 1)
-
-    _simplex_loop(T, basis, nv, cap)
-    if -T[-1, -1] > PIVOT_TOL * top:
-        pi = 1.0 - T[-1, art:-1]
-        return LPResult(status="infeasible", dual=row_sign * pi)
-
-    # drive leftover artificials out of the basis (redundant rows stay put);
-    # each is 0 up to the phase-1 tolerance, so the pivot is degenerate: its
-    # rounding noise, divided by a pivot element of either sign, would
-    # otherwise become a negative entry of the witness
-    for i in np.flatnonzero(basis >= art):
-        cols = np.flatnonzero(np.abs(T[i, :nv]) > PIVOT_TOL)
-        if cols.size:
-            T[i, -1] = 0.0
-            _pivot(T, basis, i, cols[0])
-
-    if strict:
-        # every basic variable costs 0, so the reduced costs are -e_delta
-        T[-1] = 0.0
-        T[-1, nv] = -1.0
-        _simplex_loop(T, basis, art, cap)
-
-    x = np.zeros(art)
-    held = basis < art
-    x[basis[held]] = T[:k + 1, -1][held]
-    return LPResult(status="optimal", x=x[:nv] + x[nv] if strict else x[:nv])
-
-
-def _clamp_nonneg(x):
-    x = np.asarray(x, dtype=float).copy()
-    if float(x.min(initial=0.0)) < -ZERO_TOL:
-        raise InternalNumericError("simplex witness has a negative entry")
-    x[x < 0.0] = 0.0
-    return x
-
-
 def column_norms(A):
     """The 2-norm of each column of A, with 1 for a zero column.  A column
     whose sum of squares leaves the normal float range (a norm beyond about
@@ -278,58 +133,247 @@ def column_norms(A):
     return norms
 
 
+# ---------------------------------------------------------------------------
+# the hull solver
+
+
+def _split(B):
+    """One split of 1 on the block B: (y, None, None) for a certificate,
+    else (None, w, floor) (see ``split_of_one``)."""
+    k, m = B.shape
+    wide = m >= k
+    G = B @ B.T if wide else B.T @ B
+    G.flat[::G.shape[0] + 1] += ZERO_TOL
+    z = np.linalg.solve(G, B.sum(axis=1) if wide else np.ones(m))
+    y = z if wide else B @ z
+    projected = y @ B
+    y_max = float(np.abs(y).max())
+    if float(projected.min()) > ZERO_TOL * y_max:
+        return y, None, None
+    w = 1.0 - projected if wide else ZERO_TOL * z
+    return None, w, max(STRICT_MARGIN * float(w.sum()), np.sqrt(ZERO_TOL) * y_max)
+
+
+def split_of_one(B, rounds=False):
+    """The orthogonal split 1 = B^T y + w of the all-ones vector for a k x m
+    block B of columns at most unit norm, into its projections on the row
+    space and the kernel of B, as (y, w) with at most one of them set.  By
+    Gordan's alternative a strictly positive part settles whether some
+    c >= 0, c != 0 has B c = 0: a B^T y whose minimum exceeds ``ZERO_TOL``
+    max|y| gives the certificate y, and a w whose minimum exceeds its floor
+    is a kernel vector.  Otherwise both are None, as for a block without
+    rows.
+
+    y comes from one solve with the smaller Gram matrix, regularized by
+    ``ZERO_TOL`` so that a rank-deficient block still has an answer that
+    depends only on its columns: (B B^T + ZERO_TOL I) y = B 1 when m >= k,
+    else z = (B^T B + ZERO_TOL I)^{-1} 1 and y = B z, the same y, and w is
+    ZERO_TOL z = 1 - B^T y without subtracting two terms of size about
+    1 / ZERO_TOL.  The regularization leaves B w = ZERO_TOL y: a row-space
+    direction of singular value above sqrt(ZERO_TOL) moves w off the kernel
+    by at most sqrt(ZERO_TOL) times the component of y along it, and one
+    far below stays in w and makes y large.  So the floor of w is the
+    larger of ``STRICT_MARGIN`` times its sum and sqrt(ZERO_TOL) max|y|,
+    which keeps such a direction, as near-duplicate vectors make, from
+    passing for a kernel vector.
+
+    With ``rounds``, for a question that any kernel vector answers, a w that
+    is not strictly positive drops the columns at or below its floor and 1
+    is split again on the rest, until a w is strictly positive (the kernel
+    vector, 0 on the dropped columns), a certificate of the rest appears
+    (which settles nothing for B) or no column is left.  The callers check
+    every answer."""
+    if B.shape[0] == 0:
+        return None, None
+    y, w, floor = _split(B)
+    cols = np.arange(B.shape[1])
+    while y is None and float(w.min()) <= floor and rounds and (w > floor).any():
+        cols = cols[w > floor]
+        y, w, floor = _split(B[:, cols])
+        if y is not None:
+            return None, None
+    if y is not None or float(w.min()) <= floor:
+        return y, None
+    kernel = np.zeros(B.shape[1])
+    kernel[cols] = w
+    return None, kernel
+
+
+def kernel_identity(P, w, rank_rule=False):
+    """True when P w vanishes relative to the largest row sum of its terms
+    |P_ji| w_i, the same at every scale of w: to within ``RESIDUAL_TOL``, or
+    with ``rank_rule`` within ``RANK_TOL``, the kernel that the rank sees."""
+    scale = float((np.abs(P) @ w).max(initial=0.0))
+    bound = RANK_TOL if rank_rule else RESIDUAL_TOL
+    return float(np.abs(P @ w).max(initial=0.0)) <= bound * scale
+
+
+def _affine_weights(P, corral, H=None):
+    """The weights v, sum 1, of the nearest point P_S v of the affine hull
+    of the corral S: v = u / sum(u) for the u that minimizes
+    ||P_S u||^2 + (1 - sum(u))^2, so H_SS u = 1 with H = P^T P + 1 1^T.
+    Without H, least squares on [P_S; 1^T] finds u without squaring the
+    condition of the corral."""
+    if H is not None:
+        u = np.linalg.solve(H[np.ix_(corral, corral)], np.ones(corral.size))
+    else:
+        M = np.vstack([P[:, corral], np.ones(corral.size)])
+        u = np.linalg.lstsq(M, np.eye(M.shape[0])[-1], rcond=None)[0]
+    return u / u.sum()
+
+
+def _minor_cycles(P, corral, w, H=None):
+    """Wolfe's minor cycles: while the affine weights v of the corral have
+    an entry at or below ``ZERO_TOL``, w moves toward v until the first such
+    entry reaches 0 (at most all the way), and that column leaves the
+    corral with any other left at or below ``ZERO_TOL``."""
+    while True:
+        v = _affine_weights(P, corral, H)
+        out = np.flatnonzero(v <= ZERO_TOL)
+        if not out.size:
+            return corral, v
+        gap = w[out] - v[out]
+        ratios = np.divide(w[out], gap, out=np.zeros(out.size), where=gap > 0.0)
+        first = int(ratios.argmin())
+        w = w + min(float(ratios[first]), 1.0) * (v - w)
+        keep = w > ZERO_TOL
+        keep[out[first]] = False
+        corral, w = corral[keep], w[keep]
+
+
+def nearest_point(P):
+    """Wolfe's minimum-norm point x of the convex hull of the columns of P
+    (*Finding the nearest point in a polytope*, Math. Prog. 1976), as (x, w)
+    with weights w >= 0, sum 1, P w = x.
+
+    A corral of affinely independent columns, at most k + 1 in R^k, holds
+    x, the nearest point of their affine hull.  At the nearest point of the
+    hull P_j^T x >= ||x||^2 for every column j, so each major cycle adds
+    the column of least P_j^T x, and the minor cycles (``_minor_cycles``)
+    find the new corral.  A certificate needs only a separating x, so the
+    loop stops once every P_j^T x exceeds ``ZERO_TOL`` ||x||; with no
+    iteration cap, it also stops when ||x|| is at most ``ZERO_TOL``, when
+    the column is in the corral or the corral is full, or when ||x||^2 no
+    longer decreases.  A witness's weights are then found once more by
+    least squares, so that a weight that is 0 does not stay as noise."""
+    H = P.T @ P + 1.0
+    corral = np.zeros(1, dtype=int)
+    w = np.ones(1)
+    x = P[:, 0]
+    best = np.inf
+    while True:
+        xx = float(x @ x)
+        if xx <= ZERO_TOL ** 2 or not xx < best:
+            break
+        best = xx
+        px = x @ P
+        j = int(px.argmin())
+        if px[j] > ZERO_TOL * np.sqrt(xx) or j in corral or corral.size > P.shape[0]:
+            break
+        try:
+            corral, w = _minor_cycles(P, np.append(corral, j), np.append(w, 0.0), H)
+        except np.linalg.LinAlgError:
+            break  # an affinely dependent corral: x is as near as it gets
+        x = P[:, corral] @ w
+    if w.size > 1 and kernel_identity(P[:, corral], w):
+        corral, w = _minor_cycles(P, corral, w)
+        x = P[:, corral] @ w
+    weights = np.zeros(P.shape[1])
+    weights[corral] = w
+    return x, weights
+
+
+def _hull(P, split=False):
+    """The answer to the hull question of the unit columns P, as
+    (certificate, witness).  With ``split``, the witness of the split of 1
+    with rounds comes first when it passes the kernel identity to within
+    ``RANK_TOL``: one that passes only to ``RESIDUAL_TOL`` may lean on a
+    direction below sqrt(ZERO_TOL) (``split_of_one``), and its support may
+    be too wide.  Else the nearest point x = P w gives the witness w when it
+    passes the kernel identity, or the certificate x when P^T x > 0, and
+    (None, None) when it passes neither."""
+    if split:
+        _, w = split_of_one(P, rounds=True)
+        if w is not None and kernel_identity(P, w, rank_rule=True):
+            return None, w
+    x, w = nearest_point(P)
+    if kernel_identity(P, w):
+        return None, w
+    return (x, None) if float((x @ P).min()) > 0.0 else (None, None)
+
+
+def _support_rounds(P, w):
+    """A kernel vector of largest support from a kernel vector w >= 0 of
+    the columns P (Goldman-Tucker, 1956).
+
+    Any y with P^T y >= 0 is orthogonal to the columns of the support S of
+    w.  So the other columns are written in an orthonormal basis Z of
+    span(P_S)^perp, C = Z^T P_T, and their hull question is asked again
+    (``_hull``, on C's unit columns).  A certificate y' there makes Z y' a
+    y with P_S^T y = 0 and P_j^T y > 0 off S, which proves those entries 0
+    in every kernel vector c >= 0.  A witness c' there extends S: with
+    P_S u the part of P_T c' in the span, w + s (-u, c') is a kernel vector
+    for the s that keeps its least entry on the new support largest.  A
+    column of C at most ``RANK_TOL`` times the largest singular value of
+    P_S lies in the span and extends S alone.  A question too near the
+    boundary for either check, or an extension that fails the kernel
+    identity, ends the rounds: the rest stays 0."""
+    w = w / w.sum()
+    while not (S := w > 0.0).all():
+        U, s, Vt = np.linalg.svd(P[:, S])
+        r = rank_of(s)
+        rest = P[:, ~S]
+        C = U[:, r:].T @ rest
+        norms = np.sqrt((C * C).sum(axis=0))
+        inside = norms <= RANK_TOL * s.max(initial=0.0)
+        if inside.any():
+            c = inside / float(inside.sum())
+        else:
+            _, c = _hull(C / norms, split=True)
+            if c is None:
+                return w
+            c = c / norms / float((c / norms).sum())
+        u = Vt[:r].T @ ((U[:, :r].T @ (rest @ c)) / s[:r])
+        a = float(c[c > 0.0].min())
+        climb = a + u > 0.0
+        step = float((w[S][climb] / (a + u[climb])).min(initial=1.0))
+        wider = w.copy()
+        wider[S] -= step * u
+        wider[~S] = step * c
+        if not kernel_identity(P, wider):
+            return w
+        w = wider / wider.sum()
+    return w
+
+
 def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
-    """Decide A x = b, x >= 0 and return a witness or certificate.
+    """Answer the hull question of A for b = 0: some x >= 0, x != 0 with
+    A x = 0, or else a y with y.A_j > 0 for every column (Gordan).
 
-    Each nonzero column A_j is divided by its 2-norm before the solve and the
-    witness is mapped back as x_j = x'_j / ||A_j||.  A positive column scale
-    keeps the sign of every y.A_j, so a certificate needs no mapping, and the
-    answer does not depend on the scale of the columns.
-
-    For a homogeneous system (b = 0) the normalization sum(x) = 1 is added
-    (and restored after the mapping) and the infeasibility certificate y
-    satisfies (y.A)_j > 0 for every column j, the separating-functional
-    direction of the convex-hull test; otherwise y.b > 0 and
-    y.A_j <= ZERO_TOL max|y|.  With ``require_strict`` the minimum entry of
-    the unit-column witness is maximized, in the phase 2 of the same LP;
-    judging strictness from the witness is left to the caller.
-    """
+    It is asked of the unit columns P_j = A_j / ||A_j||: a positive column
+    scale keeps the sign of every y.A_j and the support of every kernel
+    vector.  The plain question goes to ``nearest_point``.  With
+    ``require_strict`` the split of 1 with rounds comes first, and a
+    witness is carried to one of largest support (``_support_rounds``), so
+    its zero entries are exactly those that vanish in every kernel vector.
+    The witness is the unit-column weights w, sum 1, checked by the kernel
+    identity (A's kernel vector is w_j / ||A_j||); the certificate y has
+    P^T y > 0.  A nonzero b is not supported."""
     A = np.asarray(p.A, dtype=float)
     b = np.asarray(p.b, dtype=float).ravel()
     _check_finite(A)
-    _check_finite(b)
     if A.ndim != 2 or A.shape[0] != b.size:
         raise DimensionMismatchError(f"A has shape {A.shape}, b has length {b.size}")
-    norms = column_norms(A)
-    A = A / norms
-    k, m = A.shape
-    hom = bool(np.all(b == 0.0))
-    if hom:
-        A2 = np.vstack([A, np.ones((1, m))])
-        b2 = np.concatenate([b, [1.0]])
-    else:
-        A2, b2 = A, b
-    res = _linear_program(A2, b2, p.require_strict)
-    if res.status == "infeasible":
-        if hom:
-            y = -res.dual[:k]
-            if not float((y @ A).min()) > 0.0:
-                raise InternalNumericError("hull certificate fails the strict sign test")
-        else:
-            y = res.dual
-            if not (float(y @ b) > 0.0
-                    and float((y @ A).max()) <= ZERO_TOL * float(np.abs(y).max())):
-                raise InternalNumericError("Farkas certificate fails its sign test")
+    if b.any():
+        raise ValueError("only the homogeneous problem A x = 0 is solved")
+    P = A / column_norms(A)
+    y, w = _hull(P, split=p.require_strict)
+    if y is not None:
         return FeasibilityOutcome(feasible=False, certificate=y)
-    x = _clamp_nonneg(res.x)
-    _verify_witness(A2, b2, x)
-    x = x / norms
-    if hom:
-        x = x / x.sum()
-    return FeasibilityOutcome(feasible=True, witness=x)
-
-
-def _verify_witness(A, b, x):
-    resid = float(np.abs(A @ x - b).max(initial=0.0))
-    if resid > RESIDUAL_TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
-        raise InternalNumericError(f"feasibility witness residual {resid:.3e} too large")
+    if w is None:
+        raise InternalNumericError("nearest point passes neither the kernel identity "
+                                   "nor the hull sign test")
+    w = _support_rounds(P, w) if p.require_strict else w / w.sum()
+    if not kernel_identity(P, w):
+        raise InternalNumericError("hull witness fails the kernel identity")
+    return FeasibilityOutcome(feasible=True, witness=w)

@@ -21,39 +21,37 @@ the canonical-dual check all call it.  It tries the routes in this order:
     for the orthonormal kernel basis xi_1, xi_2, is nonnegative on a
     half-circle of directions t, and these meet exactly when the widest
     circular gap between their normal angles is at least pi;
+* without ``strict``, the split of 1 with rounds (``split_of_one``): any
+  kernel vector answers, and one that is 0 on some columns may be found on
+  the rest;
 * everything else, and a frame whose route fails its own check
   (``InternalNumericError``), goes to ``decide_scalable`` -- the general
   test: a nonnegative, nonzero vector in the kernel of the reduced diagram
-  matrix, found by linear feasibility.
+  matrix, or a certificate that none exists, from the hull solver
+  (``numerics.solve_feasibility``, through ``_theta_hull``), which also
+  answers W and V on their row blocks (``split_scaling``).
 
 A frame that the split answers takes no SVD, and one with m > d + 2, which
-has corank at least 3, takes none either.
-
-``cofactor_vector`` keeps the paper's cofactor formula; the routes' kernel
-vectors are proportional to it.
+has corank at least 3, takes none either.  ``cofactor_vector`` keeps the
+paper's cofactor formula; the routes' kernel vectors are proportional to
+it.
 
 A route supplies a kernel vector or a certificate; two constructors build
 every answer.  ``_not_scalable`` carries a separating functional y with
-<x~_i, y> > 0 for all i and, for the sign reject, the one-signed row.  The
-LP route takes y from its LP; the split takes its own, and the kernel
-routes read it off the SVD they already hold, with no LP
-(``_kernel_certificate``, Gordan's alternative); every one but the LP's,
-which the solver checks, is checked by ``hull_certificate_check``.
-``_finish_scalable`` rejects weights that are not finite, normalizes
-them, reads the strictness margin off them and re-checks theta c = 0.
-
-``_theta_lp`` is the one LP of the package, the homogeneous kernel problem
-on a row block of the reduced diagram matrix: all of it for scalability,
-its square differences for W and its pair products for V
-(``split_scaling``).
+<x~_i, y> > 0 for all i and, for the sign reject, the one-signed row; the
+kernel routes read y off the SVD they already hold (``_kernel_certificate``,
+Gordan's alternative), and every route's y is checked by
+``hull_certificate_check``.  ``_finish_scalable`` rejects weights that are
+not finite, normalizes them, reads the strictness margin off them and
+re-checks theta c = 0.
 
 Rescaling x_i by s rescales column i of the reduced diagram matrix by
 s^2 > 0, which keeps scalability.  So every route reads that matrix on
-unit-norm columns (``diagram.unit_diagram_matrix``): the LPs through
-``numerics.solve_feasibility``, and the sign reject, the split, the kernel
-(whose width is the corank that ``decide`` routes on), the cofactor and
-codim-2 routes and the margin through the per-frame copy.  The thresholds
-are those of the ``numerics`` table.
+unit-norm columns: the hull solver its own, and the sign reject, the split,
+the kernel (whose width is the corank that ``decide`` routes on), the
+cofactor and codim-2 routes and the margin the per-frame copy
+(``diagram.unit_diagram_matrix``).  The thresholds are those of the
+``numerics`` table.
 """
 
 from __future__ import annotations
@@ -209,8 +207,7 @@ def _kernel_certificate(F, p, method):
     orthogonal to the kernel of the unit matrix theta^ = U S V^T of rank r.
     By Gordan's alternative such a p exists exactly when no c >= 0, c != 0
     has theta c = 0, and y = U_r S_r^{-1} V_r^T p gives theta^^T y = p, so
-    theta^T y = ||theta_i|| p_i > 0: the certificate, checked, without an
-    LP."""
+    theta^T y = ||theta_i|| p_i > 0: the certificate, checked."""
     U, s, Vt, r = theta_svd(F)
     return _certified(F, method, U[:, :r] @ ((Vt[:r] @ p) / s[:r]))
 
@@ -223,77 +220,35 @@ def _certified(F, method, y, reject_row=None):
     return _not_scalable(method, y, reject_row)
 
 
-def split_of_one(F, rows=slice(None)) -> Split:
-    """The orthogonal split 1 = B^T y + w of the all-ones vector, for the
-    block B = rows ``rows`` of the unit matrix theta^ (``unit_diagram_matrix``):
-    B^T y is its projection on the row space of B and w on the kernel.
-
-    By Gordan's alternative no c >= 0, c != 0 has B c = 0 exactly when some
-    y has B^T y > 0, so whenever either part is strictly positive it settles
-    that question: a B^T y whose minimum exceeds ``ZERO_TOL`` times max|y|
-    gives the certificate y, and a w whose minimum exceeds ``STRICT_MARGIN``
-    times its sum the kernel vector c = w / ||theta_i|| of the reduced
-    diagram matrix's block itself, whose entries beyond the float range are
-    inf.  Otherwise both are None, and so they are for a block without
-    rows.
-
-    y comes from one solve with the smaller Gram matrix of the k x m block,
-    regularized by ``ZERO_TOL`` so that a rank-deficient block still has an
-    answer that depends only on its columns:
-    (B B^T + ZERO_TOL I) y = B 1 when m >= k, else
-    z = (B^T B + ZERO_TOL I)^{-1} 1 and y = B z, which is the same y.  On a
-    tall block w is then ZERO_TOL z, since 1 - B^T B z = ZERO_TOL z: the
-    same vector as 1 - B^T y, without subtracting two terms of size about
-    1 / ZERO_TOL.  The regularization leaves B w = ZERO_TOL y.  A row-space
-    direction of B whose singular value is above sqrt(ZERO_TOL) moves w off
-    the kernel by at most sqrt(ZERO_TOL) times the component of y along it;
-    one far below stays in w as if it were kernel, and makes y large.  So w
-    counts only when its minimum also exceeds sqrt(ZERO_TOL) max|y|, which
-    keeps such a direction, as near-duplicate vectors make, from passing for
-    a strictly positive kernel vector.  The callers check every answer."""
+def split_of_one(F, rows=slice(None), rounds=False) -> Split:
+    """``numerics.split_of_one`` on the block B = rows ``rows`` of the unit
+    matrix theta^ (``unit_diagram_matrix``): the certificate y, or the
+    kernel part w as the kernel vector w_i / ||theta_i|| (``_weights``) of
+    the reduced diagram matrix's block itself.  The callers check every
+    answer."""
     unit = unit_diagram_matrix(F)
-    B = unit.data[rows]
-    k, m = B.shape
-    if k == 0:
-        return Split(None, None)
-    if m >= k:
-        y = np.linalg.solve(_regularized(B @ B.T), B.sum(axis=1))
-    else:
-        z = np.linalg.solve(_regularized(B.T @ B), np.ones(m))
-        y = B @ z
-    projected = y @ B
-    y_max = float(np.abs(y).max())
-    if float(projected.min()) > ZERO_TOL * y_max:
-        return Split(y, None)
-    w = 1.0 - projected if m >= k else ZERO_TOL * z
-    if float(w.min()) > max(STRICT_MARGIN * float(w.sum()), np.sqrt(ZERO_TOL) * y_max):
-        return Split(None, _weights(F, w))
-    return Split(None, None)
+    y, w = numerics.split_of_one(unit.data[rows], rounds)
+    return Split(y, None if w is None else _weights(w, unit.norms))
 
 
-def _regularized(G):
-    """The Gram matrix G + ZERO_TOL I, with ZERO_TOL added to G's diagonal in
-    place."""
-    G.flat[::G.shape[0] + 1] += ZERO_TOL
-    return G
-
-
-def _weights(F, w):
-    """The weights w_i / ||theta_i|| of unit-column weights w.  A column
-    norm far below 1 can make one overflow; it is inf, with no warning, and
-    ``_finish_scalable`` rejects it."""
+def _weights(w, norms):
+    """The weights w_i / norms_i of unit-column weights w on columns of
+    those norms.  A norm far below 1 can make one overflow; it is inf, with
+    no warning, and the callers reject it."""
     with np.errstate(over="ignore"):
-        return w / unit_diagram_matrix(F).norms
+        return w / norms
 
 
-def _theta_lp(F, strict=False, rows=slice(None)):
-    """Outcome of the homogeneous kernel problem on the block B = rows
-    ``rows`` of the reduced diagram matrix: some c >= 0, sum 1, with
-    B c = 0, and with ``strict`` the one of largest minimum unit-column
-    weight.  Both share one phase 1, so they share the certificate."""
+def _theta_hull(F, strict=False, rows=slice(None)) -> Split:
+    """``numerics.solve_feasibility`` on the block B = rows ``rows`` of the
+    reduced diagram matrix: the certificate y, or the kernel vector c >= 0
+    of B of its unit-column weights (``_weights``)."""
     B = reduced_diagram_matrix(F)[rows]
-    return numerics.solve_feasibility(numerics.FeasibilityProblem(
+    out = numerics.solve_feasibility(numerics.FeasibilityProblem(
         A=B, b=np.zeros(B.shape[0]), require_strict=strict))
+    if not out.feasible:
+        return Split(out.certificate, None)
+    return Split(None, _weights(out.witness, numerics.column_norms(B)))
 
 
 def _finish_scalable(F, c, method, strict=True):
@@ -355,40 +310,42 @@ def _sign_reject(F):
 
 def decide_scalable(F, strict=False) -> ScalingResult:
     """General scalability decision via the kernel of the reduced diagram
-    matrix, one LP either way.  The solver works on unit-norm columns, so
-    the verdict does not change when a frame vector is rescaled.  With
-    ``strict=True`` the LP's phase 2 maximizes the minimum unit-column
-    weight, and the answer is strict when that margin, read off the
-    reported weights, exceeds ``STRICT_MARGIN``."""
+    matrix, by the hull solver (``_theta_hull``).  The solver works on
+    unit-norm columns, so the verdict does not change when a frame vector
+    is rescaled.  With ``strict=True`` its weights have the largest
+    support, so ``near_zero`` lists exactly the vectors that every scaling
+    gives weight 0, and the answer is strict when that list is empty."""
     rejected = _sign_reject(F)
     if rejected is not None:
         return rejected
-    out = _theta_lp(F, strict)
-    if not out.feasible:
-        return _not_scalable(METHOD_FEASIBILITY, out.certificate)
-    return _finish_scalable(F, out.witness, METHOD_FEASIBILITY, strict)
+    y, c = _theta_hull(F, strict)
+    if y is not None:
+        return _certified(F, METHOD_FEASIBILITY, y)
+    return _finish_scalable(F, c, METHOD_FEASIBILITY, strict)
 
 
 def decide(F, strict=False) -> ScalingResult:
     """The scalability answer of ``analyze``, ``scale --method auto`` and the
     canonical-dual check, from the first route that applies (see the module
     docstring): the sign reject; the split of 1; for m <= d + 2 the kernel
-    route of the corank of ``theta_svd``; else ``decide_scalable``, which
-    also answers a frame whose split or kernel route fails its own check.
-    ``strict`` reaches only the LP: the other routes' weights do not depend
-    on it, and their strictness is read off them."""
+    route of the corank of ``theta_svd``; without ``strict``, the split's
+    rounds; else ``decide_scalable``.  ``strict`` reaches only the hull
+    solver; the other routes' strictness is read off their weights."""
     answer = _sign_reject(F)
     if answer is None:
         answer = _projection(F)
     if answer is None and F.m <= reduced_size(F.n) + 2:
         answer = _kernel_route(F)
+    if answer is None and not strict:
+        answer = _projection(F, rounds=True)
     return answer if answer is not None else decide_scalable(F, strict)
 
 
-def _projection(F):
-    """The answer of ``split_of_one`` on the whole unit matrix, or None when
-    neither part is strictly positive or the answer fails its check."""
-    y, c = split_of_one(F)
+def _projection(F, rounds=False):
+    """The answer of ``split_of_one`` on the whole unit matrix, with
+    ``rounds`` as there, or None when neither part is strictly positive or
+    the answer fails its check."""
+    y, c = split_of_one(F, rounds=rounds)
     try:
         if y is not None:
             return _certified(F, METHOD_PROJECTION, y)
@@ -413,7 +370,7 @@ def _kernel_route(F):
         if corank == 2:
             return codim2_scaling(F)
     except InternalNumericError:
-        pass  # the LP answers what the kernel route cannot check
+        pass  # the hull solver answers what the kernel route cannot check
     return None
 
 
@@ -462,7 +419,7 @@ def cofactor_scaling(F):
         raise CorankMismatchError(
             f"cofactor method needs corank 1, measured corank {kernel.shape[1]}")
     w = kernel[:, 0]
-    v = _weights(F, w)
+    v = _weights(w, unit_diagram_matrix(F).norms)
     with np.errstate(invalid="ignore"):  # an inf weight makes its entry nan
         unit_v = v / np.linalg.norm(v)
     sign_class = _classify_signs(w, _condition(F))
@@ -562,5 +519,5 @@ def codim2_scaling(F):
     w = np.cos(t) * xi1 + np.sin(t) * xi2
     if float(w.min()) < -IDENTITY_TOL * scale:
         raise InternalNumericError("codim-2 direction produced a negative weight")
-    return _finish_scalable(F, _weights(F, w), METHOD_CODIM2)
+    return _finish_scalable(F, _weights(w, unit_diagram_matrix(F).norms), METHOD_CODIM2)
 

@@ -41,12 +41,13 @@ def bench_corpus():
 
 
 def split_answer(F, block):
-    """What the split of 1 on the block of the unit theta answers, for
-    ``block`` "W" (the n-1 difference rows) or "V" (the product rows):
-    "empty" for a certificate, "member" for a kernel vector whose point the
-    membership test accepts, else None (the LP answers)."""
+    """What the split of 1 with rounds on the block of the unit theta
+    answers, for ``block`` "W" (the n-1 difference rows) or "V" (the product
+    rows): "empty" for a certificate, "member" for a kernel vector whose
+    point the membership test accepts, else None (the hull solver
+    answers)."""
     rows = slice(F.n - 1) if block == "W" else slice(F.n - 1, None)
-    y, c = split_of_one(F, rows)
+    y, c = split_of_one(F, rows, rounds=True)
     if y is not None:
         return "empty"
     if c is not None:

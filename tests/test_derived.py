@@ -148,7 +148,7 @@ def _routes_on_corank(G):
     """True when ``decide`` reads the corank of G off the SVD of its unit
     theta: m <= d + 2, and neither the sign reject nor the split of 1
     answers."""
-    method = decide(frame_from_synthesis(G.synthesis)).method
+    method = decide(frame_from_synthesis(G.synthesis), strict=True).method
     return (G.m <= reduced_size(G.n) + 2
             and method not in (METHOD_SIGN_REJECT, METHOD_PROJECTION))
 
@@ -160,7 +160,9 @@ def test_report_factors_x_once(monkeypatch, name):
     # dual; X itself takes no SVD.  The spanning test of the frame and of
     # its dual reads only the singular values of each on unit-norm columns.
     # The unit theta of the frame, and then of its dual, is factored once
-    # each when its corank picks the route
+    # each when its corank picks the route.  Apart from these, only the hull
+    # solver's support rounds factor a matrix: the unit columns of a support,
+    # fewer than m, of a block of theta
     F = _frame(name)
     dual = canonical_dual(F).dual
     thetas = [unit_diagram_matrix(G).data for G in (F, dual) if _routes_on_corank(G)]
@@ -173,6 +175,9 @@ def test_report_factors_x_once(monkeypatch, name):
     build_report(document_from_frame(F, name=name), 1e-8)
     order = np.argsort(-np.linalg.norm(F.synthesis, axis=0), kind="stable")
     assert len(qrs) == 1 and np.array_equal(qrs[0][0], F.synthesis[:, order].T)
+    supports = [A for (A, *_) in factored if A.shape[1] < F.m]
+    assert all(A.shape[0] <= reduced_size(F.n) for A in supports)
+    factored = [args for args in factored if args[0].shape[1] == F.m]
     assert len(factored) == len(thetas)
     for (A, *_), B in zip(factored, thetas):
         assert np.array_equal(A, B)
@@ -235,11 +240,11 @@ def test_scale_auto_answers_corank_1_and_2_without_an_lp(tmp_path, monkeypatch, 
     path.write_text(format_frame_document(document_from_frame(F)))
     theta_svds = _count(monkeypatch, np.linalg, "svd",
                         lambda A, *args, **kwargs: np.array_equal(A, theta))
-    lps = _count(monkeypatch, numerics, "_linear_program")
+    solves = _count(monkeypatch, numerics, "solve_feasibility")
     assert main(["scale", "--method", "auto", str(path)]) == code
     assert ("certificate y:" in capsys.readouterr().out) == (code == 1)
     assert len(theta_svds) == svds
-    assert lps == []
+    assert solves == []
 
 
 POLICY_FRAMES = {name: (lambda name=name: _frame(name)) for name in FRAMES}
@@ -296,7 +301,6 @@ def test_every_command_answers_with_decide(tmp_path, monkeypatch, capsys, name):
     thetas = [unit_diagram_matrix(G).data for G in (F, dual)]
     svds = _count(monkeypatch, np.linalg, "svd",
                   lambda A, *args, **kwargs: any(np.array_equal(A, t) for t in thetas))
-    lps = _count(monkeypatch, numerics, "_linear_program")
     solves = _count(monkeypatch, numerics, "solve_feasibility")
     got = build_report(document_from_frame(F, name=name), 1e-8)["scalability"]
 
@@ -323,7 +327,7 @@ def test_every_command_answers_with_decide(tmp_path, monkeypatch, capsys, name):
     assert None not in blocks
     if F.m <= reduced_size(F.n) + 2 and F.m - theta_svd(F).rank in (1, 2):
         assert set(blocks) <= {"W", "V"}
-        assert len(lps) == len(solves) == (0 if want.scalable else len(_split_lps(F)))
+        assert len(solves) == (0 if want.scalable else len(_split_lps(F)))
 
 
 @pytest.mark.parametrize("name", sorted(FRAMES))

@@ -29,9 +29,10 @@ from framescale import (
 )
 from framescale.cli import build_report, main
 from framescale.errors import NotSpanningError, ZeroVectorError
-from framescale.framedoc import document_from_frame, format_frame_document
+from framescale.framedoc import document_from_frame, format_frame_document, parse_frame_document
 from conftest import (
     SCALES,
+    bench_corpus,
     angles_frame,
     doubled_hadamard_frame,
     open_cone_frame,
@@ -139,6 +140,29 @@ def test_not_strict_corank_2_reports_the_forced_zero_set(tmp_path, capsys, seed)
     F = two_block_frame(np.random.default_rng(seed), 3, 6)
     _, near_zero = _analyze(tmp_path, capsys, F)
     assert near_zero == [5]
+
+
+def _not_strict_corpus_frames():
+    """The not-strict frames of ``analyze-grid``, seeds 1 to 8."""
+    corpus = bench_corpus()
+    if corpus is None:
+        return []
+    return [(f"{seed}-{spec.fid}", spec.text) for seed in range(1, 9)
+            for spec in corpus.build_corpus("analyze-grid", seed)
+            if spec.family == "not-strict"]
+
+
+@pytest.mark.skipif(bench_corpus() is None, reason="needs bench/corpus.py")
+def test_not_strict_corpus_reports_the_forced_zero_set():
+    # two scalable blocks and one straddling vector, the last, which every
+    # scaling gives weight 0: the cofactor and codim-2 routes and the hull
+    # solver's support rounds all list exactly that vector
+    frames = _not_strict_corpus_frames()
+    assert len(frames) == 96
+    for name, text in frames:
+        doc = parse_frame_document(text)
+        s = build_report(doc, 1e-8)["scalability"]
+        assert s["near_zero"] == [doc.m - 1], (name, s["method"])
 
 
 def test_v_membership_is_scale_free():

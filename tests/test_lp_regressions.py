@@ -1,14 +1,16 @@
-"""Frames on which the simplex used to end in a numeric failure: a negative
-witness entry, a large witness residual, a failed hull sign test, or the
-iteration cap.  Each must now get its verdict from the general test, the W/V
-intersection (plain and strict) and the full report.  The n = 8, m = 80
-frame also runs into a long stretch of degenerate pivots in the plain LP,
-where pricing falls back to Bland's rule.  The strict W/V intersection of
-the n = 4, m = 11 frame, when it was an LP of its own, had a margin at zero
-and a witness entry just below -1e-12: that witness must be discarded as
-not strict before it is checked for sign."""
+"""Frames on which the simplex, the LP solver that the hull solver
+replaced, used to end in a numeric failure: a negative witness entry, a
+large witness residual, a failed hull sign test, or the iteration cap.
+Each must now get its verdict from the general test, the W/V intersection
+(plain and strict) and the full report.  In the n = 8, m = 80 frame the
+plain LP ran into a long stretch of degenerate pivots, where pricing fell
+back to Bland's rule.  The strict W/V intersection of the n = 4, m = 11
+frame, when it was an LP of its own, had a margin at zero and a witness
+entry just below -1e-12: that witness must be discarded as not strict
+before it is checked for sign."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -314,3 +316,40 @@ def test_overflowing_weights_fall_through_to_the_lp(tmp_path, capsys):
     code, out = _run(tmp_path, capsys, TINY_VECTOR_FRAME, "scale")
     assert code == 0, out.err
     assert out.out.split() == ["0.707106781187", "0.707106781187", "0"]
+
+
+def test_near_duplicate_lp_route_prints_a_certificate(tmp_path, capsys):
+    # the simplex's Farkas row on this frame failed the strict sign test, and
+    # ``scale --method lp`` ended in exit 3 with or without --strict; the
+    # hull solver's certificate separates with min theta^^T y about 0.065
+    F = make_frame(SPLIT_NEAR_DUPLICATE_FRAME)
+    for strict in ((), ("--strict",)):
+        code, out = _run(tmp_path, capsys, SPLIT_NEAR_DUPLICATE_FRAME,
+                         "scale", "--method", "lp", *strict)
+        assert code == 1, out.err
+        y = [float(v) for v in out.out.split("certificate y:")[1].split()]
+        assert hull_certificate_check(F, y)
+
+
+# theta column norms below the normal float range: 8e-312 for the first
+# vector of the pair frame, 1e-312 for the last of the tiny-vector frame.
+# A weight w_i / ||theta_i|| on them overflows; the division used to warn,
+# so that with warnings as errors the commands ended in a traceback, which
+# for ``scale`` read as exit 1, "not scalable"
+SUBNORMAL_NORM_FRAMES = {
+    "pair": ([[-2e-156, -2e-156], [-2.0, 2.0], [1.0, 2.0]],
+             [("scale",), ("scale", "--strict"), ("analyze", "--json")]),
+    "tiny-vector": (TINY_VECTOR_FRAME, [("scale", "--strict"), ("analyze", "--json")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBNORMAL_NORM_FRAMES))
+def test_overflowing_weights_exit_the_same_with_warnings_as_errors(tmp_path, capsys, name):
+    vectors, commands = SUBNORMAL_NORM_FRAMES[name]
+    for args in commands:
+        code, _ = _run(tmp_path, capsys, vectors, *args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            strict_code, out = _run(tmp_path, capsys, vectors, *args)
+        assert strict_code == code == 3, (args, out.err)
+        assert "not finite" in out.err

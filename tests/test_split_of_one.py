@@ -159,7 +159,7 @@ def test_tall_strict_frame_takes_the_projection_route(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the split of 1 answers this frame")
 
-    monkeypatch.setattr(numerics, "_linear_program", forbidden)
+    monkeypatch.setattr(numerics, "solve_feasibility", forbidden)
     monkeypatch.setattr(scalability, "_theta_svd", forbidden)
     specs = [spec for spec in bench_corpus().build_corpus("analyze-grid", 1)
              if spec.fid.endswith("-strict-n8-m32")]

@@ -349,7 +349,7 @@ class TestBlockSplit:
             if answer == "member":
                 assert first[block].member, block
         monkeypatch.setattr(split_scaling, "split_of_one",
-                            lambda F, rows: Split(None, None))
+                            lambda F, rows, rounds: Split(None, None))
         for block, find in FINDERS.items():
             lp_only = find(frame_from_synthesis(X))
             assert first[block].member == lp_only.member, block
