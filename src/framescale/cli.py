@@ -135,7 +135,7 @@ def build_report(doc: FrameDocument, tightness: float) -> dict:
             "weights_c": _vec(verdict.weights_c),
             "scalars_a": _vec(verdict.scalars_a),
             "certificate_y": _vec(verdict.certificate_y),
-            "reject_row": verdict.reject_row,
+            "reject_row": None,  # always null: no route reads a one-signed row
             "near_zero": list(verdict.near_zero),
         },
         "split": {

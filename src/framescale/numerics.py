@@ -4,11 +4,12 @@ Singular values, the SVD and rank come from LAPACK through numpy.  Every
 question that the package asks of a row block A of the reduced diagram
 matrix is one hull question, asked of A's unit-norm columns P: is there a
 c >= 0, c != 0 with P c = 0, or else a y with P^T y > 0 (Gordan's
-alternative)?  ``split_of_one`` answers it from one regularized Gram solve
-when a part of 1 is strictly positive, and ``nearest_point`` (Wolfe)
-always does.  ``solve_feasibility``, the entry point, checks every answer,
-and with ``require_strict`` carries a witness to one of largest support
-(``_support_rounds``).
+alternative)?  ``solve_feasibility``, the entry point, asks it in one
+order (``_hull``): ``split_of_one`` answers from one regularized Gram solve
+when a part of 1 is strictly positive and its witness passes the kernel
+identity to within ``RANK_TOL``, and ``nearest_point`` (Wolfe) answers the
+rest.  It checks every answer, and with ``require_strict`` carries a
+witness to one of largest support (``_support_rounds``).
 
 Every threshold of the package is written once, in the table below, and
 named by its role.  No threshold is absolute: each multiplies a scale named
@@ -44,10 +45,10 @@ ZERO_TOL = 1e-12       # zero and sign: an entry of unit-size data counts as 0
 #                        part must exceed
 RANK_TOL = 1e-10       # rank: the largest singular value (rank, kernel, a
 #                        column's projection off the span of a support; also
-#                        the kernel identity of a split witness that starts
-#                        the support rounds), the largest entry or 1 if
-#                        larger (independent rows), the largest entry times
-#                        s_1/s_r (cofactor sign classes)
+#                        the kernel identity that a split witness passes),
+#                        the largest entry or 1 if larger (independent rows),
+#                        the largest entry times s_1/s_r (cofactor sign
+#                        classes)
 PIVOT_TOL = 1e-9       # unit norm: the norm of a unit frame vector against 1
 RESIDUAL_TOL = 1e-8    # residual: the kernel identity against
 #                        max_j sum_i |theta_ji| c_i; W rows and X Y^T
@@ -283,19 +284,24 @@ def nearest_point(P):
     return x, weights
 
 
-def _hull(P, split=False):
-    """The answer to the hull question of the unit columns P, as
-    (certificate, witness).  With ``split``, the witness of the split of 1
-    with rounds comes first when it passes the kernel identity to within
-    ``RANK_TOL``: one that passes only to ``RESIDUAL_TOL`` may lean on a
-    direction below sqrt(ZERO_TOL) (``split_of_one``), and its support may
-    be too wide.  Else the nearest point x = P w gives the witness w when it
-    passes the kernel identity, or the certificate x when P^T x > 0, and
-    (None, None) when it passes neither."""
-    if split:
-        _, w = split_of_one(P, rounds=True)
-        if w is not None and kernel_identity(P, w, rank_rule=True):
-            return None, w
+def _hull(P, norms):
+    """The answer to the hull question of the unit columns P of a matrix of
+    column norms ``norms``, as (certificate, witness).  The split of 1 with
+    rounds (``split_of_one``) comes first: its certificate is the answer,
+    and so is its witness w when it passes the kernel identity to within
+    ``RANK_TOL`` and the kernel vector w_j / norms_j is finite.  A witness
+    that passes only to ``RESIDUAL_TOL`` may lean on a direction below
+    sqrt(ZERO_TOL), and its support may be too wide; one that overflows on a
+    tiny column is of no use.  Else the nearest point x = P w gives the
+    witness w when it passes the kernel identity, or the certificate x when
+    P^T x > 0, and (None, None) when it passes neither."""
+    y, w = split_of_one(P, rounds=True)
+    if y is not None:
+        return y, None
+    if w is not None and kernel_identity(P, w, rank_rule=True):
+        with np.errstate(over="ignore"):
+            if np.isfinite(w / norms).all():
+                return None, w
     x, w = nearest_point(P)
     if kernel_identity(P, w):
         return None, w
@@ -329,7 +335,7 @@ def _support_rounds(P, w):
         if inside.any():
             c = inside / float(inside.sum())
         else:
-            _, c = _hull(C / norms, split=True)
+            _, c = _hull(C / norms, norms)
             if c is None:
                 return w
             c = c / norms / float((c / norms).sum())
@@ -352,10 +358,10 @@ def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
 
     It is asked of the unit columns P_j = A_j / ||A_j||: a positive column
     scale keeps the sign of every y.A_j and the support of every kernel
-    vector.  The plain question goes to ``nearest_point``.  With
-    ``require_strict`` the split of 1 with rounds comes first, and a
-    witness is carried to one of largest support (``_support_rounds``), so
-    its zero entries are exactly those that vanish in every kernel vector.
+    vector.  ``_hull`` asks the split of 1 with rounds, then
+    ``nearest_point``.  With ``require_strict`` a witness is carried to one
+    of largest support (``_support_rounds``), so its zero entries are
+    exactly those that vanish in every kernel vector.
     The witness is the unit-column weights w, sum 1, checked by the kernel
     identity (A's kernel vector is w_j / ||A_j||); the certificate y has
     P^T y > 0.  A nonzero b is not supported."""
@@ -366,8 +372,9 @@ def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
         raise DimensionMismatchError(f"A has shape {A.shape}, b has length {b.size}")
     if b.any():
         raise ValueError("only the homogeneous problem A x = 0 is solved")
-    P = A / column_norms(A)
-    y, w = _hull(P, split=p.require_strict)
+    norms = column_norms(A)
+    P = A / norms
+    y, w = _hull(P, norms)
     if y is not None:
         return FeasibilityOutcome(feasible=False, certificate=y)
     if w is None:

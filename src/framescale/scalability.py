@@ -3,14 +3,13 @@
 ``decide`` is the one route policy: ``analyze``, ``scale --method auto`` and
 the canonical-dual check all call it.  It tries the routes in this order:
 
-* ``quick_sign_reject`` -- cheap rejection when a row of the reduced diagram
-  matrix is strictly one-signed;
-* ``split_of_one`` -- the orthogonal split 1 = theta^^T y + w of the
-  all-ones vector on the unit matrix theta^, from one regularized Gram
+* ``numerics.split_of_one`` -- the orthogonal split 1 = theta^^T y + w of
+  the all-ones vector on the unit matrix theta^, from one regularized Gram
   solve (method ``projection``): by Gordan's alternative a strictly
   positive theta^^T y is the certificate that no c >= 0, c != 0 has
-  theta c = 0, and a strictly positive w is a strictly positive kernel
-  vector;
+  theta c = 0, and a strictly positive w that passes the kernel identity
+  to within ``RANK_TOL``, as in the hull solver, is a strictly positive
+  kernel vector;
 * for m <= d + 2, where d = (n-1)(n+2)/2 is the row count of the matrix, the
   corank read off its one SVD (``theta_svd``) picks a kernel route:
   - corank 0: the kernel is trivial, so the frame is not scalable, with the
@@ -21,15 +20,19 @@ the canonical-dual check all call it.  It tries the routes in this order:
     for the orthonormal kernel basis xi_1, xi_2, is nonnegative on a
     half-circle of directions t, and these meet exactly when the widest
     circular gap between their normal angles is at least pi;
-* without ``strict``, the split of 1 with rounds (``split_of_one``): any
-  kernel vector answers, and one that is 0 on some columns may be found on
-  the rest;
 * everything else, and a frame whose route fails its own check
   (``InternalNumericError``), goes to ``decide_scalable`` -- the general
   test: a nonnegative, nonzero vector in the kernel of the reduced diagram
   matrix, or a certificate that none exists, from the hull solver
-  (``numerics.solve_feasibility``, through ``_theta_hull``), which also
-  answers W and V on their row blocks (``split_scaling``).
+  (``numerics.solve_feasibility``, through ``_theta_hull``), which splits 1
+  with rounds before Wolfe's nearest point and also answers W and V on
+  their row blocks (``split_scaling``).
+
+No route reads a coordinate of theta on its own, so a change of basis
+moves the route only where a part of the split is near its floor.
+``quick_sign_reject`` still finds a strictly one-signed row, but no route
+calls it: such a row is one certificate y among many, and the split or the
+solver finds one.
 
 A frame that the split answers takes no SVD, and one with m > d + 2, which
 has corank at least 3, takes none either.  ``cofactor_vector`` keeps the
@@ -37,19 +40,18 @@ paper's cofactor formula; the routes' kernel vectors are proportional to
 it.
 
 A route supplies a kernel vector or a certificate; two constructors build
-every answer.  ``_not_scalable`` carries a separating functional y with
-<x~_i, y> > 0 for all i and, for the sign reject, the one-signed row; the
-kernel routes read y off the SVD they already hold (``_kernel_certificate``,
-Gordan's alternative), and every route's y is checked by
-``hull_certificate_check``.  ``_finish_scalable`` rejects weights that are
-not finite, normalizes them, reads the strictness margin off them and
-re-checks theta c = 0.
+every answer.  ``_certified`` carries a separating functional y with
+<x~_i, y> > 0 for all i, checked by ``hull_certificate_check``; the kernel
+routes read y off the SVD they already hold (``_kernel_certificate``,
+Gordan's alternative).  ``_finish_scalable`` rejects weights that are not
+finite, normalizes them, reads the strictness margin off them and re-checks
+theta c = 0.
 
 Rescaling x_i by s rescales column i of the reduced diagram matrix by
 s^2 > 0, which keeps scalability.  So every route reads that matrix on
-unit-norm columns: the hull solver its own, and the sign reject, the split,
-the kernel (whose width is the corank that ``decide`` routes on), the
-cofactor and codim-2 routes and the margin the per-frame copy
+unit-norm columns: the hull solver its own, and the split, the kernel
+(whose width is the corank that ``decide`` routes on), the cofactor and
+codim-2 routes and the margin the per-frame copy
 (``diagram.unit_diagram_matrix``).  The thresholds are those of the
 ``numerics`` table.
 """
@@ -78,7 +80,6 @@ STRICTLY_SCALABLE = "strictly_scalable"
 METHOD_FEASIBILITY = "feasibility"
 METHOD_COFACTOR = "cofactor"
 METHOD_CODIM2 = "codim2"
-METHOD_SIGN_REJECT = "sign_reject"
 METHOD_TRIVIAL_KERNEL = "trivial_kernel"
 METHOD_PROJECTION = "projection"
 
@@ -94,7 +95,6 @@ class ScalingResult:
     weights_c: np.ndarray | None = None      # nonnegative kernel vector, sum 1
     scalars_a: np.ndarray | None = None      # entrywise square roots
     certificate_y: np.ndarray | None = None  # separating functional
-    reject_row: int | None = None
     near_zero: list = field(default_factory=list)
 
     @property
@@ -135,19 +135,16 @@ def independent_rows(mat):
 
 
 def quick_sign_reject(F) -> SignCheck:
-    """Row-sign rejection, checked once per frame: a row of the reduced
-    diagram matrix whose entries all have the same strict sign forces every
-    kernel vector with c >= 0 to vanish, so the frame cannot be scalable.
+    """The first row of the reduced diagram matrix whose entries all have
+    the same strict sign, which forces every kernel vector with c >= 0 to
+    vanish, so the frame cannot be scalable.  No route calls it (see the
+    module docstring).
 
     Rows containing (near-)zero entries are skipped: they only force the
     weights to vanish on their support, which does not preclude scalability.
     An entry counts as zero when it is at most ``ZERO_TOL`` on unit-norm
     columns, so the row found does not depend on the scale of the vectors.
     """
-    return derived(F, "sign_check", _quick_sign_reject)
-
-
-def _quick_sign_reject(F):
     theta = unit_diagram_matrix(F).data
     rows = np.flatnonzero((theta > ZERO_TOL).all(1) | (theta < -ZERO_TOL).all(1))
     return SignCheck(row_index=int(rows[0]) if rows.size else None)
@@ -212,23 +209,12 @@ def _kernel_certificate(F, p, method):
     return _certified(F, method, U[:, :r] @ ((Vt[:r] @ p) / s[:r]))
 
 
-def _certified(F, method, y, reject_row=None):
-    """The "not scalable" answer of a route's own certificate y, which must
+def _certified(F, method, y):
+    """Every "not scalable" answer: a route's own certificate y, which must
     pass ``hull_certificate_check``."""
     if not hull_certificate_check(F, y):
         raise InternalNumericError(f"{method} certificate fails the hull certificate check")
-    return _not_scalable(method, y, reject_row)
-
-
-def split_of_one(F, rows=slice(None), rounds=False) -> Split:
-    """``numerics.split_of_one`` on the block B = rows ``rows`` of the unit
-    matrix theta^ (``unit_diagram_matrix``): the certificate y, or the
-    kernel part w as the kernel vector w_i / ||theta_i|| (``_weights``) of
-    the reduced diagram matrix's block itself.  The callers check every
-    answer."""
-    unit = unit_diagram_matrix(F)
-    y, w = numerics.split_of_one(unit.data[rows], rounds)
-    return Split(y, None if w is None else _weights(w, unit.norms))
+    return ScalingResult(verdict=NOT_SCALABLE, method=method, certificate_y=y)
 
 
 def _weights(w, norms):
@@ -286,28 +272,6 @@ def _finish_scalable(F, c, method, strict=True):
     )
 
 
-def _not_scalable(method, certificate_y, reject_row=None):
-    """Every "not scalable" answer, with its route's certificate."""
-    return ScalingResult(
-        verdict=NOT_SCALABLE,
-        method=method,
-        certificate_y=certificate_y,
-        reject_row=reject_row,
-    )
-
-
-def _sign_reject(F):
-    """The "not scalable" answer of a one-signed row, or None."""
-    check = quick_sign_reject(F)
-    if check.row_index is None:
-        return None
-    # a one-signed row of the unit matrix keeps its signs on theta
-    theta = reduced_diagram_matrix(F)
-    y = np.zeros(theta.shape[0])
-    y[check.row_index] = 1.0 if theta[check.row_index].sum() > 0 else -1.0
-    return _certified(F, METHOD_SIGN_REJECT, y, check.row_index)
-
-
 def decide_scalable(F, strict=False) -> ScalingResult:
     """General scalability decision via the kernel of the reduced diagram
     matrix, by the hull solver (``_theta_hull``).  The solver works on
@@ -315,9 +279,6 @@ def decide_scalable(F, strict=False) -> ScalingResult:
     is rescaled.  With ``strict=True`` its weights have the largest
     support, so ``near_zero`` lists exactly the vectors that every scaling
     gives weight 0, and the answer is strict when that list is empty."""
-    rejected = _sign_reject(F)
-    if rejected is not None:
-        return rejected
     y, c = _theta_hull(F, strict)
     if y is not None:
         return _certified(F, METHOD_FEASIBILITY, y)
@@ -327,30 +288,29 @@ def decide_scalable(F, strict=False) -> ScalingResult:
 def decide(F, strict=False) -> ScalingResult:
     """The scalability answer of ``analyze``, ``scale --method auto`` and the
     canonical-dual check, from the first route that applies (see the module
-    docstring): the sign reject; the split of 1; for m <= d + 2 the kernel
-    route of the corank of ``theta_svd``; without ``strict``, the split's
-    rounds; else ``decide_scalable``.  ``strict`` reaches only the hull
-    solver; the other routes' strictness is read off their weights."""
-    answer = _sign_reject(F)
-    if answer is None:
-        answer = _projection(F)
+    docstring): the split of 1; for m <= d + 2 the kernel route of the
+    corank of ``theta_svd``; else ``decide_scalable``.  ``strict`` reaches
+    only the hull solver; the other routes' strictness is read off their
+    weights."""
+    answer = _projection(F)
     if answer is None and F.m <= reduced_size(F.n) + 2:
         answer = _kernel_route(F)
-    if answer is None and not strict:
-        answer = _projection(F, rounds=True)
     return answer if answer is not None else decide_scalable(F, strict)
 
 
-def _projection(F, rounds=False):
-    """The answer of ``split_of_one`` on the whole unit matrix, with
-    ``rounds`` as there, or None when neither part is strictly positive or
-    the answer fails its check."""
-    y, c = split_of_one(F, rounds=rounds)
+def _projection(F):
+    """The answer of ``numerics.split_of_one`` on the whole unit matrix:
+    its certificate y, or its kernel part w as the kernel vector
+    w_i / ||theta_i|| (``_weights``) when w passes the kernel identity to
+    within ``RANK_TOL``, the hull solver's rule.  None when neither part
+    answers or the answer fails its check."""
+    unit = unit_diagram_matrix(F)
+    y, w = numerics.split_of_one(unit.data)
     try:
         if y is not None:
             return _certified(F, METHOD_PROJECTION, y)
-        if c is not None:
-            return _finish_scalable(F, c, METHOD_PROJECTION)
+        if w is not None and numerics.kernel_identity(unit.data, w, rank_rule=True):
+            return _finish_scalable(F, _weights(w, unit.norms), METHOD_PROJECTION)
     except InternalNumericError:
         pass  # the next route answers what the split cannot check
     return None

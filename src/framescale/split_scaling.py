@@ -16,12 +16,11 @@ lambda = sum_k c_k ||x_k||^2 / n is then > 0 and a = c / lambda
 (``w_point``); and a constant diagonal is a zero difference block.  By
 Gordan's alternative neither holds exactly when some y has B^T y > 0 for the
 block B.  So ``find_W_element`` and ``find_V_element`` ask θ̃'s kernel
-question on their block: first the split of 1 with rounds
-(``scalability.split_of_one``), whose certificate y answers "empty" or
-"trivial" and whose kernel vector c answers with the point of W or V on the
-ray of c once ``is_in_W`` or ``is_in_V`` accepts it; else the hull solver on
-the block (``scalability._theta_hull``), whose kernel vector's point must
-pass the same test.  W∩V is the kernel question on all of θ̃, so
+question on their block, of the hull solver (``scalability._theta_hull``,
+which splits 1 on the block's own unit columns before Wolfe's nearest
+point): a certificate y answers "empty" or "trivial", and a kernel vector c
+answers with the point of W or V on the ray of c, which ``is_in_W`` or
+``is_in_V`` must accept.  W∩V is the kernel question on all of θ̃, so
 ``intersection_scalability`` is ``scalability.decide`` with its weights c
 read as the point ``w_point(F, c)`` of W∩V (``intersection_points``).
 """
@@ -36,7 +35,7 @@ from . import numerics
 from .diagram import coordinate_pairs
 from .errors import InternalNumericError
 from .frame_core import _check_weight_length
-from .scalability import ScalingResult, _theta_hull, decide, split_of_one
+from .scalability import ScalingResult, _theta_hull, decide
 
 
 @dataclass(frozen=True)
@@ -101,16 +100,8 @@ def _v_point(F, c):
 
 def _block_element(F, rows, point, member) -> ConeMembership:
     """Whether the block ``rows`` of θ̃ has a kernel vector c >= 0, c != 0,
-    with the point ``point(F, c)`` that ``member`` accepts: from the split
-    of 1 with rounds on the block when it answers and its point passes,
-    else from the hull solver, whose point must pass."""
-    y, c = split_of_one(F, rows, rounds=True)
-    if y is not None:
-        return ConeMembership(member=False)
-    if c is not None:
-        found = member(F, point(F, c))
-        if found.member:
-            return found
+    with the point ``point(F, c)`` that ``member`` accepts, from the hull
+    solver; its point must pass."""
     y, c = _theta_hull(F, rows=rows)
     if y is not None:
         return ConeMembership(member=False)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from framescale import is_in_V, is_in_W, make_frame, sylvester_hadamard
-from framescale.scalability import split_of_one
+from framescale import is_in_V, is_in_W, make_frame, numerics, sylvester_hadamard
+from framescale.diagram import reduced_diagram_matrix
+from framescale.scalability import Split
 from framescale.split_scaling import w_point
 
 # Hypothesis profiles, for the tests that leave max_examples to them
@@ -40,20 +41,38 @@ def bench_corpus():
     return corpus
 
 
+def block_split(F, rows=slice(None), rounds=True):
+    """``numerics.split_of_one`` on the unit columns of the block ``rows``
+    of the reduced diagram matrix, each divided by its own norm in the
+    block, as the hull solver asks it (with ``rounds``): the certificate y,
+    or the kernel part w as the block's kernel vector c = w / norms, with
+    whether w passes the kernel identity to within ``RANK_TOL``, the rule
+    by which the solver and decide's split take it."""
+    B = reduced_diagram_matrix(F)[rows]
+    norms = numerics.column_norms(B)
+    P = B / norms
+    y, w = numerics.split_of_one(P, rounds)
+    if w is None:
+        return Split(y, None), False
+    with np.errstate(over="ignore"):
+        c = w / norms
+    return Split(None, c), numerics.kernel_identity(P, w, rank_rule=True)
+
+
 def split_answer(F, block):
-    """What the split of 1 with rounds on the block of the unit theta
-    answers, for ``block`` "W" (the n-1 difference rows) or "V" (the product
-    rows): "empty" for a certificate, "member" for a kernel vector whose
-    point the membership test accepts, else None (the hull solver
-    answers)."""
+    """What the hull solver's split of 1 on the block of theta answers, for
+    ``block`` "W" (the n-1 difference rows) or "V" (the product rows):
+    "empty" for a certificate, "member" for a finite kernel vector that it
+    takes (``block_split``), whose point must pass the membership test, else
+    None (the nearest point answers)."""
     rows = slice(F.n - 1) if block == "W" else slice(F.n - 1, None)
-    y, c = split_of_one(F, rows, rounds=True)
+    (y, c), taken = block_split(F, rows)
     if y is not None:
         return "empty"
-    if c is not None:
+    if c is not None and taken and np.isfinite(c).all():
         found = is_in_W(F, w_point(F, c)) if block == "W" else is_in_V(F, c / c.sum())
-        if found.member:
-            return "member"
+        assert found.member, block
+        return "member"
     return None
 
 

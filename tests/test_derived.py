@@ -28,7 +28,6 @@ from framescale.diagram import reduced_diagram_matrix, reduced_size, unit_diagra
 from framescale.framedoc import document_from_frame, format_frame_document
 from framescale.scalability import (
     METHOD_PROJECTION,
-    METHOD_SIGN_REJECT,
     NOT_SCALABLE,
     theta_kernel,
     theta_svd,
@@ -51,7 +50,7 @@ FRAMES = {
     "corank-1": lambda rng: random_scalable_frame(rng, 3, reduced_size(3) + 1)[0],
     "corank-1-unit": lambda rng: random_unit_frame(rng, 3, reduced_size(3) + 1),
     "corank-2": lambda rng: random_scalable_frame(rng, 3, reduced_size(3) + 2)[0],
-    # sign-rejected, and not scalable with both rows of mixed sign
+    # a one-signed row, and not scalable with both rows of mixed sign
     "not-scalable": lambda rng: make_frame([[1.0, 0.1], [0.9, 0.5], [0.5, 1.0]]),
     "not-scalable-lp": lambda rng: angles_frame(-15 * DEG, 22.5 * DEG, 60 * DEG),
     "strict": lambda rng: rescaled_harmonic_frame(rng, 3, 8),
@@ -122,6 +121,24 @@ def _count(monkeypatch, module, attr, when=lambda *args, **kwargs: True):
     return calls
 
 
+def _solves(monkeypatch):
+    """Calls of ``numerics.solve_feasibility``, each as (problem, the number
+    of ``numerics.nearest_point`` runs it took): the solver runs Wolfe's
+    nearest point only when its own split of 1 does not answer."""
+    calls = []
+    nearest = _count(monkeypatch, numerics, "nearest_point")
+    solve = numerics.solve_feasibility
+
+    def counted(p):
+        before = len(nearest)
+        out = solve(p)
+        calls.append((p, len(nearest) - before))
+        return out
+
+    monkeypatch.setattr(numerics, "solve_feasibility", counted)
+    return calls
+
+
 @pytest.mark.parametrize("name", sorted(FRAMES))
 def test_report_computes_each_quantity_once(monkeypatch, name):
     F = _frame(name)
@@ -146,11 +163,9 @@ def test_report_computes_each_quantity_once(monkeypatch, name):
 
 def _routes_on_corank(G):
     """True when ``decide`` reads the corank of G off the SVD of its unit
-    theta: m <= d + 2, and neither the sign reject nor the split of 1
-    answers."""
+    theta: m <= d + 2, and the split of 1 does not answer."""
     method = decide(frame_from_synthesis(G.synthesis), strict=True).method
-    return (G.m <= reduced_size(G.n) + 2
-            and method not in (METHOD_SIGN_REJECT, METHOD_PROJECTION))
+    return G.m <= reduced_size(G.n) + 2 and method != METHOD_PROJECTION
 
 
 @pytest.mark.parametrize("name", sorted(FRAMES))
@@ -220,7 +235,7 @@ KERNEL_ROUTE_FRAMES = {
     "corank-1-unit": (lambda: _frame("corank-1-unit"), 1, 0),
     "corank-1-quadrant": (lambda: make_frame([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]), 1, 0),
     "corank-2": (lambda: _frame("corank-2"), 0, 0),
-    # every product x_1 x_2 is positive: the sign reject answers first
+    # every product x_1 x_2 is positive: the split of 1 answers first
     "corank-2-quadrant": (lambda: angles_frame(0.2, 0.7, 1.2, 1.4), 1, 0),
     # the split of 1 answers neither way: the cofactor and codim-2 routes do
     "corank-1-p1": (lambda: _frame("p1"), 0, 1),
@@ -259,8 +274,9 @@ def _printed(result):
 
 
 def _split_lps(F):
-    """The W and V LPs that a report on F runs when F is not scalable: those
-    whose block the split of 1 does not answer."""
+    """The W and V blocks on which a report on F runs the nearest point when
+    F is not scalable: those whose block the solver's split of 1 does not
+    answer."""
     return [block for block in "WV" if split_answer(F, block) is None]
 
 
@@ -278,14 +294,15 @@ def _block(p, G):
 @pytest.mark.parametrize("name", sorted(POLICY_FRAMES))
 def test_every_command_answers_with_decide(tmp_path, monkeypatch, capsys, name):
     # analyze, scale --method auto|split and the canonical-dual check take
-    # one route policy, and every LP they solve is homogeneous on a row block
-    # of theta; on corank 1 and 2 it solves no theta LP, so the report's
-    # only LPs are the W and V solves of a frame that is not scalable, each
-    # when the split of 1 on its block does not answer
+    # one route policy, and every hull question they ask is homogeneous on a
+    # row block of theta; on corank 1 and 2 it asks none of theta, so the
+    # report's only solves are the W and V ones of a frame that is not
+    # scalable, each running the nearest point when the solver's split of 1
+    # on its block does not answer
     F = POLICY_FRAMES[name]()
     path = tmp_path / "frame.txt"
     path.write_text(format_frame_document(document_from_frame(F)))
-    command_solves = _count(monkeypatch, numerics, "solve_feasibility")
+    command_solves = _solves(monkeypatch)
     for strict in (False, True):
         answer = decide(frame_from_synthesis(F.synthesis), strict=strict)
         code = main(["scale", str(path)] + ["--strict"] * strict)
@@ -294,14 +311,14 @@ def test_every_command_answers_with_decide(tmp_path, monkeypatch, capsys, name):
         code = main(["scale", "--method", "split", str(path)] + ["--strict"] * strict)
         assert code == (0 if answer.scalable else 1)
         assert ("certificate y:" in capsys.readouterr().out) == (not answer.scalable)
-    assert all(_block(p, F) == "theta" for (p,) in command_solves)
+    assert all(_block(p, F) == "theta" for p, _ in command_solves)
 
     want = decide(frame_from_synthesis(F.synthesis), strict=True)
     dual = canonical_dual(F).dual
     thetas = [unit_diagram_matrix(G).data for G in (F, dual)]
     svds = _count(monkeypatch, np.linalg, "svd",
                   lambda A, *args, **kwargs: any(np.array_equal(A, t) for t in thetas))
-    solves = _count(monkeypatch, numerics, "solve_feasibility")
+    solves = _solves(monkeypatch)
     got = build_report(document_from_frame(F, name=name), 1e-8)["scalability"]
 
     def listed(a):
@@ -313,7 +330,7 @@ def test_every_command_answers_with_decide(tmp_path, monkeypatch, capsys, name):
         "weights_c": listed(want.weights_c),
         "scalars_a": listed(want.scalars_a),
         "certificate_y": listed(want.certificate_y),
-        "reject_row": want.reject_row,
+        "reject_row": None,
         "near_zero": want.near_zero,
     }
     for theta in thetas:
@@ -321,34 +338,37 @@ def test_every_command_answers_with_decide(tmp_path, monkeypatch, capsys, name):
     if want.method == METHOD_PROJECTION:
         # the split of 1 answers: no SVD and no LP of the frame's theta
         assert not any(np.array_equal(A, thetas[0]) for (A, *_) in svds)
-        assert not any(np.array_equal(p.A, reduced_diagram_matrix(F)) for (p,) in solves)
+        assert not any(np.array_equal(p.A, reduced_diagram_matrix(F)) for p, _ in solves)
     blocks = [_block(p, F) or ("dual" if _block(p, dual) == "theta" else None)
-              for (p,) in solves]
+              for p, _ in solves]
     assert None not in blocks
     if F.m <= reduced_size(F.n) + 2 and F.m - theta_svd(F).rank in (1, 2):
-        assert set(blocks) <= {"W", "V"}
-        assert len(solves) == (0 if want.scalable else len(_split_lps(F)))
+        assert blocks == ([] if want.scalable else ["W", "V"])
+        assert [b for b, (_, runs) in zip(blocks, solves) if runs == 1] == _split_lps(F)
+        assert all(runs <= 1 for _, runs in solves)
 
 
 @pytest.mark.parametrize("name", sorted(FRAMES))
 def test_report_asks_each_question_once(monkeypatch, name):
-    # every LP of the report is homogeneous on a row block of theta, the
-    # frame's or its dual's; at most one theta LP decides scalability,
-    # strict or not; W and V are read from its answer, so their LPs run only
-    # on frames that are not scalable, at most once each and only when the
-    # split of 1 on their block does not answer
+    # every hull question of the report is homogeneous on a row block of
+    # theta, the frame's or its dual's; at most one of theta decides
+    # scalability, strict or not; W and V are read from its answer, so they
+    # are asked only on frames that are not scalable, once each, and run the
+    # nearest point only when the solver's split of 1 on their block does
+    # not answer
     F = _frame(name)
     dual = canonical_dual(F).dual
-    calls = _count(monkeypatch, numerics, "solve_feasibility")
+    calls = _solves(monkeypatch)
     rep = build_report(document_from_frame(F, name=name), 1e-8)
     solved = [_block(p, F) or ("dual" if _block(p, dual) == "theta" else None)
-              for (p,) in calls]
+              for p, _ in calls]
     verdict = rep["scalability"]["verdict"]
     assert None not in solved
     assert solved.count("theta") <= 1 and solved.count("dual") <= 1
     if verdict == NOT_SCALABLE:
-        lps = _split_lps(F)
-        assert [solved.count(k) for k in "WV"] == [int(k in lps) for k in "WV"]
+        assert [solved.count(k) for k in "WV"] == [1, 1]
+        nearest = [k for k, (_, runs) in zip(solved, calls) if k in "WV" and runs]
+        assert nearest == _split_lps(F)
     else:
         assert "W" not in solved and "V" not in solved
 

@@ -4,10 +4,11 @@ factor (sign included), when the basis is changed by an orthogonal map, or
 when the vectors are permuted.  Every transformed frame is answered, and
 every "not scalable" answer carries a valid certificate.  A rescaling or a
 permutation leaves the signs of the reduced diagram matrix and its unit-norm
-columns as they were, so it also keeps the route (``method``) and the
-one-signed row (``reject_row``) of every answer, and the vectors that the
-report's ``near_zero`` lists, which move with a permutation; an orthogonal
-map changes that matrix, so there only the verdict is held.  Canonical-dual
+columns as they were, so it also keeps the route (``method``) of every
+answer, and the vectors that the report's ``near_zero`` lists, which move
+with a permutation; an orthogonal map changes that matrix, so there only
+the verdict is held, and on one frame the route, which reads no coordinate
+of the matrix on its own.  Canonical-dual
 scalability under a global scale and an orthogonal map is held to the same
 rule in tests/test_duals.py::TestDualInvariance.  Beyond the fixed corpus,
 Hypothesis draws integer and near-duplicate frames, the families with exact
@@ -21,6 +22,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from framescale import (
+    decide,
     decide_scalable,
     frame_from_synthesis,
     hull_certificate_check,
@@ -30,6 +32,7 @@ from framescale import (
 from framescale.cli import build_report, main
 from framescale.errors import NotSpanningError, ZeroVectorError
 from framescale.framedoc import document_from_frame, format_frame_document, parse_frame_document
+from framescale.scalability import METHOD_PROJECTION, NOT_SCALABLE
 from conftest import (
     SCALES,
     bench_corpus,
@@ -111,7 +114,7 @@ def test_verdicts_are_invariant(tmp_path, capsys, name):
             r, want = decide(G), answers[route]
             assert r.verdict == want.verdict, (label, route)
             if label != "orthogonal":
-                assert (r.method, r.reject_row) == (want.method, want.reject_row), (label, route)
+                assert r.method == want.method, (label, route)
             if not r.scalable:
                 assert hull_certificate_check(G, r.certificate_y), (label, route)
         got, got_near_zero = _analyze(tmp_path, capsys, G)
@@ -125,10 +128,21 @@ def test_verdicts_are_invariant(tmp_path, capsys, name):
     G = frame_from_synthesis(_scale_vector_0(F.synthesis, 1e100))
     for route, decide in ROUTES.items():
         r, want = decide(G), answers[route]
-        assert (r.verdict, r.method, r.reject_row) == (
-            want.verdict, want.method, want.reject_row), route
+        assert (r.verdict, r.method) == (want.verdict, want.method), route
         if not r.scalable:
             assert hull_certificate_check(G, r.certificate_y), route
+
+
+@pytest.mark.parametrize("angle", [0.0, np.pi / 8, np.pi / 4, 1.0])
+def test_rotation_keeps_the_route(angle):
+    # the first-quadrant frame has a one-signed row of theta at angles 0 and
+    # pi/4, where a route that read it used to answer, and none at pi/8 and
+    # 1 rad; the split of 1 answers at every angle
+    c, s = np.cos(angle), np.sin(angle)
+    X = np.array([[c, -s], [s, c]]) @ FRAMES["first-quadrant"].synthesis
+    result = decide(frame_from_synthesis(X), strict=True)
+    assert (result.verdict, result.method) == (NOT_SCALABLE, METHOD_PROJECTION)
+    assert hull_certificate_check(frame_from_synthesis(X), result.certificate_y)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -215,7 +229,8 @@ def _report(X):
         return None
     rep = build_report(document_from_frame(F), 1e-8)
     s = rep["scalability"]
-    return ((s["verdict"], s["method"], s["reject_row"]),
+    assert s["reject_row"] is None
+    return ((s["verdict"], s["method"]),
             (rep["frame"]["lower_bound"], rep["frame"]["upper_bound"]),
             rep["dual"]["dual_scalable"])
 
@@ -227,7 +242,7 @@ def _report(X):
 def test_report_is_invariant_on_drawn_frames(X, seed):
     want = _report(X)
     assume(want is not None)
-    (verdict, method, row), (lower, upper), dual = want
+    (verdict, method), (lower, upper), dual = want
     rng = np.random.default_rng(seed)
     n, m = X.shape
     d = 10.0 ** rng.uniform(-4.0, 4.0, m) * rng.choice([-1.0, 1.0], m)
@@ -240,10 +255,10 @@ def test_report_is_invariant_on_drawn_frames(X, seed):
         got = _report(Y)
         # spanning is judged on unit-norm columns, which no transform moves
         assert got is not None, label
-        (v, meth, r), (lo, up), dual_got = got
+        (v, meth), (lo, up), dual_got = got
         assert v == verdict, label
         if label != "orthogonal":
-            assert (meth, r) == (method, row), label
+            assert meth == method, label
         if label != "per-vector":
             assert abs(lo - lower) <= 1e-9 * upper and abs(up - upper) <= 1e-9 * upper, label
             assert dual_got == dual, label

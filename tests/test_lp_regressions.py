@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from framescale import decide, decide_scalable, intersection_scalability, make_frame
+from framescale import decide, decide_scalable, intersection_scalability, make_frame, numerics
 from framescale.cli import build_report, main
 from framescale.frame_core import apply_scaling, is_tight
 from framescale.framedoc import document_from_frame, format_frame_document
@@ -353,3 +353,41 @@ def test_overflowing_weights_exit_the_same_with_warnings_as_errors(tmp_path, cap
             strict_code, out = _run(tmp_path, capsys, vectors, *args)
         assert strict_code == code == 3, (args, out.err)
         assert "not finite" in out.err
+
+
+# the (1, 2) product row of theta is nonzero only at vector 2, about -4e-8
+# on unit columns, so every kernel vector gives that vector weight 0.  The
+# split of 1 on all of theta has a strictly positive kernel part that passes
+# the kernel identity to within RESIDUAL_TOL, not RANK_TOL, by leaning on a
+# row-space direction of singular value about 4e-8; decide took it and
+# called the frame strictly scalable
+FORCED_ZERO_FRAME = [[-1.0, 0.0, 0.0], [1.0, 0.0, -1.0], [-1.0, 2.5e-8, 0.0],
+                     [0.0, 0.0, -1.0], [-1.0, 0.0, -1.0], [0.0, -1.0, 0.0]]
+
+
+def test_split_kernel_part_below_the_rank_rule_is_not_taken(tmp_path, capsys):
+    F = make_frame(FORCED_ZERO_FRAME)
+    for result in (decide(F, strict=True), decide_scalable(F, strict=True), codim2_scaling(F)):
+        assert (result.verdict, result.near_zero) == (SCALABLE, [2])
+    code, out = _run(tmp_path, capsys, FORCED_ZERO_FRAME, "scale", "--strict")
+    assert code == 0, out.err
+    assert out.out.splitlines()[0] == "scalable, but not strictly"
+
+
+@pytest.mark.parametrize("name, code", [("first-quadrant", 1), ("harmonic", 0)])
+def test_lp_route_runs_no_nearest_point_where_the_split_answers(
+        tmp_path, capsys, monkeypatch, name, code):
+    # the hull solver splits 1 first: its certificate, and a strictly
+    # positive kernel part that passes the rank rule, answer with no Wolfe
+    # run, plain and strict
+    frames = {"first-quadrant": [[np.cos(t), np.sin(t)] for t in (0.2, 0.7, 1.2, 1.4)],
+              "harmonic": rescaled_harmonic_frame(np.random.default_rng(5), 3, 8).synthesis.T}
+
+    def forbidden(P):
+        raise AssertionError("the split of 1 answers this frame")
+
+    monkeypatch.setattr(numerics, "nearest_point", forbidden)
+    for strict in ((), ("--strict",)):
+        got, out = _run(tmp_path, capsys, frames[name], "scale", "--method", "lp", *strict)
+        assert got == code, out.err
+        assert ("certificate y:" in out.out) == (code == 1)

@@ -1,8 +1,9 @@
 """The orthogonal split of 1 on the unit reduced diagram matrix.
 
-Every answer of ``split_of_one`` is certified: a certificate y passes the
-hull test theta^T y > 0, and a kernel vector c is strictly positive and
-passes the kernel identity.  Its verdict is that of the general test
+Every answer of ``numerics.split_of_one`` is certified: a certificate y
+passes the hull test theta^T y > 0, and a kernel vector c is strictly
+positive and passes the kernel identity.  ``decide`` takes its kernel
+vector when that identity holds to within ``RANK_TOL``.  Its verdict is that of the general test
 ``decide_scalable`` and, at corank 1 and 2, of the cofactor and codim-2
 routes, on the benchmark corpus of ``analyze`` and ``scale``, on their
 canonical duals, and on the Hypothesis draws of integer, near-duplicate
@@ -23,15 +24,13 @@ from framescale.framedoc import frame_from_document, parse_frame_document
 from framescale.numerics import RESIDUAL_TOL
 from framescale.scalability import (
     METHOD_PROJECTION,
-    METHOD_SIGN_REJECT,
     STRICTLY_SCALABLE,
     codim2_scaling,
     cofactor_scaling,
     hull_certificate_check,
-    split_of_one,
     theta_kernel,
 )
-from conftest import bench_corpus, random_scalable_frame, rescaled_harmonic_frame
+from conftest import bench_corpus, block_split, random_scalable_frame, rescaled_harmonic_frame
 from test_invariance import integer_frames, near_duplicate_frames
 
 
@@ -70,10 +69,11 @@ def _kernel_route(F):
 
 
 def _checked_split(F):
-    """"certificate" or "kernel" for a split answer that passes its check,
-    "unchecked" for a kernel vector that fails the kernel identity, else
-    None."""
-    y, c = split_of_one(F)
+    """"certificate" for a split certificate that passes its check, "kernel"
+    for a kernel vector that ``decide`` takes (the kernel identity to within
+    ``RANK_TOL``), "unchecked" for an answer that fails its check (a kernel
+    vector that fails the identity to within ``RESIDUAL_TOL``), else None."""
+    (y, c), taken = block_split(F, rounds=False)
     if y is not None:
         return "certificate" if hull_certificate_check(F, y) else "unchecked"
     if c is None:
@@ -83,7 +83,7 @@ def _checked_split(F):
     residual = float(np.abs(theta @ c).max(initial=0.0))
     if residual > RESIDUAL_TOL * float((np.abs(theta) @ c).max(initial=0.0)):
         return "unchecked"
-    return "kernel"
+    return "kernel" if taken else None
 
 
 def _check_split(F):
@@ -92,7 +92,7 @@ def _check_split(F):
     of ``_checked_split``."""
     answer = _checked_split(F)
     if answer in (None, "unchecked"):
-        assert split_of_one(F).certificate_y is None
+        assert block_split(F, rounds=False)[0].certificate_y is None
         return answer
     others = [decide_scalable(F, strict=True)]
     kernel = _kernel_route(F)
@@ -119,12 +119,11 @@ def test_decide_takes_the_split_exactly_when_it_answers():
     for name, F in CORPUS_FRAMES.items():
         G = frame_from_synthesis(F.synthesis)
         result = decide(G, strict=True)
-        if result.method == METHOD_SIGN_REJECT:
-            continue
         answer = _checked_split(G)
         assert (result.method == METHOD_PROJECTION) == (answer in ("certificate", "kernel")), name
         if answer == "certificate":
-            assert np.array_equal(result.certificate_y, split_of_one(G).certificate_y), name
+            y = block_split(G, rounds=False)[0].certificate_y
+            assert np.array_equal(result.certificate_y, y), name
 
 
 @st.composite

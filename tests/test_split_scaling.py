@@ -12,15 +12,15 @@ from framescale import (
     is_in_W,
     make_frame,
     numerics,
-    split_scaling,
 )
-from framescale.diagram import unit_diagram_matrix
+from framescale.diagram import reduced_diagram_matrix
 from framescale.frame_core import apply_scaling, is_tight
 from framescale.errors import DimensionMismatchError, FramescaleError
-from framescale.scalability import Split, independent_rows, split_of_one
+from framescale.scalability import independent_rows
 from conftest import (
     angles_frame,
     bench_corpus,
+    block_split,
     doubled_hadamard_frame,
     open_cone_frame,
     random_unit_frame,
@@ -260,7 +260,7 @@ class TestLine:
 
 
 def _blocks(F):
-    """The rows of the unit theta that make up the W block (the n-1 square
+    """The rows of theta that make up the W block (the n-1 square
     differences) and the V block (the pair products)."""
     return {"W": slice(F.n - 1), "V": slice(F.n - 1, None)}
 
@@ -318,63 +318,64 @@ CERTIFICATE_FRAMES = {**_drawn_frames(), **_corpus_frames()}
 FINDERS = {"W": find_W_element, "V": find_V_element}
 
 
-def _count_solves(monkeypatch):
+def _count_nearest(monkeypatch):
     calls = []
-    solve = numerics.solve_feasibility
+    nearest = numerics.nearest_point
 
-    def counted(p):
-        calls.append(p)
-        return solve(p)
+    def counted(P):
+        calls.append(P)
+        return nearest(P)
 
-    monkeypatch.setattr(numerics, "solve_feasibility", counted)
+    monkeypatch.setattr(numerics, "nearest_point", counted)
     return calls
 
 
 class TestBlockSplit:
-    """W and V first split 1 on their block of the unit theta; the LP runs
-    only when the split answers neither way, and the verdict is the same
-    either way."""
+    """W and V are asked of the hull solver, which first splits 1 on the
+    block's own unit columns; Wolfe's nearest point runs only when the split
+    answers neither way, and the verdict is the same either way."""
 
     @pytest.mark.parametrize("name", sorted(CERTIFICATE_FRAMES))
     def test_split_first_answers_like_the_lp(self, monkeypatch, name):
         X = CERTIFICATE_FRAMES[name].synthesis
-        solves = _count_solves(monkeypatch)
-        first = {}
+        nearest = _count_nearest(monkeypatch)
+        first, answers = {}, {}
         for block, find in FINDERS.items():
             F = frame_from_synthesis(X)
-            lps = len(solves)
+            runs = len(nearest)
             first[block] = find(F)
-            answer = split_answer(F, block)
-            assert len(solves) - lps == (0 if answer else 1), block
-            if answer == "member":
+            answers[block] = split_answer(F, block)
+            assert len(nearest) - runs == (0 if answers[block] else 1), block
+            if answers[block] == "member":
                 assert first[block].member, block
-        monkeypatch.setattr(split_scaling, "split_of_one",
-                            lambda F, rows, rounds: Split(None, None))
+        monkeypatch.setattr(numerics, "split_of_one", lambda B, rounds=False: (None, None))
         for block, find in FINDERS.items():
-            lp_only = find(frame_from_synthesis(X))
-            assert first[block].member == lp_only.member, block
+            nearest_only = find(frame_from_synthesis(X))
+            assert first[block].member == nearest_only.member, block
             if not first[block].member:
                 assert first[block].a is None, block
-            elif split_answer(frame_from_synthesis(X), block) is None:
-                assert first[block].a.tobytes() == lp_only.a.tobytes(), block
+            elif answers[block] is None:
+                assert first[block].a.tobytes() == nearest_only.a.tobytes(), block
 
     def test_split_answers_clear_their_margins(self):
         # both Gram branches answer: B B^T for W and V, B^T B for a V block
         # with more rows than vectors (n = 6, m = 7: 15 products); every
         # certificate separates the block's own rows on X, and every kernel
-        # vector is strictly positive and gives a point the LP confirms
+        # vector is strictly positive and gives a point the solver confirms
         answered = set()
         for F in CERTIFICATE_FRAMES.values():
             for block, rows in _blocks(F).items():
-                y, c = split_of_one(F, rows)
-                B = unit_diagram_matrix(F).data[rows]
+                (y, c), _ = block_split(F, rows, rounds=False)
+                theta = reduced_diagram_matrix(F)[rows]
+                norms = numerics.column_norms(theta)
+                B = theta / norms
                 if y is not None:
                     assert float((y @ B).min()) > numerics.ZERO_TOL * float(np.abs(y).max())
                     assert float((y @ _lift_rows(F, block)).min()) > 0.0
                     assert not FINDERS[block](F).member
                     answered.add(("certificate", block, B.shape[1] >= B.shape[0]))
                 elif c is not None:
-                    w = c * unit_diagram_matrix(F).norms
+                    w = c * norms
                     assert float(w.min()) > numerics.STRICT_MARGIN * float(w.sum())
                     if split_answer(F, block) == "member":
                         assert FINDERS[block](F).member
@@ -385,18 +386,18 @@ class TestBlockSplit:
 
     def test_frame_in_r1_takes_the_lp(self, monkeypatch):
         F = TestLine.F
-        assert [split_of_one(F, rows) for rows in _blocks(F).values()] == [(None, None)] * 2
-        solves = _count_solves(monkeypatch)
+        assert [block_split(F, rows)[0] for rows in _blocks(F).values()] == [(None, None)] * 2
+        nearest = _count_nearest(monkeypatch)
         assert find_W_element(F).member and find_V_element(F).member
-        assert len(solves) == 2
+        assert len(nearest) == 2
 
     def test_zero_block_is_answered_by_the_split(self, monkeypatch):
         # x_1^2 = x_2^2 for every vector: the W block is 0, so 1 lies in its
-        # kernel, and its point is the W element; no LP runs
+        # kernel, and its point is the W element; no nearest point runs
         F = CERTIFICATE_FRAMES["zero-w-row"]
-        y, c = split_of_one(F, _blocks(F)["W"])
-        assert y is None and c is not None
-        solves = _count_solves(monkeypatch)
+        (y, c), taken = block_split(F, _blocks(F)["W"])
+        assert y is None and c is not None and taken
+        nearest = _count_nearest(monkeypatch)
         found = find_W_element(F)
-        assert found.member and solves == []
+        assert found.member and nearest == []
         assert np.allclose((F.synthesis ** 2) @ found.a, 1.0, rtol=0, atol=1e-12)
