@@ -6,10 +6,11 @@ matrix is one hull question, asked of A's unit-norm columns P: is there a
 c >= 0, c != 0 with P c = 0, or else a y with P^T y > 0 (Gordan's
 alternative)?  ``solve_feasibility``, the entry point, asks it in one
 order (``_hull``): ``split_of_one`` answers from one regularized Gram solve
-when a part of 1 is strictly positive and its witness passes the kernel
-identity to within ``RANK_TOL``, and ``nearest_point`` (Wolfe) answers the
-rest.  It checks every answer, and with ``require_strict`` carries a
-witness to one of largest support (``_support_rounds``).
+when a part of 1 is strictly positive and its witness leaves no room for a
+certificate that clears ``ZERO_TOL`` (``no_margin``), and ``nearest_point``
+(Wolfe) answers the rest, a certificate that clears ``ZERO_TOL`` first.  It
+checks every answer, and with ``require_strict`` carries a witness to one
+of largest support (``_support_rounds``).
 
 Every threshold of the package is written once, in the table below, and
 named by its role.  No threshold is absolute: each multiplies a scale named
@@ -39,13 +40,13 @@ ZERO_TOL = 1e-12       # zero and sign: an entry of unit-size data counts as 0
 #                        to a kernel row, in radians, times s_1/s_r, min B^T y
 #                        of a certificate of the split of 1 against max|y|,
 #                        min P^T x against ||x|| and ||x|| of Wolfe's point,
+#                        ||P w|| of a witness of unit columns against sum(w),
 #                        its weights, max weight, sum of unit-column weights:
 #                        zeroed ones); the regularization of the split's Gram
 #                        solve, whose square root times max|y| its kernel
 #                        part must exceed
 RANK_TOL = 1e-10       # rank: the largest singular value (rank, kernel, a
-#                        column's projection off the span of a support; also
-#                        the kernel identity that a split witness passes),
+#                        column's projection off the span of a support),
 #                        the largest entry or 1 if larger (independent rows),
 #                        the largest entry times s_1/s_r (cofactor sign
 #                        classes)
@@ -68,11 +69,13 @@ STRICT_MARGIN = 1e-9   # strictness: the minimum unit-column weight (weights
 @dataclass(frozen=True)
 class FeasibilityProblem:
     """The hull question of A: some x >= 0, x != 0 with A x = b for b = 0,
-    or a certificate that none exists.  ``b`` must be 0."""
+    or a certificate that none exists.  ``b`` must be 0.
+    ``witness_first``: see ``_hull``."""
 
     A: np.ndarray
     b: np.ndarray
     require_strict: bool = False
+    witness_first: bool = False
 
 
 @dataclass(frozen=True)
@@ -152,38 +155,39 @@ def _split(B):
     if float(projected.min()) > ZERO_TOL * y_max:
         return y, None, None
     w = 1.0 - projected if wide else ZERO_TOL * z
-    return None, w, max(STRICT_MARGIN * float(w.sum()), np.sqrt(ZERO_TOL) * y_max)
+    floor = max(STRICT_MARGIN * float(w.sum()), np.sqrt(ZERO_TOL) * y_max)
+    if float(w.min()) > floor and not no_margin(B, w):
+        # the same solve again takes B w = ZERO_TOL y off the well-conditioned directions
+        w = w - B.T @ np.linalg.solve(G, B @ w) if wide else ZERO_TOL * np.linalg.solve(G, w)
+    return None, w, floor
 
 
-def split_of_one(B, rounds=False):
+def split_of_one(B, norms, rounds=False):
     """The orthogonal split 1 = B^T y + w of the all-ones vector for a k x m
-    block B of columns at most unit norm, into its projections on the row
-    space and the kernel of B, as (y, w) with at most one of them set.  By
-    Gordan's alternative a strictly positive part settles whether some
-    c >= 0, c != 0 has B c = 0: a B^T y whose minimum exceeds ``ZERO_TOL``
-    max|y| gives the certificate y, and a w whose minimum exceeds its floor
-    is a kernel vector.  Otherwise both are None, as for a block without
-    rows.
+    block B of unit columns (of norms ``norms`` before division) into its
+    parts on the row space and the kernel of B, as (y, w) with at most one
+    set.  By Gordan's alternative a strictly positive part settles whether
+    some c >= 0, c != 0 has B c = 0: y is the certificate when B^T y exceeds
+    ``ZERO_TOL`` max|y|, and w the kernel vector when it exceeds its floor,
+    passes ``no_margin`` and w_j / norms_j is finite.
 
-    y comes from one solve with the smaller Gram matrix, regularized by
-    ``ZERO_TOL`` so that a rank-deficient block still has an answer that
-    depends only on its columns: (B B^T + ZERO_TOL I) y = B 1 when m >= k,
-    else z = (B^T B + ZERO_TOL I)^{-1} 1 and y = B z, the same y, and w is
-    ZERO_TOL z = 1 - B^T y without subtracting two terms of size about
-    1 / ZERO_TOL.  The regularization leaves B w = ZERO_TOL y: a row-space
-    direction of singular value above sqrt(ZERO_TOL) moves w off the kernel
-    by at most sqrt(ZERO_TOL) times the component of y along it, and one
-    far below stays in w and makes y large.  So the floor of w is the
-    larger of ``STRICT_MARGIN`` times its sum and sqrt(ZERO_TOL) max|y|,
-    which keeps such a direction, as near-duplicate vectors make, from
-    passing for a kernel vector.
+    y comes from one solve with the smaller Gram matrix G, regularized by
+    ``ZERO_TOL`` so that a rank-deficient block has an answer too:
+    (B B^T + ZERO_TOL I) y = B 1 when m >= k, else y = B z for
+    z = (B^T B + ZERO_TOL I)^{-1} 1 and w = ZERO_TOL z = 1 - B^T y, with no
+    difference of two terms of size 1 / ZERO_TOL.  That leaves
+    B w = ZERO_TOL y: a row-space direction of singular value far below
+    sqrt(ZERO_TOL), as near-duplicate vectors make, stays in w and makes y
+    large, so the floor of w is the larger of ``STRICT_MARGIN`` sum(w) and
+    sqrt(ZERO_TOL) max|y|.  A w above it that fails ``no_margin`` is solved
+    once more with G, which takes the rest off the other directions, and
+    ``no_margin`` judges what such a direction leaves.
 
-    With ``rounds``, for a question that any kernel vector answers, a w that
-    is not strictly positive drops the columns at or below its floor and 1
-    is split again on the rest, until a w is strictly positive (the kernel
-    vector, 0 on the dropped columns), a certificate of the rest appears
-    (which settles nothing for B) or no column is left.  The callers check
-    every answer."""
+    With ``rounds``, a w that is not strictly positive drops the columns at
+    or below its floor and 1 is split again on the rest, until a w is
+    strictly positive (the kernel vector, 0 on the dropped columns), a
+    certificate of the rest appears (which settles nothing for B) or no
+    column is left.  The callers check every answer."""
     if B.shape[0] == 0:
         return None, None
     y, w, floor = _split(B)
@@ -193,20 +197,28 @@ def split_of_one(B, rounds=False):
         y, w, floor = _split(B[:, cols])
         if y is not None:
             return None, None
-    if y is not None or float(w.min()) <= floor:
+    if y is not None:
         return y, None
     kernel = np.zeros(B.shape[1])
     kernel[cols] = w
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(kernel / norms).all()
+    if float(w.min()) <= floor or not finite or not no_margin(B, kernel):
+        return None, None
     return None, kernel
 
 
-def kernel_identity(P, w, rank_rule=False):
+def no_margin(P, w):
+    """True when ||P w|| <= ``ZERO_TOL`` sum(w) for weights w >= 0 of the
+    unit columns P: by Cauchy-Schwarz no unit y has P^T y > ``ZERO_TOL``."""
+    return float(np.linalg.norm(P @ w)) <= ZERO_TOL * float(w.sum())
+
+
+def kernel_identity(P, w):
     """True when P w vanishes relative to the largest row sum of its terms
-    |P_ji| w_i, the same at every scale of w: to within ``RESIDUAL_TOL``, or
-    with ``rank_rule`` within ``RANK_TOL``, the kernel that the rank sees."""
+    |P_ji| w_i to within ``RESIDUAL_TOL``, the same at every scale of w."""
     scale = float((np.abs(P) @ w).max(initial=0.0))
-    bound = RANK_TOL if rank_rule else RESIDUAL_TOL
-    return float(np.abs(P @ w).max(initial=0.0)) <= bound * scale
+    return float(np.abs(P @ w).max(initial=0.0)) <= RESIDUAL_TOL * scale
 
 
 def _affine_weights(P, corral, H=None):
@@ -284,31 +296,48 @@ def nearest_point(P):
     return x, weights
 
 
-def _hull(P, norms):
+def _facet_point(P, w):
+    """The nearest point of the affine hull of the support S of Wolfe's
+    weights w as the part of a column of S off the span of the differences
+    P_s - P_s0, with entries at most ``ZERO_TOL`` set to 0.  P w carries
+    the rounding of the weights in every entry, which turns the direction of
+    a short point; that part is exact when S spans a facet."""
+    S = np.flatnonzero(w > 0.0)
+    U, s, _ = np.linalg.svd(P[:, S[1:]] - P[:, S[:1]])
+    Z = U[:, rank_of(s):]
+    y = Z @ (Z.T @ P[:, S[0]])
+    y[np.abs(y) <= ZERO_TOL] = 0.0
+    return y
+
+
+def _clears(P, y):
+    """True when every P_j^T y exceeds ``ZERO_TOL`` ||y||."""
+    return float((y @ P).min()) > ZERO_TOL * float(np.linalg.norm(y))
+
+
+def _hull(P, norms, witness_first=False):
     """The answer to the hull question of the unit columns P of a matrix of
-    column norms ``norms``, as (certificate, witness).  The split of 1 with
-    rounds (``split_of_one``) comes first: its certificate is the answer,
-    and so is its witness w when it passes the kernel identity to within
-    ``RANK_TOL`` and the kernel vector w_j / norms_j is finite.  A witness
-    that passes only to ``RESIDUAL_TOL`` may lean on a direction below
-    sqrt(ZERO_TOL), and its support may be too wide; one that overflows on a
-    tiny column is of no use.  Else the nearest point x = P w gives the
-    witness w when it passes the kernel identity, or the certificate x when
-    P^T x > 0, and (None, None) when it passes neither."""
-    y, w = split_of_one(P, rounds=True)
-    if y is not None:
-        return y, None
-    if w is not None and kernel_identity(P, w, rank_rule=True):
-        with np.errstate(over="ignore"):
-            if np.isfinite(w / norms).all():
-                return None, w
+    column norms ``norms``, as (certificate, witness): that of the split of
+    1 with rounds (``split_of_one``), else from Wolfe's point x = P w
+    (``nearest_point``), when ||x|| exceeds ``ZERO_TOL`` and unless
+    ``witness_first``, the certificate x or else ``_facet_point`` that
+    ``_clears``; then the witness w when it passes the kernel identity, the
+    certificate x when P^T x > 0, or (None, None).  So a one-signed row of
+    entries above ``ZERO_TOL`` answers "none" however small they are."""
+    y, w = split_of_one(P, norms, rounds=True)
+    if y is not None or w is not None:
+        return y, w
     x, w = nearest_point(P)
+    if not witness_first and float(np.linalg.norm(x)) > ZERO_TOL:
+        y = x if _clears(P, x) else _facet_point(P, w)
+        if _clears(P, y):
+            return y, None
     if kernel_identity(P, w):
         return None, w
     return (x, None) if float((x @ P).min()) > 0.0 else (None, None)
 
 
-def _support_rounds(P, w):
+def _support_rounds(P, w, witness_first=False):
     """A kernel vector of largest support from a kernel vector w >= 0 of
     the columns P (Goldman-Tucker, 1956).
 
@@ -335,7 +364,7 @@ def _support_rounds(P, w):
         if inside.any():
             c = inside / float(inside.sum())
         else:
-            _, c = _hull(C / norms, norms)
+            _, c = _hull(C / norms, norms, witness_first)
             if c is None:
                 return w
             c = c / norms / float((c / norms).sum())
@@ -374,13 +403,13 @@ def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
         raise ValueError("only the homogeneous problem A x = 0 is solved")
     norms = column_norms(A)
     P = A / norms
-    y, w = _hull(P, norms)
+    y, w = _hull(P, norms, p.witness_first)
     if y is not None:
         return FeasibilityOutcome(feasible=False, certificate=y)
     if w is None:
         raise InternalNumericError("nearest point passes neither the kernel identity "
                                    "nor the hull sign test")
-    w = _support_rounds(P, w) if p.require_strict else w / w.sum()
+    w = _support_rounds(P, w, p.witness_first) if p.require_strict else w / w.sum()
     if not kernel_identity(P, w):
         raise InternalNumericError("hull witness fails the kernel identity")
     return FeasibilityOutcome(feasible=True, witness=w)

@@ -7,9 +7,8 @@ the canonical-dual check all call it.  It tries the routes in this order:
   the all-ones vector on the unit matrix theta^, from one regularized Gram
   solve (method ``projection``): by Gordan's alternative a strictly
   positive theta^^T y is the certificate that no c >= 0, c != 0 has
-  theta c = 0, and a strictly positive w that passes the kernel identity
-  to within ``RANK_TOL``, as in the hull solver, is a strictly positive
-  kernel vector;
+  theta c = 0, and a strictly positive w that passes
+  ``numerics.no_margin``, as in the hull solver, a kernel vector;
 * for m <= d + 2, where d = (n-1)(n+2)/2 is the row count of the matrix, the
   corank read off its one SVD (``theta_svd``) picks a kernel route:
   - corank 0: the kernel is trivial, so the frame is not scalable, with the
@@ -31,8 +30,9 @@ the canonical-dual check all call it.  It tries the routes in this order:
 No route reads a coordinate of theta on its own, so a change of basis
 moves the route only where a part of the split is near its floor.
 ``quick_sign_reject`` still finds a strictly one-signed row, but no route
-calls it: such a row is one certificate y among many, and the split or the
-solver finds one.
+calls it: such a row is one certificate y among many, and no kernel vector
+is taken where one that clears ``ZERO_TOL`` exists (``numerics.no_margin``,
+``numerics._hull``).
 
 A frame that the split answers takes no SVD, and one with m > d + 2, which
 has corank at least 3, takes none either.  ``cofactor_vector`` keeps the
@@ -225,13 +225,13 @@ def _weights(w, norms):
         return w / norms
 
 
-def _theta_hull(F, strict=False, rows=slice(None)) -> Split:
+def _theta_hull(F, strict=False, rows=slice(None), witness_first=False) -> Split:
     """``numerics.solve_feasibility`` on the block B = rows ``rows`` of the
     reduced diagram matrix: the certificate y, or the kernel vector c >= 0
     of B of its unit-column weights (``_weights``)."""
     B = reduced_diagram_matrix(F)[rows]
     out = numerics.solve_feasibility(numerics.FeasibilityProblem(
-        A=B, b=np.zeros(B.shape[0]), require_strict=strict))
+        A=B, b=np.zeros(B.shape[0]), require_strict=strict, witness_first=witness_first))
     if not out.feasible:
         return Split(out.certificate, None)
     return Split(None, _weights(out.witness, numerics.column_norms(B)))
@@ -272,14 +272,15 @@ def _finish_scalable(F, c, method, strict=True):
     )
 
 
-def decide_scalable(F, strict=False) -> ScalingResult:
+def decide_scalable(F, strict=False, witness_first=False) -> ScalingResult:
     """General scalability decision via the kernel of the reduced diagram
     matrix, by the hull solver (``_theta_hull``).  The solver works on
     unit-norm columns, so the verdict does not change when a frame vector
     is rescaled.  With ``strict=True`` its weights have the largest
     support, so ``near_zero`` lists exactly the vectors that every scaling
-    gives weight 0, and the answer is strict when that list is empty."""
-    y, c = _theta_hull(F, strict)
+    gives weight 0, and the answer is strict when that list is empty.
+    ``scale --method lp`` asks it ``witness_first`` (``numerics._hull``)."""
+    y, c = _theta_hull(F, strict, witness_first=witness_first)
     if y is not None:
         return _certified(F, METHOD_FEASIBILITY, y)
     return _finish_scalable(F, c, METHOD_FEASIBILITY, strict)
@@ -301,15 +302,14 @@ def decide(F, strict=False) -> ScalingResult:
 def _projection(F):
     """The answer of ``numerics.split_of_one`` on the whole unit matrix:
     its certificate y, or its kernel part w as the kernel vector
-    w_i / ||theta_i|| (``_weights``) when w passes the kernel identity to
-    within ``RANK_TOL``, the hull solver's rule.  None when neither part
-    answers or the answer fails its check."""
+    w_i / ||theta_i|| (``_weights``), taken by the hull solver's rule.
+    None when neither part answers or the answer fails its check."""
     unit = unit_diagram_matrix(F)
-    y, w = numerics.split_of_one(unit.data)
+    y, w = numerics.split_of_one(unit.data, unit.norms)
     try:
         if y is not None:
             return _certified(F, METHOD_PROJECTION, y)
-        if w is not None and numerics.kernel_identity(unit.data, w, rank_rule=True):
+        if w is not None:
             return _finish_scalable(F, _weights(w, unit.norms), METHOD_PROJECTION)
     except InternalNumericError:
         pass  # the next route answers what the split cannot check
@@ -320,18 +320,22 @@ def _kernel_route(F):
     """The answer of the kernel route of the corank of ``theta_svd``, or None
     for corank 3 and up and for a route that fails its own check.  At corank
     0 no c != 0 has theta c = 0, and p = 1, orthogonal to the trivial kernel,
-    gives the certificate."""
+    gives the certificate.  The rank reads a row of entries below
+    ``RANK_TOL`` as 0, so a kernel vector must pass ``numerics.no_margin``
+    too."""
     corank = F.m - theta_svd(F).rank
+    unit = unit_diagram_matrix(F)
+    if corank > 2:
+        return None
     try:
         if corank == 0:
             return _kernel_certificate(F, np.ones(F.m), METHOD_TRIVIAL_KERNEL)
-        if corank == 1:
-            return cofactor_scaling(F)[1]
-        if corank == 2:
-            return codim2_scaling(F)
+        answer = cofactor_scaling(F)[1] if corank == 1 else codim2_scaling(F)
     except InternalNumericError:
-        pass  # the hull solver answers what the kernel route cannot check
-    return None
+        return None  # the hull solver answers what the kernel route cannot check
+    if answer.scalable and not numerics.no_margin(unit.data, answer.weights_c * unit.norms):
+        return None
+    return answer
 
 
 # ---------------------------------------------------------------------------

@@ -45,31 +45,25 @@ def block_split(F, rows=slice(None), rounds=True):
     """``numerics.split_of_one`` on the unit columns of the block ``rows``
     of the reduced diagram matrix, each divided by its own norm in the
     block, as the hull solver asks it (with ``rounds``): the certificate y,
-    or the kernel part w as the block's kernel vector c = w / norms, with
-    whether w passes the kernel identity to within ``RANK_TOL``, the rule
-    by which the solver and decide's split take it."""
+    or the kernel part w that the split takes, as the block's kernel vector
+    c = w / norms."""
     B = reduced_diagram_matrix(F)[rows]
     norms = numerics.column_norms(B)
-    P = B / norms
-    y, w = numerics.split_of_one(P, rounds)
-    if w is None:
-        return Split(y, None), False
-    with np.errstate(over="ignore"):
-        c = w / norms
-    return Split(None, c), numerics.kernel_identity(P, w, rank_rule=True)
+    y, w = numerics.split_of_one(B / norms, norms, rounds)
+    return Split(y, None if w is None else w / norms)
 
 
 def split_answer(F, block):
     """What the hull solver's split of 1 on the block of theta answers, for
     ``block`` "W" (the n-1 difference rows) or "V" (the product rows):
-    "empty" for a certificate, "member" for a finite kernel vector that it
-    takes (``block_split``), whose point must pass the membership test, else
-    None (the nearest point answers)."""
+    "empty" for a certificate, "member" for a kernel vector that it takes
+    (``block_split``), whose point must pass the membership test, else None
+    (the nearest point answers)."""
     rows = slice(F.n - 1) if block == "W" else slice(F.n - 1, None)
-    (y, c), taken = block_split(F, rows)
+    y, c = block_split(F, rows)
     if y is not None:
         return "empty"
-    if c is not None and taken and np.isfinite(c).all():
+    if c is not None:
         found = is_in_W(F, w_point(F, c)) if block == "W" else is_in_V(F, c / c.sum())
         assert found.member, block
         return "member"

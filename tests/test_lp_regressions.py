@@ -358,14 +358,15 @@ def test_overflowing_weights_exit_the_same_with_warnings_as_errors(tmp_path, cap
 # the (1, 2) product row of theta is nonzero only at vector 2, about -4e-8
 # on unit columns, so every kernel vector gives that vector weight 0.  The
 # split of 1 on all of theta has a strictly positive kernel part that passes
-# the kernel identity to within RESIDUAL_TOL, not RANK_TOL, by leaning on a
-# row-space direction of singular value about 4e-8; decide took it and
-# called the frame strictly scalable
+# the kernel identity to within RESIDUAL_TOL by leaning on a row-space
+# direction of singular value about 4e-8, which leaves room for a
+# certificate that clears ZERO_TOL; decide took it and called the frame
+# strictly scalable
 FORCED_ZERO_FRAME = [[-1.0, 0.0, 0.0], [1.0, 0.0, -1.0], [-1.0, 2.5e-8, 0.0],
                      [0.0, 0.0, -1.0], [-1.0, 0.0, -1.0], [0.0, -1.0, 0.0]]
 
 
-def test_split_kernel_part_below_the_rank_rule_is_not_taken(tmp_path, capsys):
+def test_split_kernel_part_that_leaves_a_margin_is_not_taken(tmp_path, capsys):
     F = make_frame(FORCED_ZERO_FRAME)
     for result in (decide(F, strict=True), decide_scalable(F, strict=True), codim2_scaling(F)):
         assert (result.verdict, result.near_zero) == (SCALABLE, [2])
@@ -391,3 +392,55 @@ def test_lp_route_runs_no_nearest_point_where_the_split_answers(
         got, out = _run(tmp_path, capsys, frames[name], "scale", "--method", "lp", *strict)
         assert got == code, out.err
         assert ("certificate y:" in out.out) == (code == 1)
+
+
+def _tiny_row_frame(n, t):
+    """Vectors whose x_1 x_2 products are all t times their squared norm: the
+    (1, 2) product row of theta is one-signed, its entries about t on unit
+    columns, and no scaling exists.  Without that row the frame is strictly
+    scalable, so every kernel vector of the other rows passes the kernel
+    identity to within about t."""
+    if n == 2:
+        return [[1.0, t], [1.0, 2 * t], [1.0, 3 * t], [t, 1.0], [2 * t, 1.0]]
+    return [[1.0, 2 * t, 1.0], [1.0, 2 * t, -1.0], [2 * t, 1.0, 1.0],
+            [2 * t, 1.0, -1.0], [1.0, t, 0.0], [t, 1.0, 0.0]]
+
+
+@pytest.mark.parametrize("n, t", [(2, 1e-9), (2, 1e-12), (3, 1e-10), (3, 1e-11)])
+def test_one_signed_row_of_small_entries_is_not_scalable(tmp_path, capsys, n, t):
+    # entries above ZERO_TOL give a certificate that clears ZERO_TOL, which
+    # the split's kernel part, the kernel routes' kernel vector (n = 3,
+    # t = 1e-10: corank 1, the rank reads the row as 0) and Wolfe's witness
+    # (n = 2, m = 5 > d + 2) all leave room for; they used to answer
+    # "scalable" after the one-signed-row shortcut left the route policy
+    vectors = _tiny_row_frame(n, t)
+    F = make_frame(vectors)
+    for result in (decide(F, strict=True), decide(F), decide_scalable(F, strict=True)):
+        assert not result.scalable
+        assert hull_certificate_check(F, result.certificate_y)
+    code, out = _run(tmp_path, capsys, vectors, "scale")
+    assert code == 1 and "certificate y:" in out.out
+
+
+def test_one_signed_row_below_zero_tol_is_zero():
+    # entries of about 2e-13 on unit columns count as 0: strictly scalable
+    F = make_frame(_tiny_row_frame(2, 1e-13))
+    assert decide(F, strict=True).verdict == STRICTLY_SCALABLE
+
+
+@pytest.mark.parametrize("angle", [np.pi / 8, np.pi / 4, 1.0])
+def test_one_signed_row_of_small_entries_is_rotated(angle):
+    # in the plane the certificate is the normal of Wolfe's corral, which
+    # does not depend on the basis
+    Q = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    F = make_frame(np.array(_tiny_row_frame(2, 1e-9)) @ Q.T)
+    assert not decide(F, strict=True).scalable
+
+
+def test_lp_route_takes_the_witness_first(tmp_path, capsys):
+    # ``scale --method lp`` keeps the kernel identity's tolerance, as on
+    # NEAR_PARALLEL_FRAME: Wolfe's weights pass it before any certificate
+    F = make_frame(_tiny_row_frame(2, 1e-9))
+    assert decide_scalable(F, witness_first=True).scalable
+    code, out = _run(tmp_path, capsys, _tiny_row_frame(2, 1e-9), "scale", "--method", "lp")
+    assert code == 0, out.err

@@ -217,8 +217,8 @@ class TestSplitRounds:
         # split alone answers neither way; its rounds drop column 2 and find
         # the kernel vector (1, 1) on the rest
         B = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
-        assert numerics.split_of_one(B) == (None, None)
-        y, w = numerics.split_of_one(B, rounds=True)
+        assert numerics.split_of_one(B, np.ones(3)) == (None, None)
+        y, w = numerics.split_of_one(B, np.ones(3), rounds=True)
         assert y is None
         assert w[2] == 0.0 and w[0] == pytest.approx(w[1]) and w[0] > 0.0
 

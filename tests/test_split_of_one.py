@@ -2,8 +2,9 @@
 
 Every answer of ``numerics.split_of_one`` is certified: a certificate y
 passes the hull test theta^T y > 0, and a kernel vector c is strictly
-positive and passes the kernel identity.  ``decide`` takes its kernel
-vector when that identity holds to within ``RANK_TOL``.  Its verdict is that of the general test
+positive, leaves no room for a certificate that clears ZERO_TOL
+(``numerics.no_margin``) and passes the kernel identity.  Its verdict is
+that of the general test
 ``decide_scalable`` and, at corank 1 and 2, of the cofactor and codim-2
 routes, on the benchmark corpus of ``analyze`` and ``scale``, on their
 canonical duals, and on the Hypothesis draws of integer, near-duplicate
@@ -70,10 +71,10 @@ def _kernel_route(F):
 
 def _checked_split(F):
     """"certificate" for a split certificate that passes its check, "kernel"
-    for a kernel vector that ``decide`` takes (the kernel identity to within
-    ``RANK_TOL``), "unchecked" for an answer that fails its check (a kernel
-    vector that fails the identity to within ``RESIDUAL_TOL``), else None."""
-    (y, c), taken = block_split(F, rounds=False)
+    for a kernel vector that passes the kernel identity to within
+    ``RESIDUAL_TOL``, "unchecked" for an answer that fails its check, else
+    None."""
+    y, c = block_split(F, rounds=False)
     if y is not None:
         return "certificate" if hull_certificate_check(F, y) else "unchecked"
     if c is None:
@@ -83,7 +84,7 @@ def _checked_split(F):
     residual = float(np.abs(theta @ c).max(initial=0.0))
     if residual > RESIDUAL_TOL * float((np.abs(theta) @ c).max(initial=0.0)):
         return "unchecked"
-    return "kernel" if taken else None
+    return "kernel"
 
 
 def _check_split(F):
@@ -92,7 +93,7 @@ def _check_split(F):
     of ``_checked_split``."""
     answer = _checked_split(F)
     if answer in (None, "unchecked"):
-        assert block_split(F, rounds=False)[0].certificate_y is None
+        assert block_split(F, rounds=False).certificate_y is None
         return answer
     others = [decide_scalable(F, strict=True)]
     kernel = _kernel_route(F)
@@ -122,7 +123,7 @@ def test_decide_takes_the_split_exactly_when_it_answers():
         answer = _checked_split(G)
         assert (result.method == METHOD_PROJECTION) == (answer in ("certificate", "kernel")), name
         if answer == "certificate":
-            y = block_split(G, rounds=False)[0].certificate_y
+            y = block_split(G, rounds=False).certificate_y
             assert np.array_equal(result.certificate_y, y), name
 
 

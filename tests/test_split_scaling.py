@@ -348,7 +348,7 @@ class TestBlockSplit:
             assert len(nearest) - runs == (0 if answers[block] else 1), block
             if answers[block] == "member":
                 assert first[block].member, block
-        monkeypatch.setattr(numerics, "split_of_one", lambda B, rounds=False: (None, None))
+        monkeypatch.setattr(numerics, "split_of_one", lambda B, norms, rounds=False: (None, None))
         for block, find in FINDERS.items():
             nearest_only = find(frame_from_synthesis(X))
             assert first[block].member == nearest_only.member, block
@@ -365,7 +365,7 @@ class TestBlockSplit:
         answered = set()
         for F in CERTIFICATE_FRAMES.values():
             for block, rows in _blocks(F).items():
-                (y, c), _ = block_split(F, rows, rounds=False)
+                y, c = block_split(F, rows, rounds=False)
                 theta = reduced_diagram_matrix(F)[rows]
                 norms = numerics.column_norms(theta)
                 B = theta / norms
@@ -386,7 +386,7 @@ class TestBlockSplit:
 
     def test_frame_in_r1_takes_the_lp(self, monkeypatch):
         F = TestLine.F
-        assert [block_split(F, rows)[0] for rows in _blocks(F).values()] == [(None, None)] * 2
+        assert [block_split(F, rows) for rows in _blocks(F).values()] == [(None, None)] * 2
         nearest = _count_nearest(monkeypatch)
         assert find_W_element(F).member and find_V_element(F).member
         assert len(nearest) == 2
@@ -395,8 +395,8 @@ class TestBlockSplit:
         # x_1^2 = x_2^2 for every vector: the W block is 0, so 1 lies in its
         # kernel, and its point is the W element; no nearest point runs
         F = CERTIFICATE_FRAMES["zero-w-row"]
-        (y, c), taken = block_split(F, _blocks(F)["W"])
-        assert y is None and c is not None and taken
+        y, c = block_split(F, _blocks(F)["W"])
+        assert y is None and c is not None
         nearest = _count_nearest(monkeypatch)
         found = find_W_element(F)
         assert found.member and nearest == []
