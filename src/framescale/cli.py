@@ -227,7 +227,7 @@ def cmd_scale(args) -> int:
     if method == "auto":
         result = sca.decide(frame, strict=args.strict)
     elif method == "lp":
-        result = sca.decide_scalable(frame, strict=args.strict, witness_first=True)
+        result = sca.decide_scalable(frame, strict=args.strict)
     elif method == "cofactor":
         _, result = sca.cofactor_scaling(frame)
     elif method == "codim2":

@@ -69,13 +69,11 @@ STRICT_MARGIN = 1e-9   # strictness: the minimum unit-column weight (weights
 @dataclass(frozen=True)
 class FeasibilityProblem:
     """The hull question of A: some x >= 0, x != 0 with A x = b for b = 0,
-    or a certificate that none exists.  ``b`` must be 0.
-    ``witness_first``: see ``_hull``."""
+    or a certificate that none exists.  ``b`` must be 0."""
 
     A: np.ndarray
     b: np.ndarray
     require_strict: bool = False
-    witness_first: bool = False
 
 
 @dataclass(frozen=True)
@@ -315,20 +313,20 @@ def _clears(P, y):
     return float((y @ P).min()) > ZERO_TOL * float(np.linalg.norm(y))
 
 
-def _hull(P, norms, witness_first=False):
+def _hull(P, norms):
     """The answer to the hull question of the unit columns P of a matrix of
     column norms ``norms``, as (certificate, witness): that of the split of
     1 with rounds (``split_of_one``), else from Wolfe's point x = P w
-    (``nearest_point``), when ||x|| exceeds ``ZERO_TOL`` and unless
-    ``witness_first``, the certificate x or else ``_facet_point`` that
-    ``_clears``; then the witness w when it passes the kernel identity, the
-    certificate x when P^T x > 0, or (None, None).  So a one-signed row of
-    entries above ``ZERO_TOL`` answers "none" however small they are."""
+    (``nearest_point``), when ||x|| exceeds ``ZERO_TOL``, the certificate x
+    or else ``_facet_point`` that ``_clears``; then the witness w when it
+    passes the kernel identity, the certificate x when P^T x > 0, or
+    (None, None).  So a one-signed row of entries above ``ZERO_TOL``
+    answers "none" however small they are."""
     y, w = split_of_one(P, norms, rounds=True)
     if y is not None or w is not None:
         return y, w
     x, w = nearest_point(P)
-    if not witness_first and float(np.linalg.norm(x)) > ZERO_TOL:
+    if float(np.linalg.norm(x)) > ZERO_TOL:
         y = x if _clears(P, x) else _facet_point(P, w)
         if _clears(P, y):
             return y, None
@@ -337,7 +335,7 @@ def _hull(P, norms, witness_first=False):
     return (x, None) if float((x @ P).min()) > 0.0 else (None, None)
 
 
-def _support_rounds(P, w, witness_first=False):
+def _support_rounds(P, w):
     """A kernel vector of largest support from a kernel vector w >= 0 of
     the columns P (Goldman-Tucker, 1956).
 
@@ -364,7 +362,7 @@ def _support_rounds(P, w, witness_first=False):
         if inside.any():
             c = inside / float(inside.sum())
         else:
-            _, c = _hull(C / norms, norms, witness_first)
+            _, c = _hull(C / norms, norms)
             if c is None:
                 return w
             c = c / norms / float((c / norms).sum())
@@ -403,13 +401,13 @@ def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
         raise ValueError("only the homogeneous problem A x = 0 is solved")
     norms = column_norms(A)
     P = A / norms
-    y, w = _hull(P, norms, p.witness_first)
+    y, w = _hull(P, norms)
     if y is not None:
         return FeasibilityOutcome(feasible=False, certificate=y)
     if w is None:
         raise InternalNumericError("nearest point passes neither the kernel identity "
                                    "nor the hull sign test")
-    w = _support_rounds(P, w, p.witness_first) if p.require_strict else w / w.sum()
+    w = _support_rounds(P, w) if p.require_strict else w / w.sum()
     if not kernel_identity(P, w):
         raise InternalNumericError("hull witness fails the kernel identity")
     return FeasibilityOutcome(feasible=True, witness=w)

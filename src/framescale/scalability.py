@@ -225,13 +225,13 @@ def _weights(w, norms):
         return w / norms
 
 
-def _theta_hull(F, strict=False, rows=slice(None), witness_first=False) -> Split:
+def _theta_hull(F, strict=False, rows=slice(None)) -> Split:
     """``numerics.solve_feasibility`` on the block B = rows ``rows`` of the
     reduced diagram matrix: the certificate y, or the kernel vector c >= 0
     of B of its unit-column weights (``_weights``)."""
     B = reduced_diagram_matrix(F)[rows]
     out = numerics.solve_feasibility(numerics.FeasibilityProblem(
-        A=B, b=np.zeros(B.shape[0]), require_strict=strict, witness_first=witness_first))
+        A=B, b=np.zeros(B.shape[0]), require_strict=strict))
     if not out.feasible:
         return Split(out.certificate, None)
     return Split(None, _weights(out.witness, numerics.column_norms(B)))
@@ -272,15 +272,15 @@ def _finish_scalable(F, c, method, strict=True):
     )
 
 
-def decide_scalable(F, strict=False, witness_first=False) -> ScalingResult:
+def decide_scalable(F, strict=False) -> ScalingResult:
     """General scalability decision via the kernel of the reduced diagram
     matrix, by the hull solver (``_theta_hull``).  The solver works on
     unit-norm columns, so the verdict does not change when a frame vector
     is rescaled.  With ``strict=True`` its weights have the largest
     support, so ``near_zero`` lists exactly the vectors that every scaling
     gives weight 0, and the answer is strict when that list is empty.
-    ``scale --method lp`` asks it ``witness_first`` (``numerics._hull``)."""
-    y, c = _theta_hull(F, strict, witness_first=witness_first)
+    ``scale --method lp`` asks it directly."""
+    y, c = _theta_hull(F, strict)
     if y is not None:
         return _certified(F, METHOD_FEASIBILITY, y)
     return _finish_scalable(F, c, METHOD_FEASIBILITY, strict)

@@ -14,12 +14,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from framescale import decide, decide_scalable, intersection_scalability, make_frame, numerics
 from framescale.cli import build_report, main
 from framescale.frame_core import apply_scaling, is_tight
 from framescale.framedoc import document_from_frame, format_frame_document
-from framescale.errors import InternalNumericError
+from framescale.errors import InternalNumericError, NotSpanningError
 from framescale.scalability import codim2_scaling, cofactor_scaling, hull_certificate_check
 from framescale.scalability import (
     METHOD_COFACTOR,
@@ -161,6 +163,10 @@ def _run(tmp_path, capsys, vectors, *args):
     return code, capsys.readouterr()
 
 
+def _printed_certificate(out):
+    return [float(v) for v in out.out.split("certificate y:")[1].split()]
+
+
 def test_clamp_frame_analyze(tmp_path, capsys):
     code, out = _run(tmp_path, capsys, CLAMP_FRAME, "analyze", "--json")
     assert code == 0, out.err
@@ -265,7 +271,8 @@ def test_near_parallel_frame_is_answered_by_the_cofactor_route(tmp_path, capsys)
     assert hull_certificate_check(make_frame(NEAR_PARALLEL_FRAME), s["certificate_y"])
     code, out = _run(tmp_path, capsys, NEAR_PARALLEL_FRAME, "scale")
     assert code == 1 and "certificate y:" in out.out
-    # the forced LP route keeps its own answer
+    # the hull solver alone answers "scalable": no certificate of Wolfe's
+    # point clears ZERO_TOL, and its weights pass the kernel identity
     code, out = _run(tmp_path, capsys, NEAR_PARALLEL_FRAME, "scale", "--method", "lp")
     assert code == 0, out.err
 
@@ -283,9 +290,8 @@ SPLIT_NEAR_DUPLICATE_FRAME = [[0.0, -20.0, -10.0], [-1.0, 0.0, 0.0], [-1.0, 0.0,
 def test_split_near_duplicate_takes_the_certificate_of_the_split(tmp_path, capsys):
     code, out = _run(tmp_path, capsys, SPLIT_NEAR_DUPLICATE_FRAME, "scale", "--method", "split")
     assert code == 1, out.err
-    y = [float(v) for v in out.out.split("certificate y:")[1].split()]
     F = make_frame(SPLIT_NEAR_DUPLICATE_FRAME)
-    assert hull_certificate_check(F, y)
+    assert hull_certificate_check(F, _printed_certificate(out))
     assert intersection_scalability(F).verdict == NOT_SCALABLE
     code, out = _run(tmp_path, capsys, SPLIT_NEAR_DUPLICATE_FRAME, "scale")
     assert code == 1, out.err
@@ -296,8 +302,7 @@ def test_near_parallel_split_route_agrees_with_scale(tmp_path, capsys):
     # LP does, and print 1 1 0; the route now answers with ``decide``
     code, out = _run(tmp_path, capsys, NEAR_PARALLEL_FRAME, "scale", "--method", "split")
     assert code == 1, out.err
-    y = [float(v) for v in out.out.split("certificate y:")[1].split()]
-    assert hull_certificate_check(make_frame(NEAR_PARALLEL_FRAME), y)
+    assert hull_certificate_check(make_frame(NEAR_PARALLEL_FRAME), _printed_certificate(out))
     assert (code, out) == _run(tmp_path, capsys, NEAR_PARALLEL_FRAME, "scale")
 
 
@@ -412,7 +417,8 @@ def test_one_signed_row_of_small_entries_is_not_scalable(tmp_path, capsys, n, t)
     # the split's kernel part, the kernel routes' kernel vector (n = 3,
     # t = 1e-10: corank 1, the rank reads the row as 0) and Wolfe's witness
     # (n = 2, m = 5 > d + 2) all leave room for; they used to answer
-    # "scalable" after the one-signed-row shortcut left the route policy
+    # "scalable" after the one-signed-row shortcut left the route policy,
+    # and ``scale --method lp``, which took Wolfe's weights first, still did
     vectors = _tiny_row_frame(n, t)
     F = make_frame(vectors)
     for result in (decide(F, strict=True), decide(F), decide_scalable(F, strict=True)):
@@ -420,6 +426,10 @@ def test_one_signed_row_of_small_entries_is_not_scalable(tmp_path, capsys, n, t)
         assert hull_certificate_check(F, result.certificate_y)
     code, out = _run(tmp_path, capsys, vectors, "scale")
     assert code == 1 and "certificate y:" in out.out
+    for strict in ((), ("--strict",)):
+        code, out = _run(tmp_path, capsys, vectors, "scale", "--method", "lp", *strict)
+        assert code == 1, out.err
+        assert hull_certificate_check(F, _printed_certificate(out))
 
 
 def test_one_signed_row_below_zero_tol_is_zero():
@@ -437,10 +447,63 @@ def test_one_signed_row_of_small_entries_is_rotated(angle):
     assert not decide(F, strict=True).scalable
 
 
-def test_lp_route_takes_the_witness_first(tmp_path, capsys):
-    # ``scale --method lp`` keeps the kernel identity's tolerance, as on
-    # NEAR_PARALLEL_FRAME: Wolfe's weights pass it before any certificate
-    F = make_frame(_tiny_row_frame(2, 1e-9))
-    assert decide_scalable(F, witness_first=True).scalable
-    code, out = _run(tmp_path, capsys, _tiny_row_frame(2, 1e-9), "scale", "--method", "lp")
-    assert code == 0, out.err
+# every vector has x_1 = 1 and 0 < x_2 < 6e-9, or x_2 = -1 and -5e-9 < x_1 < 0:
+# the x_1 x_2 products are all positive, 2e-9 to 5e-9 on unit columns.  Wolfe's
+# weights fail the kernel identity and Wolfe's point the sign test, so the hull
+# solver's route, when it took the weights before any certificate, ended
+# ``scale --method lp`` in exit 3
+ONE_SIGNED_N3_M7_FRAME = [
+    [-4.234350014819077e-09, -1.0, -0.21032156163919988],
+    [-4.278721444276376e-09, -1.0, -0.8108784207935715],
+    [1.0, 5.365372268876912e-09, 0.5369925285480005],
+    [1.0, 3.2802222789981183e-09, -0.4283280557705522],
+    [-4.340034995770814e-09, -1.0, 1.2298039648332277],
+    [1.0, 5.304338590174582e-09, 0.6295019471906916],
+    [-4.227040040275075e-09, -1.0, 0.6458011615773666],
+]
+
+
+def test_one_signed_n3_m7_frame_is_certified_by_the_lp_route(tmp_path, capsys):
+    F = make_frame(ONE_SIGNED_N3_M7_FRAME)
+    for strict in ((), ("--strict",)):
+        code, out = _run(tmp_path, capsys, ONE_SIGNED_N3_M7_FRAME, "scale", "--method", "lp",
+                         *strict)
+        assert code == 1, out.err
+        assert hull_certificate_check(F, _printed_certificate(out))
+
+
+@st.composite
+def one_signed_frames(draw):
+    """Gaussian vectors in R^2 to R^4, m = n + 2 to n + 5, each with one of
+    x_1, x_2 set to +-1 and the other to a t of the same sign, a ~ U(1, 3)
+    per vector and t = 10^U(-13.5, -7) per frame: every product x_1 x_2 is
+    positive, and below about 1e-12 the tolerance reads it as 0."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(n + 2, n + 5))
+    t = 10.0 ** draw(st.floats(-13.5, -7.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((m, n))
+    rows, big = np.arange(m), rng.integers(0, 2, m)
+    sign = rng.choice([-1.0, 1.0], m)
+    X[rows, big] = sign
+    X[rows, 1 - big] = sign * rng.uniform(1.0, 3.0, m) * t
+    return X
+
+
+@settings(derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(X=one_signed_frames())
+def test_lp_route_agrees_with_scale_on_one_signed_rows(tmp_path, capsys, X):
+    # the hull solver's route tries the certificate before Wolfe's weights,
+    # as every other route does; when it took the weights first it called
+    # some of these frames scalable, and ended one in exit 3.  Each call
+    # rewrites the frame file and reads its own output
+    try:
+        make_frame(X)
+    except NotSpanningError:
+        assume(False)
+    code, out = _run(tmp_path, capsys, X, "scale")
+    assert code in (0, 1), out.err
+    lp_code, lp_out = _run(tmp_path, capsys, X, "scale", "--method", "lp")
+    assert lp_code == code, lp_out.err

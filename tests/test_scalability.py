@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 from framescale import (
     codim2_scaling,
     cofactor_scaling,
+    decide,
     decide_scalable,
     hull_certificate_check,
     intersection_scalability,
@@ -28,6 +29,7 @@ from framescale.scalability import (
     ALL_NONNEG,
     ALL_NONPOS,
     METHOD_FEASIBILITY,
+    METHOD_TRIVIAL_KERNEL,
     MIXED,
     NOT_SCALABLE,
     SCALABLE,
@@ -453,6 +455,21 @@ class TestClosedFormCertificates:
         monkeypatch.setattr(numerics, "solve_feasibility", _no_lp)
         with pytest.raises(InternalNumericError, match=route):
             cofactor_scaling(F) if route == "cofactor" else codim2_scaling(F)
+
+    def test_trivial_kernel_certifies_a_near_duplicate_frame(self):
+        # with (-2, 0, 0) last, theta has corank 1 and the frame is scalable
+        # with weight 0 on the first vector; moved off that axis by 3.4e-8,
+        # the unit theta (5 x 5) has full rank, its smallest singular value
+        # about 1.6e-8.  The split of 1 answers neither way, and corank 0
+        # certifies with p = 1
+        F = make_frame([[1.0, -1.0, 1.0], [0.0, 0.0, -1.0], [0.0, -2.0, 1.0],
+                        [0.0, -2.0, -2.0],
+                        [-1.9999999956012144, 3.7091268256516767e-09, 3.3942449298430626e-08]])
+        assert numerics.rank(unit_diagram_matrix(F).data) == F.m
+        for r in (decide(F), decide(F, strict=True)):
+            assert (r.verdict, r.method) == (NOT_SCALABLE, METHOD_TRIVIAL_KERNEL)
+            assert hull_certificate_check(F, r.certificate_y)
+        assert not decide_scalable(F).scalable
 
 
 class TestCodim2Permutation:
