@@ -107,6 +107,8 @@ def build_report(doc: FrameDocument, tightness: float) -> dict:
     """The ``analyze`` report of one frame document; ``tightness`` is the
     ``is_tight`` tolerance, echoed as ``tolerance``."""
     frame = frame_from_document(doc)
+    # a finite potential ||S||_F^2 bounds S, its spectrum and every theta entry
+    potential = frame_potential(frame)
     op = frame_operator(frame)
     tight = is_tight(frame, tightness)
 
@@ -127,7 +129,7 @@ def build_report(doc: FrameDocument, tightness: float) -> dict:
             "upper_bound": op.upper_bound,
             "tight": tight.tight,
             "tight_bound": tight.bound,
-            "frame_potential": frame_potential(frame),
+            "frame_potential": potential,
         },
         "scalability": {
             "verdict": verdict.verdict,

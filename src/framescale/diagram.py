@@ -16,7 +16,12 @@ from functools import lru_cache
 import numpy as np
 
 from . import numerics
-from .errors import DimensionMismatchError, DimensionTooSmallError, NotUnitNormError
+from .errors import (
+    DimensionMismatchError,
+    DimensionTooSmallError,
+    NonFiniteError,
+    NotUnitNormError,
+)
 from .frame_core import derived
 
 FULL = "full"
@@ -59,7 +64,8 @@ def _row_factors(n):
 def _diagram_columns(X, kind):
     """Diagram vectors of the columns of the n x m matrix X, as columns,
     written into one array.  In R^1 there are no coordinate pairs, so the
-    matrix has no rows."""
+    matrix has no rows.  A product entry, up to twice the largest square,
+    can overflow where the squares do not: an input error naming the vector."""
     n, m = X.shape
     if kind not in (FULL, REDUCED):
         raise ValueError(f"unknown diagram kind {kind!r}")
@@ -69,12 +75,16 @@ def _diagram_columns(X, kind):
     i, j = coordinate_pairs(n)
     d = i.size if kind == FULL else n - 1
     out = np.empty((d + i.size, m))
-    sq = X * X
-    diffs = np.subtract(sq[i[:d]], sq[j[:d]], out=out[:d])
-    diffs *= scale
-    prods = np.multiply(X[i], root, out=out[d:])
-    prods *= X[j]
-    prods *= scale
+    with np.errstate(over="ignore", invalid="ignore"):  # diagram_vector skips intake
+        sq = X * X
+        diffs = np.subtract(sq[i[:d]], sq[j[:d]], out=out[:d])
+        diffs *= scale
+        prods = np.multiply(X[i], root, out=out[d:])
+        prods *= X[j]
+        prods *= scale
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=0))
+    if bad.size:
+        raise NonFiniteError(f"frame vector {bad[0]} is too large: its diagram entries overflow")
     return out
 
 

@@ -136,10 +136,10 @@ def canonical_dual_scalable(F) -> DualScalingReport:
     the scale of F.  Its weights c' (sum 1) map to
     c_i = n c'_i / sum_k c'_k ||z_k||^2, which solve
     sum_i c_i x_i x_i^T = S^2; scaling the dual by a_i = sqrt(c_i) makes it
-    Parseval.  Both identities are re-checked, each against its largest
-    entry, and ``residual`` is that of the Parseval one,
-    max |sum_i c_i z_i z_i^T - I|.  A "not scalable" answer carries the dual
-    frame's certificate y.
+    Parseval.  Weights c beyond the float range are an input error.  Both
+    identities are re-checked, each against its largest entry, and
+    ``residual`` is that of the Parseval one, max |sum_i c_i z_i z_i^T - I|.
+    A "not scalable" answer carries the dual frame's certificate y.
     """
     dual = canonical_dual(F).dual
     result = decide(dual)
@@ -147,7 +147,10 @@ def canonical_dual_scalable(F) -> DualScalingReport:
         return DualScalingReport(feasible=False, certificate_y=result.certificate_y)
     Z = dual.synthesis
     c = result.weights_c
-    c = F.n * c / float(c @ (Z ** 2).sum(axis=0))
+    with np.errstate(over="ignore"):
+        c = F.n * c / float(c @ (Z ** 2).sum(axis=0))
+    if not np.isfinite(c).all():
+        raise NonFiniteError("dual-scaling weights leave the float range")
     # the S^2 identity on X / t and c / t^2 for the power of two t at the
     # peak of X: exact, and S^2 stays in the float range
     _, e = np.frexp(float(np.abs(F.synthesis).max()))

@@ -6,11 +6,12 @@ matrix is one hull question, asked of A's unit-norm columns P: is there a
 c >= 0, c != 0 with P c = 0, or else a y with P^T y > 0 (Gordan's
 alternative)?  ``solve_feasibility``, the entry point, asks it in one
 order (``_hull``): ``split_of_one`` answers from one regularized Gram solve
-when a part of 1 is strictly positive and its witness leaves no room for a
-certificate that clears ``ZERO_TOL`` (``no_margin``), and ``nearest_point``
-(Wolfe) answers the rest, a certificate that clears ``ZERO_TOL`` first.  It
-checks every answer, and with ``require_strict`` carries a witness to one
-of largest support (``_support_rounds``).
+when a part of 1 is strictly positive, its witness leaves no room for a
+certificate that clears ``ZERO_TOL`` (``no_margin``) and its kernel vector
+of A is finite, and ``nearest_point`` (Wolfe) answers the rest, a
+certificate that clears ``ZERO_TOL`` first.  It checks every answer, and
+with ``require_strict`` carries a witness to one of largest support
+(``_support_rounds``).
 
 Every threshold of the package is written once, in the table below, and
 named by its role.  No threshold is absolute: each multiplies a scale named
@@ -74,13 +75,6 @@ class FeasibilityProblem:
     A: np.ndarray
     b: np.ndarray
     require_strict: bool = False
-
-
-@dataclass(frozen=True)
-class FeasibilityOutcome:
-    feasible: bool
-    witness: np.ndarray | None = None
-    certificate: np.ndarray | None = None
 
 
 def _check_finite(a):
@@ -160,14 +154,13 @@ def _split(B):
     return None, w, floor
 
 
-def split_of_one(B, norms, rounds=False):
+def split_of_one(B, rounds=False):
     """The orthogonal split 1 = B^T y + w of the all-ones vector for a k x m
-    block B of unit columns (of norms ``norms`` before division) into its
-    parts on the row space and the kernel of B, as (y, w) with at most one
-    set.  By Gordan's alternative a strictly positive part settles whether
-    some c >= 0, c != 0 has B c = 0: y is the certificate when B^T y exceeds
-    ``ZERO_TOL`` max|y|, and w the kernel vector when it exceeds its floor,
-    passes ``no_margin`` and w_j / norms_j is finite.
+    block B of unit columns into its parts on the row space and the kernel
+    of B, as (y, w) with at most one set.  By Gordan's alternative a
+    strictly positive part settles whether some c >= 0, c != 0 has B c = 0:
+    y is the certificate when B^T y exceeds ``ZERO_TOL`` max|y|, and w the
+    kernel vector when it exceeds its floor and passes ``no_margin``.
 
     y comes from one solve with the smaller Gram matrix G, regularized by
     ``ZERO_TOL`` so that a rank-deficient block has an answer too:
@@ -199,9 +192,7 @@ def split_of_one(B, norms, rounds=False):
         return y, None
     kernel = np.zeros(B.shape[1])
     kernel[cols] = w
-    with np.errstate(over="ignore"):
-        finite = np.isfinite(kernel / norms).all()
-    if float(w.min()) <= floor or not finite or not no_margin(B, kernel):
+    if float(w.min()) <= floor or not no_margin(B, kernel):
         return None, None
     return None, kernel
 
@@ -316,15 +307,16 @@ def _clears(P, y):
 def _hull(P, norms):
     """The answer to the hull question of the unit columns P of a matrix of
     column norms ``norms``, as (certificate, witness): that of the split of
-    1 with rounds (``split_of_one``), else from Wolfe's point x = P w
-    (``nearest_point``), when ||x|| exceeds ``ZERO_TOL``, the certificate x
-    or else ``_facet_point`` that ``_clears``; then the witness w when it
-    passes the kernel identity, the certificate x when P^T x > 0, or
-    (None, None).  So a one-signed row of entries above ``ZERO_TOL``
-    answers "none" however small they are."""
-    y, w = split_of_one(P, norms, rounds=True)
-    if y is not None or w is not None:
-        return y, w
+    1 with rounds (``split_of_one``) when its kernel vector w / norms is
+    finite, else from Wolfe's point x = P w (``nearest_point``), when ||x||
+    exceeds ``ZERO_TOL``, the certificate x or else ``_facet_point`` that
+    ``_clears``; then the witness w when it passes the kernel identity, the
+    certificate x when P^T x > 0, or (None, None).  So a one-signed row of
+    entries above ``ZERO_TOL`` answers "none" however small they are."""
+    y, w = split_of_one(P, rounds=True)
+    with np.errstate(over="ignore"):
+        if y is not None or w is not None and np.isfinite(w / norms).all():
+            return y, w
     x, w = nearest_point(P)
     if float(np.linalg.norm(x)) > ZERO_TOL:
         y = x if _clears(P, x) else _facet_point(P, w)
@@ -379,9 +371,10 @@ def _support_rounds(P, w):
     return w
 
 
-def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
+def solve_feasibility(p: FeasibilityProblem):
     """Answer the hull question of A for b = 0: some x >= 0, x != 0 with
-    A x = 0, or else a y with y.A_j > 0 for every column (Gordan).
+    A x = 0, or else a y with y.A_j > 0 for every column (Gordan), as
+    (y, None) or (None, w).
 
     It is asked of the unit columns P_j = A_j / ||A_j||: a positive column
     scale keeps the sign of every y.A_j and the support of every kernel
@@ -403,11 +396,11 @@ def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
     P = A / norms
     y, w = _hull(P, norms)
     if y is not None:
-        return FeasibilityOutcome(feasible=False, certificate=y)
+        return y, None
     if w is None:
         raise InternalNumericError("nearest point passes neither the kernel identity "
                                    "nor the hull sign test")
     w = _support_rounds(P, w) if p.require_strict else w / w.sum()
     if not kernel_identity(P, w):
         raise InternalNumericError("hull witness fails the kernel identity")
-    return FeasibilityOutcome(feasible=True, witness=w)
+    return None, w

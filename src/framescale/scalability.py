@@ -11,18 +11,16 @@ the canonical-dual check all call it.  It tries the routes in this order:
   ``numerics.no_margin``, as in the hull solver, a kernel vector;
 * for m <= d + 2, where d = (n-1)(n+2)/2 is the row count of the matrix, the
   corank read off its one SVD (``theta_svd``) picks a kernel route:
-  - corank 0: the kernel is trivial, so the frame is not scalable, with the
-    certificate of p = 1 (method ``trivial_kernel``);
   - corank 1: ``cofactor_scaling`` -- the kernel is the line of the cofactor
     vector, so the unit kernel vector decides by its sign pattern;
   - corank 2: ``codim2_scaling`` -- each entry of cos t xi_1 + sin t xi_2,
     for the orthonormal kernel basis xi_1, xi_2, is nonnegative on a
     half-circle of directions t, and these meet exactly when the widest
     circular gap between their normal angles is at least pi;
-* everything else, and a frame whose route fails its own check
-  (``InternalNumericError``), goes to ``decide_scalable`` -- the general
-  test: a nonnegative, nonzero vector in the kernel of the reduced diagram
-  matrix, or a certificate that none exists, from the hull solver
+* everything else (corank 0 included), and a frame whose route fails its
+  own check (``InternalNumericError``), goes to ``decide_scalable`` -- the
+  general test: a nonnegative, nonzero vector in the kernel of the reduced
+  diagram matrix, or a certificate that none exists, from the hull solver
   (``numerics.solve_feasibility``, through ``_theta_hull``), which splits 1
   with rounds before Wolfe's nearest point and also answers W and V on
   their row blocks (``split_scaling``).
@@ -45,7 +43,8 @@ every answer.  ``_certified`` carries a separating functional y with
 routes read y off the SVD they already hold (``_kernel_certificate``,
 Gordan's alternative).  ``_finish_scalable`` rejects weights that are not
 finite, normalizes them, reads the strictness margin off them and re-checks
-theta c = 0.
+theta c = 0 (``numerics.kernel_identity``); an answer is strict exactly when
+no weight is near 0, and ``strict`` only asks for weights of largest support.
 
 Rescaling x_i by s rescales column i of the reduced diagram matrix by
 s^2 > 0, which keeps scalability.  So every route reads that matrix on
@@ -71,7 +70,7 @@ from .errors import (
     InternalNumericError,
 )
 from .frame_core import derived
-from .numerics import IDENTITY_TOL, RANK_TOL, RESIDUAL_TOL, STRICT_MARGIN, ZERO_TOL
+from .numerics import IDENTITY_TOL, RANK_TOL, STRICT_MARGIN, ZERO_TOL
 
 NOT_SCALABLE = "not_scalable"
 SCALABLE = "scalable"
@@ -80,7 +79,6 @@ STRICTLY_SCALABLE = "strictly_scalable"
 METHOD_FEASIBILITY = "feasibility"
 METHOD_COFACTOR = "cofactor"
 METHOD_CODIM2 = "codim2"
-METHOD_TRIVIAL_KERNEL = "trivial_kernel"
 METHOD_PROJECTION = "projection"
 
 ALL_NONNEG = "all_nonneg"
@@ -110,7 +108,6 @@ class CofactorReport:
 
 
 SignCheck = namedtuple("SignCheck", ["row_index"])
-Split = namedtuple("Split", ["certificate_y", "witness_c"])
 
 
 def independent_rows(mat):
@@ -225,19 +222,17 @@ def _weights(w, norms):
         return w / norms
 
 
-def _theta_hull(F, strict=False, rows=slice(None)) -> Split:
+def _theta_hull(F, strict=False, rows=slice(None)):
     """``numerics.solve_feasibility`` on the block B = rows ``rows`` of the
-    reduced diagram matrix: the certificate y, or the kernel vector c >= 0
-    of B of its unit-column weights (``_weights``)."""
+    reduced diagram matrix: (y, None) for a certificate y, else (None, c) for
+    B's kernel vector c >= 0 of its unit-column weights (``_weights``)."""
     B = reduced_diagram_matrix(F)[rows]
-    out = numerics.solve_feasibility(numerics.FeasibilityProblem(
+    y, w = numerics.solve_feasibility(numerics.FeasibilityProblem(
         A=B, b=np.zeros(B.shape[0]), require_strict=strict))
-    if not out.feasible:
-        return Split(out.certificate, None)
-    return Split(None, _weights(out.witness, numerics.column_norms(B)))
+    return (y, None) if y is not None else (None, _weights(w, numerics.column_norms(B)))
 
 
-def _finish_scalable(F, c, method, strict=True):
+def _finish_scalable(F, c, method):
     """Every scalable answer: weights c, normalized to sum 1, and checked.
 
     Weights that are not finite fail.  A weight whose unit-column weight
@@ -246,9 +241,9 @@ def _finish_scalable(F, c, method, strict=True):
     margin is read off the reported weights: the minimum unit-column weight
     relative to their sum.  ``near_zero`` lists the indices at or below
     ``STRICT_MARGIN`` of that sum, and the answer is strict exactly when
-    ``strict`` holds and that list is empty, so every route is judged by the
-    same rule.  Last, theta c must vanish relative to the largest row sum of
-    its terms |theta_ji| c_i, which means the same at every scale."""
+    that list is empty, so every route is judged by the same rule.  Last,
+    theta c must pass ``numerics.kernel_identity``, the same at every
+    scale."""
     norms = unit_diagram_matrix(F).norms
     c = np.asarray(c, dtype=float).copy()
     if not np.isfinite(c).all():
@@ -259,12 +254,10 @@ def _finish_scalable(F, c, method, strict=True):
     c = c / c.sum()
     unit = c * norms
     near = [int(i) for i in np.flatnonzero(unit <= STRICT_MARGIN * unit.sum())]
-    theta = reduced_diagram_matrix(F)  # no rows in R^1
-    scale = float((np.abs(theta) @ c).max(initial=0.0))
-    if float(np.abs(theta @ c).max(initial=0.0)) > RESIDUAL_TOL * scale:
+    if not numerics.kernel_identity(reduced_diagram_matrix(F), c):
         raise InternalNumericError("reported weights fail the kernel identity")
     return ScalingResult(
-        verdict=STRICTLY_SCALABLE if strict and not near else SCALABLE,
+        verdict=SCALABLE if near else STRICTLY_SCALABLE,
         method=method,
         weights_c=c,
         scalars_a=np.sqrt(c),
@@ -276,14 +269,14 @@ def decide_scalable(F, strict=False) -> ScalingResult:
     """General scalability decision via the kernel of the reduced diagram
     matrix, by the hull solver (``_theta_hull``).  The solver works on
     unit-norm columns, so the verdict does not change when a frame vector
-    is rescaled.  With ``strict=True`` its weights have the largest
-    support, so ``near_zero`` lists exactly the vectors that every scaling
-    gives weight 0, and the answer is strict when that list is empty.
+    is rescaled.  The answer is strict when ``near_zero`` is empty; with
+    ``strict=True`` the weights have the largest support, so that list holds
+    exactly the vectors that every scaling gives weight 0.
     ``scale --method lp`` asks it directly."""
     y, c = _theta_hull(F, strict)
     if y is not None:
         return _certified(F, METHOD_FEASIBILITY, y)
-    return _finish_scalable(F, c, METHOD_FEASIBILITY, strict)
+    return _finish_scalable(F, c, METHOD_FEASIBILITY)
 
 
 def decide(F, strict=False) -> ScalingResult:
@@ -291,8 +284,8 @@ def decide(F, strict=False) -> ScalingResult:
     canonical-dual check, from the first route that applies (see the module
     docstring): the split of 1; for m <= d + 2 the kernel route of the
     corank of ``theta_svd``; else ``decide_scalable``.  ``strict`` reaches
-    only the hull solver; the other routes' strictness is read off their
-    weights."""
+    only the hull solver; every answer's strictness is read off its weights
+    (``_finish_scalable``)."""
     answer = _projection(F)
     if answer is None and F.m <= reduced_size(F.n) + 2:
         answer = _kernel_route(F)
@@ -305,7 +298,7 @@ def _projection(F):
     w_i / ||theta_i|| (``_weights``), taken by the hull solver's rule.
     None when neither part answers or the answer fails its check."""
     unit = unit_diagram_matrix(F)
-    y, w = numerics.split_of_one(unit.data, unit.norms)
+    y, w = numerics.split_of_one(unit.data)
     try:
         if y is not None:
             return _certified(F, METHOD_PROJECTION, y)
@@ -318,18 +311,15 @@ def _projection(F):
 
 def _kernel_route(F):
     """The answer of the kernel route of the corank of ``theta_svd``, or None
-    for corank 3 and up and for a route that fails its own check.  At corank
-    0 no c != 0 has theta c = 0, and p = 1, orthogonal to the trivial kernel,
-    gives the certificate.  The rank reads a row of entries below
+    for corank 0 and 3 and up, which the hull solver answers, and for a
+    route that fails its own check.  The rank reads a row of entries below
     ``RANK_TOL`` as 0, so a kernel vector must pass ``numerics.no_margin``
     too."""
     corank = F.m - theta_svd(F).rank
     unit = unit_diagram_matrix(F)
-    if corank > 2:
+    if corank not in (1, 2):
         return None
     try:
-        if corank == 0:
-            return _kernel_certificate(F, np.ones(F.m), METHOD_TRIVIAL_KERNEL)
         answer = cofactor_scaling(F)[1] if corank == 1 else codim2_scaling(F)
     except InternalNumericError:
         return None  # the hull solver answers what the kernel route cannot check

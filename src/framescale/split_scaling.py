@@ -18,11 +18,12 @@ Gordan's alternative neither holds exactly when some y has B^T y > 0 for the
 block B.  So ``find_W_element`` and ``find_V_element`` ask θ̃'s kernel
 question on their block, of the hull solver (``scalability._theta_hull``,
 which splits 1 on the block's own unit columns before Wolfe's nearest
-point): a certificate y answers "empty" or "trivial", and a kernel vector c
-answers with the point of W or V on the ray of c, which ``is_in_W`` or
-``is_in_V`` must accept.  W∩V is the kernel question on all of θ̃, so
-``intersection_scalability`` is ``scalability.decide`` with its weights c
-read as the point ``w_point(F, c)`` of W∩V (``intersection_points``).
+point), as one pair (y, c): a certificate y answers "empty" or "trivial",
+and a kernel vector c answers with the point of W or V on the ray of c,
+which ``is_in_W`` or ``is_in_V`` must accept.  W∩V is the kernel question
+on all of θ̃, so ``intersection_scalability`` is ``scalability.decide``
+with its weights c read as the point ``w_point(F, c)`` of W∩V
+(``intersection_points``).
 """
 
 from __future__ import annotations

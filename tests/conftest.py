@@ -9,7 +9,6 @@ from hypothesis import settings
 
 from framescale import is_in_V, is_in_W, make_frame, numerics, sylvester_hadamard
 from framescale.diagram import reduced_diagram_matrix
-from framescale.scalability import Split
 from framescale.split_scaling import w_point
 
 # Hypothesis profiles, for the tests that leave max_examples to them
@@ -44,13 +43,13 @@ def bench_corpus():
 def block_split(F, rows=slice(None), rounds=True):
     """``numerics.split_of_one`` on the unit columns of the block ``rows``
     of the reduced diagram matrix, each divided by its own norm in the
-    block, as the hull solver asks it (with ``rounds``): the certificate y,
-    or the kernel part w that the split takes, as the block's kernel vector
-    c = w / norms."""
+    block, as the hull solver asks it (with ``rounds``): the pair (y, c) of
+    the certificate y or of the block's kernel vector c = w / norms for the
+    kernel part w that the split takes, with at most one set."""
     B = reduced_diagram_matrix(F)[rows]
     norms = numerics.column_norms(B)
-    y, w = numerics.split_of_one(B / norms, norms, rounds)
-    return Split(y, None if w is None else w / norms)
+    y, w = numerics.split_of_one(B / norms, rounds)
+    return y, None if w is None else w / norms
 
 
 def split_answer(F, block):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -534,3 +535,31 @@ class TestGenerate:
                      "--seed", "-1"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 5 and all(e.startswith("error: ") for e in err)
+
+
+# frames whose vectors pass intake, their squares finite, but whose diagram
+# entries, frame potential or dual-scaling weights leave the float range
+DIAGRAM_OVERFLOW_R2 = "n 2\nm 3\n1e154 1e154\n1 0\n0 1\n"
+DIAGRAM_OVERFLOW_R3 = "n 3\nm 4\n1e154 1e154 0\n1 0 0\n0 1 0\n0 0 1\n"
+POTENTIAL_OVERFLOW = "n 2\nm 201\n" + "1e153 1e152\n" * 200 + "0 1e153\n"
+DIAGRAM_ERROR = "error: frame vector 0 is too large: its diagram entries overflow\n"
+DUAL_ERROR = "error: dual-scaling weights leave the float range\n"
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("command, text, message", [
+        (["scale"], DIAGRAM_OVERFLOW_R2, DIAGRAM_ERROR),
+        (["scale"], DIAGRAM_OVERFLOW_R3, DIAGRAM_ERROR),
+        (["analyze", "--json"], POTENTIAL_OVERFLOW,
+         "error: frame potential overflows the float range\n"),
+        (["dual", "--check-scalable"], DIAGRAM_OVERFLOW_R2, DUAL_ERROR),
+        (["dual", "--check-scalable"], DIAGRAM_OVERFLOW_R3, DUAL_ERROR),
+    ], ids=["scale-r2", "scale-r3", "analyze-potential", "dual-r2", "dual-r3"])
+    def test_input_error_with_one_line_and_no_warning(self, tmp_path, capsys,
+                                                      command, text, message):
+        path = write(tmp_path, "range.frame", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(command + [path]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", message)

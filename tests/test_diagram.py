@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,7 @@ from framescale import (
     reduced_diagram_matrix,
 )
 from framescale.diagram import FULL, REDUCED, _diagram_columns, coordinate_pairs, reduced_size
-from framescale.errors import DimensionTooSmallError, NotUnitNormError
+from framescale.errors import DimensionTooSmallError, NonFiniteError, NotUnitNormError
 from conftest import angles_frame, random_unit_frame
 
 finite_floats = st.floats(-10.0, 10.0, allow_nan=False)
@@ -79,6 +81,16 @@ class TestVectorisedColumns:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             _diagram_columns(np.ones((3, 4)), "half")
+
+    @pytest.mark.parametrize("x", [[1e154, 1e154], [1e154, 1e154, 0.0], [1e200, 1e200]])
+    def test_overflowing_entries_name_the_vector_with_no_warning(self, x):
+        # the first two pass frame intake but overflow a product entry; the
+        # last overflows its squares too, which diagram_vector, with no frame
+        # intake, accepts
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="frame vector 0 is too large"):
+                diagram_vector(x, REDUCED)
 
 
 class TestExplicitValues:

@@ -8,7 +8,8 @@ from framescale.errors import DimensionMismatchError, NonFiniteError
 
 
 def solve(A, strict=False):
-    """``solve_feasibility`` on the homogeneous problem A x = 0."""
+    """``solve_feasibility`` on the homogeneous problem A x = 0: the pair
+    (y, None) of a certificate or (None, w) of a witness."""
     A = np.asarray(A, dtype=float)
     return numerics.solve_feasibility(numerics.FeasibilityProblem(
         A=A, b=np.zeros(A.shape[0]), require_strict=strict))
@@ -19,18 +20,16 @@ def unit_columns(A):
     return A / numerics.column_norms(A)
 
 
-def assert_answer_checks(A, out):
-    """A witness is unit-column weights w >= 0, sum 1, that pass the kernel
-    identity, so that w / ||A_j|| is a kernel vector of A; a certificate y
-    has y.A_j > 0 for every column."""
-    if out.feasible:
-        w = out.witness
-        assert out.certificate is None
+def assert_answer_checks(A, y, w):
+    """Exactly one of the pair is set.  A witness is unit-column weights
+    w >= 0, sum 1, that pass the kernel identity, so that w / ||A_j|| is a
+    kernel vector of A; a certificate y has y.A_j > 0 for every column."""
+    assert (y is None) != (w is None)
+    if w is not None:
         assert w.min() >= 0.0 and w.sum() == pytest.approx(1.0, abs=1e-12)
         assert numerics.kernel_identity(unit_columns(A), w)
     else:
-        assert out.witness is None
-        assert float((out.certificate @ np.asarray(A, dtype=float)).min()) > 0.0
+        assert float((y @ np.asarray(A, dtype=float)).min()) > 0.0
 
 
 class TestRankNullspace:
@@ -88,27 +87,27 @@ class TestLinearProgram:
         # one kernel direction, (2, 1, 1) up to scale: the only feasible
         # point, strict, in unit-column weights
         A = np.array([[1.0, -1.0, -1.0], [0.0, 1.0, -1.0]])
-        out = solve(A, strict=True)
-        assert_answer_checks(A, out)
-        c = out.witness / numerics.column_norms(A)
+        y, w = solve(A, strict=True)
+        assert_answer_checks(A, y, w)
+        c = w / numerics.column_norms(A)
         assert np.allclose(c / c.sum(), [0.5, 0.25, 0.25], atol=1e-12)
 
     def test_degenerate_vertex(self):
         # a repeated row is redundant, and a repeated column gives the kernel
         # a second direction: the strict witness keeps all four positive
         A = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, 1.0, -1.0, -1.0]])
-        out = solve(A, strict=True)
-        assert_answer_checks(A, out)
-        assert out.witness.min() > numerics.STRICT_MARGIN
+        y, w = solve(A, strict=True)
+        assert_answer_checks(A, y, w)
+        assert w.min() > numerics.STRICT_MARGIN
 
     def test_infeasible_farkas(self):
         # x1 + x2 = 0 has no nonnegative solution of sum 1: y = 1
         # separates
         A = np.array([[1.0, 1.0]])
         for strict in (False, True):
-            out = solve(A, strict)
-            assert not out.feasible
-            assert float((out.certificate @ A).min()) > 0.0
+            y, w = solve(A, strict)
+            assert w is None
+            assert float((y @ A).min()) > 0.0
 
     def test_farkas_on_random_infeasible(self, rng):
         # columns in an open half-space, turned by a random rotation
@@ -116,26 +115,26 @@ class TestLinearProgram:
             A = rng.standard_normal((3, 6))
             A[0] = np.abs(A[0]) + 0.05
             A = np.linalg.qr(rng.standard_normal((3, 3)))[0] @ A
-            out = solve(A)
-            assert_answer_checks(A, out)
-            assert not out.feasible
+            y, w = solve(A)
+            assert_answer_checks(A, y, w)
+            assert w is None
 
 
 class TestSolveFeasibility:
     def test_homogeneous_witness_normalized(self):
         A = np.array([[1.0, -1.0, 0.0]])
-        out = solve(A)
-        assert out.feasible
-        assert out.witness.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.abs(A @ out.witness).max() < 1e-9
+        y, w = solve(A)
+        assert y is None
+        assert w.sum() == pytest.approx(1.0, abs=1e-9)
+        assert np.abs(A @ w).max() < 1e-9
 
     def test_homogeneous_certificate_strictly_separates(self):
         # columns strictly inside a half-space: kernel meets the positive
         # orthant only at zero
         A = np.array([[1.0, 2.0, 0.5], [0.0, 1.0, -0.2]])
-        out = solve(A)
-        assert not out.feasible
-        assert float((out.certificate @ A).min()) > 0.0
+        y, w = solve(A)
+        assert w is None
+        assert float((y @ A).min()) > 0.0
 
     def test_nonzero_b_raises(self):
         A = np.array([[1.0, 1.0], [1.0, -1.0]])
@@ -146,29 +145,29 @@ class TestSolveFeasibility:
 
     def test_strict_success(self):
         A = np.array([[1.0, -1.0]])
-        out = solve(A, strict=True)
-        assert out.feasible
-        assert out.witness.min() > 1e-9
+        y, w = solve(A, strict=True)
+        assert y is None
+        assert w.min() > 1e-9
 
     def test_strict_failure_keeps_margin(self):
         # x_3 = 0 in every kernel vector: a witness, but no strict margin,
         # and the forced zero is exactly 0
         A = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
-        out = solve(A, strict=True)
-        assert_answer_checks(A, out)
-        assert out.witness[2] == 0.0
-        assert np.allclose(out.witness, [0.5, 0.5, 0.0], atol=1e-12)
+        y, w = solve(A, strict=True)
+        assert_answer_checks(A, y, w)
+        assert w[2] == 0.0
+        assert np.allclose(w, [0.5, 0.5, 0.0], atol=1e-12)
 
     def test_no_rows(self):
         # every x >= 0 is a kernel vector of a matrix without rows
         A = np.zeros((0, 3))
-        assert solve(A).feasible
-        assert solve(A, strict=True).witness.min() > numerics.STRICT_MARGIN
+        assert solve(A)[1] is not None
+        assert solve(A, strict=True)[1].min() > numerics.STRICT_MARGIN
 
     def test_zero_column_is_a_witness(self):
         A = np.array([[1.0, 0.0, 2.0], [1.0, 0.0, -1.0]])
-        out = solve(A)
-        assert out.feasible and out.witness[1] == 1.0
+        y, w = solve(A)
+        assert y is None and w[1] == 1.0
 
     def test_support_rounds_find_the_forced_zero_set(self):
         # columns 0..3 balance in pairs, 4 and 5 only with each other, and
@@ -177,9 +176,9 @@ class TestSolveFeasibility:
         A = np.array([[1.0, -1.0, 0.0, 0.0, 1.0, -1.0, 1.0],
                       [0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0],
                       [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
-        out = solve(A, strict=True)
-        assert_answer_checks(A, out)
-        assert np.flatnonzero(out.witness <= numerics.STRICT_MARGIN).tolist() == [6]
+        y, w = solve(A, strict=True)
+        assert_answer_checks(A, y, w)
+        assert np.flatnonzero(w <= numerics.STRICT_MARGIN).tolist() == [6]
 
 
 class TestNearestPoint:
@@ -217,8 +216,8 @@ class TestSplitRounds:
         # split alone answers neither way; its rounds drop column 2 and find
         # the kernel vector (1, 1) on the rest
         B = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
-        assert numerics.split_of_one(B, np.ones(3)) == (None, None)
-        y, w = numerics.split_of_one(B, np.ones(3), rounds=True)
+        assert numerics.split_of_one(B) == (None, None)
+        y, w = numerics.split_of_one(B, rounds=True)
         assert y is None
         assert w[2] == 0.0 and w[0] == pytest.approx(w[1]) and w[0] > 0.0
 
@@ -313,16 +312,16 @@ class TestHighsOracle:
     @given(A=hull_problems(), strict=st.booleans())
     def test_agrees_with_highs(self, A, strict):
         linprog = pytest.importorskip("scipy.optimize").linprog
-        out = solve(A, strict)
-        assert_answer_checks(A, out)
+        y, w = solve(A, strict)
+        assert_answer_checks(A, y, w)
         P = unit_columns(A)
         margin = _highs_gordan_margin(linprog, P)
         assume(margin >= CLEAR or margin <= ZERO)
-        assert out.feasible == (margin <= ZERO)
-        if strict and out.feasible:
+        assert (w is not None) == (margin <= ZERO)
+        if strict and w is not None:
             top, exact = _highs_entry_maxima(linprog, P)
             free = (top >= CLEAR) & exact
             forced = _highs_forced_margins(linprog, P) >= CLEAR
             assume((free | forced).all())
             forced = np.flatnonzero(forced).tolist()
-            assert np.flatnonzero(out.witness <= numerics.STRICT_MARGIN).tolist() == forced
+            assert np.flatnonzero(w <= numerics.STRICT_MARGIN).tolist() == forced

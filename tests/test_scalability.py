@@ -14,7 +14,9 @@ from framescale import (
     make_frame,
     quick_sign_reject,
 )
+from framescale.cli import _generate_document
 from framescale.frame_core import apply_scaling, is_tight
+from framescale.framedoc import frame_from_document
 from framescale.diagram import reduced_diagram_matrix, reduced_size, unit_diagram_matrix
 from framescale.errors import (
     CorankMismatchError,
@@ -29,7 +31,6 @@ from framescale.scalability import (
     ALL_NONNEG,
     ALL_NONPOS,
     METHOD_FEASIBILITY,
-    METHOD_TRIVIAL_KERNEL,
     MIXED,
     NOT_SCALABLE,
     SCALABLE,
@@ -456,18 +457,18 @@ class TestClosedFormCertificates:
         with pytest.raises(InternalNumericError, match=route):
             cofactor_scaling(F) if route == "cofactor" else codim2_scaling(F)
 
-    def test_trivial_kernel_certifies_a_near_duplicate_frame(self):
+    def test_full_rank_near_duplicate_goes_to_the_solver(self):
         # with (-2, 0, 0) last, theta has corank 1 and the frame is scalable
         # with weight 0 on the first vector; moved off that axis by 3.4e-8,
         # the unit theta (5 x 5) has full rank, its smallest singular value
-        # about 1.6e-8.  The split of 1 answers neither way, and corank 0
-        # certifies with p = 1
+        # about 1.6e-8.  The split of 1 answers neither way, no kernel route
+        # takes corank 0, and the hull solver certifies
         F = make_frame([[1.0, -1.0, 1.0], [0.0, 0.0, -1.0], [0.0, -2.0, 1.0],
                         [0.0, -2.0, -2.0],
                         [-1.9999999956012144, 3.7091268256516767e-09, 3.3942449298430626e-08]])
         assert numerics.rank(unit_diagram_matrix(F).data) == F.m
         for r in (decide(F), decide(F, strict=True)):
-            assert (r.verdict, r.method) == (NOT_SCALABLE, METHOD_TRIVIAL_KERNEL)
+            assert (r.verdict, r.method) == (NOT_SCALABLE, METHOD_FEASIBILITY)
             assert hull_certificate_check(F, r.certificate_y)
         assert not decide_scalable(F).scalable
 
@@ -552,6 +553,13 @@ class TestAnswerRule:
         with pytest.raises(InternalNumericError):
             _finish_scalable(F, np.array([1.0, 0.0, 0.0]), METHOD_FEASIBILITY)
 
+    def test_plain_hull_answer_on_the_mercedes_benz_frame_is_strict(self):
+        # no weight of the equal-norm triple is near 0, so the one rule calls
+        # it strict whether or not the caller asked for largest support
+        F = frame_from_document(_generate_document("mb", 2, 3, 0))
+        for strict in (False, True):
+            assert decide_scalable(F, strict).verdict == STRICTLY_SCALABLE
+
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(V=integer_frames())
     def test_every_route_reads_strictness_off_its_weights(self, V):
@@ -563,7 +571,8 @@ class TestAnswerRule:
         except (NotSpanningError, ZeroVectorError):
             F = None
         assume(F is not None)
-        answers = [decide_scalable(F, strict=True), intersection_scalability(F, strict=True)]
+        answers = [decide_scalable(F), decide_scalable(F, strict=True),
+                   intersection_scalability(F, strict=True)]
         corank = theta_kernel(F).shape[1]
         if corank == 1:
             answers.append(cofactor_scaling(F)[1])

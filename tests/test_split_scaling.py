@@ -348,7 +348,7 @@ class TestBlockSplit:
             assert len(nearest) - runs == (0 if answers[block] else 1), block
             if answers[block] == "member":
                 assert first[block].member, block
-        monkeypatch.setattr(numerics, "split_of_one", lambda B, norms, rounds=False: (None, None))
+        monkeypatch.setattr(numerics, "split_of_one", lambda B, rounds=False: (None, None))
         for block, find in FINDERS.items():
             nearest_only = find(frame_from_synthesis(X))
             assert first[block].member == nearest_only.member, block
