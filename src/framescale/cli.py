@@ -112,7 +112,7 @@ def build_report(doc: FrameDocument, tightness: float) -> dict:
     op = frame_operator(frame)
     tight = is_tight(frame, tightness)
 
-    verdict = sca.decide(frame, strict=True)
+    verdict = sca.decide(frame)
     w_elem, v_elem = _split_elements(frame, verdict)
 
     pair = duals_mod.canonical_dual(frame)
@@ -227,15 +227,15 @@ def cmd_scale(args) -> int:
     frame = frame_from_document(doc)
     method = args.method
     if method == "auto":
-        result = sca.decide(frame, strict=args.strict)
+        result = sca.decide(frame)
     elif method == "lp":
-        result = sca.decide_scalable(frame, strict=args.strict)
+        result = sca.decide_scalable(frame)
     elif method == "cofactor":
         _, result = sca.cofactor_scaling(frame)
     elif method == "codim2":
         result = sca.codim2_scaling(frame)
     else:  # split
-        result = split.intersection_scalability(frame, strict=args.strict)
+        result = split.intersection_scalability(frame)
     if not result.scalable:
         print("not scalable; certificate y: "
               + " ".join("%.12g" % v for v in result.certificate_y))
@@ -342,7 +342,7 @@ def _build_parser():
 
     p = sub.add_parser("scale", help="compute scaling weights or a certificate")
     p.add_argument("path")
-    p.add_argument("--strict", action="store_true", help="require strictly positive weights")
+    p.add_argument("--strict", action="store_true", help="say if scalable, but not strictly")
     p.add_argument("--method", choices=["auto", "lp", "cofactor", "codim2", "split"],
                    default="auto")
     p.add_argument("--tol")

@@ -188,9 +188,10 @@ def _frame_operator(F):
     S = X @ X.T
     S.setflags(write=False)
     qr = synthesis_qr(F)
+    s = numerics.singular_values(qr.R_inv)[0]  # s ** 2 overflows from 2^512 on
     return FrameOperatorData(
         S=S,
-        lower_bound=float(1.0 / numerics.singular_values(qr.R_inv)[0] ** 2),
+        lower_bound=float(1.0 / s ** 2 if s < 2.0 ** 512 else (1.0 / s) ** 2),
         upper_bound=float(numerics.singular_values(qr.R)[0] ** 2))
 
 

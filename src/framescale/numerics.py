@@ -6,12 +6,11 @@ matrix is one hull question, asked of A's unit-norm columns P: is there a
 c >= 0, c != 0 with P c = 0, or else a y with P^T y > 0 (Gordan's
 alternative)?  ``solve_feasibility``, the entry point, asks it in one
 order (``_hull``): ``split_of_one`` answers from one regularized Gram solve
-when a part of 1 is strictly positive, its witness leaves no room for a
-certificate that clears ``ZERO_TOL`` (``no_margin``) and its kernel vector
-of A is finite, and ``nearest_point`` (Wolfe) answers the rest, a
-certificate that clears ``ZERO_TOL`` first.  It checks every answer, and
-with ``require_strict`` carries a witness to one of largest support
-(``_support_rounds``).
+when a part of 1 is strictly positive and its witness leaves no room for a
+certificate that clears ``ZERO_TOL`` (``no_margin``), and ``nearest_point``
+(Wolfe) answers the rest, a certificate that clears ``ZERO_TOL`` first.
+It checks every answer, and with ``require_strict`` carries a witness to
+one of largest support (``_support_rounds``).
 
 Every threshold of the package is written once, in the table below, and
 named by its role.  No threshold is absolute: each multiplies a scale named
@@ -304,19 +303,18 @@ def _clears(P, y):
     return float((y @ P).min()) > ZERO_TOL * float(np.linalg.norm(y))
 
 
-def _hull(P, norms):
-    """The answer to the hull question of the unit columns P of a matrix of
-    column norms ``norms``, as (certificate, witness): that of the split of
-    1 with rounds (``split_of_one``) when its kernel vector w / norms is
-    finite, else from Wolfe's point x = P w (``nearest_point``), when ||x||
-    exceeds ``ZERO_TOL``, the certificate x or else ``_facet_point`` that
-    ``_clears``; then the witness w when it passes the kernel identity, the
-    certificate x when P^T x > 0, or (None, None).  So a one-signed row of
-    entries above ``ZERO_TOL`` answers "none" however small they are."""
+def _hull(P):
+    """The answer to the hull question of the unit columns P, as
+    (certificate, witness): that of the split of 1 with rounds
+    (``split_of_one``) when it answers, else from Wolfe's point x = P w
+    (``nearest_point``), when ||x|| exceeds ``ZERO_TOL``, the certificate x
+    or else ``_facet_point`` that ``_clears``; then the witness w when it
+    passes the kernel identity, the certificate x when P^T x > 0, or (None,
+    None).  So a one-signed row of entries above ``ZERO_TOL`` answers "none"
+    however small they are."""
     y, w = split_of_one(P, rounds=True)
-    with np.errstate(over="ignore"):
-        if y is not None or w is not None and np.isfinite(w / norms).all():
-            return y, w
+    if y is not None or w is not None:
+        return y, w
     x, w = nearest_point(P)
     if float(np.linalg.norm(x)) > ZERO_TOL:
         y = x if _clears(P, x) else _facet_point(P, w)
@@ -354,7 +352,7 @@ def _support_rounds(P, w):
         if inside.any():
             c = inside / float(inside.sum())
         else:
-            _, c = _hull(C / norms, norms)
+            _, c = _hull(C / norms)
             if c is None:
                 return w
             c = c / norms / float((c / norms).sum())
@@ -376,15 +374,13 @@ def solve_feasibility(p: FeasibilityProblem):
     A x = 0, or else a y with y.A_j > 0 for every column (Gordan), as
     (y, None) or (None, w).
 
-    It is asked of the unit columns P_j = A_j / ||A_j||: a positive column
-    scale keeps the sign of every y.A_j and the support of every kernel
-    vector.  ``_hull`` asks the split of 1 with rounds, then
-    ``nearest_point``.  With ``require_strict`` a witness is carried to one
-    of largest support (``_support_rounds``), so its zero entries are
-    exactly those that vanish in every kernel vector.
-    The witness is the unit-column weights w, sum 1, checked by the kernel
-    identity (A's kernel vector is w_j / ||A_j||); the certificate y has
-    P^T y > 0.  A nonzero b is not supported."""
+    It is asked of the unit columns P_j = A_j / ||A_j|| (``_hull``): a
+    positive column scale keeps the sign of every y.A_j and the support of
+    every kernel vector.  With ``require_strict`` a witness is carried to
+    one of largest support (``_support_rounds``).  The witness is the
+    unit-column weights w, sum 1, checked by the kernel identity (A's
+    kernel vector is w_j / ||A_j||); the certificate y has P^T y > 0.  A
+    nonzero b is not supported."""
     A = np.asarray(p.A, dtype=float)
     b = np.asarray(p.b, dtype=float).ravel()
     _check_finite(A)
@@ -394,7 +390,7 @@ def solve_feasibility(p: FeasibilityProblem):
         raise ValueError("only the homogeneous problem A x = 0 is solved")
     norms = column_norms(A)
     P = A / norms
-    y, w = _hull(P, norms)
+    y, w = _hull(P)
     if y is not None:
         return y, None
     if w is None:

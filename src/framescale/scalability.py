@@ -29,8 +29,7 @@ No route reads a coordinate of theta on its own, so a change of basis
 moves the route only where a part of the split is near its floor.
 ``quick_sign_reject`` still finds a strictly one-signed row, but no route
 calls it: such a row is one certificate y among many, and no kernel vector
-is taken where one that clears ``ZERO_TOL`` exists (``numerics.no_margin``,
-``numerics._hull``).
+is taken where one that clears ``ZERO_TOL`` exists (``numerics.no_margin``).
 
 A frame that the split answers takes no SVD, and one with m > d + 2, which
 has corank at least 3, takes none either.  ``cofactor_vector`` keeps the
@@ -41,10 +40,11 @@ A route supplies a kernel vector or a certificate; two constructors build
 every answer.  ``_certified`` carries a separating functional y with
 <x~_i, y> > 0 for all i, checked by ``hull_certificate_check``; the kernel
 routes read y off the SVD they already hold (``_kernel_certificate``,
-Gordan's alternative).  ``_finish_scalable`` rejects weights that are not
-finite, normalizes them, reads the strictness margin off them and re-checks
-theta c = 0 (``numerics.kernel_identity``); an answer is strict exactly when
-no weight is near 0, and ``strict`` only asks for weights of largest support.
+Gordan's alternative).  ``_weights`` turns every route's unit-column
+weights into c with no overflow; ``_finish_scalable`` normalizes c, reads
+the strictness margin off it and re-checks theta c = 0
+(``numerics.kernel_identity``).  Every answer's weights have the largest
+support, so it is strict exactly when no weight is near 0.
 
 Rescaling x_i by s rescales column i of the reduced diagram matrix by
 s^2 > 0, which keeps scalability.  So every route reads that matrix on
@@ -215,39 +215,41 @@ def _certified(F, method, y):
 
 
 def _weights(w, norms):
-    """The weights w_i / norms_i of unit-column weights w on columns of
-    those norms.  A norm far below 1 can make one overflow; it is inf, with
-    no warning, and the callers reject it."""
+    """The kernel vector w_i / norms_i of unit-column weights w; where one
+    overflows, the quotients of the mantissas, shifted by one power of two
+    that puts the largest in (0.5, 2): exact, and every ratio is kept."""
     with np.errstate(over="ignore"):
-        return w / norms
+        c = w / norms
+    if np.isfinite(c).all():
+        return c
+    (mw, ew), (mn, en) = np.frexp(w), np.frexp(norms)
+    shift = ew - en
+    return np.ldexp(mw / mn, shift - shift[w != 0.0].max())
 
 
-def _theta_hull(F, strict=False, rows=slice(None)):
-    """``numerics.solve_feasibility`` on the block B = rows ``rows`` of the
-    reduced diagram matrix: (y, None) for a certificate y, else (None, c) for
-    B's kernel vector c >= 0 of its unit-column weights (``_weights``)."""
+def _theta_hull(F, rows=slice(None)):
+    """``numerics.solve_feasibility`` on the rows ``rows`` of the reduced
+    diagram matrix: (y, None) for a certificate y, else (None, c) for their
+    kernel vector c >= 0 (``_weights``), of largest support on all rows."""
     B = reduced_diagram_matrix(F)[rows]
     y, w = numerics.solve_feasibility(numerics.FeasibilityProblem(
-        A=B, b=np.zeros(B.shape[0]), require_strict=strict))
+        A=B, b=np.zeros(B.shape[0]), require_strict=rows == slice(None)))
     return (y, None) if y is not None else (None, _weights(w, numerics.column_norms(B)))
 
 
 def _finish_scalable(F, c, method):
     """Every scalable answer: weights c, normalized to sum 1, and checked.
 
-    Weights that are not finite fail.  A weight whose unit-column weight
-    ||theta_i|| c_i is at most ``ZERO_TOL`` of the sum of those weights is
-    rounding noise and is set to +0.  The
-    margin is read off the reported weights: the minimum unit-column weight
-    relative to their sum.  ``near_zero`` lists the indices at or below
+    A weight whose unit-column weight ||theta_i|| c_i is at most
+    ``ZERO_TOL`` of the sum of those weights is rounding noise and is set to
+    +0.  The margin is read off the reported weights: the minimum
+    unit-column weight relative to their sum.  ``near_zero`` lists the indices at or below
     ``STRICT_MARGIN`` of that sum, and the answer is strict exactly when
     that list is empty, so every route is judged by the same rule.  Last,
     theta c must pass ``numerics.kernel_identity``, the same at every
     scale."""
     norms = unit_diagram_matrix(F).norms
     c = np.asarray(c, dtype=float).copy()
-    if not np.isfinite(c).all():
-        raise InternalNumericError("reported weights are not finite")
     c[c < 0] = 0.0
     unit = c * norms
     c[unit <= ZERO_TOL * unit.sum()] = 0.0
@@ -265,31 +267,28 @@ def _finish_scalable(F, c, method):
     )
 
 
-def decide_scalable(F, strict=False) -> ScalingResult:
+def decide_scalable(F) -> ScalingResult:
     """General scalability decision via the kernel of the reduced diagram
     matrix, by the hull solver (``_theta_hull``).  The solver works on
     unit-norm columns, so the verdict does not change when a frame vector
-    is rescaled.  The answer is strict when ``near_zero`` is empty; with
-    ``strict=True`` the weights have the largest support, so that list holds
-    exactly the vectors that every scaling gives weight 0.
+    is rescaled.  The weights have the largest support, so ``near_zero``
+    holds exactly the vectors that every scaling gives weight 0.
     ``scale --method lp`` asks it directly."""
-    y, c = _theta_hull(F, strict)
+    y, c = _theta_hull(F)
     if y is not None:
         return _certified(F, METHOD_FEASIBILITY, y)
     return _finish_scalable(F, c, METHOD_FEASIBILITY)
 
 
-def decide(F, strict=False) -> ScalingResult:
+def decide(F) -> ScalingResult:
     """The scalability answer of ``analyze``, ``scale --method auto`` and the
     canonical-dual check, from the first route that applies (see the module
     docstring): the split of 1; for m <= d + 2 the kernel route of the
-    corank of ``theta_svd``; else ``decide_scalable``.  ``strict`` reaches
-    only the hull solver; every answer's strictness is read off its weights
-    (``_finish_scalable``)."""
+    corank of ``theta_svd``; else ``decide_scalable``."""
     answer = _projection(F)
     if answer is None and F.m <= reduced_size(F.n) + 2:
         answer = _kernel_route(F)
-    return answer if answer is not None else decide_scalable(F, strict)
+    return answer if answer is not None else decide_scalable(F)
 
 
 def _projection(F):
@@ -374,8 +373,8 @@ def cofactor_scaling(F):
             f"cofactor method needs corank 1, measured corank {kernel.shape[1]}")
     w = kernel[:, 0]
     v = _weights(w, unit_diagram_matrix(F).norms)
-    with np.errstate(invalid="ignore"):  # an inf weight makes its entry nan
-        unit_v = v / np.linalg.norm(v)
+    unit_v = v / np.abs(v).max()  # so that the sum of squares stays finite
+    unit_v /= np.linalg.norm(unit_v)
     sign_class = _classify_signs(w, _condition(F))
     report = CofactorReport(corank=1, cofactor_vector=unit_v, sign_class=sign_class)
     if sign_class == MIXED:

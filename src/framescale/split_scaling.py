@@ -18,12 +18,13 @@ Gordan's alternative neither holds exactly when some y has B^T y > 0 for the
 block B.  So ``find_W_element`` and ``find_V_element`` ask θ̃'s kernel
 question on their block, of the hull solver (``scalability._theta_hull``,
 which splits 1 on the block's own unit columns before Wolfe's nearest
-point), as one pair (y, c): a certificate y answers "empty" or "trivial",
-and a kernel vector c answers with the point of W or V on the ray of c,
-which ``is_in_W`` or ``is_in_V`` must accept.  W∩V is the kernel question
-on all of θ̃, so ``intersection_scalability`` is ``scalability.decide``
-with its weights c read as the point ``w_point(F, c)`` of W∩V
-(``intersection_points``).
+point; any kernel vector, not one of largest support), as one pair (y, c):
+a certificate y answers "empty" or "trivial", and a kernel vector c
+answers with the point of W or V on the ray of c, which ``is_in_W`` or
+``is_in_V`` must accept.  W∩V is the kernel question on all of θ̃, so
+``intersection_scalability`` is ``scalability.decide`` with its weights c
+read as the point ``w_point(F, c)`` of W∩V (``intersection_points``),
+which is an input error where it leaves the float range.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import numerics
 from .diagram import coordinate_pairs
-from .errors import InternalNumericError
+from .errors import InternalNumericError, NonFiniteError
 from .frame_core import _check_weight_length
 from .scalability import ScalingResult, _theta_hull, decide
 
@@ -90,8 +91,12 @@ def is_in_V(F, a) -> ConeMembership:
 def w_point(F, c):
     """The point c / lambda of W on the ray of a c >= 0, c != 0 that makes
     the diagonal of sum_k c_k x_k x_k^T constant: lambda is that constant,
-    sum_k c_k ||x_k||^2 / n."""
-    return c / (float(c @ (F.synthesis ** 2).sum(axis=0)) / F.n)
+    sum_k c_k ||x_k||^2 / n; one beyond the float range is an input error."""
+    with np.errstate(over="ignore"):
+        a = c / (float(c @ (F.synthesis ** 2).sum(axis=0)) / F.n)
+    if not np.isfinite(a).all():
+        raise NonFiniteError("Parseval weights leave the float range")
+    return a
 
 
 def _v_point(F, c):
@@ -138,13 +143,12 @@ def intersection_points(F, c):
     return w_elem, v_elem
 
 
-def intersection_scalability(F, strict=False) -> ScalingResult:
-    """The W∩V answer: ``scalability.decide`` (``strict`` as there), whose
-    ``scalars_a`` are the Parseval weights sqrt(w_point(F, c)) of its
-    weights c, checked by ``intersection_points``; ``weights_c`` stays the
-    kernel vector normalized to sum 1, and a "not scalable" answer is
-    decide's, with its certificate."""
-    result = decide(F, strict)
+def intersection_scalability(F) -> ScalingResult:
+    """The W∩V answer: ``scalability.decide``, whose ``scalars_a`` are the
+    Parseval weights sqrt(w_point(F, c)) of its weights c, checked by
+    ``intersection_points``; ``weights_c`` stays the kernel vector
+    normalized to sum 1, and a "not scalable" answer is decide's."""
+    result = decide(F)
     if not result.scalable:
         return result
     w_elem, _ = intersection_points(F, result.weights_c)

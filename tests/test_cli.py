@@ -108,6 +108,29 @@ class TestFrameDocuments:
         assert format_frame_document(back) == text
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize("case, message", [
+        ("n 2 3\nm 2\n1 0\n0 1\n", "header 'n' needs one value"),
+        ("n two\nm 2\n1 0\n0 1\n", "header 'n' is not an integer"),
+        ("n 2\nm 0\n", "header 'm' must be positive"),
+        ("n 2\n", "missing 'n' or 'm' header"),
+        ("no-path", "provide a path or --batch"),
+        ("missing-dir", "No such file or directory"),
+        ("empty-dir", "no files in"),
+    ], ids=["header-two-values", "header-not-integer", "header-not-positive",
+            "header-missing", "no-path", "batch-missing-dir", "batch-empty-dir"])
+    def test_analyze_exits_two_with_one_error_line(self, tmp_path, capsys, case, message):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        argv = {"no-path": ["analyze"],
+                "missing-dir": ["analyze", "--batch", str(tmp_path / "missing")],
+                "empty-dir": ["analyze", "--batch", str(empty)]}.get(case)
+        assert main(argv or ["analyze", write(tmp_path, "bad.frame", case)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
 class TestAnalyze:
     def test_tight_frame_report(self, tmp_path, capsys):
         path = write(tmp_path, "mb.frame", MB_TEXT)

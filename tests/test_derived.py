@@ -65,10 +65,8 @@ def _frame(name):
 def _routes(F):
     """Every route that applies to F, by name."""
     routes = {
-        "decide": lambda G: decide_scalable(G),
-        "decide-strict": lambda G: decide_scalable(G, strict=True),
-        "intersection": lambda G: intersection_scalability(G),
-        "intersection-strict": lambda G: intersection_scalability(G, strict=True),
+        "decide": decide_scalable,
+        "intersection": intersection_scalability,
         "W": find_W_element,
         "V": find_V_element,
         "dual": canonical_dual_scalable,
@@ -164,7 +162,7 @@ def test_report_computes_each_quantity_once(monkeypatch, name):
 def _routes_on_corank(G):
     """True when ``decide`` reads the corank of G off the SVD of its unit
     theta: m <= d + 2, and the split of 1 does not answer."""
-    method = decide(frame_from_synthesis(G.synthesis), strict=True).method
+    method = decide(frame_from_synthesis(G.synthesis)).method
     return G.m <= reduced_size(G.n) + 2 and method != METHOD_PROJECTION
 
 
@@ -303,17 +301,17 @@ def test_every_command_answers_with_decide(tmp_path, monkeypatch, capsys, name):
     path = tmp_path / "frame.txt"
     path.write_text(format_frame_document(document_from_frame(F)))
     command_solves = _solves(monkeypatch)
-    for strict in (False, True):
-        answer = decide(frame_from_synthesis(F.synthesis), strict=strict)
-        code = main(["scale", str(path)] + ["--strict"] * strict)
+    answer = decide(frame_from_synthesis(F.synthesis))
+    for strict in ([], ["--strict"]):
+        code = main(["scale", str(path)] + strict)
         assert code == (0 if answer.scalable else 1)
         assert capsys.readouterr().out.splitlines()[-1] == _printed(answer)
-        code = main(["scale", "--method", "split", str(path)] + ["--strict"] * strict)
+        code = main(["scale", "--method", "split", str(path)] + strict)
         assert code == (0 if answer.scalable else 1)
         assert ("certificate y:" in capsys.readouterr().out) == (not answer.scalable)
     assert all(_block(p, F) == "theta" for p, _ in command_solves)
 
-    want = decide(frame_from_synthesis(F.synthesis), strict=True)
+    want = decide(frame_from_synthesis(F.synthesis))
     dual = canonical_dual(F).dual
     thetas = [unit_diagram_matrix(G).data for G in (F, dual)]
     svds = _count(monkeypatch, np.linalg, "svd",

@@ -83,7 +83,7 @@ class TestCanonicalDual:
         try:
             F = random_scalable_frame(np.random.default_rng(7), 3, 6)[0]
             ref = weakref.ref(F)
-            decide(F, strict=True)
+            decide(F)
             assert canonical_dual(F).primal is F
             canonical_dual_scalable(F)
             del F

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 from math import sqrt
 
@@ -104,6 +105,14 @@ class TestFrameOperator:
         det, tr = s00 * s11 - s01 * s01, s00 + s11
         exact = 2 * det / (tr + Fraction(sqrt(tr * tr - 4 * det)))
         assert frame_operator(F).lower_bound == pytest.approx(float(exact), rel=1e-8, abs=0)
+
+    def test_lower_bound_below_the_normal_range_raises_no_warning(self):
+        # sigma_max(R^-1) = 1e160, whose square overflows: the bound is
+        # (1 / 1e160)^2, subnormal, not 1 / inf = 0 after a RuntimeWarning
+        F = make_frame([[1e-160, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert frame_operator(F).lower_bound == pytest.approx(1e-320, rel=1e-3)
 
     def test_bound_inequality_for_all_vectors(self, rng):
         F = random_unit_frame(rng, 2, 4)

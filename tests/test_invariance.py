@@ -87,10 +87,8 @@ def _scale_vector_0(X, s):
 
 
 ROUTES = {
-    "decide": lambda G: decide_scalable(G),
-    "decide-strict": lambda G: decide_scalable(G, strict=True),
-    "intersection": lambda G: intersection_scalability(G),
-    "intersection-strict": lambda G: intersection_scalability(G, strict=True),
+    "decide": decide_scalable,
+    "intersection": intersection_scalability,
 }
 
 
@@ -140,7 +138,7 @@ def test_rotation_keeps_the_route(angle):
     # 1 rad; the split of 1 answers at every angle
     c, s = np.cos(angle), np.sin(angle)
     X = np.array([[c, -s], [s, c]]) @ FRAMES["first-quadrant"].synthesis
-    result = decide(frame_from_synthesis(X), strict=True)
+    result = decide(frame_from_synthesis(X))
     assert (result.verdict, result.method) == (NOT_SCALABLE, METHOD_PROJECTION)
     assert hull_certificate_check(frame_from_synthesis(X), result.certificate_y)
 
@@ -194,7 +192,7 @@ def test_v_membership_is_scale_free():
 
 
 def test_corpus_covers_every_verdict():
-    verdicts = {decide_scalable(F, strict=True).verdict for F in FRAMES.values()}
+    verdicts = {decide_scalable(F).verdict for F in FRAMES.values()}
     assert verdicts == {"not_scalable", "scalable", "strictly_scalable"}
 
 

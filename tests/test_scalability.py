@@ -59,7 +59,7 @@ def doubled_angle_gap_oracle(F):
 class TestVerdicts:
     def test_equiangular_triple_strictly_scalable(self):
         F = angles_frame(0.0, 2 * np.pi / 3, 4 * np.pi / 3)
-        r = decide_scalable(F, strict=True)
+        r = decide_scalable(F)
         assert r.verdict == STRICTLY_SCALABLE
         assert np.allclose(r.weights_c, [1 / 3] * 3, atol=1e-8)
         assert r.near_zero == []
@@ -79,7 +79,7 @@ class TestVerdicts:
     def test_scalable_only_with_zero_weight(self):
         # third vector needs weight zero: scalable but not strictly
         F = make_frame([[1.0, 0.0], [0.0, 1.0], [2.0, 1.0]])
-        r = decide_scalable(F, strict=True)
+        r = decide_scalable(F)
         assert r.verdict == SCALABLE
         assert 2 in r.near_zero
         assert np.allclose(r.weights_c, [0.5, 0.5, 0.0], atol=1e-8)
@@ -332,7 +332,7 @@ class TestCrossRouteAgreement:
         corank = 0 if F is None else theta_kernel(F).shape[1]
         assume(corank in (1, 2))
         r = cofactor_scaling(F)[1] if corank == 1 else codim2_scaling(F)
-        assert r.verdict == decide_scalable(F, strict=True).verdict
+        assert r.verdict == decide_scalable(F).verdict
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("corank", [1, 2])
@@ -344,16 +344,16 @@ class TestCrossRouteAgreement:
         route = (lambda G: cofactor_scaling(G)[1]) if corank == 1 else codim2_scaling
         for i, F in enumerate(_corank_frames(rng, n, corank, draws=6)):
             r = route(F)
-            assert r.verdict == decide_scalable(F, strict=True).verdict
-            assert r.verdict == intersection_scalability(F, strict=True).verdict
+            assert r.verdict == decide_scalable(F).verdict
+            assert r.verdict == intersection_scalability(F).verdict
             if r.scalable:
                 assert is_tight(apply_scaling(F, r.scalars_a)).tight
             for s in (-1e-5, 1e4, 1e5):
                 d = np.ones(F.m)
                 d[i % F.m] = s
                 G = make_frame(F.synthesis.T * d[:, None])
-                answers = [route(G), decide_scalable(G, strict=True),
-                           intersection_scalability(G, strict=True)]
+                answers = [route(G), decide_scalable(G),
+                           intersection_scalability(G)]
                 for a in answers:
                     assert a.verdict == r.verdict, s
                     if a.verdict == STRICTLY_SCALABLE:
@@ -365,8 +365,8 @@ class TestCrossRouteAgreement:
         # reads the unit-column weights
         F = angles_frame(np.pi / 2, np.pi / 2 + 2 * np.pi / 3, np.pi / 2 + 4 * np.pi / 3)
         G = make_frame(F.synthesis.T * np.array([[1.0], [1e5], [1.0]]))
-        for r in (cofactor_scaling(G)[1], decide_scalable(G, strict=True),
-                  intersection_scalability(G, strict=True)):
+        for r in (cofactor_scaling(G)[1], decide_scalable(G),
+                  intersection_scalability(G)):
             assert r.verdict == STRICTLY_SCALABLE
             assert r.near_zero == []
             assert r.weights_c[1] < 1e-9  # the raw weight would read as near zero
@@ -442,7 +442,7 @@ class TestClosedFormCertificates:
             r = cofactor_scaling(F)[1] if corank == 1 else codim2_scaling(F)
         if not r.scalable:
             assert hull_certificate_check(F, r.certificate_y)
-        assert r.verdict == decide_scalable(F, strict=True).verdict
+        assert r.verdict == decide_scalable(F).verdict
 
     @pytest.mark.parametrize("route", ["cofactor", "codim2"])
     def test_failed_certificate_raises(self, monkeypatch, route):
@@ -467,9 +467,9 @@ class TestClosedFormCertificates:
                         [0.0, -2.0, -2.0],
                         [-1.9999999956012144, 3.7091268256516767e-09, 3.3942449298430626e-08]])
         assert numerics.rank(unit_diagram_matrix(F).data) == F.m
-        for r in (decide(F), decide(F, strict=True)):
-            assert (r.verdict, r.method) == (NOT_SCALABLE, METHOD_FEASIBILITY)
-            assert hull_certificate_check(F, r.certificate_y)
+        r = decide(F)
+        assert (r.verdict, r.method) == (NOT_SCALABLE, METHOD_FEASIBILITY)
+        assert hull_certificate_check(F, r.certificate_y)
         assert not decide_scalable(F).scalable
 
 
@@ -555,10 +555,9 @@ class TestAnswerRule:
 
     def test_plain_hull_answer_on_the_mercedes_benz_frame_is_strict(self):
         # no weight of the equal-norm triple is near 0, so the one rule calls
-        # it strict whether or not the caller asked for largest support
+        # it strict
         F = frame_from_document(_generate_document("mb", 2, 3, 0))
-        for strict in (False, True):
-            assert decide_scalable(F, strict).verdict == STRICTLY_SCALABLE
+        assert decide_scalable(F).verdict == STRICTLY_SCALABLE
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(V=integer_frames())
@@ -571,8 +570,7 @@ class TestAnswerRule:
         except (NotSpanningError, ZeroVectorError):
             F = None
         assume(F is not None)
-        answers = [decide_scalable(F), decide_scalable(F, strict=True),
-                   intersection_scalability(F, strict=True)]
+        answers = [decide_scalable(F), intersection_scalability(F)]
         corank = theta_kernel(F).shape[1]
         if corank == 1:
             answers.append(cofactor_scaling(F)[1])

@@ -95,7 +95,7 @@ def _check_split(F):
     if answer in (None, "unchecked"):
         assert block_split(F, rounds=False)[0] is None
         return answer
-    others = [decide_scalable(F, strict=True)]
+    others = [decide_scalable(F)]
     kernel = _kernel_route(F)
     if kernel is not None:
         others.append(kernel)
@@ -119,7 +119,7 @@ def test_split_is_certified_and_agrees_on_the_corpus():
 def test_decide_takes_the_split_exactly_when_it_answers():
     for name, F in CORPUS_FRAMES.items():
         G = frame_from_synthesis(F.synthesis)
-        result = decide(G, strict=True)
+        result = decide(G)
         answer = _checked_split(G)
         assert (result.method == METHOD_PROJECTION) == (answer in ("certificate", "kernel")), name
         if answer == "certificate":
@@ -165,5 +165,5 @@ def test_tall_strict_frame_takes_the_projection_route(monkeypatch):
              if spec.fid.endswith("-strict-n8-m32")]
     assert specs
     for spec in specs:
-        result = decide(frame_from_document(parse_frame_document(spec.text)), strict=True)
+        result = decide(frame_from_document(parse_frame_document(spec.text)))
         assert (result.method, result.verdict) == (METHOD_PROJECTION, STRICTLY_SCALABLE)

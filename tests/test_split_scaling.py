@@ -250,9 +250,8 @@ class TestLine:
         assert is_in_V(self.F, a).member
         assert not is_in_V(self.F, [-1.0] + a[1:]).member
 
-    @pytest.mark.parametrize("strict", [False, True])
-    def test_intersection_gives_parseval_scalars(self, strict):
-        r = intersection_scalability(self.F, strict=strict)
+    def test_intersection_gives_parseval_scalars(self):
+        r = intersection_scalability(self.F)
         assert r.scalable
         t = is_tight(apply_scaling(self.F, r.scalars_a))
         assert t.tight
