@@ -346,6 +346,40 @@ def test_range_frames_answer_alike_in_every_order(tmp_path, capsys, name):
         assert codes != {3} or exempt, (args, out.err)
 
 
+# the frames of RANGE_FRAMES whose theta column norms are subnormal.  The
+# division w_i / ||theta_i|| used to warn, so that with warnings as errors
+# the commands ended in a traceback, which for ``scale`` read as exit 1,
+# "not scalable"; now each command exits alike with and without warnings as
+# errors, and only the Parseval weights of ``analyze`` leave the float range
+SUBNORMAL_NORM_COMMANDS = {("scale",): 0, ("scale", "--strict"): 0, ("analyze", "--json"): 2}
+
+
+@pytest.mark.parametrize("name", ["pair", "tiny-vector"])
+def test_overflowing_weights_exit_the_same_with_warnings_as_errors(tmp_path, capsys, name):
+    for args, expected in SUBNORMAL_NORM_COMMANDS.items():
+        code, _ = _run(tmp_path, capsys, RANGE_FRAMES[name], *args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            strict_code, out = _run(tmp_path, capsys, RANGE_FRAMES[name], *args)
+        assert strict_code == code == expected, (args, out.err)
+        if expected == 2:
+            assert out.err == "error: Parseval weights leave the float range\n"
+
+
+def test_overflowing_weights_are_shifted_into_range(tmp_path, capsys):
+    # w_i / ||theta_i|| overflows on the tiny vector; the codim-2 route used
+    # to raise "not finite" there and ``scale`` fell through to the LP, which
+    # weighted the tiny vector 0.  Shifted by one power of two, the weights
+    # keep their ratios and the tiny vector gets its positive scalar
+    F = make_frame(RANGE_FRAMES["tiny-vector"])
+    for result in (codim2_scaling(F), decide(F)):
+        assert result.verdict == STRICTLY_SCALABLE
+        np.testing.assert_allclose(result.scalars_a, [1e-156, 2 ** 0.5 * 1e-156, 1.0])
+    code, out = _run(tmp_path, capsys, RANGE_FRAMES["tiny-vector"], "scale")
+    assert code == 0, out.err
+    assert out.out.split() == ["9.99999999999e-157", "1.41421356237e-156", "1"]
+
+
 # the (1, 2) product row of theta is nonzero only at vector 2, about -4e-8
 # on unit columns, so every kernel vector gives that vector weight 0.  The
 # split of 1 on all of theta has a strictly positive kernel part that passes

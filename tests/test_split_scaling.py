@@ -250,10 +250,12 @@ class TestLine:
         assert is_in_V(self.F, a).member
         assert not is_in_V(self.F, [-1.0] + a[1:]).member
 
-    def test_intersection_gives_parseval_scalars(self):
-        r = intersection_scalability(self.F)
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_intersection_gives_parseval_scalars(self, reverse):
+        F = make_frame(self.F.vectors()[::-1]) if reverse else self.F
+        r = intersection_scalability(F)
         assert r.scalable
-        t = is_tight(apply_scaling(self.F, r.scalars_a))
+        t = is_tight(apply_scaling(F, r.scalars_a))
         assert t.tight
         assert t.bound == pytest.approx(1.0, abs=1e-8)
 
