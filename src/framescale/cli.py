@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -62,7 +62,14 @@ def _float_format(rows, cols):
 def _json_dumps(obj, indent=0):
     """Deterministic JSON with floats at 17 significant digits.  A list of
     floats, and a matrix of them (equal nonempty rows), is written by one
-    format string."""
+    format string.  Floats and strings, the most frequent leaves, are
+    dispatched on their exact type first; subclasses, such as numpy floats,
+    take the ``isinstance`` chain."""
+    kind = type(obj)
+    if kind is float:
+        return format_number(obj)
+    if kind is str:
+        return encode_basestring(obj)
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -91,7 +98,7 @@ def _json_dumps(obj, indent=0):
         return format_number(obj)
     if isinstance(obj, int):
         return str(obj)
-    return json.dumps(str(obj), ensure_ascii=False)
+    return encode_basestring(str(obj))
 
 
 def _split_elements(frame, verdict):
@@ -185,8 +192,8 @@ def _print_report_text(rep):
 
 def _read_document(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
@@ -323,24 +330,26 @@ def _resolve_tol(arg):
 
 @functools.cache
 def _build_parser():
-    """The argument parser, built once per process.  ``--tol`` is kept as
-    text, default None, so that ``main`` validates it and reads
-    FRAMESCALE_TOL on every call."""
+    """The argument parser and its command parsers by name, built once per
+    process.  ``--tol`` is kept as text, default None, so that ``main``
+    validates it and reads FRAMESCALE_TOL on every call."""
     parser = argparse.ArgumentParser(
         prog="framescale",
         description="Scalability analysis of finite frames in R^n",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser("analyze", help="full report for a frame file")
+    p = commands["analyze"] = sub.add_parser("analyze", help="full report for a frame file")
     p.add_argument("path", nargs="?", help="frame document to analyze")
     p.add_argument("--batch", help="analyze every file in a directory")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--tol")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("scale", help="compute scaling weights or a certificate")
+    p = commands["scale"] = sub.add_parser(
+        "scale", help="compute scaling weights or a certificate")
     p.add_argument("path")
     p.add_argument("--strict", action="store_true", help="say if scalable, but not strictly")
     p.add_argument("--method", choices=["auto", "lp", "cofactor", "codim2", "split"],
@@ -348,24 +357,41 @@ def _build_parser():
     p.add_argument("--tol")
     p.set_defaults(func=cmd_scale)
 
-    p = sub.add_parser("dual", help="emit the canonical dual frame")
+    p = commands["dual"] = sub.add_parser("dual", help="emit the canonical dual frame")
     p.add_argument("path")
     p.add_argument("--check-scalable", action="store_true",
                    help="also test scalability of the canonical dual")
     p.add_argument("--tol")
     p.set_defaults(func=cmd_dual)
 
-    p = sub.add_parser("generate", help="emit a named frame construction")
+    p = commands["generate"] = sub.add_parser("generate", help="emit a named frame construction")
     p.add_argument("kind", choices=["mb", "hadamard-doubled", "p1", "random-unit"])
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_generate)
-    return parser
+    return parser, commands
+
+
+def _parse_args(argv):
+    """The arguments of one command line, parsed once: a line that starts
+    with a command goes to that command's parser, as the top-level parser
+    would hand it on, and anything else to the top-level parser, which
+    reports it."""
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         if hasattr(args, "tol"):
             args.tol = _resolve_tol(args.tol)

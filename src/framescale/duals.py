@@ -1,11 +1,11 @@
 """Dual frames and their scalability.
 
 Covers the canonical dual S^{-1} X, read off the row-sorted QR of the
-synthesis (``frame_core.synthesis_qr``), alternate duals built from a Parseval
-scaling, scalability under invertible transforms, canonical-dual
-scalability decided on the dual frame itself, its Grammian form, and the
-Hadamard-based counterexample of a scalable frame with a non-scalable
-canonical dual.
+synthesis (``frame_core.synthesis_qr``; the reconstruction identity checks it
+and proves that it spans), alternate duals built from a Parseval scaling,
+scalability under invertible transforms, canonical-dual scalability decided
+on the dual frame itself, its Grammian form, and the Hadamard-based
+counterexample of a scalable frame with a non-scalable canonical dual.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .errors import (
     NoHadamardAvailableError,
     NonFiniteError,
     NotParsevalScalingError,
-    NotSpanningError,
     SingularTransformError,
     ZeroVectorError,
 )
@@ -29,7 +28,6 @@ from .frame_core import (
     Frame,
     _check_weight_length,
     _checked_synthesis,
-    _spanning_frame,
     apply_scaling,
     derived,
     frame_from_synthesis,
@@ -62,7 +60,12 @@ class DualScalingReport:
 def canonical_dual(F) -> DualPair:
     """Canonical dual frame with vectors S^{-1} x_i, computed once per
     frame.  F keeps only the dual frame, and the pair is built on return, so
-    that F's cache holds no reference back to F."""
+    that F's cache holds no reference back to F.
+
+    The computed dual takes the range checks of every synthesis (finite,
+    nonzero vectors whose squares stay in range) and the reconstruction
+    identity X Y^T = I (``is_dual``), which proves that it spans, so it
+    takes no spanning test of its own."""
     return DualPair(primal=F, dual=derived(F, "canonical_dual", _canonical_dual),
                     kind=CANONICAL)
 
@@ -74,12 +77,16 @@ def _canonical_dual(F):
     qr = synthesis_qr(F)
     Y = np.empty_like(F.synthesis)
     Y[:, qr.order] = qr.R_inv @ qr.Q.T
-    # F is a valid frame, so a dual that fails the frame checks (a vector
+    # F is a valid frame, so a dual that fails the range checks (a vector
     # that rounds to 0) is a numeric failure, not an input error
     try:
-        dual = _spanning_frame(*_checked_synthesis(Y))
-    except (NonFiniteError, NotSpanningError, ZeroVectorError) as exc:
+        Y, _ = _checked_synthesis(Y)
+    except (NonFiniteError, ZeroVectorError) as exc:
         raise InternalNumericError(f"canonical dual is not a frame: {exc}") from exc
+    Y.setflags(write=False)
+    dual = Frame(synthesis=Y)
+    # max |X Y^T - I| <= RESIDUAL_TOL gives ||X Y^T - I||_2 <= n RESIDUAL_TOL < 1,
+    # so X Y^T, and with it Y, has rank n: the dual spans with no test of its own
     if not is_dual(F, dual):
         raise InternalNumericError("canonical dual fails the reconstruction identity")
     return dual

@@ -9,7 +9,10 @@ One Householder QR of X^T with its rows sorted by decreasing norm
 (``synthesis_qr``) is taken on first use.  That QR, and every other value
 derived from the synthesis, is kept on the frame through ``derived``: the
 frame bounds are sigma_max(R^{-1})^{-2} and sigma_max(R)^2, and the
-canonical dual is R^{-1} Q^T.
+canonical dual is R^{-1} Q^T.  That dual (``duals.canonical_dual``) takes
+the range checks of ``_checked_synthesis`` and the reconstruction identity
+(``is_dual``) instead of a second spanning test: max |X Y^T - I| <=
+``RESIDUAL_TOL`` makes X Y^T, and so the dual, rank n.
 """
 
 from __future__ import annotations

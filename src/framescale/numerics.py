@@ -133,8 +133,10 @@ def column_norms(A):
 
 
 def _split(B):
-    """One split of 1 on the block B: (y, None, None) for a certificate,
-    else (None, w, floor) (see ``split_of_one``)."""
+    """One split of 1 on the block B: (y, None, None, False) for a
+    certificate, else (None, w, floor, cleared) (see ``split_of_one``),
+    where ``cleared`` is True when w is above its floor and ``no_margin``
+    already passed it."""
     k, m = B.shape
     wide = m >= k
     G = B @ B.T if wide else B.T @ B
@@ -144,13 +146,16 @@ def _split(B):
     projected = y @ B
     y_max = float(np.abs(y).max())
     if float(projected.min()) > ZERO_TOL * y_max:
-        return y, None, None
+        return y, None, None, False
     w = 1.0 - projected if wide else ZERO_TOL * z
     floor = max(STRICT_MARGIN * float(w.sum()), np.sqrt(ZERO_TOL) * y_max)
-    if float(w.min()) > floor and not no_margin(B, w):
-        # the same solve again takes B w = ZERO_TOL y off the well-conditioned directions
-        w = w - B.T @ np.linalg.solve(G, B @ w) if wide else ZERO_TOL * np.linalg.solve(G, w)
-    return None, w, floor
+    if float(w.min()) <= floor:
+        return None, w, floor, False
+    if no_margin(B, w):
+        return None, w, floor, True
+    # the same solve again takes B w = ZERO_TOL y off the well-conditioned directions
+    w = w - B.T @ np.linalg.solve(G, B @ w) if wide else ZERO_TOL * np.linalg.solve(G, w)
+    return None, w, floor, False
 
 
 def split_of_one(B, rounds=False):
@@ -180,18 +185,19 @@ def split_of_one(B, rounds=False):
     column is left.  The callers check every answer."""
     if B.shape[0] == 0:
         return None, None
-    y, w, floor = _split(B)
+    y, w, floor, cleared = _split(B)
     cols = np.arange(B.shape[1])
     while y is None and float(w.min()) <= floor and rounds and (w > floor).any():
         cols = cols[w > floor]
-        y, w, floor = _split(B[:, cols])
+        y, w, floor, cleared = _split(B[:, cols])
         if y is not None:
             return None, None
     if y is not None:
         return y, None
     kernel = np.zeros(B.shape[1])
     kernel[cols] = w
-    if float(w.min()) <= floor or not no_margin(B, kernel):
+    # B kernel = B[:, cols] w: a w that the split cleared is not judged again
+    if float(w.min()) <= floor or not (cleared or no_margin(B, kernel)):
         return None, None
     return None, kernel
 
@@ -199,7 +205,8 @@ def split_of_one(B, rounds=False):
 def no_margin(P, w):
     """True when ||P w|| <= ``ZERO_TOL`` sum(w) for weights w >= 0 of the
     unit columns P: by Cauchy-Schwarz no unit y has P^T y > ``ZERO_TOL``."""
-    return float(np.linalg.norm(P @ w)) <= ZERO_TOL * float(w.sum())
+    v = P @ w
+    return float(np.sqrt(v @ v)) <= ZERO_TOL * float(w.sum())
 
 
 def kernel_identity(P, w):

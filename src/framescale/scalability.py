@@ -322,8 +322,11 @@ def _kernel_route(F):
         answer = cofactor_scaling(F)[1] if corank == 1 else codim2_scaling(F)
     except InternalNumericError:
         return None  # the hull solver answers what the kernel route cannot check
-    if answer.scalable and not numerics.no_margin(unit.data, answer.weights_c * unit.norms):
-        return None
+    if answer.scalable:
+        w = answer.weights_c * unit.norms
+        # no_margin is linear in w; divided by its peak, w cannot overflow ||P w||^2
+        if not numerics.no_margin(unit.data, w / w.max()):
+            return None
     return answer
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from framescale import hull_certificate_check, make_frame
-from framescale.cli import _json_dumps, build_report, main
+from framescale.cli import _build_parser, _json_dumps, build_report, main
 from framescale.errors import ParseError
 from framescale.frame_core import apply_scaling, is_tight
 from framescale.framedoc import (
@@ -22,6 +22,9 @@ from test_derived import FRAMES, _frame
 MB_TEXT = "n 2\nm 3\n1 0\n-0.5 0.8660254037844386\n-0.5 -0.8660254037844386\n"
 EXAMPLE_TEXT = "n 2\nm 3\nname example\n2 1\n1 2\n1 1\n"
 QUADRANT_TEXT = "n 2\nm 3\n1 0.1\n0.9 0.5\n0.5 1\n"
+# cofactor weights [1, 2e-86, 0] on theta column norms [3.2e201, 1.6e287, 3e-210]
+OVERFLOW_TEXT = ("n 2\nm 3\n0 -5.6632054457081432e+100\n-3.9917884693248457e+143 0\n"
+                 "-1.5506848944305719e-105 7.7534244721528595e-106\n")
 
 
 def reference_json_dumps(obj, indent=0):
@@ -266,6 +269,41 @@ class TestTolerance:
         assert "tolerance: 1e-05" in capsys.readouterr().out
 
 
+class TestCommandLine:
+    """Each command line is parsed once: one that starts with a command by
+    that command's parser, anything else by the top-level parser.  The
+    exit code and bytes equal those of the top-level parser parsing the
+    whole line, which hands a command's arguments to its parser."""
+
+    @pytest.mark.parametrize("argv, code, stream, text", [
+        ([], 2, "err", "framescale: error: the following arguments are required: command\n"),
+        (["--version"], 0, "out", "0.1.0\n"),
+        (["bogus"], 2, "err", "framescale: error: argument command: invalid choice: 'bogus' ("),
+        (["analyze", "-h"], 0, "out", "usage: framescale analyze [-h]"),
+        (["scale"], 2, "err",
+         "framescale scale: error: the following arguments are required: path\n"),
+        (["scale", "--method", "nope", "x"], 2, "err",
+         "framescale scale: error: argument --method: invalid choice: 'nope' ("),
+        (["scale", "x", "--bogus"], 2, "err",
+         "framescale: error: unrecognized arguments: --bogus\n"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_exit_and_bytes_as_the_top_level_parser(self, capsys, monkeypatch,
+                                                    argv, code, stream, text):
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def outcome(parse):
+            with pytest.raises(SystemExit) as exc:
+                parse(list(argv))
+            out, err = capsys.readouterr()
+            return exc.value.code, out, err
+
+        got = outcome(main)
+        assert got == outcome(_build_parser()[0].parse_args)
+        assert got[0] == code
+        assert text in got[1 if stream == "out" else 2]
+        assert got[2 if stream == "out" else 1] == ""
+
+
 class TestScale:
     def test_scalable_prints_weights(self, tmp_path, capsys):
         path = write(tmp_path, "mb.frame", MB_TEXT)
@@ -360,6 +398,25 @@ class TestScale:
     def test_method_split(self, tmp_path, capsys):
         path = write(tmp_path, "mb.frame", MB_TEXT)
         assert main(["scale", path, "--method", "split"]) == 0
+
+    @pytest.mark.parametrize("args", [[], ["--strict"], ["--method", "split"]],
+                             ids=lambda a: " ".join(a) or "auto")
+    def test_kernel_route_margin_does_not_overflow(self, tmp_path, capsys, args):
+        # the cofactor route's unit-column weights, about 3e201, are divided
+        # by their peak before the margin test, whose ||P w||^2 overflowed;
+        # under warnings as errors that ended in a traceback
+        path = write(tmp_path, "overflow.frame", OVERFLOW_TEXT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["scale", "--method", "lp", path]) == 0
+            lp = capsys.readouterr().out
+            assert main(["scale", *args, path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        if args == ["--method", "split"]:
+            assert len(lines) == 1 and all(float(v) >= 0.0 for v in lines[0].split())
+        else:
+            assert lines[-1:] == lp.splitlines()
+            assert lines[:-1] == (["scalable, but not strictly"] if args else [])
 
     @pytest.mark.parametrize("x, word", [("1e-200", "underflow"), ("1e200", "overflow")])
     def test_out_of_range_vector_exit_two(self, tmp_path, capsys, x, word):

@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from framescale import (
     alternate_dual_from_scaling,
@@ -25,6 +27,9 @@ from framescale.cli import main
 from framescale.diagram import reduced_size
 from framescale.duals import ALTERNATE, CANONICAL
 from framescale.frame_core import (
+    Frame,
+    _checked_synthesis,
+    _spans,
     apply_scaling,
     frame_from_synthesis,
     is_tight,
@@ -34,6 +39,7 @@ from framescale.errors import (
     NoHadamardAvailableError,
     NonFiniteError,
     NotParsevalScalingError,
+    NotSpanningError,
     SingularTransformError,
 )
 from framescale.framedoc import document_from_frame, format_frame_document
@@ -91,6 +97,34 @@ class TestCanonicalDual:
         finally:
             if enabled:
                 gc.enable()
+
+
+@st.composite
+def scaled_gaussian_frames(draw):
+    """n x m Gaussian syntheses, n = 1..5, m = n..3n+2, each vector scaled
+    by 10^U(-8, 8), and a seed for the dual's kernel part."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(n, 3 * n + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-8.0, 8.0, m), rng
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(drawn=scaled_gaussian_frames())
+def test_reconstruction_identity_proves_a_dual_spans(drawn):
+    # canonical_dual takes no spanning test: max |X Y^T - I| <= RESIDUAL_TOL
+    # makes X Y^T, and so Y, rank n.  Checked on the canonical dual and on
+    # an alternate dual Y + Z with X Z^T = 0 to rounding
+    X, rng = drawn
+    try:
+        F = frame_from_synthesis(X)
+    except NotSpanningError:
+        assume(False)
+    Y = canonical_dual(F).dual.synthesis
+    Z = rng.standard_normal(Y.shape) * np.abs(Y).max(axis=0)
+    for G in (Y, Y + Z - (Z @ F.synthesis.T) @ Y):
+        if is_dual(F, Frame(synthesis=G)):
+            assert _spans(*_checked_synthesis(G))
 
 
 class TestAlternateDual:
