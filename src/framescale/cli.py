@@ -63,12 +63,10 @@ def _json_dumps(obj, indent=0):
     """Deterministic JSON with floats at 17 significant digits.  A list of
     floats, and a matrix of them (equal nonempty rows), is written by one
     format string.  Floats and strings, the most frequent leaves, are
-    dispatched on their exact type first; subclasses, such as numpy floats,
-    take the ``isinstance`` chain."""
-    kind = type(obj)
-    if kind is float:
+    tested first."""
+    if isinstance(obj, float):
         return format_number(obj)
-    if kind is str:
+    if isinstance(obj, str):
         return encode_basestring(obj)
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -94,8 +92,6 @@ def _json_dumps(obj, indent=0):
         return "true" if obj else "false"
     if obj is None:
         return "null"
-    if isinstance(obj, float):
-        return format_number(obj)
     if isinstance(obj, int):
         return str(obj)
     return encode_basestring(str(obj))
@@ -377,7 +373,10 @@ def _parse_args(argv):
     """The arguments of one command line, parsed once: a line that starts
     with a command goes to that command's parser, as the top-level parser
     would hand it on, and anything else to the top-level parser, which
-    reports it."""
+    reports it.  A command line skips the top-level parser's own reading of
+    its options, so an argument that it alone calls ambiguous (``--=x``) is
+    judged by the command's parser instead; ``TestCommandLine`` holds the
+    two paths to the same bytes on the lines it names."""
     parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     command = commands.get(argv[0]) if argv else None

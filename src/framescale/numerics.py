@@ -133,10 +133,8 @@ def column_norms(A):
 
 
 def _split(B):
-    """One split of 1 on the block B: (y, None, None, False) for a
-    certificate, else (None, w, floor, cleared) (see ``split_of_one``),
-    where ``cleared`` is True when w is above its floor and ``no_margin``
-    already passed it."""
+    """One split of 1 on the block B: (y, None, None) for a certificate,
+    else (None, w, floor) (see ``split_of_one``)."""
     k, m = B.shape
     wide = m >= k
     G = B @ B.T if wide else B.T @ B
@@ -146,16 +144,13 @@ def _split(B):
     projected = y @ B
     y_max = float(np.abs(y).max())
     if float(projected.min()) > ZERO_TOL * y_max:
-        return y, None, None, False
+        return y, None, None
     w = 1.0 - projected if wide else ZERO_TOL * z
     floor = max(STRICT_MARGIN * float(w.sum()), np.sqrt(ZERO_TOL) * y_max)
-    if float(w.min()) <= floor:
-        return None, w, floor, False
-    if no_margin(B, w):
-        return None, w, floor, True
-    # the same solve again takes B w = ZERO_TOL y off the well-conditioned directions
-    w = w - B.T @ np.linalg.solve(G, B @ w) if wide else ZERO_TOL * np.linalg.solve(G, w)
-    return None, w, floor, False
+    if float(w.min()) > floor and not no_margin(B, w):
+        # the same solve again takes B w = ZERO_TOL y off the well-conditioned directions
+        w = w - B.T @ np.linalg.solve(G, B @ w) if wide else ZERO_TOL * np.linalg.solve(G, w)
+    return None, w, floor
 
 
 def split_of_one(B, rounds=False):
@@ -185,19 +180,18 @@ def split_of_one(B, rounds=False):
     column is left.  The callers check every answer."""
     if B.shape[0] == 0:
         return None, None
-    y, w, floor, cleared = _split(B)
+    y, w, floor = _split(B)
     cols = np.arange(B.shape[1])
     while y is None and float(w.min()) <= floor and rounds and (w > floor).any():
         cols = cols[w > floor]
-        y, w, floor, cleared = _split(B[:, cols])
+        y, w, floor = _split(B[:, cols])
         if y is not None:
             return None, None
     if y is not None:
         return y, None
     kernel = np.zeros(B.shape[1])
     kernel[cols] = w
-    # B kernel = B[:, cols] w: a w that the split cleared is not judged again
-    if float(w.min()) <= floor or not (cleared or no_margin(B, kernel)):
+    if float(w.min()) <= floor or not no_margin(B, kernel):
         return None, None
     return None, kernel
 

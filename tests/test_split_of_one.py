@@ -17,16 +17,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from framescale import (
-    canonical_dual,
-    decide,
-    decide_scalable,
-    frame_from_synthesis,
-    make_frame,
-    numerics,
-)
+from framescale import canonical_dual, decide, decide_scalable, frame_from_synthesis, numerics
 from framescale import scalability
-from framescale.diagram import reduced_diagram_matrix, reduced_size, unit_diagram_matrix
+from framescale.diagram import reduced_diagram_matrix, reduced_size
 from framescale.errors import InternalNumericError, NotSpanningError, ZeroVectorError
 from framescale.framedoc import frame_from_document, parse_frame_document
 from framescale.numerics import RESIDUAL_TOL
@@ -174,16 +167,3 @@ def test_tall_strict_frame_takes_the_projection_route(monkeypatch):
     for spec in specs:
         result = decide(frame_from_document(parse_frame_document(spec.text)))
         assert (result.method, result.verdict) == (METHOD_PROJECTION, STRICTLY_SCALABLE)
-
-
-def test_split_judges_a_cleared_kernel_part_once(monkeypatch):
-    """The split of 1 on e1, e2, e1 + e2, e1 - e2 has the kernel part
-    (1, 1, 1, 1), which ``_split`` clears with ``no_margin``; ``split_of_one``
-    does not judge B kernel = B w again."""
-    B = unit_diagram_matrix(make_frame([[1, 0], [0, 1], [1, 1], [1, -1]])).data
-    calls = []
-    judge = numerics.no_margin
-    monkeypatch.setattr(numerics, "no_margin", lambda P, w: calls.append(w) or judge(P, w))
-    y, w = numerics.split_of_one(B)
-    assert y is None and np.allclose(w, 1.0, rtol=0, atol=1e-12)
-    assert len(calls) == 1
