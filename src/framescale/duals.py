@@ -80,10 +80,9 @@ def _canonical_dual(F):
     # F is a valid frame, so a dual that fails the range checks (a vector
     # that rounds to 0) is a numeric failure, not an input error
     try:
-        Y, _ = _checked_synthesis(Y)
+        Y = _checked_synthesis(Y)
     except (NonFiniteError, ZeroVectorError) as exc:
         raise InternalNumericError(f"canonical dual is not a frame: {exc}") from exc
-    Y.setflags(write=False)
     dual = Frame(synthesis=Y)
     # max |X Y^T - I| <= RESIDUAL_TOL gives ||X Y^T - I||_2 <= n RESIDUAL_TOL < 1,
     # so X Y^T, and with it Y, has rank n: the dual spans with no test of its own

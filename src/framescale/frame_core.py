@@ -1,17 +1,17 @@
 """Frames in R^n: construction, frame operator, bounds, potential, duality.
 
-A frame is stored through its n x m synthesis matrix whose i-th column is the
-i-th frame vector.  Construction verifies the spanning property on the
-singular values of X on unit-norm columns, which no rescaling of a vector
-moves, so every ``Frame`` instance really is a frame; for the same reason a
-scaling by strictly positive weights keeps the frame's spanning decision.
-One Householder QR of X^T with its rows sorted by decreasing norm
-(``synthesis_qr``) is taken on first use.  That QR, and every other value
-derived from the synthesis, is kept on the frame through ``derived``: the
-frame bounds are sigma_max(R^{-1})^{-2} and sigma_max(R)^2, and the
-canonical dual is R^{-1} Q^T.  That dual (``duals.canonical_dual``) takes
-the range checks of ``_checked_synthesis`` and the reconstruction identity
-(``is_dual``) instead of a second spanning test: max |X Y^T - I| <=
+A frame is stored through its n x m synthesis matrix X, whose i-th column is
+the i-th frame vector.  Each value derived from X is computed once, on first
+use, and kept on the frame through ``derived``: the norms ||x_i||
+(``column_norms``), S = X X^T (``frame_operator_matrix``) and one
+Householder QR of X^T with its rows sorted by decreasing norm
+(``synthesis_qr``), whose R^{-1} and R give both frame bounds in one
+singular-value call and whose R^{-1} Q^T is the canonical dual.
+Construction tests spanning on the singular values of X / ||x_i||, which no
+rescaling of a vector moves, so every ``Frame`` really is a frame, and a
+scaling by strictly positive weights keeps its decision.  The canonical dual
+takes the range checks of ``_checked_synthesis`` and the reconstruction
+identity (``is_dual``) instead of a spanning test: max |X Y^T - I| <=
 ``RESIDUAL_TOL`` makes X Y^T, and so the dual, rank n.
 """
 
@@ -23,12 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .errors import (
-    DimensionMismatchError,
-    NonFiniteError,
-    NotSpanningError,
-    ZeroVectorError,
-)
+from .errors import DimensionMismatchError, NonFiniteError, NotSpanningError, ZeroVectorError
 
 
 @dataclass(frozen=True)
@@ -73,12 +68,11 @@ def derived(F, key, build):
     """``build(F)``, computed on the first call for ``F`` and ``key`` and
     kept on ``F`` for every later one.
 
-    Nothing here is ever invalidated, and nothing needs to be: frames are
-    built only by ``frame_from_synthesis`` and ``apply_scaling``, which make
-    the synthesis read-only, so a value derived from it cannot go stale.  The
-    values live and die with the frame.  ``key`` must differ for every
-    setting that changes the result, and ``build`` must return values that
-    callers do not modify.
+    Nothing here is ever invalidated, and nothing needs to be: every frame's
+    synthesis is read-only (``_checked_synthesis``, ``apply_scaling``), so a
+    value derived from it cannot go stale.  The values live and die with the
+    frame.  ``key`` must differ for every setting that changes the result,
+    and ``build`` must return values that callers do not modify.
     """
     cache = F._derived
     if key not in cache:
@@ -90,7 +84,21 @@ def frame_from_synthesis(X) -> Frame:
     """Build a Frame from an n x m synthesis matrix, validating invariants.
     The spanning test reads only singular values; the QR of X waits for
     ``synthesis_qr``."""
-    return _spanning_frame(*_checked_synthesis(X))
+    F = Frame(synthesis=_checked_synthesis(X))
+    if not _spans(F):
+        raise NotSpanningError("vectors do not span R^n")
+    return F
+
+
+def column_norms(F):
+    """||x_i||, 1 for a zero vector, by ``numerics.column_norms``; once per frame."""
+    return derived(F, "column_norms", _column_norms)
+
+
+def _column_norms(F):
+    norms = numerics.column_norms(F.synthesis)
+    norms.setflags(write=False)
+    return norms
 
 
 def synthesis_qr(F) -> SynthesisQR:
@@ -106,9 +114,8 @@ def synthesis_qr(F) -> SynthesisQR:
 
 
 def _synthesis_qr(F):
-    X = F.synthesis
-    order = np.argsort(-numerics.column_norms(X), kind="stable")
-    Q, R = np.linalg.qr(X[:, order].T)
+    order = np.argsort(-column_norms(F), kind="stable")
+    Q, R = np.linalg.qr(F.synthesis[:, order].T)
     qr = SynthesisQR(order=order, Q=Q, R=R, R_inv=np.linalg.inv(R))
     for a in qr:
         a.setflags(write=False)
@@ -116,10 +123,10 @@ def _synthesis_qr(F):
 
 
 def _checked_synthesis(X):
-    """X as a float matrix of m >= n >= 1 finite, nonzero columns, with the
-    largest |entry| of each column, its peak.  The square of the peak, which
-    is the largest squared entry (rounding is monotone), must be a finite
-    nonzero float: a peak of 0 is the zero vector, and a nonzero one whose
+    """X as a read-only float matrix of m >= n >= 1 finite, nonzero
+    columns.  The square of the largest |entry| of each column, which is the
+    largest squared entry (rounding is monotone), must be a finite nonzero
+    float: a largest entry of 0 is the zero vector, and a nonzero one whose
     square underflows to 0 or overflows is out of range."""
     X = np.array(X, dtype=float)
     if X.ndim != 2:
@@ -140,29 +147,15 @@ def _checked_synthesis(X):
         if peak[i]:
             raise NonFiniteError(f"frame vector {i} is too small: its squared entries underflow to 0")
         raise ZeroVectorError(f"frame vector {i} is the zero vector")
-    return X, peak
-
-
-def _spans(X, peak):
-    """True when the columns of X span R^n: the rank rule of
-    ``numerics.rank`` on X with unit-norm columns (zero columns stay zero),
-    so that rescaling a vector by any nonzero factor keeps the answer.
-    ``peak`` is the largest |entry| of each column, 1 for a zero column.
-    Each column is divided by it first, so a nonzero column has an entry of
-    size 1 and a norm in [1, sqrt(n)], which neither overflows nor
-    underflows."""
-    X = X / peak
-    norms = np.sqrt((X * X).sum(axis=0))
-    return numerics.rank(X / np.maximum(norms, 1.0)) == X.shape[0]
-
-
-def _spanning_frame(X, peak) -> Frame:
-    """The Frame on the checked synthesis X with column peaks ``peak``:
-    spanning is decided by ``_spans``."""
-    if not _spans(X, peak):
-        raise NotSpanningError("vectors do not span R^n")
     X.setflags(write=False)
-    return Frame(synthesis=X)
+    return X
+
+
+def _spans(F):
+    """True when the vectors of F span R^n: the rank rule of ``numerics.rank``
+    on X / ||x_i|| (``column_norms``; zero columns stay zero), which no
+    rescaling of a vector by a nonzero factor moves."""
+    return numerics.rank(F.synthesis / column_norms(F)) == F.n
 
 
 def make_frame(vectors) -> Frame:
@@ -177,25 +170,34 @@ def make_frame(vectors) -> Frame:
     return frame_from_synthesis(arr.T)
 
 
+def frame_operator_matrix(F):
+    """S = X X^T, once per frame: ``frame_operator`` and ``is_tight`` read it."""
+    return derived(F, "S", _frame_operator_matrix)
+
+
+def _frame_operator_matrix(F):
+    S = F.synthesis @ F.synthesis.T
+    S.setflags(write=False)
+    return S
+
+
 def frame_operator(F) -> FrameOperatorData:
-    """Frame operator S = X X^T with the frame bounds read off the sorted
-    QR of ``synthesis_qr``, S = R^T R: A = 1 / sigma_max(R^{-1})^2 and
-    B = sigma_max(R)^2.  Unlike the eigenvalues of the formed S, or the
-    smallest singular value of X, they do not lose the square of the
-    condition number of X; computed once per frame."""
+    """Frame operator S = X X^T with the frame bounds of the sorted QR
+    S = R^T R (``synthesis_qr``), A = 1 / sigma_max(R^{-1})^2 and
+    B = sigma_max(R)^2, from one singular-value call.  Unlike the eigenvalues
+    of the formed S, or the smallest singular value of X, they do not lose
+    the square of the condition number of X; computed once per frame."""
     return derived(F, "frame_operator", _frame_operator)
 
 
 def _frame_operator(F):
-    X = F.synthesis
-    S = X @ X.T
-    S.setflags(write=False)
     qr = synthesis_qr(F)
-    s = numerics.singular_values(qr.R_inv)[0]  # s ** 2 overflows from 2^512 on
+    s, r = numerics.singular_values(np.stack((qr.R_inv, qr.R)))[:, 0]
     return FrameOperatorData(
-        S=S,
+        S=frame_operator_matrix(F),
+        # s ** 2 overflows from 2^512 on
         lower_bound=float(1.0 / s ** 2 if s < 2.0 ** 512 else (1.0 / s) ** 2),
-        upper_bound=float(numerics.singular_values(qr.R)[0] ** 2))
+        upper_bound=float(r ** 2))
 
 
 def frame_potential(F) -> float:
@@ -213,14 +215,11 @@ def frame_potential(F) -> float:
 def is_tight(F, tol=numerics.RESIDUAL_TOL) -> Tightness:
     """Tightness test: rows of the synthesis matrix pairwise orthogonal with
     equal norms.  Returns the common squared row norm as the tight bound."""
-    X = F.synthesis
-    R = X @ X.T  # row Gram matrix
+    R = frame_operator_matrix(F)  # row Gram matrix
     sq = np.diag(R)
     norms = np.sqrt(sq)
     nmax = float(norms.max())
-    if nmax == 0.0:
-        return Tightness(tight=False)
-    if float(norms.max() - norms.min()) > tol * nmax:
+    if nmax == 0.0 or float(nmax - norms.min()) > tol * nmax:
         return Tightness(tight=False)
     off = R - np.diag(sq)
     pair_scale = np.outer(norms, norms)
@@ -245,7 +244,7 @@ def apply_scaling(F, a) -> Frame:
     Weights that are all > 0 leave every unit-norm column as it was, so
     when no entry of the scaled synthesis underflows to 0 or overflows, F's
     own spanning decision carries over.  Otherwise (a zero weight, or an
-    entry lost to the float range) ``_spans`` tests the scaled synthesis
+    entry lost to the float range) ``_spans`` tests the scaled frame
     again and raises NotSpanningError when spanning is destroyed.
     """
     a = _check_weight_length(F, a)
@@ -257,13 +256,11 @@ def apply_scaling(F, a) -> Frame:
     keeps_columns = (float(a.min()) > 0.0
                      and np.count_nonzero(scaled) == np.count_nonzero(F.synthesis)
                      and np.isfinite(scaled).all())
-    if not keeps_columns:
-        peak = np.abs(scaled).max(axis=0)
-        peak[peak == 0.0] = 1.0
-        if not _spans(scaled, peak):
-            raise NotSpanningError("scaled system no longer spans R^n")
     scaled.setflags(write=False)
-    return Frame(synthesis=scaled)
+    G = Frame(synthesis=scaled)
+    if not keeps_columns and not _spans(G):
+        raise NotSpanningError("scaled system no longer spans R^n")
+    return G
 
 
 def is_dual(F, G) -> bool:

@@ -114,7 +114,9 @@ def column_norms(A):
     whose sum of squares leaves the normal float range (a norm beyond about
     1e+-154) is first divided by the power of two at its peak, which is
     exact, so its norm neither underflows nor overflows; every other column
-    keeps the plain sum of squares."""
+    keeps the plain sum of squares.  Its readers: ``frame_core.column_norms``
+    (the spanning test, the QR's order), ``diagram.unit_diagram_matrix``,
+    the hull solver and the unit kernel vector of ``cofactor_scaling``."""
     low = 2.0 ** -511  # the square root of the smallest normal float
     with np.errstate(over="ignore"):
         norms = np.sqrt((A * A).sum(axis=0))

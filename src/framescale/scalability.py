@@ -376,8 +376,7 @@ def cofactor_scaling(F):
             f"cofactor method needs corank 1, measured corank {kernel.shape[1]}")
     w = kernel[:, 0]
     v = _weights(w, unit_diagram_matrix(F).norms)
-    unit_v = v / np.abs(v).max()  # so that the sum of squares stays finite
-    unit_v /= np.linalg.norm(unit_v)
+    unit_v = v / numerics.column_norms(v[:, None])
     sign_class = _classify_signs(w, _condition(F))
     report = CofactorReport(corank=1, cofactor_vector=unit_v, sign_class=sign_class)
     if sign_class == MIXED:

@@ -144,7 +144,9 @@ def test_report_computes_each_quantity_once(monkeypatch, name):
     dual = canonical_dual(F).dual.synthesis
     builds = {
         "theta": _count(monkeypatch, diagram, "_reduced_diagram_matrix"),
-        "S": _count(monkeypatch, frame_core, "_frame_operator"),
+        "norms": _count(monkeypatch, frame_core, "_column_norms"),
+        "S": _count(monkeypatch, frame_core, "_frame_operator_matrix"),
+        "bounds": _count(monkeypatch, frame_core, "_frame_operator"),
     }
     plain_theta_lps = _count(
         monkeypatch, numerics, "solve_feasibility",
@@ -155,7 +157,11 @@ def test_report_computes_each_quantity_once(monkeypatch, name):
     assert len(theta_builds) == 2
     assert np.array_equal(theta_builds[0], F.synthesis)
     assert np.array_equal(theta_builds[1], dual)
-    assert {k: len(v) for k, v in builds.items()} == {"S": 1}
+    # X's column norms, S and the bounds once each, all of the frame: the
+    # dual takes no spanning test and no QR
+    assert {k: len(v) for k, v in builds.items()} == {"norms": 1, "S": 1, "bounds": 1}
+    assert all(np.array_equal(G.synthesis, F.synthesis)
+               for (G,) in builds["norms"] + builds["S"])
     assert len(plain_theta_lps) <= 1
 
 
@@ -169,9 +175,9 @@ def _routes_on_corank(G):
 @pytest.mark.parametrize("name", sorted(FRAMES))
 def test_report_factors_x_once(monkeypatch, name):
     # one QR of X, its vectors sorted by decreasing norm, gives the frame
-    # bounds from the singular values of R and R^{-1}, and the canonical
-    # dual; X itself takes no SVD.  The spanning test of the frame reads only
-    # the singular values of X on unit-norm columns; the dual's spanning
+    # bounds from one singular-value call on R^{-1} and R stacked, and the
+    # canonical dual; X itself takes no SVD.  The spanning test of the frame
+    # reads only the singular values of X / ||x_i||; the dual's spanning
     # follows from the reconstruction identity X Y^T = I, so it takes none.
     # The unit theta of the frame, and then of its dual, is factored once
     # each when its corank picks the route.  Apart from these, only the hull
@@ -180,6 +186,7 @@ def test_report_factors_x_once(monkeypatch, name):
     F = _frame(name)
     dual = canonical_dual(F).dual
     thetas = [unit_diagram_matrix(G).data for G in (F, dual) if _routes_on_corank(G)]
+    qr = frame_core.synthesis_qr(F)
     qrs = _count(monkeypatch, np.linalg, "qr")
     factored = _count(monkeypatch, np.linalg, "svd",
                       lambda A, *args, **kwargs: kwargs.get("compute_uv", True))
@@ -195,10 +202,10 @@ def test_report_factors_x_once(monkeypatch, name):
     assert len(factored) == len(thetas)
     for (A, *_), B in zip(factored, thetas):
         assert np.array_equal(A, B)
-    # the unit X, R^{-1} and R
-    assert [A.shape for (A, *_) in values] == [F.synthesis.shape, (F.n, F.n), (F.n, F.n)]
-    unit = F.synthesis / np.linalg.norm(F.synthesis, axis=0)
-    assert np.allclose(values[0][0], unit, rtol=0, atol=1e-15)
+    # the unit X, then R^{-1} and R in one call
+    assert [A.shape for (A, *_) in values] == [F.synthesis.shape, (2, F.n, F.n)]
+    assert np.array_equal(values[0][0], F.synthesis / numerics.column_norms(F.synthesis))
+    assert np.array_equal(values[1][0], np.stack((qr.R_inv, qr.R)))
     assert eighs == []
 
 

@@ -124,7 +124,7 @@ def test_reconstruction_identity_proves_a_dual_spans(drawn):
     Z = rng.standard_normal(Y.shape) * np.abs(Y).max(axis=0)
     for G in (Y, Y + Z - (Z @ F.synthesis.T) @ Y):
         if is_dual(F, Frame(synthesis=G)):
-            assert _spans(*_checked_synthesis(G))
+            assert _spans(Frame(synthesis=_checked_synthesis(G)))
 
 
 class TestAlternateDual:

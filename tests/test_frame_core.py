@@ -4,6 +4,8 @@ from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framescale import (
     apply_scaling,
@@ -20,7 +22,9 @@ from framescale.errors import (
     NotSpanningError,
     ZeroVectorError,
 )
+from framescale.frame_core import Frame, _checked_synthesis, _spans
 from conftest import angles_frame, random_unit_frame
+from paper_reference import spans_by_peak
 
 
 class TestConstruction:
@@ -73,6 +77,37 @@ class TestConstruction:
         F = make_frame([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             F.synthesis[0, 0] = 5.0
+
+
+@st.composite
+def far_scaled_syntheses(draw):
+    """n x m Gaussian syntheses, n = 1..6, m = n..3n+2, each vector scaled
+    by 10^U(-150, 150).  For n >= 2, in a third of them each vector is
+    moved into a hyperplane and then off it by a Gaussian multiple of
+    10^U(-13, -7) (one exponent per frame) of its length, so the smallest
+    singular value of the unit columns falls on either side of
+    ``RANK_TOL``."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(n, 3 * n + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((n, m))
+    if n >= 2 and draw(st.integers(0, 2)) == 0:
+        normal = rng.standard_normal(n)
+        normal /= np.linalg.norm(normal)
+        X -= np.outer(normal, normal @ X)
+        X += np.outer(normal, 10.0 ** rng.uniform(-13.0, -7.0) * rng.standard_normal(m)
+                      * np.linalg.norm(X, axis=0))
+    return X * 10.0 ** rng.uniform(-150.0, 150.0, m)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(X=far_scaled_syntheses())
+def test_spanning_rule_matches_the_peak_then_norm_rule(X):
+    # the spanning test divides X by the column norms that every route
+    # shares (numerics.column_norms); the reference takes each norm after
+    # dividing by the column's largest entry.  Both give unit columns equal
+    # to rounding, and the same decision
+    assert _spans(Frame(synthesis=_checked_synthesis(X))) == spans_by_peak(X)
 
 
 class TestFrameOperator:
