@@ -280,7 +280,6 @@ def _generate_document(kind, n, m, seed) -> FrameDocument:
         frame = make_frame(vectors)
     elif kind == "hadamard-doubled":
         H = duals_mod.sylvester_hadamard(n)
-        H = H.copy()
         H[-1] *= 2.0
         frame = make_frame(H.T)
     elif kind == "p1":
@@ -289,12 +288,10 @@ def _generate_document(kind, n, m, seed) -> FrameDocument:
         if n < 1 or m < n or seed < 0:
             raise BadParamsError(
                 f"random-unit needs m >= n >= 1 and seed >= 0, got n={n}, m={m}, seed={seed}")
-        rng = np.random.default_rng(seed)
-        for _ in range(100):
-            V = rng.standard_normal((m, n))
-            V /= np.linalg.norm(V, axis=1, keepdims=True)
-            if numerics.rank(V.T) == n:
-                break
+        # Gaussian vectors, m >= n of them, span with probability 1;
+        # make_frame rejects a draw that does not
+        V = np.random.default_rng(seed).standard_normal((m, n))
+        V /= np.linalg.norm(V, axis=1, keepdims=True)
         frame = make_frame(V)
     else:
         raise BadParamsError(f"unknown generator kind {kind!r}")

@@ -104,32 +104,21 @@ def full_diagram_matrix(F) -> np.ndarray:
     return _diagram_columns(F.synthesis, FULL)
 
 
+@derived
 def reduced_diagram_matrix(F) -> np.ndarray:
     """The reduced diagram matrix θ̃_X of F, reduced_size(n) x m and
     read-only, column i the reduced diagram vector of x_i; computed once per
     frame."""
-    return derived(F, "reduced_diagram_matrix", _reduced_diagram_matrix)
+    return _diagram_columns(F.synthesis, REDUCED)
 
 
-def _reduced_diagram_matrix(F):
-    data = _diagram_columns(F.synthesis, REDUCED)
-    data.setflags(write=False)
-    return data
-
-
+@derived
 def unit_diagram_matrix(F) -> UnitDiagramMatrix:
     """θ̃_X on unit-norm columns, with its column norms, computed once per
     frame."""
-    return derived(F, "unit_diagram_matrix", _unit_diagram_matrix)
-
-
-def _unit_diagram_matrix(F):
     theta = reduced_diagram_matrix(F)
     norms = numerics.column_norms(theta)
-    data = theta / norms
-    for a in (data, norms):
-        a.setflags(write=False)
-    return UnitDiagramMatrix(data=data, norms=norms)
+    return UnitDiagramMatrix(data=theta / norms, norms=norms)
 
 
 def diagram_inner_identity_check(x, y) -> float:

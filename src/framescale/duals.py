@@ -66,10 +66,10 @@ def canonical_dual(F) -> DualPair:
     nonzero vectors whose squares stay in range) and the reconstruction
     identity X Y^T = I (``is_dual``), which proves that it spans, so it
     takes no spanning test of its own."""
-    return DualPair(primal=F, dual=derived(F, "canonical_dual", _canonical_dual),
-                    kind=CANONICAL)
+    return DualPair(primal=F, dual=_canonical_dual(F), kind=CANONICAL)
 
 
+@derived
 def _canonical_dual(F):
     # S^{-1} X = R^{-1} Q^T for the sorted QR X^T[order] = Q R, with no
     # S = X X^T to square the condition number of X; each dual vector is

@@ -1,17 +1,17 @@
 """Frames in R^n: construction, frame operator, bounds, potential, duality.
 
 A frame is stored through its n x m synthesis matrix X, whose i-th column is
-the i-th frame vector.  Each value derived from X is computed once, on first
-use, and kept on the frame through ``derived``: the norms ||x_i||
-(``column_norms``), S = X X^T (``frame_operator_matrix``) and one
-Householder QR of X^T with its rows sorted by decreasing norm
-(``synthesis_qr``), whose R^{-1} and R give both frame bounds in one
-singular-value call and whose R^{-1} Q^T is the canonical dual.
-Construction tests spanning on the singular values of X / ||x_i||, which no
-rescaling of a vector moves, so every ``Frame`` really is a frame, and a
-scaling by strictly positive weights keeps its decision.  The canonical dual
-takes the range checks of ``_checked_synthesis`` and the reconstruction
-identity (``is_dual``) instead of a spanning test: max |X Y^T - I| <=
+the i-th frame vector; ``Frame`` makes X read-only.  Each value derived from
+X is a function decorated with ``derived``, computed once, on first use, and
+kept on the frame: the norms ||x_i|| (``column_norms``), S = X X^T
+(``frame_operator_matrix``) and one Householder QR of X^T with its rows
+sorted by decreasing norm (``synthesis_qr``), whose R^{-1} and R give both
+frame bounds in one singular-value call and whose R^{-1} Q^T is the
+canonical dual.  Construction tests spanning on the singular values of
+X / ||x_i||, which no rescaling of a vector moves, and a scaling by strictly
+positive weights keeps its decision.  The canonical dual takes the range
+checks of ``_checked_synthesis`` and the reconstruction identity
+(``is_dual``) instead of a spanning test: max |X Y^T - I| <=
 ``RESIDUAL_TOL`` makes X Y^T, and so the dual, rank n.
 """
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import wraps
 
 import numpy as np
 
@@ -30,10 +31,17 @@ from .errors import DimensionMismatchError, NonFiniteError, NotSpanningError, Ze
 class Frame:
     """A spanning set of m vectors in R^n.  ``frame_from_synthesis`` builds
     one from nonzero vectors; a frame from ``apply_scaling`` may carry zero
-    columns, one per zero weight."""
+    columns, one per zero weight.  The synthesis array is made read-only, and
+    a view is copied first, since its base stays writable, so the values
+    ``derived`` keeps on the frame cannot go stale."""
 
     synthesis: np.ndarray  # n x m, columns are the frame vectors
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.synthesis.base is not None:
+            object.__setattr__(self, "synthesis", self.synthesis.copy())
+        self.synthesis.setflags(write=False)
 
     @property
     def n(self):
@@ -64,20 +72,35 @@ class Tightness:
     bound: float | None = None
 
 
-def derived(F, key, build):
-    """``build(F)``, computed on the first call for ``F`` and ``key`` and
-    kept on ``F`` for every later one.
+def derived(build):
+    """Decorator for a value of a frame F: ``build(F)`` is computed on the
+    first call for F, its ndarrays are made read-only (the result itself, or
+    each field of a namedtuple or dataclass), and it is kept on F, under the
+    qualified name of ``build``, for every later call.
 
     Nothing here is ever invalidated, and nothing needs to be: every frame's
-    synthesis is read-only (``_checked_synthesis``, ``apply_scaling``), so a
-    value derived from it cannot go stale.  The values live and die with the
-    frame.  ``key`` must differ for every setting that changes the result,
-    and ``build`` must return values that callers do not modify.
+    synthesis is read-only (``Frame``), so a value derived from it cannot go
+    stale.  The values live and die with the frame.  A miss calls the
+    decorated function's ``__wrapped__``, which a test may replace to count
+    the builds.
     """
-    cache = F._derived
-    if key not in cache:
-        cache[key] = build(F)
-    return cache[key]
+    key = f"{build.__module__}.{build.__qualname__}"
+
+    @wraps(build)
+    def value(F):
+        cache = F._derived
+        if key not in cache:
+            result = value.__wrapped__(F)
+            if isinstance(result, np.ndarray):
+                result.setflags(write=False)
+            else:  # a namedtuple, or a dataclass: freeze its array fields
+                for a in result if isinstance(result, tuple) else vars(result).values():
+                    if isinstance(a, np.ndarray):
+                        a.setflags(write=False)
+            cache[key] = result
+        return cache[key]
+
+    return value
 
 
 def frame_from_synthesis(X) -> Frame:
@@ -90,17 +113,13 @@ def frame_from_synthesis(X) -> Frame:
     return F
 
 
+@derived
 def column_norms(F):
     """||x_i||, 1 for a zero vector, by ``numerics.column_norms``; once per frame."""
-    return derived(F, "column_norms", _column_norms)
+    return numerics.column_norms(F.synthesis)
 
 
-def _column_norms(F):
-    norms = numerics.column_norms(F.synthesis)
-    norms.setflags(write=False)
-    return norms
-
-
+@derived
 def synthesis_qr(F) -> SynthesisQR:
     """The Householder QR X^T[order] = Q R of the frame vectors sorted by
     decreasing norm, with R^{-1}, taken on first use and kept on the frame.
@@ -110,24 +129,17 @@ def synthesis_qr(F) -> SynthesisQR:
     stable (Powell-Reid 1969; Cox-Higham 1998): each q_i, and the dual
     vector read from it, is accurate relative to its own vector however far
     apart the norms of the vectors are, which the SVD of X is not."""
-    return derived(F, "qr", _synthesis_qr)
-
-
-def _synthesis_qr(F):
     order = np.argsort(-column_norms(F), kind="stable")
     Q, R = np.linalg.qr(F.synthesis[:, order].T)
-    qr = SynthesisQR(order=order, Q=Q, R=R, R_inv=np.linalg.inv(R))
-    for a in qr:
-        a.setflags(write=False)
-    return qr
+    return SynthesisQR(order=order, Q=Q, R=R, R_inv=np.linalg.inv(R))
 
 
 def _checked_synthesis(X):
-    """X as a read-only float matrix of m >= n >= 1 finite, nonzero
-    columns.  The square of the largest |entry| of each column, which is the
-    largest squared entry (rounding is monotone), must be a finite nonzero
-    float: a largest entry of 0 is the zero vector, and a nonzero one whose
-    square underflows to 0 or overflows is out of range."""
+    """X as a new float matrix of m >= n >= 1 finite, nonzero columns,
+    writable until a ``Frame`` takes it.  The largest squared entry of each
+    column (the square of its largest |entry|: rounding is monotone) must be
+    a finite nonzero float: a largest entry of 0 is the zero vector, and a
+    nonzero one whose square underflows to 0 or overflows is out of range."""
     X = np.array(X, dtype=float)
     if X.ndim != 2:
         raise DimensionMismatchError("synthesis matrix must be 2-dimensional")
@@ -147,7 +159,6 @@ def _checked_synthesis(X):
         if peak[i]:
             raise NonFiniteError(f"frame vector {i} is too small: its squared entries underflow to 0")
         raise ZeroVectorError(f"frame vector {i} is the zero vector")
-    X.setflags(write=False)
     return X
 
 
@@ -170,27 +181,19 @@ def make_frame(vectors) -> Frame:
     return frame_from_synthesis(arr.T)
 
 
+@derived
 def frame_operator_matrix(F):
     """S = X X^T, once per frame: ``frame_operator`` and ``is_tight`` read it."""
-    return derived(F, "S", _frame_operator_matrix)
+    return F.synthesis @ F.synthesis.T
 
 
-def _frame_operator_matrix(F):
-    S = F.synthesis @ F.synthesis.T
-    S.setflags(write=False)
-    return S
-
-
+@derived
 def frame_operator(F) -> FrameOperatorData:
     """Frame operator S = X X^T with the frame bounds of the sorted QR
     S = R^T R (``synthesis_qr``), A = 1 / sigma_max(R^{-1})^2 and
     B = sigma_max(R)^2, from one singular-value call.  Unlike the eigenvalues
     of the formed S, or the smallest singular value of X, they do not lose
     the square of the condition number of X; computed once per frame."""
-    return derived(F, "frame_operator", _frame_operator)
-
-
-def _frame_operator(F):
     qr = synthesis_qr(F)
     s, r = numerics.singular_values(np.stack((qr.R_inv, qr.R)))[:, 0]
     return FrameOperatorData(
@@ -256,7 +259,6 @@ def apply_scaling(F, a) -> Frame:
     keeps_columns = (float(a.min()) > 0.0
                      and np.count_nonzero(scaled) == np.count_nonzero(F.synthesis)
                      and np.isfinite(scaled).all())
-    scaled.setflags(write=False)
     G = Frame(synthesis=scaled)
     if not keeps_columns and not _spans(G):
         raise NotSpanningError("scaled system no longer spans R^n")

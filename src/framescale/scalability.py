@@ -162,18 +162,13 @@ def hull_certificate_check(F, y) -> bool:
 ThetaSVD = namedtuple("ThetaSVD", ["U", "s", "Vt", "rank"])
 
 
+@derived
 def theta_svd(F):
     """The full SVD U diag(s) V^T of the reduced diagram matrix on unit-norm
     columns, with its rank, from one LAPACK call per frame: the kernel and
     corank, and the certificates of the cofactor and codim-2 routes, are
     read from it."""
-    return derived(F, "theta_svd", _theta_svd)
-
-
-def _theta_svd(F):
     U, s, Vt = numerics.svd(unit_diagram_matrix(F).data)
-    for a in (U, s, Vt):
-        a.setflags(write=False)
     return ThetaSVD(U=U, s=s, Vt=Vt, rank=numerics.rank_of(s))
 
 

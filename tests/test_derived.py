@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from framescale import (
+    Frame,
+    apply_scaling,
     canonical_dual,
     canonical_dual_scalable,
     codim2_scaling,
@@ -17,12 +19,13 @@ from framescale import (
     find_V_element,
     find_W_element,
     frame_from_synthesis,
+    frame_operator,
     intersection_scalability,
     make_frame,
     numerics,
     p1_counterexample,
 )
-from framescale import diagram, frame_core
+from framescale import cli, diagram, frame_core
 from framescale.cli import build_report, main
 from framescale.diagram import reduced_diagram_matrix, reduced_size, unit_diagram_matrix
 from framescale.framedoc import document_from_frame, format_frame_document
@@ -105,6 +108,58 @@ def test_warm_frame_answers_like_a_fresh_one(name, reverse):
         assert _same(routes[route](warm), routes[route](fresh)), route
 
 
+@pytest.mark.parametrize("view", [False, True])
+def test_a_directly_built_frame_cannot_go_stale(view):
+    # the cache holds values derived from the synthesis, so the array a
+    # Frame is built on becomes read-only, and a view is copied: a write
+    # cannot leave S, the bounds or the verdict of the old vectors on the
+    # frame
+    X = np.array([[1.0, 0.0, 1.0, 5.0], [0.0, 1.0, 1.0, 5.0]])
+    given = X[:, :3] if view else X[:, :3].copy()
+    F = Frame(synthesis=given)
+    frame_operator(F)
+    decide(F)
+    if view:
+        X[1, 2] = -7.0
+    else:
+        with pytest.raises(ValueError):
+            given[1, 2] = -7.0
+    assert np.array_equal(F.synthesis, [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    fresh = frame_from_synthesis(F.synthesis)
+    assert _same(frame_operator(F), frame_operator(fresh))
+    assert _same(decide(F), decide(fresh))
+
+
+def _arrays(value):
+    """The ndarrays of a value kept on a frame: the value itself, or the
+    fields of a namedtuple or dataclass."""
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    elif not isinstance(value, tuple):
+        value = [value]
+    return [a for a in value if isinstance(a, np.ndarray)]
+
+
+@pytest.mark.parametrize("name", sorted(FRAMES))
+def test_derived_values_are_read_only(monkeypatch, name):
+    # every array kept on a frame, on its canonical dual and on a scaled
+    # frame, after a full report on each frame: a write raises instead of
+    # changing a value that later calls read
+    F = _frame(name)
+    scaled = apply_scaling(F, np.linspace(1.0, 2.0, F.m))
+    frames = [F, scaled]
+    for G in (F, scaled):
+        monkeypatch.setattr(cli, "frame_from_document", lambda doc, G=G: G)
+        build_report(document_from_frame(G, name=name), 1e-8)
+        frames.append(canonical_dual(G).dual)
+    for G in frames:
+        arrays = [a for value in G._derived.values() for a in _arrays(value)]
+        assert arrays
+        for a in arrays + [G.synthesis]:
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+
+
 def _count(monkeypatch, module, attr, when=lambda *args, **kwargs: True):
     """Calls of ``module.attr`` whose arguments satisfy ``when``."""
     calls = []
@@ -142,11 +197,12 @@ def test_report_computes_each_quantity_once(monkeypatch, name):
     F = _frame(name)
     theta = reduced_diagram_matrix(F)
     dual = canonical_dual(F).dual.synthesis
+    # a derived value is built by its function's __wrapped__, on a miss only
     builds = {
-        "theta": _count(monkeypatch, diagram, "_reduced_diagram_matrix"),
-        "norms": _count(monkeypatch, frame_core, "_column_norms"),
-        "S": _count(monkeypatch, frame_core, "_frame_operator_matrix"),
-        "bounds": _count(monkeypatch, frame_core, "_frame_operator"),
+        "theta": _count(monkeypatch, diagram.reduced_diagram_matrix, "__wrapped__"),
+        "norms": _count(monkeypatch, frame_core.column_norms, "__wrapped__"),
+        "S": _count(monkeypatch, frame_core.frame_operator_matrix, "__wrapped__"),
+        "bounds": _count(monkeypatch, frame_core.frame_operator, "__wrapped__"),
     }
     plain_theta_lps = _count(
         monkeypatch, numerics, "solve_feasibility",

@@ -160,7 +160,7 @@ def test_tall_strict_frame_takes_the_projection_route(monkeypatch):
         raise AssertionError("the split of 1 answers this frame")
 
     monkeypatch.setattr(numerics, "solve_feasibility", forbidden)
-    monkeypatch.setattr(scalability, "_theta_svd", forbidden)
+    monkeypatch.setattr(scalability.theta_svd, "__wrapped__", forbidden)
     specs = [spec for spec in bench_corpus().build_corpus("analyze-grid", 1)
              if spec.fid.endswith("-strict-n8-m32")]
     assert specs
