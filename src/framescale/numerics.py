@@ -290,15 +290,13 @@ def nearest_point(P):
 def _facet_point(P, w):
     """The nearest point of the affine hull of the support S of Wolfe's
     weights w as the part of a column of S off the span of the differences
-    P_s - P_s0, with entries at most ``ZERO_TOL`` set to 0.  P w carries
-    the rounding of the weights in every entry, which turns the direction of
-    a short point; that part is exact when S spans a facet."""
+    P_s - P_s0.  P w carries the rounding of the weights in every entry,
+    which turns the direction of a short point; this part is exact when S
+    spans a facet, and a tiny exact entry of it can be what separates."""
     S = np.flatnonzero(w > 0.0)
     U, s, _ = np.linalg.svd(P[:, S[1:]] - P[:, S[:1]])
     Z = U[:, rank_of(s):]
-    y = Z @ (Z.T @ P[:, S[0]])
-    y[np.abs(y) <= ZERO_TOL] = 0.0
-    return y
+    return Z @ (Z.T @ P[:, S[0]])
 
 
 def _clears(P, y):
@@ -310,17 +308,25 @@ def _hull(P):
     """The answer to the hull question of the unit columns P, as
     (certificate, witness): that of the split of 1 with rounds
     (``split_of_one``) when it answers, else from Wolfe's point x = P w
-    (``nearest_point``), when ||x|| exceeds ``ZERO_TOL``, the certificate x
-    or else ``_facet_point`` that ``_clears``; then the witness w when it
-    passes the kernel identity, the certificate x when P^T x > 0, or (None,
-    None).  So a one-signed row of entries above ``ZERO_TOL`` answers "none"
-    however small they are."""
+    (``nearest_point``), when ||x|| exceeds ``ZERO_TOL``, the first of x,
+    its ``_facet_point`` y and y with entries at most ``ZERO_TOL`` set to 0
+    that ``_clears``, each computed only when the one before fails; then
+    the witness w when it passes the kernel identity, the certificate x
+    when P^T x > 0, or (None, None).  So a one-signed row of entries above
+    ``ZERO_TOL`` answers "none" however small they are.  The exact y comes
+    before the zeroed one, which clears where y's tiny entries are rounding
+    noise instead: relative to max|y| the two kinds overlap, so no one
+    threshold tells them apart."""
     y, w = split_of_one(P, rounds=True)
     if y is not None or w is not None:
         return y, w
     x, w = nearest_point(P)
     if float(np.linalg.norm(x)) > ZERO_TOL:
-        y = x if _clears(P, x) else _facet_point(P, w)
+        if _clears(P, x):
+            return x, None
+        y = _facet_point(P, w)
+        if not _clears(P, y):
+            y[np.abs(y) <= ZERO_TOL] = 0.0
         if _clears(P, y):
             return y, None
     if kernel_identity(P, w):

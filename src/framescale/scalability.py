@@ -1,40 +1,38 @@
 """Scalability decisions for frames.
 
-``decide`` is the one route policy: ``analyze``, ``scale --method auto`` and
-the canonical-dual check all call it.  It tries the routes in this order:
+``decide`` is the one route policy: ``analyze``, ``scale --method
+auto|split`` and the canonical-dual check all call it.  It asks the paper's
+one question, whether some c >= 0, c != 0 has theta c = 0 for the reduced
+diagram matrix theta, in two steps:
 
 * ``numerics.split_of_one`` -- the orthogonal split 1 = theta^^T y + w of
   the all-ones vector on the unit matrix theta^, from one regularized Gram
   solve (method ``projection``): by Gordan's alternative a strictly
-  positive theta^^T y is the certificate that no c >= 0, c != 0 has
-  theta c = 0, and a strictly positive w that passes
-  ``numerics.no_margin``, as in the hull solver, a kernel vector;
-* for m <= d + 2, where d = (n-1)(n+2)/2 is the row count of the matrix, the
-  corank read off its one SVD (``theta_svd``) picks a kernel route:
-  - corank 1: ``cofactor_scaling`` -- the kernel is the line of the cofactor
-    vector, so the unit kernel vector decides by its sign pattern;
-  - corank 2: ``codim2_scaling`` -- each entry of cos t xi_1 + sin t xi_2,
-    for the orthonormal kernel basis xi_1, xi_2, is nonnegative on a
-    half-circle of directions t, and these meet exactly when the widest
-    circular gap between their normal angles is at least pi;
-* everything else (corank 0 included), and a frame whose route fails its
-  own check (``InternalNumericError``), goes to ``decide_scalable`` -- the
-  general test: a nonnegative, nonzero vector in the kernel of the reduced
-  diagram matrix, or a certificate that none exists, from the hull solver
-  (``numerics.solve_feasibility``, through ``_theta_hull``), which splits 1
-  with rounds before Wolfe's nearest point and also answers W and V on
-  their row blocks (``split_scaling``).
+  positive theta^^T y is the certificate that no such c exists, and a
+  strictly positive w that passes ``numerics.no_margin``, as in the hull
+  solver, a kernel vector;
+* everything else, and a split answer that fails its own check
+  (``InternalNumericError``), goes to ``decide_scalable`` -- the hull
+  solver (``numerics.solve_feasibility``, through ``_theta_hull``), which
+  splits 1 with rounds before Wolfe's nearest point and also answers W and
+  V on their row blocks (``split_scaling``).
 
-No route reads a coordinate of theta on its own, so a change of basis
-moves the route only where a part of the split is near its floor.
-``quick_sign_reject`` still finds a strictly one-signed row, but no route
-calls it: such a row is one certificate y among many, and no kernel vector
-is taken where one that clears ``ZERO_TOL`` exists (``numerics.no_margin``).
+Neither step reads a coordinate of theta on its own, so a change of basis
+moves the step that answers only where a part of the split is near its
+floor.  ``quick_sign_reject`` still finds a strictly one-signed row, but no
+route calls it: such a row is one certificate y among many.
 
-A frame that the split answers takes no SVD, and one with m > d + 2, which
-has corank at least 3, takes none either.  ``cofactor_vector`` keeps the
-paper's cofactor formula; the routes' kernel vectors are proportional to
-it.
+The paper's corank-1 and corank-2 results are routes that ``decide`` never
+takes; ``scale --method cofactor|codim2`` forces them, and tests use them
+as oracles.  Each reads the kernel off one SVD of theta^ (``theta_svd``):
+
+* corank 1: ``cofactor_scaling`` -- the kernel is the line of the cofactor
+  vector (the paper's formula is ``cofactor_vector``), so the unit kernel
+  vector decides by its sign pattern;
+* corank 2: ``codim2_scaling`` -- each entry of cos t xi_1 + sin t xi_2,
+  for the orthonormal kernel basis xi_1, xi_2, is nonnegative on a
+  half-circle of directions t, and these meet exactly when the widest
+  circular gap between their normal angles is at least pi.
 
 A route supplies a kernel vector or a certificate; two constructors build
 every answer.  ``_certified`` carries a separating functional y with
@@ -49,10 +47,9 @@ support, so it is strict exactly when no weight is near 0.
 Rescaling x_i by s rescales column i of the reduced diagram matrix by
 s^2 > 0, which keeps scalability.  So every route reads that matrix on
 unit-norm columns: the hull solver its own, and the split, the kernel
-(whose width is the corank that ``decide`` routes on), the cofactor and
-codim-2 routes and the margin the per-frame copy
-(``diagram.unit_diagram_matrix``).  The thresholds are those of the
-``numerics`` table.
+(whose width is the corank), the cofactor and codim-2 routes and the
+margin the per-frame copy (``diagram.unit_diagram_matrix``).  The
+thresholds are those of the ``numerics`` table.
 """
 
 from __future__ import annotations
@@ -276,13 +273,10 @@ def decide_scalable(F) -> ScalingResult:
 
 
 def decide(F) -> ScalingResult:
-    """The scalability answer of ``analyze``, ``scale --method auto`` and the
-    canonical-dual check, from the first route that applies (see the module
-    docstring): the split of 1; for m <= d + 2 the kernel route of the
-    corank of ``theta_svd``; else ``decide_scalable``."""
+    """The scalability answer of ``analyze``, ``scale --method auto|split``
+    and the canonical-dual check: the split of 1 (``_projection``), else
+    ``decide_scalable``."""
     answer = _projection(F)
-    if answer is None and F.m <= reduced_size(F.n) + 2:
-        answer = _kernel_route(F)
     return answer if answer is not None else decide_scalable(F)
 
 
@@ -299,30 +293,8 @@ def _projection(F):
         if w is not None:
             return _finish_scalable(F, _weights(w, unit.norms), METHOD_PROJECTION)
     except InternalNumericError:
-        pass  # the next route answers what the split cannot check
+        pass  # the hull solver answers what the split cannot check
     return None
-
-
-def _kernel_route(F):
-    """The answer of the kernel route of the corank of ``theta_svd``, or None
-    for corank 0 and 3 and up, which the hull solver answers, and for a
-    route that fails its own check.  The rank reads a row of entries below
-    ``RANK_TOL`` as 0, so a kernel vector must pass ``numerics.no_margin``
-    too."""
-    corank = F.m - theta_svd(F).rank
-    unit = unit_diagram_matrix(F)
-    if corank not in (1, 2):
-        return None
-    try:
-        answer = cofactor_scaling(F)[1] if corank == 1 else codim2_scaling(F)
-    except InternalNumericError:
-        return None  # the hull solver answers what the kernel route cannot check
-    if answer.scalable:
-        w = answer.weights_c * unit.norms
-        # no_margin is linear in w; divided by its peak, w cannot overflow ||P w||^2
-        if not numerics.no_margin(unit.data, w / w.max()):
-            return None
-    return answer
 
 
 # ---------------------------------------------------------------------------

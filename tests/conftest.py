@@ -159,3 +159,25 @@ def doubled_hadamard_frame(order=2):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+# nearly parallel vectors: the off-diagonal entry -c_0 1.5625e-9 - c_2 1e-7
+# of sum_i c_i x_i x_i^T vanishes only for c_0 = c_2 = 0, so no scaling
+# exists.  Wolfe's point carries rounding that keeps it from clearing
+# ZERO_TOL, and Wolfe's weights pass their residual check.  The certificate
+# is the facet point of Wolfe's corral, whose first entry, -2.44e-18, is
+# exact: set to 0, it leaves no certificate, and the hull solver used to
+# answer "scalable"
+NEAR_PARALLEL_FRAME = [[-1.0, 1.5625e-9], [0.0, -1.0], [-1.0, 1e-7]]
+
+
+def tiny_row_frame(n, t):
+    """Vectors whose x_1 x_2 products are all t times their squared norm: the
+    (1, 2) product row of theta is one-signed, its entries about t on unit
+    columns, and no scaling exists.  Without that row the frame is strictly
+    scalable, so every kernel vector of the other rows passes the kernel
+    identity to within about t."""
+    if n == 2:
+        return [[1.0, t], [1.0, 2 * t], [1.0, 3 * t], [t, 1.0], [2 * t, 1.0]]
+    return [[1.0, 2 * t, 1.0], [1.0, 2 * t, -1.0], [2 * t, 1.0, 1.0],
+            [2 * t, 1.0, -1.0], [1.0, t, 0.0], [t, 1.0, 0.0]]

@@ -372,11 +372,14 @@ class TestScale:
 
     def test_tiny_vector_keeps_its_corank_one_route(self, tmp_path, capsys):
         # at scale 1 the frame has corank 1 and forces the third weight to
-        # 0; a theta column norm that underflowed to 0 read as corank 2
+        # 0; a theta column norm that underflowed to 0 read as corank 2.  The
+        # hull solver answers it, with the forced zero of the corank-1 answer
         path = write(tmp_path, "tiny.frame", "n 2\nm 3\n1 0\n0 1\n1e-100 1e-100\n")
         assert main(["analyze", path, "--json"]) == 0
         s = json.loads(capsys.readouterr().out)["scalability"]
-        assert (s["verdict"], s["method"], s["near_zero"]) == ("scalable", "cofactor", [2])
+        assert (s["verdict"], s["method"], s["near_zero"]) == ("scalable", "feasibility", [2])
+        assert main(["scale", path, "--method", "cofactor"]) == 0
+        assert capsys.readouterr().out.split()[-1] == "0"
 
     @pytest.mark.parametrize("method", ["auto", "cofactor"])
     def test_corank_one_certificate(self, tmp_path, capsys, method):
@@ -402,9 +405,10 @@ class TestScale:
     @pytest.mark.parametrize("args", [[], ["--strict"], ["--method", "split"]],
                              ids=lambda a: " ".join(a) or "auto")
     def test_kernel_route_margin_does_not_overflow(self, tmp_path, capsys, args):
-        # the cofactor route's unit-column weights, about 3e201, are divided
-        # by their peak before the margin test, whose ||P w||^2 overflowed;
-        # under warnings as errors that ended in a traceback
+        # theta's column norms reach 1e287: the cofactor route's unit-column
+        # weights, about 3e201, overflowed ||P w||^2 in the margin test that
+        # decide once ran on them, and under warnings as errors that ended in
+        # a traceback.  The hull solver answers on unit columns
         path = write(tmp_path, "overflow.frame", OVERFLOW_TEXT)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

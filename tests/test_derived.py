@@ -30,10 +30,9 @@ from framescale.cli import build_report, main
 from framescale.diagram import reduced_diagram_matrix, reduced_size, unit_diagram_matrix
 from framescale.framedoc import document_from_frame, format_frame_document
 from framescale.scalability import (
-    METHOD_PROJECTION,
+    METHOD_FEASIBILITY,
     NOT_SCALABLE,
     theta_kernel,
-    theta_svd,
 )
 from conftest import (
     angles_frame,
@@ -221,13 +220,6 @@ def test_report_computes_each_quantity_once(monkeypatch, name):
     assert len(plain_theta_lps) <= 1
 
 
-def _routes_on_corank(G):
-    """True when ``decide`` reads the corank of G off the SVD of its unit
-    theta: m <= d + 2, and the split of 1 does not answer."""
-    method = decide(frame_from_synthesis(G.synthesis)).method
-    return G.m <= reduced_size(G.n) + 2 and method != METHOD_PROJECTION
-
-
 @pytest.mark.parametrize("name", sorted(FRAMES))
 def test_report_factors_x_once(monkeypatch, name):
     # one QR of X, its vectors sorted by decreasing norm, gives the frame
@@ -235,13 +227,10 @@ def test_report_factors_x_once(monkeypatch, name):
     # canonical dual; X itself takes no SVD.  The spanning test of the frame
     # reads only the singular values of X / ||x_i||; the dual's spanning
     # follows from the reconstruction identity X Y^T = I, so it takes none.
-    # The unit theta of the frame, and then of its dual, is factored once
-    # each when its corank picks the route.  Apart from these, only the hull
-    # solver's support rounds factor a matrix: the unit columns of a support,
-    # fewer than m, of a block of theta
+    # No unit theta is factored: only the hull solver factors a matrix, the
+    # unit columns of a support, fewer than m, of a block of theta in its
+    # support rounds, and their differences for a facet point
     F = _frame(name)
-    dual = canonical_dual(F).dual
-    thetas = [unit_diagram_matrix(G).data for G in (F, dual) if _routes_on_corank(G)]
     qr = frame_core.synthesis_qr(F)
     qrs = _count(monkeypatch, np.linalg, "qr")
     factored = _count(monkeypatch, np.linalg, "svd",
@@ -254,10 +243,7 @@ def test_report_factors_x_once(monkeypatch, name):
     assert len(qrs) == 1 and np.array_equal(qrs[0][0], F.synthesis[:, order].T)
     supports = [A for (A, *_) in factored if A.shape[1] < F.m]
     assert all(A.shape[0] <= reduced_size(F.n) for A in supports)
-    factored = [args for args in factored if args[0].shape[1] == F.m]
-    assert len(factored) == len(thetas)
-    for (A, *_), B in zip(factored, thetas):
-        assert np.array_equal(A, B)
+    assert [A for (A, *_) in factored if A.shape[1] >= F.m] == []
     # the unit X, then R^{-1} and R in one call
     assert [A.shape for (A, *_) in values] == [F.synthesis.shape, (2, F.n, F.n)]
     assert np.array_equal(values[0][0], F.synthesis / numerics.column_norms(F.synthesis))
@@ -265,14 +251,14 @@ def test_report_factors_x_once(monkeypatch, name):
     assert eighs == []
 
 
-@pytest.mark.parametrize("name, svds", [("corank-1", 0), ("corank-1-unit", 0),
-                                        ("corank-2", 0), ("strict", 0), ("p1", 1)])
-def test_scale_auto_takes_at_most_one_svd_of_theta(tmp_path, monkeypatch, capsys, name, svds):
-    # the split of 1 answers every frame here but p1, whose corank 1 is
-    # measured on theta's unit-norm columns; "strict" has m = 8 > d + 2 = 7,
-    # so its corank is at least 3 unmeasured.  Besides theta, only spanning
-    # tests read singular values: X is never factored, and the scaled frame
-    # keeps X's spanning decision unless a weight is 0, as some of p1's are
+@pytest.mark.parametrize("name, solves", [("corank-1", 0), ("corank-1-unit", 0),
+                                          ("corank-2", 0), ("strict", 0), ("p1", 1)])
+def test_scale_auto_takes_at_most_one_svd_of_theta(tmp_path, monkeypatch, capsys, name, solves):
+    # the split of 1 answers every frame here but p1, whose theta the hull
+    # solver answers; neither factors the unit theta, whatever its corank.
+    # Only spanning tests read singular values: X is never factored, and the
+    # scaled frame keeps X's spanning decision unless a weight is 0, as some
+    # of p1's are
     F = _frame(name)
     theta = unit_diagram_matrix(F).data
     path = tmp_path / "frame.txt"
@@ -281,45 +267,49 @@ def test_scale_auto_takes_at_most_one_svd_of_theta(tmp_path, monkeypatch, capsys
                       lambda A, *args, **kwargs: kwargs.get("compute_uv", True))
     spans = _count(monkeypatch, np.linalg, "svd",
                    lambda A, *args, **kwargs: not kwargs.get("compute_uv", True))
+    hulls = _count(monkeypatch, numerics, "solve_feasibility")
     assert main(["scale", "--method", "auto", str(path)]) in (0, 1)
-    assert [np.array_equal(A, theta) for (A, *_) in factored] == [True] * svds
+    assert not any(np.array_equal(A, theta) for (A, *_) in factored)
+    assert [np.array_equal(p.A, reduced_diagram_matrix(F)) for (p,) in hulls] == [True] * solves
     unit = F.synthesis / np.linalg.norm(F.synthesis, axis=0)
     retests = int("0" in capsys.readouterr().out.split())
     assert len(spans) == 1 + retests
     assert np.allclose(spans[0][0], unit, rtol=0, atol=1e-15)
 
 
-# name: (frame, exit code of ``scale``, SVDs of the unit theta it takes)
+# name: (frame, exit code of ``scale``, its corank, hull solves of ``scale``)
 KERNEL_ROUTE_FRAMES = {
-    "corank-1": (lambda: _frame("corank-1"), 0, 0),
-    "corank-1-unit": (lambda: _frame("corank-1-unit"), 1, 0),
-    "corank-1-quadrant": (lambda: make_frame([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]), 1, 0),
-    "corank-2": (lambda: _frame("corank-2"), 0, 0),
+    "corank-1": (lambda: _frame("corank-1"), 0, 1, 0),
+    "corank-1-unit": (lambda: _frame("corank-1-unit"), 1, 1, 0),
+    "corank-1-quadrant": (lambda: make_frame([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]), 1, 1, 0),
+    "corank-2": (lambda: _frame("corank-2"), 0, 2, 0),
     # every product x_1 x_2 is positive: the split of 1 answers first
-    "corank-2-quadrant": (lambda: angles_frame(0.2, 0.7, 1.2, 1.4), 1, 0),
-    # the split of 1 answers neither way: the cofactor and codim-2 routes do
-    "corank-1-p1": (lambda: _frame("p1"), 0, 1),
-    "corank-2-dual": (lambda: canonical_dual(_frame("corank-2")).dual, 0, 1),
+    "corank-2-quadrant": (lambda: angles_frame(0.2, 0.7, 1.2, 1.4), 1, 2, 0),
+    # the split of 1 answers neither way: the hull solver does
+    "corank-1-p1": (lambda: _frame("p1"), 0, 1, 1),
+    "corank-2-dual": (lambda: canonical_dual(_frame("corank-2")).dual, 0, 2, 1),
 }
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_ROUTE_FRAMES))
 def test_scale_auto_answers_corank_1_and_2_without_an_lp(tmp_path, monkeypatch, capsys, name):
-    # the split of 1 answers with no SVD; the cofactor and codim-2 routes
-    # answer from the one SVD of theta on unit-norm columns, certificates
-    # included: no LP is solved
-    build, code, svds = KERNEL_ROUTE_FRAMES[name]
+    # scale takes no SVD of theta on unit-norm columns, and solves theta's
+    # hull question only where the split of 1 does not answer; the forced
+    # cofactor and codim-2 routes answer alike from that one SVD,
+    # certificates included, with no hull solve
+    build, code, corank, hulls = KERNEL_ROUTE_FRAMES[name]
     F = build()
     theta = unit_diagram_matrix(F).data
     path = tmp_path / "frame.txt"
     path.write_text(format_frame_document(document_from_frame(F)))
-    theta_svds = _count(monkeypatch, np.linalg, "svd",
-                        lambda A, *args, **kwargs: np.array_equal(A, theta))
-    solves = _count(monkeypatch, numerics, "solve_feasibility")
-    assert main(["scale", "--method", "auto", str(path)]) == code
-    assert ("certificate y:" in capsys.readouterr().out) == (code == 1)
-    assert len(theta_svds) == svds
-    assert solves == []
+    forced = {1: "cofactor", 2: "codim2"}[corank]
+    for method, svds, solved in (("auto", 0, hulls), (forced, 1, 0)):
+        theta_svds = _count(monkeypatch, np.linalg, "svd",
+                            lambda A, *args, **kwargs: np.array_equal(A, theta))
+        solves = _count(monkeypatch, numerics, "solve_feasibility")
+        assert main(["scale", "--method", method, str(path)]) == code
+        assert ("certificate y:" in capsys.readouterr().out) == (code == 1)
+        assert (len(theta_svds), len(solves)) == (svds, solved), method
 
 
 POLICY_FRAMES = {name: (lambda name=name: _frame(name)) for name in FRAMES}
@@ -355,10 +345,10 @@ def _block(p, G):
 def test_every_command_answers_with_decide(tmp_path, monkeypatch, capsys, name):
     # analyze, scale --method auto|split and the canonical-dual check take
     # one route policy, and every hull question they ask is homogeneous on a
-    # row block of theta; on corank 1 and 2 it asks none of theta, so the
-    # report's only solves are the W and V ones of a frame that is not
-    # scalable, each running the nearest point when the solver's split of 1
-    # on its block does not answer
+    # row block of theta: theta's own when the split of 1 does not answer,
+    # then the W and V ones of a frame that is not scalable, each running the
+    # nearest point when the solver's split of 1 on its block does not
+    # answer.  No unit theta is factored
     F = POLICY_FRAMES[name]()
     path = tmp_path / "frame.txt"
     path.write_text(format_frame_document(document_from_frame(F)))
@@ -393,19 +383,15 @@ def test_every_command_answers_with_decide(tmp_path, monkeypatch, capsys, name):
         "reject_row": None,
         "near_zero": want.near_zero,
     }
-    for theta in thetas:
-        assert sum(np.array_equal(A, theta) for (A, *_) in svds) <= 1
-    if want.method == METHOD_PROJECTION:
-        # the split of 1 answers: no SVD and no LP of the frame's theta
-        assert not any(np.array_equal(A, thetas[0]) for (A, *_) in svds)
-        assert not any(np.array_equal(p.A, reduced_diagram_matrix(F)) for p, _ in solves)
+    assert svds == []
     blocks = [_block(p, F) or ("dual" if _block(p, dual) == "theta" else None)
               for p, _ in solves]
     assert None not in blocks
-    if F.m <= reduced_size(F.n) + 2 and F.m - theta_svd(F).rank in (1, 2):
-        assert blocks == ([] if want.scalable else ["W", "V"])
-        assert [b for b, (_, runs) in zip(blocks, solves) if runs == 1] == _split_lps(F)
-        assert all(runs <= 1 for _, runs in solves)
+    frame_blocks = [b for b in blocks if b != "dual"]
+    assert frame_blocks == (["theta"] * (want.method == METHOD_FEASIBILITY)
+                            + ([] if want.scalable else ["W", "V"]))
+    runs = [b for b, (_, n) in zip(blocks, solves) if b in ("W", "V") and n]
+    assert runs == ([] if want.scalable else _split_lps(F))
 
 
 @pytest.mark.parametrize("name", sorted(FRAMES))

@@ -18,19 +18,34 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from framescale import decide, decide_scalable, intersection_scalability, make_frame, numerics
+from framescale import (
+    canonical_dual,
+    canonical_dual_scalable,
+    decide,
+    decide_scalable,
+    intersection_scalability,
+    make_frame,
+    numerics,
+)
 from framescale.cli import build_report, main
 from framescale.frame_core import apply_scaling, is_tight
 from framescale.framedoc import document_from_frame, format_frame_document
 from framescale.errors import InternalNumericError, NotSpanningError
 from framescale.scalability import codim2_scaling, cofactor_scaling, hull_certificate_check
+from framescale.diagram import unit_diagram_matrix
 from framescale.scalability import (
-    METHOD_COFACTOR,
+    METHOD_FEASIBILITY,
     NOT_SCALABLE,
     SCALABLE,
     STRICTLY_SCALABLE,
 )
-from conftest import random_scalable_frame, rescaled_harmonic_frame, two_block_frame
+from conftest import (
+    NEAR_PARALLEL_FRAME,
+    random_scalable_frame,
+    rescaled_harmonic_frame,
+    tiny_row_frame,
+    two_block_frame,
+)
 
 # scalable, but not strictly: the frame 021-not-strict-n4-m11 of the
 # benchmark corpus analyze-grid, seed 7
@@ -246,25 +261,17 @@ def test_near_duplicate_cofactor_falls_back_to_the_lp(tmp_path, capsys, name):
     assert code == 0, out.err
 
 
-# nearly parallel vectors: the off-diagonal entry -c_0 1.5625e-9 - c_2 1e-7
-# of sum_i c_i x_i x_i^T vanishes only for c_0 = c_2 = 0, so no scaling
-# exists.  The cofactor route proves it; the LP's weights pass their
-# residual check, and ``analyze`` used to print them
-NEAR_PARALLEL_FRAME = [[-1.0, 1.5625e-9], [0.0, -1.0], [-1.0, 1e-7]]
-
-
-def test_near_parallel_frame_is_answered_by_the_cofactor_route(tmp_path, capsys):
+def test_near_parallel_frame_is_not_scalable_on_every_route(tmp_path, capsys):
+    F = make_frame(NEAR_PARALLEL_FRAME)
     code, out = _run(tmp_path, capsys, NEAR_PARALLEL_FRAME, "analyze", "--json")
     assert code == 0, out.err
     s = json.loads(out.out)["scalability"]
-    assert (s["verdict"], s["method"]) == (NOT_SCALABLE, METHOD_COFACTOR)
-    assert hull_certificate_check(make_frame(NEAR_PARALLEL_FRAME), s["certificate_y"])
-    code, out = _run(tmp_path, capsys, NEAR_PARALLEL_FRAME, "scale")
-    assert code == 1 and "certificate y:" in out.out
-    # the hull solver alone answers "scalable": no certificate of Wolfe's
-    # point clears ZERO_TOL, and its weights pass the kernel identity
-    code, out = _run(tmp_path, capsys, NEAR_PARALLEL_FRAME, "scale", "--method", "lp")
-    assert code == 0, out.err
+    assert (s["verdict"], s["method"]) == (NOT_SCALABLE, METHOD_FEASIBILITY)
+    assert hull_certificate_check(F, s["certificate_y"])
+    for method in ("auto", "lp", "split", "cofactor"):
+        code, out = _run(tmp_path, capsys, NEAR_PARALLEL_FRAME, "scale", "--method", method)
+        assert code == 1, (method, out.err)
+        assert hull_certificate_check(F, _printed_certificate(out)), method
 
 
 # a near-duplicate pair, (0, -20, -10) and (0, -20, -9.999998881966011): the
@@ -294,6 +301,58 @@ def test_near_parallel_split_route_agrees_with_scale(tmp_path, capsys):
     assert code == 1, out.err
     assert hull_certificate_check(make_frame(NEAR_PARALLEL_FRAME), _printed_certificate(out))
     assert (code, out) == _run(tmp_path, capsys, NEAR_PARALLEL_FRAME, "scale")
+
+
+# the codim-2 route's weight on vector 5, 6.9e-10 of the unit-column sum, is
+# within the accuracy of its SVD of 0 (s_1/s_r is about 7.5e7); when decide
+# took that route it answered "strictly scalable", against the hull solver's
+# forced zero on vector 5
+CODIM2_STRICTNESS_FRAME = [[0.0, -2.0, -1.0], [1.0, 0.0, -1.0], [1.0, 0.0, 1.0],
+                           [-1.0, 2.0, 0.0], [2.0, 2.0, -2.0],
+                           [0.0, -2.0, -0.9999997763932023], [1.0, 0.0, -1.0]]
+
+
+def test_decide_agrees_with_the_hull_solver_on_strictness(tmp_path, capsys):
+    F = make_frame(CODIM2_STRICTNESS_FRAME)
+    for result in (decide(F), decide_scalable(F)):
+        assert (result.verdict, result.near_zero) == (SCALABLE, [5])
+        _assert_tightens(F, result)
+    code, out = _run(tmp_path, capsys, CODIM2_STRICTNESS_FRAME, "scale", "--strict")
+    assert code == 0, out.err
+    assert out.out.splitlines()[0] == "scalable, but not strictly"
+
+
+# a drawn frame (seed 11, per-vector scales 10^U(-8, 8)) whose canonical dual
+# has no scaling: the dual's S^2 system needs c_4 = tr S, about 218, on its
+# off-diagonal, which then overshoots the diagonal of the small eigenvalue.
+# The certificate is the facet point of Wolfe's corral on the dual, whose
+# second entry, -5.2e-19, is exact; when the hull solver set it to 0, no
+# certificate cleared, Wolfe's weights passed their residual check with c_4
+# about 14.3, and ``dual --check-scalable`` printed "dual scalable"
+DRAWN_DUAL_FRAME = [[-0.7098161036691746, 0.7098161036691746],
+                    [7.460273914600694e-07, -7.460273914600694e-07],
+                    [-2.866057452023323, -2.866057452023323],
+                    [10.002639224416038, 10.002639224416038],
+                    [-0.11127963624041412, 0.11127964292393336]]
+
+
+def test_drawn_frame_dual_is_not_scalable(tmp_path, capsys):
+    code, out = _run(tmp_path, capsys, DRAWN_DUAL_FRAME, "dual", "--check-scalable")
+    assert code == 0, out.err
+    assert out.out.splitlines()[-1] == "dual not scalable"
+    code, out = _run(tmp_path, capsys, DRAWN_DUAL_FRAME, "analyze", "--json")
+    assert code == 0, out.err
+    assert json.loads(out.out)["dual"]["dual_scalable"] is False
+    F = make_frame(DRAWN_DUAL_FRAME)
+    dual = canonical_dual(F).dual
+    assert hull_certificate_check(dual, canonical_dual_scalable(F).certificate_y)
+    # HiGHS finds no c >= 0, sum 1, with theta^ c = 0 on the dual's unit theta
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    P = unit_diagram_matrix(dual).data
+    k, m = P.shape
+    res = linprog(np.zeros(m), A_eq=np.vstack([P, np.ones(m)]), b_eq=np.eye(k + 1)[k],
+                  bounds=(0.0, None), method="highs")
+    assert res.status == 2, res.message
 
 
 def test_near_duplicate_lp_route_prints_a_certificate(tmp_path, capsys):
@@ -419,18 +478,6 @@ def test_lp_route_runs_no_nearest_point_where_the_split_answers(
         assert ("certificate y:" in out.out) == (code == 1)
 
 
-def _tiny_row_frame(n, t):
-    """Vectors whose x_1 x_2 products are all t times their squared norm: the
-    (1, 2) product row of theta is one-signed, its entries about t on unit
-    columns, and no scaling exists.  Without that row the frame is strictly
-    scalable, so every kernel vector of the other rows passes the kernel
-    identity to within about t."""
-    if n == 2:
-        return [[1.0, t], [1.0, 2 * t], [1.0, 3 * t], [t, 1.0], [2 * t, 1.0]]
-    return [[1.0, 2 * t, 1.0], [1.0, 2 * t, -1.0], [2 * t, 1.0, 1.0],
-            [2 * t, 1.0, -1.0], [1.0, t, 0.0], [t, 1.0, 0.0]]
-
-
 @pytest.mark.parametrize("n, t", [(2, 1e-9), (2, 1e-12), (3, 1e-10), (3, 1e-11)])
 def test_one_signed_row_of_small_entries_is_not_scalable(tmp_path, capsys, n, t):
     # entries above ZERO_TOL give a certificate that clears ZERO_TOL, which
@@ -439,7 +486,7 @@ def test_one_signed_row_of_small_entries_is_not_scalable(tmp_path, capsys, n, t)
     # (n = 2, m = 5 > d + 2) all leave room for; they used to answer
     # "scalable" after the one-signed-row shortcut left the route policy,
     # and ``scale --method lp``, which took Wolfe's weights first, still did
-    vectors = _tiny_row_frame(n, t)
+    vectors = tiny_row_frame(n, t)
     F = make_frame(vectors)
     for result in (decide(F), decide_scalable(F)):
         assert not result.scalable
@@ -454,7 +501,7 @@ def test_one_signed_row_of_small_entries_is_not_scalable(tmp_path, capsys, n, t)
 
 def test_one_signed_row_below_zero_tol_is_zero():
     # entries of about 2e-13 on unit columns count as 0: strictly scalable
-    F = make_frame(_tiny_row_frame(2, 1e-13))
+    F = make_frame(tiny_row_frame(2, 1e-13))
     assert decide(F).verdict == STRICTLY_SCALABLE
 
 
@@ -463,7 +510,7 @@ def test_one_signed_row_of_small_entries_is_rotated(angle):
     # in the plane the certificate is the normal of Wolfe's corral, which
     # does not depend on the basis
     Q = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
-    F = make_frame(np.array(_tiny_row_frame(2, 1e-9)) @ Q.T)
+    F = make_frame(np.array(tiny_row_frame(2, 1e-9)) @ Q.T)
     assert not decide(F).scalable
 
 

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from framescale import numerics
+from framescale import make_frame, numerics
+from framescale.diagram import unit_diagram_matrix
 from framescale.errors import DimensionMismatchError, NonFiniteError
+from conftest import NEAR_PARALLEL_FRAME, tiny_row_frame
 
 
 def solve(A, strict=False):
@@ -208,6 +210,41 @@ class TestNearestPoint:
                 assert float((x @ P).min()) > numerics.ZERO_TOL * float(np.linalg.norm(x))
             seen.add(at_zero)
         assert seen == {True, False}
+
+
+class TestHullCertificates:
+    """Each certificate candidate of ``_hull`` answers a frame of its own,
+    where the split of 1 does not: Wolfe's point x, the exact facet point of
+    its corral, and that point with its entries at most ZERO_TOL set to 0."""
+
+    @staticmethod
+    def _unit_theta(vectors):
+        return unit_diagram_matrix(make_frame(vectors)).data
+
+    @pytest.mark.parametrize("vectors, first", [
+        (tiny_row_frame(2, 1e-8), 0),
+        (NEAR_PARALLEL_FRAME, 1),
+        (tiny_row_frame(3, 1e-10), 2),
+    ], ids=["wolfe-point", "facet-point", "zeroed-facet-point"])
+    def test_each_candidate_answers_a_frame(self, vectors, first):
+        P = self._unit_theta(vectors)
+        assert numerics.split_of_one(P, rounds=True) == (None, None)
+        x, w = numerics.nearest_point(P)
+        facet = numerics._facet_point(P, w)
+        candidates = [x, facet, np.where(np.abs(facet) <= numerics.ZERO_TOL, 0.0, facet)]
+        clears = [numerics._clears(P, y) for y in candidates]
+        assert clears.index(True) == first
+        y, witness = numerics._hull(P)
+        assert witness is None and np.array_equal(y, candidates[first])
+
+    def test_facet_point_waits_for_wolfe_point(self, monkeypatch):
+        def forbidden(P, w):
+            raise AssertionError("Wolfe's point clears")
+
+        monkeypatch.setattr(numerics, "_facet_point", forbidden)
+        P = self._unit_theta(tiny_row_frame(2, 1e-8))
+        y, _ = numerics._hull(P)
+        assert np.array_equal(y, numerics.nearest_point(P)[0])
 
 
 class TestSplitRounds:
