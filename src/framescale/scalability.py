@@ -11,11 +11,11 @@ diagram matrix theta, in two steps:
   positive theta^^T y is the certificate that no such c exists, and a
   strictly positive w that passes ``numerics.no_margin``, as in the hull
   solver, a kernel vector;
-* everything else, and a split answer that fails its own check
-  (``InternalNumericError``), goes to ``decide_scalable`` -- the hull
-  solver (``numerics.solve_feasibility``, through ``_theta_hull``), which
-  splits 1 with rounds before Wolfe's nearest point and also answers W and
-  V on their row blocks (``split_scaling``).
+* everything else goes to ``decide_scalable`` -- the hull solver
+  (``numerics.solve_feasibility``, through ``_theta_hull``), which splits
+  1 with rounds before Wolfe's nearest point and also answers W and V on
+  their row blocks (``split_scaling``).  A split answer that fails its
+  check is a numeric failure: the solver would split the same matrix.
 
 Neither step reads a coordinate of theta on its own, so a change of basis
 moves the step that answers only where a part of the split is near its
@@ -38,11 +38,11 @@ A route supplies a kernel vector or a certificate; two constructors build
 every answer.  ``_certified`` carries a separating functional y with
 <x~_i, y> > 0 for all i, checked by ``hull_certificate_check``; the kernel
 routes read y off the SVD they already hold (``_kernel_certificate``,
-Gordan's alternative).  ``_weights`` turns every route's unit-column
-weights into c with no overflow; ``_finish_scalable`` normalizes c, reads
-the strictness margin off it and re-checks theta c = 0
-(``numerics.kernel_identity``).  Every answer's weights have the largest
-support, so it is strict exactly when no weight is near 0.
+Gordan's alternative).  Every route hands ``_finish_scalable`` its
+unit-column weights w, which reads the strictness margin off w, turns w
+into c once (``_weights``, with no overflow), normalizes c and re-checks
+theta c = 0 (``numerics.kernel_identity``).  Every answer's weights have
+the largest support, so it is strict exactly when no weight is near 0.
 
 Rescaling x_i by s rescales column i of the reduced diagram matrix by
 s^2 > 0, which keeps scalability.  So every route reads that matrix on
@@ -221,33 +221,30 @@ def _weights(w, norms):
 
 def _theta_hull(F, rows=slice(None)):
     """``numerics.solve_feasibility`` on the rows ``rows`` of the reduced
-    diagram matrix: (y, None) for a certificate y, else (None, c) for their
-    kernel vector c >= 0 (``_weights``), of largest support on all rows."""
+    diagram matrix, its pair as it is: (y, None) for a certificate y, else
+    (None, w) for unit-column weights w >= 0, of largest support on all
+    rows."""
     B = reduced_diagram_matrix(F)[rows]
-    y, w = numerics.solve_feasibility(numerics.FeasibilityProblem(
+    return numerics.solve_feasibility(numerics.FeasibilityProblem(
         A=B, b=np.zeros(B.shape[0]), require_strict=rows == slice(None)))
-    return (y, None) if y is not None else (None, _weights(w, numerics.column_norms(B)))
 
 
-def _finish_scalable(F, c, method):
-    """Every scalable answer: weights c, normalized to sum 1, and checked.
+def _finish_scalable(F, w, method):
+    """Every scalable answer, from a route's unit-column weights w: the
+    weights c_i = w_i / ||theta_i|| (``_weights``), sum 1, and checked.
 
-    A weight whose unit-column weight ||theta_i|| c_i is at most
-    ``ZERO_TOL`` of the sum of those weights is rounding noise and is set to
-    +0.  The margin is read off the reported weights: the minimum
-    unit-column weight relative to their sum.  ``near_zero`` lists the indices at or below
-    ``STRICT_MARGIN`` of that sum, and the answer is strict exactly when
-    that list is empty, so every route is judged by the same rule.  Last,
-    theta c must pass ``numerics.kernel_identity``, the same at every
-    scale."""
-    norms = unit_diagram_matrix(F).norms
-    c = np.asarray(c, dtype=float).copy()
-    c[c < 0] = 0.0
-    unit = c * norms
-    c[unit <= ZERO_TOL * unit.sum()] = 0.0
+    A weight w_i at most ``ZERO_TOL`` of sum(w) is rounding noise and is
+    set to +0.  The margin is read off w: ``near_zero`` lists the indices
+    at or below ``STRICT_MARGIN`` of its sum, and the answer is strict
+    exactly when that list is empty, so every route is judged by the same
+    rule.  Last, theta c must pass ``numerics.kernel_identity``, the same at
+    every scale."""
+    w = np.asarray(w, dtype=float).copy()
+    w[w < 0] = 0.0
+    w[w <= ZERO_TOL * w.sum()] = 0.0
+    near = [int(i) for i in np.flatnonzero(w <= STRICT_MARGIN * w.sum())]
+    c = _weights(w, unit_diagram_matrix(F).norms)
     c = c / c.sum()
-    unit = c * norms
-    near = [int(i) for i in np.flatnonzero(unit <= STRICT_MARGIN * unit.sum())]
     if not numerics.kernel_identity(reduced_diagram_matrix(F), c):
         raise InternalNumericError("reported weights fail the kernel identity")
     return ScalingResult(
@@ -266,35 +263,23 @@ def decide_scalable(F) -> ScalingResult:
     is rescaled.  The weights have the largest support, so ``near_zero``
     holds exactly the vectors that every scaling gives weight 0.
     ``scale --method lp`` asks it directly."""
-    y, c = _theta_hull(F)
+    y, w = _theta_hull(F)
     if y is not None:
         return _certified(F, METHOD_FEASIBILITY, y)
-    return _finish_scalable(F, c, METHOD_FEASIBILITY)
+    return _finish_scalable(F, w, METHOD_FEASIBILITY)
 
 
 def decide(F) -> ScalingResult:
     """The scalability answer of ``analyze``, ``scale --method auto|split``
-    and the canonical-dual check: the split of 1 (``_projection``), else
-    ``decide_scalable``."""
-    answer = _projection(F)
-    return answer if answer is not None else decide_scalable(F)
-
-
-def _projection(F):
-    """The answer of ``numerics.split_of_one`` on the whole unit matrix:
-    its certificate y, or its kernel part w as the kernel vector
-    w_i / ||theta_i|| (``_weights``), taken by the hull solver's rule.
-    None when neither part answers or the answer fails its check."""
-    unit = unit_diagram_matrix(F)
-    y, w = numerics.split_of_one(unit.data)
-    try:
-        if y is not None:
-            return _certified(F, METHOD_PROJECTION, y)
-        if w is not None:
-            return _finish_scalable(F, _weights(w, unit.norms), METHOD_PROJECTION)
-    except InternalNumericError:
-        pass  # the hull solver answers what the split cannot check
-    return None
+    and the canonical-dual check: ``numerics.split_of_one`` on the whole
+    unit matrix (method ``projection``), its certificate y or its kernel
+    part w, taken by the hull solver's rule; else ``decide_scalable``."""
+    y, w = numerics.split_of_one(unit_diagram_matrix(F).data)
+    if y is not None:
+        return _certified(F, METHOD_PROJECTION, y)
+    if w is not None:
+        return _finish_scalable(F, w, METHOD_PROJECTION)
+    return decide_scalable(F)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +338,7 @@ def cofactor_scaling(F):
         part = np.maximum(-w, 0.0) if total > 0.0 else np.maximum(w, 0.0)
         p = 1.0 + (abs(total) / float(part @ part)) * part
         return report, _kernel_certificate(F, p, METHOD_COFACTOR)
-    return report, _finish_scalable(F, np.abs(v), METHOD_COFACTOR)
+    return report, _finish_scalable(F, np.abs(w), METHOD_COFACTOR)
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +401,10 @@ def codim2_scaling(F):
     normal angles of the entries (p_i, q_i) = (xi_1i, xi_2i) leave a circular
     gap of at least pi (``_feasible_arc``), judged to within the accuracy of
     their angles; entries within the accuracy of the SVD of 0
-    (``_condition``) constrain nothing.  The weights come from
-    the bisector of the feasible arc, which bisects the feasible cone and so
-    depends only on the kernel; without an arc, the kept entries give the
-    certificate (``_balancing_vector``)."""
+    (``_condition``) constrain nothing and get weight 0.  The weights come
+    from the bisector of the feasible arc, which bisects the feasible cone
+    and so depends only on the kernel; without an arc, the kept entries
+    give the certificate (``_balancing_vector``)."""
     kernel = theta_kernel(F)
     if kernel.shape[1] != 2:
         raise CorankMismatchError(
@@ -439,7 +424,8 @@ def codim2_scaling(F):
                                    METHOD_CODIM2)
     t, _ = arc
     w = np.cos(t) * xi1 + np.sin(t) * xi2
+    w[~keep] = 0.0
     if float(w.min()) < -IDENTITY_TOL * scale:
         raise InternalNumericError("codim-2 direction produced a negative weight")
-    return _finish_scalable(F, _weights(w, unit_diagram_matrix(F).norms), METHOD_CODIM2)
+    return _finish_scalable(F, w, METHOD_CODIM2)
 

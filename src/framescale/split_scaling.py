@@ -18,13 +18,14 @@ Gordan's alternative neither holds exactly when some y has B^T y > 0 for the
 block B.  So ``find_W_element`` and ``find_V_element`` ask θ̃'s kernel
 question on their block, of the hull solver (``scalability._theta_hull``,
 which splits 1 on the block's own unit columns before Wolfe's nearest
-point; any kernel vector, not one of largest support), as one pair (y, c):
-a certificate y answers "empty" or "trivial", and a kernel vector c
-answers with the point of W or V on the ray of c, which ``is_in_W`` or
-``is_in_V`` must accept.  W∩V is the kernel question on all of θ̃, so
-``intersection_scalability`` is ``scalability.decide`` with its weights c
-read as the point ``w_point(F, c)`` of W∩V (``intersection_points``),
-which is an input error where it leaves the float range.
+point; any kernel vector, not one of largest support), as one pair (y, w):
+a certificate y answers "empty" or "trivial", and unit-column weights w
+answer with the point of W or V on the ray of the block's kernel vector
+c = w_i / ||B_i||, which ``is_in_W`` or ``is_in_V`` must accept.  W∩V is
+the kernel question on all of θ̃, so ``intersection_scalability`` is
+``scalability.decide`` with its weights c read as the point
+``w_point(F, c)`` of W∩V (``intersection_points``), which is an input
+error where it leaves the float range.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numerics
-from .diagram import coordinate_pairs
+from .diagram import coordinate_pairs, reduced_diagram_matrix
 from .errors import InternalNumericError, NonFiniteError
 from .frame_core import _check_weight_length
-from .scalability import ScalingResult, _theta_hull, decide
+from .scalability import ScalingResult, _theta_hull, _weights, decide
 
 
 @dataclass(frozen=True)
@@ -107,10 +108,12 @@ def _v_point(F, c):
 def _block_element(F, rows, point, member) -> ConeMembership:
     """Whether the block ``rows`` of θ̃ has a kernel vector c >= 0, c != 0,
     with the point ``point(F, c)`` that ``member`` accepts, from the hull
-    solver; its point must pass."""
-    y, c = _theta_hull(F, rows=rows)
+    solver's unit-column weights w as c = w_i / ||B_i|| for the block B;
+    its point must pass."""
+    y, w = _theta_hull(F, rows=rows)
     if y is not None:
         return ConeMembership(member=False)
+    c = _weights(w, numerics.column_norms(reduced_diagram_matrix(F)[rows]))
     found = member(F, point(F, c))
     if not found.member:
         raise InternalNumericError(f"kernel vector of the block fails {member.__name__}")

@@ -277,6 +277,22 @@ def test_scale_auto_takes_at_most_one_svd_of_theta(tmp_path, monkeypatch, capsys
     assert np.allclose(spans[0][0], unit, rtol=0, atol=1e-15)
 
 
+def test_lp_route_forms_theta_column_norms_once_per_unit_matrix(tmp_path, monkeypatch):
+    # the frame's unit theta and the hull solver's own unit columns each
+    # divide by theta's column norms; the solver's unit-column weights go to
+    # the answer as they are, which forms c from the frame's norms
+    F = make_frame([[-1.0, 0.0, 0.0], [1.0, 0.0, -1.0], [-1.0, 2.5e-8, 0.0],
+                    [0.0, 0.0, -1.0], [-1.0, 0.0, -1.0], [0.0, -1.0, 0.0]])
+    theta = reduced_diagram_matrix(F)
+    path = tmp_path / "forced.frame"
+    path.write_text(format_frame_document(document_from_frame(F)))
+    norms = _count(monkeypatch, numerics, "column_norms",
+                   lambda A: A.shape == theta.shape and np.array_equal(A, theta))
+    assert main(["scale", "--method", "lp", str(path)]) == 0
+    assert theta.shape == (5, 6)
+    assert len(norms) == 2
+
+
 # name: (frame, exit code of ``scale``, its corank, hull solves of ``scale``)
 KERNEL_ROUTE_FRAMES = {
     "corank-1": (lambda: _frame("corank-1"), 0, 1, 0),

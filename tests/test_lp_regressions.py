@@ -459,6 +459,26 @@ def test_split_kernel_part_that_leaves_a_margin_is_not_taken(tmp_path, capsys):
     assert out.out.splitlines()[0] == "scalable, but not strictly"
 
 
+# corank 2, and every kernel vector gives vector 5 weight 0: its row of the
+# codim-2 kernel basis has length about 2.4e-9, within the accuracy of that
+# basis of 0 (about 5.5e-5, s_1/s_r about 7.5e7).  The forced codim-2 route
+# judged no angle there but kept the bisector's entry, 6.9e-10, and called
+# the frame strictly scalable
+CODIM2_FORCED_ZERO_FRAME = [[0.0, -2.0, -1.0], [1.0, 0.0, -1.0], [1.0, 0.0, 1.0],
+                            [-1.0, 2.0, 0.0], [2.0, 2.0, -2.0],
+                            [0.0, -2.0, -0.9999997763932023], [1.0, 0.0, -1.0]]
+
+
+def test_codim2_entry_within_the_kernel_accuracy_of_0_gets_weight_0(tmp_path, capsys):
+    F = make_frame(CODIM2_FORCED_ZERO_FRAME)
+    for result in (decide(F), codim2_scaling(F)):
+        assert (result.verdict, result.near_zero) == (SCALABLE, [5])
+    code, out = _run(tmp_path, capsys, CODIM2_FORCED_ZERO_FRAME,
+                     "scale", "--method", "codim2", "--strict")
+    assert code == 0, out.err
+    assert out.out.splitlines()[0] == "scalable, but not strictly"
+
+
 @pytest.mark.parametrize("name, code", [("first-quadrant", 1), ("harmonic", 0)])
 def test_lp_route_runs_no_nearest_point_where_the_split_answers(
         tmp_path, capsys, monkeypatch, name, code):

@@ -3,8 +3,8 @@
 Every answer is re-checked against the identity it must satisfy, and a
 failed check is an ``InternalNumericError``.  Where the error reaches the
 command line, ``framescale`` exits 3 with one ``numeric failure:`` line;
-where a route catches it, the next route answers.  No corpus frame fails a
-check, so each test breaks one input of its check with monkeypatch."""
+no route catches it.  No corpus frame fails a check, so each test breaks
+one input of its check with monkeypatch."""
 
 import dataclasses
 
@@ -18,7 +18,7 @@ from framescale.errors import InternalNumericError
 from framescale.frame_core import Tightness, make_frame
 from framescale.framedoc import document_from_frame, format_frame_document
 from framescale.scalability import METHOD_PROJECTION, decide
-from conftest import angles_frame, rescaled_harmonic_frame
+from conftest import angles_frame
 
 MB = angles_frame(0.0, 2 * np.pi / 3, 4 * np.pi / 3)  # tight, so scalable
 # not scalable, but sum_i a_i x_i x_i^T has a constant diagonal for some
@@ -141,32 +141,15 @@ def test_codim2_rechecks_the_sign_of_its_weights(tmp_path, capsys, monkeypatch):
         3, _numeric_failure("codim-2 direction produced a negative weight"))
 
 
-@pytest.mark.parametrize("name, F", [
-    ("scalable", rescaled_harmonic_frame(np.random.default_rng(7), 3, 8)),
-    ("not-scalable", make_frame([[1.0, 1.0], [1.0, 2.0], [2.0, 1.0]])),
-])
-def test_projection_that_fails_its_check_goes_to_the_next_route(monkeypatch, name, F):
-    answer = decide(F)
-    assert answer.method == METHOD_PROJECTION
-    finish, certified = scalability._finish_scalable, scalability._certified
-
-    def failing(check, method_at):
-        def checked(*args):
-            if args[method_at] == METHOD_PROJECTION:
-                raise InternalNumericError("projection answer fails its check")
-            return check(*args)
-        return checked
-
-    # (F, c, method) and (F, method, y)
-    monkeypatch.setattr(scalability, "_finish_scalable", failing(finish, 2))
-    monkeypatch.setattr(scalability, "_certified", failing(certified, 1))
-    fallback = decide(F)
-    assert fallback.method != METHOD_PROJECTION
-    assert fallback.verdict == answer.verdict
-    if answer.scalable:
-        assert np.allclose(fallback.weights_c, answer.weights_c, rtol=0, atol=1e-9)
-    else:
-        assert scalability.hull_certificate_check(F, fallback.certificate_y)
+def test_projection_that_fails_its_check_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
+    # every product x_1 x_2 is positive: the split of 1 gives the
+    # certificate, and the hull solver, whose first split is the same, would
+    # give it again, so a failed check is not handed on
+    F = make_frame([[1.0, 1.0], [1.0, 2.0], [2.0, 1.0]])
+    assert decide(F).method == METHOD_PROJECTION
+    monkeypatch.setattr(scalability, "hull_certificate_check", lambda F, y: False)
+    assert _run(tmp_path, capsys, F, "analyze", "--json") == (
+        3, _numeric_failure("projection certificate fails the hull certificate check"))
 
 
 def test_nearest_point_stops_at_an_affinely_dependent_corral(monkeypatch):

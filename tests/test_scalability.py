@@ -544,8 +544,10 @@ def integer_frames(draw):
 class TestAnswerRule:
     @pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
     def test_weight_recheck_is_relative(self, s):
-        # equal weights make the Mercedes-Benz frame tight at every scale;
-        # weight on one vector alone never does
+        # _finish_scalable takes unit-column weights: the Mercedes-Benz
+        # vectors have equal norms, so equal unit-column weights are equal
+        # weights c, which make the frame tight at every scale; weight on
+        # one vector alone never does
         F = angles_frame(0.0, 2 * np.pi / 3, 4 * np.pi / 3)
         F = make_frame(s * F.synthesis.T)
         equal = _finish_scalable(F, np.full(3, 1 / 3), METHOD_FEASIBILITY)
