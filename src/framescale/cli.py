@@ -199,6 +199,9 @@ def _read_document(path):
 
 def cmd_analyze(args) -> int:
     paths = []
+    if args.batch and args.path:
+        print("error: provide a path or --batch, not both", file=sys.stderr)
+        return 2
     if args.batch:
         try:
             names = sorted(os.listdir(args.batch))

@@ -1,8 +1,9 @@
 """Plain-text frame documents.
 
-Format: a key-value header (``n``, ``m``, optional ``name``), then m lines of
-n whitespace-separated decimals, one frame vector per line.  Numbers are
-written with 17 significant digits so documents round-trip bit-identically.
+Format: a key-value header (``n``, ``m``, optional ``name``, each at most
+once), then m lines of n whitespace-separated decimals, one frame vector per
+line.  Numbers are written with 17 significant digits so documents
+round-trip bit-identically.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ class FrameDocument:
 def parse_frame_document(text, source="<input>") -> FrameDocument:
     n = m = None
     name = None
+    headers = set()  # each header key may appear once
     values = []  # the data rows, converted once each and concatenated
     nrows = 0
     lines = text.splitlines()
@@ -35,7 +37,13 @@ def parse_frame_document(text, source="<input>") -> FrameDocument:
             continue
         parts = line.split()
         key = parts[0]
-        if key in ("n", "m") and nrows == 0:
+        if nrows == 0 and key in ("n", "m", "name"):
+            if key in headers:
+                raise ParseError(f"{source}: repeated header '{key}'", line=lineno)
+            headers.add(key)
+            if key == "name":
+                name = line[len("name"):].strip() or None
+                continue
             if len(parts) != 2:
                 raise ParseError(f"{source}: header '{key}' needs one value", line=lineno)
             try:
@@ -48,9 +56,6 @@ def parse_frame_document(text, source="<input>") -> FrameDocument:
                 n = value
             else:
                 m = value
-            continue
-        if key == "name" and nrows == 0:
-            name = line[len("name"):].strip() or None
             continue
         if n is None or m is None:
             raise ParseError(f"{source}: data before 'n'/'m' headers", line=lineno)

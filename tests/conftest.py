@@ -9,6 +9,7 @@ from hypothesis import settings
 
 from framescale import is_in_V, is_in_W, make_frame, numerics, sylvester_hadamard
 from framescale.diagram import reduced_diagram_matrix
+from framescale.framedoc import document_from_frame, format_frame_document
 from framescale.split_scaling import w_point
 
 # Hypothesis profiles, for the tests that leave max_examples to them
@@ -67,6 +68,13 @@ def split_answer(F, block):
         assert found.member, block
         return "member"
     return None
+
+
+def frame_file(tmp_path, F):
+    """The path, as text, of a frame document of F written to tmp_path."""
+    path = tmp_path / "frame.txt"
+    path.write_text(format_frame_document(document_from_frame(F)))
+    return str(path)
 
 
 def random_unit_frame(rng, n, m):

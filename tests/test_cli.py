@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,13 +13,14 @@ from framescale.cli import _build_parser, _json_dumps, build_report, main
 from framescale.errors import ParseError
 from framescale.frame_core import apply_scaling, is_tight
 from framescale.framedoc import (
+    FrameDocument,
     document_from_frame,
     format_frame_document,
     frame_from_document,
     format_number,
     parse_frame_document,
 )
-from conftest import bench_corpus
+from conftest import bench_corpus, frame_file
 from test_derived import FRAMES, _frame
 
 
@@ -117,15 +122,24 @@ class TestInputErrors:
         ("n two\nm 2\n1 0\n0 1\n", "header 'n' is not an integer"),
         ("n 2\nm 0\n", "header 'm' must be positive"),
         ("n 2\n", "missing 'n' or 'm' header"),
+        # a repeated header used to override the first: R^3 and two vectors
+        ("n 2\nn 3\nm 3\n1 0 0\n0 1 0\n0 0 1\n", "repeated header 'n' (line 2)"),
+        ("n 2\nm 3\nm 2\n1 0\n0 1\n", "repeated header 'm' (line 3)"),
+        ("n 2\nname a\nm 2\nname b\n1 0\n0 1\n", "repeated header 'name' (line 4)"),
         ("no-path", "provide a path or --batch"),
+        # the path used to be dropped without a word
+        ("path-and-batch", "provide a path or --batch, not both"),
         ("missing-dir", "No such file or directory"),
         ("empty-dir", "no files in"),
     ], ids=["header-two-values", "header-not-integer", "header-not-positive",
-            "header-missing", "no-path", "batch-missing-dir", "batch-empty-dir"])
+            "header-missing", "header-n-repeated", "header-m-repeated",
+            "header-name-repeated", "no-path", "path-and-batch", "batch-missing-dir",
+            "batch-empty-dir"])
     def test_analyze_exits_two_with_one_error_line(self, tmp_path, capsys, case, message):
         empty = tmp_path / "empty"
         empty.mkdir()
         argv = {"no-path": ["analyze"],
+                "path-and-batch": ["analyze", str(tmp_path / "x.frame"), "--batch", str(tmp_path)],
                 "missing-dir": ["analyze", "--batch", str(tmp_path / "missing")],
                 "empty-dir": ["analyze", "--batch", str(empty)]}.get(case)
         assert main(argv or ["analyze", write(tmp_path, "bad.frame", case)]) == 2
@@ -354,18 +368,11 @@ class TestScale:
             lines.insert(0, "scalable, but not strictly")
         assert got.out.splitlines() == lines
 
-    def test_one_huge_vector_scales(self, tmp_path, capsys):
-        # one vector times 1e10 does not make the frame an input error: the
-        # answer is the one at 1e9 and at 1
-        for s in ("1", "1e9", "1e10"):
-            path = write(tmp_path, "big.frame", f"n 2\nm 3\n1 0\n0 1\n{s} {s}\n")
-            assert main(["scale", path]) == 0
-            assert capsys.readouterr().out == "0.707106781187 0.707106781187 0\n"
-
-    @pytest.mark.parametrize("s", ["1e-100", "1e100"])
+    @pytest.mark.parametrize("s", ["1e-100", "1", "1e9", "1e10", "1e100"])
     def test_far_vector_scales_as_at_one(self, tmp_path, capsys, s):
-        # the theta column of the third vector has a sum of squares far
-        # outside the float range; its norm is still taken, with no warning
+        # one vector times 1e10 is no input error, and at 1e+-100 the theta
+        # column of the third vector has a sum of squares far outside the
+        # float range; its norm is still taken, with no warning
         path = write(tmp_path, "far.frame", f"n 2\nm 3\n1 0\n0 1\n{s} {s}\n")
         assert main(["scale", path]) == 0
         assert capsys.readouterr().out == "0.707106781187 0.707106781187 0\n"
@@ -443,8 +450,7 @@ class TestZeroWeights:
     @pytest.mark.parametrize("args", SCALE_ARGS, ids=lambda a: " ".join(a) or "auto")
     def test_straddling_weight_is_exactly_zero(self, tmp_path, capsys, args):
         F = _frame("two-block")
-        path = write(tmp_path, "tb.frame", format_frame_document(document_from_frame(F)))
-        assert main(["scale", path] + args) == 0
+        assert main(["scale", frame_file(tmp_path, F)] + args) == 0
         tokens = capsys.readouterr().out.splitlines()[-1].split()
         assert len(tokens) == F.m
         assert "-0" not in tokens
@@ -463,9 +469,7 @@ class TestZeroWeights:
                                                    ["--method", "codim2"]],
                              ids=lambda a: " ".join(a) or "auto")
     def test_no_negative_zero_printed(self, tmp_path, capsys, name, args):
-        path = write(tmp_path, "f.frame",
-                     format_frame_document(document_from_frame(_frame(name))))
-        if main(["scale", path] + args) == 0:
+        if main(["scale", frame_file(tmp_path, _frame(name))] + args) == 0:
             tokens = capsys.readouterr().out.splitlines()[-1].split()
             assert not any(t.startswith("-") for t in tokens)
 
@@ -553,8 +557,9 @@ class TestDual:
         path = write(tmp_path, "far.frame", f"n 2\nm 3\n1 0\n0 1\n{x} {x}\n")
         assert main(["analyze", "--json", path]) == 0
         rep = json.loads(capsys.readouterr().out)
-        assert rep["frame"]["lower_bound"] == pytest.approx(1.0, rel=1e-15, abs=0)
+        assert rep["frame"]["lower_bound"] == 1.0
         assert rep["dual"]["dual_scalable"] is True
+        assert main(["dual", "--check-scalable", path]) == 0
 
     @pytest.mark.parametrize("command", [["dual"], ["dual", "--check-scalable"]])
     @pytest.mark.parametrize("x", ["1e17", "1e100"])
@@ -628,6 +633,7 @@ DIAGRAM_OVERFLOW_R3 = "n 3\nm 4\n1e154 1e154 0\n1 0 0\n0 1 0\n0 0 1\n"
 POTENTIAL_OVERFLOW = "n 2\nm 201\n" + "1e153 1e152\n" * 200 + "0 1e153\n"
 DIAGRAM_ERROR = "error: frame vector 0 is too large: its diagram entries overflow\n"
 DUAL_ERROR = "error: dual-scaling weights leave the float range\n"
+PARSEVAL_ERROR = "error: Parseval weights leave the float range\n"
 
 
 class TestFloatRange:
@@ -638,7 +644,11 @@ class TestFloatRange:
          "error: frame potential overflows the float range\n"),
         (["dual", "--check-scalable"], DIAGRAM_OVERFLOW_R2, DUAL_ERROR),
         (["dual", "--check-scalable"], DIAGRAM_OVERFLOW_R3, DUAL_ERROR),
-    ], ids=["scale-r2", "scale-r3", "analyze-potential", "dual-r2", "dual-r3"])
+        # a subnormal theta column norm, and a vector whose square is subnormal
+        (["scale", "--method", "split"], "n 2\nm 3\n1 0\n0 1\n1e-156 0\n", PARSEVAL_ERROR),
+        (["analyze", "--json"], "n 2\nm 2\n1e-160 0\n0 1\n", PARSEVAL_ERROR),
+    ], ids=["scale-r2", "scale-r3", "analyze-potential", "dual-r2", "dual-r3",
+            "split-subnormal-norm", "analyze-subnormal-square"])
     def test_input_error_with_one_line_and_no_warning(self, tmp_path, capsys,
                                                       command, text, message):
         path = write(tmp_path, "range.frame", text)
@@ -647,3 +657,76 @@ class TestFloatRange:
             assert main(command + [path]) == 2
         out, err = capsys.readouterr()
         assert (out, err) == ("", message)
+
+
+# CLI regressions that CI's console-script step once ran, named by the frame
+# file each wrote there: (frame, argv, exit code, check).  A frame is text or
+# commands, each run on the output of the one before; a check is the exact
+# "stdout", a part of one stream ("in stdout"/"in stderr"), or JSON fields
+CERTIFICATE = ("in stdout", "certificate y:")
+ONE_SIGNED = "n 2\nm 3\n1 1\n1 2\n2 1\n"  # every x_1 x_2 > 0: the split of 1 answers
+TINY_ROW = "n 2\nm 5\n1 1e-9\n1 2e-9\n1 3e-9\n1e-9 1\n2e-9 1\n"  # x_1 x_2 about 1e-9
+J = np.arange(32)  # a strict frame, n = 8, m = 32 below theta's 35 rows
+TALL = format_frame_document(FrameDocument(n=8, m=32, vectors=(np.array(
+    [f(2 * np.pi * k * J / 32) for k in range(1, 5) for f in (np.cos, np.sin)])
+    * (1 + J % 5 / 4) * (-1.0) ** J).T))
+CLI_CASES = {
+    "dual.frame-scale-split": ((["generate", "p1", "--n", "4"], ["dual"]),
+                               ["scale", "--method", "split"], 1, CERTIFICATE),
+    # corank 2, one feasible direction: the hull solver, with corank 2's zeros
+    "corank2.frame-analyze": ("n 2\nm 4\n0 1\n1 1\n0 1\n-1 1\n", ["analyze", "--json"], 0,
+                              ("json", "scalability", {"method": "feasibility",
+                                                       "near_zero": [0, 2]})),
+    "mb.frame-scale-cofactor": ((["generate", "mb"],), ["scale", "--method", "cofactor"], 0,
+                                ("stdout", "0.57735026919 0.57735026919 0.57735026919\n")),
+    "onesigned.frame-analyze": (ONE_SIGNED, ["analyze", "--json"], 0,
+                                ("json", "scalability", {"method": "projection"})),
+    "onesigned.frame-scale": (ONE_SIGNED, ["scale"], 1, CERTIFICATE),
+    "tinyrow.frame-scale": (TINY_ROW, ["scale"], 1, CERTIFICATE),
+    "tinyrow.frame-scale-lp": (TINY_ROW, ["scale", "--method", "lp"], 1, CERTIFICATE),
+    "badnum.frame-scale": ("n 2\nm 3\n1 0\n1 oops\n1\n", ["scale"], 2,
+                           ("in stderr", "(line 4, column 2)")),
+    "short.frame-scale": ("n 2\nm 3\n1 0\n0 1\n1\n", ["scale"], 2,
+                          ("in stderr", "expected 2 values in vector row, got 1 (line 5)")),
+    "tall.frame-analyze": (TALL, ["analyze", "--json"], 0,
+                           ("json", "scalability", {"method": "projection"})),
+    # V is trivial by the split of 1 on a product block of 15 rows, 7 columns
+    "r67.frame-analyze": ((["generate", "random-unit", "--n", "6", "--m", "7"],),
+                          ["analyze", "--json"], 0, ("json", "split", {"v_nontrivial": False})),
+}
+
+
+@pytest.mark.parametrize("frame, argv, code, check", CLI_CASES.values(), ids=list(CLI_CASES))
+def test_cli_case(tmp_path, capsys, monkeypatch, frame, argv, code, check):
+    monkeypatch.delenv("FRAMESCALE_TOL", raising=False)
+    path = tmp_path / "case.frame"
+    if isinstance(frame, str):
+        path.write_text(frame)
+    else:
+        for k, command in enumerate(frame):
+            assert main(command + [str(path)] * (k > 0)) == 0
+            path.write_text(capsys.readouterr().out)
+    assert main(argv + [str(path)]) == code
+    out, err = capsys.readouterr()
+    kind, *expected = check
+    if kind == "json":
+        report = json.loads(out)[expected[0]]
+        assert {key: report[key] for key in expected[1]} == expected[1]
+    else:
+        stream = out if kind.endswith("stdout") else err
+        assert expected[0] in stream if kind.startswith("in ") else stream == expected[0]
+
+
+def test_python_dash_m_runs_main_in_a_fresh_process(tmp_path):
+    # ``python -m framescale``, the benchmark's cold start: main's exit code,
+    # on the package in src/, and no warning at import
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONWARNINGS="error",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    quadrant = write(tmp_path, "quadrant.frame", QUADRANT_TEXT)
+    for argv, code, stdout in ((["--version"], 0, "0.1.0\n"),
+                               (["scale", quadrant], 1, "not scalable; certificate y: ")):
+        run = subprocess.run([sys.executable, "-m", "framescale", *argv],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert (run.returncode, run.stderr, run.stdout.count("\n")) == (code, "", 1)
+        assert run.stdout.startswith(stdout)

@@ -28,7 +28,7 @@ from framescale import (
 from framescale import cli, diagram, frame_core
 from framescale.cli import build_report, main
 from framescale.diagram import reduced_diagram_matrix, reduced_size, unit_diagram_matrix
-from framescale.framedoc import document_from_frame, format_frame_document
+from framescale.framedoc import document_from_frame
 from framescale.scalability import (
     METHOD_FEASIBILITY,
     NOT_SCALABLE,
@@ -38,11 +38,13 @@ from conftest import (
     angles_frame,
     split_answer,
     doubled_hadamard_frame,
+    frame_file,
     random_scalable_frame,
     random_unit_frame,
     rescaled_harmonic_frame,
     two_block_frame,
 )
+from test_lp_regressions import FORCED_ZERO_FRAME
 
 DEG = np.pi / 180
 FRAMES = {
@@ -261,14 +263,12 @@ def test_scale_auto_takes_at_most_one_svd_of_theta(tmp_path, monkeypatch, capsys
     # of p1's are
     F = _frame(name)
     theta = unit_diagram_matrix(F).data
-    path = tmp_path / "frame.txt"
-    path.write_text(format_frame_document(document_from_frame(F)))
     factored = _count(monkeypatch, np.linalg, "svd",
                       lambda A, *args, **kwargs: kwargs.get("compute_uv", True))
     spans = _count(monkeypatch, np.linalg, "svd",
                    lambda A, *args, **kwargs: not kwargs.get("compute_uv", True))
     hulls = _count(monkeypatch, numerics, "solve_feasibility")
-    assert main(["scale", "--method", "auto", str(path)]) in (0, 1)
+    assert main(["scale", "--method", "auto", frame_file(tmp_path, F)]) in (0, 1)
     assert not any(np.array_equal(A, theta) for (A, *_) in factored)
     assert [np.array_equal(p.A, reduced_diagram_matrix(F)) for (p,) in hulls] == [True] * solves
     unit = F.synthesis / np.linalg.norm(F.synthesis, axis=0)
@@ -281,14 +281,11 @@ def test_lp_route_forms_theta_column_norms_once_per_unit_matrix(tmp_path, monkey
     # the frame's unit theta and the hull solver's own unit columns each
     # divide by theta's column norms; the solver's unit-column weights go to
     # the answer as they are, which forms c from the frame's norms
-    F = make_frame([[-1.0, 0.0, 0.0], [1.0, 0.0, -1.0], [-1.0, 2.5e-8, 0.0],
-                    [0.0, 0.0, -1.0], [-1.0, 0.0, -1.0], [0.0, -1.0, 0.0]])
+    F = make_frame(FORCED_ZERO_FRAME)
     theta = reduced_diagram_matrix(F)
-    path = tmp_path / "forced.frame"
-    path.write_text(format_frame_document(document_from_frame(F)))
     norms = _count(monkeypatch, numerics, "column_norms",
                    lambda A: A.shape == theta.shape and np.array_equal(A, theta))
-    assert main(["scale", "--method", "lp", str(path)]) == 0
+    assert main(["scale", "--method", "lp", frame_file(tmp_path, F)]) == 0
     assert theta.shape == (5, 6)
     assert len(norms) == 2
 
@@ -316,14 +313,13 @@ def test_scale_auto_answers_corank_1_and_2_without_an_lp(tmp_path, monkeypatch, 
     build, code, corank, hulls = KERNEL_ROUTE_FRAMES[name]
     F = build()
     theta = unit_diagram_matrix(F).data
-    path = tmp_path / "frame.txt"
-    path.write_text(format_frame_document(document_from_frame(F)))
+    path = frame_file(tmp_path, F)
     forced = {1: "cofactor", 2: "codim2"}[corank]
     for method, svds, solved in (("auto", 0, hulls), (forced, 1, 0)):
         theta_svds = _count(monkeypatch, np.linalg, "svd",
                             lambda A, *args, **kwargs: np.array_equal(A, theta))
         solves = _count(monkeypatch, numerics, "solve_feasibility")
-        assert main(["scale", "--method", method, str(path)]) == code
+        assert main(["scale", "--method", method, path]) == code
         assert ("certificate y:" in capsys.readouterr().out) == (code == 1)
         assert (len(theta_svds), len(solves)) == (svds, solved), method
 
@@ -366,15 +362,14 @@ def test_every_command_answers_with_decide(tmp_path, monkeypatch, capsys, name):
     # nearest point when the solver's split of 1 on its block does not
     # answer.  No unit theta is factored
     F = POLICY_FRAMES[name]()
-    path = tmp_path / "frame.txt"
-    path.write_text(format_frame_document(document_from_frame(F)))
+    path = frame_file(tmp_path, F)
     command_solves = _solves(monkeypatch)
     answer = decide(frame_from_synthesis(F.synthesis))
     for strict in ([], ["--strict"]):
-        code = main(["scale", str(path)] + strict)
+        code = main(["scale", path] + strict)
         assert code == (0 if answer.scalable else 1)
         assert capsys.readouterr().out.splitlines()[-1] == _printed(answer)
-        code = main(["scale", "--method", "split", str(path)] + strict)
+        code = main(["scale", "--method", "split", path] + strict)
         assert code == (0 if answer.scalable else 1)
         assert ("certificate y:" in capsys.readouterr().out) == (not answer.scalable)
     assert all(_block(p, F) == "theta" for p, _ in command_solves)

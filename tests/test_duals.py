@@ -42,11 +42,11 @@ from framescale.errors import (
     NotSpanningError,
     SingularTransformError,
 )
-from framescale.framedoc import document_from_frame, format_frame_document
 from conftest import (
     SCALES,
     angles_frame,
     doubled_hadamard_frame,
+    frame_file,
     open_cone_frame,
     random_orthogonal,
     random_scalable_frame,
@@ -276,9 +276,7 @@ class TestDualInvariance:
             rep = canonical_dual_scalable(G)
             assert rep.feasible == verdict
             _assert_dual_answer(G, rep)
-            path = tmp_path / "frame.txt"
-            path.write_text(format_frame_document(document_from_frame(G)))
-            assert main(["dual", "--check-scalable", str(path)]) == 0
+            assert main(["dual", "--check-scalable", frame_file(tmp_path, G)]) == 0
             out = capsys.readouterr().out
             assert ("dual scalable" in out) == verdict
 

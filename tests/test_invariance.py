@@ -31,13 +31,14 @@ from framescale import (
 )
 from framescale.cli import build_report, main
 from framescale.errors import NotSpanningError, ZeroVectorError
-from framescale.framedoc import document_from_frame, format_frame_document, parse_frame_document
+from framescale.framedoc import document_from_frame, parse_frame_document
 from framescale.scalability import METHOD_PROJECTION, NOT_SCALABLE
 from conftest import (
     SCALES,
     bench_corpus,
     angles_frame,
     doubled_hadamard_frame,
+    frame_file,
     open_cone_frame,
     random_orthogonal,
     random_scalable_frame,
@@ -93,9 +94,7 @@ ROUTES = {
 
 
 def _analyze(tmp_path, capsys, F):
-    path = tmp_path / "frame.txt"
-    path.write_text(format_frame_document(document_from_frame(F)))
-    assert main(["analyze", str(path), "--json"]) == 0
+    assert main(["analyze", frame_file(tmp_path, F), "--json"]) == 0
     rep = json.loads(capsys.readouterr().out)
     s = rep["scalability"]
     return (s["verdict"], rep["split"]["intersection_verdict"]), s["near_zero"]

@@ -29,7 +29,7 @@ from framescale import (
 )
 from framescale.cli import build_report, main
 from framescale.frame_core import apply_scaling, is_tight
-from framescale.framedoc import document_from_frame, format_frame_document
+from framescale.framedoc import document_from_frame
 from framescale.errors import InternalNumericError, NotSpanningError
 from framescale.scalability import codim2_scaling, cofactor_scaling, hull_certificate_check
 from framescale.diagram import unit_diagram_matrix
@@ -41,6 +41,7 @@ from framescale.scalability import (
 )
 from conftest import (
     NEAR_PARALLEL_FRAME,
+    frame_file,
     random_scalable_frame,
     rescaled_harmonic_frame,
     tiny_row_frame,
@@ -161,10 +162,8 @@ NEAR_DUPLICATE_FRAMES = {
 
 
 def _run(tmp_path, capsys, vectors, *args):
-    path = tmp_path / "frame.txt"
-    path.write_text(format_frame_document(document_from_frame(make_frame(vectors))))
     command, *options = args
-    code = main([command, str(path), *options])
+    code = main([command, frame_file(tmp_path, make_frame(vectors)), *options])
     return code, capsys.readouterr()
 
 
@@ -255,7 +254,7 @@ def test_near_duplicate_cofactor_falls_back_to_the_lp(tmp_path, capsys, name):
     with pytest.raises(InternalNumericError, match="kernel identity"):
         cofactor_scaling(make_frame(vectors))
     code, out = _run(tmp_path, capsys, vectors, "scale")
-    assert code in (0, 1), out.err
+    assert code == 0, out.err
     assert (code, out) == _run(tmp_path, capsys, vectors, "scale", "--method", "lp")
     code, out = _run(tmp_path, capsys, vectors, "analyze", "--json")
     assert code == 0, out.err
@@ -303,25 +302,6 @@ def test_near_parallel_split_route_agrees_with_scale(tmp_path, capsys):
     assert (code, out) == _run(tmp_path, capsys, NEAR_PARALLEL_FRAME, "scale")
 
 
-# the codim-2 route's weight on vector 5, 6.9e-10 of the unit-column sum, is
-# within the accuracy of its SVD of 0 (s_1/s_r is about 7.5e7); when decide
-# took that route it answered "strictly scalable", against the hull solver's
-# forced zero on vector 5
-CODIM2_STRICTNESS_FRAME = [[0.0, -2.0, -1.0], [1.0, 0.0, -1.0], [1.0, 0.0, 1.0],
-                           [-1.0, 2.0, 0.0], [2.0, 2.0, -2.0],
-                           [0.0, -2.0, -0.9999997763932023], [1.0, 0.0, -1.0]]
-
-
-def test_decide_agrees_with_the_hull_solver_on_strictness(tmp_path, capsys):
-    F = make_frame(CODIM2_STRICTNESS_FRAME)
-    for result in (decide(F), decide_scalable(F)):
-        assert (result.verdict, result.near_zero) == (SCALABLE, [5])
-        _assert_tightens(F, result)
-    code, out = _run(tmp_path, capsys, CODIM2_STRICTNESS_FRAME, "scale", "--strict")
-    assert code == 0, out.err
-    assert out.out.splitlines()[0] == "scalable, but not strictly"
-
-
 # a drawn frame (seed 11, per-vector scales 10^U(-8, 8)) whose canonical dual
 # has no scaling: the dual's S^2 system needs c_4 = tr S, about 218, on its
 # off-diagonal, which then overshoots the diagonal of the small eigenvalue.
@@ -364,8 +344,7 @@ def test_near_duplicate_lp_route_prints_a_certificate(tmp_path, capsys):
         code, out = _run(tmp_path, capsys, SPLIT_NEAR_DUPLICATE_FRAME,
                          "scale", "--method", "lp", *strict)
         assert code == 1, out.err
-        y = [float(v) for v in out.out.split("certificate y:")[1].split()]
-        assert hull_certificate_check(F, y)
+        assert hull_certificate_check(F, _printed_certificate(out))
 
 
 # theta column norms below the normal float range: 1e-312 for the tiny
@@ -434,9 +413,10 @@ def test_overflowing_weights_are_shifted_into_range(tmp_path, capsys):
     for result in (codim2_scaling(F), decide(F)):
         assert result.verdict == STRICTLY_SCALABLE
         np.testing.assert_allclose(result.scalars_a, [1e-156, 2 ** 0.5 * 1e-156, 1.0])
-    code, out = _run(tmp_path, capsys, RANGE_FRAMES["tiny-vector"], "scale")
-    assert code == 0, out.err
-    assert out.out.split() == ["9.99999999999e-157", "1.41421356237e-156", "1"]
+    for strict in ((), ("--strict",)):
+        code, out = _run(tmp_path, capsys, RANGE_FRAMES["tiny-vector"], "scale", *strict)
+        assert code == 0, out.err
+        assert out.out == "9.99999999999e-157 1.41421356237e-156 1\n"
 
 
 # the (1, 2) product row of theta is nonzero only at vector 2, about -4e-8
@@ -471,10 +451,23 @@ CODIM2_FORCED_ZERO_FRAME = [[0.0, -2.0, -1.0], [1.0, 0.0, -1.0], [1.0, 0.0, 1.0]
 
 def test_codim2_entry_within_the_kernel_accuracy_of_0_gets_weight_0(tmp_path, capsys):
     F = make_frame(CODIM2_FORCED_ZERO_FRAME)
-    for result in (decide(F), codim2_scaling(F)):
-        assert (result.verdict, result.near_zero) == (SCALABLE, [5])
+    result = codim2_scaling(F)
+    assert (result.verdict, result.near_zero) == (SCALABLE, [5])
+    _assert_tightens(F, result)
     code, out = _run(tmp_path, capsys, CODIM2_FORCED_ZERO_FRAME,
                      "scale", "--method", "codim2", "--strict")
+    assert code == 0, out.err
+    assert out.out.splitlines()[0] == "scalable, but not strictly"
+
+
+# when decide took the codim-2 route on the frame above it answered
+# "strictly scalable", against the hull solver's forced zero on vector 5
+def test_decide_agrees_with_the_hull_solver_on_strictness(tmp_path, capsys):
+    F = make_frame(CODIM2_FORCED_ZERO_FRAME)
+    for result in (decide(F), decide_scalable(F)):
+        assert (result.verdict, result.near_zero) == (SCALABLE, [5])
+        _assert_tightens(F, result)
+    code, out = _run(tmp_path, capsys, CODIM2_FORCED_ZERO_FRAME, "scale", "--strict")
     assert code == 0, out.err
     assert out.out.splitlines()[0] == "scalable, but not strictly"
 

@@ -16,9 +16,8 @@ from framescale import cli, scalability, split_scaling
 from framescale.cli import main
 from framescale.errors import InternalNumericError
 from framescale.frame_core import Tightness, make_frame
-from framescale.framedoc import document_from_frame, format_frame_document
 from framescale.scalability import METHOD_PROJECTION, decide
-from conftest import angles_frame
+from conftest import angles_frame, frame_file
 
 MB = angles_frame(0.0, 2 * np.pi / 3, 4 * np.pi / 3)  # tight, so scalable
 # not scalable, but sum_i a_i x_i x_i^T has a constant diagonal for some
@@ -32,9 +31,7 @@ CORANK_2 = make_frame([[0.0, 1.0], [1.0, 1.0], [0.0, 1.0], [-1.0, 1.0]])
 
 def _run(tmp_path, capsys, F, *command):
     """(exit code, stderr) of ``framescale <command> <file of F>``."""
-    path = tmp_path / "frame.txt"
-    path.write_text(format_frame_document(document_from_frame(F)))
-    code = main([*command, str(path)])
+    code = main([*command, frame_file(tmp_path, F)])
     return code, capsys.readouterr().err
 
 

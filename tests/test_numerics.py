@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from framescale import make_frame, numerics
 from framescale.diagram import unit_diagram_matrix
-from framescale.errors import DimensionMismatchError, NonFiniteError
+from framescale.errors import DimensionMismatchError, InternalNumericError, NonFiniteError
 from conftest import NEAR_PARALLEL_FRAME, tiny_row_frame
 
 
@@ -245,6 +245,21 @@ class TestHullCertificates:
         P = self._unit_theta(tiny_row_frame(2, 1e-8))
         y, _ = numerics._hull(P)
         assert np.array_equal(y, numerics.nearest_point(P)[0])
+
+    def test_last_resort_is_a_positive_wolfe_point(self, monkeypatch):
+        # no candidate clears ZERO_TOL and Wolfe's weights fail the kernel
+        # identity: Wolfe's point x answers when every P_j^T x > 0, else the
+        # solver answers neither way
+        A = np.array([[1e-13, 2e-13, 3e-13], [1.0, -1.0, 1.0]])
+        x = np.array([1.0, 0.0])
+        monkeypatch.setattr(numerics, "split_of_one", lambda P, rounds: (None, None))
+        monkeypatch.setattr(numerics, "nearest_point", lambda P: (x, np.array([1.0, 0.0, 0.0])))
+        monkeypatch.setattr(numerics, "_facet_point", lambda P, w: x.copy())
+        assert not numerics._clears(unit_columns(A), x)
+        assert solve(A)[0] is x
+        x *= -1.0
+        with pytest.raises(InternalNumericError, match="nearest point passes neither"):
+            solve(A)
 
 
 class TestSplitRounds:
