@@ -23,12 +23,7 @@ from . import __version__, numerics
 from . import duals as duals_mod
 from . import scalability as sca
 from . import split_scaling as split
-from .errors import (
-    BadParamsError,
-    FramescaleError,
-    InternalNumericError,
-    ParseError,
-)
+from .errors import BadParamsError, FramescaleError, InternalNumericError, ParseError
 from .frame_core import apply_scaling, frame_operator, frame_potential, is_tight, make_frame
 from .framedoc import (
     FrameDocument,
@@ -236,10 +231,6 @@ def cmd_scale(args) -> int:
         result = sca.decide(frame)
     elif method == "lp":
         result = sca.decide_scalable(frame)
-    elif method == "cofactor":
-        _, result = sca.cofactor_scaling(frame)
-    elif method == "codim2":
-        result = sca.codim2_scaling(frame)
     else:  # split
         result = split.intersection_scalability(frame)
     if not result.scalable:
@@ -348,8 +339,7 @@ def _build_parser():
         "scale", help="compute scaling weights or a certificate")
     p.add_argument("path")
     p.add_argument("--strict", action="store_true", help="say if scalable, but not strictly")
-    p.add_argument("--method", choices=["auto", "lp", "cofactor", "codim2", "split"],
-                   default="auto")
+    p.add_argument("--method", choices=["auto", "lp", "split"], default="auto")
     p.add_argument("--tol")
     p.set_defaults(func=cmd_scale)
 

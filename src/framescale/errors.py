@@ -31,7 +31,7 @@ class NotUnitNormError(FramescaleError):
 
 
 class CorankMismatchError(FramescaleError):
-    """Rank hypothesis of the requested method is not satisfied."""
+    """The frame's corank is not the one that its corank route needs."""
 
 
 class NotParsevalScalingError(FramescaleError):

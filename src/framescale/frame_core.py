@@ -140,9 +140,7 @@ def _checked_synthesis(X):
     column (the square of its largest |entry|: rounding is monotone) must be
     a finite nonzero float: a largest entry of 0 is the zero vector, and a
     nonzero one whose square underflows to 0 or overflows is out of range."""
-    X = np.array(X, dtype=float)
-    if X.ndim != 2:
-        raise DimensionMismatchError("synthesis matrix must be 2-dimensional")
+    X = np.array(_float_matrix(X, "synthesis matrix must be 2-dimensional"))
     if not np.all(np.isfinite(X)):
         raise NonFiniteError("frame vectors must be finite")
     n, m = X.shape
@@ -169,16 +167,27 @@ def _spans(F):
     return numerics.rank(F.synthesis / column_norms(F)) == F.n
 
 
+def _float_matrix(a, message):
+    """``a`` as a 2-d float array, not copied if it is one, else a
+    DimensionMismatchError with ``message``.  numpy raises ValueError for
+    rows of unequal length, which as objects are not 2-d."""
+    try:
+        arr = np.asarray(a, dtype=float)
+    except ValueError:
+        arr = np.array(a, dtype=object)
+        if arr.ndim == 2:  # an entry that is not a number
+            raise
+    if arr.ndim != 2:
+        raise DimensionMismatchError(message)
+    return arr
+
+
 def make_frame(vectors) -> Frame:
     """Build a Frame from an m x n array or an iterable of m vectors in
     R^n."""
-    if isinstance(vectors, np.ndarray):
-        arr = np.asarray(vectors, dtype=float)
-    else:
-        arr = np.array(list(vectors), dtype=float)
-    if arr.ndim != 2:
-        raise DimensionMismatchError("vectors must all have the same length")
-    return frame_from_synthesis(arr.T)
+    if not isinstance(vectors, np.ndarray):
+        vectors = list(vectors)
+    return frame_from_synthesis(_float_matrix(vectors, "vectors must all have the same length").T)
 
 
 @derived

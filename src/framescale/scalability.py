@@ -22,9 +22,9 @@ moves the step that answers only where a part of the split is near its
 floor.  ``quick_sign_reject`` still finds a strictly one-signed row, but no
 route calls it: such a row is one certificate y among many.
 
-The paper's corank-1 and corank-2 results are routes that ``decide`` never
-takes; ``scale --method cofactor|codim2`` forces them, and tests use them
-as oracles.  Each reads the kernel off one SVD of theta^ (``theta_svd``):
+The paper's corank-1 and corank-2 results are library functions that
+neither ``decide`` nor any command calls; tests use them as oracles.  Each
+reads the kernel off one SVD of theta^ (``theta_svd``):
 
 * corank 1: ``cofactor_scaling`` -- the kernel is the line of the cofactor
   vector (the paper's formula is ``cofactor_vector``), so the unit kernel

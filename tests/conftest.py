@@ -7,9 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from framescale import is_in_V, is_in_W, make_frame, numerics, sylvester_hadamard
+from framescale import (
+    apply_scaling,
+    codim2_scaling,
+    cofactor_scaling,
+    is_in_V,
+    is_in_W,
+    is_tight,
+    make_frame,
+    numerics,
+    sylvester_hadamard,
+)
 from framescale.diagram import reduced_diagram_matrix
 from framescale.framedoc import document_from_frame, format_frame_document
+from framescale.scalability import SCALABLE
 from framescale.split_scaling import w_point
 
 # Hypothesis profiles, for the tests that leave max_examples to them
@@ -75,6 +86,32 @@ def frame_file(tmp_path, F):
     path = tmp_path / "frame.txt"
     path.write_text(format_frame_document(document_from_frame(F)))
     return str(path)
+
+
+def printed_line(result):
+    """The last line ``scale`` prints for ``result``."""
+    if result.scalable:
+        return " ".join("%.12g" % v for v in result.scalars_a)
+    return "not scalable; certificate y: " + " ".join("%.12g" % v for v in result.certificate_y)
+
+
+# the paper's corank routes by name: ``scale`` offers only the routes of
+# ``decide``, so a test that holds one of these to scale's output asks it
+# through ``kernel_route_lines``
+KERNEL_ROUTES = {"cofactor": lambda F: cofactor_scaling(F)[1], "codim2": codim2_scaling}
+
+
+def kernel_route_lines(F, route, strict=False):
+    """The lines ``scale`` prints for the answer of the corank route
+    ``route`` on F, whose scalars must make F tight, with --strict if
+    ``strict``."""
+    result = KERNEL_ROUTES[route](F)
+    if result.scalable:
+        assert is_tight(apply_scaling(F, result.scalars_a)).tight
+    lines = [printed_line(result)]
+    if strict and result.verdict == SCALABLE:
+        lines.insert(0, "scalable, but not strictly")
+    return lines
 
 
 def random_unit_frame(rng, n, m):

@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framescale import hull_certificate_check, make_frame
+from framescale import codim2_scaling, hull_certificate_check, make_frame
 from framescale.cli import _build_parser, _json_dumps, build_report, main
-from framescale.errors import ParseError
+from framescale.errors import CorankMismatchError, ParseError
 from framescale.frame_core import apply_scaling, is_tight
 from framescale.framedoc import (
     FrameDocument,
@@ -20,7 +20,7 @@ from framescale.framedoc import (
     format_number,
     parse_frame_document,
 )
-from conftest import bench_corpus, frame_file
+from conftest import KERNEL_ROUTES, bench_corpus, frame_file, kernel_route_lines
 from test_derived import FRAMES, _frame
 
 
@@ -30,6 +30,11 @@ QUADRANT_TEXT = "n 2\nm 3\n1 0.1\n0.9 0.5\n0.5 1\n"
 # cofactor weights [1, 2e-86, 0] on theta column norms [3.2e201, 1.6e287, 3e-210]
 OVERFLOW_TEXT = ("n 2\nm 3\n0 -5.6632054457081432e+100\n-3.9917884693248457e+143 0\n"
                  "-1.5506848944305719e-105 7.7534244721528595e-106\n")
+
+# ``scale`` offers no corank route.  Where a test's parameters are scale's
+# arguments, ``--method cofactor|codim2`` names a corank route beside them:
+# the test asks that route itself, through ``kernel_route_lines``, for the
+# lines that scale would print
 
 
 def reference_json_dumps(obj, indent=0):
@@ -298,6 +303,10 @@ class TestCommandLine:
          "framescale scale: error: the following arguments are required: path\n"),
         (["scale", "--method", "nope", "x"], 2, "err",
          "framescale scale: error: argument --method: invalid choice: 'nope' ("),
+        (["scale", "--method", "cofactor", "x"], 2, "err",
+         "framescale scale: error: argument --method: invalid choice: 'cofactor' ("),
+        (["scale", "--method", "codim2", "x"], 2, "err",
+         "framescale scale: error: argument --method: invalid choice: 'codim2' ("),
         (["scale", "x", "--bogus"], 2, "err",
          "framescale: error: unrecognized arguments: --bogus\n"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
@@ -331,24 +340,19 @@ class TestScale:
         assert main(["scale", path]) == 1
         assert "certificate" in capsys.readouterr().out
 
-    def test_method_cofactor(self, tmp_path, capsys):
+    def test_method_cofactor(self):
         t, p = np.pi / 3, 2 * np.pi / 3
-        text = "n 2\nm 3\n1 0\n%.17g %.17g\n%.17g %.17g\n" % (
-            np.cos(t), np.sin(t), np.cos(p), np.sin(p))
-        path = write(tmp_path, "tp.frame", text)
-        assert main(["scale", path, "--method", "cofactor"]) == 0
-        weights = [float(v) for v in capsys.readouterr().out.split()]
+        F = make_frame([[1.0, 0.0], [np.cos(t), np.sin(t)], [np.cos(p), np.sin(p)]])
+        [line] = kernel_route_lines(F, "cofactor")
+        weights = [float(v) for v in line.split()]
         assert np.allclose(weights, weights[0])
 
-    def test_method_codim2(self, tmp_path, capsys):
+    def test_method_codim2(self):
         deg = np.pi / 180
-        rows = [(1.0, 0.0)] + [(np.cos(a), np.sin(a))
-                               for a in (30 * deg, 100 * deg, 110 * deg)]
-        text = "n 2\nm 4\n" + "".join("%.17g %.17g\n" % r for r in rows)
-        path = write(tmp_path, "c2.frame", text)
-        assert main(["scale", path, "--method", "codim2"]) == 0
-        weights = [float(v) for v in capsys.readouterr().out.split()]
-        assert min(weights) > 0
+        F = make_frame([(1.0, 0.0)] + [(np.cos(a), np.sin(a))
+                                       for a in (30 * deg, 100 * deg, 110 * deg)])
+        [line] = kernel_route_lines(F, "codim2")
+        assert min(float(v) for v in line.split()) > 0
 
     @pytest.mark.parametrize("args", [[], ["--method", "codim2"], ["--strict"],
                                       ["--method", "codim2", "--strict"]],
@@ -356,17 +360,22 @@ class TestScale:
     def test_codim2_single_feasible_direction(self, tmp_path, capsys, args):
         # corank 2 with one feasible kernel direction, t = 0 on the kernel
         # basis: the route answers as the LP does
-        path = write(tmp_path, "c2.frame", "n 2\nm 4\n0 1\n1 1\n0 1\n-1 1\n")
+        text = "n 2\nm 4\n0 1\n1 1\n0 1\n-1 1\n"
+        path = write(tmp_path, "c2.frame", text)
         strict = ["--strict"] if "--strict" in args else []
         assert main(["scale", path, "--method", "lp"] + strict) == 0
-        want = capsys.readouterr()
-        assert main(["scale", path] + args) == 0
-        got = capsys.readouterr()
-        assert got.out == want.out
+        want = capsys.readouterr().out.splitlines()
+        if "codim2" in args:
+            F = frame_from_document(parse_frame_document(text))
+            got = kernel_route_lines(F, "codim2", strict=bool(strict))
+        else:
+            assert main(["scale", path] + args) == 0
+            got = capsys.readouterr().out.splitlines()
+        assert got == want
         lines = ["0 0.707106781187 0 0.707106781187"]
         if strict:
             lines.insert(0, "scalable, but not strictly")
-        assert got.out.splitlines() == lines
+        assert got == lines
 
     @pytest.mark.parametrize("s", ["1e-100", "1", "1e9", "1e10", "1e100"])
     def test_far_vector_scales_as_at_one(self, tmp_path, capsys, s):
@@ -385,25 +394,29 @@ class TestScale:
         assert main(["analyze", path, "--json"]) == 0
         s = json.loads(capsys.readouterr().out)["scalability"]
         assert (s["verdict"], s["method"], s["near_zero"]) == ("scalable", "feasibility", [2])
-        assert main(["scale", path, "--method", "cofactor"]) == 0
-        assert capsys.readouterr().out.split()[-1] == "0"
+        F = make_frame([[1.0, 0.0], [0.0, 1.0], [1e-100, 1e-100]])
+        assert kernel_route_lines(F, "cofactor")[-1].split()[-1] == "0"
 
     @pytest.mark.parametrize("method", ["auto", "cofactor"])
     def test_corank_one_certificate(self, tmp_path, capsys, method):
         # (1, 0), (1, 1), (1, 2) lie in one open quadrant: corank 1, not
         # scalable, and the certificate comes from the kernel in closed form
-        path = write(tmp_path, "c1.frame", "n 2\nm 3\n1 0\n1 1\n1 2\n")
-        assert main(["scale", path, "--method", method]) == 1
-        out = capsys.readouterr().out
+        F = make_frame([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
+        if method in KERNEL_ROUTES:
+            [out] = kernel_route_lines(F, method)
+        else:
+            path = write(tmp_path, "c1.frame", "n 2\nm 3\n1 0\n1 1\n1 2\n")
+            assert main(["scale", path, "--method", method]) == 1
+            out = capsys.readouterr().out
         assert out.startswith("not scalable; certificate y: ")
         y = [float(v) for v in out.split(":")[1].split()]
-        F = make_frame([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
         assert hull_certificate_check(F, y)
 
-    def test_method_rank_mismatch_exit_two(self, tmp_path, capsys):
-        path = write(tmp_path, "mb.frame", MB_TEXT)
-        assert main(["scale", path, "--method", "codim2"]) == 2
-        assert "corank" in capsys.readouterr().err
+    def test_method_rank_mismatch_raises(self):
+        mb = frame_from_document(parse_frame_document(MB_TEXT))
+        with pytest.raises(CorankMismatchError,
+                           match="^codim-2 method needs corank 2, measured corank 1$"):
+            codim2_scaling(mb)
 
     def test_method_split(self, tmp_path, capsys):
         path = write(tmp_path, "mb.frame", MB_TEXT)
@@ -469,9 +482,18 @@ class TestZeroWeights:
                                                    ["--method", "codim2"]],
                              ids=lambda a: " ".join(a) or "auto")
     def test_no_negative_zero_printed(self, tmp_path, capsys, name, args):
-        if main(["scale", frame_file(tmp_path, _frame(name))] + args) == 0:
-            tokens = capsys.readouterr().out.splitlines()[-1].split()
-            assert not any(t.startswith("-") for t in tokens)
+        F = _frame(name)
+        if args and args[-1] in KERNEL_ROUTES:
+            try:
+                line = kernel_route_lines(F, args[-1])[-1]
+            except CorankMismatchError:
+                return
+        elif main(["scale", frame_file(tmp_path, F)] + args) == 0:
+            line = capsys.readouterr().out.splitlines()[-1]
+        else:
+            return
+        if not line.startswith("not scalable"):
+            assert not any(t.startswith("-") for t in line.split())
 
 
 class TestDimensionOne:
@@ -661,7 +683,9 @@ class TestFloatRange:
 
 # CLI regressions that CI's console-script step once ran, named by the frame
 # file each wrote there: (frame, argv, exit code, check).  A frame is text or
-# commands, each run on the output of the one before; a check is the exact
+# commands, each run on the output of the one before; argv ending in
+# ``--method cofactor|codim2`` asks that corank route itself for the lines
+# scale would print, exit 1 if they read "not scalable"; a check is the exact
 # "stdout", a part of one stream ("in stdout"/"in stderr"), or JSON fields
 CERTIFICATE = ("in stdout", "certificate y:")
 ONE_SIGNED = "n 2\nm 3\n1 1\n1 2\n2 1\n"  # every x_1 x_2 > 0: the split of 1 answers
@@ -706,8 +730,14 @@ def test_cli_case(tmp_path, capsys, monkeypatch, frame, argv, code, check):
         for k, command in enumerate(frame):
             assert main(command + [str(path)] * (k > 0)) == 0
             path.write_text(capsys.readouterr().out)
-    assert main(argv + [str(path)]) == code
-    out, err = capsys.readouterr()
+    if argv[-1] in KERNEL_ROUTES:
+        F = frame_from_document(parse_frame_document(path.read_text()))
+        lines = kernel_route_lines(F, argv[-1])
+        assert int(lines[-1].startswith("not scalable")) == code
+        out, err = "".join(line + "\n" for line in lines), ""
+    else:
+        assert main(argv + [str(path)]) == code
+        out, err = capsys.readouterr()
     kind, *expected = check
     if kind == "json":
         report = json.loads(out)[expected[0]]

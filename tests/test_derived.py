@@ -39,6 +39,8 @@ from conftest import (
     split_answer,
     doubled_hadamard_frame,
     frame_file,
+    kernel_route_lines,
+    printed_line,
     random_scalable_frame,
     random_unit_frame,
     rescaled_harmonic_frame,
@@ -307,32 +309,29 @@ KERNEL_ROUTE_FRAMES = {
 @pytest.mark.parametrize("name", sorted(KERNEL_ROUTE_FRAMES))
 def test_scale_auto_answers_corank_1_and_2_without_an_lp(tmp_path, monkeypatch, capsys, name):
     # scale takes no SVD of theta on unit-norm columns, and solves theta's
-    # hull question only where the split of 1 does not answer; the forced
-    # cofactor and codim-2 routes answer alike from that one SVD,
-    # certificates included, with no hull solve
+    # hull question only where the split of 1 does not answer; the paper's
+    # cofactor and codim-2 routes, asked directly on a fresh frame, answer
+    # alike from that one SVD, certificates included, with no hull solve
     build, code, corank, hulls = KERNEL_ROUTE_FRAMES[name]
     F = build()
     theta = unit_diagram_matrix(F).data
     path = frame_file(tmp_path, F)
-    forced = {1: "cofactor", 2: "codim2"}[corank]
-    for method, svds, solved in (("auto", 0, hulls), (forced, 1, 0)):
+    route = {1: "cofactor", 2: "codim2"}[corank]
+    for method, svds, solved in (("auto", 0, hulls), (route, 1, 0)):
         theta_svds = _count(monkeypatch, np.linalg, "svd",
                             lambda A, *args, **kwargs: np.array_equal(A, theta))
         solves = _count(monkeypatch, numerics, "solve_feasibility")
-        assert main(["scale", "--method", method, path]) == code
-        assert ("certificate y:" in capsys.readouterr().out) == (code == 1)
+        if method == route:
+            out = kernel_route_lines(frame_from_synthesis(F.synthesis), route)[-1]
+        else:
+            assert main(["scale", "--method", method, path]) == code
+            out = capsys.readouterr().out
+        assert ("certificate y:" in out) == (code == 1)
         assert (len(theta_svds), len(solves)) == (svds, solved), method
 
 
 POLICY_FRAMES = {name: (lambda name=name: _frame(name)) for name in FRAMES}
 POLICY_FRAMES.update({name: build for name, (build, *_) in KERNEL_ROUTE_FRAMES.items()})
-
-
-def _printed(result):
-    """The last line ``scale`` prints for ``result``."""
-    if result.scalable:
-        return " ".join("%.12g" % v for v in result.scalars_a)
-    return "not scalable; certificate y: " + " ".join("%.12g" % v for v in result.certificate_y)
 
 
 def _split_lps(F):
@@ -368,7 +367,7 @@ def test_every_command_answers_with_decide(tmp_path, monkeypatch, capsys, name):
     for strict in ([], ["--strict"]):
         code = main(["scale", path] + strict)
         assert code == (0 if answer.scalable else 1)
-        assert capsys.readouterr().out.splitlines()[-1] == _printed(answer)
+        assert capsys.readouterr().out.splitlines()[-1] == printed_line(answer)
         code = main(["scale", "--method", "split", path] + strict)
         assert code == (0 if answer.scalable else 1)
         assert ("certificate y:" in capsys.readouterr().out) == (not answer.scalable)

@@ -282,8 +282,9 @@ class TestScalingAndDuality:
 
 @pytest.mark.parametrize("call, error", [
     (lambda: frame_from_synthesis(np.ones(3)), DimensionMismatchError),
-    # a flat list; a ragged one is rejected by numpy first, with a ValueError
+    (lambda: frame_from_synthesis([[1.0, 0.0, 1.0], [0.0, 1.0]]), DimensionMismatchError),
     (lambda: make_frame([1.0, 2.0]), DimensionMismatchError),
+    (lambda: make_frame([[1.0, 0.0], [1.0]]), DimensionMismatchError),
     (lambda: apply_scaling(make_frame(np.eye(3)), [1.0, np.nan, 1.0]), NonFiniteError),
     (lambda: diagram_inner_identity_check([1.0, 0.0], [1.0, 0.0, 0.0]), DimensionMismatchError),
     (lambda: diagram_inner_identity_check([1.0], [2.0]), DimensionTooSmallError),
@@ -291,8 +292,9 @@ class TestScalingAndDuality:
     (lambda: diagram_gram_sum(Frame(synthesis=np.eye(3)[:, :2])), DimensionMismatchError),
     (lambda: check_transform_scaling(make_frame(np.eye(2)), np.eye(3), [1.0, 1.0]),
      DimensionMismatchError),
-], ids=["synthesis-not-2d", "vectors-not-2d", "weights-not-finite", "identity-sizes",
-        "identity-n1", "gram-sum-m-below-n", "transform-shape"])
+], ids=["synthesis-not-2d", "ragged-synthesis", "vectors-not-2d", "ragged-vectors",
+        "weights-not-finite", "identity-sizes", "identity-n1", "gram-sum-m-below-n",
+        "transform-shape"])
 def test_input_check_raises_its_error(call, error):
     with pytest.raises(error):
         call()

@@ -42,6 +42,7 @@ from framescale.scalability import (
 from conftest import (
     NEAR_PARALLEL_FRAME,
     frame_file,
+    kernel_route_lines,
     random_scalable_frame,
     rescaled_harmonic_frame,
     tiny_row_frame,
@@ -267,10 +268,13 @@ def test_near_parallel_frame_is_not_scalable_on_every_route(tmp_path, capsys):
     s = json.loads(out.out)["scalability"]
     assert (s["verdict"], s["method"]) == (NOT_SCALABLE, METHOD_FEASIBILITY)
     assert hull_certificate_check(F, s["certificate_y"])
-    for method in ("auto", "lp", "split", "cofactor"):
+    for method in ("auto", "lp", "split"):
         code, out = _run(tmp_path, capsys, NEAR_PARALLEL_FRAME, "scale", "--method", method)
         assert code == 1, (method, out.err)
         assert hull_certificate_check(F, _printed_certificate(out)), method
+    [line] = kernel_route_lines(F, "cofactor")
+    assert line.startswith("not scalable; certificate y: ")
+    assert hull_certificate_check(F, [float(v) for v in line.split(":")[1].split()])
 
 
 # a near-duplicate pair, (0, -20, -10) and (0, -20, -9.999998881966011): the
@@ -441,7 +445,7 @@ def test_split_kernel_part_that_leaves_a_margin_is_not_taken(tmp_path, capsys):
 
 # corank 2, and every kernel vector gives vector 5 weight 0: its row of the
 # codim-2 kernel basis has length about 2.4e-9, within the accuracy of that
-# basis of 0 (about 5.5e-5, s_1/s_r about 7.5e7).  The forced codim-2 route
+# basis of 0 (about 5.5e-5, s_1/s_r about 7.5e7).  The codim-2 route
 # judged no angle there but kept the bisector's entry, 6.9e-10, and called
 # the frame strictly scalable
 CODIM2_FORCED_ZERO_FRAME = [[0.0, -2.0, -1.0], [1.0, 0.0, -1.0], [1.0, 0.0, 1.0],
@@ -449,15 +453,12 @@ CODIM2_FORCED_ZERO_FRAME = [[0.0, -2.0, -1.0], [1.0, 0.0, -1.0], [1.0, 0.0, 1.0]
                             [0.0, -2.0, -0.9999997763932023], [1.0, 0.0, -1.0]]
 
 
-def test_codim2_entry_within_the_kernel_accuracy_of_0_gets_weight_0(tmp_path, capsys):
+def test_codim2_entry_within_the_kernel_accuracy_of_0_gets_weight_0():
     F = make_frame(CODIM2_FORCED_ZERO_FRAME)
     result = codim2_scaling(F)
     assert (result.verdict, result.near_zero) == (SCALABLE, [5])
     _assert_tightens(F, result)
-    code, out = _run(tmp_path, capsys, CODIM2_FORCED_ZERO_FRAME,
-                     "scale", "--method", "codim2", "--strict")
-    assert code == 0, out.err
-    assert out.out.splitlines()[0] == "scalable, but not strictly"
+    assert kernel_route_lines(F, "codim2", strict=True)[0] == "scalable, but not strictly"
 
 
 # when decide took the codim-2 route on the frame above it answered

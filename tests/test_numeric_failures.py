@@ -15,7 +15,7 @@ from framescale import alternate_dual_from_scaling, duals, numerics
 from framescale import cli, scalability, split_scaling
 from framescale.cli import main
 from framescale.errors import InternalNumericError
-from framescale.frame_core import Tightness, make_frame
+from framescale.frame_core import Tightness, frame_from_synthesis, make_frame
 from framescale.scalability import METHOD_PROJECTION, decide
 from conftest import angles_frame, frame_file
 
@@ -124,8 +124,9 @@ def test_solver_rechecks_its_witness(tmp_path, capsys, monkeypatch):
         3, _numeric_failure("hull witness fails the kernel identity"))
 
 
-def test_codim2_rechecks_the_sign_of_its_weights(tmp_path, capsys, monkeypatch):
-    assert _run(tmp_path, capsys, CORANK_2, "scale", "--method", "codim2")[0] == 0
+def test_codim2_rechecks_the_sign_of_its_weights(monkeypatch):
+    # the route has no command: it is asked directly, on a fresh frame
+    assert scalability.codim2_scaling(frame_from_synthesis(CORANK_2.synthesis)).scalable
     # the opposite of the bisector of the feasible arc: every weight negated
     feasible_arc = scalability._feasible_arc
 
@@ -134,8 +135,9 @@ def test_codim2_rechecks_the_sign_of_its_weights(tmp_path, capsys, monkeypatch):
         return t + np.pi, width
 
     monkeypatch.setattr(scalability, "_feasible_arc", opposite)
-    assert _run(tmp_path, capsys, CORANK_2, "scale", "--method", "codim2") == (
-        3, _numeric_failure("codim-2 direction produced a negative weight"))
+    with pytest.raises(InternalNumericError,
+                       match="^codim-2 direction produced a negative weight$"):
+        scalability.codim2_scaling(frame_from_synthesis(CORANK_2.synthesis))
 
 
 def test_projection_that_fails_its_check_is_a_numeric_failure(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,10 @@
-"""Every ``python`` code block of README.md runs as written."""
+"""Every ``python`` code block of README.md runs as written, and its CLI
+usage lists the choices that the parser accepts."""
 
 import re
 from pathlib import Path
+
+from framescale.cli import _build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -12,3 +15,18 @@ def test_python_blocks_run():
     assert blocks
     for k, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {k}", "exec"), {})
+
+
+def _choices(parser, dest):
+    [action] = [a for a in parser._actions if a.dest == dest]
+    return list(action.choices)
+
+
+def test_cli_usage_lists_the_parser_choices():
+    text = README.read_text(encoding="utf-8")
+    usage = re.search(r"^## CLI\n\n```\n(.*?)^```", text, re.MULTILINE | re.DOTALL).group(1)
+    methods = re.search(r"^framescale scale .*\[--method ([\w|-]+)\]", usage, re.MULTILINE)
+    kinds = re.search(r"^framescale generate ([\w|-]+) ", usage, re.MULTILINE)
+    _, commands = _build_parser()
+    assert methods.group(1).split("|") == _choices(commands["scale"], "method")
+    assert kinds.group(1).split("|") == _choices(commands["generate"], "kind")
