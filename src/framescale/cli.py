@@ -1,10 +1,11 @@
 """Command-line interface: analyze, scale, dual, generate.
 
 Exit codes: 0 analyzed, 1 not scalable (cmd_scale only), 2 input error,
-3 internal numeric failure.  The tightness tolerance comes from --tol or the
-FRAMESCALE_TOL environment variable, must be a finite positive number and is
-echoed in every report; every other threshold is a constant of the
-``numerics`` table.
+3 internal numeric failure.  The tightness tolerance of ``analyze`` comes
+from --tol or the FRAMESCALE_TOL environment variable, must be a finite
+positive number and is echoed in every report; ``scale`` and ``dual``
+re-check their scalings at ``is_tight``'s default, and every other threshold
+is a constant of the ``numerics`` table.
 """
 
 from __future__ import annotations
@@ -193,6 +194,7 @@ def _read_document(path):
 
 
 def cmd_analyze(args) -> int:
+    tol = _resolve_tol(args.tol)
     paths = []
     if args.batch and args.path:
         print("error: provide a path or --batch, not both", file=sys.stderr)
@@ -215,7 +217,12 @@ def cmd_analyze(args) -> int:
         return 2
     for path in paths:
         doc = _read_document(path)
-        rep = build_report(doc, args.tol)
+        try:
+            rep = build_report(doc, tol)
+        except FramescaleError as exc:
+            if args.batch:  # read and parse errors name their file already
+                exc.args = (f"{path}: {exc}",)
+            raise
         if args.json:
             print(_json_dumps(rep))
         else:
@@ -226,11 +233,8 @@ def cmd_analyze(args) -> int:
 def cmd_scale(args) -> int:
     doc = _read_document(args.path)
     frame = frame_from_document(doc)
-    method = args.method
-    if method == "auto":
+    if args.method == "auto":
         result = sca.decide(frame)
-    elif method == "lp":
-        result = sca.decide_scalable(frame)
     else:  # split
         result = split.intersection_scalability(frame)
     if not result.scalable:
@@ -238,7 +242,7 @@ def cmd_scale(args) -> int:
               + " ".join("%.12g" % v for v in result.certificate_y))
         return 1
     scaled = apply_scaling(frame, result.scalars_a)
-    if not is_tight(scaled, args.tol).tight:
+    if not is_tight(scaled).tight:
         raise InternalNumericError("reported scaling does not make the frame tight")
     if args.strict and result.verdict != sca.STRICTLY_SCALABLE:
         print("scalable, but not strictly")
@@ -254,7 +258,7 @@ def cmd_dual(args) -> int:
     if rep is not None and rep.feasible:
         # the scaled dual has frame operator S^-1 S^2 S^-1 = I
         scaled = apply_scaling(pair.dual, rep.scalars_a)
-        if not is_tight(scaled, args.tol).tight:
+        if not is_tight(scaled).tight:
             raise InternalNumericError("reported dual scaling does not make the dual tight")
     name = (doc.name + "-canonical-dual") if doc.name else "canonical-dual"
     print(format_frame_document(document_from_frame(pair.dual, name=name)), end="")
@@ -318,8 +322,8 @@ def _resolve_tol(arg):
 @functools.cache
 def _build_parser():
     """The argument parser and its command parsers by name, built once per
-    process.  ``--tol`` is kept as text, default None, so that ``main``
-    validates it and reads FRAMESCALE_TOL on every call."""
+    process.  ``analyze --tol`` is kept as text, default None, so that
+    ``cmd_analyze`` validates it and reads FRAMESCALE_TOL on every call."""
     parser = argparse.ArgumentParser(
         prog="framescale",
         description="Scalability analysis of finite frames in R^n",
@@ -339,15 +343,13 @@ def _build_parser():
         "scale", help="compute scaling weights or a certificate")
     p.add_argument("path")
     p.add_argument("--strict", action="store_true", help="say if scalable, but not strictly")
-    p.add_argument("--method", choices=["auto", "lp", "split"], default="auto")
-    p.add_argument("--tol")
+    p.add_argument("--method", choices=["auto", "split"], default="auto")
     p.set_defaults(func=cmd_scale)
 
     p = commands["dual"] = sub.add_parser("dual", help="emit the canonical dual frame")
     p.add_argument("path")
     p.add_argument("--check-scalable", action="store_true",
                    help="also test scalability of the canonical dual")
-    p.add_argument("--tol")
     p.set_defaults(func=cmd_dual)
 
     p = commands["generate"] = sub.add_parser("generate", help="emit a named frame construction")
@@ -382,8 +384,6 @@ def _parse_args(argv):
 def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
-        if hasattr(args, "tol"):
-            args.tol = _resolve_tol(args.tol)
         return args.func(args)
     except InternalNumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

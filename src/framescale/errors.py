@@ -47,7 +47,7 @@ class NoHadamardAvailableError(FramescaleError):
 
 
 class BadParamsError(FramescaleError):
-    """Invalid parameters for a generator or an invalid command-line tolerance."""
+    """Invalid parameters for a generator, or an invalid tolerance."""
 
 
 class InternalNumericError(FramescaleError):

@@ -24,7 +24,13 @@ from functools import wraps
 import numpy as np
 
 from . import numerics
-from .errors import DimensionMismatchError, NonFiniteError, NotSpanningError, ZeroVectorError
+from .errors import (
+    BadParamsError,
+    DimensionMismatchError,
+    NonFiniteError,
+    NotSpanningError,
+    ZeroVectorError,
+)
 
 
 @dataclass(frozen=True)
@@ -170,13 +176,16 @@ def _spans(F):
 def _float_matrix(a, message):
     """``a`` as a 2-d float array, not copied if it is one, else a
     DimensionMismatchError with ``message``.  numpy raises ValueError for
-    rows of unequal length, which as objects are not 2-d."""
+    rows of unequal length, which as objects are not 2-d, and for an entry
+    that is itself a sequence; an entry that is not a number, such as
+    ``"a"``, keeps numpy's ValueError."""
     try:
         arr = np.asarray(a, dtype=float)
     except ValueError:
         arr = np.array(a, dtype=object)
-        if arr.ndim == 2:  # an entry that is not a number
+        if arr.ndim == 2 and not any(np.ndim(e) for e in arr.flat):
             raise
+        raise DimensionMismatchError(message) from None
     if arr.ndim != 2:
         raise DimensionMismatchError(message)
     return arr
@@ -226,7 +235,11 @@ def frame_potential(F) -> float:
 
 def is_tight(F, tol=numerics.RESIDUAL_TOL) -> Tightness:
     """Tightness test: rows of the synthesis matrix pairwise orthogonal with
-    equal norms.  Returns the common squared row norm as the tight bound."""
+    equal norms.  Returns the common squared row norm as the tight bound.
+    ``tol`` must be a finite positive number: at NaN or inf every comparison
+    would pass."""
+    if not 0.0 < tol < np.inf:
+        raise BadParamsError(f"tolerance must be a finite positive number, got {tol!r}")
     R = frame_operator_matrix(F)  # row Gram matrix
     sq = np.diag(R)
     norms = np.sqrt(sq)

@@ -262,7 +262,7 @@ def decide_scalable(F) -> ScalingResult:
     unit-norm columns, so the verdict does not change when a frame vector
     is rescaled.  The weights have the largest support, so ``near_zero``
     holds exactly the vectors that every scaling gives weight 0.
-    ``scale --method lp`` asks it directly."""
+    ``decide`` asks it where its split of 1 does not answer."""
     y, w = _theta_hull(F)
     if y is not None:
         return _certified(F, METHOD_FEASIBILITY, y)

@@ -11,6 +11,7 @@ from framescale import (
     apply_scaling,
     codim2_scaling,
     cofactor_scaling,
+    decide_scalable,
     is_in_V,
     is_in_W,
     is_tight,
@@ -18,8 +19,14 @@ from framescale import (
     numerics,
     sylvester_hadamard,
 )
+from framescale.cli import main
 from framescale.diagram import reduced_diagram_matrix
-from framescale.framedoc import document_from_frame, format_frame_document
+from framescale.framedoc import (
+    document_from_frame,
+    format_frame_document,
+    frame_from_document,
+    parse_frame_document,
+)
 from framescale.scalability import SCALABLE
 from framescale.split_scaling import w_point
 
@@ -95,23 +102,40 @@ def printed_line(result):
     return "not scalable; certificate y: " + " ".join("%.12g" % v for v in result.certificate_y)
 
 
-# the paper's corank routes by name: ``scale`` offers only the routes of
-# ``decide``, so a test that holds one of these to scale's output asks it
-# through ``kernel_route_lines``
-KERNEL_ROUTES = {"cofactor": lambda F: cofactor_scaling(F)[1], "codim2": codim2_scaling}
+# the library routes that ``scale`` does not offer, by their former
+# ``--method`` names: the paper's corank routes and the hull solver alone.
+# ``scale`` offers only the routes of ``decide``, so a test that holds one of
+# these to scale's output asks it through ``route_lines``
+ROUTES = {"cofactor": lambda F: cofactor_scaling(F)[1], "codim2": codim2_scaling,
+          "lp": decide_scalable}
 
 
-def kernel_route_lines(F, route, strict=False):
-    """The lines ``scale`` prints for the answer of the corank route
+def route_lines(F, route, strict=False):
+    """The lines ``scale`` prints for the answer of the library route
     ``route`` on F, whose scalars must make F tight, with --strict if
     ``strict``."""
-    result = KERNEL_ROUTES[route](F)
+    result = ROUTES[route](F)
     if result.scalable:
         assert is_tight(apply_scaling(F, result.scalars_a)).tight
     lines = [printed_line(result)]
     if strict and result.verdict == SCALABLE:
         lines.insert(0, "scalable, but not strictly")
     return lines
+
+
+def run_scale(capsys, path, args):
+    """The exit code and the captured (out, err) of ``scale`` with ``args``
+    on the frame file ``path``.  ``--method`` with a name of ``ROUTES`` asks
+    that library route itself (``route_lines``, with --strict if ``args``
+    hold it): its lines go to stdout, the code is 1 where the last reads
+    "not scalable", else 0, and its errors propagate."""
+    method = args[args.index("--method") + 1] if "--method" in args else "auto"
+    if method not in ROUTES:
+        return main(["scale", path, *args]), capsys.readouterr()
+    F = frame_from_document(parse_frame_document(Path(path).read_text()))
+    lines = route_lines(F, method, "--strict" in args)
+    print(*lines, sep="\n")
+    return int(lines[-1].startswith("not scalable")), capsys.readouterr()
 
 
 def random_unit_frame(rng, n, m):

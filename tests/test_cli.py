@@ -20,7 +20,7 @@ from framescale.framedoc import (
     format_number,
     parse_frame_document,
 )
-from conftest import KERNEL_ROUTES, bench_corpus, frame_file, kernel_route_lines
+from conftest import bench_corpus, frame_file, route_lines, run_scale
 from test_derived import FRAMES, _frame
 
 
@@ -31,10 +31,10 @@ QUADRANT_TEXT = "n 2\nm 3\n1 0.1\n0.9 0.5\n0.5 1\n"
 OVERFLOW_TEXT = ("n 2\nm 3\n0 -5.6632054457081432e+100\n-3.9917884693248457e+143 0\n"
                  "-1.5506848944305719e-105 7.7534244721528595e-106\n")
 
-# ``scale`` offers no corank route.  Where a test's parameters are scale's
-# arguments, ``--method cofactor|codim2`` names a corank route beside them:
-# the test asks that route itself, through ``kernel_route_lines``, for the
-# lines that scale would print
+# ``scale`` offers only the routes of ``decide``.  Where a test's parameters
+# are scale's arguments, ``--method cofactor|codim2|lp`` names a library
+# route beside them: the test asks that route itself, through ``run_scale``,
+# for the lines that scale would print
 
 
 def reference_json_dumps(obj, indent=0):
@@ -228,6 +228,20 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert out.index("not_scalable") < out.index("strictly_scalable")
 
+    def test_batch_error_names_its_file(self, tmp_path, capsys):
+        # b.frame parses but does not span: its error line names it, as read
+        # and parse errors do, after the report of a.frame; a single path
+        # keeps the bare message
+        write(tmp_path, "a.frame", MB_TEXT)
+        bad = write(tmp_path, "b.frame", "n 2\nm 2\n1 0\n2 0\n")
+        write(tmp_path, "c.frame", EXAMPLE_TEXT)
+        assert main(["analyze", "--batch", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out.count("frame (unnamed): ") == 1 and "strictly_scalable" in out
+        assert err == f"error: {bad}: vectors do not span R^n\n"
+        assert main(["analyze", bad]) == 2
+        assert capsys.readouterr().err == "error: vectors do not span R^n\n"
+
     def test_overflowing_frame_potential_exit_two(self, tmp_path, capsys):
         # a vector of about 1e80 puts the frame potential past the float
         # range: an input error naming it, with no warning and no inf
@@ -259,20 +273,32 @@ TOL_COMMANDS = [["analyze"], ["scale"], ["dual", "--check-scalable"]]
 
 
 class TestTolerance:
-    """A tolerance that is not a finite positive number is an input error;
-    a NaN would make every tightness comparison pass vacuously."""
+    """A tolerance that is not a finite positive number is an input error of
+    ``analyze``, the one command that reads a tolerance; a NaN would make
+    every tightness comparison pass vacuously.  ``scale`` and ``dual`` take
+    no --tol and ignore FRAMESCALE_TOL: each re-checks its scaling at
+    ``is_tight``'s default."""
 
     @pytest.mark.parametrize("tol", BAD_TOLS)
     @pytest.mark.parametrize("command", TOL_COMMANDS, ids=" ".join)
     def test_bad_option_exit_two(self, tmp_path, capsys, command, tol):
         path = write(tmp_path, "x.frame", EXAMPLE_TEXT)
-        assert main(command + [path, "--tol", tol]) == 2
+        if command == ["analyze"]:
+            assert main(command + [path, "--tol", tol]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: --tol must be a finite positive number")
+            return
+        # argparse refuses the option itself, whatever its value
+        with pytest.raises(SystemExit) as exc:
+            main(command + [path, "--tol", tol])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: --tol must be a finite positive number")
+        assert captured.err.endswith(f"framescale: error: unrecognized arguments: --tol {tol}\n")
 
     @pytest.mark.parametrize("tol", BAD_TOLS)
-    @pytest.mark.parametrize("command", TOL_COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("command", TOL_COMMANDS[:1], ids=" ".join)
     def test_bad_env_exit_two(self, tmp_path, capsys, monkeypatch, command, tol):
         path = write(tmp_path, "x.frame", EXAMPLE_TEXT)
         monkeypatch.setenv("FRAMESCALE_TOL", tol)
@@ -280,6 +306,21 @@ class TestTolerance:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: FRAMESCALE_TOL must be a finite positive number")
+
+    @pytest.mark.parametrize("tol", BAD_TOLS + ["1e-300"])
+    @pytest.mark.parametrize("command", TOL_COMMANDS[1:], ids=" ".join)
+    def test_env_does_not_reach_scale_or_dual(self, tmp_path, capsys, monkeypatch,
+                                              command, tol):
+        # a bad variable is no error of theirs, and 1e-300, which no rounded
+        # scaling of the generated mb frame meets, used to end both in exit 3
+        monkeypatch.delenv("FRAMESCALE_TOL", raising=False)
+        assert main(["generate", "mb"]) == 0
+        path = write(tmp_path, "mb.frame", capsys.readouterr().out)
+        assert main(command + [path]) == 0
+        want = capsys.readouterr()
+        monkeypatch.setenv("FRAMESCALE_TOL", tol)
+        assert main(command + [path]) == 0
+        assert capsys.readouterr() == want
 
     def test_option_overrides_bad_env(self, tmp_path, capsys, monkeypatch):
         path = write(tmp_path, "x.frame", EXAMPLE_TEXT)
@@ -307,6 +348,12 @@ class TestCommandLine:
          "framescale scale: error: argument --method: invalid choice: 'cofactor' ("),
         (["scale", "--method", "codim2", "x"], 2, "err",
          "framescale scale: error: argument --method: invalid choice: 'codim2' ("),
+        (["scale", "--method", "lp", "x"], 2, "err",
+         "framescale scale: error: argument --method: invalid choice: 'lp' ("),
+        (["scale", "--tol", "1e-5", "x"], 2, "err",
+         "framescale: error: unrecognized arguments: --tol x\n"),
+        (["dual", "--tol", "1e-5", "x"], 2, "err",
+         "framescale: error: unrecognized arguments: --tol x\n"),
         (["scale", "x", "--bogus"], 2, "err",
          "framescale: error: unrecognized arguments: --bogus\n"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
@@ -343,7 +390,7 @@ class TestScale:
     def test_method_cofactor(self):
         t, p = np.pi / 3, 2 * np.pi / 3
         F = make_frame([[1.0, 0.0], [np.cos(t), np.sin(t)], [np.cos(p), np.sin(p)]])
-        [line] = kernel_route_lines(F, "cofactor")
+        [line] = route_lines(F, "cofactor")
         weights = [float(v) for v in line.split()]
         assert np.allclose(weights, weights[0])
 
@@ -351,7 +398,7 @@ class TestScale:
         deg = np.pi / 180
         F = make_frame([(1.0, 0.0)] + [(np.cos(a), np.sin(a))
                                        for a in (30 * deg, 100 * deg, 110 * deg)])
-        [line] = kernel_route_lines(F, "codim2")
+        [line] = route_lines(F, "codim2")
         assert min(float(v) for v in line.split()) > 0
 
     @pytest.mark.parametrize("args", [[], ["--method", "codim2"], ["--strict"],
@@ -360,22 +407,14 @@ class TestScale:
     def test_codim2_single_feasible_direction(self, tmp_path, capsys, args):
         # corank 2 with one feasible kernel direction, t = 0 on the kernel
         # basis: the route answers as the LP does
-        text = "n 2\nm 4\n0 1\n1 1\n0 1\n-1 1\n"
-        path = write(tmp_path, "c2.frame", text)
+        path = write(tmp_path, "c2.frame", "n 2\nm 4\n0 1\n1 1\n0 1\n-1 1\n")
         strict = ["--strict"] if "--strict" in args else []
-        assert main(["scale", path, "--method", "lp"] + strict) == 0
-        want = capsys.readouterr().out.splitlines()
-        if "codim2" in args:
-            F = frame_from_document(parse_frame_document(text))
-            got = kernel_route_lines(F, "codim2", strict=bool(strict))
-        else:
-            assert main(["scale", path] + args) == 0
-            got = capsys.readouterr().out.splitlines()
-        assert got == want
+        got = run_scale(capsys, path, args)
+        assert got == run_scale(capsys, path, ["--method", "lp"] + strict)
         lines = ["0 0.707106781187 0 0.707106781187"]
         if strict:
             lines.insert(0, "scalable, but not strictly")
-        assert got == lines
+        assert got == (0, ("".join(line + "\n" for line in lines), ""))
 
     @pytest.mark.parametrize("s", ["1e-100", "1", "1e9", "1e10", "1e100"])
     def test_far_vector_scales_as_at_one(self, tmp_path, capsys, s):
@@ -395,19 +434,15 @@ class TestScale:
         s = json.loads(capsys.readouterr().out)["scalability"]
         assert (s["verdict"], s["method"], s["near_zero"]) == ("scalable", "feasibility", [2])
         F = make_frame([[1.0, 0.0], [0.0, 1.0], [1e-100, 1e-100]])
-        assert kernel_route_lines(F, "cofactor")[-1].split()[-1] == "0"
+        assert route_lines(F, "cofactor")[-1].split()[-1] == "0"
 
     @pytest.mark.parametrize("method", ["auto", "cofactor"])
     def test_corank_one_certificate(self, tmp_path, capsys, method):
         # (1, 0), (1, 1), (1, 2) lie in one open quadrant: corank 1, not
         # scalable, and the certificate comes from the kernel in closed form
         F = make_frame([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
-        if method in KERNEL_ROUTES:
-            [out] = kernel_route_lines(F, method)
-        else:
-            path = write(tmp_path, "c1.frame", "n 2\nm 3\n1 0\n1 1\n1 2\n")
-            assert main(["scale", path, "--method", method]) == 1
-            out = capsys.readouterr().out
+        code, (out, _) = run_scale(capsys, frame_file(tmp_path, F), ["--method", method])
+        assert code == 1
         assert out.startswith("not scalable; certificate y: ")
         y = [float(v) for v in out.split(":")[1].split()]
         assert hull_certificate_check(F, y)
@@ -432,14 +467,14 @@ class TestScale:
         path = write(tmp_path, "overflow.frame", OVERFLOW_TEXT)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["scale", "--method", "lp", path]) == 0
-            lp = capsys.readouterr().out
+            code, lp = run_scale(capsys, path, ["--method", "lp"])
+            assert code == 0
             assert main(["scale", *args, path]) == 0
         lines = capsys.readouterr().out.splitlines()
         if args == ["--method", "split"]:
             assert len(lines) == 1 and all(float(v) >= 0.0 for v in lines[0].split())
         else:
-            assert lines[-1:] == lp.splitlines()
+            assert lines[-1:] == lp.out.splitlines()
             assert lines[:-1] == (["scalable, but not strictly"] if args else [])
 
     @pytest.mark.parametrize("x, word", [("1e-200", "underflow"), ("1e200", "overflow")])
@@ -463,8 +498,9 @@ class TestZeroWeights:
     @pytest.mark.parametrize("args", SCALE_ARGS, ids=lambda a: " ".join(a) or "auto")
     def test_straddling_weight_is_exactly_zero(self, tmp_path, capsys, args):
         F = _frame("two-block")
-        assert main(["scale", frame_file(tmp_path, F)] + args) == 0
-        tokens = capsys.readouterr().out.splitlines()[-1].split()
+        code, (out, err) = run_scale(capsys, frame_file(tmp_path, F), args)
+        assert code == 0, err
+        tokens = out.splitlines()[-1].split()
         assert len(tokens) == F.m
         assert "-0" not in tokens
         assert float(tokens[-1]) == 0.0
@@ -482,18 +518,13 @@ class TestZeroWeights:
                                                    ["--method", "codim2"]],
                              ids=lambda a: " ".join(a) or "auto")
     def test_no_negative_zero_printed(self, tmp_path, capsys, name, args):
-        F = _frame(name)
-        if args and args[-1] in KERNEL_ROUTES:
-            try:
-                line = kernel_route_lines(F, args[-1])[-1]
-            except CorankMismatchError:
-                return
-        elif main(["scale", frame_file(tmp_path, F)] + args) == 0:
-            line = capsys.readouterr().out.splitlines()[-1]
-        else:
+        try:
+            code, (out, err) = run_scale(capsys, frame_file(tmp_path, _frame(name)), args)
+        except CorankMismatchError:  # a corank route asked off its corank
             return
-        if not line.startswith("not scalable"):
-            assert not any(t.startswith("-") for t in line.split())
+        assert code in (0, 1), err
+        if code == 0:
+            assert not any(t.startswith("-") for t in out.splitlines()[-1].split())
 
 
 class TestDimensionOne:
@@ -509,8 +540,11 @@ class TestDimensionOne:
                              ids=" ".join)
     def test_runs_exit_zero(self, tmp_path, capsys, m, args):
         path = write(tmp_path, "line.frame", self.TEXTS[m])
-        assert main(args + [path]) == 0
-        out = capsys.readouterr().out
+        if args[0] == "scale":
+            code, (out, _) = run_scale(capsys, path, args[1:])
+        else:
+            code, out = main(args + [path]), capsys.readouterr().out
+        assert code == 0
         if args == ["analyze", "--json"]:
             rep = json.loads(out)
             assert rep["scalability"]["verdict"] == "strictly_scalable"
@@ -547,20 +581,12 @@ class TestDual:
 
     def test_check_scalable_weights_make_dual_tight(self, tmp_path, capsys):
         path = write(tmp_path, "x.frame", EXAMPLE_TEXT)
-        assert main(["dual", path, "--check-scalable", "--tol", "1e-12"]) == 0
+        assert main(["dual", path, "--check-scalable"]) == 0
         out = capsys.readouterr().out
         doc_text, weights = out.split("dual scalable; weights c: ")
         dual = frame_from_document(parse_frame_document(doc_text))
         a = np.sqrt([float(v) for v in weights.split()])
         assert is_tight(apply_scaling(dual, a), 1e-12).tight
-
-    def test_check_scalable_honours_tol(self, tmp_path, capsys):
-        # no rounded scaling is tight to 1e-300: the check fails with exit 3
-        path = write(tmp_path, "x.frame", EXAMPLE_TEXT)
-        assert main(["dual", path, "--check-scalable", "--tol", "1e-300"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "dual tight" in captured.err
 
     def test_check_scalable_in_dimension_one(self, tmp_path, capsys):
         # every frame in R^1 is tight, so its canonical dual is scalable
@@ -683,9 +709,9 @@ class TestFloatRange:
 
 # CLI regressions that CI's console-script step once ran, named by the frame
 # file each wrote there: (frame, argv, exit code, check).  A frame is text or
-# commands, each run on the output of the one before; argv ending in
-# ``--method cofactor|codim2`` asks that corank route itself for the lines
-# scale would print, exit 1 if they read "not scalable"; a check is the exact
+# commands, each run on the output of the one before; argv naming a library
+# route, ``--method cofactor|codim2|lp``, asks that route itself for the
+# lines scale would print (``run_scale``); a check is the exact
 # "stdout", a part of one stream ("in stdout"/"in stderr"), or JSON fields
 CERTIFICATE = ("in stdout", "certificate y:")
 ONE_SIGNED = "n 2\nm 3\n1 1\n1 2\n2 1\n"  # every x_1 x_2 > 0: the split of 1 answers
@@ -730,14 +756,11 @@ def test_cli_case(tmp_path, capsys, monkeypatch, frame, argv, code, check):
         for k, command in enumerate(frame):
             assert main(command + [str(path)] * (k > 0)) == 0
             path.write_text(capsys.readouterr().out)
-    if argv[-1] in KERNEL_ROUTES:
-        F = frame_from_document(parse_frame_document(path.read_text()))
-        lines = kernel_route_lines(F, argv[-1])
-        assert int(lines[-1].startswith("not scalable")) == code
-        out, err = "".join(line + "\n" for line in lines), ""
+    if argv[0] == "scale":
+        got, (out, err) = run_scale(capsys, str(path), argv[1:])
     else:
-        assert main(argv + [str(path)]) == code
-        out, err = capsys.readouterr()
+        got, (out, err) = main(argv + [str(path)]), capsys.readouterr()
+    assert got == code
     kind, *expected = check
     if kind == "json":
         report = json.loads(out)[expected[0]]

@@ -39,11 +39,12 @@ from conftest import (
     split_answer,
     doubled_hadamard_frame,
     frame_file,
-    kernel_route_lines,
     printed_line,
     random_scalable_frame,
     random_unit_frame,
     rescaled_harmonic_frame,
+    route_lines,
+    run_scale,
     two_block_frame,
 )
 from test_lp_regressions import FORCED_ZERO_FRAME
@@ -279,7 +280,7 @@ def test_scale_auto_takes_at_most_one_svd_of_theta(tmp_path, monkeypatch, capsys
     assert np.allclose(spans[0][0], unit, rtol=0, atol=1e-15)
 
 
-def test_lp_route_forms_theta_column_norms_once_per_unit_matrix(tmp_path, monkeypatch):
+def test_lp_route_forms_theta_column_norms_once_per_unit_matrix(monkeypatch):
     # the frame's unit theta and the hull solver's own unit columns each
     # divide by theta's column norms; the solver's unit-column weights go to
     # the answer as they are, which forms c from the frame's norms
@@ -287,7 +288,8 @@ def test_lp_route_forms_theta_column_norms_once_per_unit_matrix(tmp_path, monkey
     theta = reduced_diagram_matrix(F)
     norms = _count(monkeypatch, numerics, "column_norms",
                    lambda A: A.shape == theta.shape and np.array_equal(A, theta))
-    assert main(["scale", "--method", "lp", frame_file(tmp_path, F)]) == 0
+    [line] = route_lines(frame_from_synthesis(F.synthesis), "lp")
+    assert not line.startswith("not scalable")
     assert theta.shape == (5, 6)
     assert len(norms) == 2
 
@@ -321,11 +323,8 @@ def test_scale_auto_answers_corank_1_and_2_without_an_lp(tmp_path, monkeypatch, 
         theta_svds = _count(monkeypatch, np.linalg, "svd",
                             lambda A, *args, **kwargs: np.array_equal(A, theta))
         solves = _count(monkeypatch, numerics, "solve_feasibility")
-        if method == route:
-            out = kernel_route_lines(frame_from_synthesis(F.synthesis), route)[-1]
-        else:
-            assert main(["scale", "--method", method, path]) == code
-            out = capsys.readouterr().out
+        got, (out, _) = run_scale(capsys, path, ["--method", method])
+        assert got == code
         assert ("certificate y:" in out) == (code == 1)
         assert (len(theta_svds), len(solves)) == (svds, solved), method
 

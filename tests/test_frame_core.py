@@ -19,6 +19,7 @@ from framescale import (
 from framescale.diagram import diagram_gram_sum, diagram_inner_identity_check
 from framescale.duals import check_transform_scaling
 from framescale.errors import (
+    BadParamsError,
     DimensionMismatchError,
     DimensionTooSmallError,
     NonFiniteError,
@@ -285,6 +286,15 @@ class TestScalingAndDuality:
     (lambda: frame_from_synthesis([[1.0, 0.0, 1.0], [0.0, 1.0]]), DimensionMismatchError),
     (lambda: make_frame([1.0, 2.0]), DimensionMismatchError),
     (lambda: make_frame([[1.0, 0.0], [1.0]]), DimensionMismatchError),
+    # an entry that is itself a sequence; one that is no number keeps numpy's error
+    (lambda: make_frame([[[1, 0], [1]]]), DimensionMismatchError),
+    (lambda: make_frame([[[1], 0], [0, 1]]), DimensionMismatchError),
+    (lambda: frame_from_synthesis([[[1, 0], [1]]]), DimensionMismatchError),
+    (lambda: make_frame([["a", 0], [0, 1]]), ValueError),
+    # at NaN or inf every comparison of the test would pass
+    (lambda: is_tight(make_frame([[1.0, 0.0], [1.0, 1.0]]), float("nan")), BadParamsError),
+    (lambda: is_tight(make_frame([[1.0, 0.0], [1.0, 1.0]]), float("inf")), BadParamsError),
+    (lambda: is_tight(make_frame([[1.0, 0.0], [1.0, 1.0]]), 0.0), BadParamsError),
     (lambda: apply_scaling(make_frame(np.eye(3)), [1.0, np.nan, 1.0]), NonFiniteError),
     (lambda: diagram_inner_identity_check([1.0, 0.0], [1.0, 0.0, 0.0]), DimensionMismatchError),
     (lambda: diagram_inner_identity_check([1.0], [2.0]), DimensionTooSmallError),
@@ -293,6 +303,8 @@ class TestScalingAndDuality:
     (lambda: check_transform_scaling(make_frame(np.eye(2)), np.eye(3), [1.0, 1.0]),
      DimensionMismatchError),
 ], ids=["synthesis-not-2d", "ragged-synthesis", "vectors-not-2d", "ragged-vectors",
+        "ragged-entries-vector", "ragged-entries-vectors", "ragged-entries-synthesis",
+        "entry-not-a-number", "tight-tol-nan", "tight-tol-inf", "tight-tol-zero",
         "weights-not-finite", "identity-sizes", "identity-n1", "gram-sum-m-below-n",
         "transform-shape"])
 def test_input_check_raises_its_error(call, error):

@@ -42,9 +42,10 @@ from framescale.scalability import (
 from conftest import (
     NEAR_PARALLEL_FRAME,
     frame_file,
-    kernel_route_lines,
     random_scalable_frame,
     rescaled_harmonic_frame,
+    route_lines,
+    run_scale,
     tiny_row_frame,
     two_block_frame,
 )
@@ -163,9 +164,14 @@ NEAR_DUPLICATE_FRAMES = {
 
 
 def _run(tmp_path, capsys, vectors, *args):
+    """The exit code and the (out, err) pair of the command ``args`` on a
+    frame file of ``vectors``; ``scale --method lp`` asks the hull solver
+    itself, through ``run_scale``."""
     command, *options = args
-    code = main([command, frame_file(tmp_path, make_frame(vectors)), *options])
-    return code, capsys.readouterr()
+    path = frame_file(tmp_path, make_frame(vectors))
+    if command == "scale":
+        return run_scale(capsys, path, options)
+    return main([command, path, *options]), capsys.readouterr()
 
 
 def _printed_certificate(out):
@@ -268,13 +274,11 @@ def test_near_parallel_frame_is_not_scalable_on_every_route(tmp_path, capsys):
     s = json.loads(out.out)["scalability"]
     assert (s["verdict"], s["method"]) == (NOT_SCALABLE, METHOD_FEASIBILITY)
     assert hull_certificate_check(F, s["certificate_y"])
-    for method in ("auto", "lp", "split"):
+    for method in ("auto", "lp", "split", "cofactor"):
         code, out = _run(tmp_path, capsys, NEAR_PARALLEL_FRAME, "scale", "--method", method)
         assert code == 1, (method, out.err)
+        assert out.out.startswith("not scalable; certificate y: "), method
         assert hull_certificate_check(F, _printed_certificate(out)), method
-    [line] = kernel_route_lines(F, "cofactor")
-    assert line.startswith("not scalable; certificate y: ")
-    assert hull_certificate_check(F, [float(v) for v in line.split(":")[1].split()])
 
 
 # a near-duplicate pair, (0, -20, -10) and (0, -20, -9.999998881966011): the
@@ -458,7 +462,7 @@ def test_codim2_entry_within_the_kernel_accuracy_of_0_gets_weight_0():
     result = codim2_scaling(F)
     assert (result.verdict, result.near_zero) == (SCALABLE, [5])
     _assert_tightens(F, result)
-    assert kernel_route_lines(F, "codim2", strict=True)[0] == "scalable, but not strictly"
+    assert route_lines(F, "codim2", strict=True)[0] == "scalable, but not strictly"
 
 
 # when decide took the codim-2 route on the frame above it answered

@@ -27,6 +27,9 @@ NOT_SCALABLE = make_frame([[1.0, 0.1], [0.9, 0.5], [0.5, 1.0]])
 # cannot see shows in the Parseval identity of the dual, against 1
 ILL_CONDITIONED = make_frame([[1e3, 0.0], [0.0, 1.0], [1e3, 1.0], [1e3, -1.0]])
 CORANK_2 = make_frame([[0.0, 1.0], [1.0, 1.0], [0.0, 1.0], [-1.0, 1.0]])
+# scalable, but the split of 1 on its theta answers neither way: ``scale``
+# asks the hull solver's nearest point
+SPLIT_OPEN = make_frame([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
 
 
 def _run(tmp_path, capsys, F, *command):
@@ -40,7 +43,7 @@ def _numeric_failure(message):
 
 
 def test_scale_rechecks_tightness(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "is_tight", lambda F, tol: Tightness(tight=False))
+    monkeypatch.setattr(cli, "is_tight", lambda F: Tightness(tight=False))
     assert _run(tmp_path, capsys, MB, "scale") == (
         3, _numeric_failure("reported scaling does not make the frame tight"))
 
@@ -112,7 +115,7 @@ def test_intersection_points_recheck_w_and_v(tmp_path, capsys, monkeypatch):
 
 def test_solver_rejects_an_answer_of_neither_kind(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(numerics, "_hull", lambda P: (None, None))
-    assert _run(tmp_path, capsys, MB, "scale", "--method", "lp") == (
+    assert _run(tmp_path, capsys, SPLIT_OPEN, "scale") == (
         3, _numeric_failure("nearest point passes neither the kernel identity "
                             "nor the hull sign test"))
 
@@ -120,7 +123,7 @@ def test_solver_rejects_an_answer_of_neither_kind(tmp_path, capsys, monkeypatch)
 def test_solver_rechecks_its_witness(tmp_path, capsys, monkeypatch):
     # all weight on one column: theta's first column is not 0
     monkeypatch.setattr(numerics, "_hull", lambda P: (None, np.eye(P.shape[1])[0]))
-    assert _run(tmp_path, capsys, MB, "scale", "--method", "lp") == (
+    assert _run(tmp_path, capsys, SPLIT_OPEN, "scale") == (
         3, _numeric_failure("hull witness fails the kernel identity"))
 
 

@@ -1,5 +1,5 @@
 """Every ``python`` code block of README.md runs as written, and its CLI
-usage lists the choices that the parser accepts."""
+usage lists the options and choices that the parser accepts."""
 
 import re
 from pathlib import Path
@@ -22,6 +22,11 @@ def _choices(parser, dest):
     return list(action.choices)
 
 
+def _options(parser):
+    return sorted(s for a in parser._actions for s in a.option_strings
+                  if s not in ("-h", "--help"))
+
+
 def test_cli_usage_lists_the_parser_choices():
     text = README.read_text(encoding="utf-8")
     usage = re.search(r"^## CLI\n\n```\n(.*?)^```", text, re.MULTILINE | re.DOTALL).group(1)
@@ -30,3 +35,8 @@ def test_cli_usage_lists_the_parser_choices():
     _, commands = _build_parser()
     assert methods.group(1).split("|") == _choices(commands["scale"], "method")
     assert kinds.group(1).split("|") == _choices(commands["generate"], "kind")
+    # each command's line lists exactly its parser's options
+    lines = dict(re.findall(r"^framescale (\w+) (.*)$", usage, re.MULTILINE))
+    assert sorted(lines) == sorted(commands)
+    for name, line in lines.items():
+        assert sorted(re.findall(r"--[\w-]+", line)) == _options(commands[name]), name
