@@ -1,11 +1,10 @@
 """Command-line interface: analyze, scale, dual, generate.
 
 Exit codes: 0 analyzed, 1 not scalable (cmd_scale only), 2 input error,
-3 internal numeric failure.  The tightness tolerance of ``analyze`` comes
-from --tol or the FRAMESCALE_TOL environment variable, must be a finite
-positive number and is echoed in every report; ``scale`` and ``dual``
-re-check their scalings at ``is_tight``'s default, and every other threshold
-is a constant of the ``numerics`` table.
+3 internal numeric failure, 141 output pipe closed.  The tightness tolerance
+of ``analyze`` is --tol, a finite positive number echoed in every report;
+``scale`` and ``dual`` re-check their scalings at ``is_tight``'s default, and
+every other threshold is a constant of the ``numerics`` table.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ from .framedoc import (
     frame_from_document,
     parse_frame_document,
 )
-
-DEFAULT_TOL = numerics.RESIDUAL_TOL  # the tightness tolerance; it steers no verdict
 
 
 def _vec(a):
@@ -194,33 +191,12 @@ def _read_document(path):
 
 
 def cmd_analyze(args) -> int:
-    tol = _resolve_tol(args.tol)
-    paths = []
-    if args.batch and args.path:
-        print("error: provide a path or --batch, not both", file=sys.stderr)
-        return 2
-    if args.batch:
-        try:
-            names = sorted(os.listdir(args.batch))
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        paths = [os.path.join(args.batch, nm) for nm in names
-                 if os.path.isfile(os.path.join(args.batch, nm))]
-        if not paths:
-            print(f"error: no files in {args.batch}", file=sys.stderr)
-            return 2
-    elif args.path:
-        paths = [args.path]
-    else:
-        print("error: provide a path or --batch", file=sys.stderr)
-        return 2
-    for path in paths:
+    for path in args.paths:
         doc = _read_document(path)
         try:
-            rep = build_report(doc, tol)
+            rep = build_report(doc, args.tol)
         except FramescaleError as exc:
-            if args.batch:  # read and parse errors name their file already
+            if len(args.paths) > 1:  # read and parse errors name their file already
                 exc.args = (f"{path}: {exc}",)
             raise
         if args.json:
@@ -302,28 +278,21 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _resolve_tol(arg):
-    """The tolerance from --tol, else FRAMESCALE_TOL, else DEFAULT_TOL.
-    Anything but a finite positive number is an input error."""
-    text, source = arg, "--tol"
-    if text is None:
-        text, source = os.environ.get("FRAMESCALE_TOL"), "FRAMESCALE_TOL"
-        if not text:
-            return DEFAULT_TOL
+def _tolerance(text):
+    """The value of ``analyze --tol``: a finite positive number."""
     try:
         tol = float(text)
     except ValueError:
         tol = math.nan
     if not (math.isfinite(tol) and tol > 0.0):
-        raise BadParamsError(f"{source} must be a finite positive number, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
     return tol
 
 
 @functools.cache
 def _build_parser():
     """The argument parser and its command parsers by name, built once per
-    process.  ``analyze --tol`` is kept as text, default None, so that
-    ``cmd_analyze`` validates it and reads FRAMESCALE_TOL on every call."""
+    process."""
     parser = argparse.ArgumentParser(
         prog="framescale",
         description="Scalability analysis of finite frames in R^n",
@@ -333,10 +302,10 @@ def _build_parser():
     commands = {}
 
     p = commands["analyze"] = sub.add_parser("analyze", help="full report for a frame file")
-    p.add_argument("path", nargs="?", help="frame document to analyze")
-    p.add_argument("--batch", help="analyze every file in a directory")
+    p.add_argument("paths", nargs="+", metavar="path", help="frame documents to analyze")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--tol")
+    p.add_argument("--tol", type=_tolerance, default=numerics.RESIDUAL_TOL,
+                   help="tightness tolerance (default %(default)g)")
     p.set_defaults(func=cmd_analyze)
 
     p = commands["scale"] = sub.add_parser(
@@ -385,6 +354,11 @@ def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left there, and the flush
+        # at exit, to os.devnull, and exit as a shell reports SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except InternalNumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

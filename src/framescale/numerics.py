@@ -18,8 +18,8 @@ beside it, and most of those scales are of unit size by construction (the
 hull solver and the scalability routes read the reduced diagram matrix on
 unit-norm columns, and weights sum to 1), so a verdict does not move when a
 frame vector is rescaled.  The one tolerance a user can set is the
-tightness tolerance of ``frame_core.is_tight``, through ``analyze --tol``;
-it steers no verdict.
+tightness tolerance of ``frame_core.is_tight``, through ``analyze --tol``
+alone, never the environment; it steers no verdict.
 """
 
 from __future__ import annotations

@@ -19,13 +19,10 @@ from framescale import (
     numerics,
     sylvester_hadamard,
 )
-from framescale.cli import main
 from framescale.diagram import reduced_diagram_matrix
 from framescale.framedoc import (
     document_from_frame,
     format_frame_document,
-    frame_from_document,
-    parse_frame_document,
 )
 from framescale.scalability import SCALABLE
 from framescale.split_scaling import w_point
@@ -121,21 +118,6 @@ def route_lines(F, route, strict=False):
     if strict and result.verdict == SCALABLE:
         lines.insert(0, "scalable, but not strictly")
     return lines
-
-
-def run_scale(capsys, path, args):
-    """The exit code and the captured (out, err) of ``scale`` with ``args``
-    on the frame file ``path``.  ``--method`` with a name of ``ROUTES`` asks
-    that library route itself (``route_lines``, with --strict if ``args``
-    hold it): its lines go to stdout, the code is 1 where the last reads
-    "not scalable", else 0, and its errors propagate."""
-    method = args[args.index("--method") + 1] if "--method" in args else "auto"
-    if method not in ROUTES:
-        return main(["scale", path, *args]), capsys.readouterr()
-    F = frame_from_document(parse_frame_document(Path(path).read_text()))
-    lines = route_lines(F, method, "--strict" in args)
-    print(*lines, sep="\n")
-    return int(lines[-1].startswith("not scalable")), capsys.readouterr()
 
 
 def random_unit_frame(rng, n, m):

@@ -356,12 +356,14 @@ def test_criterion_10_deterministic_reports(tmp_path, capsys):
         "quad.frame": "n 2\nm 3\n1 0.1\n0.9 0.5\n0.5 1\n",
         "pair.frame": "n 2\nm 2\n1 0\n0 1\n",
     }
+    paths = []
     for name, text in docs.items():
         (tmp_path / name).write_text(text)
+        paths.append(str(tmp_path / name))
     runs = []
     for _ in range(2):
-        assert main(["analyze", "--batch", str(tmp_path), "--json"]) == 0
+        assert main(["analyze", *paths, "--json"]) == 0
         runs.append(capsys.readouterr().out)
     assert runs[0] == runs[1]
     assert runs[0].count('"tool"') == len(docs)
-    print("ACCEPTANCE 10: PASS - repeated batch analyses are byte-identical")
+    print("ACCEPTANCE 10: PASS - repeated analyses of four paths are byte-identical")

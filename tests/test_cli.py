@@ -20,7 +20,7 @@ from framescale.framedoc import (
     format_number,
     parse_frame_document,
 )
-from conftest import bench_corpus, frame_file, route_lines, run_scale
+from conftest import ROUTES, bench_corpus, frame_file, route_lines
 from test_derived import FRAMES, _frame
 
 
@@ -31,10 +31,10 @@ QUADRANT_TEXT = "n 2\nm 3\n1 0.1\n0.9 0.5\n0.5 1\n"
 OVERFLOW_TEXT = ("n 2\nm 3\n0 -5.6632054457081432e+100\n-3.9917884693248457e+143 0\n"
                  "-1.5506848944305719e-105 7.7534244721528595e-106\n")
 
-# ``scale`` offers only the routes of ``decide``.  Where a test's parameters
-# are scale's arguments, ``--method cofactor|codim2|lp`` names a library
-# route beside them: the test asks that route itself, through ``run_scale``,
-# for the lines that scale would print
+# ``scale`` offers only the routes of ``decide``.  A test that holds a
+# library route of ``ROUTES`` to scale's output asks that route itself for
+# the lines scale would print (``route_lines``), and a route's error fails
+# it.  Such rows keep the ids they had when ``scale --method`` named them
 
 
 def reference_json_dumps(obj, indent=0):
@@ -131,23 +131,11 @@ class TestInputErrors:
         ("n 2\nn 3\nm 3\n1 0 0\n0 1 0\n0 0 1\n", "repeated header 'n' (line 2)"),
         ("n 2\nm 3\nm 2\n1 0\n0 1\n", "repeated header 'm' (line 3)"),
         ("n 2\nname a\nm 2\nname b\n1 0\n0 1\n", "repeated header 'name' (line 4)"),
-        ("no-path", "provide a path or --batch"),
-        # the path used to be dropped without a word
-        ("path-and-batch", "provide a path or --batch, not both"),
-        ("missing-dir", "No such file or directory"),
-        ("empty-dir", "no files in"),
     ], ids=["header-two-values", "header-not-integer", "header-not-positive",
             "header-missing", "header-n-repeated", "header-m-repeated",
-            "header-name-repeated", "no-path", "path-and-batch", "batch-missing-dir",
-            "batch-empty-dir"])
+            "header-name-repeated"])
     def test_analyze_exits_two_with_one_error_line(self, tmp_path, capsys, case, message):
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        argv = {"no-path": ["analyze"],
-                "path-and-batch": ["analyze", str(tmp_path / "x.frame"), "--batch", str(tmp_path)],
-                "missing-dir": ["analyze", "--batch", str(tmp_path / "missing")],
-                "empty-dir": ["analyze", "--batch", str(empty)]}.get(case)
-        assert main(argv or ["analyze", write(tmp_path, "bad.frame", case)]) == 2
+        assert main(["analyze", write(tmp_path, "bad.frame", case)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
@@ -212,30 +200,43 @@ class TestAnalyze:
     def test_missing_file_exit_two(self, capsys):
         assert main(["analyze", "/nonexistent/nope.frame"]) == 2
 
-    @pytest.mark.parametrize("command", [["scale"], ["analyze"], ["analyze", "--batch"]])
+    @pytest.mark.parametrize("command", [["scale"], ["analyze"], ["analyze", "good.frame"]])
     def test_non_utf8_file_exit_two(self, tmp_path, capsys, command):
-        # exit 1 from scale would mean "not scalable"
+        # exit 1 from scale would mean "not scalable"; with two paths the
+        # report of the good file comes first
         (tmp_path / "bad.frame").write_bytes(b"n 2\nm 3\n1 0\n0 1\n1 1\n\xff\n")
-        target = tmp_path if command[-1] == "--batch" else tmp_path / "bad.frame"
-        assert main(command + [str(target)]) == 2
-        err = capsys.readouterr().err
+        write(tmp_path, "good.frame", MB_TEXT)
+        paths = [str(tmp_path / name) for name in command[1:] + ["bad.frame"]]
+        assert main(command[:1] + paths) == 2
+        out, err = capsys.readouterr()
+        assert out.count("frame (unnamed): ") == len(command) - 1
         assert "bad.frame" in err and "UTF-8" in err
 
-    def test_batch_sorted_order(self, tmp_path, capsys):
-        write(tmp_path, "b.frame", MB_TEXT)
-        write(tmp_path, "a.frame", EXAMPLE_TEXT)
-        assert main(["analyze", "--batch", str(tmp_path)]) == 0
+    def test_directory_is_a_read_error(self, tmp_path, capsys):
+        # a directory's files are named as paths (DIR/*)
+        assert main(["analyze", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: cannot read {tmp_path}: ")
+
+    def test_reports_follow_the_order_of_the_paths(self, tmp_path, capsys):
+        a = write(tmp_path, "a.frame", EXAMPLE_TEXT)
+        b = write(tmp_path, "b.frame", MB_TEXT)
+        assert main(["analyze", a, b]) == 0
         out = capsys.readouterr().out
         assert out.index("not_scalable") < out.index("strictly_scalable")
+        assert main(["analyze", b, a]) == 0
+        out = capsys.readouterr().out
+        assert out.index("strictly_scalable") < out.index("not_scalable")
 
     def test_batch_error_names_its_file(self, tmp_path, capsys):
-        # b.frame parses but does not span: its error line names it, as read
-        # and parse errors do, after the report of a.frame; a single path
-        # keeps the bare message
-        write(tmp_path, "a.frame", MB_TEXT)
+        # b.frame parses but does not span: with several paths its error
+        # line names it, as read and parse errors do, after the report of
+        # a.frame, and the run stops there; a single path keeps the bare
+        # message
+        a = write(tmp_path, "a.frame", MB_TEXT)
         bad = write(tmp_path, "b.frame", "n 2\nm 2\n1 0\n2 0\n")
-        write(tmp_path, "c.frame", EXAMPLE_TEXT)
-        assert main(["analyze", "--batch", str(tmp_path)]) == 2
+        c = write(tmp_path, "c.frame", EXAMPLE_TEXT)
+        assert main(["analyze", a, bad, c]) == 2
         out, err = capsys.readouterr()
         assert out.count("frame (unnamed): ") == 1 and "strictly_scalable" in out
         assert err == f"error: {bad}: vectors do not span R^n\n"
@@ -251,22 +252,6 @@ class TestAnalyze:
         assert out == ""
         assert err == "error: frame potential overflows the float range\n"
 
-    def test_tol_env_default(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("FRAMESCALE_TOL", "1e-5")
-        path = write(tmp_path, "mb.frame", MB_TEXT)
-        assert main(["analyze", path]) == 0
-        assert "1e-05" in capsys.readouterr().out
-
-    def test_tol_env_read_on_every_call(self, tmp_path, capsys, monkeypatch):
-        # one parser serves the process, so the default must not be frozen in it
-        path = write(tmp_path, "mb.frame", MB_TEXT)
-        monkeypatch.setenv("FRAMESCALE_TOL", "1e-5")
-        assert main(["analyze", path]) == 0
-        assert "tolerance: 1e-05" in capsys.readouterr().out
-        monkeypatch.delenv("FRAMESCALE_TOL")
-        assert main(["analyze", path]) == 0
-        assert "tolerance: 1e-08" in capsys.readouterr().out
-
 
 BAD_TOLS = ["nan", "inf", "0", "-1", "abc"]
 TOL_COMMANDS = [["analyze"], ["scale"], ["dual", "--check-scalable"]]
@@ -276,43 +261,28 @@ class TestTolerance:
     """A tolerance that is not a finite positive number is an input error of
     ``analyze``, the one command that reads a tolerance; a NaN would make
     every tightness comparison pass vacuously.  ``scale`` and ``dual`` take
-    no --tol and ignore FRAMESCALE_TOL: each re-checks its scaling at
-    ``is_tight``'s default."""
+    no --tol: each re-checks its scaling at ``is_tight``'s default.  No
+    command reads the environment."""
 
     @pytest.mark.parametrize("tol", BAD_TOLS)
     @pytest.mark.parametrize("command", TOL_COMMANDS, ids=" ".join)
     def test_bad_option_exit_two(self, tmp_path, capsys, command, tol):
-        path = write(tmp_path, "x.frame", EXAMPLE_TEXT)
-        if command == ["analyze"]:
-            assert main(command + [path, "--tol", tol]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith("error: --tol must be a finite positive number")
-            return
-        # argparse refuses the option itself, whatever its value
+        # argparse refuses the line before any file is read: the path names
+        # no file
         with pytest.raises(SystemExit) as exc:
-            main(command + [path, "--tol", tol])
+            main(command + [str(tmp_path / "missing.frame"), "--tol", tol])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.endswith(f"framescale: error: unrecognized arguments: --tol {tol}\n")
+        if command == ["analyze"]:
+            assert captured.err.endswith(
+                "framescale analyze: error: argument --tol: must be a finite positive"
+                f" number, got {tol!r}\n")
+        else:
+            assert captured.err.endswith(
+                f"framescale: error: unrecognized arguments: --tol {tol}\n")
 
-    @pytest.mark.parametrize("tol", BAD_TOLS)
-    @pytest.mark.parametrize("command", TOL_COMMANDS[:1], ids=" ".join)
-    def test_bad_env_exit_two(self, tmp_path, capsys, monkeypatch, command, tol):
-        path = write(tmp_path, "x.frame", EXAMPLE_TEXT)
-        monkeypatch.setenv("FRAMESCALE_TOL", tol)
-        assert main(command + [path]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: FRAMESCALE_TOL must be a finite positive number")
-
-    @pytest.mark.parametrize("tol", BAD_TOLS + ["1e-300"])
-    @pytest.mark.parametrize("command", TOL_COMMANDS[1:], ids=" ".join)
-    def test_env_does_not_reach_scale_or_dual(self, tmp_path, capsys, monkeypatch,
-                                              command, tol):
-        # a bad variable is no error of theirs, and 1e-300, which no rounded
-        # scaling of the generated mb frame meets, used to end both in exit 3
+    def _assert_env_ignored(self, tmp_path, capsys, monkeypatch, command, tol):
         monkeypatch.delenv("FRAMESCALE_TOL", raising=False)
         assert main(["generate", "mb"]) == 0
         path = write(tmp_path, "mb.frame", capsys.readouterr().out)
@@ -321,6 +291,20 @@ class TestTolerance:
         monkeypatch.setenv("FRAMESCALE_TOL", tol)
         assert main(command + [path]) == 0
         assert capsys.readouterr() == want
+
+    @pytest.mark.parametrize("tol", BAD_TOLS + ["1e-300"])
+    @pytest.mark.parametrize("command", TOL_COMMANDS[1:], ids=" ".join)
+    def test_env_does_not_reach_scale_or_dual(self, tmp_path, capsys, monkeypatch,
+                                              command, tol):
+        # a bad variable is no error of theirs, and 1e-300, which no rounded
+        # scaling of the generated mb frame meets, used to end both in exit 3
+        self._assert_env_ignored(tmp_path, capsys, monkeypatch, command, tol)
+
+    @pytest.mark.parametrize("tol", BAD_TOLS + ["1e-5", "1e-300"])
+    def test_env_does_not_reach_analyze(self, tmp_path, capsys, monkeypatch, tol):
+        # FRAMESCALE_TOL used to set the default of --tol, and a bad value
+        # ended analyze in exit 2
+        self._assert_env_ignored(tmp_path, capsys, monkeypatch, ["analyze"], tol)
 
     def test_option_overrides_bad_env(self, tmp_path, capsys, monkeypatch):
         path = write(tmp_path, "x.frame", EXAMPLE_TEXT)
@@ -337,6 +321,10 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("argv, code, stream, text", [
         ([], 2, "err", "framescale: error: the following arguments are required: command\n"),
+        (["analyze"], 2, "err",
+         "framescale analyze: error: the following arguments are required: path\n"),
+        (["analyze", "--batch", "d", "x"], 2, "err",
+         "framescale: error: unrecognized arguments: --batch\n"),
         (["--version"], 0, "out", "0.1.0\n"),
         (["bogus"], 2, "err", "framescale: error: argument command: invalid choice: 'bogus' ("),
         (["analyze", "-h"], 0, "out", "usage: framescale analyze [-h]"),
@@ -401,20 +389,25 @@ class TestScale:
         [line] = route_lines(F, "codim2")
         assert min(float(v) for v in line.split()) > 0
 
-    @pytest.mark.parametrize("args", [[], ["--method", "codim2"], ["--strict"],
-                                      ["--method", "codim2", "--strict"]],
-                             ids=lambda a: " ".join(a) or "auto")
-    def test_codim2_single_feasible_direction(self, tmp_path, capsys, args):
+    @pytest.mark.parametrize("route, strict", [("auto", False), ("codim2", False),
+                                               ("auto", True), ("codim2", True)],
+                             ids=["auto", "--method codim2", "--strict",
+                                  "--method codim2 --strict"])
+    def test_codim2_single_feasible_direction(self, tmp_path, capsys, route, strict):
         # corank 2 with one feasible kernel direction, t = 0 on the kernel
-        # basis: the route answers as the LP does
-        path = write(tmp_path, "c2.frame", "n 2\nm 4\n0 1\n1 1\n0 1\n-1 1\n")
-        strict = ["--strict"] if "--strict" in args else []
-        got = run_scale(capsys, path, args)
-        assert got == run_scale(capsys, path, ["--method", "lp"] + strict)
+        # basis: scale and the codim-2 route answer as the hull solver does
+        text = "n 2\nm 4\n0 1\n1 1\n0 1\n-1 1\n"
         lines = ["0 0.707106781187 0 0.707106781187"]
         if strict:
             lines.insert(0, "scalable, but not strictly")
-        assert got == (0, ("".join(line + "\n" for line in lines), ""))
+        if route == "auto":
+            path = write(tmp_path, "c2.frame", text)
+            assert main(["scale", path] + ["--strict"] * strict) == 0
+            assert capsys.readouterr() == ("".join(line + "\n" for line in lines), "")
+        else:
+            F = frame_from_document(parse_frame_document(text))
+            assert route_lines(F, route, strict) == lines
+        assert route_lines(frame_from_document(parse_frame_document(text)), "lp", strict) == lines
 
     @pytest.mark.parametrize("s", ["1e-100", "1", "1e9", "1e10", "1e100"])
     def test_far_vector_scales_as_at_one(self, tmp_path, capsys, s):
@@ -441,8 +434,11 @@ class TestScale:
         # (1, 0), (1, 1), (1, 2) lie in one open quadrant: corank 1, not
         # scalable, and the certificate comes from the kernel in closed form
         F = make_frame([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
-        code, (out, _) = run_scale(capsys, frame_file(tmp_path, F), ["--method", method])
-        assert code == 1
+        if method == "auto":
+            assert main(["scale", frame_file(tmp_path, F)]) == 1
+            out = capsys.readouterr().out
+        else:
+            [out] = route_lines(F, method)
         assert out.startswith("not scalable; certificate y: ")
         y = [float(v) for v in out.split(":")[1].split()]
         assert hull_certificate_check(F, y)
@@ -467,14 +463,14 @@ class TestScale:
         path = write(tmp_path, "overflow.frame", OVERFLOW_TEXT)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, lp = run_scale(capsys, path, ["--method", "lp"])
-            assert code == 0
+            lp = route_lines(frame_from_document(parse_frame_document(OVERFLOW_TEXT)), "lp")
+            assert not lp[-1].startswith("not scalable")
             assert main(["scale", *args, path]) == 0
         lines = capsys.readouterr().out.splitlines()
         if args == ["--method", "split"]:
             assert len(lines) == 1 and all(float(v) >= 0.0 for v in lines[0].split())
         else:
-            assert lines[-1:] == lp.out.splitlines()
+            assert lines[-1:] == lp
             assert lines[:-1] == (["scalable, but not strictly"] if args else [])
 
     @pytest.mark.parametrize("x, word", [("1e-200", "underflow"), ("1e200", "overflow")])
@@ -488,19 +484,38 @@ class TestScale:
         assert word in err and err.count("\n") == 1
 
 
+def _scale_id(case):
+    """The id of a (route, strict) row: the ``scale`` arguments that ask it,
+    or once asked it where the route is one of ``ROUTES``."""
+    route, strict = case
+    return " ".join(["--method", route] * (route != "auto") + ["--strict"] * strict) or "auto"
+
+
+def _scale_lines(tmp_path, capsys, F, route, strict):
+    """The lines of ``scale`` on F, asked with --method ``route`` (auto,
+    split) and --strict if ``strict``, which must exit 0 or 1; or those of
+    the library route ``route`` of ``ROUTES``, whose errors propagate."""
+    if route in ROUTES:
+        return route_lines(F, route, strict)
+    code = main(["scale", frame_file(tmp_path, F), "--method", route] + ["--strict"] * strict)
+    out, err = capsys.readouterr()
+    assert code == int(out.startswith("not scalable")) and err == "", (code, err)
+    return out.splitlines()
+
+
 class TestZeroWeights:
     # the straddling vector of the two-block frame is the last one, and every
     # scaling gives it weight 0; a zero weight prints as 0, never as the
     # square root of rounding noise or as -0
-    SCALE_ARGS = [[], ["--method", "lp"], ["--method", "lp", "--strict"],
-                  ["--method", "split"], ["--method", "split", "--strict"]]
+    SCALE_CASES = [("auto", False), ("lp", False), ("lp", True), ("split", False),
+                   ("split", True)]
 
-    @pytest.mark.parametrize("args", SCALE_ARGS, ids=lambda a: " ".join(a) or "auto")
-    def test_straddling_weight_is_exactly_zero(self, tmp_path, capsys, args):
+    @pytest.mark.parametrize("case", SCALE_CASES, ids=_scale_id)
+    def test_straddling_weight_is_exactly_zero(self, tmp_path, capsys, case):
         F = _frame("two-block")
-        code, (out, err) = run_scale(capsys, frame_file(tmp_path, F), args)
-        assert code == 0, err
-        tokens = out.splitlines()[-1].split()
+        lines = _scale_lines(tmp_path, capsys, F, *case)
+        assert not lines[-1].startswith("not scalable")
+        tokens = lines[-1].split()
         assert len(tokens) == F.m
         assert "-0" not in tokens
         assert float(tokens[-1]) == 0.0
@@ -514,17 +529,15 @@ class TestZeroWeights:
         assert s["near_zero"][-1] == len(s["weights_c"]) - 1
 
     @pytest.mark.parametrize("name", sorted(FRAMES))
-    @pytest.mark.parametrize("args", SCALE_ARGS + [["--method", "cofactor"],
-                                                   ["--method", "codim2"]],
-                             ids=lambda a: " ".join(a) or "auto")
-    def test_no_negative_zero_printed(self, tmp_path, capsys, name, args):
+    @pytest.mark.parametrize("case", SCALE_CASES + [("cofactor", False), ("codim2", False)],
+                             ids=_scale_id)
+    def test_no_negative_zero_printed(self, tmp_path, capsys, name, case):
         try:
-            code, (out, err) = run_scale(capsys, frame_file(tmp_path, _frame(name)), args)
+            lines = _scale_lines(tmp_path, capsys, _frame(name), *case)
         except CorankMismatchError:  # a corank route asked off its corank
             return
-        assert code in (0, 1), err
-        if code == 0:
-            assert not any(t.startswith("-") for t in out.splitlines()[-1].split())
+        if not lines[-1].startswith("not scalable"):
+            assert not any(t.startswith("-") for t in lines[-1].split())
 
 
 class TestDimensionOne:
@@ -533,18 +546,21 @@ class TestDimensionOne:
 
     @pytest.mark.parametrize("m", sorted(TEXTS))
     @pytest.mark.parametrize("args", [["analyze"], ["analyze", "--json"], ["scale"],
-                                      ["scale", "--method", "lp"],
-                                      ["scale", "--method", "lp", "--strict"],
+                                      ["lp"], ["lp", "--strict"],
                                       ["scale", "--method", "split"],
                                       ["scale", "--method", "split", "--strict"]],
-                             ids=" ".join)
+                             ids=lambda a: " ".join(["scale", "--method"] * (a[0] == "lp") + a))
     def test_runs_exit_zero(self, tmp_path, capsys, m, args):
+        # ["lp"] asks the hull solver alone for the lines scale would print
         path = write(tmp_path, "line.frame", self.TEXTS[m])
-        if args[0] == "scale":
-            code, (out, _) = run_scale(capsys, path, args[1:])
+        if args[0] == "lp":
+            F = frame_from_document(parse_frame_document(self.TEXTS[m]))
+            out = "\n".join(route_lines(F, "lp", "--strict" in args))
+            assert not out.startswith("not scalable")
+            args = ["scale"] + args[1:]
         else:
-            code, out = main(args + [path]), capsys.readouterr().out
-        assert code == 0
+            assert main(args + [path]) == 0
+            out = capsys.readouterr().out
         if args == ["analyze", "--json"]:
             rep = json.loads(out)
             assert rep["scalability"]["verdict"] == "strictly_scalable"
@@ -709,10 +725,11 @@ class TestFloatRange:
 
 # CLI regressions that CI's console-script step once ran, named by the frame
 # file each wrote there: (frame, argv, exit code, check).  A frame is text or
-# commands, each run on the output of the one before; argv naming a library
-# route, ``--method cofactor|codim2|lp``, asks that route itself for the
-# lines scale would print (``run_scale``); a check is the exact
-# "stdout", a part of one stream ("in stdout"/"in stderr"), or JSON fields
+# commands, each run on the output of the one before.  argv is a command
+# line, or the name of a library route of ``ROUTES``, which is asked for the
+# lines scale would print (``route_lines``); its exit code is then the one
+# those lines stand for.  A check is the exact "stdout", a part of one
+# stream ("in stdout"/"in stderr"), or JSON fields
 CERTIFICATE = ("in stdout", "certificate y:")
 ONE_SIGNED = "n 2\nm 3\n1 1\n1 2\n2 1\n"  # every x_1 x_2 > 0: the split of 1 answers
 TINY_ROW = "n 2\nm 5\n1 1e-9\n1 2e-9\n1 3e-9\n1e-9 1\n2e-9 1\n"  # x_1 x_2 about 1e-9
@@ -727,13 +744,13 @@ CLI_CASES = {
     "corank2.frame-analyze": ("n 2\nm 4\n0 1\n1 1\n0 1\n-1 1\n", ["analyze", "--json"], 0,
                               ("json", "scalability", {"method": "feasibility",
                                                        "near_zero": [0, 2]})),
-    "mb.frame-scale-cofactor": ((["generate", "mb"],), ["scale", "--method", "cofactor"], 0,
+    "mb.frame-scale-cofactor": ((["generate", "mb"],), "cofactor", 0,
                                 ("stdout", "0.57735026919 0.57735026919 0.57735026919\n")),
     "onesigned.frame-analyze": (ONE_SIGNED, ["analyze", "--json"], 0,
                                 ("json", "scalability", {"method": "projection"})),
     "onesigned.frame-scale": (ONE_SIGNED, ["scale"], 1, CERTIFICATE),
     "tinyrow.frame-scale": (TINY_ROW, ["scale"], 1, CERTIFICATE),
-    "tinyrow.frame-scale-lp": (TINY_ROW, ["scale", "--method", "lp"], 1, CERTIFICATE),
+    "tinyrow.frame-scale-lp": (TINY_ROW, "lp", 1, CERTIFICATE),
     "badnum.frame-scale": ("n 2\nm 3\n1 0\n1 oops\n1\n", ["scale"], 2,
                            ("in stderr", "(line 4, column 2)")),
     "short.frame-scale": ("n 2\nm 3\n1 0\n0 1\n1\n", ["scale"], 2,
@@ -747,8 +764,7 @@ CLI_CASES = {
 
 
 @pytest.mark.parametrize("frame, argv, code, check", CLI_CASES.values(), ids=list(CLI_CASES))
-def test_cli_case(tmp_path, capsys, monkeypatch, frame, argv, code, check):
-    monkeypatch.delenv("FRAMESCALE_TOL", raising=False)
+def test_cli_case(tmp_path, capsys, frame, argv, code, check):
     path = tmp_path / "case.frame"
     if isinstance(frame, str):
         path.write_text(frame)
@@ -756,11 +772,13 @@ def test_cli_case(tmp_path, capsys, monkeypatch, frame, argv, code, check):
         for k, command in enumerate(frame):
             assert main(command + [str(path)] * (k > 0)) == 0
             path.write_text(capsys.readouterr().out)
-    if argv[0] == "scale":
-        got, (out, err) = run_scale(capsys, str(path), argv[1:])
+    if isinstance(argv, str):
+        lines = route_lines(frame_from_document(parse_frame_document(path.read_text())), argv)
+        assert lines[-1].startswith("not scalable") == (code == 1)
+        out, err = "".join(line + "\n" for line in lines), ""
     else:
-        got, (out, err) = main(argv + [str(path)]), capsys.readouterr()
-    assert got == code
+        assert main(argv + [str(path)]) == code
+        out, err = capsys.readouterr()
     kind, *expected = check
     if kind == "json":
         report = json.loads(out)[expected[0]]
@@ -783,3 +801,24 @@ def test_python_dash_m_runs_main_in_a_fresh_process(tmp_path):
                              capture_output=True, text=True, env=env, timeout=60)
         assert (run.returncode, run.stderr, run.stdout.count("\n")) == (code, "", 1)
         assert run.stdout.startswith(stdout)
+
+
+def test_closed_output_pipe_exits_141_in_silence(tmp_path):
+    # the reader takes 10 bytes and closes the pipe while ``analyze`` still
+    # has about 50 reports to print, far more than a pipe buffers: a
+    # traceback and exit 1, which reads as "not scalable", used to follow
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONWARNINGS="error",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    rng = np.random.default_rng(0)
+    paths = []
+    for k in range(50):
+        F = make_frame(rng.standard_normal((12, 4)))
+        paths.append(write(tmp_path, f"{k}.frame", format_frame_document(document_from_frame(F))))
+    proc = subprocess.Popen([sys.executable, "-m", "framescale", "analyze", "--json", *paths],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")

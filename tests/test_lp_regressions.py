@@ -45,7 +45,6 @@ from conftest import (
     random_scalable_frame,
     rescaled_harmonic_frame,
     route_lines,
-    run_scale,
     tiny_row_frame,
     two_block_frame,
 )
@@ -165,17 +164,21 @@ NEAR_DUPLICATE_FRAMES = {
 
 def _run(tmp_path, capsys, vectors, *args):
     """The exit code and the (out, err) pair of the command ``args`` on a
-    frame file of ``vectors``; ``scale --method lp`` asks the hull solver
-    itself, through ``run_scale``."""
+    frame file of ``vectors``."""
     command, *options = args
     path = frame_file(tmp_path, make_frame(vectors))
-    if command == "scale":
-        return run_scale(capsys, path, options)
     return main([command, path, *options]), capsys.readouterr()
 
 
-def _printed_certificate(out):
-    return [float(v) for v in out.out.split("certificate y:")[1].split()]
+def _lp(vectors, strict=False):
+    """The lines ``scale`` would print for the hull solver's own answer on a
+    frame of ``vectors`` (``route_lines``), with --strict if ``strict``;
+    the rows and loops named ``lp`` ask it."""
+    return route_lines(make_frame(vectors), "lp", strict)
+
+
+def _printed_certificate(text):
+    return [float(v) for v in text.split("certificate y:")[1].split()]
 
 
 def test_clamp_frame_analyze(tmp_path, capsys):
@@ -202,14 +205,18 @@ def test_split_frame_seed10(tmp_path, capsys):
     assert intersection_scalability(make_frame(SPLIT_FRAME)).verdict == SCALABLE
 
 
-@pytest.mark.parametrize("args", [("analyze", "--json"),
-                                  ("scale", "--method", "lp", "--strict"),
+@pytest.mark.parametrize("args", [("analyze", "--json"), "lp",
                                   ("scale", "--method", "split", "--strict")],
                          ids=["analyze", "lp-strict", "split-strict"])
 def test_strict_lp_small_margin(tmp_path, capsys, args):
-    code, out = _run(tmp_path, capsys, SMALL_MARGIN_FRAME, *args)
-    assert code == 0, out.err
-    assert "not strictly" not in out.out
+    if args == "lp":
+        lines = _lp(SMALL_MARGIN_FRAME, strict=True)
+        assert not lines[-1].startswith("not scalable")
+        assert "scalable, but not strictly" not in lines
+    else:
+        code, out = _run(tmp_path, capsys, SMALL_MARGIN_FRAME, *args)
+        assert code == 0, out.err
+        assert "not strictly" not in out.out
     F = make_frame(SMALL_MARGIN_FRAME)
     _, cofactor = cofactor_scaling(F)
     assert decide_scalable(F).verdict == cofactor.verdict == STRICTLY_SCALABLE
@@ -224,23 +231,25 @@ def test_codim2_boundary(tmp_path, capsys):
     assert codim2_scaling(F).verdict == decide_scalable(F).verdict == SCALABLE
 
 
-@pytest.mark.parametrize("args", [("analyze", "--json"),
-                                  ("scale", "--method", "lp", "--strict")],
-                         ids=["analyze", "lp-strict"])
+@pytest.mark.parametrize("args", [("analyze", "--json"), "lp"], ids=["analyze", "lp-strict"])
 def test_strict_lp_drives_out_artificials_at_zero(tmp_path, capsys, args):
-    code, out = _run(tmp_path, capsys, DRIVE_OUT_FRAME, *args)
-    assert code == 0, out.err
+    if args == "lp":
+        assert not _lp(DRIVE_OUT_FRAME, strict=True)[-1].startswith("not scalable")
+    else:
+        code, out = _run(tmp_path, capsys, DRIVE_OUT_FRAME, *args)
+        assert code == 0, out.err
     F = make_frame(DRIVE_OUT_FRAME)
     assert codim2_scaling(F).verdict == decide_scalable(F).verdict == SCALABLE
 
 
 @pytest.mark.parametrize("name", sorted(NEAR_DUPLICATE_FRAMES))
-@pytest.mark.parametrize("args", [("analyze", "--json"),
-                                  ("scale", "--method", "lp", "--strict")],
-                         ids=["analyze", "lp-strict"])
+@pytest.mark.parametrize("args", [("analyze", "--json"), "lp"], ids=["analyze", "lp-strict"])
 def test_near_duplicate_lp_witness_stays_nonnegative(tmp_path, capsys, args, name):
-    code, out = _run(tmp_path, capsys, NEAR_DUPLICATE_FRAMES[name], *args)
-    assert code == 0, out.err
+    if args == "lp":
+        assert not _lp(NEAR_DUPLICATE_FRAMES[name], strict=True)[-1].startswith("not scalable")
+    else:
+        code, out = _run(tmp_path, capsys, NEAR_DUPLICATE_FRAMES[name], *args)
+        assert code == 0, out.err
     F = make_frame(NEAR_DUPLICATE_FRAMES[name])
     assert decide_scalable(F).verdict == SCALABLE
 
@@ -262,7 +271,7 @@ def test_near_duplicate_cofactor_falls_back_to_the_lp(tmp_path, capsys, name):
         cofactor_scaling(make_frame(vectors))
     code, out = _run(tmp_path, capsys, vectors, "scale")
     assert code == 0, out.err
-    assert (code, out) == _run(tmp_path, capsys, vectors, "scale", "--method", "lp")
+    assert (out.out.splitlines(), out.err) == (_lp(vectors), "")
     code, out = _run(tmp_path, capsys, vectors, "analyze", "--json")
     assert code == 0, out.err
 
@@ -275,10 +284,14 @@ def test_near_parallel_frame_is_not_scalable_on_every_route(tmp_path, capsys):
     assert (s["verdict"], s["method"]) == (NOT_SCALABLE, METHOD_FEASIBILITY)
     assert hull_certificate_check(F, s["certificate_y"])
     for method in ("auto", "lp", "split", "cofactor"):
-        code, out = _run(tmp_path, capsys, NEAR_PARALLEL_FRAME, "scale", "--method", method)
-        assert code == 1, (method, out.err)
-        assert out.out.startswith("not scalable; certificate y: "), method
-        assert hull_certificate_check(F, _printed_certificate(out)), method
+        if method in ("auto", "split"):
+            code, out = _run(tmp_path, capsys, NEAR_PARALLEL_FRAME, "scale", "--method", method)
+            assert code == 1, (method, out.err)
+            [line] = out.out.splitlines()
+        else:
+            [line] = route_lines(make_frame(NEAR_PARALLEL_FRAME), method)
+        assert line.startswith("not scalable; certificate y: "), method
+        assert hull_certificate_check(F, _printed_certificate(line)), method
 
 
 # a near-duplicate pair, (0, -20, -10) and (0, -20, -9.999998881966011): the
@@ -295,7 +308,7 @@ def test_split_near_duplicate_takes_the_certificate_of_the_split(tmp_path, capsy
     code, out = _run(tmp_path, capsys, SPLIT_NEAR_DUPLICATE_FRAME, "scale", "--method", "split")
     assert code == 1, out.err
     F = make_frame(SPLIT_NEAR_DUPLICATE_FRAME)
-    assert hull_certificate_check(F, _printed_certificate(out))
+    assert hull_certificate_check(F, _printed_certificate(out.out))
     assert intersection_scalability(F).verdict == NOT_SCALABLE
     code, out = _run(tmp_path, capsys, SPLIT_NEAR_DUPLICATE_FRAME, "scale")
     assert code == 1, out.err
@@ -306,7 +319,7 @@ def test_near_parallel_split_route_agrees_with_scale(tmp_path, capsys):
     # LP does, and print 1 1 0; the route now answers with ``decide``
     code, out = _run(tmp_path, capsys, NEAR_PARALLEL_FRAME, "scale", "--method", "split")
     assert code == 1, out.err
-    assert hull_certificate_check(make_frame(NEAR_PARALLEL_FRAME), _printed_certificate(out))
+    assert hull_certificate_check(make_frame(NEAR_PARALLEL_FRAME), _printed_certificate(out.out))
     assert (code, out) == _run(tmp_path, capsys, NEAR_PARALLEL_FRAME, "scale")
 
 
@@ -343,16 +356,15 @@ def test_drawn_frame_dual_is_not_scalable(tmp_path, capsys):
     assert res.status == 2, res.message
 
 
-def test_near_duplicate_lp_route_prints_a_certificate(tmp_path, capsys):
+def test_near_duplicate_lp_route_prints_a_certificate():
     # the simplex's Farkas row on this frame failed the strict sign test, and
     # ``scale --method lp`` ended in exit 3 with or without --strict; the
     # hull solver's certificate separates with min theta^^T y about 0.065
     F = make_frame(SPLIT_NEAR_DUPLICATE_FRAME)
-    for strict in ((), ("--strict",)):
-        code, out = _run(tmp_path, capsys, SPLIT_NEAR_DUPLICATE_FRAME,
-                         "scale", "--method", "lp", *strict)
-        assert code == 1, out.err
-        assert hull_certificate_check(F, _printed_certificate(out))
+    for strict in (False, True):
+        [line] = _lp(SPLIT_NEAR_DUPLICATE_FRAME, strict)
+        assert line.startswith("not scalable; certificate y: ")
+        assert hull_certificate_check(F, _printed_certificate(line))
 
 
 # theta column norms below the normal float range: 1e-312 for the tiny
@@ -370,26 +382,32 @@ RANGE_FRAMES = {
     "subnormal-square": [[1e-160, 0.0], [0.0, 1.0]],
     "subnormal-square-3": [[1e-160, 0.0], [0.0, 1.0], [1.0, 1.0]],
 }
-RANGE_COMMANDS = [("scale",), ("scale", "--strict"), ("scale", "--method", "lp"),
-                  ("scale", "--method", "split"), ("analyze", "--json"),
-                  ("dual", "--check-scalable")]
+RANGE_COMMANDS = [("scale",), ("scale", "--strict"), "lp", ("scale", "--method", "split"),
+                  ("analyze", "--json"), ("dual", "--check-scalable")]
 
 
 @pytest.mark.parametrize("name", sorted(RANGE_FRAMES))
 def test_range_frames_answer_alike_in_every_order(tmp_path, capsys, name):
+    # "lp" asks the hull solver alone: its verdict stands for scale's exit
+    # code, and an error of it fails the test
     for args in RANGE_COMMANDS:
         codes = set()
         for order in itertools.permutations(RANGE_FRAMES[name]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                code, out = _run(tmp_path, capsys, order, *args)
+                if args == "lp":
+                    lines, err = _lp(order), ""
+                    code = int(lines[-1].startswith("not scalable"))
+                else:
+                    code, (out, err) = _run(tmp_path, capsys, order, *args)
+                    lines = out.splitlines()
             codes.add(code)
-            if code == 0 and args[0] == "scale":
-                scalars = [float(v) for v in out.out.splitlines()[-1].split()]
+            if code == 0 and args[0] in ("scale", "lp"):
+                scalars = [float(v) for v in lines[-1].split()]
                 assert is_tight(apply_scaling(make_frame(order), scalars)).tight, (order, args)
         assert len(codes) == 1, (args, codes)
         exempt = name == "subnormal-square" and args[0] == "dual"
-        assert codes != {3} or exempt, (args, out.err)
+        assert codes != {3} or exempt, (args, err)
 
 
 # the frames of RANGE_FRAMES whose theta column norms are subnormal.  The
@@ -478,8 +496,7 @@ def test_decide_agrees_with_the_hull_solver_on_strictness(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name, code", [("first-quadrant", 1), ("harmonic", 0)])
-def test_lp_route_runs_no_nearest_point_where_the_split_answers(
-        tmp_path, capsys, monkeypatch, name, code):
+def test_lp_route_runs_no_nearest_point_where_the_split_answers(monkeypatch, name, code):
     # the hull solver splits 1 first: its certificate, and a strictly
     # positive kernel part that passes the rank rule, answer with no Wolfe
     # run, plain and strict
@@ -490,10 +507,9 @@ def test_lp_route_runs_no_nearest_point_where_the_split_answers(
         raise AssertionError("the split of 1 answers this frame")
 
     monkeypatch.setattr(numerics, "nearest_point", forbidden)
-    for strict in ((), ("--strict",)):
-        got, out = _run(tmp_path, capsys, frames[name], "scale", "--method", "lp", *strict)
-        assert got == code, out.err
-        assert ("certificate y:" in out.out) == (code == 1)
+    for strict in (False, True):
+        line = _lp(frames[name], strict)[-1]
+        assert line.startswith("not scalable; certificate y:") == (code == 1)
 
 
 @pytest.mark.parametrize("n, t", [(2, 1e-9), (2, 1e-12), (3, 1e-10), (3, 1e-11)])
@@ -511,10 +527,10 @@ def test_one_signed_row_of_small_entries_is_not_scalable(tmp_path, capsys, n, t)
         assert hull_certificate_check(F, result.certificate_y)
     code, out = _run(tmp_path, capsys, vectors, "scale")
     assert code == 1 and "certificate y:" in out.out
-    for strict in ((), ("--strict",)):
-        code, out = _run(tmp_path, capsys, vectors, "scale", "--method", "lp", *strict)
-        assert code == 1, out.err
-        assert hull_certificate_check(F, _printed_certificate(out))
+    for strict in (False, True):
+        [line] = _lp(vectors, strict)
+        assert line.startswith("not scalable; certificate y: ")
+        assert hull_certificate_check(F, _printed_certificate(line))
 
 
 def test_one_signed_row_below_zero_tol_is_zero():
@@ -548,13 +564,12 @@ ONE_SIGNED_N3_M7_FRAME = [
 ]
 
 
-def test_one_signed_n3_m7_frame_is_certified_by_the_lp_route(tmp_path, capsys):
+def test_one_signed_n3_m7_frame_is_certified_by_the_lp_route():
     F = make_frame(ONE_SIGNED_N3_M7_FRAME)
-    for strict in ((), ("--strict",)):
-        code, out = _run(tmp_path, capsys, ONE_SIGNED_N3_M7_FRAME, "scale", "--method", "lp",
-                         *strict)
-        assert code == 1, out.err
-        assert hull_certificate_check(F, _printed_certificate(out))
+    for strict in (False, True):
+        [line] = _lp(ONE_SIGNED_N3_M7_FRAME, strict)
+        assert line.startswith("not scalable; certificate y: ")
+        assert hull_certificate_check(F, _printed_certificate(line))
 
 
 @st.composite
@@ -590,5 +605,4 @@ def test_lp_route_agrees_with_scale_on_one_signed_rows(tmp_path, capsys, X):
         assume(False)
     code, out = _run(tmp_path, capsys, X, "scale")
     assert code in (0, 1), out.err
-    lp_code, lp_out = _run(tmp_path, capsys, X, "scale", "--method", "lp")
-    assert lp_code == code, lp_out.err
+    assert _lp(X)[-1].startswith("not scalable") == (code == 1)

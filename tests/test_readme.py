@@ -1,5 +1,6 @@
 """Every ``python`` code block of README.md runs as written, and its CLI
-usage lists the options and choices that the parser accepts."""
+usage lists the options, choices and positional arguments that the parser
+accepts."""
 
 import re
 from pathlib import Path
@@ -27,6 +28,20 @@ def _options(parser):
                   if s not in ("-h", "--help"))
 
 
+def _placeholders(parser):
+    """The usage-line placeholder of each positional argument of ``parser``:
+    its choices or its upper-case name, ``...`` after it when it takes one
+    or more, and in brackets when it may be left out."""
+    out = []
+    for a in parser._actions:
+        if a.option_strings:
+            continue
+        name = "|".join(a.choices) if a.choices else (a.metavar or a.dest).upper()
+        out.append({None: name, "+": name + "...", "?": f"[{name}]",
+                    "*": f"[{name}...]"}[a.nargs])
+    return out
+
+
 def test_cli_usage_lists_the_parser_choices():
     text = README.read_text(encoding="utf-8")
     usage = re.search(r"^## CLI\n\n```\n(.*?)^```", text, re.MULTILINE | re.DOTALL).group(1)
@@ -35,8 +50,12 @@ def test_cli_usage_lists_the_parser_choices():
     _, commands = _build_parser()
     assert methods.group(1).split("|") == _choices(commands["scale"], "method")
     assert kinds.group(1).split("|") == _choices(commands["generate"], "kind")
-    # each command's line lists exactly its parser's options
+    # each command's line lists exactly its parser's options, and its
+    # positional arguments in order, each with its arity
     lines = dict(re.findall(r"^framescale (\w+) (.*)$", usage, re.MULTILINE))
     assert sorted(lines) == sorted(commands)
     for name, line in lines.items():
         assert sorted(re.findall(r"--[\w-]+", line)) == _options(commands[name]), name
+        tokens = re.findall(r"\[[^\]]*\]|\S+", line)
+        positionals = [t for t in tokens if not t.startswith("[--")]
+        assert positionals == _placeholders(commands[name]), name

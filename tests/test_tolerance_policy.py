@@ -1,6 +1,7 @@
 """The tolerance policy: every threshold of the package is a named constant of
-the one table in ``framescale.numerics``, and the only tolerance a caller can
-pass is ``is_tight``'s.  Both rules are read off the source with ``ast``."""
+the one table in ``framescale.numerics``, the only tolerance a caller can
+pass is ``is_tight``'s, and no module reads a setting from the environment.
+The rules are read off the source with ``ast``."""
 
 import ast
 import re
@@ -58,3 +59,19 @@ def test_only_is_tight_takes_a_tolerance():
                 if arg.arg.lower().endswith("tol"):
                     knobs.append(f"{path.name}:{getattr(node, 'name', 'lambda')}({arg.arg})")
     assert knobs == ["frame_core.py:is_tight(tol)"]
+
+
+def test_no_module_reads_the_environment():
+    # a setting read from the environment is one that no command line shows
+    names = {"environ", "environb", "getenv", "getenvb"}
+    reads = []
+    for path in _modules():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in names:
+                reads.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name) and node.id in names:
+                reads.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [f"{path.name}:{node.lineno}" for alias in node.names
+                          if alias.name in names]
+    assert reads == []
