@@ -27,7 +27,6 @@ from .scalability import (  # noqa: F401
     codim2_scaling,
     cofactor_scaling,
     decide,
-    decide_scalable,
     hull_certificate_check,
     quick_sign_reject,
 )

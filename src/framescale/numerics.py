@@ -5,12 +5,13 @@ question that the package asks of a row block A of the reduced diagram
 matrix is one hull question, asked of A's unit-norm columns P: is there a
 c >= 0, c != 0 with P c = 0, or else a y with P^T y > 0 (Gordan's
 alternative)?  ``solve_feasibility``, the entry point, asks it in one
-order (``_hull``): ``split_of_one`` answers from one regularized Gram solve
-when a part of 1 is strictly positive and its witness leaves no room for a
-certificate that clears ``ZERO_TOL`` (``no_margin``), and ``nearest_point``
-(Wolfe) answers the rest, a certificate that clears ``ZERO_TOL`` first.
-It checks every answer, and with ``require_strict`` carries a witness to
-one of largest support (``_support_rounds``).
+order (``_hull``): ``split_of_one`` answers from regularized Gram solves,
+in rounds that drop the columns its kernel part leaves near 0, when a part
+of 1 is strictly positive and its witness leaves no room for a certificate
+that clears ``ZERO_TOL`` (``no_margin``), and ``nearest_point`` (Wolfe)
+answers the rest, a certificate that clears ``ZERO_TOL`` first.  It checks
+every answer, and with ``require_strict`` carries a witness to one of
+largest support (``_support_rounds``).
 
 Every threshold of the package is written once, in the table below, and
 named by its role.  No threshold is absolute: each multiplies a scale named
@@ -155,7 +156,7 @@ def _split(B):
     return None, w, floor
 
 
-def split_of_one(B, rounds=False):
+def split_of_one(B):
     """The orthogonal split 1 = B^T y + w of the all-ones vector for a k x m
     block B of unit columns into its parts on the row space and the kernel
     of B, as (y, w) with at most one set.  By Gordan's alternative a
@@ -175,16 +176,16 @@ def split_of_one(B, rounds=False):
     once more with G, which takes the rest off the other directions, and
     ``no_margin`` judges what such a direction leaves.
 
-    With ``rounds``, a w that is not strictly positive drops the columns at
-    or below its floor and 1 is split again on the rest, until a w is
+    A w that is not strictly positive drops the columns at or below its
+    floor and 1 is split again on the rest, in rounds, until a w is
     strictly positive (the kernel vector, 0 on the dropped columns), a
     certificate of the rest appears (which settles nothing for B) or no
-    column is left.  The callers check every answer."""
+    column is left.  Its one caller, ``_hull``, checks every answer."""
     if B.shape[0] == 0:
         return None, None
     y, w, floor = _split(B)
     cols = np.arange(B.shape[1])
-    while y is None and float(w.min()) <= floor and rounds and (w > floor).any():
+    while y is None and float(w.min()) <= floor and (w > floor).any():
         cols = cols[w > floor]
         y, w, floor = _split(B[:, cols])
         if y is not None:
@@ -317,7 +318,7 @@ def _hull(P):
     before the zeroed one, which clears where y's tiny entries are rounding
     noise instead: relative to max|y| the two kinds overlap, so no one
     threshold tells them apart."""
-    y, w = split_of_one(P, rounds=True)
+    y, w = split_of_one(P)
     if y is not None or w is not None:
         return y, w
     x, w = nearest_point(P)
@@ -349,7 +350,11 @@ def _support_rounds(P, w):
     column of C at most ``RANK_TOL`` times the largest singular value of
     P_S lies in the span and extends S alone.  A question too near the
     boundary for either check, or an extension that fails the kernel
-    identity, ends the rounds: the rest stays 0."""
+    identity, ends the rounds: the rest stays 0.  A witness of full support
+    is returned as it is; any other is normalized to sum 1 first, and so is
+    each widened one."""
+    if (w > 0.0).all():
+        return w
     w = w / w.sum()
     while not (S := w > 0.0).all():
         U, s, Vt = np.linalg.svd(P[:, S])
@@ -387,9 +392,11 @@ def solve_feasibility(p: FeasibilityProblem):
     positive column scale keeps the sign of every y.A_j and the support of
     every kernel vector.  With ``require_strict`` a witness is carried to
     one of largest support (``_support_rounds``).  The witness is the
-    unit-column weights w, sum 1, checked by the kernel identity (A's
-    kernel vector is w_j / ||A_j||); the certificate y has P^T y > 0.  A
-    nonzero b is not supported."""
+    unit-column weights w, checked by the kernel identity (A's kernel
+    vector is w_j / ||A_j||): they sum to 1, except a strict witness of
+    full support, which is ``_hull``'s own and whose sum is any positive
+    number.  The certificate y has P^T y > 0.  A nonzero b is not
+    supported."""
     A = np.asarray(p.A, dtype=float)
     b = np.asarray(p.b, dtype=float).ravel()
     _check_finite(A)

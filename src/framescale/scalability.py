@@ -3,24 +3,15 @@
 ``decide`` is the one route policy: ``analyze``, ``scale --method
 auto|split`` and the canonical-dual check all call it.  It asks the paper's
 one question, whether some c >= 0, c != 0 has theta c = 0 for the reduced
-diagram matrix theta, in two steps:
-
-* ``numerics.split_of_one`` -- the orthogonal split 1 = theta^^T y + w of
-  the all-ones vector on the unit matrix theta^, from one regularized Gram
-  solve (method ``projection``): by Gordan's alternative a strictly
-  positive theta^^T y is the certificate that no such c exists, and a
-  strictly positive w that passes ``numerics.no_margin``, as in the hull
-  solver, a kernel vector;
-* everything else goes to ``decide_scalable`` -- the hull solver
-  (``numerics.solve_feasibility``, through ``_theta_hull``), which splits
-  1 with rounds before Wolfe's nearest point and also answers W and V on
-  their row blocks (``split_scaling``).  A split answer that fails its
-  check is a numeric failure: the solver would split the same matrix.
-
-Neither step reads a coordinate of theta on its own, so a change of basis
-moves the step that answers only where a part of the split is near its
-floor.  ``quick_sign_reject`` still finds a strictly one-signed row, but no
-route calls it: such a row is one certificate y among many.
+diagram matrix theta, once, of the hull solver
+(``numerics.solve_feasibility``, through ``_theta_hull``; method
+``feasibility``).  The solver splits 1 with rounds before Wolfe's nearest
+point and carries a witness to one of largest support; it also answers W
+and V on their row blocks (``split_scaling``).  It reads no coordinate of
+theta on its own, so a change of basis moves the step inside it that
+answers only where a part of the split is near its floor.
+``quick_sign_reject`` still finds a strictly one-signed row, but no route
+calls it: such a row is one certificate y among many.
 
 The paper's corank-1 and corank-2 results are library functions that
 neither ``decide`` nor any command calls; tests use them as oracles.  Each
@@ -46,10 +37,10 @@ the largest support, so it is strict exactly when no weight is near 0.
 
 Rescaling x_i by s rescales column i of the reduced diagram matrix by
 s^2 > 0, which keeps scalability.  So every route reads that matrix on
-unit-norm columns: the hull solver its own, and the split, the kernel
-(whose width is the corank), the cofactor and codim-2 routes and the
-margin the per-frame copy (``diagram.unit_diagram_matrix``).  The
-thresholds are those of the ``numerics`` table.
+unit-norm columns: the hull solver its own, and the kernel (whose width
+is the corank), the cofactor and codim-2 routes and the margin the
+per-frame copy (``diagram.unit_diagram_matrix``).  The thresholds are
+those of the ``numerics`` table.
 """
 
 from __future__ import annotations
@@ -76,7 +67,6 @@ STRICTLY_SCALABLE = "strictly_scalable"
 METHOD_FEASIBILITY = "feasibility"
 METHOD_COFACTOR = "cofactor"
 METHOD_CODIM2 = "codim2"
-METHOD_PROJECTION = "projection"
 
 ALL_NONNEG = "all_nonneg"
 ALL_NONPOS = "all_nonpos"
@@ -256,30 +246,22 @@ def _finish_scalable(F, w, method):
     )
 
 
-def decide_scalable(F) -> ScalingResult:
-    """General scalability decision via the kernel of the reduced diagram
-    matrix, by the hull solver (``_theta_hull``).  The solver works on
-    unit-norm columns, so the verdict does not change when a frame vector
-    is rescaled.  The weights have the largest support, so ``near_zero``
-    holds exactly the vectors that every scaling gives weight 0.
-    ``decide`` asks it where its split of 1 does not answer."""
+def decide(F) -> ScalingResult:
+    """The scalability answer of ``analyze``, ``scale --method auto|split``
+    and the canonical-dual check, by the hull solver (``_theta_hull``).  The
+    solver works on unit-norm columns, so the verdict does not change when a
+    frame vector is rescaled.  The weights have the largest support, so
+    ``near_zero`` holds exactly the vectors that every scaling gives
+    weight 0."""
     y, w = _theta_hull(F)
     if y is not None:
         return _certified(F, METHOD_FEASIBILITY, y)
     return _finish_scalable(F, w, METHOD_FEASIBILITY)
 
 
-def decide(F) -> ScalingResult:
-    """The scalability answer of ``analyze``, ``scale --method auto|split``
-    and the canonical-dual check: ``numerics.split_of_one`` on the whole
-    unit matrix (method ``projection``), its certificate y or its kernel
-    part w, taken by the hull solver's rule; else ``decide_scalable``."""
-    y, w = numerics.split_of_one(unit_diagram_matrix(F).data)
-    if y is not None:
-        return _certified(F, METHOD_PROJECTION, y)
-    if w is not None:
-        return _finish_scalable(F, w, METHOD_PROJECTION)
-    return decide_scalable(F)
+# the same function under its former name: bench/tracing.py rebinds the
+# functions it traces by name, and tests/test_bench_tracing.py requires each
+decide_scalable = decide
 
 
 # ---------------------------------------------------------------------------

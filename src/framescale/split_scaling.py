@@ -23,9 +23,10 @@ a certificate y answers "empty" or "trivial", and unit-column weights w
 answer with the point of W or V on the ray of the block's kernel vector
 c = w_i / ||B_i||, which ``is_in_W`` or ``is_in_V`` must accept.  W∩V is
 the kernel question on all of θ̃, so ``intersection_scalability`` is
-``scalability.decide`` with its weights c read as the point
-``w_point(F, c)`` of W∩V (``intersection_points``), which is an input
-error where it leaves the float range.
+``scalability.decide``, the same solver on every row with a witness of
+largest support, with its weights c read as the point ``w_point(F, c)`` of
+W∩V (``intersection_points``), which is an input error where it leaves the
+float range.
 """
 
 from __future__ import annotations

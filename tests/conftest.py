@@ -11,7 +11,7 @@ from framescale import (
     apply_scaling,
     codim2_scaling,
     cofactor_scaling,
-    decide_scalable,
+    decide,
     is_in_V,
     is_in_W,
     is_tight,
@@ -59,13 +59,40 @@ def bench_corpus():
 def block_split(F, rows=slice(None), rounds=True):
     """``numerics.split_of_one`` on the unit columns of the block ``rows``
     of the reduced diagram matrix, each divided by its own norm in the
-    block, as the hull solver asks it (with ``rounds``): the pair (y, c) of
-    the certificate y or of the block's kernel vector c = w / norms for the
-    kernel part w that the split takes, with at most one set."""
+    block, as the hull solver asks it: the pair (y, c) of the certificate y
+    or of the block's kernel vector c = w / norms for the kernel part w that
+    the split takes, with at most one set.  Without ``rounds``, only the
+    answer of the first split: a certificate, or a kernel part that is
+    positive everywhere (a later round's is 0 on the columns it dropped)."""
     B = reduced_diagram_matrix(F)[rows]
     norms = numerics.column_norms(B)
-    y, w = numerics.split_of_one(B / norms, rounds)
-    return y, None if w is None else w / norms
+    y, w = numerics.split_of_one(B / norms)
+    if w is not None and (rounds or (w > 0.0).all()):
+        return y, w / norms
+    return y, None
+
+
+def count_nearest(monkeypatch):
+    """The argument of each run of Wolfe's ``numerics.nearest_point`` from
+    here on, as a list that grows."""
+    calls = []
+    nearest = numerics.nearest_point
+
+    def counted(P):
+        calls.append(P)
+        return nearest(P)
+
+    monkeypatch.setattr(numerics, "nearest_point", counted)
+    return calls
+
+
+def wolfe_decide(F):
+    """``decide`` with the hull solver's split of 1 answering nothing, so
+    that Wolfe's nearest point answers alone: a second route to each of
+    its verdicts."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "split_of_one", lambda P: (None, None))
+        return decide(F)
 
 
 def split_answer(F, block):
@@ -100,11 +127,11 @@ def printed_line(result):
 
 
 # the library routes that ``scale`` does not offer, by their former
-# ``--method`` names: the paper's corank routes and the hull solver alone.
-# ``scale`` offers only the routes of ``decide``, so a test that holds one of
-# these to scale's output asks it through ``route_lines``
+# ``--method`` names: the paper's corank routes, and as "lp" the hull solver's
+# Wolfe path (``wolfe_decide``).  ``scale`` offers only ``decide``, so a test
+# that holds one of these to scale's output asks it through ``route_lines``
 ROUTES = {"cofactor": lambda F: cofactor_scaling(F)[1], "codim2": codim2_scaling,
-          "lp": decide_scalable}
+          "lp": wolfe_decide}
 
 
 def route_lines(F, route, strict=False):

@@ -15,7 +15,7 @@ from framescale import (
     canonical_dual_scalable,
     cofactor_scaling,
     codim2_scaling,
-    decide_scalable,
+    decide,
     diagram_inner_identity_check,
     diagram_vector,
     find_V_element,
@@ -31,7 +31,7 @@ from framescale import (
 from framescale.cli import main
 from framescale.diagram import FULL
 from framescale.frame_core import apply_scaling, frame_from_synthesis, is_tight
-from conftest import angles_frame, random_scalable_frame, random_unit_frame
+from conftest import angles_frame, random_scalable_frame, random_unit_frame, wolfe_decide
 from paper_reference import cofactor_pencil
 
 
@@ -175,7 +175,7 @@ def test_criterion_1_frame_operator_regression():
 
 
 def test_criterion_2_scalability_verdicts():
-    r = decide_scalable(EXAMPLE_FRAME)
+    r = decide(EXAMPLE_FRAME)
     assert not r.scalable
     assert hull_certificate_check(EXAMPLE_FRAME, r.certificate_y)
 
@@ -190,7 +190,7 @@ def test_criterion_2_scalability_verdicts():
             F = angles_frame(0.0, t, p)
             expected = (t <= half + 1e-12
                         and half - 1e-12 <= p <= t + half + 1e-12)
-            if decide_scalable(F).scalable != expected:
+            if decide(F).scalable != expected:
                 disagreements += 1
             checked += 1
     assert checked > 300
@@ -300,7 +300,7 @@ def test_criterion_7_w_v_decomposition():
         n = int(rng.integers(2, 5))
         m = int(rng.integers(n, 9))
         F = random_unit_frame(rng, n, m)
-        if intersection_scalability(F).scalable != decide_scalable(F).scalable:
+        if intersection_scalability(F).scalable != wolfe_decide(F).scalable:
             disagreements += 1
     assert disagreements == 0
     print("ACCEPTANCE 7: PASS - doubled-row frame has empty W; eigenbasis "
@@ -327,7 +327,7 @@ def test_criterion_8_dual_scalability():
     assert is_tight(frame_from_synthesis(scaled_dual.synthesis)).tight
 
     P = p1_counterexample(4)
-    assert decide_scalable(P).scalable
+    assert decide(P).scalable
     assert not canonical_dual_scalable(P).feasible
     print("ACCEPTANCE 8: PASS - 100 alternate duals verified Parseval; "
           "c=(1,1,56) recovered; counterexample dual certified non-scalable")
@@ -338,12 +338,12 @@ def test_criterion_9_oracle_equivalence():
     assert len(frames) == 40
     mismatches = []
     for i, F in enumerate(frames):
-        verdicts = (decide_scalable(F).scalable, intersection_scalability(F).scalable,
+        verdicts = (wolfe_decide(F).scalable, intersection_scalability(F).scalable,
                     grid_oracle(F), quadrant_oracle(F))
         if len(set(verdicts)) != 1:
             mismatches.append((i, verdicts))
     assert mismatches == []
-    print("ACCEPTANCE 9: PASS - 40-frame corpus: decide_scalable, "
+    print("ACCEPTANCE 9: PASS - 40-frame corpus: the hull solver's Wolfe path, "
           "intersection_scalability, 1/200 grid search and quadrant criterion "
           "agree exactly")
 

@@ -20,7 +20,7 @@ from framescale.framedoc import (
     format_number,
     parse_frame_document,
 )
-from conftest import ROUTES, bench_corpus, frame_file, route_lines
+from conftest import ROUTES, bench_corpus, count_nearest, frame_file, route_lines
 from test_derived import FRAMES, _frame
 
 
@@ -729,7 +729,9 @@ class TestFloatRange:
 # line, or the name of a library route of ``ROUTES``, which is asked for the
 # lines scale would print (``route_lines``); its exit code is then the one
 # those lines stand for.  A check is the exact "stdout", a part of one
-# stream ("in stdout"/"in stderr"), or JSON fields
+# stream ("in stdout"/"in stderr"), or JSON fields.  In the cases of
+# ``SPLIT_ONLY`` the split of 1 answers every hull question, so Wolfe's
+# nearest point never runs
 CERTIFICATE = ("in stdout", "certificate y:")
 ONE_SIGNED = "n 2\nm 3\n1 1\n1 2\n2 1\n"  # every x_1 x_2 > 0: the split of 1 answers
 TINY_ROW = "n 2\nm 5\n1 1e-9\n1 2e-9\n1 3e-9\n1e-9 1\n2e-9 1\n"  # x_1 x_2 about 1e-9
@@ -747,7 +749,7 @@ CLI_CASES = {
     "mb.frame-scale-cofactor": ((["generate", "mb"],), "cofactor", 0,
                                 ("stdout", "0.57735026919 0.57735026919 0.57735026919\n")),
     "onesigned.frame-analyze": (ONE_SIGNED, ["analyze", "--json"], 0,
-                                ("json", "scalability", {"method": "projection"})),
+                                ("json", "scalability", {"method": "feasibility"})),
     "onesigned.frame-scale": (ONE_SIGNED, ["scale"], 1, CERTIFICATE),
     "tinyrow.frame-scale": (TINY_ROW, ["scale"], 1, CERTIFICATE),
     "tinyrow.frame-scale-lp": (TINY_ROW, "lp", 1, CERTIFICATE),
@@ -756,15 +758,18 @@ CLI_CASES = {
     "short.frame-scale": ("n 2\nm 3\n1 0\n0 1\n1\n", ["scale"], 2,
                           ("in stderr", "expected 2 values in vector row, got 1 (line 5)")),
     "tall.frame-analyze": (TALL, ["analyze", "--json"], 0,
-                           ("json", "scalability", {"method": "projection"})),
+                           ("json", "scalability", {"method": "feasibility"})),
     # V is trivial by the split of 1 on a product block of 15 rows, 7 columns
     "r67.frame-analyze": ((["generate", "random-unit", "--n", "6", "--m", "7"],),
                           ["analyze", "--json"], 0, ("json", "split", {"v_nontrivial": False})),
 }
+SPLIT_ONLY = {"onesigned.frame-analyze", "tall.frame-analyze"}
 
 
-@pytest.mark.parametrize("frame, argv, code, check", CLI_CASES.values(), ids=list(CLI_CASES))
-def test_cli_case(tmp_path, capsys, frame, argv, code, check):
+@pytest.mark.parametrize("name", list(CLI_CASES))
+def test_cli_case(tmp_path, capsys, monkeypatch, name):
+    frame, argv, code, check = CLI_CASES[name]
+    nearest = count_nearest(monkeypatch)
     path = tmp_path / "case.frame"
     if isinstance(frame, str):
         path.write_text(frame)
@@ -786,6 +791,8 @@ def test_cli_case(tmp_path, capsys, frame, argv, code, check):
     else:
         stream = out if kind.endswith("stdout") else err
         assert expected[0] in stream if kind.startswith("in ") else stream == expected[0]
+    if name in SPLIT_ONLY:
+        assert nearest == []
 
 
 def test_python_dash_m_runs_main_in_a_fresh_process(tmp_path):

@@ -15,7 +15,6 @@ from framescale import (
     codim2_scaling,
     cofactor_scaling,
     decide,
-    decide_scalable,
     find_V_element,
     find_W_element,
     frame_from_synthesis,
@@ -37,6 +36,7 @@ from framescale.scalability import (
 from conftest import (
     angles_frame,
     split_answer,
+    count_nearest,
     doubled_hadamard_frame,
     frame_file,
     printed_line,
@@ -71,7 +71,7 @@ def _frame(name):
 def _routes(F):
     """Every route that applies to F, by name."""
     routes = {
-        "decide": decide_scalable,
+        "decide": decide,
         "intersection": intersection_scalability,
         "W": find_W_element,
         "V": find_V_element,
@@ -255,11 +255,13 @@ def test_report_factors_x_once(monkeypatch, name):
     assert eighs == []
 
 
-@pytest.mark.parametrize("name, solves", [("corank-1", 0), ("corank-1-unit", 0),
+@pytest.mark.parametrize("name, rounds", [("corank-1", 0), ("corank-1-unit", 0),
                                           ("corank-2", 0), ("strict", 0), ("p1", 1)])
-def test_scale_auto_takes_at_most_one_svd_of_theta(tmp_path, monkeypatch, capsys, name, solves):
-    # the split of 1 answers every frame here but p1, whose theta the hull
-    # solver answers; neither factors the unit theta, whatever its corank.
+def test_scale_auto_takes_at_most_one_svd_of_theta(tmp_path, monkeypatch, capsys, name, rounds):
+    # scale asks the hull solver theta's question once, and its split of 1
+    # answers it with no run of Wolfe's nearest point: in the first round on
+    # every frame here but p1, in later rounds on p1; the solver does not
+    # factor the unit theta, whatever its corank.
     # Only spanning tests read singular values: X is never factored, and the
     # scaled frame keeps X's spanning decision unless a weight is 0, as some
     # of p1's are
@@ -270,9 +272,12 @@ def test_scale_auto_takes_at_most_one_svd_of_theta(tmp_path, monkeypatch, capsys
     spans = _count(monkeypatch, np.linalg, "svd",
                    lambda A, *args, **kwargs: not kwargs.get("compute_uv", True))
     hulls = _count(monkeypatch, numerics, "solve_feasibility")
+    splits = _count(monkeypatch, numerics, "_split")
+    nearest = count_nearest(monkeypatch)
     assert main(["scale", "--method", "auto", frame_file(tmp_path, F)]) in (0, 1)
     assert not any(np.array_equal(A, theta) for (A, *_) in factored)
-    assert [np.array_equal(p.A, reduced_diagram_matrix(F)) for (p,) in hulls] == [True] * solves
+    assert [np.array_equal(p.A, reduced_diagram_matrix(F)) for (p,) in hulls] == [True]
+    assert (len(splits) > 1, nearest) == (bool(rounds), [])
     unit = F.synthesis / np.linalg.norm(F.synthesis, axis=0)
     retests = int("0" in capsys.readouterr().out.split())
     assert len(spans) == 1 + retests
@@ -293,7 +298,8 @@ def test_lp_route_forms_theta_column_norms_once_per_unit_matrix(monkeypatch):
     assert len(norms) == 2
 
 
-# name: (frame, exit code of ``scale``, its corank, hull solves of ``scale``)
+# name: (frame, exit code of ``scale``, its corank, 1 where the split of 1
+# answers ``scale`` only in a later round)
 KERNEL_ROUTE_FRAMES = {
     "corank-1": (lambda: _frame("corank-1"), 0, 1, 0),
     "corank-1-unit": (lambda: _frame("corank-1-unit"), 1, 1, 0),
@@ -301,7 +307,7 @@ KERNEL_ROUTE_FRAMES = {
     "corank-2": (lambda: _frame("corank-2"), 0, 2, 0),
     # every product x_1 x_2 is positive: the split of 1 answers first
     "corank-2-quadrant": (lambda: angles_frame(0.2, 0.7, 1.2, 1.4), 1, 2, 0),
-    # the split of 1 answers neither way: the hull solver does
+    # the first split answers neither way: a later round does
     "corank-1-p1": (lambda: _frame("p1"), 0, 1, 1),
     "corank-2-dual": (lambda: canonical_dual(_frame("corank-2")).dual, 0, 2, 1),
 }
@@ -309,26 +315,32 @@ KERNEL_ROUTE_FRAMES = {
 
 @pytest.mark.parametrize("name", sorted(KERNEL_ROUTE_FRAMES))
 def test_scale_auto_answers_corank_1_and_2_without_an_lp(tmp_path, monkeypatch, capsys, name):
-    # scale takes no SVD of theta on unit-norm columns, and solves theta's
-    # hull question only where the split of 1 does not answer; the paper's
-    # cofactor and codim-2 routes, asked directly on a fresh frame, answer
-    # alike from that one SVD, certificates included, with no hull solve
-    build, code, corank, hulls = KERNEL_ROUTE_FRAMES[name]
+    # scale takes no SVD of theta on unit-norm columns and asks the hull
+    # solver theta's question once, which its split of 1 answers, in a later
+    # round where the table says so, with no run of Wolfe's nearest point;
+    # the paper's cofactor and codim-2 routes, asked directly on a fresh
+    # frame, answer alike from that one SVD, certificates included, with no
+    # hull solve
+    build, code, corank, rounds = KERNEL_ROUTE_FRAMES[name]
     F = build()
     theta = unit_diagram_matrix(F).data
     path = frame_file(tmp_path, F)
     route = {1: "cofactor", 2: "codim2"}[corank]
-    for method, svds, solved in (("auto", 0, hulls), (route, 1, 0)):
+    for method, svds, solved, later in (("auto", 0, 1, rounds), (route, 1, 0, 0)):
         theta_svds = _count(monkeypatch, np.linalg, "svd",
                             lambda A, *args, **kwargs: np.array_equal(A, theta))
         solves = _count(monkeypatch, numerics, "solve_feasibility")
+        splits = _count(monkeypatch, numerics, "_split")
+        nearest = count_nearest(monkeypatch)
         if method == "auto":
             assert main(["scale", path]) == code
             [line] = capsys.readouterr().out.splitlines()
         else:
             [line] = route_lines(frame_from_synthesis(F.synthesis), method)
         assert line.startswith("not scalable; certificate y:") == (code == 1)
-        assert (len(theta_svds), len(solves)) == (svds, solved), method
+        # one split of theta per solve, and more where a later round answers
+        assert (len(theta_svds), len(solves), len(splits) > solved, nearest) == (
+            svds, solved, bool(later), []), method
 
 
 POLICY_FRAMES = {name: (lambda name=name: _frame(name)) for name in FRAMES}

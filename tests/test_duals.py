@@ -12,7 +12,6 @@ from framescale import (
     canonical_dual_scalable,
     check_transform_scaling,
     decide,
-    decide_scalable,
     grammian_form_check,
     hull_certificate_check,
     intersection_scalability,
@@ -339,7 +338,7 @@ class TestP1Counterexample:
 
     def test_primal_scalable_dual_not(self):
         F = p1_counterexample(4)
-        assert decide_scalable(F).scalable
+        assert decide(F).scalable
         assert not canonical_dual_scalable(F).feasible
 
     def test_rejects_small_n(self):

@@ -2,13 +2,12 @@
 of the frame.  It must not change when each vector is rescaled by a nonzero
 factor (sign included), when the basis is changed by an orthogonal map, or
 when the vectors are permuted.  Every transformed frame is answered, and
-every "not scalable" answer carries a valid certificate.  A rescaling or a
-permutation leaves the signs of the reduced diagram matrix and its unit-norm
-columns as they were, so it also keeps the route (``method``) of every
-answer, and the vectors that the report's ``near_zero`` lists, which move
-with a permutation; an orthogonal map changes that matrix, so there only
-the verdict is held, and on one frame the route, which reads no coordinate
-of the matrix on its own.  Canonical-dual
+every "not scalable" answer carries a valid certificate, and every answer
+keeps its ``method``.  A rescaling or a permutation leaves the signs of the
+reduced diagram matrix and its unit-norm columns as they were, so it also
+keeps the vectors that the report's ``near_zero`` lists, which move with a
+permutation; an orthogonal map changes that matrix, so there that list is
+not held.  Canonical-dual
 scalability under a global scale and an orthogonal map is held to the same
 rule in tests/test_duals.py::TestDualInvariance.  Beyond the fixed corpus,
 Hypothesis draws integer and near-duplicate frames, the families with exact
@@ -23,7 +22,6 @@ from hypothesis import strategies as st
 
 from framescale import (
     decide,
-    decide_scalable,
     frame_from_synthesis,
     hull_certificate_check,
     intersection_scalability,
@@ -32,7 +30,7 @@ from framescale import (
 from framescale.cli import build_report, main
 from framescale.errors import NotSpanningError, ZeroVectorError
 from framescale.framedoc import document_from_frame, parse_frame_document
-from framescale.scalability import METHOD_PROJECTION, NOT_SCALABLE
+from framescale.scalability import METHOD_FEASIBILITY, NOT_SCALABLE
 from conftest import (
     SCALES,
     bench_corpus,
@@ -44,6 +42,7 @@ from conftest import (
     random_scalable_frame,
     rescaled_harmonic_frame,
     two_block_frame,
+    wolfe_decide,
 )
 
 
@@ -88,8 +87,8 @@ def _scale_vector_0(X, s):
 
 
 ROUTES = {
-    "decide": decide_scalable,
     "intersection": intersection_scalability,
+    "wolfe": wolfe_decide,
 }
 
 
@@ -109,9 +108,7 @@ def test_verdicts_are_invariant(tmp_path, capsys, name):
         G = frame_from_synthesis(X)
         for route, decide in ROUTES.items():
             r, want = decide(G), answers[route]
-            assert r.verdict == want.verdict, (label, route)
-            if label != "orthogonal":
-                assert r.method == want.method, (label, route)
+            assert (r.verdict, r.method) == (want.verdict, want.method), (label, route)
             if not r.scalable:
                 assert hull_certificate_check(G, r.certificate_y), (label, route)
         got, got_near_zero = _analyze(tmp_path, capsys, G)
@@ -138,7 +135,7 @@ def test_rotation_keeps_the_route(angle):
     c, s = np.cos(angle), np.sin(angle)
     X = np.array([[c, -s], [s, c]]) @ FRAMES["first-quadrant"].synthesis
     result = decide(frame_from_synthesis(X))
-    assert (result.verdict, result.method) == (NOT_SCALABLE, METHOD_PROJECTION)
+    assert (result.verdict, result.method) == (NOT_SCALABLE, METHOD_FEASIBILITY)
     assert hull_certificate_check(frame_from_synthesis(X), result.certificate_y)
 
 
@@ -187,11 +184,11 @@ def test_v_membership_is_scale_free():
     G = frame_from_synthesis(F.synthesis * d)
     for k in range(G.m):
         assert not is_in_V(G, np.eye(G.m)[k]).member, k
-    assert is_in_V(G, decide_scalable(G).weights_c).member
+    assert is_in_V(G, decide(G).weights_c).member
 
 
 def test_corpus_covers_every_verdict():
-    verdicts = {decide_scalable(F).verdict for F in FRAMES.values()}
+    verdicts = {decide(F).verdict for F in FRAMES.values()}
     assert verdicts == {"not_scalable", "scalable", "strictly_scalable"}
 
 
@@ -253,9 +250,7 @@ def test_report_is_invariant_on_drawn_frames(X, seed):
         # spanning is judged on unit-norm columns, which no transform moves
         assert got is not None, label
         (v, meth), (lo, up), dual_got = got
-        assert v == verdict, label
-        if label != "orthogonal":
-            assert meth == method, label
+        assert (v, meth) == (verdict, method), label
         if label != "per-vector":
             assert abs(lo - lower) <= 1e-9 * upper and abs(up - upper) <= 1e-9 * upper, label
             assert dual_got == dual, label

@@ -22,7 +22,6 @@ from framescale import (
     canonical_dual,
     canonical_dual_scalable,
     decide,
-    decide_scalable,
     intersection_scalability,
     make_frame,
     numerics,
@@ -47,6 +46,7 @@ from conftest import (
     route_lines,
     tiny_row_frame,
     two_block_frame,
+    wolfe_decide,
 )
 
 # scalable, but not strictly: the frame 021-not-strict-n4-m11 of the
@@ -87,7 +87,7 @@ def _assert_tightens(F, result):
 def test_frame_is_decided(build, seed, expected):
     F = build(np.random.default_rng(seed))
 
-    for result in (decide_scalable(F), intersection_scalability(F)):
+    for result in (decide(F), intersection_scalability(F)):
         assert result.verdict == expected
         _assert_tightens(F, result)
 
@@ -171,9 +171,9 @@ def _run(tmp_path, capsys, vectors, *args):
 
 
 def _lp(vectors, strict=False):
-    """The lines ``scale`` would print for the hull solver's own answer on a
-    frame of ``vectors`` (``route_lines``), with --strict if ``strict``;
-    the rows and loops named ``lp`` ask it."""
+    """The lines ``scale`` would print for the answer of the hull solver's
+    Wolfe path on a frame of ``vectors`` (``route_lines``), with --strict if
+    ``strict``; the rows and loops named ``lp`` ask it."""
     return route_lines(make_frame(vectors), "lp", strict)
 
 
@@ -219,7 +219,7 @@ def test_strict_lp_small_margin(tmp_path, capsys, args):
         assert "not strictly" not in out.out
     F = make_frame(SMALL_MARGIN_FRAME)
     _, cofactor = cofactor_scaling(F)
-    assert decide_scalable(F).verdict == cofactor.verdict == STRICTLY_SCALABLE
+    assert decide(F).verdict == cofactor.verdict == STRICTLY_SCALABLE
     if args[0] == "analyze":
         assert json.loads(out.out)["scalability"]["verdict"] == STRICTLY_SCALABLE
 
@@ -228,7 +228,7 @@ def test_codim2_boundary(tmp_path, capsys):
     code, out = _run(tmp_path, capsys, CODIM2_BOUNDARY_FRAME, "scale")
     assert code == 0, out.err
     F = make_frame(CODIM2_BOUNDARY_FRAME)
-    assert codim2_scaling(F).verdict == decide_scalable(F).verdict == SCALABLE
+    assert codim2_scaling(F).verdict == decide(F).verdict == SCALABLE
 
 
 @pytest.mark.parametrize("args", [("analyze", "--json"), "lp"], ids=["analyze", "lp-strict"])
@@ -239,7 +239,7 @@ def test_strict_lp_drives_out_artificials_at_zero(tmp_path, capsys, args):
         code, out = _run(tmp_path, capsys, DRIVE_OUT_FRAME, *args)
         assert code == 0, out.err
     F = make_frame(DRIVE_OUT_FRAME)
-    assert codim2_scaling(F).verdict == decide_scalable(F).verdict == SCALABLE
+    assert codim2_scaling(F).verdict == decide(F).verdict == SCALABLE
 
 
 @pytest.mark.parametrize("name", sorted(NEAR_DUPLICATE_FRAMES))
@@ -251,7 +251,7 @@ def test_near_duplicate_lp_witness_stays_nonnegative(tmp_path, capsys, args, nam
         code, out = _run(tmp_path, capsys, NEAR_DUPLICATE_FRAMES[name], *args)
         assert code == 0, out.err
     F = make_frame(NEAR_DUPLICATE_FRAMES[name])
-    assert decide_scalable(F).verdict == SCALABLE
+    assert decide(F).verdict == SCALABLE
 
 
 # near-duplicate corank-1 frames whose cofactor answer fails its kernel
@@ -458,7 +458,7 @@ FORCED_ZERO_FRAME = [[-1.0, 0.0, 0.0], [1.0, 0.0, -1.0], [-1.0, 2.5e-8, 0.0],
 
 def test_split_kernel_part_that_leaves_a_margin_is_not_taken(tmp_path, capsys):
     F = make_frame(FORCED_ZERO_FRAME)
-    for result in (decide(F), decide_scalable(F), codim2_scaling(F)):
+    for result in (decide(F), codim2_scaling(F)):
         assert (result.verdict, result.near_zero) == (SCALABLE, [2])
     code, out = _run(tmp_path, capsys, FORCED_ZERO_FRAME, "scale", "--strict")
     assert code == 0, out.err
@@ -484,10 +484,11 @@ def test_codim2_entry_within_the_kernel_accuracy_of_0_gets_weight_0():
 
 
 # when decide took the codim-2 route on the frame above it answered
-# "strictly scalable", against the hull solver's forced zero on vector 5
+# "strictly scalable", against the hull solver's forced zero on vector 5,
+# which the solver's Wolfe path finds alone too
 def test_decide_agrees_with_the_hull_solver_on_strictness(tmp_path, capsys):
     F = make_frame(CODIM2_FORCED_ZERO_FRAME)
-    for result in (decide(F), decide_scalable(F)):
+    for result in (decide(F), wolfe_decide(F)):
         assert (result.verdict, result.near_zero) == (SCALABLE, [5])
         _assert_tightens(F, result)
     code, out = _run(tmp_path, capsys, CODIM2_FORCED_ZERO_FRAME, "scale", "--strict")
@@ -496,10 +497,11 @@ def test_decide_agrees_with_the_hull_solver_on_strictness(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name, code", [("first-quadrant", 1), ("harmonic", 0)])
-def test_lp_route_runs_no_nearest_point_where_the_split_answers(monkeypatch, name, code):
+def test_lp_route_runs_no_nearest_point_where_the_split_answers(tmp_path, capsys, monkeypatch,
+                                                               name, code):
     # the hull solver splits 1 first: its certificate, and a strictly
-    # positive kernel part that passes the rank rule, answer with no Wolfe
-    # run, plain and strict
+    # positive kernel part that passes the rank rule, answer ``scale`` with
+    # no Wolfe run, plain and strict
     frames = {"first-quadrant": [[np.cos(t), np.sin(t)] for t in (0.2, 0.7, 1.2, 1.4)],
               "harmonic": rescaled_harmonic_frame(np.random.default_rng(5), 3, 8).synthesis.T}
 
@@ -507,9 +509,10 @@ def test_lp_route_runs_no_nearest_point_where_the_split_answers(monkeypatch, nam
         raise AssertionError("the split of 1 answers this frame")
 
     monkeypatch.setattr(numerics, "nearest_point", forbidden)
-    for strict in (False, True):
-        line = _lp(frames[name], strict)[-1]
-        assert line.startswith("not scalable; certificate y:") == (code == 1)
+    for options in ((), ("--strict",)):
+        got, out = _run(tmp_path, capsys, frames[name], "scale", *options)
+        assert got == code, out.err
+        assert out.out.splitlines()[-1].startswith("not scalable; certificate y:") == (code == 1)
 
 
 @pytest.mark.parametrize("n, t", [(2, 1e-9), (2, 1e-12), (3, 1e-10), (3, 1e-11)])
@@ -522,7 +525,7 @@ def test_one_signed_row_of_small_entries_is_not_scalable(tmp_path, capsys, n, t)
     # and ``scale --method lp``, which took Wolfe's weights first, still did
     vectors = tiny_row_frame(n, t)
     F = make_frame(vectors)
-    for result in (decide(F), decide_scalable(F)):
+    for result in (decide(F), wolfe_decide(F)):
         assert not result.scalable
         assert hull_certificate_check(F, result.certificate_y)
     code, out = _run(tmp_path, capsys, vectors, "scale")

@@ -16,7 +16,7 @@ from framescale import cli, scalability, split_scaling
 from framescale.cli import main
 from framescale.errors import InternalNumericError
 from framescale.frame_core import Tightness, frame_from_synthesis, make_frame
-from framescale.scalability import METHOD_PROJECTION, decide
+from framescale.scalability import METHOD_FEASIBILITY, decide
 from conftest import angles_frame, frame_file
 
 MB = angles_frame(0.0, 2 * np.pi / 3, 4 * np.pi / 3)  # tight, so scalable
@@ -144,14 +144,13 @@ def test_codim2_rechecks_the_sign_of_its_weights(monkeypatch):
 
 
 def test_projection_that_fails_its_check_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
-    # every product x_1 x_2 is positive: the split of 1 gives the
-    # certificate, and the hull solver, whose first split is the same, would
-    # give it again, so a failed check is not handed on
+    # every product x_1 x_2 is positive: the hull solver's split of 1 gives
+    # the certificate, and a failed check is not handed on
     F = make_frame([[1.0, 1.0], [1.0, 2.0], [2.0, 1.0]])
-    assert decide(F).method == METHOD_PROJECTION
+    assert decide(F).method == METHOD_FEASIBILITY
     monkeypatch.setattr(scalability, "hull_certificate_check", lambda F, y: False)
     assert _run(tmp_path, capsys, F, "analyze", "--json") == (
-        3, _numeric_failure("projection certificate fails the hull certificate check"))
+        3, _numeric_failure("feasibility certificate fails the hull certificate check"))
 
 
 def test_nearest_point_stops_at_an_affinely_dependent_corral(monkeypatch):

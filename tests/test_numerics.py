@@ -22,13 +22,17 @@ def unit_columns(A):
     return A / numerics.column_norms(A)
 
 
-def assert_answer_checks(A, y, w):
+def assert_answer_checks(A, y, w, strict=False):
     """Exactly one of the pair is set.  A witness is unit-column weights
-    w >= 0, sum 1, that pass the kernel identity, so that w / ||A_j|| is a
-    kernel vector of A; a certificate y has y.A_j > 0 for every column."""
+    w >= 0 that pass the kernel identity, so that w / ||A_j|| is a kernel
+    vector of A, and sum to 1 unless ``strict`` found it of full support,
+    which leaves it positive everywhere; a certificate y has y.A_j > 0 for
+    every column."""
     assert (y is None) != (w is None)
     if w is not None:
-        assert w.min() >= 0.0 and w.sum() == pytest.approx(1.0, abs=1e-12)
+        assert w.min() >= 0.0
+        if not (strict and w.min() > 0.0):
+            assert w.sum() == pytest.approx(1.0, abs=1e-12)
         assert numerics.kernel_identity(unit_columns(A), w)
     else:
         assert float((y @ np.asarray(A, dtype=float)).min()) > 0.0
@@ -90,7 +94,7 @@ class TestLinearProgram:
         # point, strict, in unit-column weights
         A = np.array([[1.0, -1.0, -1.0], [0.0, 1.0, -1.0]])
         y, w = solve(A, strict=True)
-        assert_answer_checks(A, y, w)
+        assert_answer_checks(A, y, w, strict=True)
         c = w / numerics.column_norms(A)
         assert np.allclose(c / c.sum(), [0.5, 0.25, 0.25], atol=1e-12)
 
@@ -99,7 +103,7 @@ class TestLinearProgram:
         # a second direction: the strict witness keeps all four positive
         A = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, 1.0, -1.0, -1.0]])
         y, w = solve(A, strict=True)
-        assert_answer_checks(A, y, w)
+        assert_answer_checks(A, y, w, strict=True)
         assert w.min() > numerics.STRICT_MARGIN
 
     def test_infeasible_farkas(self):
@@ -156,7 +160,7 @@ class TestSolveFeasibility:
         # and the forced zero is exactly 0
         A = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
         y, w = solve(A, strict=True)
-        assert_answer_checks(A, y, w)
+        assert_answer_checks(A, y, w, strict=True)
         assert w[2] == 0.0
         assert np.allclose(w, [0.5, 0.5, 0.0], atol=1e-12)
 
@@ -179,7 +183,7 @@ class TestSolveFeasibility:
                       [0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0],
                       [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
         y, w = solve(A, strict=True)
-        assert_answer_checks(A, y, w)
+        assert_answer_checks(A, y, w, strict=True)
         assert np.flatnonzero(w <= numerics.STRICT_MARGIN).tolist() == [6]
 
 
@@ -228,7 +232,7 @@ class TestHullCertificates:
     ], ids=["wolfe-point", "facet-point", "zeroed-facet-point"])
     def test_each_candidate_answers_a_frame(self, vectors, first):
         P = self._unit_theta(vectors)
-        assert numerics.split_of_one(P, rounds=True) == (None, None)
+        assert numerics.split_of_one(P) == (None, None)
         x, w = numerics.nearest_point(P)
         facet = numerics._facet_point(P, w)
         candidates = [x, facet, np.where(np.abs(facet) <= numerics.ZERO_TOL, 0.0, facet)]
@@ -252,7 +256,7 @@ class TestHullCertificates:
         # solver answers neither way
         A = np.array([[1e-13, 2e-13, 3e-13], [1.0, -1.0, 1.0]])
         x = np.array([1.0, 0.0])
-        monkeypatch.setattr(numerics, "split_of_one", lambda P, rounds: (None, None))
+        monkeypatch.setattr(numerics, "split_of_one", lambda P: (None, None))
         monkeypatch.setattr(numerics, "nearest_point", lambda P: (x, np.array([1.0, 0.0, 0.0])))
         monkeypatch.setattr(numerics, "_facet_point", lambda P, w: x.copy())
         assert not numerics._clears(unit_columns(A), x)
@@ -265,11 +269,10 @@ class TestHullCertificates:
 class TestSplitRounds:
     def test_rounds_drop_the_forced_columns(self):
         # the kernel part of 1 is (1, 1, 0): not strictly positive, so the
-        # split alone answers neither way; its rounds drop column 2 and find
+        # first split answers neither way; its rounds drop column 2 and find
         # the kernel vector (1, 1) on the rest
         B = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
-        assert numerics.split_of_one(B) == (None, None)
-        y, w = numerics.split_of_one(B, rounds=True)
+        y, w = numerics.split_of_one(B)
         assert y is None
         assert w[2] == 0.0 and w[0] == pytest.approx(w[1]) and w[0] > 0.0
 
@@ -365,7 +368,7 @@ class TestHighsOracle:
     def test_agrees_with_highs(self, A, strict):
         linprog = pytest.importorskip("scipy.optimize").linprog
         y, w = solve(A, strict)
-        assert_answer_checks(A, y, w)
+        assert_answer_checks(A, y, w, strict)
         P = unit_columns(A)
         margin = _highs_gordan_margin(linprog, P)
         assume(margin >= CLEAR or margin <= ZERO)

@@ -1,10 +1,12 @@
-"""Every ``python`` code block of README.md runs as written, and its CLI
-usage lists the options, choices and positional arguments that the parser
-accepts."""
+"""Every ``python`` code block of README.md runs as written, its CLI usage
+lists the options, choices and positional arguments that the parser
+accepts, and its JSON report fields name the route labels that
+``framescale.scalability`` has."""
 
 import re
 from pathlib import Path
 
+from framescale import scalability
 from framescale.cli import _build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -59,3 +61,16 @@ def test_cli_usage_lists_the_parser_choices():
         tokens = re.findall(r"\[[^\]]*\]|\S+", line)
         positionals = [t for t in tokens if not t.startswith("[--")]
         assert positionals == _placeholders(commands[name]), name
+
+
+def test_json_method_values_are_route_labels():
+    # the values "JSON report fields" gives ``method``, the backquoted words
+    # before the first comma of its parentheses, are METHOD_* labels, and
+    # the one that ``decide`` answers with is among them
+    text = README.read_text(encoding="utf-8")
+    fields = re.search(r"^### JSON report fields\n(.*?)^#", text, re.MULTILINE | re.DOTALL).group(1)
+    [listed] = re.findall(r"`method` \(([^,]*),", fields)
+    values = re.findall(r"`(\w+)`", listed)
+    labels = {v for k, v in vars(scalability).items() if k.startswith("METHOD_")}
+    assert set(values) <= labels, values
+    assert scalability.METHOD_FEASIBILITY in values

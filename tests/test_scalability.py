@@ -8,7 +8,6 @@ from framescale import (
     codim2_scaling,
     cofactor_scaling,
     decide,
-    decide_scalable,
     hull_certificate_check,
     intersection_scalability,
     make_frame,
@@ -38,6 +37,7 @@ from framescale.scalability import (
     _feasible_arc,
     _finish_scalable,
     cofactor_vector,
+    decide_scalable,
     independent_rows,
     theta_kernel,
 )
@@ -59,34 +59,34 @@ def doubled_angle_gap_oracle(F):
 class TestVerdicts:
     def test_equiangular_triple_strictly_scalable(self):
         F = angles_frame(0.0, 2 * np.pi / 3, 4 * np.pi / 3)
-        r = decide_scalable(F)
+        r = decide(F)
         assert r.verdict == STRICTLY_SCALABLE
         assert np.allclose(r.weights_c, [1 / 3] * 3, atol=1e-8)
         assert r.near_zero == []
 
     def test_weights_produce_tight_frame(self):
         F = angles_frame(0.0, np.pi / 3, 2 * np.pi / 3)
-        r = decide_scalable(F)
+        r = decide(F)
         assert r.scalable
         assert is_tight(apply_scaling(F, r.scalars_a)).tight
 
     def test_first_quadrant_frame_rejected_with_certificate(self):
         F = make_frame([[1.0, 0.1], [0.9, 0.5], [0.5, 1.0]])
-        r = decide_scalable(F)
+        r = decide(F)
         assert r.verdict == NOT_SCALABLE
         assert hull_certificate_check(F, r.certificate_y)
 
     def test_scalable_only_with_zero_weight(self):
         # third vector needs weight zero: scalable but not strictly
         F = make_frame([[1.0, 0.0], [0.0, 1.0], [2.0, 1.0]])
-        r = decide_scalable(F)
+        r = decide(F)
         assert r.verdict == SCALABLE
         assert 2 in r.near_zero
         assert np.allclose(r.weights_c, [0.5, 0.5, 0.0], atol=1e-8)
 
     def test_duplicated_vector_splits_weight(self):
         F = make_frame([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        r = decide_scalable(F)
+        r = decide(F)
         assert r.scalable
         c = r.weights_c
         # total weight on the duplicated direction must equal the e2 weight
@@ -95,7 +95,7 @@ class TestVerdicts:
     def test_weights_sum_to_one(self, rng):
         for _ in range(10):
             F = random_unit_frame(rng, 2, 5)
-            r = decide_scalable(F)
+            r = decide(F)
             if r.scalable:
                 assert r.weights_c.sum() == pytest.approx(1.0, abs=1e-9)
                 assert np.allclose(r.scalars_a, np.sqrt(r.weights_c))
@@ -112,7 +112,7 @@ class TestVerdicts:
         if numerics.rank(X) < 2:
             return
         F = make_frame(X)
-        assert decide_scalable(F).scalable == doubled_angle_gap_oracle(F)
+        assert decide(F).scalable == doubled_angle_gap_oracle(F)
 
 
 def loop_sign_reject(theta):
@@ -159,13 +159,13 @@ class TestSignReject:
         F = make_frame([[1.0, 0.0], [0.0, 1.0], [2.0, 1.0]])
         check = quick_sign_reject(F)
         assert check.row_index is None
-        assert decide_scalable(F).scalable
+        assert decide(F).scalable
 
 
 class TestHullCertificate:
     def test_valid_certificate(self):
         F = angles_frame(0.1, 0.3, 0.5)
-        r = decide_scalable(F)
+        r = decide(F)
         assert not r.scalable
         assert hull_certificate_check(F, r.certificate_y)
 
@@ -232,7 +232,7 @@ class TestCofactor:
             if np.linalg.matrix_rank(theta) != 2:
                 continue
             _, by_cofactor = cofactor_scaling(F)
-            assert by_cofactor.scalable == decide_scalable(F).scalable
+            assert by_cofactor.scalable == decide(F).scalable
 
     def test_corank_mismatch(self):
         # two non-orthogonal vectors: the reduced diagram matrix has full
@@ -332,7 +332,7 @@ class TestCrossRouteAgreement:
         corank = 0 if F is None else theta_kernel(F).shape[1]
         assume(corank in (1, 2))
         r = cofactor_scaling(F)[1] if corank == 1 else codim2_scaling(F)
-        assert r.verdict == decide_scalable(F).verdict
+        assert r.verdict == decide(F).verdict
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("corank", [1, 2])
@@ -344,7 +344,7 @@ class TestCrossRouteAgreement:
         route = (lambda G: cofactor_scaling(G)[1]) if corank == 1 else codim2_scaling
         for i, F in enumerate(_corank_frames(rng, n, corank, draws=6)):
             r = route(F)
-            assert r.verdict == decide_scalable(F).verdict
+            assert r.verdict == decide(F).verdict
             assert r.verdict == intersection_scalability(F).verdict
             if r.scalable:
                 assert is_tight(apply_scaling(F, r.scalars_a)).tight
@@ -352,7 +352,7 @@ class TestCrossRouteAgreement:
                 d = np.ones(F.m)
                 d[i % F.m] = s
                 G = make_frame(F.synthesis.T * d[:, None])
-                answers = [route(G), decide_scalable(G),
+                answers = [route(G), decide(G),
                            intersection_scalability(G)]
                 for a in answers:
                     assert a.verdict == r.verdict, s
@@ -365,7 +365,7 @@ class TestCrossRouteAgreement:
         # reads the unit-column weights
         F = angles_frame(np.pi / 2, np.pi / 2 + 2 * np.pi / 3, np.pi / 2 + 4 * np.pi / 3)
         G = make_frame(F.synthesis.T * np.array([[1.0], [1e5], [1.0]]))
-        for r in (cofactor_scaling(G)[1], decide_scalable(G),
+        for r in (cofactor_scaling(G)[1], decide(G),
                   intersection_scalability(G)):
             assert r.verdict == STRICTLY_SCALABLE
             assert r.near_zero == []
@@ -470,7 +470,7 @@ class TestClosedFormCertificates:
         r = decide(F)
         assert (r.verdict, r.method) == (NOT_SCALABLE, METHOD_FEASIBILITY)
         assert hull_certificate_check(F, r.certificate_y)
-        assert not decide_scalable(F).scalable
+        assert not decide(F).scalable
 
 
 class TestCodim2Permutation:
@@ -559,7 +559,7 @@ class TestAnswerRule:
         # no weight of the equal-norm triple is near 0, so the one rule calls
         # it strict
         F = frame_from_document(_generate_document("mb", 2, 3, 0))
-        assert decide_scalable(F).verdict == STRICTLY_SCALABLE
+        assert decide(F).verdict == STRICTLY_SCALABLE
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(V=integer_frames())
@@ -572,7 +572,7 @@ class TestAnswerRule:
         except (NotSpanningError, ZeroVectorError):
             F = None
         assume(F is not None)
-        answers = [decide_scalable(F), intersection_scalability(F)]
+        answers = [decide(F), intersection_scalability(F)]
         corank = theta_kernel(F).shape[1]
         if corank == 1:
             answers.append(cofactor_scaling(F)[1])

@@ -1,12 +1,11 @@
 """The orthogonal split of 1 on the unit reduced diagram matrix.
 
-Every answer of ``numerics.split_of_one`` is certified: a certificate y
-passes the hull test theta^T y > 0, and a kernel vector c is strictly
-positive, leaves no room for a certificate that clears ZERO_TOL
-(``numerics.no_margin``) and passes the kernel identity.  Its verdict is
-that of the general test
-``decide_scalable`` and, at corank 1 and 2, of the cofactor and codim-2
-routes, on the benchmark corpus of ``analyze`` and ``scale``, on their
+Every answer of the first split of ``numerics.split_of_one`` is certified:
+a certificate y passes the hull test theta^T y > 0, and a kernel vector c
+is strictly positive, leaves no room for a certificate that clears
+ZERO_TOL (``numerics.no_margin``) and passes the kernel identity.  Its
+verdict is that of the hull solver's Wolfe path (``wolfe_decide``) and, at
+corank 1 and 2, of the cofactor and codim-2 routes, on the benchmark corpus of ``analyze`` and ``scale``, on their
 canonical duals, and on the Hypothesis draws of integer, near-duplicate
 and tall scalable frames.  No kernel part fails the kernel identity: on a
 tall block (fewer columns than rows) the kernel part is ZERO_TOL z, not a
@@ -17,21 +16,28 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from framescale import canonical_dual, decide, decide_scalable, frame_from_synthesis, numerics
+from framescale import canonical_dual, decide, frame_from_synthesis, numerics
 from framescale import scalability
 from framescale.diagram import reduced_diagram_matrix, reduced_size
 from framescale.errors import InternalNumericError, NotSpanningError, ZeroVectorError
 from framescale.framedoc import frame_from_document, parse_frame_document
 from framescale.numerics import RESIDUAL_TOL
 from framescale.scalability import (
-    METHOD_PROJECTION,
+    METHOD_FEASIBILITY,
     STRICTLY_SCALABLE,
     codim2_scaling,
     cofactor_scaling,
     hull_certificate_check,
     theta_kernel,
 )
-from conftest import bench_corpus, block_split, random_scalable_frame, rescaled_harmonic_frame
+from conftest import (
+    bench_corpus,
+    block_split,
+    count_nearest,
+    random_scalable_frame,
+    rescaled_harmonic_frame,
+    wolfe_decide,
+)
 from test_invariance import integer_frames, near_duplicate_frames
 
 
@@ -95,7 +101,7 @@ def _check_split(F):
     if answer in (None, "unchecked"):
         assert block_split(F, rounds=False)[0] is None
         return answer
-    others = [decide_scalable(F)]
+    others = [wolfe_decide(F)]
     kernel = _kernel_route(F)
     if kernel is not None:
         others.append(kernel)
@@ -116,15 +122,42 @@ def test_split_is_certified_and_agrees_on_the_corpus():
 
 
 @pytest.mark.skipif(not CORPUS_FRAMES, reason="needs bench/corpus.py")
-def test_decide_takes_the_split_exactly_when_it_answers():
+def test_decide_takes_the_split_exactly_when_it_answers(monkeypatch):
+    nearest = count_nearest(monkeypatch)
     for name, F in CORPUS_FRAMES.items():
         G = frame_from_synthesis(F.synthesis)
+        runs = len(nearest)
         result = decide(G)
         answer = _checked_split(G)
-        assert (result.method == METHOD_PROJECTION) == (answer in ("certificate", "kernel")), name
+        answered = any(part is not None for part in block_split(G))
+        assert (len(nearest) == runs) == answered, name
         if answer == "certificate":
             y = block_split(G, rounds=False)[0]
             assert np.array_equal(result.certificate_y, y), name
+
+
+@pytest.mark.skipif(bench_corpus() is None, reason="needs bench/corpus.py")
+def test_decide_splits_no_matrix_twice(monkeypatch):
+    # decide asks theta's hull question once, so no call of it splits 1 on
+    # the same matrix twice, as one did when decide split the unit theta
+    # and then the hull solver split its own copy, bit for bit the same
+    split = numerics._split
+    keys = []
+
+    def keyed(B):
+        keys.append((B.shape, B.tobytes()))
+        return split(B)
+
+    monkeypatch.setattr(numerics, "_split", keyed)
+    calls, repeats = 0, []
+    for spec in bench_corpus().build_corpus("analyze-grid", 1):
+        F = frame_from_document(parse_frame_document(spec.text))
+        for G in (F, canonical_dual(F).dual):
+            keys.clear()
+            decide(G)
+            calls += 1
+            repeats += [spec.fid] * (len(keys) - len(set(keys)))
+    assert (calls, repeats) == (128, [])
 
 
 @st.composite
@@ -154,16 +187,16 @@ def test_split_is_certified_and_agrees_on_drawn_frames(X):
 @pytest.mark.skipif(bench_corpus() is None, reason="needs bench/corpus.py")
 def test_tall_strict_frame_takes_the_projection_route(monkeypatch):
     """A strict n = 8, m = 32 frame of ``analyze-grid`` (32 columns, 35 rows)
-    is answered by the split's kernel part, with no SVD of theta and no
-    LP."""
+    is answered by the split's kernel part, with no SVD of theta and no run
+    of Wolfe's nearest point."""
     def forbidden(*args, **kwargs):
         raise AssertionError("the split of 1 answers this frame")
 
-    monkeypatch.setattr(numerics, "solve_feasibility", forbidden)
+    monkeypatch.setattr(numerics, "nearest_point", forbidden)
     monkeypatch.setattr(scalability.theta_svd, "__wrapped__", forbidden)
     specs = [spec for spec in bench_corpus().build_corpus("analyze-grid", 1)
              if spec.fid.endswith("-strict-n8-m32")]
     assert specs
     for spec in specs:
         result = decide(frame_from_document(parse_frame_document(spec.text)))
-        assert (result.method, result.verdict) == (METHOD_PROJECTION, STRICTLY_SCALABLE)
+        assert (result.method, result.verdict) == (METHOD_FEASIBILITY, STRICTLY_SCALABLE)

@@ -3,7 +3,6 @@ import pytest
 
 from framescale import (
     canonical_dual,
-    decide_scalable,
     find_V_element,
     find_W_element,
     frame_from_synthesis,
@@ -21,10 +20,12 @@ from conftest import (
     angles_frame,
     bench_corpus,
     block_split,
+    count_nearest,
     doubled_hadamard_frame,
     open_cone_frame,
     random_unit_frame,
     split_answer,
+    wolfe_decide,
 )
 
 
@@ -227,7 +228,7 @@ class TestIntersection:
             n = int(rng.integers(2, 5))
             m = int(rng.integers(n, 9))
             F = random_unit_frame(rng, n, m)
-            if intersection_scalability(F).scalable != decide_scalable(F).scalable:
+            if intersection_scalability(F).scalable != wolfe_decide(F).scalable:
                 disagreements += 1
         assert disagreements == 0
 
@@ -319,18 +320,6 @@ CERTIFICATE_FRAMES = {**_drawn_frames(), **_corpus_frames()}
 FINDERS = {"W": find_W_element, "V": find_V_element}
 
 
-def _count_nearest(monkeypatch):
-    calls = []
-    nearest = numerics.nearest_point
-
-    def counted(P):
-        calls.append(P)
-        return nearest(P)
-
-    monkeypatch.setattr(numerics, "nearest_point", counted)
-    return calls
-
-
 class TestBlockSplit:
     """W and V are asked of the hull solver, which first splits 1 on the
     block's own unit columns; Wolfe's nearest point runs only when the split
@@ -339,7 +328,7 @@ class TestBlockSplit:
     @pytest.mark.parametrize("name", sorted(CERTIFICATE_FRAMES))
     def test_split_first_answers_like_the_lp(self, monkeypatch, name):
         X = CERTIFICATE_FRAMES[name].synthesis
-        nearest = _count_nearest(monkeypatch)
+        nearest = count_nearest(monkeypatch)
         first, answers = {}, {}
         for block, find in FINDERS.items():
             F = frame_from_synthesis(X)
@@ -349,7 +338,7 @@ class TestBlockSplit:
             assert len(nearest) - runs == (0 if answers[block] else 1), block
             if answers[block] == "member":
                 assert first[block].member, block
-        monkeypatch.setattr(numerics, "split_of_one", lambda B, rounds=False: (None, None))
+        monkeypatch.setattr(numerics, "split_of_one", lambda B: (None, None))
         for block, find in FINDERS.items():
             nearest_only = find(frame_from_synthesis(X))
             assert first[block].member == nearest_only.member, block
@@ -388,7 +377,7 @@ class TestBlockSplit:
     def test_frame_in_r1_takes_the_lp(self, monkeypatch):
         F = TestLine.F
         assert [block_split(F, rows) for rows in _blocks(F).values()] == [(None, None)] * 2
-        nearest = _count_nearest(monkeypatch)
+        nearest = count_nearest(monkeypatch)
         assert find_W_element(F).member and find_V_element(F).member
         assert len(nearest) == 2
 
@@ -398,7 +387,7 @@ class TestBlockSplit:
         F = CERTIFICATE_FRAMES["zero-w-row"]
         y, c = block_split(F, _blocks(F)["W"])
         assert y is None and c is not None
-        nearest = _count_nearest(monkeypatch)
+        nearest = count_nearest(monkeypatch)
         found = find_W_element(F)
         assert found.member and nearest == []
         assert np.allclose((F.synthesis ** 2) @ found.a, 1.0, rtol=0, atol=1e-12)
