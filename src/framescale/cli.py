@@ -111,7 +111,7 @@ def build_report(doc: FrameDocument, tightness: float) -> dict:
     verdict = sca.decide(frame)
     w_elem, v_elem = _split_elements(frame, verdict)
 
-    pair = duals_mod.canonical_dual(frame)
+    dual = duals_mod.canonical_dual(frame)
     dual_report = duals_mod.canonical_dual_scalable(frame)
 
     return {
@@ -145,7 +145,7 @@ def build_report(doc: FrameDocument, tightness: float) -> dict:
             "parseval_scalars": _vec(np.sqrt(w_elem.a)) if verdict.scalable else None,
         },
         "dual": {
-            "canonical_dual": _mat(pair.dual.synthesis.T),
+            "canonical_dual": _mat(dual.synthesis.T),
             "dual_scalable": dual_report.feasible,
             "dual_weights_c": _vec(dual_report.weights_c),
             "dual_scalars_a": _vec(dual_report.scalars_a),
@@ -229,15 +229,15 @@ def cmd_scale(args) -> int:
 def cmd_dual(args) -> int:
     doc = _read_document(args.path)
     frame = frame_from_document(doc)
-    pair = duals_mod.canonical_dual(frame)
+    dual = duals_mod.canonical_dual(frame)
     rep = duals_mod.canonical_dual_scalable(frame) if args.check_scalable else None
     if rep is not None and rep.feasible:
         # the scaled dual has frame operator S^-1 S^2 S^-1 = I
-        scaled = apply_scaling(pair.dual, rep.scalars_a)
+        scaled = apply_scaling(dual, rep.scalars_a)
         if not is_tight(scaled).tight:
             raise InternalNumericError("reported dual scaling does not make the dual tight")
     name = (doc.name + "-canonical-dual") if doc.name else "canonical-dual"
-    print(format_frame_document(document_from_frame(pair.dual, name=name)), end="")
+    print(format_frame_document(document_from_frame(dual, name=name)), end="")
     if rep is not None:
         if rep.feasible:
             print("dual scalable; weights c: "
@@ -247,12 +247,14 @@ def cmd_dual(args) -> int:
     return 0
 
 
-def _generate_document(kind, n, m, seed) -> FrameDocument:
+def _generate_document(kind, n=2, m=3, seed=0) -> FrameDocument:
     if kind == "mb":
         angles = [2.0 * np.pi * k / 3.0 for k in range(3)]
         vectors = [[np.cos(a), np.sin(a)] for a in angles]
         frame = make_frame(vectors)
     elif kind == "hadamard-doubled":
+        if n < 2:  # H of order 1 doubled is one vector of R^1, whose W is not empty
+            raise BadParamsError(f"hadamard-doubled needs n >= 2, got n={n}")
         H = duals_mod.sylvester_hadamard(n)
         H[-1] *= 2.0
         frame = make_frame(H.T)
@@ -272,8 +274,17 @@ def _generate_document(kind, n, m, seed) -> FrameDocument:
     return document_from_frame(frame, name=kind)
 
 
+# the options that each kind of ``generate`` reads
+_GENERATE_READS = {"mb": (), "hadamard-doubled": ("n",), "p1": ("n",),
+                   "random-unit": ("n", "m", "seed")}
+
+
 def cmd_generate(args) -> int:
-    doc = _generate_document(args.kind, args.n, args.m, args.seed)
+    given = {k: getattr(args, k) for k in ("n", "m", "seed") if getattr(args, k) is not None}
+    unread = [f"--{k}" for k in given if k not in _GENERATE_READS[args.kind]]
+    if unread:
+        raise BadParamsError(f"{args.kind} takes no {' or '.join(unread)}")
+    doc = _generate_document(args.kind, **given)
     print(format_frame_document(doc), end="")
     return 0
 
@@ -323,9 +334,9 @@ def _build_parser():
 
     p = commands["generate"] = sub.add_parser("generate", help="emit a named frame construction")
     p.add_argument("kind", choices=["mb", "hadamard-doubled", "p1", "random-unit"])
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=int, help="dimension (not mb; default 2)")
+    p.add_argument("--m", type=int, help="number of vectors (random-unit; default 3)")
+    p.add_argument("--seed", type=int, help="random seed (random-unit; default 0)")
     p.set_defaults(func=cmd_generate)
     return parser, commands
 

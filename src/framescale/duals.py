@@ -37,15 +37,12 @@ from .frame_core import (
 )
 from .scalability import decide
 
-CANONICAL = "canonical"
-ALTERNATE = "alternate"
-
-
 @dataclass(frozen=True)
 class DualPair:
+    """An alternate dual and the primal frame it is dual to."""
+
     primal: Frame
     dual: Frame
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -57,20 +54,15 @@ class DualScalingReport:
     certificate_y: np.ndarray | None = None  # separating functional, dual frame
 
 
-def canonical_dual(F) -> DualPair:
-    """Canonical dual frame with vectors S^{-1} x_i, computed once per
-    frame.  F keeps only the dual frame, and the pair is built on return, so
-    that F's cache holds no reference back to F.
+@derived
+def canonical_dual(F) -> Frame:
+    """The canonical dual frame of F, with vectors S^{-1} x_i, computed once
+    per frame and kept on F; it holds no reference back to F.
 
     The computed dual takes the range checks of every synthesis (finite,
     nonzero vectors whose squares stay in range) and the reconstruction
     identity X Y^T = I (``is_dual``), which proves that it spans, so it
     takes no spanning test of its own."""
-    return DualPair(primal=F, dual=_canonical_dual(F), kind=CANONICAL)
-
-
-@derived
-def _canonical_dual(F):
     # S^{-1} X = R^{-1} Q^T for the sorted QR X^T[order] = Q R, with no
     # S = X X^T to square the condition number of X; each dual vector is
     # accurate relative to its own length
@@ -103,10 +95,9 @@ def alternate_dual_from_scaling(F, a) -> DualPair:
     keep = a > 0.0
     primal = frame_from_synthesis(F.synthesis[:, keep])
     dual = frame_from_synthesis(F.synthesis[:, keep] * a[keep] ** 2)
-    pair = DualPair(primal=primal, dual=dual, kind=ALTERNATE)
     if not is_dual(primal, dual):
         raise InternalNumericError("alternate dual fails the reconstruction identity")
-    return pair
+    return DualPair(primal=primal, dual=dual)
 
 
 def check_transform_scaling(F, T, a) -> bool:
@@ -147,7 +138,7 @@ def canonical_dual_scalable(F) -> DualScalingReport:
     ``residual`` is that of the Parseval one, max |sum_i c_i z_i z_i^T - I|.
     A "not scalable" answer carries the dual frame's certificate y.
     """
-    dual = canonical_dual(F).dual
+    dual = canonical_dual(F)
     result = decide(dual)
     if not result.scalable:
         return DualScalingReport(feasible=False, certificate_y=result.certificate_y)

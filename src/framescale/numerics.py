@@ -2,12 +2,13 @@
 
 Singular values, the SVD and rank come from LAPACK through numpy.  Every
 question that the package asks of a row block A of the reduced diagram
-matrix is one hull question, asked of A's unit-norm columns P: is there a
-c >= 0, c != 0 with P c = 0, or else a y with P^T y > 0 (Gordan's
-alternative)?  ``solve_feasibility``, the entry point, asks it in one
-order (``_hull``): ``split_of_one`` answers from regularized Gram solves,
-in rounds that drop the columns its kernel part leaves near 0, when a part
-of 1 is strictly positive and its witness leaves no room for a certificate
+matrix is one hull question, asked of A's unit-norm columns P, which the
+owner of A forms once (``column_norms``): is there a c >= 0, c != 0 with
+P c = 0, or else a y with P^T y > 0 (Gordan's alternative)?
+``solve_feasibility``, the entry point, takes P and asks it in one order
+(``_hull``): ``split_of_one`` answers from regularized Gram solves, in
+rounds that drop the columns its kernel part leaves near 0, when a part of
+1 is strictly positive and its witness leaves no room for a certificate
 that clears ``ZERO_TOL`` (``no_margin``), and ``nearest_point`` (Wolfe)
 answers the rest, a certificate that clears ``ZERO_TOL`` first.  It checks
 every answer, and with ``require_strict`` carries a witness to one of
@@ -117,7 +118,7 @@ def column_norms(A):
     exact, so its norm neither underflows nor overflows; every other column
     keeps the plain sum of squares.  Its readers: ``frame_core.column_norms``
     (the spanning test, the QR's order), ``diagram.unit_diagram_matrix``,
-    the hull solver and the unit kernel vector of ``cofactor_scaling``."""
+    ``split_scaling``'s W and V blocks and the kernel of ``cofactor_scaling``."""
     low = 2.0 ** -511  # the square root of the smallest normal float
     with np.errstate(over="ignore"):
         norms = np.sqrt((A * A).sum(axis=0))
@@ -388,24 +389,24 @@ def solve_feasibility(p: FeasibilityProblem):
     A x = 0, or else a y with y.A_j > 0 for every column (Gordan), as
     (y, None) or (None, w).
 
-    It is asked of the unit columns P_j = A_j / ||A_j|| (``_hull``): a
-    positive column scale keeps the sign of every y.A_j and the support of
-    every kernel vector.  With ``require_strict`` a witness is carried to
-    one of largest support (``_support_rounds``).  The witness is the
-    unit-column weights w, checked by the kernel identity (A's kernel
-    vector is w_j / ||A_j||): they sum to 1, except a strict witness of
-    full support, which is ``_hull``'s own and whose sum is any positive
-    number.  The certificate y has P^T y > 0.  A nonzero b is not
-    supported."""
-    A = np.asarray(p.A, dtype=float)
+    A must have unit columns (a zero column stays 0), and the question is
+    asked of them as they are (``_hull``).  Its callers divide each column
+    of their matrix by its ``column_norms`` once: a positive column scale
+    keeps the sign of every y.A_j and the support of every kernel vector,
+    and the kernel vector of the matrix is w_j over the norm of its column
+    (``scalability._weights``).  With ``require_strict`` a witness is
+    carried to one of largest support (``_support_rounds``).  The witness
+    is weights w of A's columns, checked by the kernel identity: they sum
+    to 1, except a strict witness of full support, which is ``_hull``'s own
+    and whose sum is any positive number.  The certificate y has
+    A^T y > 0.  A nonzero b is not supported."""
+    P = np.asarray(p.A, dtype=float)
     b = np.asarray(p.b, dtype=float).ravel()
-    _check_finite(A)
-    if A.ndim != 2 or A.shape[0] != b.size:
-        raise DimensionMismatchError(f"A has shape {A.shape}, b has length {b.size}")
+    _check_finite(P)
+    if P.ndim != 2 or P.shape[0] != b.size:
+        raise DimensionMismatchError(f"A has shape {P.shape}, b has length {b.size}")
     if b.any():
         raise ValueError("only the homogeneous problem A x = 0 is solved")
-    norms = column_norms(A)
-    P = A / norms
     y, w = _hull(P)
     if y is not None:
         return y, None

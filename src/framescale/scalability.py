@@ -4,7 +4,7 @@
 auto|split`` and the canonical-dual check all call it.  It asks the paper's
 one question, whether some c >= 0, c != 0 has theta c = 0 for the reduced
 diagram matrix theta, once, of the hull solver
-(``numerics.solve_feasibility``, through ``_theta_hull``; method
+(``numerics.solve_feasibility`` on theta's per-frame unit columns; method
 ``feasibility``).  The solver splits 1 with rounds before Wolfe's nearest
 point and carries a witness to one of largest support; it also answers W
 and V on their row blocks (``split_scaling``).  It reads no coordinate of
@@ -37,10 +37,10 @@ the largest support, so it is strict exactly when no weight is near 0.
 
 Rescaling x_i by s rescales column i of the reduced diagram matrix by
 s^2 > 0, which keeps scalability.  So every route reads that matrix on
-unit-norm columns: the hull solver its own, and the kernel (whose width
-is the corank), the cofactor and codim-2 routes and the margin the
-per-frame copy (``diagram.unit_diagram_matrix``).  The thresholds are
-those of the ``numerics`` table.
+unit-norm columns, the one per-frame copy (``diagram.unit_diagram_matrix``):
+the hull solver, the kernel (whose width is the corank), the cofactor and
+codim-2 routes and the margin.  The thresholds are those of the
+``numerics`` table.
 """
 
 from __future__ import annotations
@@ -209,16 +209,6 @@ def _weights(w, norms):
     return np.ldexp(mw / mn, shift - shift[w != 0.0].max())
 
 
-def _theta_hull(F, rows=slice(None)):
-    """``numerics.solve_feasibility`` on the rows ``rows`` of the reduced
-    diagram matrix, its pair as it is: (y, None) for a certificate y, else
-    (None, w) for unit-column weights w >= 0, of largest support on all
-    rows."""
-    B = reduced_diagram_matrix(F)[rows]
-    return numerics.solve_feasibility(numerics.FeasibilityProblem(
-        A=B, b=np.zeros(B.shape[0]), require_strict=rows == slice(None)))
-
-
 def _finish_scalable(F, w, method):
     """Every scalable answer, from a route's unit-column weights w: the
     weights c_i = w_i / ||theta_i|| (``_weights``), sum 1, and checked.
@@ -248,12 +238,14 @@ def _finish_scalable(F, w, method):
 
 def decide(F) -> ScalingResult:
     """The scalability answer of ``analyze``, ``scale --method auto|split``
-    and the canonical-dual check, by the hull solver (``_theta_hull``).  The
-    solver works on unit-norm columns, so the verdict does not change when a
-    frame vector is rescaled.  The weights have the largest support, so
-    ``near_zero`` holds exactly the vectors that every scaling gives
-    weight 0."""
-    y, w = _theta_hull(F)
+    and the canonical-dual check, by the hull solver on the per-frame unit
+    columns of the reduced diagram matrix (``diagram.unit_diagram_matrix``),
+    so the verdict does not change when a frame vector is rescaled.  The
+    solver carries its witness to one of largest support, so ``near_zero``
+    holds exactly the vectors that every scaling gives weight 0."""
+    P = unit_diagram_matrix(F).data
+    y, w = numerics.solve_feasibility(numerics.FeasibilityProblem(
+        A=P, b=np.zeros(P.shape[0]), require_strict=True))
     if y is not None:
         return _certified(F, METHOD_FEASIBILITY, y)
     return _finish_scalable(F, w, METHOD_FEASIBILITY)

@@ -16,12 +16,12 @@ lambda = sum_k c_k ||x_k||^2 / n is then > 0 and a = c / lambda
 (``w_point``); and a constant diagonal is a zero difference block.  By
 Gordan's alternative neither holds exactly when some y has B^T y > 0 for the
 block B.  So ``find_W_element`` and ``find_V_element`` ask θ̃'s kernel
-question on their block, of the hull solver (``scalability._theta_hull``,
-which splits 1 on the block's own unit columns before Wolfe's nearest
-point; any kernel vector, not one of largest support), as one pair (y, w):
-a certificate y answers "empty" or "trivial", and unit-column weights w
-answer with the point of W or V on the ray of the block's kernel vector
-c = w_i / ||B_i||, which ``is_in_W`` or ``is_in_V`` must accept.  W∩V is
+question on their block, of the hull solver (``numerics.solve_feasibility``
+on B's unit columns, each divided once by its norm in B; any kernel vector,
+not one of largest support), as one pair (y, w): a certificate y answers
+"empty" or "trivial", and unit-column weights w answer with the point of W
+or V on the ray of the block's kernel vector c = w_i / ||B_i||, which
+``is_in_W`` or ``is_in_V`` must accept.  W∩V is
 the kernel question on all of θ̃, so ``intersection_scalability`` is
 ``scalability.decide``, the same solver on every row with a witness of
 largest support, with its weights c read as the point ``w_point(F, c)`` of
@@ -39,7 +39,7 @@ from . import numerics
 from .diagram import coordinate_pairs, reduced_diagram_matrix
 from .errors import InternalNumericError, NonFiniteError
 from .frame_core import _check_weight_length
-from .scalability import ScalingResult, _theta_hull, _weights, decide
+from .scalability import ScalingResult, _weights, decide
 
 
 @dataclass(frozen=True)
@@ -109,12 +109,15 @@ def _v_point(F, c):
 def _block_element(F, rows, point, member) -> ConeMembership:
     """Whether the block ``rows`` of θ̃ has a kernel vector c >= 0, c != 0,
     with the point ``point(F, c)`` that ``member`` accepts, from the hull
-    solver's unit-column weights w as c = w_i / ||B_i|| for the block B;
-    its point must pass."""
-    y, w = _theta_hull(F, rows=rows)
+    solver's weights w of the block B's unit columns as c = w_i / ||B_i||,
+    with B's norms formed once; its point must pass."""
+    B = reduced_diagram_matrix(F)[rows]
+    norms = numerics.column_norms(B)
+    y, w = numerics.solve_feasibility(numerics.FeasibilityProblem(
+        A=B / norms, b=np.zeros(B.shape[0])))
     if y is not None:
         return ConeMembership(member=False)
-    c = _weights(w, numerics.column_norms(reduced_diagram_matrix(F)[rows]))
+    c = _weights(w, norms)
     found = member(F, point(F, c))
     if not found.member:
         raise InternalNumericError(f"kernel vector of the block fails {member.__name__}")

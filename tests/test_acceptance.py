@@ -168,7 +168,7 @@ def test_criterion_1_frame_operator_regression():
     assert np.abs(S - [[6.0, 5.0], [5.0, 6.0]]).max() <= 1e-12
     S_inv = np.linalg.inv(S)
     assert np.abs(S_inv - np.array([[6.0, -5.0], [-5.0, 6.0]]) / 11.0).max() <= 1e-12
-    dual = canonical_dual(EXAMPLE_FRAME).dual.synthesis
+    dual = canonical_dual(EXAMPLE_FRAME).synthesis
     expected = np.array([[7.0, -4.0, 1.0], [-4.0, 7.0, 1.0]]) / 11.0
     assert np.abs(dual - expected).max() <= 1e-12
     print("ACCEPTANCE 1: PASS - S, S^-1 and canonical dual match to 1e-12")
@@ -323,7 +323,7 @@ def test_criterion_8_dual_scalability():
     rep = canonical_dual_scalable(EXAMPLE_FRAME)
     assert rep.feasible
     assert np.allclose(rep.weights_c, [1.0, 1.0, 56.0], atol=1e-7)
-    scaled_dual = apply_scaling(canonical_dual(EXAMPLE_FRAME).dual, rep.scalars_a)
+    scaled_dual = apply_scaling(canonical_dual(EXAMPLE_FRAME), rep.scalars_a)
     assert is_tight(frame_from_synthesis(scaled_dual.synthesis)).tight
 
     P = p1_counterexample(4)

@@ -317,7 +317,9 @@ class TestCommandLine:
     """Each command line is parsed once: one that starts with a command by
     that command's parser, anything else by the top-level parser.  The
     exit code and bytes equal those of the top-level parser parsing the
-    whole line, which hands a command's arguments to its parser."""
+    whole line, which hands a command's arguments to its parser.  A
+    ``generate`` line that parses but asks for what its kind cannot honour
+    is refused by the command: exit 2 and one error line."""
 
     @pytest.mark.parametrize("argv, code, stream, text", [
         ([], 2, "err", "framescale: error: the following arguments are required: command\n"),
@@ -360,6 +362,18 @@ class TestCommandLine:
         assert got[0] == code
         assert text in got[1 if stream == "out" else 2]
         assert got[2 if stream == "out" else 1] == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["generate", "hadamard-doubled", "--n", "1"], "hadamard-doubled needs n >= 2, got n=1"),
+        (["generate", "mb", "--n", "7"], "mb takes no --n"),
+        (["generate", "p1", "--n", "2", "--m", "99", "--seed", "5"],
+         "p1 takes no --m or --seed"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_generate_refuses_what_it_cannot_honour(self, capsys, argv, message):
+        # hadamard-doubled in R^1 has a nonempty W, mb is always in R^2, and
+        # p1 has 2n vectors and no randomness: none prints a frame
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestScale:

@@ -154,7 +154,7 @@ def test_derived_values_are_read_only(monkeypatch, name):
     for G in (F, scaled):
         monkeypatch.setattr(cli, "frame_from_document", lambda doc, G=G: G)
         build_report(document_from_frame(G, name=name), 1e-8)
-        frames.append(canonical_dual(G).dual)
+        frames.append(canonical_dual(G))
     for G in frames:
         arrays = [a for value in G._derived.values() for a in _arrays(value)]
         assert arrays
@@ -199,7 +199,7 @@ def _solves(monkeypatch):
 def test_report_computes_each_quantity_once(monkeypatch, name):
     F = _frame(name)
     theta = reduced_diagram_matrix(F)
-    dual = canonical_dual(F).dual.synthesis
+    dual = canonical_dual(F).synthesis
     # a derived value is built by its function's __wrapped__, on a miss only
     builds = {
         "theta": _count(monkeypatch, diagram.reduced_diagram_matrix, "__wrapped__"),
@@ -207,9 +207,10 @@ def test_report_computes_each_quantity_once(monkeypatch, name):
         "S": _count(monkeypatch, frame_core.frame_operator_matrix, "__wrapped__"),
         "bounds": _count(monkeypatch, frame_core.frame_operator, "__wrapped__"),
     }
+    unit_theta = unit_diagram_matrix(F).data
     plain_theta_lps = _count(
         monkeypatch, numerics, "solve_feasibility",
-        lambda p: not p.require_strict and np.array_equal(p.A, theta))
+        lambda p: not p.require_strict and np.array_equal(p.A, unit_theta))
     build_report(document_from_frame(F, name=name), 1e-8)
     # theta is built once per synthesis: the frame's and its canonical dual's
     theta_builds = [G.synthesis for (G,) in builds.pop("theta")]
@@ -276,7 +277,7 @@ def test_scale_auto_takes_at_most_one_svd_of_theta(tmp_path, monkeypatch, capsys
     nearest = count_nearest(monkeypatch)
     assert main(["scale", "--method", "auto", frame_file(tmp_path, F)]) in (0, 1)
     assert not any(np.array_equal(A, theta) for (A, *_) in factored)
-    assert [np.array_equal(p.A, reduced_diagram_matrix(F)) for (p,) in hulls] == [True]
+    assert [np.array_equal(p.A, theta) for (p,) in hulls] == [True]
     assert (len(splits) > 1, nearest) == (bool(rounds), [])
     unit = F.synthesis / np.linalg.norm(F.synthesis, axis=0)
     retests = int("0" in capsys.readouterr().out.split())
@@ -285,9 +286,9 @@ def test_scale_auto_takes_at_most_one_svd_of_theta(tmp_path, monkeypatch, capsys
 
 
 def test_lp_route_forms_theta_column_norms_once_per_unit_matrix(monkeypatch):
-    # the frame's unit theta and the hull solver's own unit columns each
-    # divide by theta's column norms; the solver's unit-column weights go to
-    # the answer as they are, which forms c from the frame's norms
+    # the frame's unit theta divides by theta's column norms once, and the
+    # hull solver asks its question of those unit columns as they are; its
+    # unit-column weights go to the answer, which forms c from the same norms
     F = make_frame(FORCED_ZERO_FRAME)
     theta = reduced_diagram_matrix(F)
     norms = _count(monkeypatch, numerics, "column_norms",
@@ -295,7 +296,31 @@ def test_lp_route_forms_theta_column_norms_once_per_unit_matrix(monkeypatch):
     [line] = route_lines(frame_from_synthesis(F.synthesis), "lp")
     assert not line.startswith("not scalable")
     assert theta.shape == (5, 6)
-    assert len(norms) == 2
+    assert len(norms) == 1
+
+
+@pytest.mark.parametrize("name", sorted(FRAMES))
+def test_report_forms_each_column_norm_once(monkeypatch, name):
+    # one report divides each matrix it asks the hull solver about by its
+    # column norms exactly once: theta of the frame and of its canonical
+    # dual, and the W and V blocks of a frame that is not scalable; the
+    # solver itself forms none
+    F = _frame(name)
+    dual = canonical_dual(F)
+    theta = reduced_diagram_matrix(F)
+    wanted = {"theta": theta, "dual": reduced_diagram_matrix(dual),
+              "W": theta[:F.n - 1], "V": theta[F.n - 1:]}
+    calls = _count(monkeypatch, numerics, "column_norms")
+    solves = _solves(monkeypatch)
+    rep = build_report(document_from_frame(F, name=name), 1e-8)
+    args = [A for (A,) in calls]
+    keys = [(A.shape, A.tobytes()) for A in args]
+    assert len(set(keys)) == len(keys)
+    formed = [k for k, B in wanted.items()
+              if any(A.shape == B.shape and np.array_equal(A, B) for A in args)]
+    scalable = rep["scalability"]["verdict"] != NOT_SCALABLE
+    assert formed == ["theta", "dual"] + ([] if scalable else ["W", "V"])
+    assert len(solves) == len(formed)
 
 
 # name: (frame, exit code of ``scale``, its corank, 1 where the split of 1
@@ -309,7 +334,7 @@ KERNEL_ROUTE_FRAMES = {
     "corank-2-quadrant": (lambda: angles_frame(0.2, 0.7, 1.2, 1.4), 1, 2, 0),
     # the first split answers neither way: a later round does
     "corank-1-p1": (lambda: _frame("p1"), 0, 1, 1),
-    "corank-2-dual": (lambda: canonical_dual(_frame("corank-2")).dual, 0, 2, 1),
+    "corank-2-dual": (lambda: canonical_dual(_frame("corank-2")), 0, 2, 1),
 }
 
 
@@ -355,14 +380,17 @@ def _split_lps(F):
 
 
 def _block(p, G):
-    """Which row block of G's theta the feasibility problem p asks about:
-    "theta" (every row), "W" (the n-1 square differences) or "V" (the pair
-    products), when p is homogeneous; else None."""
+    """Which row block of G's theta the feasibility problem p asks about, on
+    the block's own unit columns: "theta" (every row), "W" (the n-1 square
+    differences) or "V" (the pair products), when p is homogeneous; else
+    None."""
     if p.b.any():
         return None
     theta = reduced_diagram_matrix(G)
     blocks = {"theta": slice(None), "W": slice(G.n - 1), "V": slice(G.n - 1, None)}
-    return next((k for k, rows in blocks.items() if np.array_equal(p.A, theta[rows])), None)
+    return next((k for k, rows in blocks.items()
+                 if np.array_equal(p.A, theta[rows] / numerics.column_norms(theta[rows]))),
+                None)
 
 
 @pytest.mark.parametrize("name", sorted(POLICY_FRAMES))
@@ -387,7 +415,7 @@ def test_every_command_answers_with_decide(tmp_path, monkeypatch, capsys, name):
     assert all(_block(p, F) == "theta" for p, _ in command_solves)
 
     want = decide(frame_from_synthesis(F.synthesis))
-    dual = canonical_dual(F).dual
+    dual = canonical_dual(F)
     thetas = [unit_diagram_matrix(G).data for G in (F, dual)]
     svds = _count(monkeypatch, np.linalg, "svd",
                   lambda A, *args, **kwargs: any(np.array_equal(A, t) for t in thetas))
@@ -426,7 +454,7 @@ def test_report_asks_each_question_once(monkeypatch, name):
     # nearest point only when the solver's split of 1 on their block does
     # not answer
     F = _frame(name)
-    dual = canonical_dual(F).dual
+    dual = canonical_dual(F)
     calls = _solves(monkeypatch)
     rep = build_report(document_from_frame(F, name=name), 1e-8)
     solved = [_block(p, F) or ("dual" if _block(p, dual) == "theta" else None)

@@ -345,7 +345,7 @@ def test_drawn_frame_dual_is_not_scalable(tmp_path, capsys):
     assert code == 0, out.err
     assert json.loads(out.out)["dual"]["dual_scalable"] is False
     F = make_frame(DRAWN_DUAL_FRAME)
-    dual = canonical_dual(F).dual
+    dual = canonical_dual(F)
     assert hull_certificate_check(dual, canonical_dual_scalable(F).certificate_y)
     # HiGHS finds no c >= 0, sum 1, with theta^ c = 0 on the dual's unit theta
     linprog = pytest.importorskip("scipy.optimize").linprog

@@ -9,17 +9,18 @@ from framescale.errors import DimensionMismatchError, InternalNumericError, NonF
 from conftest import NEAR_PARALLEL_FRAME, tiny_row_frame
 
 
-def solve(A, strict=False):
-    """``solve_feasibility`` on the homogeneous problem A x = 0: the pair
-    (y, None) of a certificate or (None, w) of a witness."""
-    A = np.asarray(A, dtype=float)
-    return numerics.solve_feasibility(numerics.FeasibilityProblem(
-        A=A, b=np.zeros(A.shape[0]), require_strict=strict))
-
-
 def unit_columns(A):
     A = np.asarray(A, dtype=float)
     return A / numerics.column_norms(A)
+
+
+def solve(A, strict=False):
+    """``solve_feasibility`` on the homogeneous problem A x = 0, asked of
+    A's unit columns, as the solver requires: the pair (y, None) of a
+    certificate or (None, w) of unit-column weights."""
+    P = unit_columns(A)
+    return numerics.solve_feasibility(numerics.FeasibilityProblem(
+        A=P, b=np.zeros(P.shape[0]), require_strict=strict))
 
 
 def assert_answer_checks(A, y, w, strict=False):

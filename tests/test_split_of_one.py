@@ -52,7 +52,7 @@ def _corpus_frames():
         for spec in corpus.build_corpus(workload, 1):
             F = frame_from_document(parse_frame_document(spec.text))
             frames[f"{workload}-{spec.fid}"] = F
-            frames[f"{workload}-{spec.fid}-dual"] = canonical_dual(F).dual
+            frames[f"{workload}-{spec.fid}-dual"] = canonical_dual(F)
     return frames
 
 
@@ -152,7 +152,7 @@ def test_decide_splits_no_matrix_twice(monkeypatch):
     calls, repeats = 0, []
     for spec in bench_corpus().build_corpus("analyze-grid", 1):
         F = frame_from_document(parse_frame_document(spec.text))
-        for G in (F, canonical_dual(F).dual):
+        for G in (F, canonical_dual(F)):
             keys.clear()
             decide(G)
             calls += 1

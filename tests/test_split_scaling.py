@@ -312,7 +312,7 @@ def _corpus_frames():
             frames[f"{family}-n{n}-m{m}"] = make_frame(build(rng, n, m))
     for n in (2, 4, 8):
         frames[f"hadamard-doubled-n{n}"] = make_frame(corpus.hadamard_doubled(n))
-        frames[f"p1-dual-n{n}"] = canonical_dual(make_frame(corpus.p1(n))).dual
+        frames[f"p1-dual-n{n}"] = canonical_dual(make_frame(corpus.p1(n)))
     return frames
 
 
