@@ -139,10 +139,11 @@ def diagram_inner_identity_check(x, y) -> float:
 
 def diagram_gram_sum(F) -> float:
     """Sum over all pairs of diagram-vector inner products; zero exactly for
-    unit-norm tight frames, positive otherwise."""
+    unit-norm tight frames, positive otherwise.  Each norm ||x_i|| must be 1
+    within ``numerics.RESIDUAL_TOL``."""
     X = F.synthesis
     norms = np.linalg.norm(X, axis=0)
-    if float(np.abs(norms - 1.0).max()) > numerics.PIVOT_TOL:
+    if float(np.abs(norms - 1.0).max()) > numerics.RESIDUAL_TOL:
         raise NotUnitNormError("diagram_gram_sum requires unit-norm frame vectors")
     if F.m < F.n:
         raise DimensionMismatchError("need m >= n vectors")

@@ -36,6 +36,8 @@ from .frame_core import (
     synthesis_qr,
 )
 from .scalability import decide
+from .split_scaling import w_point
+
 
 @dataclass(frozen=True)
 class DualPair:
@@ -103,7 +105,7 @@ def alternate_dual_from_scaling(F, a) -> DualPair:
 def check_transform_scaling(F, T, a) -> bool:
     """True when the frame operator of {a_i x_i} equals (T^T T)^{-1}, which
     is equivalent to {T x_i} being scalable with weights a, within
-    ``numerics.IDENTITY_TOL`` of the largest entry of that target."""
+    ``numerics.RESIDUAL_TOL`` of the largest entry of that target."""
     a = _check_weight_length(F, a)
     T = np.asarray(T, dtype=float)
     if T.shape != (F.n, F.n):
@@ -121,7 +123,7 @@ def check_transform_scaling(F, T, a) -> bool:
     # entry is positive
     target = (Qt.T / sigma**2) @ Qt
     scale = float(np.abs(target).max())
-    return float(np.abs(S1 - target).max()) <= numerics.IDENTITY_TOL * scale
+    return float(np.abs(S1 - target).max()) <= numerics.RESIDUAL_TOL * scale
 
 
 def canonical_dual_scalable(F) -> DualScalingReport:
@@ -130,24 +132,21 @@ def canonical_dual_scalable(F) -> DualScalingReport:
     of ``analyze`` and ``scale``.
 
     Every route works on unit-norm columns, so the answer does not depend on
-    the scale of F.  Its weights c' (sum 1) map to
-    c_i = n c'_i / sum_k c'_k ||z_k||^2, which solve
-    sum_i c_i x_i x_i^T = S^2; scaling the dual by a_i = sqrt(c_i) makes it
-    Parseval.  Weights c beyond the float range are an input error.  Both
-    identities are re-checked, each against its largest entry, and
-    ``residual`` is that of the Parseval one, max |sum_i c_i z_i z_i^T - I|.
-    A "not scalable" answer carries the dual frame's certificate y.
+    the scale of F.  Its weights c' (sum 1) map to the point
+    c = ``split_scaling.w_point(dual, c')`` of W∩V for the dual, the
+    Parseval map of every frame, which solves sum_i c_i x_i x_i^T = S^2;
+    scaling the dual by a_i = sqrt(c_i) makes it Parseval.  Both identities
+    are re-checked within ``numerics.RESIDUAL_TOL`` of their largest entry,
+    and ``residual`` is that of the Parseval one,
+    max |sum_i c_i z_i z_i^T - I|.  A "not scalable" answer carries the dual
+    frame's certificate y.
     """
     dual = canonical_dual(F)
     result = decide(dual)
     if not result.scalable:
         return DualScalingReport(feasible=False, certificate_y=result.certificate_y)
     Z = dual.synthesis
-    c = result.weights_c
-    with np.errstate(over="ignore"):
-        c = F.n * c / float(c @ (Z ** 2).sum(axis=0))
-    if not np.isfinite(c).all():
-        raise NonFiniteError("dual-scaling weights leave the float range")
+    c = w_point(dual, result.weights_c)
     # the S^2 identity on X / t and c / t^2 for the power of two t at the
     # peak of X: exact, and S^2 stays in the float range
     _, e = np.frexp(float(np.abs(F.synthesis).max()))
@@ -155,10 +154,10 @@ def canonical_dual_scalable(F) -> DualScalingReport:
     S = X @ X.T
     s_sq = S @ S
     achieved = (X * np.ldexp(c, -2 * e)) @ X.T
-    if float(np.abs(achieved - s_sq).max()) > numerics.IDENTITY_TOL * float(np.abs(s_sq).max()):
+    if float(np.abs(achieved - s_sq).max()) > numerics.RESIDUAL_TOL * float(np.abs(s_sq).max()):
         raise InternalNumericError("dual-scaling weights fail the S^2 identity")
     residual = float(np.abs((Z * c) @ Z.T - np.eye(F.n)).max())
-    if residual > numerics.IDENTITY_TOL:
+    if residual > numerics.RESIDUAL_TOL:
         raise InternalNumericError("scaled canonical dual fails the Parseval identity")
     return DualScalingReport(feasible=True, weights_c=c, scalars_a=np.sqrt(c),
                              residual=residual)

@@ -52,16 +52,14 @@ RANK_TOL = 1e-10       # rank: the largest singular value (rank, kernel, a
 #                        the largest entry or 1 if larger (independent rows),
 #                        the largest entry times s_1/s_r (cofactor sign
 #                        classes)
-PIVOT_TOL = 1e-9       # unit norm: the norm of a unit frame vector against 1
-RESIDUAL_TOL = 1e-8    # residual: the kernel identity against
-#                        max_j sum_i |theta_ji| c_i; W rows and X Y^T
-#                        against 1; V cross terms against the
-#                        largest diagonal entry of sum_i a_i x_i x_i^T; the
-#                        default tightness tolerance
-IDENTITY_TOL = 1e-7    # identity: operator identities (S^2, the Parseval
-#                        identity of the scaled canonical dual, the transform
-#                        target) against their largest entry; a codim-2
-#                        weight against max |kernel basis|
+RESIDUAL_TOL = 1e-8    # identity: the kernel identity against
+#                        max_j sum_i |theta_ji| c_i; W rows, X Y^T and unit
+#                        norms against 1; V cross terms against the largest
+#                        diagonal entry of sum_i a_i x_i x_i^T; operator
+#                        identities (S^2, the Parseval identity of the scaled
+#                        canonical dual, the transform target) against their
+#                        largest entry; a codim-2 weight against max |kernel
+#                        basis|; the default tightness tolerance
 STRICT_MARGIN = 1e-9   # strictness: the minimum unit-column weight (weights
 #                        sum 1) of a strictly scalable answer exceeds this,
 #                        and so does the minimum of a kernel part w of the

@@ -58,7 +58,7 @@ from .errors import (
     InternalNumericError,
 )
 from .frame_core import derived
-from .numerics import IDENTITY_TOL, RANK_TOL, STRICT_MARGIN, ZERO_TOL
+from .numerics import RANK_TOL, RESIDUAL_TOL, STRICT_MARGIN, ZERO_TOL
 
 NOT_SCALABLE = "not_scalable"
 SCALABLE = "scalable"
@@ -399,7 +399,7 @@ def codim2_scaling(F):
     t, _ = arc
     w = np.cos(t) * xi1 + np.sin(t) * xi2
     w[~keep] = 0.0
-    if float(w.min()) < -IDENTITY_TOL * scale:
+    if float(w.min()) < -RESIDUAL_TOL * scale:
         raise InternalNumericError("codim-2 direction produced a negative weight")
     return _finish_scalable(F, w, METHOD_CODIM2)
 

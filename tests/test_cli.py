@@ -705,12 +705,12 @@ class TestGenerate:
 
 
 # frames whose vectors pass intake, their squares finite, but whose diagram
-# entries, frame potential or dual-scaling weights leave the float range
+# entries, frame potential or Parseval weights (of the frame or of its
+# canonical dual, by the one map ``w_point``) leave the float range
 DIAGRAM_OVERFLOW_R2 = "n 2\nm 3\n1e154 1e154\n1 0\n0 1\n"
 DIAGRAM_OVERFLOW_R3 = "n 3\nm 4\n1e154 1e154 0\n1 0 0\n0 1 0\n0 0 1\n"
 POTENTIAL_OVERFLOW = "n 2\nm 201\n" + "1e153 1e152\n" * 200 + "0 1e153\n"
 DIAGRAM_ERROR = "error: frame vector 0 is too large: its diagram entries overflow\n"
-DUAL_ERROR = "error: dual-scaling weights leave the float range\n"
 PARSEVAL_ERROR = "error: Parseval weights leave the float range\n"
 
 
@@ -720,8 +720,8 @@ class TestFloatRange:
         (["scale"], DIAGRAM_OVERFLOW_R3, DIAGRAM_ERROR),
         (["analyze", "--json"], POTENTIAL_OVERFLOW,
          "error: frame potential overflows the float range\n"),
-        (["dual", "--check-scalable"], DIAGRAM_OVERFLOW_R2, DUAL_ERROR),
-        (["dual", "--check-scalable"], DIAGRAM_OVERFLOW_R3, DUAL_ERROR),
+        (["dual", "--check-scalable"], DIAGRAM_OVERFLOW_R2, PARSEVAL_ERROR),
+        (["dual", "--check-scalable"], DIAGRAM_OVERFLOW_R3, PARSEVAL_ERROR),
         # a subnormal theta column norm, and a vector whose square is subnormal
         (["scale", "--method", "split"], "n 2\nm 3\n1 0\n0 1\n1e-156 0\n", PARSEVAL_ERROR),
         (["analyze", "--json"], "n 2\nm 2\n1e-160 0\n0 1\n", PARSEVAL_ERROR),

@@ -174,3 +174,11 @@ class TestGramSum:
         F = make_frame([[2.0, 0.0], [0.0, 1.0]])
         with pytest.raises(NotUnitNormError):
             diagram_gram_sum(F)
+
+    def test_unit_norm_judged_at_residual_tol(self):
+        # a norm 5e-9 from 1 is 1 within RESIDUAL_TOL; one 5e-8 from 1 is not
+        thirds = [[np.cos(t), np.sin(t)] for t in (0.0, 2 * np.pi / 3, 4 * np.pi / 3)]
+        near = make_frame(np.array(thirds) * [[1.0 + 5e-9], [1.0], [1.0]])
+        assert diagram_gram_sum(near) == pytest.approx(0.0, abs=1e-12)
+        with pytest.raises(NotUnitNormError):
+            diagram_gram_sum(make_frame(np.array(thirds) * [[1.0 + 5e-8], [1.0], [1.0]]))

@@ -109,7 +109,9 @@ def scaled_gaussian_frames(draw):
 def test_reconstruction_identity_proves_a_dual_spans(drawn):
     # canonical_dual takes no spanning test: max |X Y^T - I| <= RESIDUAL_TOL
     # makes X Y^T, and so Y, rank n.  Checked on the canonical dual and on
-    # an alternate dual Y + Z with X Z^T = 0 to rounding
+    # an alternate dual Y + Z with X Z^T = 0 to rounding.  The dual's
+    # scalability, with its S^2 and Parseval checks at RESIDUAL_TOL, runs
+    # across the same scales and raises nothing
     X, rng = drawn
     try:
         F = frame_from_synthesis(X)
@@ -120,6 +122,7 @@ def test_reconstruction_identity_proves_a_dual_spans(drawn):
     for G in (Y, Y + Z - (Z @ F.synthesis.T) @ Y):
         if is_dual(F, Frame(synthesis=G)):
             assert _spans(Frame(synthesis=_checked_synthesis(G)))
+    canonical_dual_scalable(F)
 
 
 class TestAlternateDual:
@@ -166,6 +169,16 @@ class TestTransformScaling:
         w, Q = np.linalg.eigh(S)
         T = (Q / np.sqrt(w)) @ Q.T
         assert not check_transform_scaling(F, T, 2.0 * np.ones(F.m))
+
+    def test_judged_at_residual_tol(self, rng):
+        # weights whose frame operator is (1 + e) S = (1 + e) (T^T T)^{-1}:
+        # off by e of the target's largest entry, accepted at e = 3e-9 and
+        # rejected at e = 3e-8, above RESIDUAL_TOL
+        F = random_unit_frame(rng, 3, 6)
+        w, Q = np.linalg.eigh(F.synthesis @ F.synthesis.T)
+        T = (Q / np.sqrt(w)) @ Q.T
+        assert check_transform_scaling(F, T, np.full(F.m, np.sqrt(1.0 + 3e-9)))
+        assert not check_transform_scaling(F, T, np.full(F.m, np.sqrt(1.0 + 3e-8)))
 
     def test_singular_transform_rejected(self):
         F = make_frame(np.eye(2))

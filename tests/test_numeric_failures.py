@@ -88,8 +88,18 @@ def test_dual_scaling_rechecks_the_s2_identity(tmp_path, capsys, monkeypatch):
 def test_dual_scaling_rechecks_the_parseval_identity(tmp_path, capsys, monkeypatch):
     # weight moved from z_4 to z_3, of equal norms, changes only the
     # off-diagonal entry of sum_i c_i z_i z_i^T, by 0.1 * 2 / 9e3, and the
-    # one of sum_i c_i x_i x_i^T by 0.1 * 2e3, far below 1e-7 * 9e12
+    # one of sum_i c_i x_i x_i^T by 0.1 * 2e3, far below RESIDUAL_TOL (1e-8)
+    # times 9e12
     _change_dual_weights(monkeypatch, lambda c, unit: c + unit * np.array([0, 0, 0.1, -0.1]))
+    assert _run(tmp_path, capsys, ILL_CONDITIONED, "dual", "--check-scalable") == (
+        3, _numeric_failure("scaled canonical dual fails the Parseval identity"))
+
+
+def test_dual_scaling_judges_the_parseval_identity_at_residual_tol(tmp_path, capsys,
+                                                                  monkeypatch):
+    # the same move, of 1.35e-4, changes that entry by 3e-8, above RESIDUAL_TOL
+    _change_dual_weights(monkeypatch,
+                         lambda c, unit: c + unit * np.array([0, 0, 1.35e-4, -1.35e-4]))
     assert _run(tmp_path, capsys, ILL_CONDITIONED, "dual", "--check-scalable") == (
         3, _numeric_failure("scaled canonical dual fails the Parseval identity"))
 
